@@ -6,7 +6,7 @@ single-move candidate placements off an incumbent (paper Algorithm 2's
 Three engines evaluate the identical candidate set:
 
 * **scalar** — ``Evaluator.evaluate`` in a loop (the reference path),
-* **batch** — ``BatchEvaluator.evaluate_many`` (one vectorized pass),
+* **batch** — ``Evaluator.evaluate_many`` (one vectorized pass),
 * **delta** — ``DeltaEvaluator.propose`` per candidate (incremental
   row/column updates off the cached incumbent).
 
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from _common import add_json_argument, write_bench_json
-from repro.core.engine import BatchEvaluator, DeltaEvaluator
+from repro.core.engine import DeltaEvaluator
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.instances.generator import InstanceSpec
@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         scalar_times.append(time.perf_counter() - start)
 
     batch_times: list[float] = []
-    batch = BatchEvaluator(problem)
+    batch = Evaluator(problem)
     for index, phase_placements in enumerate(fresh_placements()):
         start = time.perf_counter()
         results = batch.evaluate_many(phase_placements)

@@ -6,8 +6,8 @@ round on a 512x512 deployment area (see
 32x32/64-router frame.  Two engines evaluate the identical candidate
 sets:
 
-* **dense** — ``BatchEvaluator`` with stacked ``(K, N, N)`` /
-  ``(K, M, N)`` tensors (the PR 1 engine),
+* **dense** — ``Evaluator(engine="dense").evaluate_many`` with stacked
+  ``(K, N, N)`` / ``(K, M, N)`` tensors,
 * **sparse** — the spatial-grid engine (bin-pruned candidate pairs,
   chunked coverage counting).
 
@@ -37,7 +37,7 @@ import tracemalloc
 import numpy as np
 
 from _common import add_json_argument, write_bench_json
-from repro.core.engine import BatchEvaluator, select_engine
+from repro.core.engine import select_engine
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.instances.catalog import city_large, city_spec
@@ -77,7 +77,7 @@ def dense_bytes_estimate(n_routers: int, n_clients: int, chunk: int) -> int:
 
     Two ``(K, N, N)`` + two ``(K, M, N)`` int32 delta tensors plus the
     boolean adjacency/coverage stacks — the allocations
-    ``evaluate_batch`` cannot avoid materializing.
+    ``measure_stack`` cannot avoid materializing.
     """
     pair_cells = chunk * n_routers * n_routers
     cover_cells = chunk * n_clients * n_routers
@@ -148,8 +148,8 @@ def main(argv: list[str] | None = None) -> int:
         ]
 
     # Parity before timing.
-    dense = BatchEvaluator(problem, engine="dense")
-    sparse = BatchEvaluator(problem, engine="sparse")
+    dense = Evaluator(problem, engine="dense")
+    sparse = Evaluator(problem, engine="sparse")
     reference = dense.evaluate_many(fresh_rounds()[0])
     check_parity(reference, sparse.evaluate_many(fresh_rounds()[0]), "sparse")
     print("parity: sparse bit-identical to dense on the first round")
@@ -168,11 +168,11 @@ def main(argv: list[str] | None = None) -> int:
 
     first_round = fresh_rounds()[0]
     _, dense_peak = peak_memory(
-        lambda: BatchEvaluator(problem, engine="dense").evaluate_many(first_round)
+        lambda: Evaluator(problem, engine="dense").evaluate_many(first_round)
     )
     first_round = fresh_rounds()[0]
     _, sparse_peak = peak_memory(
-        lambda: BatchEvaluator(problem, engine="sparse").evaluate_many(first_round)
+        lambda: Evaluator(problem, engine="sparse").evaluate_many(first_round)
     )
 
     dense_median = statistics.median(dense_times)

@@ -18,14 +18,7 @@ from repro.core.connectivity import (
 )
 from repro.core.coverage import coverage_mask, coverage_matrix, covered_clients
 from repro.core.density import DensityMap
-from repro.core.engine import (
-    BatchEvaluator,
-    DeltaEvaluator,
-    SparseEngine,
-    evaluate_batch,
-    evaluate_sparse,
-    select_engine,
-)
+from repro.core.engine import DeltaEvaluator, SparseEngine, select_engine
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.fitness import (
     FitnessFunction,
@@ -51,11 +44,8 @@ __all__ = [
     "connected_components",
     "connected_components_from_arrays",
     "giant_component_mask",
-    "BatchEvaluator",
     "DeltaEvaluator",
     "SparseEngine",
-    "evaluate_batch",
-    "evaluate_sparse",
     "select_engine",
     "coverage_mask",
     "coverage_matrix",

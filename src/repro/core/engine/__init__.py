@@ -1,56 +1,59 @@
-"""The batched + incremental evaluation engine.
+"""The evaluation engine: one measurement, one dispatch, several tiers.
 
-Three evaluation paths share one contract — bit-identical
-:class:`~repro.core.fitness.NetworkMetrics`, fitness and giant-component
-masks for the same placement:
+Every placement is scored the same way — giant-component size, covered
+clients, fitness — and every path below returns bit-identical
+:class:`~repro.core.fitness.NetworkMetrics`, fitness values and
+giant-component masks for the same placement:
 
-* **Scalar** — :class:`~repro.core.evaluation.Evaluator`.  The reference
-  implementation; one placement per call.  Use it for one-off
-  measurements and as the ground truth in tests.
-* **Batch** — :class:`BatchEvaluator` (and the pure
-  :func:`evaluate_batch`).  Stacks ``K`` candidate placements into
-  ``(K, N, 2)`` tensors and evaluates them in one vectorized pass.  Use
-  it whenever an algorithm holds a candidate *set*: a sampled
-  neighborhood phase, a GA offspring generation.
-* **Delta** — :class:`DeltaEvaluator`.  Caches the incumbent's state and
-  recomputes only what a move touches.  Use it for one-move-per-step
-  loops (simulated annealing, tabu search).
-* **Sparse** — :class:`SparseEngine` (and the pure
-  :func:`evaluate_sparse`).  Bins positions into a spatial grid and
-  generates only neighbor-bin candidate pairs, replacing the
+* **One dispatch** — :class:`StackedEngine`.  The only code that
+  resolves an ``engine`` argument to a tier and builds the per-tier
+  sub-engines.  ``measure_placements`` / ``measure_positions`` measure a
+  whole candidate stack into metric *arrays*
+  (:class:`StackedMeasurement`); callers materialize only the rows they
+  keep.
+* **One counting adapter** — :class:`~repro.core.evaluation.Evaluator`.
+  ``evaluate_many`` is one ``measure_placements`` call plus row
+  materialization, ``evaluate`` the same for one placement; both count
+  evaluations and feed the optional Pareto archive.  With
+  ``engine="dense"``, ``evaluate`` runs the reference path
+  (``RouterNetwork.build`` + ``coverage_mask``) that the parity suites
+  use as ground truth.
+* **Lockstep delta** — :class:`~repro.core.engine.stacked.StackedDeltaEngine`.
+  Per-chain incumbent caches for portfolios advanced in lockstep
+  (:mod:`repro.neighborhood.multichain`): a phase recomputes only the
+  moved routers' adjacency rows and coverage columns.  It takes the tier
+  its :class:`StackedEngine` resolved.
+* **Single-chain delta** — :class:`DeltaEvaluator`.  Caches one
+  incumbent and recomputes only what a move touches, for
+  one-move-per-step loops (simulated annealing, tabu search).
+
+The tiers (see :mod:`repro.core.engine.dispatch`):
+
+* **dense** — :func:`measure_stack` stacks ``K`` candidates into
+  ``(K, N, 2)`` tensors and measures them in one vectorized pass.
+  Paper-scale instances.
+* **sparse** — :class:`SparseEngine` bins positions into a spatial grid
+  and generates only neighbor-bin candidate pairs, replacing the
   ``O(N^2 + M * N)`` matrices with ``O(N k + M k)`` edge and hit
-  arrays.  Use it — normally via the automatic dispatch — for
-  city-scale instances the dense tensors cannot hold.
-* **Stacked** — :class:`StackedEngine` (and the pure
-  :func:`measure_stack`).  Array-level measurement of whole multi-chain
-  candidate stacks: metric *arrays* instead of per-candidate
-  ``Evaluation`` objects, with dense/sparse dispatch.  Use it when a
-  portfolio of searches advances in lockstep
-  (:mod:`repro.neighborhood.multichain`) and only winning rows are ever
-  materialized.
-* **Compiled** — :class:`CompiledEngine`
+  arrays.  City-scale instances the dense tensors cannot hold.
+* **compiled** — :class:`CompiledEngine`
   (:mod:`repro.core.engine.compiled`).  The hottest stacked and delta
   paths as C kernels, built on demand with the system toolchain and
-  bound via ctypes.  Bit-identical to the numpy engines; purely a
-  performance tier.  ``engine="auto"`` promotes to it whenever
-  :func:`compiled_available` reports the kernels built, and falls back
-  silently otherwise, so the tier never becomes a dependency.
+  bound via ctypes; it keeps the dense/sparse layout of
+  :func:`select_engine` and only swaps who crunches it.
+  ``engine="auto"`` promotes to it whenever :func:`compiled_available`
+  reports the kernels built, and falls back silently otherwise, so the
+  tier never becomes a dependency.
 
-The scalar, batch and delta evaluators all take an ``engine`` argument
-(``"auto"`` default): :func:`select_engine` picks dense at paper scale
-and sparse above a size/density threshold (see
-:mod:`repro.core.engine.dispatch`), and the compiled tier reuses the
-same heuristic to pick its kernel form.  All paths count evaluations
-identically, so the machine-independent search-cost accounting of the
-experiments is unaffected by which engine a search runs on.
+All paths count evaluations identically, so the machine-independent
+search-cost accounting of the experiments is unaffected by which tier a
+search runs on.
 """
 
 from repro.core.engine.batch import (
-    BatchEvaluator,
     StackedMeasurement,
     batch_adjacency,
     batch_coverage,
-    evaluate_batch,
     measure_stack,
 )
 from repro.core.engine.components import (
@@ -63,16 +66,10 @@ from repro.core.engine.compiled import CompiledEngine
 from repro.core.engine.compiled import is_available as compiled_available
 from repro.core.engine.delta import DeltaEvaluator
 from repro.core.engine.dispatch import ENGINE_TIERS, resolve_engine, select_engine
-from repro.core.engine.sparse import (
-    SparseEngine,
-    SpatialGridIndex,
-    evaluate_sparse,
-    sparse_edges,
-)
+from repro.core.engine.sparse import SparseEngine, SpatialGridIndex, sparse_edges
 from repro.core.engine.stacked import StackedEngine
 
 __all__ = [
-    "BatchEvaluator",
     "CompiledEngine",
     "DeltaEvaluator",
     "ENGINE_TIERS",
@@ -83,8 +80,6 @@ __all__ = [
     "StackedMeasurement",
     "batch_adjacency",
     "batch_coverage",
-    "evaluate_batch",
-    "evaluate_sparse",
     "measure_stack",
     "sparse_edges",
     "batch_labels_from_adjacency",

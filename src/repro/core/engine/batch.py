@@ -1,14 +1,16 @@
-"""Batched placement evaluation.
+"""The dense tier's vectorized stack measurement.
 
-One :class:`BatchEvaluator` call measures ``K`` candidate placements in
-a single shot: positions are stacked into a ``(K, N, 2)`` tensor,
+One :func:`measure_stack` call measures ``K`` candidate placements in a
+single shot: positions are stacked into a ``(K, N, 2)`` tensor,
 pairwise distances and link-rule range comparisons are broadcast over
 the whole stack, connected components are labeled for all candidates in
 one propagation pass and client coverage is a single ``(K, M, N)``
-comparison.  The per-candidate results are bit-identical to the scalar
-:class:`~repro.core.evaluation.Evaluator` — the parity test suite
-asserts it — so search algorithms can batch their candidate sets freely
-without perturbing experiment results.
+comparison.  :class:`~repro.core.engine.stacked.StackedEngine` calls it
+in bounded chunks on the dense tier.  The per-candidate rows are
+bit-identical to the reference
+:meth:`~repro.core.evaluation.Evaluator.evaluate` — the parity test
+suite asserts it — so search algorithms can batch their candidate sets
+freely without perturbing experiment results.
 
 Grid coordinates are small integers, so the hot comparisons run in
 ``int32``: squared cell distances are exact in both ``int32`` and
@@ -27,27 +29,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine.components import labels_from_edges
-from repro.core.engine.dispatch import resolve_engine
 from repro.core.evaluation import Evaluation
-from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
+from repro.core.fitness import FitnessFunction, NetworkMetrics
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.solution import Placement
 
 __all__ = [
-    "DEFAULT_MAX_CHUNK",
     "StackedMeasurement",
     "batch_adjacency",
     "batch_coverage",
-    "evaluate_batch",
     "measure_stack",
-    "BatchEvaluator",
 ]
-
-#: Default candidate-count bound per vectorized pass: a batch of K
-#: candidates allocates O(K * N^2 + K * M * N) intermediates, so larger
-#: sets are evaluated in chunks of this size.
-DEFAULT_MAX_CHUNK = 256
 
 #: Coordinates of magnitude below this keep squared distances inside
 #: int32 (2 * 32767^2 = 2147352578 < 2^31 - 1).
@@ -279,10 +272,9 @@ def measure_stack(
 ) -> StackedMeasurement:
     """Measure a ``(K, N, 2)`` candidate-position stack in one pass.
 
-    The array-level entry point for multi-chain search: identical math
-    to :func:`evaluate_batch` (which is now a thin materializing wrapper
-    around this function) without constructing per-candidate python
-    objects.  Pure function — no counters, no archive.
+    Array-level: no per-candidate python objects are constructed;
+    :meth:`StackedMeasurement.evaluation` materializes a row on demand.
+    Pure function — no counters, no archive.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[2] != 2:
@@ -348,131 +340,3 @@ def measure_stack(
     )
     measurement.fitness = fitness.score_rows(measurement)
     return measurement
-
-
-def evaluate_batch(
-    problem: ProblemInstance,
-    fitness: FitnessFunction,
-    placements: Sequence[Placement],
-) -> list[Evaluation]:
-    """Evaluate every placement in one vectorized pass.
-
-    Pure function: no counters, no archive — callers that need the
-    bookkeeping wrap it (:class:`BatchEvaluator`,
-    :meth:`repro.core.evaluation.Evaluator.evaluate_many`).
-    """
-    if not placements:
-        return []
-    n = problem.n_routers
-    for placement in placements:
-        if len(placement) != n:
-            raise ValueError(
-                f"placement positions {len(placement)} routers but the fleet "
-                f"has {n}"
-            )
-    positions = np.stack([p.positions_array() for p in placements])
-    measurement = measure_stack(problem, fitness, positions)
-    return [
-        measurement.evaluation(index, placement)
-        for index, placement in enumerate(placements)
-    ]
-
-
-class BatchEvaluator:
-    """Evaluates candidate placements in vectorized batches.
-
-    Drop-in companion of the scalar
-    :class:`~repro.core.evaluation.Evaluator` for algorithms that hold a
-    whole candidate set at once (a sampled neighborhood phase, a GA
-    offspring generation).  Results, evaluation counting and archive
-    observation are identical to calling the scalar evaluator in a loop;
-    only the wall-clock cost changes.
-
-    ``max_chunk`` bounds peak memory: a batch of ``K`` candidates
-    allocates ``O(K * N^2 + K * M * N)`` intermediates, so very large
-    batches are processed in chunks of this size.
-
-    ``engine`` follows the shared dispatch contract (see
-    :mod:`repro.core.engine.dispatch`): ``"auto"`` routes city-scale
-    instances through the spatial-grid sparse engine instead of the
-    stacked tensors, with bit-identical results.
-    """
-
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        fitness: FitnessFunction | None = None,
-        archive=None,
-        max_chunk: int = DEFAULT_MAX_CHUNK,
-        engine: str = "auto",
-    ) -> None:
-        if max_chunk <= 0:
-            raise ValueError(f"max_chunk must be positive, got {max_chunk}")
-        self._problem = problem
-        self._fitness = fitness if fitness is not None else WeightedSumFitness()
-        self._archive = archive
-        self._max_chunk = max_chunk
-        self._n_evaluations = 0
-        self._engine = resolve_engine(problem, engine)
-        self._sparse = None
-        self._compiled = None
-
-    @property
-    def engine(self) -> str:
-        """The resolved path: ``"dense"``, ``"sparse"`` or ``"compiled"``."""
-        return self._engine
-
-    @property
-    def problem(self) -> ProblemInstance:
-        """The instance this evaluator measures against."""
-        return self._problem
-
-    @property
-    def fitness_function(self) -> FitnessFunction:
-        """The configured scalarization."""
-        return self._fitness
-
-    @property
-    def n_evaluations(self) -> int:
-        """Number of placements evaluated so far (search cost counter)."""
-        return self._n_evaluations
-
-    def reset_counter(self) -> None:
-        """Zero the evaluation counter (e.g. between experiment runs)."""
-        self._n_evaluations = 0
-
-    def evaluate_many(self, placements: Sequence[Placement]) -> list[Evaluation]:
-        """Measure every placement; order-preserving, one slot each."""
-        evaluations: list[Evaluation] = []
-        if self._engine == "compiled":
-            if self._compiled is None:
-                from repro.core.engine.compiled import CompiledEngine
-
-                self._compiled = CompiledEngine(self._problem, self._fitness)
-            for start in range(0, len(placements), self._max_chunk):
-                evaluations.extend(
-                    self._compiled.evaluate_batch(
-                        placements[start : start + self._max_chunk]
-                    )
-                )
-        elif self._engine == "sparse":
-            if self._sparse is None:
-                from repro.core.engine.sparse import SparseEngine
-
-                self._sparse = SparseEngine(self._problem, self._fitness)
-            evaluations.extend(self._sparse.evaluate(p) for p in placements)
-        else:
-            for start in range(0, len(placements), self._max_chunk):
-                chunk = placements[start : start + self._max_chunk]
-                evaluations.extend(
-                    evaluate_batch(self._problem, self._fitness, chunk)
-                )
-        self._n_evaluations += len(evaluations)
-        if self._archive is not None:
-            for evaluation in evaluations:
-                self._archive.observe(evaluation)
-        return evaluations
-
-    def evaluate(self, placement: Placement) -> Evaluation:
-        """Scalar convenience: a batch of one."""
-        return self.evaluate_many([placement])[0]

@@ -54,10 +54,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import envgates
-from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
+from repro.core.fitness import FitnessFunction, WeightedSumFitness
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule
-from repro.core.solution import Placement
 
 __all__ = [
     "is_available",
@@ -563,7 +562,9 @@ def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CompiledEngine:
     """Fused stacked measurement of ``(K, N, 2)`` candidate stacks.
 
-    The compiled tier's counterpart of
+    Built and called by
+    :class:`~repro.core.engine.stacked.StackedEngine` on the compiled
+    tier.  The compiled tier's counterpart of
     :func:`~repro.core.engine.batch.measure_stack` /
     :class:`~repro.core.engine.sparse.SparseEngine`: per candidate, the
     pairwise link test, component labeling and covered-count reduction
@@ -684,40 +685,6 @@ class CompiledEngine:
         )
         measurement.fitness = self._fitness.score_rows(measurement)
         return measurement
-
-    def evaluate(self, placement: Placement):
-        """Scalar measurement: a stack of one, materialized."""
-        if len(placement) != self._problem.n_routers:
-            raise ValueError(
-                f"placement positions {len(placement)} routers but the fleet "
-                f"has {self._problem.n_routers}"
-            )
-        measurement = self.measure_stack(
-            placement.positions_array()[np.newaxis]
-        )
-        return measurement.evaluation(0, placement)
-
-    def evaluate_batch(self, placements) -> list:
-        """Measure a placement sequence; order-preserving, one slot each."""
-        if not placements:
-            return []
-        n = self._problem.n_routers
-        for placement in placements:
-            if len(placement) != n:
-                raise ValueError(
-                    f"placement positions {len(placement)} routers but the "
-                    f"fleet has {n}"
-                )
-        stack = np.stack([p.positions_array() for p in placements])
-        measurement = self.measure_stack(stack)
-        return [
-            measurement.evaluation(index, placement)
-            for index, placement in enumerate(placements)
-        ]
-
-    def measure_metrics(self, placement: Placement) -> NetworkMetrics:
-        """Metric bundle only (no fitness), for metric-level callers."""
-        return self.evaluate(placement).metrics
 
     def __repr__(self) -> str:
         return (

@@ -25,8 +25,6 @@ therefore exactly those of :class:`~repro.core.evaluation.Evaluator`
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.core.engine.components import labels_from_edges
@@ -43,10 +41,9 @@ __all__ = [
     "coverage_cell_size",
     "sparse_edges",
     "SparseEngine",
-    "evaluate_sparse",
 ]
 
-#: Default number of query points per :meth:`SpatialGridIndex.query_points`
+#: Number of query points per :meth:`SpatialGridIndex.query_points`
 #: pass in chunked coverage counting; bounds the candidate-pair arrays.
 DEFAULT_QUERY_CHUNK = 4096
 
@@ -330,21 +327,21 @@ class SparseEngine:
     Caches everything static across placements — the client spatial
     index above all (clients never move) — and evaluates one placement
     per call by indexing its router positions.  Coverage is counted in
-    router chunks (``query_chunk``) so the candidate-pair arrays stay
-    bounded regardless of instance size.
+    chunks of :data:`DEFAULT_QUERY_CHUNK` routers so the candidate-pair
+    arrays stay bounded regardless of instance size.
+    :class:`~repro.core.engine.stacked.StackedEngine` builds the one that
+    measures on the sparse tier; the sparse delta layout of
+    :class:`~repro.core.engine.delta.DeltaEvaluator` builds its own for
+    the coverage queries.
     """
 
     def __init__(
         self,
         problem: ProblemInstance,
         fitness: FitnessFunction | None = None,
-        query_chunk: int = DEFAULT_QUERY_CHUNK,
     ) -> None:
-        if query_chunk <= 0:
-            raise ValueError(f"query_chunk must be positive, got {query_chunk}")
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
-        self._query_chunk = query_chunk
         radii = problem.fleet.radii
         self._radii = radii
         self._radii_squared = radii * radii
@@ -401,8 +398,9 @@ class SparseEngine:
         else:
             router_ids = np.flatnonzero(router_mask)
         covered = np.zeros(n_clients, dtype=bool)
-        for start in range(0, router_ids.size, self._query_chunk):
-            chunk = router_ids[start : start + self._query_chunk]
+        step = DEFAULT_QUERY_CHUNK
+        for start in range(0, router_ids.size, step):
+            chunk = router_ids[start : start + step]
             _, hit_clients = self.coverage_hits(positions, chunk)
             covered[hit_clients] = True
         return int(np.count_nonzero(covered))
@@ -435,19 +433,3 @@ class SparseEngine:
             counts,
             giant_label,
         )
-
-
-def evaluate_sparse(
-    problem: ProblemInstance,
-    fitness: FitnessFunction,
-    placements: Sequence[Placement],
-) -> list[Evaluation]:
-    """Evaluate every placement through one shared :class:`SparseEngine`.
-
-    Pure function mirroring :func:`repro.core.engine.batch.evaluate_batch`
-    — no counters, no archive; callers that need the bookkeeping wrap it.
-    """
-    if not placements:
-        return []
-    engine = SparseEngine(problem, fitness)
-    return [engine.evaluate(placement) for placement in placements]

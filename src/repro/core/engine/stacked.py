@@ -1,25 +1,30 @@
-"""Stacked evaluation entry points for multi-chain search portfolios.
+"""The engine's one measurement front door, plus the lockstep delta engine.
 
-The lockstep search engine (:mod:`repro.neighborhood.multichain`)
-advances ``R`` independent chains at once, so each phase produces one
-candidate stack of ``R x C`` placements.  :class:`StackedEngine` is the
-engine-layer entry point for those stacks: it follows the shared
-dispatch contract (``engine="auto" | "dense" | "sparse"``) and measures
-a whole stack in as few passes as possible —
+:class:`StackedEngine` is the only code that resolves an ``engine``
+argument to a tier and builds the per-tier sub-engines.  Every counted
+measurement (:class:`~repro.core.evaluation.Evaluator` on the compiled
+and sparse tiers, and its ``evaluate_many`` on every tier) and every
+full-stack phase of the lockstep search
+(:mod:`repro.neighborhood.multichain`) goes through it.  It measures a
+whole candidate stack in as few passes as the tier allows —
 
 * **dense** — the ``(K, N, 2)`` position tensor goes straight into
-  :func:`repro.core.engine.batch.measure_stack` in bounded chunks.  No
-  per-candidate :class:`~repro.core.solution.Placement` or
+  :func:`repro.core.engine.batch.measure_stack` in chunks of
+  :data:`DEFAULT_MAX_CHUNK`.  No per-candidate
   :class:`~repro.core.evaluation.Evaluation` objects are built; callers
   materialize only the rows they keep.
+* **compiled** — the same tensor goes to one fused
+  :class:`~repro.core.engine.compiled.CompiledEngine` kernel call.
 * **sparse** — each candidate runs through one shared
   :class:`~repro.core.engine.sparse.SparseEngine` (the per-candidate
   cost and memory stay ``O(N k + M k)``, which dominates any object
   overhead at city scale); the resulting evaluations are wrapped in the
   same :class:`~repro.core.engine.batch.StackedMeasurement` interface.
 
-Both paths produce bit-identical metric rows, so the search layer never
-needs to know which engine a portfolio runs on.
+Every tier produces bit-identical metric rows, so no caller needs to
+know which tier it runs on.  :class:`StackedDeltaEngine` is the
+incremental companion for lockstep chains; it takes the tier its
+:class:`StackedEngine` resolved.
 """
 
 from __future__ import annotations
@@ -29,11 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.coverage import coverage_matrix
-from repro.core.engine.batch import (
-    DEFAULT_MAX_CHUNK,
-    StackedMeasurement,
-    measure_stack,
-)
+from repro.core.engine.batch import StackedMeasurement, measure_stack
 from repro.core.engine.components import labels_from_edge_stack
 from repro.core.engine.dispatch import resolve_engine
 from repro.core.fitness import FitnessFunction, WeightedSumFitness
@@ -42,16 +43,20 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule
 from repro.core.solution import Placement
 
-__all__ = ["StackedEngine", "StackedDeltaEngine"]
+__all__ = ["DEFAULT_MAX_CHUNK", "StackedEngine", "StackedDeltaEngine"]
+
+#: Candidate-count bound per dense vectorized pass: a stack of K
+#: candidates allocates O(K * N^2 + K * M * N) intermediates, so larger
+#: stacks are measured in chunks of this size.
+DEFAULT_MAX_CHUNK = 256
 
 
 class StackedEngine:
-    """Array-level candidate-stack evaluation with engine dispatch.
+    """Tier dispatch and array-level measurement of candidate stacks.
 
-    Pure measurement: no evaluation counters, no archive — the search
-    layer on top owns the per-chain bookkeeping.  ``max_chunk`` bounds
-    the dense path's peak memory exactly like
-    :class:`~repro.core.engine.batch.BatchEvaluator`.
+    Pure measurement: no evaluation counters, no archive — the
+    :class:`~repro.core.evaluation.Evaluator` adapter and the search
+    layer on top own the bookkeeping.
     """
 
     def __init__(
@@ -59,13 +64,9 @@ class StackedEngine:
         problem: ProblemInstance,
         fitness: FitnessFunction | None = None,
         engine: str = "auto",
-        max_chunk: int = DEFAULT_MAX_CHUNK,
     ) -> None:
-        if max_chunk <= 0:
-            raise ValueError(f"max_chunk must be positive, got {max_chunk}")
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
-        self._max_chunk = max_chunk
         self._engine = resolve_engine(problem, engine)
         self._sparse = None
         self._compiled = None
@@ -151,27 +152,29 @@ class StackedEngine:
             # The fused kernels never materialize per-candidate tensors,
             # so no memory-bounding chunking is needed.
             return self._compiled_engine().measure_stack(positions)
-        if k <= self._max_chunk:
+        chunk = DEFAULT_MAX_CHUNK
+        if k <= chunk:
             return measure_stack(self._problem, self._fitness, positions)
-        chunks = [
-            measure_stack(
-                self._problem,
-                self._fitness,
-                positions[start : start + self._max_chunk],
-            )
-            for start in range(0, k, self._max_chunk)
-        ]
-        return StackedMeasurement.concatenate(chunks)
+        return StackedMeasurement.concatenate(
+            [
+                measure_stack(
+                    self._problem, self._fitness, positions[start : start + chunk]
+                )
+                for start in range(0, k, chunk)
+            ]
+        )
 
     def measure_placements(
         self, placements: Sequence[Placement]
     ) -> StackedMeasurement:
         """Measure a candidate set of placements on the dispatched path.
 
-        Dense: stacks the (cached) position arrays and defers to
-        :meth:`measure_positions`.  Sparse: evaluates each placement on
-        the shared spatial-grid engine and keeps the evaluations, so
-        :meth:`StackedMeasurement.evaluation` is free.
+        Dense/compiled: stacks the (cached) position arrays and defers
+        to :meth:`measure_positions`.  Sparse: evaluates each placement
+        on the shared spatial-grid engine and keeps the evaluations, so
+        :meth:`StackedMeasurement.evaluation` is free.  Every tier
+        raises ``ValueError`` for a placement whose router count is not
+        the fleet's.
         """
         if not placements:
             return self._empty_measurement()
@@ -181,7 +184,6 @@ class StackedEngine:
         evaluations = [
             self._sparse_engine().evaluate(placement) for placement in placements
         ]
-        n = self._problem.n_routers
         return StackedMeasurement(
             problem=self._problem,
             fitness_function=self._fitness,
@@ -200,11 +202,7 @@ class StackedEngine:
             mean_degrees=np.array(
                 [e.metrics.mean_degree for e in evaluations], dtype=float
             ),
-            giant_masks=(
-                np.stack([e.giant_mask for e in evaluations])
-                if evaluations
-                else np.zeros((0, n), dtype=bool)
-            ),
+            giant_masks=np.stack([e.giant_mask for e in evaluations]),
             fitness=np.array([e.fitness for e in evaluations], dtype=float),
             evaluations=evaluations,
         )
@@ -215,7 +213,7 @@ class StackedEngine:
     def __repr__(self) -> str:
         return (
             f"StackedEngine(n_routers={self._problem.n_routers}, "
-            f"engine={self._engine!r}, max_chunk={self._max_chunk})"
+            f"engine={self._engine!r})"
         )
 
 
@@ -335,14 +333,10 @@ class StackedDeltaEngine:
         self._clients = problem.clients.positions
         self._giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
         self._caches: dict[int, _ChainCache] = {}
-        # The dense-layout caches are shared; ``engine`` only picks who
-        # crunches them: the numpy broadcasts/sgemm ("dense") or the C
-        # kernels ("compiled").  "auto" promotes when the kernels are
-        # available, mirroring the dispatch contract.
-        if engine == "auto":
-            from repro.core.engine import compiled
-
-            engine = "compiled" if compiled.is_available() else "dense"
+        # The dense-layout caches are shared; ``engine`` — the tier a
+        # StackedEngine already resolved — only picks who crunches them:
+        # the numpy broadcasts/sgemm ("dense") or the C kernels
+        # ("compiled").
         if engine == "compiled":
             from repro.core.engine import compiled
 
@@ -352,8 +346,8 @@ class StackedDeltaEngine:
             self._compiled = None
         else:
             raise ValueError(
-                "StackedDeltaEngine engine must be 'auto', 'dense' or "
-                f"'compiled', got {engine!r}"
+                "StackedDeltaEngine engine must be a resolved tier, "
+                f"'dense' or 'compiled', got {engine!r}"
             )
         self._engine = engine
 

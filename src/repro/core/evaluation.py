@@ -1,22 +1,26 @@
-"""The scalar evaluation engine.
+"""Counted placement evaluation.
 
 Everything an optimizer needs to know about a candidate placement in one
-call: :class:`Evaluator` builds the router network, extracts the giant
-component, computes user coverage under the instance's coverage rule and
-scalarizes the result through the configured fitness function.
+call: the size of the router network's giant component, the clients it
+covers under the instance's coverage rule, and the scalar fitness of
+the configured fitness function.
 
 The returned :class:`Evaluation` is an immutable snapshot; search
 algorithms compare evaluations, never recompute pieces by hand.  The
-evaluator also counts how many evaluations it has performed —
+:class:`Evaluator` also counts how many evaluations it has performed —
 experiments report search cost in evaluations, which is
 machine-independent.
 
-:class:`Evaluator` is the *reference* path and the adapter into the
-faster engines of :mod:`repro.core.engine`: :meth:`Evaluator.evaluate_many`
-routes whole candidate sets through the batched engine, and
-:class:`~repro.core.engine.delta.DeltaEvaluator` wraps an evaluator for
-incremental single-move loops.  All paths share this evaluator's counter
-and archive, and produce bit-identical results.
+:class:`Evaluator` is the counting and archiving adapter over the
+engine's one measurement front door,
+:class:`~repro.core.engine.stacked.StackedEngine`: ``evaluate_many``
+measures a candidate set there and materializes the rows, and
+``evaluate`` does the same for one placement.  On the ``"dense"`` tier
+``evaluate`` instead runs the reference path (``RouterNetwork.build``
+plus ``coverage_mask``), the ground truth every other path is tested
+against.  :class:`~repro.core.engine.delta.DeltaEvaluator` wraps an
+evaluator for incremental single-move loops.  All paths share this
+evaluator's counter and archive, and produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -86,11 +90,13 @@ class Evaluator:
         every evaluation is offered to it, so any search run through
         this evaluator also yields the bi-objective front it explored.
     engine:
-        ``"auto"`` (default) picks the dense matrix path at paper scale
-        and the spatial-grid sparse path for city-scale instances (see
-        :mod:`repro.core.engine.dispatch`); ``"dense"``/``"sparse"``
-        force one.  All engines are bit-identical, so this is purely a
-        performance knob.
+        The tier, resolved once by the wrapped
+        :class:`~repro.core.engine.stacked.StackedEngine`: ``"auto"``
+        (default) promotes to ``"compiled"`` when the kernels build and
+        otherwise picks ``"dense"`` at paper scale and ``"sparse"`` for
+        city-scale instances (see :mod:`repro.core.engine.dispatch`);
+        ``"dense"``/``"sparse"``/``"compiled"`` force one.  All tiers are
+        bit-identical, so this is purely a performance knob.
     """
 
     def __init__(
@@ -101,7 +107,7 @@ class Evaluator:
         engine: str = "auto",
     ) -> None:
         # Deferred: the engine package's modules import this one.
-        from repro.core.engine.dispatch import resolve_engine
+        from repro.core.engine.stacked import StackedEngine
 
         # Cheap non-finite gate (two vectorized isfinite scans).  The
         # same check runs at ProblemInstance construction; repeating it
@@ -122,30 +128,12 @@ class Evaluator:
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         self._archive = archive
         self._n_evaluations = 0
-        self._engine = resolve_engine(problem, engine)
-        self._sparse = None
-        self._compiled = None
+        self._stacked = StackedEngine(problem, self._fitness, engine=engine)
 
     @property
     def engine(self) -> str:
         """The resolved path: ``"dense"``, ``"sparse"`` or ``"compiled"``."""
-        return self._engine
-
-    def _sparse_engine(self):
-        """The lazily built :class:`~repro.core.engine.sparse.SparseEngine`."""
-        if self._sparse is None:
-            from repro.core.engine.sparse import SparseEngine
-
-            self._sparse = SparseEngine(self._problem, self._fitness)
-        return self._sparse
-
-    def _compiled_engine(self):
-        """The lazily built :class:`~repro.core.engine.compiled.CompiledEngine`."""
-        if self._compiled is None:
-            from repro.core.engine.compiled import CompiledEngine
-
-            self._compiled = CompiledEngine(self._problem, self._fitness)
-        return self._compiled
+        return self._stacked.engine
 
     @property
     def problem(self) -> ProblemInstance:
@@ -169,24 +157,22 @@ class Evaluator:
     def record_evaluation(self, evaluation: Evaluation) -> None:
         """Count an evaluation performed on this evaluator's behalf.
 
-        Engine hook: the batched and delta paths measure placements
-        outside :meth:`evaluate` but must preserve the evaluation-count
-        semantics and archive observation, so they report here.
+        Engine hook: the delta paths measure placements outside this
+        class but must preserve the evaluation-count semantics and
+        archive observation, so they report here.
         """
         self._n_evaluations += 1
         if self._archive is not None:
             self._archive.observe(evaluation)
 
     def evaluate(self, placement: Placement) -> Evaluation:
-        """Measure a placement: network, giant component, coverage, fitness."""
-        if self._engine == "compiled":
-            evaluation = self._compiled_engine().evaluate(placement)
-            self.record_evaluation(evaluation)
-            return evaluation
-        if self._engine == "sparse":
-            evaluation = self._sparse_engine().evaluate(placement)
-            self.record_evaluation(evaluation)
-            return evaluation
+        """Measure a placement: network, giant component, coverage, fitness.
+
+        A batch of one through :meth:`evaluate_many`, except on the
+        ``"dense"`` tier, which runs the reference path.
+        """
+        if self.engine != "dense":
+            return self.evaluate_many([placement])[0]
         network = RouterNetwork.build(self._problem, placement)
         giant_mask = network.giant_mask()
         if self._problem.coverage_rule is CoverageRule.ANY_ROUTER:
@@ -216,26 +202,15 @@ class Evaluator:
 
         Bit-identical to calling :meth:`evaluate` in a loop (the parity
         tests assert it) and counted the same — one evaluation per
-        placement.  On the dense path the set is vectorized in bounded
-        chunks (one stacked distance tensor, one component-labeling
-        pass, one coverage comparison); on the sparse path each
-        placement runs through the shared spatial-grid engine, whose
-        per-candidate cost and memory stay ``O(N k + M k)``.
+        placement.  The set is one
+        :meth:`~repro.core.engine.stacked.StackedEngine.measure_placements`
+        call, whose rows are then materialized in order.
         """
-        from repro.core.engine.batch import DEFAULT_MAX_CHUNK, evaluate_batch
-
-        evaluations: list[Evaluation] = []
-        if self._engine == "compiled":
-            evaluations.extend(self._compiled_engine().evaluate_batch(placements))
-        elif self._engine == "sparse":
-            sparse = self._sparse_engine()
-            evaluations.extend(sparse.evaluate(p) for p in placements)
-        else:
-            for start in range(0, len(placements), DEFAULT_MAX_CHUNK):
-                chunk = placements[start : start + DEFAULT_MAX_CHUNK]
-                evaluations.extend(
-                    evaluate_batch(self._problem, self._fitness, chunk)
-                )
+        measurement = self._stacked.measure_placements(placements)
+        evaluations = [
+            measurement.evaluation(index, placement)
+            for index, placement in enumerate(placements)
+        ]
         for evaluation in evaluations:
             self.record_evaluation(evaluation)
         return evaluations

@@ -62,7 +62,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
-from repro.core.engine.batch import DEFAULT_MAX_CHUNK
 from repro.core.engine.stacked import StackedDeltaEngine, StackedEngine
 from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
@@ -204,7 +203,7 @@ class MultiChainSearch:
 
     Parameters mirror :class:`~repro.neighborhood.search.NeighborhoodSearch`
     (movement, candidates per phase, phase budget, patience, sideways
-    acceptance) plus the engine knobs of the stacked evaluation path.
+    acceptance) plus the ``engine`` tier of the stacked evaluation path.
 
     ``movement`` is a :class:`MovementType` shared by all chains or a
     zero-argument factory (one instance per run / worker shard).  Either
@@ -221,7 +220,6 @@ class MultiChainSearch:
         stall_phases: int | None = None,
         accept_equal: bool = False,
         engine: str = "auto",
-        max_chunk: int = DEFAULT_MAX_CHUNK,
     ) -> None:
         if n_candidates <= 0:
             raise ValueError(f"n_candidates must be positive, got {n_candidates}")
@@ -231,15 +229,12 @@ class MultiChainSearch:
             raise ValueError(
                 f"stall_phases must be positive or None, got {stall_phases}"
             )
-        if max_chunk <= 0:
-            raise ValueError(f"max_chunk must be positive, got {max_chunk}")
         self.movement = movement
         self.n_candidates = n_candidates
         self.max_phases = max_phases
         self.stall_phases = stall_phases
         self.accept_equal = accept_equal
         self.engine = engine
-        self.max_chunk = max_chunk
 
     # ------------------------------------------------------------------
     # Public entry
@@ -304,9 +299,7 @@ class MultiChainSearch:
             )
         started = DEFAULT_CLOCK.now()
         movement = self._resolve_movement()
-        engine = StackedEngine(
-            problem, fitness, engine=self.engine, max_chunk=self.max_chunk
-        )
+        engine = StackedEngine(problem, fitness, engine=self.engine)
         # On the dense layout every phase measures incrementally against
         # per-chain incumbent caches (the compiled tier carries through
         # to the delta kernels).  The compiled tier also takes the delta
@@ -650,7 +643,6 @@ class MultiChainSearch:
             stall_phases=self.stall_phases,
             accept_equal=self.accept_equal,
             engine=self.engine,
-            max_chunk=self.max_chunk,
         )
         # Publish the instance once; every shard task carries the small
         # broadcast handle (or the instance itself when it is below the
@@ -751,7 +743,6 @@ class MultiStartSearch:
         stall_phases: int | None = None,
         accept_equal: bool = False,
         engine: str = "auto",
-        max_chunk: int = DEFAULT_MAX_CHUNK,
     ) -> None:
         if n_restarts <= 0:
             raise ValueError(f"n_restarts must be positive, got {n_restarts}")
@@ -763,7 +754,6 @@ class MultiStartSearch:
             stall_phases=stall_phases,
             accept_equal=accept_equal,
             engine=engine,
-            max_chunk=max_chunk,
         )
 
     def run(

@@ -91,8 +91,11 @@ class TestCompiledEngineClass:
 
     def test_scalar_evaluate_matches_dense(self, problem):
         placements, _ = position_stack(problem, 1, seed=13)
-        engine = CompiledEngine(problem)
+        evaluator = Evaluator(problem, engine="compiled")
         reference = Evaluator(problem, engine="dense").evaluate(placements[0])
-        result = engine.evaluate(placements[0])
+        result = evaluator.evaluate(placements[0])
+        assert evaluator.engine == "compiled"
+        assert result.placement is placements[0]
         assert result.metrics == reference.metrics
         assert result.fitness == reference.fitness
+        assert np.array_equal(result.giant_mask, reference.giant_mask)

@@ -1,10 +1,14 @@
-"""Parity of the three evaluation paths.
+"""Parity of every evaluation path with the dense reference.
 
-The batched and incremental engines must reproduce the scalar
-:class:`Evaluator` *bit for bit* — identical ``NetworkMetrics``,
-identical fitness floats, identical giant-component masks — for random
-placements under every link rule and coverage rule.  Experiments may
-then batch or delta-evaluate freely without perturbing any result.
+The batched (``Evaluator.evaluate_many`` on every tier) and incremental
+engines must reproduce the reference path — ``Evaluator(problem,
+engine="dense").evaluate`` — *bit for bit*: identical
+``NetworkMetrics``, identical fitness floats, identical giant-component
+masks, for random placements under every link rule and coverage rule.
+Experiments may then batch or delta-evaluate freely without perturbing
+any result.  References are pinned to ``engine="dense"``: ``"auto"``
+resolves to the compiled tier whenever the kernels build, which would
+compare compiled with compiled.
 """
 
 from __future__ import annotations
@@ -12,15 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    BatchEvaluator,
-    DeltaEvaluator,
-    SparseEngine,
-    evaluate_batch,
-    evaluate_sparse,
-)
+from repro.core.engine import DeltaEvaluator, SparseEngine, compiled_available
+from repro.core.engine import stacked
 from repro.core.evaluation import Evaluator
-from repro.core.fitness import LexicographicFitness, WeightedSumFitness
+from repro.core.fitness import LexicographicFitness
+from repro.core.pareto import ParetoArchive
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_spec, tiny_spec
@@ -28,6 +28,9 @@ from repro.neighborhood.moves import RelocateMove, SwapMove
 
 LINK_RULES = list(LinkRule)
 COVERAGE_RULES = list(CoverageRule)
+
+#: Every tier this machine can run (compiled only when its kernels build).
+TIERS = ("dense", "sparse") + (("compiled",) if compiled_available() else ())
 
 
 def make_problem(link_rule: LinkRule, coverage_rule: CoverageRule, seed: int = 7):
@@ -60,12 +63,12 @@ class TestBatchParity:
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(42)
         placements = random_placements(problem, rng, 12)
-        scalar = Evaluator(problem)
-        batch = BatchEvaluator(problem)
+        scalar = Evaluator(problem, engine="dense")
         scalar_evals = [scalar.evaluate(p) for p in placements]
-        batch_evals = batch.evaluate_many(placements)
-        for reference, candidate in zip(scalar_evals, batch_evals):
-            assert_same_evaluation(reference, candidate)
+        for tier in TIERS:
+            batch_evals = Evaluator(problem, engine=tier).evaluate_many(placements)
+            for reference, candidate in zip(scalar_evals, batch_evals):
+                assert_same_evaluation(reference, candidate)
 
     def test_evaluate_many_adapter_matches(self, link_rule, coverage_rule):
         problem = make_problem(link_rule, coverage_rule)
@@ -73,17 +76,20 @@ class TestBatchParity:
         placements = random_placements(problem, rng, 5)
         evaluator = Evaluator(problem)
         via_adapter = evaluator.evaluate_many(placements)
-        reference = [Evaluator(problem).evaluate(p) for p in placements]
-        for ref, got in zip(reference, via_adapter):
-            assert_same_evaluation(ref, got)
+        via_scalar = [evaluator.evaluate(p) for p in placements]
+        reference = Evaluator(problem, engine="dense")
+        for placement, batched, single in zip(placements, via_adapter, via_scalar):
+            ref = reference.evaluate(placement)
+            assert_same_evaluation(ref, batched)
+            assert_same_evaluation(ref, single)
 
     def test_alternate_fitness_function(self, link_rule, coverage_rule):
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(11)
         placements = random_placements(problem, rng, 4)
         fitness = LexicographicFitness()
-        scalar = Evaluator(problem, fitness)
-        batch = BatchEvaluator(problem, fitness)
+        scalar = Evaluator(problem, fitness, engine="dense")
+        batch = Evaluator(problem, fitness)
         for ref, got in zip(
             [scalar.evaluate(p) for p in placements],
             batch.evaluate_many(placements),
@@ -103,7 +109,7 @@ class TestDeltaParity:
         current = delta.reset(
             Placement.random(problem.grid, problem.n_routers, rng)
         )
-        reference = Evaluator(problem)
+        reference = Evaluator(problem, engine="dense")
         assert_same_evaluation(reference.evaluate(current.placement), current)
         for step in range(40):
             if step % 5 == 4:
@@ -132,7 +138,7 @@ class TestDeltaParity:
         current = delta.reset(
             Placement.random(problem.grid, problem.n_routers, rng)
         )
-        reference = Evaluator(problem)
+        reference = Evaluator(problem, engine="dense")
         candidates = []
         for _ in range(8):
             router = int(rng.integers(0, problem.n_routers))
@@ -248,15 +254,11 @@ class TestSparseParityAtScale:
             problem = paper_spec(distribution, **params).generate()
             placements = random_placements(problem, rng, 3)
             scalar = Evaluator(problem, engine="dense")
-            batch = BatchEvaluator(problem, engine="dense")
             references = [scalar.evaluate(p) for p in placements]
-            for ref, got in zip(references, batch.evaluate_many(placements)):
-                assert_same_evaluation(ref, got)
-            for ref, got in zip(
-                references,
-                evaluate_sparse(problem, WeightedSumFitness(), placements),
-            ):
-                assert_same_evaluation(ref, got)
+            for tier in ("dense", "sparse"):
+                batch = Evaluator(problem, engine=tier).evaluate_many(placements)
+                for ref, got in zip(references, batch):
+                    assert_same_evaluation(ref, got)
 
     def test_city_scale_frame(self):
         # Small enough for the dense reference, sparse enough (512x512
@@ -265,7 +267,7 @@ class TestSparseParityAtScale:
         rng = np.random.default_rng(13)
         placements = random_placements(problem, rng, 3)
         scalar = Evaluator(problem, engine="dense")
-        sparse = BatchEvaluator(problem, engine="sparse")
+        sparse = Evaluator(problem, engine="sparse")
         references = [scalar.evaluate(p) for p in placements]
         for ref, got in zip(references, sparse.evaluate_many(placements)):
             assert_same_evaluation(ref, got)
@@ -274,14 +276,14 @@ class TestSparseParityAtScale:
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(17)
         placements = random_placements(problem, rng, 5)
-        forced = Evaluator(problem, engine="sparse")
+        archive = ParetoArchive()
+        forced = Evaluator(problem, engine="sparse", archive=archive)
         assert forced.engine == "sparse"
         forced.evaluate_many(placements)
+        assert forced.n_evaluations == 5
         forced.evaluate(placements[0])
         assert forced.n_evaluations == 6
-        batch = BatchEvaluator(problem, engine="sparse")
-        batch.evaluate_many(placements)
-        assert batch.n_evaluations == 5
+        assert archive.n_observed == 6
 
 
 class TestCounterSemantics:
@@ -292,14 +294,23 @@ class TestCounterSemantics:
         evaluator.evaluate_many(random_placements(problem, rng, 7))
         assert evaluator.n_evaluations == 7
 
-    def test_batch_evaluator_counts_and_chunks(self):
+    def test_evaluate_many_counts_across_chunks(self, monkeypatch):
         problem = make_problem(LinkRule.OVERLAP, CoverageRule.ANY_ROUTER)
         rng = np.random.default_rng(2)
         placements = random_placements(problem, rng, 9)
-        batch = BatchEvaluator(problem, max_chunk=4)
+        unchunked = Evaluator(problem, engine="dense").evaluate_many(placements)
+        monkeypatch.setattr(stacked, "DEFAULT_MAX_CHUNK", 4)
+        passes = []
+        measure = stacked.measure_stack
+        monkeypatch.setattr(
+            stacked,
+            "measure_stack",
+            lambda *args: passes.append(len(args[2])) or measure(*args),
+        )
+        batch = Evaluator(problem, engine="dense")
         chunked = batch.evaluate_many(placements)
+        assert passes == [4, 4, 1]
         assert batch.n_evaluations == 9
-        unchunked = evaluate_batch(problem, WeightedSumFitness(), placements)
         for ref, got in zip(unchunked, chunked):
             assert_same_evaluation(ref, got)
 
@@ -375,8 +386,13 @@ class TestValidation:
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(4)
         short = Placement.random(problem.grid, problem.n_routers - 1, rng)
-        with pytest.raises(ValueError):
-            BatchEvaluator(problem).evaluate_many([short])
+        full = Placement.random(problem.grid, problem.n_routers, rng)
+        for tier in TIERS:
+            evaluator = Evaluator(problem, engine=tier)
+            for candidates in ([short], [full, short]):
+                with pytest.raises(ValueError):
+                    evaluator.evaluate_many(candidates)
+            assert evaluator.n_evaluations == 0
 
     def test_delta_requires_reset(self):
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
@@ -385,8 +401,3 @@ class TestValidation:
             delta.propose(RelocateMove(router_id=0, target=None))
         with pytest.raises(ValueError):
             delta.incumbent
-
-    def test_batch_evaluator_rejects_bad_chunk(self):
-        problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
-        with pytest.raises(ValueError):
-            BatchEvaluator(problem, max_chunk=0)

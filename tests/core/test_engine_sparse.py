@@ -19,6 +19,7 @@ from repro.core.engine import (
     select_engine,
     sparse_edges,
 )
+from repro.core.engine import sparse
 from repro.core.engine.dispatch import resolve_engine
 from repro.core.engine.sparse import coverage_cell_size, link_cell_size
 from repro.core.evaluation import Evaluator
@@ -198,16 +199,24 @@ class TestSparseCoverageEdgeCases:
             matrix[:, mask].any(axis=1).sum()
         )
 
-    def test_query_chunk_does_not_change_counts(self):
+    def test_query_chunk_does_not_change_counts(self, monkeypatch):
         rng = np.random.default_rng(29)
         cells = [tuple(map(int, c)) for c in rng.integers(0, 64, size=(80, 2))]
         problem = self.make_problem(cells, radio=RadioProfile(3.0, 9.0))
         placement = Placement.random(problem.grid, 4, rng)
         baseline = SparseEngine(problem).evaluate(placement)
-        chunked = SparseEngine(problem, query_chunk=1).evaluate(placement)
+        monkeypatch.setattr(sparse, "DEFAULT_QUERY_CHUNK", 1)
+        engine = SparseEngine(problem)
+        queries = []
+        hits = engine.coverage_hits
+        monkeypatch.setattr(
+            engine,
+            "coverage_hits",
+            lambda positions, ids: queries.append(ids.size) or hits(positions, ids),
+        )
+        chunked = engine.evaluate(placement)
+        assert queries and set(queries) == {1}
         assert baseline.metrics == chunked.metrics
-        with pytest.raises(ValueError):
-            SparseEngine(problem, query_chunk=0)
 
 
 class TestEngineDispatch:

@@ -1,8 +1,9 @@
 """Parity tests for the stacked (multi-chain) evaluation entry points.
 
 The stacked engine and its incremental (delta) companion must produce
-row-for-row exactly what the scalar reference evaluator computes — the
-lockstep search layer relies on it for bit-identical portfolio results.
+row-for-row exactly what the reference evaluator (``engine="dense"``)
+computes — the lockstep search layer relies on it for bit-identical
+portfolio results.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import StackedEngine, measure_stack
+from repro.core.engine import StackedEngine, measure_stack, stacked
 from repro.core.engine.components import (
     labels_from_edge_stack,
     labels_from_edges,
@@ -40,6 +41,11 @@ def random_placements(problem, count, seed=0):
     ]
 
 
+def dense_references(problem, placements):
+    reference = Evaluator(problem, engine="dense")
+    return [reference.evaluate(p) for p in placements]
+
+
 def assert_rows_match(measurement, references):
     for index, reference in enumerate(references):
         assert measurement.metrics(index) == reference.metrics
@@ -52,7 +58,7 @@ def assert_rows_match(measurement, references):
 class TestStackedEngine:
     def test_measure_placements_matches_scalar(self, problem):
         placements = random_placements(problem, 7)
-        references = [Evaluator(problem).evaluate(p) for p in placements]
+        references = dense_references(problem, placements)
         measurement = StackedEngine(problem).measure_placements(placements)
         assert_rows_match(measurement, references)
 
@@ -67,19 +73,25 @@ class TestStackedEngine:
             by_positions.giant_sizes, by_placement.giant_sizes
         )
 
-    def test_chunking_preserves_rows(self, problem):
+    def test_chunking_preserves_rows(self, problem, monkeypatch):
         placements = random_placements(problem, 9, seed=5)
-        whole = StackedEngine(problem).measure_placements(placements)
-        chunked = StackedEngine(problem, max_chunk=4).measure_placements(
+        whole = StackedEngine(problem, engine="dense").measure_placements(
             placements
         )
-        assert np.array_equal(whole.fitness, chunked.fitness)
-        assert np.array_equal(whole.covered_clients, chunked.covered_clients)
+        monkeypatch.setattr(stacked, "DEFAULT_MAX_CHUNK", 4)
+        chunked = StackedEngine(problem, engine="dense").measure_placements(
+            placements
+        )
+        for name in (
+            "giant_sizes", "covered_clients", "n_components",
+            "n_links", "mean_degrees", "fitness", "giant_masks",
+        ):
+            assert np.array_equal(getattr(whole, name), getattr(chunked, name))
 
     def test_materialized_evaluation_is_full(self, problem):
         placements = random_placements(problem, 3, seed=6)
         measurement = StackedEngine(problem).measure_placements(placements)
-        reference = Evaluator(problem).evaluate(placements[1])
+        reference = Evaluator(problem, engine="dense").evaluate(placements[1])
         evaluation = measurement.evaluation(1, placements[1])
         assert evaluation.placement is placements[1]
         assert evaluation.metrics == reference.metrics
@@ -98,7 +110,7 @@ class TestStackedEngine:
 
     def test_sparse_engine_rows_match(self, problem):
         placements = random_placements(problem, 4, seed=8)
-        references = [Evaluator(problem).evaluate(p) for p in placements]
+        references = dense_references(problem, placements)
         engine = StackedEngine(problem, engine="sparse")
         measurement = engine.measure_placements(placements)
         assert engine.engine == "sparse"
@@ -267,7 +279,7 @@ class TestStackedDeltaEngine:
         items = [(0, (router,), ((float(cell.x), float(cell.y)),))]
         measurement = engine.measure_phase(items)
         candidate = incumbent.with_move(router, cell)
-        reference = Evaluator(problem).evaluate(candidate)
+        reference = Evaluator(problem, engine="dense").evaluate(candidate)
         assert float(measurement.fitness[0]) == reference.fitness
         assert int(measurement.covered_clients[0]) == reference.covered_clients
 

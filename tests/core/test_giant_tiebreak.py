@@ -7,16 +7,16 @@ smallest-member ids on every path, so ``argmax`` — which returns the
 which is exactly :meth:`ComponentStructure.giant_label`'s rule.  These
 tests construct placements with two components of exactly equal size
 (where the old union-find-root tie-break was order-dependent) and assert
-that the scalar, batch, delta-dense, delta-sparse and sparse engines all
-select the same component, including its GIANT_ONLY coverage
-consequences.
+that the dense reference, every tier's batch path, the delta-dense,
+delta-sparse and sparse engines all select the same component,
+including its GIANT_ONLY coverage consequences.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BatchEvaluator, DeltaEvaluator, SparseEngine
+from repro.core.engine import DeltaEvaluator, SparseEngine, compiled_available
 from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.problem import ProblemInstance
@@ -60,9 +60,13 @@ class TestExactGiantTie:
         # covered.
         assert scalar.covered_clients == 1
 
-        batch = BatchEvaluator(problem, engine="dense").evaluate(placement)
+        tiers = ["dense", "sparse"] + (["compiled"] if compiled_available() else [])
+        batches = [
+            Evaluator(problem, engine=tier).evaluate_many([placement])[0]
+            for tier in tiers
+        ]
         sparse = SparseEngine(problem).evaluate(placement)
-        for other in (batch, sparse):
+        for other in (*batches, sparse):
             assert other.metrics == scalar.metrics
             assert other.fitness == scalar.fitness
             assert np.array_equal(other.giant_mask, scalar.giant_mask)
