@@ -11,18 +11,13 @@ sequence:
 * **cold** — every step solved from a fresh random initial placement
   (``ScenarioRunner(warm=False)``): the static-paper workflow applied
   per step.
-* **warm** — each step seeded with the previous step's best placement
-  and the delta engine's exported incumbent cache
-  (:class:`~repro.core.engine.handoff.IncumbentCache`): the
-  re-optimization workflow of :mod:`repro.scenario`.
+* **warm** — each step seeded with the previous step's best placement:
+  the re-optimization workflow of :mod:`repro.scenario`.
 
 The warm start lands next to the optimum of a barely-changed instance,
 so the stall rule stops the search after a fraction of the cold run's
 phases — the per-step speedup this bench pins (acceptance: >= 3x) —
-while mean solution quality must stay at least as good as cold's.  A
-second stage micro-times the incumbent-cache handoff itself: under
-client drift the warm placement's router adjacency is still valid, so a
-cache-seeded ``DeltaEvaluator.reset`` skips that rebuild entirely.
+while mean solution quality must stay at least as good as cold's.
 
 Run standalone::
 
@@ -40,11 +35,7 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from _common import add_json_argument, write_bench_json
-from repro.core.engine.delta import DeltaEvaluator
-from repro.core.evaluation import Evaluator
 from repro.instances.catalog import paper_normal
 from repro.scenario import Scenario, ScenarioRunner
 from repro.solvers import make_solver
@@ -61,49 +52,6 @@ def run_arm(
     """One full scenario pass; returns its ScenarioResult."""
     runner = ScenarioRunner(solver, budget=budget, warm=warm)
     return runner.run(scenario, seed=seed)
-
-
-def time_cache_handoff(problem, scenario: Scenario, seed: int) -> dict:
-    """Micro-time a cold vs cache-seeded ``DeltaEvaluator.reset``.
-
-    The cache comes from a converged run on step 0; the reset happens on
-    step 1's problem (clients drifted, routers untouched), where the
-    cached adjacency is still valid and the coverage must be rebuilt.
-    """
-    steps = scenario.unfold(np.random.SeedSequence(seed).spawn(2)[0])
-    rng = np.random.default_rng(seed)
-    from repro.core.solution import Placement
-
-    placement = Placement.random(problem.grid, problem.n_routers, rng)
-    donor = DeltaEvaluator(Evaluator(problem))
-    donor.reset(placement)
-    cache = donor.export_cache()
-
-    drifted = steps[1].problem
-    rounds = 5
-    cold_seconds = warm_seconds = float("inf")
-    for _ in range(rounds):
-        engine = DeltaEvaluator(Evaluator(drifted))
-        start = time.perf_counter()
-        cold_eval = engine.reset(placement)
-        cold_seconds = min(cold_seconds, time.perf_counter() - start)
-        engine = DeltaEvaluator(Evaluator(drifted))
-        start = time.perf_counter()
-        warm_eval = engine.reset(placement, cache=cache)
-        warm_seconds = min(warm_seconds, time.perf_counter() - start)
-    if not (
-        cold_eval.fitness == warm_eval.fitness
-        and cold_eval.metrics == warm_eval.metrics
-    ):
-        raise AssertionError(
-            "cache-seeded reset diverged from the cold rebuild: "
-            f"{cold_eval.summary()} vs {warm_eval.summary()}"
-        )
-    return {
-        "cold_reset_seconds": cold_seconds,
-        "cached_reset_seconds": warm_seconds,
-        "reset_speedup": cold_seconds / warm_seconds,
-    }
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -193,13 +141,6 @@ def main(argv: "list[str] | None" = None) -> int:
         f"quality delta {quality_delta:+.4f}"
     )
 
-    handoff = time_cache_handoff(problem, scenario, args.seed)
-    print(
-        f"incumbent-cache reset: cold {handoff['cold_reset_seconds'] * 1e3:.2f}ms "
-        f"vs cached {handoff['cached_reset_seconds'] * 1e3:.2f}ms "
-        f"({handoff['reset_speedup']:.1f}x) — results identical"
-    )
-
     payload = {
         "scenario": scenario.name,
         "n_routers": problem.n_routers,
@@ -218,7 +159,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "cold_mean_fitness": cold.mean_fitness(),
         "warm_mean_fitness": warm.mean_fitness(),
         "quality_delta": quality_delta,
-        "cache_handoff": handoff,
     }
     write_bench_json("scenario", payload, args.json)
 

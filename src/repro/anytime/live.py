@@ -4,11 +4,10 @@
 :class:`~repro.scenario.runner.ScenarioRunner`: the same unfolded
 perturbation steps, but arriving as *events* on a clock — one every
 ``interval`` seconds — each with a response SLA.  The runner keeps a
-live incumbent (warm starts + :class:`~repro.core.engine.handoff.IncumbentCache`
-handoff, exactly the scenario runner's layout) and bounds every
-re-optimization with a cooperative :class:`~repro.anytime.deadline.Deadline`
-so the response ships by its SLA with whatever best-so-far the solver
-holds.
+live incumbent (warm starts, exactly the scenario runner's layout) and
+bounds every re-optimization with a cooperative
+:class:`~repro.anytime.deadline.Deadline` so the response ships by its
+SLA with whatever best-so-far the solver holds.
 
 Under load — when solving one event pushes the runner past the next
 arrivals — a **degradation ladder** sheds work instead of queueing
@@ -34,7 +33,6 @@ Two clock modes:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,7 +53,7 @@ from repro.parallel import (
     run_tasks,
     runtime_enabled,
 )
-from repro.scenario.runner import _cache_tracking, _validate_budgets
+from repro.scenario.runner import _validate_budgets
 from repro.scenario.scenario import Scenario, ScenarioStep
 from repro.seeding import root_sequence, spawn_children
 from repro.solvers.base import SolveResult, Solver
@@ -145,8 +143,7 @@ _CHAIN_KNOBS = ("n_restarts",)
 def _scaled_solver(solver: Solver, rung: LadderRung):
     """Temporarily shrink a solver's effort knobs for one event.
 
-    Mirrors the scenario runner's ``_cache_tracking`` discipline: the
-    prior values are restored whatever happens, so a caller-owned
+    The prior values are restored whatever happens, so a caller-owned
     solver never keeps a rung's downscaling as a lasting side effect.
     """
     prior: dict[str, int] = {}
@@ -187,9 +184,7 @@ def _solve_offloaded(task):
     :class:`~repro.anytime.deadline.SimulatedClock` never advances
     mid-solve — exactly like the parent's, which only advances *between*
     solves — and a fresh monotonic deadline counts from solve start just
-    as the parent's did.  The incumbent cache is a same-process perf
-    hint (never a result change — the handoff parity tests), so it is
-    neither shipped nor returned.
+    as the parent's did.
     """
     (
         solver,
@@ -214,10 +209,9 @@ def _solve_offloaded(task):
             warm_start=warm_start,
             engine=engine,
             fitness=fitness,
-            engine_cache=None,
             deadline=event_deadline,
         )
-    return (dataclasses.replace(result, engine_cache=None),)
+    return (result,)
 
 
 @dataclass(frozen=True)
@@ -419,7 +413,7 @@ class LiveRunner:
     """Event-loop re-optimization with SLAs and overload shedding.
 
     Parameters mirror :class:`~repro.scenario.runner.ScenarioRunner`
-    (solver spec, budgets, warm/cache handoff, engine, fitness) plus the
+    (solver spec, budgets, warm starts, engine, fitness) plus the
     live knobs:
 
     sla:
@@ -465,7 +459,6 @@ class LiveRunner:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: bool = True,
-        reuse_cache: bool = True,
         engine: str = "auto",
         fitness=None,
         clock: "Clock | None" = None,
@@ -506,7 +499,6 @@ class LiveRunner:
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
         self.warm = warm
-        self.reuse_cache = reuse_cache
         self.engine = engine
         self.fitness = fitness
         self.seconds_per_evaluation = seconds_per_evaluation
@@ -586,155 +578,147 @@ class LiveRunner:
         events: list[LiveEvent] = []
         previous: "SolveResult | None" = None
         index = 0
-        with _cache_tracking(self.solver, self.reuse_cache):
-            while index < len(steps):
-                step = steps[index]
+        while index < len(steps):
+            step = steps[index]
+            arrival = step.index * self.interval
+            if now < arrival:
+                # Idle until the event arrives.  Simulated clocks
+                # advance explicitly; the real clock just re-bases
+                # (the runner never sleeps — latency accounting
+                # lives on the run timeline).
+                if isinstance(self.clock, SimulatedClock):
+                    self.clock.advance(arrival - now)
+                now = arrival
+            lag = now - arrival
+            queue_depth = sum(
+                1 for later in steps[index:]
+                if later.index * self.interval <= now
+            )
+            rung = _select_rung(self.ladder, lag / self.sla)
+
+            skipped: list[ScenarioStep] = []
+            if rung.coalesce:
+                # Skip-to-latest: serve the newest arrived event,
+                # shedding the ones in between.
+                target = index
+                while (
+                    target + 1 < len(steps)
+                    and steps[target + 1].index * self.interval <= now
+                ):
+                    target += 1
+                skipped = list(steps[index:target])
+                step = steps[target]
+                index = target
+                # The served event is the latest arrival; latency
+                # and the SLA deadline are measured from *its*
+                # arrival time.
                 arrival = step.index * self.interval
-                if now < arrival:
-                    # Idle until the event arrives.  Simulated clocks
-                    # advance explicitly; the real clock just re-bases
-                    # (the runner never sleeps — latency accounting
-                    # lives on the run timeline).
-                    if isinstance(self.clock, SimulatedClock):
-                        self.clock.advance(arrival - now)
-                    now = arrival
-                lag = now - arrival
-                queue_depth = sum(
-                    1 for later in steps[index:]
-                    if later.index * self.interval <= now
-                )
-                rung = _select_rung(self.ladder, lag / self.sla)
 
-                skipped: list[ScenarioStep] = []
-                if rung.coalesce:
-                    # Skip-to-latest: serve the newest arrived event,
-                    # shedding the ones in between.
-                    target = index
-                    while (
-                        target + 1 < len(steps)
-                        and steps[target + 1].index * self.interval <= now
-                    ):
-                        target += 1
-                    skipped = list(steps[index:target])
-                    step = steps[target]
-                    index = target
-                    # The served event is the latest arrival; latency
-                    # and the SLA deadline are measured from *its*
-                    # arrival time.
-                    arrival = step.index * self.interval
-
-                for shed_step in skipped:
-                    events.append(
-                        LiveEvent(
-                            index=shed_step.index,
-                            event=shed_step.event,
-                            arrival=shed_step.index * self.interval,
-                            rung=rung.name,
-                            queue_depth=queue_depth,
-                            shed=True,
-                            coalesced_into=step.index,
-                        )
-                    )
-
-                warm_start = None
-                engine_cache = None
-                if warm_capable and previous is not None:
-                    warm_start = previous.best.placement
-                    # Compose every pending carry — the shed steps'
-                    # perturbations still happened to the deployment —
-                    # then the served step's own carry.
-                    for carry_step in (*skipped, step):
-                        if carry_step.change is not None and warm_start is not None:
-                            warm_start = carry_step.change.carry_placement(
-                                warm_start
-                            )
-                    if self.reuse_cache and not skipped:
-                        # The incumbent cache is validated against one
-                        # step's change; a coalesced hop crosses several,
-                        # so drop it rather than reason about composition.
-                        engine_cache = previous.engine_cache
-                budget = self.budget if warm_start is None else self.warm_budget
-                if rung.budget_scale < 1.0 and budget is not None:
-                    budget = max(1, int(budget * rung.budget_scale))
-
-                respond_by = arrival + self.sla
-                solve_budget = max(0.0, (respond_by - now) * self.deadline_fraction)
-                event_deadline = Deadline.after(solve_budget, clock=self.clock)
-                if deadline is not None:
-                    event_deadline = event_deadline & deadline
-
-                started = now
-                wall_before = DEFAULT_CLOCK.now()
-                if offload:
-                    payload = get_runtime().broadcast(step.problem)
-                    task = (
-                        self.solver,
-                        payload,
-                        step_seeds[step.index],
-                        budget,
-                        warm_start,
-                        self.engine,
-                        self.fitness,
-                        solve_budget,
-                        simulated,
-                        rung,
-                    )
-                    [result] = run_tasks(
-                        _solve_offloaded,
-                        [task],
-                        workers=_OFFLOAD_WORKERS,
-                        labels=[f"event {step.index} ({step.event})"],
-                    )
-                else:
-                    with _scaled_solver(self.solver, rung):
-                        result = self.solver.solve(
-                            step.problem,
-                            seed=step_seeds[step.index],
-                            budget=budget,
-                            warm_start=warm_start,
-                            engine=self.engine,
-                            fitness=self.fitness,
-                            engine_cache=engine_cache,
-                            deadline=event_deadline,
-                        )
-                if simulated:
-                    duration = result.n_evaluations * self.seconds_per_evaluation
-                    self.clock.advance(duration)
-                    now = self.clock.now() - origin
-                else:
-                    duration = DEFAULT_CLOCK.now() - wall_before
-                    now = started + duration
-
+            for shed_step in skipped:
                 events.append(
                     LiveEvent(
-                        index=step.index,
-                        event=step.event,
-                        arrival=arrival,
+                        index=shed_step.index,
+                        event=shed_step.event,
+                        arrival=shed_step.index * self.interval,
                         rung=rung.name,
                         queue_depth=queue_depth,
-                        started=started,
-                        finished=now,
-                        result=result,
+                        shed=True,
+                        coalesced_into=step.index,
                     )
                 )
-                previous = result
-                index += 1
-                if deadline is not None and deadline.stop_reason() is not None:
-                    # The run budget / external cancel fired: remaining
-                    # events are never served — record them as shed so
-                    # the report's accounting stays complete.
-                    for missed in steps[index:]:
-                        events.append(
-                            LiveEvent(
-                                index=missed.index,
-                                event=missed.event,
-                                arrival=missed.index * self.interval,
-                                rung="cancelled",
-                                queue_depth=0,
-                                shed=True,
-                            )
+
+            warm_start = None
+            if warm_capable and previous is not None:
+                warm_start = previous.best.placement
+                # Compose every pending carry — the shed steps'
+                # perturbations still happened to the deployment —
+                # then the served step's own carry.
+                for carry_step in (*skipped, step):
+                    if carry_step.change is not None and warm_start is not None:
+                        warm_start = carry_step.change.carry_placement(
+                            warm_start
                         )
-                    break
+            budget = self.budget if warm_start is None else self.warm_budget
+            if rung.budget_scale < 1.0 and budget is not None:
+                budget = max(1, int(budget * rung.budget_scale))
+
+            respond_by = arrival + self.sla
+            solve_budget = max(0.0, (respond_by - now) * self.deadline_fraction)
+            event_deadline = Deadline.after(solve_budget, clock=self.clock)
+            if deadline is not None:
+                event_deadline = event_deadline & deadline
+
+            started = now
+            wall_before = DEFAULT_CLOCK.now()
+            if offload:
+                payload = get_runtime().broadcast(step.problem)
+                task = (
+                    self.solver,
+                    payload,
+                    step_seeds[step.index],
+                    budget,
+                    warm_start,
+                    self.engine,
+                    self.fitness,
+                    solve_budget,
+                    simulated,
+                    rung,
+                )
+                [result] = run_tasks(
+                    _solve_offloaded,
+                    [task],
+                    workers=_OFFLOAD_WORKERS,
+                    labels=[f"event {step.index} ({step.event})"],
+                )
+            else:
+                with _scaled_solver(self.solver, rung):
+                    result = self.solver.solve(
+                        step.problem,
+                        seed=step_seeds[step.index],
+                        budget=budget,
+                        warm_start=warm_start,
+                        engine=self.engine,
+                        fitness=self.fitness,
+                        deadline=event_deadline,
+                    )
+            if simulated:
+                duration = result.n_evaluations * self.seconds_per_evaluation
+                self.clock.advance(duration)
+                now = self.clock.now() - origin
+            else:
+                duration = DEFAULT_CLOCK.now() - wall_before
+                now = started + duration
+
+            events.append(
+                LiveEvent(
+                    index=step.index,
+                    event=step.event,
+                    arrival=arrival,
+                    rung=rung.name,
+                    queue_depth=queue_depth,
+                    started=started,
+                    finished=now,
+                    result=result,
+                )
+            )
+            previous = result
+            index += 1
+            if deadline is not None and deadline.stop_reason() is not None:
+                # The run budget / external cancel fired: remaining
+                # events are never served — record them as shed so
+                # the report's accounting stays complete.
+                for missed in steps[index:]:
+                    events.append(
+                        LiveEvent(
+                            index=missed.index,
+                            event=missed.event,
+                            arrival=missed.index * self.interval,
+                            rung="cancelled",
+                            queue_depth=0,
+                            shed=True,
+                        )
+                    )
+                break
 
         return LiveReport(
             scenario_name=scenario_name,

@@ -53,7 +53,6 @@ from repro.core.radio import CoverageRule
 from repro.core.solution import Placement
 
 if TYPE_CHECKING:  # core must not import neighborhood at runtime
-    from repro.core.engine.handoff import IncumbentCache
     from repro.neighborhood.moves import Move
 
 __all__ = ["DeltaEvaluator"]
@@ -131,18 +130,8 @@ class DeltaEvaluator:
     # Protocol
     # ------------------------------------------------------------------
 
-    def reset(self, placement: Placement, cache: "IncumbentCache | None" = None) -> Evaluation:
-        """Full build of ``placement``; it becomes the incumbent.
-
-        ``cache`` is an optional :class:`~repro.core.engine.handoff.IncumbentCache`
-        exported by a previous run (possibly on a *different* problem —
-        the previous step of a dynamic scenario).  Every cached piece
-        that is still valid for this problem and placement is reused
-        instead of rebuilt: the router adjacency survives client drift
-        untouched, the coverage state survives radio-only relabelings.
-        Stale pieces are rebuilt, so a cache never changes the resulting
-        evaluation — only the reset cost.
-        """
+    def reset(self, placement: Placement) -> Evaluation:
+        """Full build of ``placement``; it becomes the incumbent."""
         if len(placement) != self._problem.n_routers:
             raise ValueError(
                 f"placement positions {len(placement)} routers but the fleet "
@@ -151,21 +140,14 @@ class DeltaEvaluator:
         positions = placement.positions_array().copy()
         self._last_propose = None
         if self._layout == "sparse":
-            evaluation = self._sparse_reset(placement, positions, cache)
+            evaluation = self._sparse_reset(placement, positions)
         else:
-            adjacency = self._cached_adjacency(positions, cache)
-            if adjacency is None:
-                adjacency = adjacency_matrix(
-                    placement.positions_array(), self._problem.fleet.radii,
-                    self._problem.link_rule,
-                )
-            coverage = self._cached_coverage(positions, cache)
-            if coverage is None:
-                coverage = coverage_matrix(
-                    self._problem.clients.positions,
-                    placement.positions_array(),
-                    self._problem.fleet.radii,
-                )
+            adjacency = adjacency_matrix(
+                positions, self._problem.fleet.radii, self._problem.link_rule
+            )
+            coverage = coverage_matrix(
+                self._problem.clients.positions, positions, self._problem.fleet.radii
+            )
             evaluation = self._measure(placement, adjacency, coverage)
             self._adjacency = adjacency
             self._coverage = coverage
@@ -173,66 +155,6 @@ class DeltaEvaluator:
         self._incumbent = evaluation
         self._evaluator.record_evaluation(evaluation)
         return evaluation
-
-    def export_cache(self) -> "IncumbentCache":
-        """The incumbent's state as a run-crossing :class:`IncumbentCache`.
-
-        Arrays are copied, so the cache stays valid however this
-        evaluator advances afterwards.
-        """
-        from repro.core.engine.handoff import IncumbentCache
-
-        if self._incumbent is None:
-            raise ValueError("DeltaEvaluator has no incumbent; call reset() first")
-        common = dict(
-            positions=self._positions.copy(),
-            radii=self._radii,
-            link_rule=self._problem.link_rule,
-            client_positions=self._problem.clients.positions,
-        )
-        if self._layout == "sparse":
-            return IncumbentCache(
-                layout="sparse",
-                edge_rows=self._edge_rows.copy(),
-                edge_cols=self._edge_cols.copy(),
-                cov_router=self._cov_router.copy(),
-                cov_client=self._cov_client.copy(),
-                **common,
-            )
-        return IncumbentCache(
-            layout="dense",
-            adjacency=self._adjacency.copy(),
-            coverage=self._coverage.copy(),
-            **common,
-        )
-
-    def _cached_adjacency(
-        self, positions: np.ndarray, cache: "IncumbentCache | None"
-    ) -> "np.ndarray | None":
-        if (
-            cache is not None
-            and cache.layout == "dense"
-            and cache.adjacency is not None
-            and cache.network_valid_for(
-                positions, self._radii, self._problem.link_rule
-            )
-        ):
-            return cache.adjacency.copy()
-        return None
-
-    def _cached_coverage(
-        self, positions: np.ndarray, cache: "IncumbentCache | None"
-    ) -> "np.ndarray | None":
-        if (
-            cache is not None
-            and cache.layout == "dense"
-            and cache.coverage is not None
-            and cache.coverage_valid_for(
-                positions, self._radii, self._problem.clients.positions
-            )
-        ):
-            return cache.coverage.copy()
-        return None
 
     def propose(self, move: Move) -> Evaluation:
         """Evaluate ``incumbent ⊕ move`` without advancing the caches.
@@ -426,46 +348,18 @@ class DeltaEvaluator:
         """Passing ``(router, client)`` hit pairs for the given routers."""
         return self._sparse_engine().coverage_hits(positions, router_ids)
 
-    def _sparse_reset(
-        self,
-        placement: Placement,
-        positions: np.ndarray,
-        cache: "IncumbentCache | None" = None,
-    ) -> Evaluation:
+    def _sparse_reset(self, placement: Placement, positions: np.ndarray) -> Evaluation:
         from repro.core.engine.sparse import sparse_edges
 
         self._positions = positions
         self._rebuild_router_index()
-        reuse_network = (
-            cache is not None
-            and cache.layout == "sparse"
-            and cache.edge_rows is not None
-            and cache.network_valid_for(
-                positions, self._radii, self._problem.link_rule
-            )
+        rows, cols = sparse_edges(
+            positions, self._radii, self._problem.link_rule,
+            index=self._router_index,
         )
-        if reuse_network:
-            rows, cols = cache.edge_rows.copy(), cache.edge_cols.copy()
-        else:
-            rows, cols = sparse_edges(
-                positions, self._radii, self._problem.link_rule,
-                index=self._router_index,
-            )
-        reuse_coverage = (
-            cache is not None
-            and cache.layout == "sparse"
-            and cache.cov_router is not None
-            and cache.coverage_valid_for(
-                positions, self._radii, self._problem.clients.positions
-            )
+        cov_router, cov_client = self._coverage_pairs(
+            positions, np.arange(positions.shape[0], dtype=np.intp)
         )
-        if reuse_coverage:
-            cov_router = cache.cov_router.copy()
-            cov_client = cache.cov_client.copy()
-        else:
-            cov_router, cov_client = self._coverage_pairs(
-                positions, np.arange(positions.shape[0], dtype=np.intp)
-            )
         self._edge_rows, self._edge_cols = rows, cols
         self._cov_router, self._cov_client = cov_router, cov_client
         return self._sparse_measure(placement, rows, cols, cov_router, cov_client)

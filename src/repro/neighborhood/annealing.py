@@ -109,8 +109,6 @@ class SimulatedAnnealing:
         evaluator: Evaluator,
         initial: Placement,
         rng: np.random.Generator,
-        engine_cache=None,
-        track_cache: bool = False,
         deadline: "Deadline | None" = None,
     ) -> SearchResult:
         """Anneal from ``initial``; returns the best solution and trace.
@@ -119,25 +117,14 @@ class SimulatedAnnealing:
         cancellation, never mid-phase): when it fires the run stops and
         returns the tracked best with ``stopped_by`` set — always a
         valid evaluated incumbent, even for an already-expired deadline.
-
-        ``engine_cache`` is an optional
-        :class:`~repro.core.engine.handoff.IncumbentCache` from a prior
-        run; still-valid pieces seed the delta engine's reset instead of
-        a full rebuild (results are unchanged — only the reset cost).
-        With ``track_cache`` the engine state is snapshotted every time
-        the global best improves, so ``SearchResult.engine_cache``
-        describes the *best* placement — exactly what a follow-up run
-        warm-starts from.  Off by default: callers that never hand off
-        (plain replication loops) pay no copies.
         """
         started = DEFAULT_CLOCK.now()
         evaluations_before = evaluator.n_evaluations
         # The delta engine follows the evaluator's resolved engine, so a
         # forced dense/sparse choice applies to the whole run.
         engine = DeltaEvaluator(evaluator, engine=evaluator.engine)
-        current = engine.reset(initial, cache=engine_cache)
+        current = engine.reset(initial)
         best = current
-        best_cache = engine.export_cache() if track_cache else None
         trace = SearchTrace()
         trace.record_phase(
             phase=0,
@@ -171,11 +158,6 @@ class SimulatedAnnealing:
                     if current.fitness > best.fitness:
                         best = current
                         improved_this_phase = True
-                        if track_cache:
-                            # The incumbent IS the new best right now, so
-                            # this snapshot is keyed to the placement the
-                            # next run will warm-start from.
-                            best_cache = engine.export_cache()
             trace.record_phase(
                 phase=phase,
                 evaluation=current,
@@ -187,7 +169,6 @@ class SimulatedAnnealing:
             trace=trace,
             n_phases=phases_done,
             n_evaluations=evaluator.n_evaluations - evaluations_before,
-            engine_cache=best_cache,
             stopped_by=stopped_by,
             elapsed_seconds=DEFAULT_CLOCK.now() - started,
         )

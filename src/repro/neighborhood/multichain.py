@@ -180,11 +180,6 @@ def _classify_move(move, incumbent: Placement, occupied, n_routers: int, grid):
     return _EXOTIC, None
 
 
-#: Backward-compatible alias (the split now lives in :mod:`repro.parallel`,
-#: shared with the replication and scenario-fleet harnesses).
-_shard_slices = shard_slices
-
-
 def _run_shard(task) -> list[SearchResult]:
     """One contiguous chain shard in a worker process (top-level: pickling).
 
@@ -650,7 +645,7 @@ class MultiChainSearch:
         payload = (
             get_runtime().broadcast(problem) if runtime_enabled() else problem
         )
-        parts = _shard_slices(len(initials), workers)
+        parts = shard_slices(len(initials), workers)
         tasks = [
             (
                 parameters,

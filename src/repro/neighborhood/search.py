@@ -33,7 +33,6 @@ from repro.neighborhood.trace import SearchTrace
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
-    from repro.core.engine.handoff import IncumbentCache
 
 __all__ = ["SearchResult", "NeighborhoodSearch"]
 
@@ -41,12 +40,6 @@ __all__ = ["SearchResult", "NeighborhoodSearch"]
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one local search run.
-
-    ``engine_cache`` is the engine state of the *best* placement found
-    by cache-tracking runs on the incremental delta engine (simulated
-    annealing and tabu search with ``track_cache=True``), exported for
-    warm-start handoff into a follow-up run (see
-    :mod:`repro.core.engine.handoff`); ``None`` otherwise.
 
     ``stopped_by`` is ``None`` for a run that exhausted its budget (or
     met its stall/target condition) and ``"deadline"``/``"cancelled"``
@@ -60,9 +53,6 @@ class SearchResult:
     trace: SearchTrace
     n_phases: int
     n_evaluations: int
-    engine_cache: "IncumbentCache | None" = field(
-        default=None, compare=False, repr=False
-    )
     stopped_by: str | None = None
     elapsed_seconds: float = field(default=0.0, compare=False)
 

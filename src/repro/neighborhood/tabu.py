@@ -74,8 +74,6 @@ class TabuSearch:
         evaluator: Evaluator,
         initial: Placement,
         rng: np.random.Generator,
-        engine_cache=None,
-        track_cache: bool = False,
         deadline: "Deadline | None" = None,
     ) -> SearchResult:
         """Search from ``initial``; returns the best solution and trace.
@@ -84,23 +82,14 @@ class TabuSearch:
         cancellation, never mid-phase): when it fires the run stops and
         returns the tracked best with ``stopped_by`` set — always a
         valid evaluated incumbent, even for an already-expired deadline.
-
-        ``engine_cache`` follows the warm-start handoff protocol of
-        :meth:`SimulatedAnnealing.run`: valid pieces of a prior run's
-        :class:`~repro.core.engine.handoff.IncumbentCache` seed the
-        delta engine's reset.  ``track_cache`` snapshots the engine
-        whenever the global best improves (tabu keeps walking after its
-        best, so the final incumbent is the wrong placement to export);
-        off by default so non-handoff callers pay no copies.
         """
         started = DEFAULT_CLOCK.now()
         evaluations_before = evaluator.n_evaluations
         # The delta engine follows the evaluator's resolved engine, so a
         # forced dense/sparse choice applies to the whole run.
         engine = DeltaEvaluator(evaluator, engine=evaluator.engine)
-        current = engine.reset(initial, cache=engine_cache)
+        current = engine.reset(initial)
         best = current
-        best_cache = engine.export_cache() if track_cache else None
         trace = SearchTrace()
         trace.record_phase(
             phase=0,
@@ -157,10 +146,6 @@ class TabuSearch:
                 if current.fitness > best.fitness:
                     best = current
                     improved = True
-                    if track_cache:
-                        # Snapshot now, while the incumbent IS the best —
-                        # the placement the next run warm-starts from.
-                        best_cache = engine.export_cache()
                 if chosen_move is not None and self.tenure > 0:
                     for router in _touched_routers(chosen_move):
                         expiry = phase + self.tenure
@@ -177,7 +162,6 @@ class TabuSearch:
             trace=trace,
             n_phases=phases_done,
             n_evaluations=evaluator.n_evaluations - evaluations_before,
-            engine_cache=best_cache,
             stopped_by=stopped_by,
             elapsed_seconds=DEFAULT_CLOCK.now() - started,
         )

@@ -35,7 +35,6 @@ from repro.parallel.runtime import (
 from repro.resilience.supervisor import (
     RetryPolicy,
     SupervisionReport,
-    _worker_init,
     run_supervised,
 )
 
@@ -50,10 +49,6 @@ __all__ = [
     "runtime_enabled",
     "shutdown_runtime",
 ]
-
-# Pool-worker bootstrap (OMP pinning) now lives with the supervisor; the
-# old name stays importable for anything that referenced it here.
-_limit_worker_threads = _worker_init
 
 
 def shard_slices(count: int, shards: int) -> list[slice]:

@@ -5,7 +5,7 @@ models what comes after deployment: clients drift and churn, routers
 fail, radios degrade.  A :class:`Scenario` unfolds a reproducible
 sequence of problem instances, and :class:`ScenarioRunner` re-optimizes
 each step through any registered solver, seeding every re-solve with the
-previous step's best placement and the delta engine's incumbent cache::
+previous step's best placement::
 
     from repro.scenario import Scenario, ScenarioRunner
 

@@ -19,7 +19,7 @@ grid instead:
   scenario step, one :meth:`~repro.solvers.base.Solver.solve_batch` call
   re-optimizes every replicate (the search family measures all chains'
   candidates in one stacked engine pass), with the same per-step
-  warm-start and engine-cache handoff as the serial runner.
+  warm-start carry as the serial runner.
 * **Process fan-out** — ``workers=`` shards each cell's replicates over
   a pool through the shared :mod:`repro.parallel` machinery.
 
@@ -63,7 +63,6 @@ from repro.resilience.supervisor import RetryPolicy, SupervisionReport
 from repro.scenario.runner import (
     ScenarioResult,
     ScenarioStepResult,
-    _cache_tracking,
     _validate_budgets,
 )
 from repro.scenario.scenario import Scenario, ScenarioStep
@@ -460,7 +459,6 @@ def _solve_portfolio(
     warm: bool,
     budget: "int | None",
     warm_budget: "int | None",
-    reuse_cache: bool,
     engine: str,
     fitness,
 ) -> list[ScenarioResult]:
@@ -468,8 +466,8 @@ def _solve_portfolio(
 
     Replicate ``r`` consumes exactly the streams of
     ``ScenarioRunner.run_steps(steps, seed=rep_seqs[r])`` — the same
-    per-step ``spawn``, the same warm-start carry and engine-cache
-    handoff, the same budget rule — but every step solves all
+    per-step ``spawn``, the same warm-start carry, the same budget
+    rule — but every step solves all
     replicates through one :meth:`Solver.solve_batch` call, so families
     with a lockstep engine pay one stacked pass per phase for the whole
     cell.  Per-step ``seconds`` is the batch wall-clock amortized over
@@ -483,37 +481,30 @@ def _solve_portfolio(
     step_seed_grid = [spawn_children(seq, len(steps)) for seq in rep_seqs]
     per_rep: list[list[ScenarioStepResult]] = [[] for _ in range(n)]
     previous: list["SolveResult | None"] = [None] * n
-    with _cache_tracking(solver, reuse_cache):
-        for index, step in enumerate(steps):
-            warm_starts = None
-            engine_caches = None
-            step_budget = budget
-            if warm_capable and index > 0:
-                warm_starts = [
-                    step.change.carry_placement(prev.best.placement)
-                    for prev in previous
-                ]
-                if reuse_cache:
-                    engine_caches = [prev.engine_cache for prev in previous]
-                step_budget = warm_budget
-            began = DEFAULT_CLOCK.now()
-            results = solver.solve_batch(
-                step.problem,
-                [step_seed_grid[r][index] for r in range(n)],
-                budget=step_budget,
-                warm_starts=warm_starts,
-                engine=engine,
-                fitness=fitness,
-                engine_caches=engine_caches,
+    for index, step in enumerate(steps):
+        warm_starts = None
+        step_budget = budget
+        if warm_capable and index > 0:
+            warm_starts = [
+                step.change.carry_placement(prev.best.placement)
+                for prev in previous
+            ]
+            step_budget = warm_budget
+        began = DEFAULT_CLOCK.now()
+        results = solver.solve_batch(
+            step.problem,
+            [step_seed_grid[r][index] for r in range(n)],
+            budget=step_budget,
+            warm_starts=warm_starts,
+            engine=engine,
+            fitness=fitness,
+        )
+        elapsed = (DEFAULT_CLOCK.now() - began) / n
+        for r, result in enumerate(results):
+            per_rep[r].append(
+                ScenarioStepResult(step=step, result=result, seconds=elapsed)
             )
-            elapsed = (DEFAULT_CLOCK.now() - began) / n
-            for r, result in enumerate(results):
-                per_rep[r].append(
-                    ScenarioStepResult(
-                        step=step, result=result, seconds=elapsed
-                    )
-                )
-                previous[r] = result
+            previous[r] = result
     return [
         ScenarioResult(
             scenario_name=scenario_name,
@@ -592,7 +583,7 @@ class ScenarioFleet:
         ``name``) must be unique.
     n_seeds:
         Replicates per (scenario, solver) cell.
-    budget / warm_budget / warm / reuse_cache / engine / fitness:
+    budget / warm_budget / warm / engine / fitness:
         As on :class:`~repro.scenario.runner.ScenarioRunner` — applied
         uniformly to every cell.  ``warm`` additionally accepts
         ``"both"`` to run warm *and* cold arms on identical seeds, which
@@ -615,7 +606,6 @@ class ScenarioFleet:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: "bool | str" = True,
-        reuse_cache: bool = True,
         engine: str = "auto",
         fitness=None,
         workers: "int | None" = None,
@@ -634,7 +624,6 @@ class ScenarioFleet:
         self.n_seeds = n_seeds
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
-        self.reuse_cache = reuse_cache
         self.engine = engine
         self.fitness = fitness
         self.workers = workers
@@ -686,7 +675,6 @@ class ScenarioFleet:
         config = dict(
             budget=self.budget,
             warm_budget=self.warm_budget,
-            reuse_cache=self.reuse_cache,
             engine=self.engine,
             fitness=self.fitness,
         )
@@ -795,7 +783,6 @@ class ScenarioFleet:
             "arms": ["warm" if arm else "cold" for arm in self._arms],
             "budget": self.budget,
             "warm_budget": self.warm_budget,
-            "reuse_cache": self.reuse_cache,
             "engine": self.engine,
             "fitness": repr(self.fitness) if self.fitness is not None else None,
         }

@@ -98,8 +98,7 @@ class ClientDrift(Perturbation):
     Gaussian step of standard deviation ``sigma`` cells per axis,
     clipped to the grid — the "users move around" regime of the rural
     re-optimization line (Fendji et al.).  Routers are untouched, so the
-    previous placement's router network survives the step intact (the
-    incumbent-cache handoff reuses its adjacency wholesale).
+    previous placement's router network survives the step intact.
     """
 
     sigma: float = 2.0

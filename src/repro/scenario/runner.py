@@ -3,15 +3,10 @@
 :class:`ScenarioRunner` walks the instance sequence of a
 :class:`~repro.scenario.scenario.Scenario` and solves every step through
 one :class:`~repro.solvers.base.Solver`.  Step 0 is a cold solve; each
-later step is *re-optimized* rather than re-solved:
-
-* the previous step's best placement — carried across fleet changes by
-  :meth:`~repro.scenario.perturbations.StepChange.carry_placement` —
-  becomes the solver's ``warm_start``, and
-* the previous run's exported
-  :class:`~repro.core.engine.handoff.IncumbentCache` seeds the delta
-  engine's reset, so state the perturbation left valid (e.g. the whole
-  router adjacency under client drift) is reused, not rebuilt.
+later step is *re-optimized* rather than re-solved: the previous step's
+best placement — carried across fleet changes by
+:meth:`~repro.scenario.perturbations.StepChange.carry_placement` —
+becomes the solver's ``warm_start``.
 
 Warm-started searches converge in a fraction of a cold solve's phases
 (``benchmarks/bench_scenario.py`` pins the speedup), and on an
@@ -23,7 +18,6 @@ instance sequence — the controlled baseline of that benchmark.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,8 +44,6 @@ _STEP_FORMAT = "repro.scenario_step.v1"
 __all__ = ["ScenarioStepResult", "ScenarioResult", "ScenarioRunner"]
 
 
-
-
 def _validate_budgets(
     budget: "int | None", warm_budget: "int | None", warm_enabled: bool
 ) -> None:
@@ -72,28 +64,6 @@ def _validate_budgets(
                 "with warm=False it would be silently ignored — drop "
                 "it or enable warm starts"
             )
-
-
-@contextmanager
-def _cache_tracking(solver: Solver, enabled: bool):
-    """Temporarily switch on a solver's best-snapshot cache tracking.
-
-    Cache-capable solvers expose ``track_cache``; scenario runs need it
-    on so each step's exported engine cache can seed the next step's
-    reset.  The prior value is restored on exit **whatever happens** —
-    the runner must not leave a lasting side effect on a caller-owned
-    solver (an earlier revision did, changing the snapshot behavior of
-    later unrelated ``solve()`` calls).
-    """
-    if not (enabled and hasattr(solver, "track_cache")):
-        yield
-        return
-    prior = solver.track_cache
-    solver.track_cache = True
-    try:
-        yield
-    finally:
-        solver.track_cache = prior
 
 
 @dataclass(frozen=True)
@@ -227,9 +197,6 @@ class ScenarioRunner:
         is near-converged, so most runs leave this alone.
     warm:
         ``False`` re-solves every step cold (the benchmark baseline).
-    reuse_cache:
-        Whether to hand the delta engine's incumbent cache across steps
-        (only ever a performance hint — results are unaffected).
     engine / fitness:
         Threaded into every solve, as on :meth:`Solver.solve`.
     policy:
@@ -246,7 +213,6 @@ class ScenarioRunner:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: bool = True,
-        reuse_cache: bool = True,
         engine: str = "auto",
         fitness=None,
         policy: "RetryPolicy | None" = None,
@@ -266,7 +232,6 @@ class ScenarioRunner:
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
         self.warm = warm
-        self.reuse_cache = reuse_cache
         self.engine = engine
         self.fitness = fitness
         self.policy = policy
@@ -332,8 +297,7 @@ class ScenarioRunner:
         steps persist as ``step###`` documents and a resumed walk solves
         only the missing ones.  The warm-start chain survives resume
         because a restored step's best placement is exactly the computed
-        one; only the engine-cache handoff (a performance hint, never a
-        result input) restarts cold after a restored step.
+        one.
         """
         solve_seq = root_sequence(seed)
         step_seeds = spawn_children(solve_seq, len(steps))
@@ -348,7 +312,6 @@ class ScenarioRunner:
                 "budget": self.budget,
                 "warm_budget": self.warm_budget,
                 "warm": warm_capable,
-                "reuse_cache": self.reuse_cache,
                 "engine": self.engine,
                 "fitness": (
                     repr(self.fitness) if self.fitness is not None else None
@@ -361,95 +324,89 @@ class ScenarioRunner:
         results: list[ScenarioStepResult] = []
         previous: "SolveResult | None" = None
         verified_restore = False
-        with _cache_tracking(self.solver, self.reuse_cache):
-            for step, step_seed in zip(steps, step_seeds):
-                key = f"step{step.index:03d}"
-                restored = store is not None and store.has(key)
-                if restored and verified_restore:
-                    payload = store.load(key)
-                    result = solve_result_from_dict(payload["result"])
-                    results.append(
-                        ScenarioStepResult(
-                            step=step,
-                            result=result,
-                            seconds=float(payload["seconds"]),
-                        )
+        for step, step_seed in zip(steps, step_seeds):
+            key = f"step{step.index:03d}"
+            restored = store is not None and store.has(key)
+            if restored and verified_restore:
+                payload = store.load(key)
+                result = solve_result_from_dict(payload["result"])
+                results.append(
+                    ScenarioStepResult(
+                        step=step,
+                        result=result,
+                        seconds=float(payload["seconds"]),
                     )
-                    previous = result
-                    continue
-                warm_start = None
-                engine_cache = None
-                if warm_capable and previous is not None:
-                    warm_start = step.change.carry_placement(
-                        previous.best.placement
-                    )
-                    if self.reuse_cache:
-                        engine_cache = previous.engine_cache
-                budget = (
-                    self.budget if warm_start is None else self.warm_budget
                 )
-                # ``deadline`` makes the step cooperatively preemptible:
-                # retry_call passes Deadline.after(policy.timeout) when
-                # the policy carries one, so RetryPolicy(timeout=) now
-                # bounds serial steps exactly like pooled tasks.
-                def solve_step(
-                    step=step,
-                    step_seed=step_seed,
+                previous = result
+                continue
+            warm_start = None
+            if warm_capable and previous is not None:
+                warm_start = step.change.carry_placement(
+                    previous.best.placement
+                )
+            budget = (
+                self.budget if warm_start is None else self.warm_budget
+            )
+            # ``deadline`` makes the step cooperatively preemptible:
+            # retry_call passes Deadline.after(policy.timeout) when
+            # the policy carries one, so RetryPolicy(timeout=) now
+            # bounds serial steps exactly like pooled tasks.
+            def solve_step(
+                step=step,
+                step_seed=step_seed,
+                budget=budget,
+                warm_start=warm_start,
+                deadline=None,
+            ):
+                return self.solver.solve(
+                    step.problem,
+                    seed=step_seed,
                     budget=budget,
                     warm_start=warm_start,
-                    engine_cache=engine_cache,
-                    deadline=None,
-                ):
-                    return self.solver.solve(
-                        step.problem,
-                        seed=step_seed,
-                        budget=budget,
-                        warm_start=warm_start,
-                        engine=self.engine,
-                        fitness=self.fitness,
-                        engine_cache=engine_cache,
-                        deadline=deadline,
-                    )
-
-                began = DEFAULT_CLOCK.now()
-                if self.policy is None:
-                    # No policy: exceptions propagate unwrapped — a
-                    # genuinely broken step should fail loudly, not
-                    # spend retries on a deterministic error.
-                    result = solve_step()
-                else:
-                    result = retry_call(
-                        solve_step,
-                        task=step.index,
-                        policy=self.policy,
-                        label=(
-                            f"{scenario_name}/{self.solver.name} "
-                            f"step {step.index}"
-                        ),
-                        report=report,
-                    )
-                elapsed = DEFAULT_CLOCK.now() - began
-                step_result = ScenarioStepResult(
-                    step=step, result=result, seconds=elapsed
+                    engine=self.engine,
+                    fitness=self.fitness,
+                    deadline=deadline,
                 )
-                if store is not None:
-                    payload = {
-                        "format": _STEP_FORMAT,
-                        "index": int(step.index),
-                        "event": step.event,
-                        "seconds": float(elapsed),
-                        "result": solve_result_to_dict(result),
-                    }
-                    if restored:
-                        # The first checkpointed step on a resumed walk
-                        # is recomputed and compared, never trusted —
-                        # the store-level parity gate.
-                        store.verify_cell(key, payload)
-                        verified_restore = True
-                    else:
-                        store.save(key, payload)
-                results.append(step_result)
-                previous = result
+
+            began = DEFAULT_CLOCK.now()
+            if self.policy is None:
+                # No policy: exceptions propagate unwrapped — a
+                # genuinely broken step should fail loudly, not
+                # spend retries on a deterministic error.
+                result = solve_step()
+            else:
+                result = retry_call(
+                    solve_step,
+                    task=step.index,
+                    policy=self.policy,
+                    label=(
+                        f"{scenario_name}/{self.solver.name} "
+                        f"step {step.index}"
+                    ),
+                    report=report,
+                )
+            elapsed = DEFAULT_CLOCK.now() - began
+            step_result = ScenarioStepResult(
+                step=step, result=result, seconds=elapsed
+            )
+            if store is not None:
+                payload = {
+                    "format": _STEP_FORMAT,
+                    "index": int(step.index),
+                    "event": step.event,
+                    "seconds": float(elapsed),
+                    "result": solve_result_to_dict(result),
+                }
+                if restored:
+                    # The first checkpointed step on a resumed walk
+                    # is recomputed and compared, never trusted —
+                    # the store-level parity gate.
+                    store.verify_cell(key, payload)
+                    verified_restore = True
+                else:
+                    store.save(key, payload)
+            results.append(step_result)
+            previous = result
         return ScenarioResult(
             scenario_name=scenario_name,
             solver_name=self.solver.name,

@@ -12,9 +12,7 @@ metaheuristic or the GA::
     print(result.summary())
 
 Dynamic scenarios (:mod:`repro.scenario`) build on the same contract:
-``warm_start`` seeds a run from a previous placement and
-``engine_cache`` hands the delta engine's incumbent state across the
-run boundary.
+``warm_start`` seeds a run from a previous placement.
 """
 
 from repro.solvers.adapters import (

@@ -41,7 +41,6 @@ from repro.solvers.base import SolveResult, Solver, _check_batch, solver_streams
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
-    from repro.core.engine.handoff import IncumbentCache
     from repro.core.fitness import FitnessFunction
 
 __all__ = [
@@ -89,7 +88,6 @@ class AdHocSolver(Solver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         # ``deadline`` is accepted for contract uniformity but has no
@@ -153,10 +151,8 @@ class _InitializedSolver(Solver):
 class NeighborhoodSolver(_InitializedSolver):
     """The paper's best-improvement neighborhood search (Algorithm 1).
 
-    Runs on the batched engine (whole candidate sets per phase), which
-    keeps no incumbent cache — ``engine_cache`` is accepted for contract
-    uniformity but has nothing to seed, and results never carry one.
-    This family's warm-start saving comes from ``stall_phases``: a
+    Runs on the batched engine (whole candidate sets per phase).  This
+    family's warm-start saving comes from ``stall_phases``: a
     near-converged start stops after a handful of phases.
     """
 
@@ -191,7 +187,6 @@ class NeighborhoodSolver(_InitializedSolver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         _check_budget(budget)
@@ -212,7 +207,6 @@ class NeighborhoodSolver(_InitializedSolver):
             n_phases=result.n_phases,
             warm_started=warm,
             trace=result.trace,
-            engine_cache=result.engine_cache,
             stopped_by=result.stopped_by,
             elapsed_seconds=result.elapsed_seconds,
         )
@@ -226,7 +220,6 @@ class NeighborhoodSolver(_InitializedSolver):
         warm_starts=None,
         engine: str = "auto",
         fitness=None,
-        engine_caches=None,
         deadline: "Deadline | None" = None,
     ) -> list[SolveResult]:
         """All seeds as one lockstep multi-chain portfolio.
@@ -238,12 +231,10 @@ class NeighborhoodSolver(_InitializedSolver):
         so the per-seed results (best, trace, phase and evaluation
         counts) are bit-identical to the base class's serial loop — at a
         fraction of its wall-clock, because every phase measures all
-        chains' candidates in one stacked engine pass.  ``engine_caches``
-        is accepted for contract uniformity (this family's batched
-        engine keeps no incumbent cache).
+        chains' candidates in one stacked engine pass.
         """
         _check_budget(budget)
-        warm_starts, _ = _check_batch(seeds, warm_starts, engine_caches)
+        warm_starts = _check_batch(seeds, warm_starts)
         initials: list[Placement] = []
         rngs: list[np.random.Generator] = []
         warm_flags: list[bool] = []
@@ -273,7 +264,6 @@ class NeighborhoodSolver(_InitializedSolver):
                 n_phases=result.n_phases,
                 warm_started=warm,
                 trace=result.trace,
-                engine_cache=result.engine_cache,
                 stopped_by=result.stopped_by,
                 elapsed_seconds=result.elapsed_seconds,
             )
@@ -291,7 +281,6 @@ class AnnealingSolver(_InitializedSolver):
         schedule: "AnnealingSchedule | None" = None,
         max_phases: int = 64,
         moves_per_phase: int = 16,
-        track_cache: bool = False,
         **movement_params,
     ) -> None:
         super().__init__(init)
@@ -300,11 +289,6 @@ class AnnealingSolver(_InitializedSolver):
         self.schedule = schedule
         self.max_phases = max_phases
         self.moves_per_phase = moves_per_phase
-        #: Snapshot the delta engine at every new global best so
-        #: ``SolveResult.engine_cache`` can seed the next run.  Off by
-        #: default — solves that never hand off pay no copies; the
-        #: scenario runner switches it on.
-        self.track_cache = track_cache
 
     @property
     def name(self) -> str:
@@ -319,7 +303,6 @@ class AnnealingSolver(_InitializedSolver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         _check_budget(budget)
@@ -331,14 +314,7 @@ class AnnealingSolver(_InitializedSolver):
             max_phases=budget if budget is not None else self.max_phases,
             moves_per_phase=self.moves_per_phase,
         )
-        result = annealing.run(
-            evaluator,
-            initial,
-            rng_run,
-            engine_cache=engine_cache,
-            track_cache=self.track_cache,
-            deadline=deadline,
-        )
+        result = annealing.run(evaluator, initial, rng_run, deadline=deadline)
         return SolveResult(
             solver=self.name,
             best=result.best,
@@ -346,7 +322,6 @@ class AnnealingSolver(_InitializedSolver):
             n_phases=result.n_phases,
             warm_started=warm,
             trace=result.trace,
-            engine_cache=result.engine_cache,
             stopped_by=result.stopped_by,
             elapsed_seconds=result.elapsed_seconds,
         )
@@ -362,7 +337,6 @@ class TabuSolver(_InitializedSolver):
         tenure: int = 8,
         n_candidates: int = 16,
         max_phases: int = 64,
-        track_cache: bool = False,
         **movement_params,
     ) -> None:
         super().__init__(init)
@@ -371,8 +345,6 @@ class TabuSolver(_InitializedSolver):
         self.tenure = tenure
         self.n_candidates = n_candidates
         self.max_phases = max_phases
-        #: See :attr:`AnnealingSolver.track_cache`.
-        self.track_cache = track_cache
 
     @property
     def name(self) -> str:
@@ -387,7 +359,6 @@ class TabuSolver(_InitializedSolver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         _check_budget(budget)
@@ -399,14 +370,7 @@ class TabuSolver(_InitializedSolver):
             n_candidates=self.n_candidates,
             max_phases=budget if budget is not None else self.max_phases,
         )
-        result = tabu.run(
-            evaluator,
-            initial,
-            rng_run,
-            engine_cache=engine_cache,
-            track_cache=self.track_cache,
-            deadline=deadline,
-        )
+        result = tabu.run(evaluator, initial, rng_run, deadline=deadline)
         return SolveResult(
             solver=self.name,
             best=result.best,
@@ -414,7 +378,6 @@ class TabuSolver(_InitializedSolver):
             n_phases=result.n_phases,
             warm_started=warm,
             trace=result.trace,
-            engine_cache=result.engine_cache,
             stopped_by=result.stopped_by,
             elapsed_seconds=result.elapsed_seconds,
         )
@@ -463,7 +426,6 @@ class MultiStartSolver(Solver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         _check_budget(budget)
@@ -564,7 +526,6 @@ class GeneticSolver(Solver):
         warm_start=None,
         engine: str = "auto",
         fitness=None,
-        engine_cache=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         _check_budget(budget)

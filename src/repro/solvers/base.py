@@ -27,14 +27,10 @@ treat "an optimizer" as a value.
   step's best placement (see :mod:`repro.scenario`).
 * ``engine`` — the evaluation-engine choice (``auto``/``dense``/
   ``sparse``), threaded into every engine the family uses.
-* ``engine_cache`` — an optional
-  :class:`~repro.core.engine.handoff.IncumbentCache` from a previous
-  run; delta-engine families reuse its still-valid pieces at reset.
 
 The returned :class:`SolveResult` is uniform across families: the best
-evaluation, the family's trace, the evaluation count (the
-machine-independent cost unit every experiment reports) and the
-exported engine cache for the next warm start.
+evaluation, the family's trace and the evaluation count (the
+machine-independent cost unit every experiment reports).
 """
 
 from __future__ import annotations
@@ -52,29 +48,22 @@ from repro.seeding import root_sequence, spawn_children
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
-    from repro.core.engine.handoff import IncumbentCache
     from repro.core.fitness import FitnessFunction
 
 __all__ = ["SolveResult", "Solver", "solver_streams"]
 
 
-def _check_batch(seeds, warm_starts, engine_caches):
-    """Normalize / validate the per-seed lists of a ``solve_batch`` call."""
+def _check_batch(seeds, warm_starts):
+    """Normalize / validate the per-seed warm starts of a ``solve_batch`` call."""
     if not seeds:
         raise ValueError("solve_batch needs at least one seed")
     if warm_starts is None:
-        warm_starts = [None] * len(seeds)
-    if engine_caches is None:
-        engine_caches = [None] * len(seeds)
+        return [None] * len(seeds)
     if len(warm_starts) != len(seeds):
         raise ValueError(
             f"{len(warm_starts)} warm starts for {len(seeds)} seeds"
         )
-    if len(engine_caches) != len(seeds):
-        raise ValueError(
-            f"{len(engine_caches)} engine caches for {len(seeds)} seeds"
-        )
-    return warm_starts, engine_caches
+    return warm_starts
 
 
 def solver_streams(
@@ -119,9 +108,6 @@ class SolveResult:
     n_phases: int
     warm_started: bool
     trace: object = field(default=None, compare=False, repr=False)
-    engine_cache: "IncumbentCache | None" = field(
-        default=None, compare=False, repr=False
-    )
     stopped_by: str | None = None
     elapsed_seconds: float = field(default=0.0, compare=False)
 
@@ -168,7 +154,6 @@ class Solver(abc.ABC):
         warm_start: "Placement | None" = None,
         engine: str = "auto",
         fitness: "FitnessFunction | None" = None,
-        engine_cache: "IncumbentCache | None" = None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
         """Optimize ``problem``; see the module docstring for the contract.
@@ -189,14 +174,13 @@ class Solver(abc.ABC):
         warm_starts: "list[Placement | None] | None" = None,
         engine: str = "auto",
         fitness: "FitnessFunction | None" = None,
-        engine_caches: "list[IncumbentCache | None] | None" = None,
         deadline: "Deadline | None" = None,
     ) -> list[SolveResult]:
         """Solve one problem under many seeds; one result per seed, in order.
 
         The portfolio primitive behind the scenario fleet: seed ``i``
-        runs with ``warm_starts[i]`` and ``engine_caches[i]`` (both lists
-        default to all-``None``) under the shared ``budget``/``engine``/
+        runs with ``warm_starts[i]`` (the list defaults to all-``None``)
+        under the shared ``budget``/``engine``/
         ``fitness``.  The base implementation is the literal serial loop
         over :meth:`solve`; families with a lockstep engine override it
         with a vectorized path whose per-seed results are **bit-identical**
@@ -208,9 +192,7 @@ class Solver(abc.ABC):
         returns its evaluated start immediately (the lockstep override
         masks the still-running chains instead — same semantics).
         """
-        warm_starts, engine_caches = _check_batch(
-            seeds, warm_starts, engine_caches
-        )
+        warm_starts = _check_batch(seeds, warm_starts)
         return [
             self.solve(
                 problem,
@@ -219,12 +201,9 @@ class Solver(abc.ABC):
                 warm_start=warm_start,
                 engine=engine,
                 fitness=fitness,
-                engine_cache=engine_cache,
                 deadline=deadline,
             )
-            for seed, warm_start, engine_cache in zip(
-                seeds, warm_starts, engine_caches
-            )
+            for seed, warm_start in zip(seeds, warm_starts)
         ]
 
     def check_warm_start(

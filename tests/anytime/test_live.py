@@ -80,11 +80,6 @@ class TestOffload:
         assert [fingerprint(e.result) for e in inproc.responded] == [
             fingerprint(e.result) for e in offloaded.responded
         ]
-        # The incumbent cache is a same-process perf hint; it never
-        # rides back across the pool boundary.
-        assert all(
-            e.result.engine_cache is None for e in offloaded.responded
-        )
 
     def test_offload_respects_the_runtime_gate(self, drift, monkeypatch):
         from repro.parallel.runtime import RUNTIME_ENV

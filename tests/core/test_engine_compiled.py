@@ -187,11 +187,12 @@ class TestDeltaParity:
                 reference.propose(self._Move(candidate)),
             )
 
-    def test_export_cache_reports_layout(self):
+    def test_reports_size_heuristic_layout(self):
         problem = tiny_problem()
         delta = DeltaEvaluator(Evaluator(problem), engine="compiled")
         delta.reset(random_placements(problem, 1, seed=19)[0])
-        assert delta.export_cache().layout == "dense"
+        assert delta.engine == "compiled"
+        assert delta.layout == "dense"
 
 
 @needs_kernels

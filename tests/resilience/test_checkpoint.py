@@ -315,3 +315,31 @@ class TestRunnerResume:
             self._runner().run(
                 scenario, seed=11, resume_from=str(directory)
             )
+
+
+def _add_retired_field(directory) -> None:
+    """Rewrite a checkpoint manifest as an older release wrote it."""
+    manifest = directory / "manifest.json"
+    stored = json.loads(manifest.read_text())
+    stored["reuse_cache"] = True
+    manifest.write_text(json.dumps(stored))
+
+
+class TestRetiredManifestFields:
+    """Checkpoints carrying the retired ``reuse_cache`` option are refused."""
+
+    def test_runner_refuses_old_manifest(self, problem, tmp_path):
+        scenario = Scenario.client_drift(problem, 1)
+        directory = tmp_path / "run"
+        runner = ScenarioRunner("search:swap", budget=2, n_candidates=4)
+        runner.run(scenario, seed=11, checkpoint=str(directory))
+        _add_retired_field(directory)
+        with pytest.raises(CheckpointError, match="reuse_cache"):
+            runner.run(scenario, seed=11, resume_from=str(directory))
+
+    def test_fleet_refuses_old_manifest(self, problem, tmp_path):
+        directory = tmp_path / "fleet"
+        _fleet(problem).run(seed=5, checkpoint=str(directory))
+        _add_retired_field(directory)
+        with pytest.raises(CheckpointError, match="reuse_cache"):
+            _fleet(problem).run(seed=5, resume_from=str(directory))

@@ -199,8 +199,6 @@ class TestFleetInputs:
             [Scenario.client_drift(problem, 1)], [solver], n_seeds=2, budget=2
         ).run(seed=1)
         assert report.solvers == ["search:swap"]
-        # ...and the instance comes back unmutated (no track_cache leak).
-        assert not getattr(solver, "track_cache", False)
 
     def test_scenario_mapping_labels(self, problem):
         report = ScenarioFleet(

@@ -1,4 +1,4 @@
-"""ScenarioRunner: warm-start handoff, controlled baselines, accounting."""
+"""ScenarioRunner: warm-start carry, controlled baselines, accounting."""
 
 from __future__ import annotations
 
@@ -77,87 +77,6 @@ class TestRun:
         ).run(scenario, seed=3)
         assert outcome.steps[0].result.n_phases == 6
         assert outcome.steps[1].result.n_phases == 2
-
-    def test_cache_handoff_matches_no_cache(self, tiny_problem):
-        scenario = Scenario.client_drift(tiny_problem, 3)
-        with_cache = ScenarioRunner(
-            "tabu:swap", budget=3, n_candidates=4
-        ).run(scenario, seed=4)
-        without = ScenarioRunner(
-            "tabu:swap", budget=3, reuse_cache=False, n_candidates=4
-        ).run(scenario, seed=4)
-        assert [s.result.best.fitness for s in with_cache.steps] == [
-            s.result.best.fitness for s in without.steps
-        ]
-        assert [
-            s.result.best.placement.cells for s in with_cache.steps
-        ] == [s.result.best.placement.cells for s in without.steps]
-
-
-    def test_cache_handoff_fires_under_drift(self, tiny_problem):
-        """Under client drift the previous cache validates at the next step.
-
-        The warm start is the previous best placement and the exported
-        cache is keyed to exactly that placement; drift moves only
-        clients, so the cached router network must test valid — the
-        reuse the handoff exists for.
-        """
-        scenario = Scenario.client_drift(tiny_problem, 3)
-        outcome = ScenarioRunner("tabu:swap", budget=4, n_candidates=4).run(
-            scenario, seed=6
-        )
-        for prev, step in zip(outcome.steps, outcome.steps[1:]):
-            cache = prev.result.engine_cache
-            assert cache is not None
-            warm = prev.result.best.placement
-            problem = step.step.problem
-            assert cache.network_valid_for(
-                warm.positions_array(),
-                problem.fleet.radii,
-                problem.link_rule,
-            )
-
-
-class TestNoStateLeak:
-    """The runner must not permanently mutate a caller-owned solver."""
-
-    def test_track_cache_restored_after_run(self, tiny_problem):
-        solver = make_solver("tabu:swap", n_candidates=4)
-        assert solver.track_cache is False
-        outcome = ScenarioRunner(solver, budget=3).run(
-            Scenario.client_drift(tiny_problem, 2), seed=1
-        )
-        # Tracking was on during the run (caches were exported)...
-        assert outcome.steps[0].result.engine_cache is not None
-        # ...but the caller's solver is exactly as it was handed over.
-        assert solver.track_cache is False
-
-    def test_enabled_tracking_survives_run(self, tiny_problem):
-        solver = make_solver("annealing:swap", track_cache=True, max_phases=2)
-        ScenarioRunner(solver, budget=2).run(
-            Scenario.client_drift(tiny_problem, 1), seed=1
-        )
-        assert solver.track_cache is True
-
-    def test_restored_even_when_a_step_raises(self, tiny_problem):
-        solver = make_solver("tabu:swap", n_candidates=4)
-        runner = ScenarioRunner(solver, budget=3)
-        broken = Scenario.client_drift(tiny_problem, 1)
-        steps = broken.unfold(0)
-        # Sabotage the second step so the solve inside the loop raises.
-        bad = [steps[0], steps[1]]
-        object.__setattr__(bad[1], "problem", None)
-        with pytest.raises(AttributeError):
-            runner.run_steps(bad, seed=1)
-        assert solver.track_cache is False
-
-    def test_later_unrelated_solve_keeps_no_snapshot(self, tiny_problem):
-        solver = make_solver("tabu:swap", n_candidates=4)
-        ScenarioRunner(solver, budget=3).run(
-            Scenario.client_drift(tiny_problem, 1), seed=1
-        )
-        later = solver.solve(tiny_problem, seed=9, budget=3)
-        assert later.engine_cache is None
 
 
 class TestSeedProvenance:

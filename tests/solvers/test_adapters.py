@@ -131,40 +131,6 @@ class TestWarmStartSteering:
         result = solver.solve(tiny_problem, seed=4, budget=3, warm_start=warm)
         assert result.warm_started
 
-    @pytest.mark.parametrize("spec", ["annealing:swap", "tabu:swap"])
-    def test_exported_cache_describes_best_placement(self, tiny_problem, spec):
-        """The handoff contract: the cache is keyed to the BEST placement.
-
-        Tabu keeps walking after its best, so exporting the final
-        incumbent would hand the next step a cache that never validates
-        against the warm start; the snapshot-on-improvement rule keeps
-        cache.positions == best placement.
-        """
-        result = make_solver(spec, track_cache=True).solve(
-            tiny_problem, seed=3, budget=5
-        )
-        cache = result.engine_cache
-        assert cache is not None
-        assert np.array_equal(
-            cache.positions, result.best.placement.positions_array()
-        )
-
-    def test_engine_cache_does_not_change_results(self, tiny_problem):
-        solver = make_solver("tabu:swap", n_candidates=4, track_cache=True)
-        first = solver.solve(tiny_problem, seed=6, budget=4)
-        assert first.engine_cache is not None
-        warm = solver.solve(
-            tiny_problem,
-            seed=6,
-            budget=4,
-            warm_start=solver.initial_placement(tiny_problem, 6),
-            engine_cache=first.engine_cache,
-        )
-        cold = solver.solve(tiny_problem, seed=6, budget=4)
-        assert warm.best.fitness == cold.best.fitness
-        assert warm.best.placement.cells == cold.best.placement.cells
-        assert warm.n_evaluations == cold.n_evaluations
-
 
 class TestSolveBatch:
     """solve_batch: the serial loop and the lockstep override agree."""
@@ -231,5 +197,3 @@ class TestSolveBatch:
             solver.solve_batch(tiny_problem, [])
         with pytest.raises(ValueError, match="warm starts"):
             solver.solve_batch(tiny_problem, [1, 2], warm_starts=[None])
-        with pytest.raises(ValueError, match="engine caches"):
-            solver.solve_batch(tiny_problem, [1, 2], engine_caches=[None])

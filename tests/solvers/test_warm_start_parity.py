@@ -66,24 +66,6 @@ def test_warm_equals_cold_on_unchanged_problem(tiny_problem, spec, seed):
         )
 
 
-@pytest.mark.parametrize("spec", ["annealing:swap", "tabu:swap"])
-def test_parity_holds_with_engine_cache(tiny_problem, spec):
-    """A donated incumbent cache is a perf hint, never a result change."""
-    solver = _small(spec)
-    donor = solver.solve(tiny_problem, seed=3, budget=4)
-    cold = solver.solve(tiny_problem, seed=11, budget=6)
-    warm = solver.solve(
-        tiny_problem,
-        seed=11,
-        budget=6,
-        warm_start=solver.initial_placement(tiny_problem, 11),
-        engine_cache=donor.engine_cache,
-    )
-    assert warm.best.fitness == cold.best.fitness
-    assert warm.best.placement.cells == cold.best.placement.cells
-    assert warm.n_evaluations == cold.n_evaluations
-
-
 @pytest.mark.parametrize("spec", ["search:swap", "annealing:swap", "tabu:swap"])
 def test_parity_on_sparse_engine(tiny_problem, spec):
     solver = _small(spec)
