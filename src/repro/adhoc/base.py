@@ -22,7 +22,7 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.geometry import Point
+from repro.core.geometry import Point, cell_array
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement
@@ -81,18 +81,52 @@ def nudge_to_free(
 
 def resolve_collisions(
     grid: GridArea,
-    cells: Iterable[Point],
+    cells: "Iterable[Point] | np.ndarray",
     rng: np.random.Generator,
     taken: Sequence[Point] = (),
-) -> list[Point]:
-    """Make ``cells`` distinct (and distinct from ``taken``) by nudging."""
-    occupied = set(taken)
-    resolved: list[Point] = []
-    for cell in cells:
-        placed = nudge_to_free(grid, cell, occupied, rng)
-        occupied.add(placed)
-        resolved.append(placed)
-    return resolved
+) -> "list[Point] | np.ndarray":
+    """Make ``cells`` distinct (and distinct from ``taken``) by nudging.
+
+    Cells are placed in order, each one through :func:`nudge_to_free`.
+    A cell that is inside the grid and still free when its turn comes
+    stays where it is and draws nothing from ``rng``.  So every cell
+    before the first out-of-grid, repeated or taken one is kept as is,
+    found with one vectorised test, and only the cells from there on run
+    the sequential nudge loop: the result and the RNG stream are those
+    of nudging every cell in turn.
+
+    ``cells`` may be ``Point`` pairs (a list of ``Point`` is returned)
+    or an int ``(N, 2)`` array (a new int array is returned).
+    """
+    as_array = isinstance(cells, np.ndarray)
+    array = cell_array(cells)
+    n = len(array)
+    xs, ys = array[:, 0], array[:, 1]
+    inside = (xs >= 0) & (xs < grid.width) & (ys >= 0) & (ys < grid.height)
+    # Out-of-grid cells get distinct negative keys so they repeat nothing.
+    flat = np.where(inside, ys * grid.width + xs, -1 - np.arange(n))
+    irregular = ~inside
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    # With a stable sort the later occurrence of a repeated key follows
+    # the earlier one, so this marks every repeat but the first.
+    irregular[order[1:][ordered[1:] == ordered[:-1]]] = True
+    if taken:
+        taken_flat = [cell[1] * grid.width + cell[0] for cell in taken]
+        irregular |= np.isin(flat, taken_flat)
+    first = int(np.argmax(irregular)) if irregular.any() else n
+    if first < n:
+        occupied = set(taken)
+        occupied.update(map(Point, xs[:first].tolist(), ys[:first].tolist()))
+        tail: list[Point] = []
+        for x, y in array[first:].tolist():
+            placed = nudge_to_free(grid, Point(x, y), occupied, rng)
+            occupied.add(placed)
+            tail.append(placed)
+        array = np.concatenate([array[:first], np.array(tail, dtype=np.int64)])
+    if as_array:
+        return array
+    return list(map(Point, array[:, 0].tolist(), array[:, 1].tolist()))
 
 
 class AdHocMethod(abc.ABC):

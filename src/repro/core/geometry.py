@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Point",
+    "cell_array",
     "Rect",
     "euclidean",
     "euclidean_squared",
@@ -44,6 +47,25 @@ class Point(NamedTuple):
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return euclidean(self, other)
+
+
+def cell_array(cells: "Iterable[Point] | np.ndarray") -> np.ndarray:
+    """Cells (``Point`` pairs or an int array) as a fresh int64 ``(N, 2)`` array.
+
+    Coordinates are truncated like ``int()`` would truncate them.
+    """
+    if isinstance(cells, np.ndarray):
+        if cells.size and (cells.ndim != 2 or cells.shape[1] != 2):
+            raise ValueError(f"cell array must have shape (N, 2), got {cells.shape}")
+        array = cells.astype(np.int64)
+    else:
+        # A flat list of coordinates converts far faster than numpy's
+        # sequence-of-tuples path.
+        array = np.array(
+            [int(value) for cell in cells for value in (cell[0], cell[1])],
+            dtype=np.int64,
+        )
+    return array.reshape(-1, 2)
 
 
 def euclidean_squared(a: Point, b: Point) -> int:
@@ -119,6 +141,11 @@ class Rect:
     def contains(self, point: Point) -> bool:
         """Whether ``point`` lies inside the rectangle."""
         return self.x0 <= point.x < self.x1 and self.y0 <= point.y < self.y1
+
+    def contains_cells(self, cells: np.ndarray) -> np.ndarray:
+        """Boolean mask of the rows of an ``(N, 2)`` cell array inside the rectangle."""
+        xs, ys = cells[:, 0], cells[:, 1]
+        return (xs >= self.x0) & (xs < self.x1) & (ys >= self.y0) & (ys < self.y1)
 
     def cells(self) -> Iterator[Point]:
         """Iterate all cells of the rectangle in row-major order."""

@@ -18,6 +18,10 @@ from repro.core.geometry import Point, Rect
 
 __all__ = ["GridArea"]
 
+#: Rejection-sampling attempts before the free-cell samplers fall back to
+#: enumerating the free cells of the region.
+_REJECTION_ATTEMPTS = 64
+
 
 @dataclass(frozen=True, slots=True)
 class GridArea:
@@ -187,8 +191,7 @@ class GridArea:
             occupied_set = set(occupied)
         # Rejection sampling is fast when occupancy is sparse (the common
         # case: N routers << W*H cells).
-        max_attempts = 64
-        for _ in range(max_attempts):
+        for _ in range(_REJECTION_ATTEMPTS):
             candidate = self.random_cell_in(region, rng)
             if candidate not in occupied_set:
                 return candidate
@@ -197,6 +200,52 @@ class GridArea:
             raise ValueError("no free cell available in the requested region")
         return free[int(rng.integers(0, len(free)))]
 
+    def occupancy_bitmap(self, cells: np.ndarray) -> bytearray:
+        """Row-major occupancy bitmap of an int ``(N, 2)`` cell array.
+
+        One byte per grid cell, set where a cell is occupied.  Operators
+        that test many cells within one call build it for that call
+        only; it is never stored on a placement.
+        """
+        bitmap = bytearray(self.n_cells)
+        np.frombuffer(bitmap, dtype=np.uint8)[cells[:, 1] * self.width + cells[:, 0]] = 1
+        return bitmap
+
+    def random_free_index(
+        self,
+        bitmap: bytearray,
+        rng: np.random.Generator,
+        x0: int,
+        y0: int,
+        x1: int,
+        y1: int,
+    ) -> int:
+        """Flat-index twin of :meth:`random_free_cell` over ``bitmap``.
+
+        Samples the window ``[x0, x1) x [y0, y1)`` clipped to the grid
+        with exactly the draws :meth:`random_free_cell` makes for that
+        window: up to 64 rejection attempts of an ``(x, y)`` pair, then
+        a uniform pick among the free cells in row-major order.  Returns
+        the row-major index of the chosen cell.
+        """
+        width = self.width
+        x0, y0 = max(x0, 0), max(y0, 0)
+        x1, y1 = min(x1, width), min(y1, self.height)
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError("sampling region is empty")
+        integers = rng.integers
+        for _ in range(_REJECTION_ATTEMPTS):
+            x = int(integers(x0, x1))
+            index = int(integers(y0, y1)) * width + x
+            if not bitmap[index]:
+                return index
+        window = np.frombuffer(bitmap, dtype=np.uint8).reshape(self.height, width)
+        free_y, free_x = np.nonzero(window[y0:y1, x0:x1] == 0)
+        if not free_y.size:
+            raise ValueError("no free cell available in the requested region")
+        pick = int(integers(0, free_y.size))
+        return int(free_y[pick] + y0) * width + int(free_x[pick] + x0)
+
     def sample_distinct_cells(
         self,
         count: int,
@@ -204,10 +253,20 @@ class GridArea:
         within: Rect | None = None,
         occupied: Sequence[Point] = (),
     ) -> list[Point]:
-        """Sample ``count`` distinct free cells uniformly at random."""
+        """Sample ``count`` distinct free cells uniformly at random.
+
+        Each cell is drawn as :meth:`random_free_cell` would draw it from
+        the cells still free, over a bitmap that lives for this call.
+        """
         region = self.bounds if within is None else within.intersection(self.bounds)
-        taken = set(occupied)
-        available = region.area - sum(1 for cell in taken if region.contains(cell))
+        width = self.width
+        bitmap = bytearray(self.n_cells)
+        for x, y in occupied:
+            if 0 <= x < width and 0 <= y < self.height:
+                bitmap[y * width + x] = 1
+        grid_view = np.frombuffer(bitmap, dtype=np.uint8).reshape(self.height, width)
+        taken = int(grid_view[region.y0 : region.y1, region.x0 : region.x1].sum())
+        available = region.area - taken
         if count > available:
             raise ValueError(
                 f"cannot place {count} nodes in a region with only "
@@ -215,7 +274,9 @@ class GridArea:
             )
         chosen: list[Point] = []
         for _ in range(count):
-            cell = self.random_free_cell(taken, rng, within=region)
-            chosen.append(cell)
-            taken.add(cell)
+            index = self.random_free_index(
+                bitmap, rng, region.x0, region.y0, region.x1, region.y1
+            )
+            bitmap[index] = 1
+            chosen.append(Point(index % width, index // width))
         return chosen

@@ -6,55 +6,92 @@ assignment.  It is an immutable value object: search operators derive new
 placements via :meth:`with_move` and :meth:`with_swap` instead of
 mutating in place, which keeps traces, populations and tabu lists safe to
 share.
+
+The assignment is stored as a read-only int ``(N, 2)`` array of
+``(x, y)`` cells, which the GA operators and the engines work on
+directly.  The :class:`~repro.core.geometry.Point` views — ``cells``,
+``occupied`` and the float ``positions_array()`` — are built on first
+use and cached, so code that only handles arrays never pays for them.
+A placement never stores a ``W x H`` occupancy bitmap: operators that
+need one build it for the duration of one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Point, Rect, cell_array
 from repro.core.grid import GridArea
 
 __all__ = ["Placement"]
 
+#: Storage dtype of the cell array (half the bytes of int64 per placement).
+#: Validation runs in int64 first, so no out-of-range coordinate can wrap
+#: into the grid on the way in.
+_CELL_DTYPE = np.int32
 
-@dataclass(frozen=True)
+
 class Placement:
     """An assignment of router ids to distinct grid cells.
 
-    ``cells[i]`` is the position of router ``i``.  The constructor
-    enforces the two structural invariants of the problem: every cell is
-    inside the grid and no two routers share a cell.
+    ``cells[i]`` (or row ``i`` of :meth:`cells_array`) is the position of
+    router ``i``.  The constructor enforces the two structural invariants
+    of the problem: every cell is inside the grid and no two routers
+    share a cell.
     """
 
-    grid: GridArea
-    cells: tuple[Point, ...]
-    _occupied: frozenset[Point] = field(init=False, repr=False, compare=False)
-    _positions: "np.ndarray | None" = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    __slots__ = ("_grid", "_array", "_cells", "_occupied", "_positions", "_hash")
 
-    def __post_init__(self) -> None:
-        if not self.cells:
+    def __init__(self, grid: GridArea, cells: "Sequence[Point] | np.ndarray") -> None:
+        array = cell_array(cells)
+        if len(array) == 0:
             raise ValueError("a placement must position at least one router")
-        for cell in self.cells:
-            self.grid.require_inside(cell)
-        occupied = frozenset(self.cells)
-        if len(occupied) != len(self.cells):
+        # A negative coordinate wraps to a huge unsigned value, so one
+        # comparison checks both grid edges of both axes.
+        inside = array.view(np.uint64) < np.array(
+            (grid.width, grid.height), dtype=np.uint64
+        )
+        if not inside.all():
+            first = int(np.flatnonzero(~inside.all(axis=1))[0])
+            grid.require_inside(Point(*array[first].tolist()))
+        flat = np.sort(array[:, 1] * grid.width + array[:, 0])
+        if (flat[1:] == flat[:-1]).any():
             raise ValueError("placement has two routers on the same cell")
-        object.__setattr__(self, "_occupied", occupied)
+        self._init(grid, array.astype(_CELL_DTYPE))
+
+    def _init(self, grid: GridArea, array: np.ndarray) -> None:
+        array.setflags(write=False)
+        self._grid = grid
+        self._array = array
+        self._cells: tuple[Point, ...] | None = None
+        self._occupied: frozenset[Point] | None = None
+        self._positions: np.ndarray | None = None
+        self._hash: int | None = None
+
+    @classmethod
+    def _trusted(cls, grid: GridArea, array: np.ndarray) -> "Placement":
+        """Wrap an int ``(N, 2)`` array already known to satisfy the invariants.
+
+        Takes ownership of ``array`` (it becomes read-only).  The operators
+        that derive a placement from a valid one use this to skip the
+        re-validation :meth:`from_cells` performs.
+        """
+        placement = cls.__new__(cls)
+        placement._init(grid, array)
+        return placement
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_cells(cls, grid: GridArea, cells: Sequence[Point]) -> "Placement":
-        """Build a placement from an ordered sequence of cells."""
-        return cls(grid=grid, cells=tuple(Point(int(c[0]), int(c[1])) for c in cells))
+    def from_cells(
+        cls, grid: GridArea, cells: "Sequence[Point] | np.ndarray"
+    ) -> "Placement":
+        """Build a placement from ordered cells: ``Point`` pairs or an int ``(N, 2)`` array."""
+        return cls(grid, cells)
 
     @classmethod
     def random(
@@ -64,11 +101,38 @@ class Placement:
         return cls.from_cells(grid, grid.sample_distinct_cells(count, rng))
 
     # ------------------------------------------------------------------
+    # Value semantics
+    # ------------------------------------------------------------------
+
+    @property
+    def grid(self) -> GridArea:
+        """The grid the routers are placed on."""
+        return self._grid
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._grid == other._grid and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # The hash the frozen-dataclass form had; ints and tuples of
+            # ints hash the same in every process (no string salting).
+            self._hash = hash((self._grid, self.cells))  # repro-lint: disable=RL001
+        return self._hash
+
+    def __reduce__(self):
+        return (Placement._trusted, (self._grid, self._array))
+
+    def __repr__(self) -> str:
+        return f"Placement(grid={self._grid!r}, cells={self.cells!r})"
+
+    # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self._array)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.cells)
@@ -81,13 +145,27 @@ class Placement:
     # ------------------------------------------------------------------
 
     @property
+    def cells(self) -> tuple[Point, ...]:
+        """The router cells as ``Point`` tuples (built once, on first use)."""
+        if self._cells is None:
+            xs, ys = self._array.T.tolist()
+            self._cells = tuple(map(Point, xs, ys))
+        return self._cells
+
+    def cells_array(self) -> np.ndarray:
+        """Read-only int ``(N, 2)`` array of router cells (id order)."""
+        return self._array
+
+    @property
     def occupied(self) -> frozenset[Point]:
         """The set of occupied cells."""
+        if self._occupied is None:
+            self._occupied = frozenset(self.cells)
         return self._occupied
 
     def is_free(self, cell: Point) -> bool:
         """Whether ``cell`` is inside the grid and not occupied."""
-        return self.grid.contains(cell) and cell not in self._occupied
+        return self._grid.contains(cell) and cell not in self.occupied
 
     def positions_array(self) -> np.ndarray:
         """``(N, 2)`` float array of router coordinates (id order).
@@ -97,20 +175,14 @@ class Placement:
         share it.
         """
         if self._positions is None:
-            # Point is a NamedTuple, so the cells convert directly —
-            # no intermediate nested list on this hot path.
-            positions = np.array(self.cells, dtype=float)
+            positions = self._array.astype(float)
             positions.setflags(write=False)
-            object.__setattr__(self, "_positions", positions)
+            self._positions = positions
         return self._positions
 
     def routers_in(self, rect: Rect) -> list[int]:
         """Ids of routers whose cell lies inside ``rect``."""
-        return [
-            router_id
-            for router_id, cell in enumerate(self.cells)
-            if rect.contains(cell)
-        ]
+        return np.flatnonzero(rect.contains_cells(self._array)).tolist()
 
     def as_mapping(self) -> Mapping[int, Point]:
         """Router id -> cell dictionary view (a fresh dict)."""
@@ -127,20 +199,35 @@ class Placement:
         or outside the grid.
         """
         self._require_router(router_id)
-        if cell == self.cells[router_id]:
-            return self
-        if cell in self._occupied:
-            raise ValueError(f"cell {tuple(cell)} is already occupied")
-        new_cells = list(self.cells)
-        new_cells[router_id] = cell
-        derived = Placement(grid=self.grid, cells=tuple(new_cells))
+        x, y = cell
+        array = self._array
+        if self._occupied is not None:
+            if cell in self._occupied:
+                if self._cells[router_id] == cell:
+                    return self
+                raise ValueError(f"cell {tuple(cell)} is already occupied")
+        else:
+            holders = np.flatnonzero((array[:, 0] == x) & (array[:, 1] == y))
+            if holders.size:
+                if holders[0] == router_id:
+                    return self
+                raise ValueError(f"cell {tuple(cell)} is already occupied")
+        self._grid.require_inside(cell)
+        moved = array.copy()
+        moved[router_id] = (x, y)
+        derived = Placement._trusted(self._grid, moved)
+        # Seed the child's caches from ours: one entry changes, and the
+        # child shares every other ``Point`` instead of rebuilding them
+        # (hot in search loops, and search traces keep many placements).
+        if self._cells is not None:
+            cells = list(self._cells)
+            cells[router_id] = Point(int(x), int(y))
+            derived._cells = tuple(cells)
         if self._positions is not None:
-            # Seed the child's positions cache from ours: one row update
-            # instead of reconverting every cell (hot in search loops).
             positions = self._positions.copy()
-            positions[router_id] = (cell.x, cell.y)
+            positions[router_id] = (x, y)
             positions.setflags(write=False)
-            object.__setattr__(derived, "_positions", positions)
+            derived._positions = positions
         return derived
 
     def with_swap(self, router_a: int, router_b: int) -> "Placement":
@@ -154,21 +241,23 @@ class Placement:
         self._require_router(router_b)
         if router_a == router_b:
             return self
-        new_cells = list(self.cells)
-        new_cells[router_a], new_cells[router_b] = (
-            new_cells[router_b],
-            new_cells[router_a],
-        )
-        derived = Placement(grid=self.grid, cells=tuple(new_cells))
+        swapped = self._array.copy()
+        swapped[[router_a, router_b]] = swapped[[router_b, router_a]]
+        derived = Placement._trusted(self._grid, swapped)
+        derived._occupied = self._occupied
+        if self._cells is not None:
+            cells = list(self._cells)
+            cells[router_a], cells[router_b] = cells[router_b], cells[router_a]
+            derived._cells = tuple(cells)
         if self._positions is not None:
             positions = self._positions.copy()
             positions[[router_a, router_b]] = positions[[router_b, router_a]]
             positions.setflags(write=False)
-            object.__setattr__(derived, "_positions", positions)
+            derived._positions = positions
         return derived
 
     def _require_router(self, router_id: int) -> None:
-        if not 0 <= router_id < len(self.cells):
+        if not 0 <= router_id < len(self._array):
             raise ValueError(
-                f"router id {router_id} out of range for fleet of {len(self.cells)}"
+                f"router id {router_id} out of range for fleet of {len(self._array)}"
             )

@@ -1,9 +1,11 @@
 """Crossover operators.
 
 A chromosome is the vector of router cells, so crossover mixes the
-positions two parents assign to each router.  Children can inherit
-colliding cells (two routers on one cell); the shared ``_repair`` step
-nudges collisions apart, preserving the placement invariants.
+positions two parents assign to each router.  The operators work on the
+parents' int ``(N, 2)`` cell arrays: a child is a row mask or a
+concatenation of the two.  Children can inherit colliding cells (two
+routers on one cell); the shared ``_repair`` step nudges collisions
+apart, preserving the placement invariants.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from repro.adhoc.base import resolve_collisions
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Rect
 from repro.core.solution import Placement
 
 __all__ = [
@@ -25,7 +27,7 @@ __all__ = [
 ]
 
 
-def _repair(grid, cells: list[Point], rng: np.random.Generator) -> Placement:
+def _repair(grid, cells: np.ndarray, rng: np.random.Generator) -> Placement:
     """Nudge duplicate cells apart and build a valid placement."""
     return Placement.from_cells(grid, resolve_collisions(grid, cells, rng))
 
@@ -78,13 +80,10 @@ class UniformCrossover(CrossoverOperator):
         rng: np.random.Generator,
     ) -> tuple[Placement, Placement]:
         self._check_parents(parent_a, parent_b)
-        take_b = rng.uniform(size=len(parent_a)) < self.mix_rate
-        child1 = [
-            parent_b[i] if take_b[i] else parent_a[i] for i in range(len(parent_a))
-        ]
-        child2 = [
-            parent_a[i] if take_b[i] else parent_b[i] for i in range(len(parent_a))
-        ]
+        take_b = (rng.uniform(size=len(parent_a)) < self.mix_rate)[:, None]
+        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
+        child1 = np.where(take_b, cells_b, cells_a)
+        child2 = np.where(take_b, cells_a, cells_b)
         return (
             _repair(parent_a.grid, child1, rng),
             _repair(parent_a.grid, child2, rng),
@@ -108,8 +107,9 @@ class OnePointCrossover(CrossoverOperator):
         self._check_parents(parent_a, parent_b)
         n = len(parent_a)
         cut = int(rng.integers(1, n)) if n > 1 else 0
-        child1 = list(parent_a.cells[:cut]) + list(parent_b.cells[cut:])
-        child2 = list(parent_b.cells[:cut]) + list(parent_a.cells[cut:])
+        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
+        child1 = np.concatenate([cells_a[:cut], cells_b[cut:]])
+        child2 = np.concatenate([cells_b[:cut], cells_a[cut:]])
         return (
             _repair(parent_a.grid, child1, rng),
             _repair(parent_a.grid, child2, rng),
@@ -164,14 +164,9 @@ class RegionExchangeCrossover(CrossoverOperator):
     ) -> tuple[Placement, Placement]:
         self._check_parents(parent_a, parent_b)
         region = self._random_region(parent_a.grid, rng)
-        child1 = [
-            parent_a[i] if region.contains(parent_a[i]) else parent_b[i]
-            for i in range(len(parent_a))
-        ]
-        child2 = [
-            parent_b[i] if region.contains(parent_b[i]) else parent_a[i]
-            for i in range(len(parent_a))
-        ]
+        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
+        child1 = np.where(region.contains_cells(cells_a)[:, None], cells_a, cells_b)
+        child2 = np.where(region.contains_cells(cells_b)[:, None], cells_b, cells_a)
         return (
             _repair(parent_a.grid, child1, rng),
             _repair(parent_a.grid, child2, rng),

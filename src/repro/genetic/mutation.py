@@ -5,6 +5,10 @@ radius-bounded relocations (local refinement); ``ResetMutation`` teleports
 routers anywhere (exploration); ``GeneSwapMutation`` exchanges the
 positions of two routers — the GA analogue of the paper's swap movement.
 ``CompositeMutation`` mixes them.
+
+The relocating operators work on the placement's int ``(N, 2)`` cell
+array with a row-major occupancy bitmap that lives for one call, and
+draw exactly what the cell-by-cell ``Point`` formulation drew.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Point
 from repro.core.solution import Placement
 
 __all__ = [
@@ -63,27 +67,30 @@ class JiggleMutation(MutationOperator):
 
     def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
         grid = placement.grid
-        cells = list(placement.cells)
-        occupied = set(cells)
-        for router_id in range(len(cells)):
-            if rng.uniform() >= self.per_gene_rate:
+        width = grid.width
+        radius = self.radius
+        xs, ys = placement.cells_array().T.tolist()
+        bitmap = None
+        for router_id in range(len(xs)):
+            # ``random()`` is the draw ``uniform()`` makes, without its
+            # argument handling.
+            if rng.random() >= self.per_gene_rate:
                 continue
-            current = cells[router_id]
-            window = Rect(
-                current.x - self.radius,
-                current.y - self.radius,
-                2 * self.radius + 1,
-                2 * self.radius + 1,
-            )
-            occupied.discard(current)
+            if bitmap is None:
+                bitmap = grid.occupancy_bitmap(placement.cells_array())
+            x, y = xs[router_id], ys[router_id]
+            current = y * width + x
+            bitmap[current] = 0
             try:
-                target = grid.random_free_cell(occupied, rng, within=window)
+                target = grid.random_free_index(
+                    bitmap, rng, x - radius, y - radius, x + radius + 1, y + radius + 1
+                )
             except ValueError:
                 # Neighborhood completely full: keep the router in place.
                 target = current
-            occupied.add(target)
-            cells[router_id] = target
-        return Placement.from_cells(grid, cells)
+            bitmap[target] = 1
+            ys[router_id], xs[router_id] = divmod(target, width)
+        return Placement.from_cells(grid, np.array([xs, ys], dtype=np.int64).T)
 
     def __repr__(self) -> str:
         return (
@@ -104,16 +111,17 @@ class ResetMutation(MutationOperator):
 
     def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
         grid = placement.grid
-        cells = list(placement.cells)
-        occupied = set(cells)
+        cells = placement.cells_array().copy()
         n_resets = min(self.count, len(cells))
         victims = rng.choice(len(cells), size=n_resets, replace=False)
-        for router_id in victims:
-            router_id = int(router_id)
-            occupied.discard(cells[router_id])
-            target = grid.random_free_cell(occupied, rng)
-            occupied.add(target)
-            cells[router_id] = target
+        bitmap = grid.occupancy_bitmap(cells)
+        for router_id in victims.tolist():
+            x, y = cells[router_id].tolist()
+            bitmap[y * grid.width + x] = 0
+            target = grid.random_free_index(bitmap, rng, 0, 0, grid.width, grid.height)
+            bitmap[target] = 1
+            y, x = divmod(target, grid.width)
+            cells[router_id] = (x, y)
         return Placement.from_cells(grid, cells)
 
     def __repr__(self) -> str:
@@ -164,27 +172,29 @@ class TowardCentroidMutation(MutationOperator):
         grid = placement.grid
         positions = placement.positions_array()
         centroid = positions.mean(axis=0)
+        cells = placement.cells_array()
         router_id = int(rng.integers(0, len(placement)))
-        current = placement[router_id]
+        current_x, current_y = cells[router_id].tolist()
         fraction = rng.uniform(0.0, self.max_step_fraction)
-        target_x = current.x + fraction * (centroid[0] - current.x)
-        target_y = current.y + fraction * (centroid[1] - current.y)
+        target_x = current_x + fraction * (centroid[0] - current_x)
+        target_y = current_y + fraction * (centroid[1] - current_y)
         if self.jitter:
             target_x += rng.integers(-self.jitter, self.jitter + 1)
             target_y += rng.integers(-self.jitter, self.jitter + 1)
-        target = grid.bounds.clamped(Point(int(round(target_x)), int(round(target_y))))
-        if target == current:
+        x = min(max(int(round(target_x)), 0), grid.width - 1)
+        y = min(max(int(round(target_y)), 0), grid.height - 1)
+        if (x, y) == (current_x, current_y):
             return placement
-        occupied = set(placement.cells)
-        occupied.discard(current)
-        if target in occupied:
+        if ((cells[:, 0] == x) & (cells[:, 1] == y)).any():
             # Land on the nearest free spot around the intended target.
-            window = Rect(target.x - 2, target.y - 2, 5, 5)
+            bitmap = grid.occupancy_bitmap(cells)
+            bitmap[current_y * grid.width + current_x] = 0
             try:
-                target = grid.random_free_cell(occupied, rng, within=window)
+                target = grid.random_free_index(bitmap, rng, x - 2, y - 2, x + 3, y + 3)
             except ValueError:
                 return placement
-        return placement.with_move(router_id, target)
+            y, x = divmod(target, grid.width)
+        return placement.with_move(router_id, Point(x, y))
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,7 @@ with the aggregate queries the engine and the diversity analysis need
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -17,12 +18,31 @@ from repro.genetic.individual import Individual
 
 __all__ = ["Population"]
 
+#: Router-pair distances computed per block by :meth:`Population.diversity`.
+_DIVERSITY_BLOCK = 1 << 15
+
+#: Largest coordinate whose squared distances (dx² + dy²) fit in int32.
+_INT32_SAFE_COORDINATE = 32767
+
+
+@functools.lru_cache(maxsize=8)
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of every pair ``(i, j > i)`` of ``size`` items, row-major."""
+    return np.triu_indices(size, 1)
+
 
 @dataclass
 class Population:
     """An ordered collection of individuals."""
 
     individuals: list[Individual] = field(default_factory=list)
+    #: Fitness of every individual, set once all of them are evaluated.
+    #: The GA never mutates a population after evaluating it, so the
+    #: per-pick aggregates and selection read this instead of re-checking
+    #: every individual.
+    _fitness: tuple[float, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.individuals:
@@ -69,34 +89,38 @@ class Population:
             if not individual.is_evaluated:
                 raise ValueError(f"individual {index} has not been evaluated")
 
+    def fitness_tuple(self) -> tuple[float, ...]:
+        """Fitness of every individual, in population order (cached)."""
+        if self._fitness is None:
+            self.require_evaluated()
+            self._fitness = tuple(ind.fitness for ind in self.individuals)
+        return self._fitness
+
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
 
     def best(self) -> Individual:
         """The fittest individual (first on ties, deterministic)."""
-        self.require_evaluated()
-        return max(self.individuals, key=lambda ind: ind.fitness)
+        fitness = self.fitness_tuple()
+        return self.individuals[max(range(len(fitness)), key=fitness.__getitem__)]
 
     def elites(self, count: int) -> list[Individual]:
         """The ``count`` fittest individuals, fittest first."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        self.require_evaluated()
-        ranked = sorted(self.individuals, key=lambda ind: ind.fitness, reverse=True)
-        return [individual.copy() for individual in ranked[:count]]
+        fitness = self.fitness_tuple()
+        # A stable sort keeps equal-fitness individuals in population order.
+        ranked = sorted(range(len(fitness)), key=fitness.__getitem__, reverse=True)
+        return [self.individuals[index].copy() for index in ranked[:count]]
 
     def mean_fitness(self) -> float:
         """Average fitness over the population."""
-        self.require_evaluated()
-        return float(
-            np.mean([individual.fitness for individual in self.individuals])
-        )
+        return float(np.mean(self.fitness_tuple()))
 
     def fitness_values(self) -> np.ndarray:
         """Fitness of every individual, in population order."""
-        self.require_evaluated()
-        return np.array([individual.fitness for individual in self.individuals])
+        return np.array(self.fitness_tuple())
 
     def diversity(self) -> float:
         """Mean pairwise distance between chromosomes (gene-averaged).
@@ -107,21 +131,34 @@ class Population:
         Computed as the average over router ids of the mean pairwise
         Euclidean distance between the routers' cells across individuals.
         """
-        if len(self.individuals) < 2:
+        size = len(self.individuals)
+        if size < 2:
             return 0.0
-        # stack: (P, N, 2) — population size x routers x coordinates
-        stack = np.stack(
-            [ind.placement.positions_array() for ind in self.individuals]
-        )
+        # (P, N) x and y planes: population size x routers.  Integer
+        # arithmetic gives dx² + dy² exactly, as the float coordinates
+        # did, in half the memory traffic of float64.
+        cells = np.stack([ind.placement.cells_array() for ind in self.individuals])
+        if cells.max() > _INT32_SAFE_COORDINATE:
+            cells = cells.astype(np.int64)
+        xs, ys = cells[:, :, 0], cells[:, :, 1]
+        # Every pair (i, j > i) in row-major order, a block of pairs at a
+        # time so the (pairs, N) temporaries stay small.  A full
+        # (P, P, N) distance tensor would do twice the work.
+        first, second = _pairs(size)
+        pair_means = np.empty(len(first))
+        step = max(1, _DIVERSITY_BLOCK // cells.shape[1])
+        for lo in range(0, len(first), step):
+            a, b = first[lo : lo + step], second[lo : lo + step]
+            dx, dy = xs[b] - xs[a], ys[b] - ys[a]
+            pair_means[lo : lo + step] = np.sqrt(dx * dx + dy * dy).mean(axis=1)
+        # Summed per first index, then across, in the order (and so with
+        # the rounding) of the row-by-row formulation.
         total = 0.0
-        pairs = 0
-        for i in range(len(self.individuals)):
-            deltas = stack[i + 1 :] - stack[i]
-            if deltas.size:
-                distances = np.sqrt((deltas**2).sum(axis=2))
-                total += float(distances.mean(axis=1).sum())
-                pairs += deltas.shape[0]
-        return total / pairs if pairs else 0.0
+        start = 0
+        for count in range(size - 1, 0, -1):
+            total += float(np.add.reduce(pair_means[start : start + count]))
+            start += count
+        return total / start
 
     @classmethod
     def from_placements(cls, placements: Sequence) -> "Population":

@@ -53,10 +53,9 @@ class TournamentSelection(SelectionOperator):
         self.size = size
 
     def select(self, population: Population, rng: np.random.Generator) -> Individual:
-        population.require_evaluated()
-        indices = rng.integers(0, len(population), size=self.size)
-        best_index = max(indices, key=lambda i: population[int(i)].fitness)
-        return population[int(best_index)]
+        fitness = population.fitness_tuple()
+        indices = rng.integers(0, len(population), size=self.size).tolist()
+        return population[max(indices, key=fitness.__getitem__)]
 
     def __repr__(self) -> str:
         return f"TournamentSelection(size={self.size})"

@@ -62,8 +62,7 @@ class StepChange:
         if self.kept_routers is None:
             return placement
         return Placement.from_cells(
-            self.problem.grid,
-            [placement.cells[int(i)] for i in self.kept_routers],
+            self.problem.grid, placement.cells_array()[self.kept_routers]
         )
 
 

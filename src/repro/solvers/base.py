@@ -209,7 +209,12 @@ class Solver(abc.ABC):
     def check_warm_start(
         self, problem: ProblemInstance, warm_start: "Placement | None"
     ) -> None:
-        """Validate a warm-start placement against the problem frame."""
+        """Validate a warm-start placement against the problem frame.
+
+        The warm start must place the whole fleet on the problem's own
+        grid: a placement on another grid is refused even when its cells
+        happen to fit, since the result would carry that other grid.
+        """
         if warm_start is None:
             return
         if len(warm_start) != problem.n_routers:
@@ -217,12 +222,20 @@ class Solver(abc.ABC):
                 f"warm start places {len(warm_start)} routers but the fleet "
                 f"has {problem.n_routers}"
             )
-        for cell in warm_start.cells:
-            if not problem.grid.contains(cell):
-                raise ValueError(
-                    f"warm start cell {tuple(cell)} lies outside the "
-                    f"{problem.grid.width}x{problem.grid.height} grid"
-                )
+        grid = problem.grid
+        cells = warm_start.cells_array()
+        outside = ~((cells >= 0) & (cells < (grid.width, grid.height))).all(axis=1)
+        if outside.any():
+            raise ValueError(
+                f"warm start cell {tuple(cells[outside.argmax()].tolist())} lies "
+                f"outside the {grid.width}x{grid.height} grid"
+            )
+        if warm_start.grid != grid:
+            raise ValueError(
+                f"warm start is placed on a {warm_start.grid.width}x"
+                f"{warm_start.grid.height} grid but the problem grid is "
+                f"{grid.width}x{grid.height}"
+            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

@@ -157,3 +157,66 @@ def test_move_changes_exactly_one_router(placement, router, x, y):
 @given(placement_strategy, st.integers(0, 9), st.integers(0, 9))
 def test_swap_is_involution(placement, a, b):
     assert placement.with_swap(a, b).with_swap(a, b).cells == placement.cells
+
+
+class TestArrayBacking:
+    def test_array_and_point_inputs_agree(self):
+        cells = [(0, 0), (5, 5), (3, 1)]
+        grid = GridArea(16, 16)
+        from_points = Placement.from_cells(grid, [Point(*c) for c in cells])
+        from_array = Placement.from_cells(grid, np.array(cells))
+        assert from_points == from_array
+        assert from_array.cells == tuple(Point(*c) for c in cells)
+        assert np.array_equal(from_array.cells_array(), cells)
+
+    def test_input_array_is_copied_and_storage_read_only(self):
+        source = np.array([[0, 0], [1, 1]])
+        p = Placement.from_cells(GridArea(4, 4), source)
+        source[0] = (3, 3)
+        assert p[0] == Point(0, 0)
+        with pytest.raises(ValueError):
+            p.cells_array()[0, 0] = 2
+
+    def test_array_errors_match_point_errors(self):
+        grid = GridArea(16, 16)
+        with pytest.raises(ValueError, match=r"cell \(16, 0\) outside 16x16 grid"):
+            Placement.from_cells(grid, np.array([[0, 0], [16, 0]]))
+        with pytest.raises(ValueError, match=r"cell \(-1, 2\) outside"):
+            Placement.from_cells(grid, np.array([[-1, 2]]))
+        with pytest.raises(ValueError, match="same cell"):
+            Placement.from_cells(grid, np.array([[3, 3], [3, 3]]))
+        with pytest.raises(ValueError, match="at least one router"):
+            Placement.from_cells(grid, np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="shape"):
+            Placement.from_cells(grid, np.zeros((2, 3), dtype=int))
+
+    def test_hash_equality_and_pickle_are_value_based(self):
+        import pickle
+
+        p = make_placement((0, 0), (5, 5), (2, 7))
+        q = make_placement((0, 0), (5, 5), (2, 7))
+        restored = pickle.loads(pickle.dumps(p))
+        assert p == q == restored
+        assert p != make_placement((0, 0), (5, 5), (2, 8))
+        # The frozen-dataclass hash: equal placements hash alike, and
+        # the value is the one the tuple-of-Point form had.
+        hashes = {hash(p), hash(q), hash(restored), hash((p.grid, p.cells))}  # repro-lint: disable=RL001
+        assert len(hashes) == 1
+        assert not restored.cells_array().flags.writeable
+        assert repr(p) == f"Placement(grid={p.grid!r}, cells={p.cells!r})"
+
+    def test_derivation_is_the_same_with_or_without_cached_views(self):
+        bare = make_placement((0, 0), (5, 5), (2, 7))
+        warm = make_placement((0, 0), (5, 5), (2, 7))
+        _ = warm.occupied, warm.positions_array()
+        for placement in (bare, warm):
+            moved = placement.with_move(1, Point(9, 9))
+            assert moved.cells == (Point(0, 0), Point(9, 9), Point(2, 7))
+            assert moved.occupied == set(moved.cells)
+            assert np.array_equal(moved.positions_array(), moved.cells_array())
+            swapped = placement.with_swap(0, 2)
+            assert swapped.cells == (Point(2, 7), Point(5, 5), Point(0, 0))
+            assert swapped.occupied == set(swapped.cells)
+            assert placement.with_move(1, Point(5, 5)) is placement
+            with pytest.raises(ValueError, match="already occupied"):
+                placement.with_move(1, Point(2, 7))
