@@ -6,15 +6,21 @@ and swaps), the phase stack is measured, and every chain commits its
 winner.  Three paths measure the identical phase scripts:
 
 * **numpy stacked** — the sparse :class:`StackedEngine` re-measures the
-  full candidate stack each phase.  This is what ``engine="auto"``
-  runs at city scale when the compiled kernels are absent, and the
+  full candidate stack each phase.  This is what
+  :class:`~repro.neighborhood.multichain.MultiChainSearch` runs on every
+  sparse-layout (city-scale) instance, on the numpy tier, and the
   baseline of the speedup gate.
 * **numpy delta**  — :class:`StackedDeltaEngine` on the numpy dense
-  broadcasts/sgemm (reported for context; ``auto`` never picks it on
-  sparse-layout instances because its commit path is matrix-sized).
+  broadcasts/sgemm (reported for context; its commit path is
+  matrix-sized).
 * **compiled**     — :class:`StackedDeltaEngine` on the C kernels:
   fused adjacency-row/coverage-column recompute, one union-find
   labeling pass, CSR giant-coverage counts, and O(nnz) commit updates.
+
+The search drivers use :class:`StackedDeltaEngine` on dense-layout
+instances only, so neither delta path here is a production city-scale
+path any more: the script drives the engine directly to keep the kernels
+measured.
 
 The script asserts bit-identical measurement rows across all three
 paths before timing.  The one-time cost of building the shared library

@@ -1,4 +1,4 @@
-"""Benchmark: lockstep multi-chain search vs. the serial per-chain loop.
+"""Benchmark: lockstep multi-chain search vs. one chain at a time.
 
 Workload: the paper-scale replication portfolio — ``R`` seeds x 6
 movement types (the paper's swap and random, three swap variants, and
@@ -6,9 +6,11 @@ the combined mixture) on a 32x32 grid with 128 routers and 192 clients,
 30 phases x 16 candidates per chain.  Two executions of the identical
 portfolio:
 
-* **serial** — one :class:`NeighborhoodSearch` python loop per
-  (movement, seed) chain, each phase evaluating its own 16-candidate
-  batch: the replication harness's historical path.
+* **serial** — ``R`` separate one-chain runs per movement: one
+  :class:`NeighborhoodSearch` (itself a one-chain
+  :class:`MultiChainSearch`) per (movement, seed) chain, each phase
+  measuring its own 16-candidate batch against that chain's delta
+  cache.
 * **multichain** — one :class:`MultiChainSearch` per movement advancing
   all ``R`` chains in lockstep: one vectorized ``propose_batch`` and one
   stacked delta-engine measurement per phase for all ``R x 16``
@@ -85,7 +87,7 @@ def chain_inputs(problem, label: str, seed_base: int, n_seeds: int):
 
 
 def run_serial(problem, factory, label, seed_base, n_seeds, candidates, phases):
-    """The serial per-chain loop (one fresh search + evaluator per seed)."""
+    """One chain at a time (one fresh search + evaluator per seed)."""
     results = []
     for seed in range(n_seeds):
         rng = np.random.default_rng((seed_base, label_key(label), seed))

@@ -30,7 +30,7 @@ from repro.core.geometry import Point, Rect, chebyshev, euclidean, euclidean_squ
 from repro.core.grid import GridArea
 from repro.core.network import RouterNetwork, adjacency_matrix, edge_array, link_edges
 from repro.core.pareto import ParetoArchive, ParetoPoint, dominates
-from repro.core.problem import ProblemInstance
+from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.routers import MeshRouter, RouterFleet
 from repro.core.solution import Placement
@@ -72,6 +72,7 @@ __all__ = [
     "ParetoPoint",
     "dominates",
     "ProblemInstance",
+    "check_start_placement",
     "CoverageRule",
     "LinkRule",
     "RadioProfile",

@@ -14,7 +14,7 @@ giant-component masks for the same placement:
 * **One counting adapter** — :class:`~repro.core.evaluation.Evaluator`.
   ``evaluate_many`` is one ``measure_placements`` call plus row
   materialization, ``evaluate`` the same for one placement; both count
-  evaluations and feed the optional Pareto archive.  With
+  evaluations.  With
   ``engine="dense"``, ``evaluate`` runs the reference path
   (``RouterNetwork.build`` + ``coverage_mask``) that the parity suites
   use as ground truth.

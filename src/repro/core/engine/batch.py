@@ -274,7 +274,7 @@ def measure_stack(
 
     Array-level: no per-candidate python objects are constructed;
     :meth:`StackedMeasurement.evaluation` materializes a row on demand.
-    Pure function — no counters, no archive.
+    Pure function — no counters.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[2] != 2:

@@ -31,10 +31,9 @@ Protocol::
 
 ``propose`` is speculative — any number of candidates can be previewed
 from the same incumbent (tabu search previews a whole sample) and the
-caches only advance on ``commit``.  Evaluation counting and archive
-observation are routed through the wrapped scalar
-:class:`~repro.core.evaluation.Evaluator`, so search-cost accounting is
-unchanged.
+caches only advance on ``commit``.  Evaluation counting is routed
+through the wrapped scalar :class:`~repro.core.evaluation.Evaluator`, so
+search-cost accounting is unchanged.
 """
 
 from __future__ import annotations
@@ -153,7 +152,7 @@ class DeltaEvaluator:
             self._coverage = coverage
         self._positions = positions
         self._incumbent = evaluation
-        self._evaluator.record_evaluation(evaluation)
+        self._evaluator.count()
         return evaluation
 
     def propose(self, move: Move) -> Evaluation:
@@ -181,7 +180,7 @@ class DeltaEvaluator:
             coverage = self._coverage.copy()
             self._apply_rows(adjacency, coverage, new_positions, moved)
             evaluation = self._measure(placement, adjacency, coverage)
-        self._evaluator.record_evaluation(evaluation)
+        self._evaluator.count()
         return evaluation
 
     def commit(self, evaluation: Evaluation) -> None:

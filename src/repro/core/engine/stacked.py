@@ -54,7 +54,7 @@ DEFAULT_MAX_CHUNK = 256
 class StackedEngine:
     """Tier dispatch and array-level measurement of candidate stacks.
 
-    Pure measurement: no evaluation counters, no archive — the
+    Pure measurement: no evaluation counters — the
     :class:`~repro.core.evaluation.Evaluator` adapter and the search
     layer on top own the bookkeeping.
     """
@@ -314,8 +314,8 @@ class StackedDeltaEngine:
     Protocol: :meth:`reset_chain` once per chain, :meth:`measure_phase`
     once per phase with neutral ``(chain, movers, new_positions)``
     candidate descriptions, :meth:`commit_chain` whenever a chain
-    accepts a candidate.  Pure measurement — counters and archives live
-    in the search layer.
+    accepts a candidate.  Pure measurement — counters live in the
+    search layer.
     """
 
     def __init__(

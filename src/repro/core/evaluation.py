@@ -11,16 +11,20 @@ algorithms compare evaluations, never recompute pieces by hand.  The
 experiments report search cost in evaluations, which is
 machine-independent.
 
-:class:`Evaluator` is the counting and archiving adapter over the
-engine's one measurement front door,
+:class:`Evaluator` is the counting adapter over the engine's one
+measurement front door,
 :class:`~repro.core.engine.stacked.StackedEngine`: ``evaluate_many``
 measures a candidate set there and materializes the rows, and
 ``evaluate`` does the same for one placement.  On the ``"dense"`` tier
 ``evaluate`` instead runs the reference path (``RouterNetwork.build``
 plus ``coverage_mask``), the ground truth every other path is tested
 against.  :class:`~repro.core.engine.delta.DeltaEvaluator` wraps an
-evaluator for incremental single-move loops.  All paths share this
-evaluator's counter and archive, and produce bit-identical results.
+evaluator for incremental single-move loops, and
+:class:`~repro.neighborhood.search.NeighborhoodSearch` charges its
+lockstep run to one; both report through :meth:`Evaluator.count`.  All
+paths share this evaluator's counter and produce bit-identical results.
+A :class:`~repro.core.pareto.ParetoArchive` is fed by its caller
+(``archive.observe(evaluation)``), not by the evaluator.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ class Evaluator:
     fitness:
         The scalarization; defaults to the paper-aligned
         :class:`WeightedSumFitness` (0.7 connectivity / 0.3 coverage).
-    archive:
-        Optional :class:`~repro.core.pareto.ParetoArchive`; when given,
-        every evaluation is offered to it, so any search run through
-        this evaluator also yields the bi-objective front it explored.
     engine:
         The tier, resolved once by the wrapped
         :class:`~repro.core.engine.stacked.StackedEngine`: ``"auto"``
@@ -103,7 +103,6 @@ class Evaluator:
         self,
         problem: ProblemInstance,
         fitness: FitnessFunction | None = None,
-        archive=None,
         engine: str = "auto",
     ) -> None:
         # Deferred: the engine package's modules import this one.
@@ -126,7 +125,6 @@ class Evaluator:
             )
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
-        self._archive = archive
         self._n_evaluations = 0
         self._stacked = StackedEngine(problem, self._fitness, engine=engine)
 
@@ -154,16 +152,14 @@ class Evaluator:
         """Zero the evaluation counter (e.g. between experiment runs)."""
         self._n_evaluations = 0
 
-    def record_evaluation(self, evaluation: Evaluation) -> None:
-        """Count an evaluation performed on this evaluator's behalf.
+    def count(self, n: int = 1) -> None:
+        """Charge ``n`` evaluations performed on this evaluator's behalf.
 
-        Engine hook: the delta paths measure placements outside this
-        class but must preserve the evaluation-count semantics and
-        archive observation, so they report here.
+        Engine hook: the delta paths and the lockstep search driver
+        measure placements outside this class but keep the
+        evaluation-count semantics, so they report here.
         """
-        self._n_evaluations += 1
-        if self._archive is not None:
-            self._archive.observe(evaluation)
+        self._n_evaluations += n
 
     def evaluate(self, placement: Placement) -> Evaluation:
         """Measure a placement: network, giant component, coverage, fitness.
@@ -194,7 +190,7 @@ class Evaluator:
             fitness=self._fitness.score(metrics),
             giant_mask=giant_mask,
         )
-        self.record_evaluation(evaluation)
+        self.count()
         return evaluation
 
     def evaluate_many(self, placements: Sequence[Placement]) -> list[Evaluation]:
@@ -207,10 +203,8 @@ class Evaluator:
         call, whose rows are then materialized in order.
         """
         measurement = self._stacked.measure_placements(placements)
-        evaluations = [
+        self.count(len(placements))
+        return [
             measurement.evaluation(index, placement)
             for index, placement in enumerate(placements)
         ]
-        for evaluation in evaluations:
-            self.record_evaluation(evaluation)
-        return evaluations

@@ -9,6 +9,7 @@ radio coverage) and the matrix of clients — plus the two modeling rules
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,7 +18,10 @@ from repro.core.grid import GridArea
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.routers import RouterFleet
 
-__all__ = ["ProblemInstance"]
+if TYPE_CHECKING:
+    from repro.core.solution import Placement
+
+__all__ = ["ProblemInstance", "check_start_placement"]
 
 
 @dataclass(frozen=True)
@@ -131,4 +135,38 @@ class ProblemInstance:
             clients=clients,
             link_rule=link_rule,
             coverage_rule=coverage_rule,
+        )
+
+
+def check_start_placement(
+    problem: ProblemInstance,
+    placement: "Placement",
+    label: str = "warm start",
+) -> None:
+    """Refuse a start placement that does not fit ``problem``'s frame.
+
+    The placement must place the whole fleet on the problem's own grid:
+    a placement on another grid is refused even when its cells happen
+    to fit, since the result would carry that other grid.  ``label``
+    names the placement in the error (``"warm start"``, ``"chain 3
+    start"``, ...).
+    """
+    if len(placement) != problem.n_routers:
+        raise ValueError(
+            f"{label} places {len(placement)} routers but the fleet "
+            f"has {problem.n_routers}"
+        )
+    grid = problem.grid
+    cells = placement.cells_array()
+    outside = ~((cells >= 0) & (cells < (grid.width, grid.height))).all(axis=1)
+    if outside.any():
+        raise ValueError(
+            f"{label} cell {tuple(cells[outside.argmax()].tolist())} lies "
+            f"outside the {grid.width}x{grid.height} grid"
+        )
+    if placement.grid != grid:
+        raise ValueError(
+            f"{label} is placed on a {placement.grid.width}x"
+            f"{placement.grid.height} grid but the problem grid is "
+            f"{grid.width}x{grid.height}"
         )

@@ -152,9 +152,9 @@ def _movement_run(task) -> list[tuple[float, float]]:
     """One (movement, seed-shard) lockstep portfolio (picklable).
 
     Chain ``i`` draws its initial placement and all proposals from the
-    generator seeded with ``rng_keys[i]`` — exactly the serial per-chain
-    loop's stream — so the per-seed results are bit-identical to running
-    each seed through its own ``NeighborhoodSearch``.
+    generator seeded with ``rng_keys[i]`` and from nothing else, so the
+    per-seed results do not depend on how seeds are sharded: each equals
+    a one-chain run of that seed.
     """
     from repro.core.solution import Placement
 

@@ -8,9 +8,9 @@ thickens.  Each sweep reruns a compact version of the relevant
 experiment per parameter value.
 
 Each point's Swap and Random searches run as best-of-``n_restarts``
-portfolios on the lockstep engine
-(:class:`~repro.neighborhood.multichain.MultiStartSearch`): restart
-chains advance together through one stacked evaluation per phase, so
+portfolios on the lockstep engine (the ``multistart:swap`` /
+``multistart:random`` solvers): restart chains advance together
+through one stacked evaluation per phase, so
 raising ``n_restarts`` costs far less than proportional wall-clock.
 Search seeds derive from stable CRC32 label keys (the salted builtin
 ``hash`` of earlier revisions made sweep values irreproducible across
@@ -29,8 +29,7 @@ from repro.core.evaluation import Evaluator
 from repro.experiments.config import ExperimentScale, current_scale
 from repro.experiments.replication import label_key
 from repro.instances.generator import InstanceSpec
-from repro.neighborhood.movements import RandomMovement, SwapMovement
-from repro.neighborhood.multichain import MultiStartSearch
+from repro.solvers.registry import make_solver
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_router_count", "sweep_radio_range", "format_sweep"]
 
@@ -87,22 +86,18 @@ def _measure_point(
         make_method("random").place(problem, rng)
     )
     outcomes = {}
-    for label, movement in (
-        ("swap", SwapMovement),
-        ("random", RandomMovement),
-    ):
-        search = MultiStartSearch(
-            movement,
+    for label in ("swap", "random"):
+        solver = make_solver(
+            f"multistart:{label}",
             n_restarts=n_restarts,
             n_candidates=scale.ns_candidates,
             max_phases=scale.ns_phases,
             stall_phases=None,
-            engine=engine,
         )
-        outcome = search.run(
-            problem, seed=(seed, label_key(label), parameter_key)
+        outcome = solver.solve(
+            problem, seed=(seed, label_key(label), parameter_key), engine=engine
         )
-        outcomes[label] = outcome.best_evaluation
+        outcomes[label] = outcome.best
     return SweepPoint(
         parameter=parameter,
         standalone_giant=standalone.giant_size,

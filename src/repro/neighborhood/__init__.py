@@ -3,21 +3,17 @@
 The paper's Algorithm 1 (best-improvement neighborhood search),
 Algorithm 2 (sampled best-neighbor selection) and Algorithm 3 (the swap
 movement), the purely-random movement baseline, plus the "full featured
-local search methods" announced as future work: simulated annealing,
-tabu search, and the lockstep multi-chain / multi-start portfolio
-engine (:mod:`repro.neighborhood.multichain`) that executes whole
-replication portfolios through one stacked evaluation per phase.
+local search methods" announced as future work: simulated annealing and
+tabu search.  Every best-improvement search runs on the lockstep
+multi-chain driver (:mod:`repro.neighborhood.multichain`), which
+executes whole replication portfolios through one stacked evaluation
+per phase; :class:`NeighborhoodSearch` is its one-chain case.
 """
 
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.best_neighbor import apply_valid_move, best_neighbor
+from repro.neighborhood.best_neighbor import apply_valid_move
 from repro.neighborhood.moves import Move, RelocateMove, SwapMove
-from repro.neighborhood.multichain import (
-    MultiChainSearch,
-    MultiStartResult,
-    MultiStartSearch,
-    chain_generators,
-)
+from repro.neighborhood.multichain import MultiChainSearch, chain_generators
 from repro.neighborhood.movements import (
     CombinedMovement,
     MovementType,
@@ -38,11 +34,8 @@ __all__ = [
     "AnnealingSchedule",
     "SimulatedAnnealing",
     "apply_valid_move",
-    "best_neighbor",
     "chain_generators",
     "MultiChainSearch",
-    "MultiStartResult",
-    "MultiStartSearch",
     "Move",
     "RelocateMove",
     "SwapMove",

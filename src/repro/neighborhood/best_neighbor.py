@@ -1,4 +1,4 @@
-"""Best-neighbor selection (paper Algorithm 2).
+"""Applying a sampled move to the incumbent (paper Algorithm 2).
 
 "The exploration of the neighborhood can be done in different ways.  For
 instance, we can systematically generate all movements ... or, in case
@@ -6,31 +6,19 @@ of large neighborhoods, just a pre-fixed number of movements is
 generated and corresponding neighboring solutions are examined."
 
 The placement neighborhoods here are large (every router x every free
-cell), so the sampled variant is the work-horse:
-:func:`best_neighbor` draws a pre-fixed number of candidate moves from
-the movement type and returns the fittest resulting solution.
-
-The phase's candidate set is evaluated as one batch through the
-vectorized engine (:meth:`Evaluator.evaluate_many`): sampling the moves
-stays sequential (identical RNG stream to the scalar loop), only the
-evaluation is stacked.  Results and evaluation counts are bit-identical
-to evaluating the candidates one by one.
+cell), so the sampled variant is the work-horse: the lockstep driver
+(:mod:`repro.neighborhood.multichain`) draws a pre-fixed number of
+candidate moves per phase and keeps the fittest resulting solution.
+:func:`apply_valid_move` decides whether a sampled move yields a
+neighbor.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.neighborhood.moves import Move, RelocateMove
-from repro.neighborhood.movements import MovementType
 
-__all__ = ["apply_valid_move", "best_neighbor"]
-
-#: Distinguishes "caller did not resolve the batch path" from "the
-#: evaluator has no batch path" in :func:`best_neighbor`.
-_UNRESOLVED = object()
+__all__ = ["apply_valid_move"]
 
 
 def apply_valid_move(move: Move, placement: Placement) -> Placement | None:
@@ -53,56 +41,3 @@ def apply_valid_move(move: Move, placement: Placement) -> Placement | None:
         return move.apply(placement)
     except ValueError:
         return None
-
-
-def best_neighbor(
-    evaluator: Evaluator,
-    current: Evaluation,
-    movement: MovementType,
-    rng: np.random.Generator,
-    n_candidates: int = 16,
-    evaluate_many=_UNRESOLVED,
-) -> Evaluation | None:
-    """The best solution among ``n_candidates`` sampled neighbors.
-
-    Follows Algorithm 2: generate movements of the chosen type, apply
-    them to the current solution and keep the best neighboring solution.
-    Invalid or unavailable candidates (the movement returns ``None``, or
-    the move no longer applies) are skipped; they still count against
-    ``n_candidates`` so a phase has bounded cost.
-
-    ``evaluate_many`` lets a phase loop hoist the batch-path capability
-    probe: pass the evaluator's bound ``evaluate_many`` method (or
-    ``None`` for evaluators without one) to skip the per-call
-    ``getattr``; by default the probe runs here.
-
-    Returns ``None`` when no candidate produced a valid neighbor —
-    Algorithm 1 treats that as an idle phase.
-    """
-    if n_candidates <= 0:
-        raise ValueError(f"n_candidates must be positive, got {n_candidates}")
-    placement = current.placement
-    neighbors: list[Placement] = []
-    for _ in range(n_candidates):
-        move = movement.propose(current, evaluator.problem, rng)
-        if move is None:
-            continue
-        neighbor = apply_valid_move(move, placement)
-        if neighbor is not None:
-            neighbors.append(neighbor)
-    if not neighbors:
-        return None
-    if evaluate_many is _UNRESOLVED:
-        evaluate_many = getattr(evaluator, "evaluate_many", None)
-    if evaluate_many is not None:
-        evaluations = evaluate_many(neighbors)
-    else:
-        # Evaluators without a batch path (e.g. test doubles) still work.
-        evaluations = [evaluator.evaluate(placement) for placement in neighbors]
-    best = evaluations[0]
-    for candidate in evaluations[1:]:
-        # Strict comparison keeps the first-seen candidate on ties,
-        # matching the original sequential loop.
-        if candidate.fitness > best.fitness:
-            best = candidate
-    return best

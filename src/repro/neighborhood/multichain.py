@@ -14,18 +14,22 @@ lockstep instead:
 * each phase samples all chains' candidates through one
   :meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
   (per-chain generator streams, vectorized window scans);
-* all ``R x C`` surviving candidates are stacked into one
-  ``(K, N, 2)`` position tensor and measured by a single
-  :class:`~repro.core.engine.stacked.StackedEngine` pass (dense), or one
-  shared sparse engine (city scale) — only each chain's *winning*
-  candidate is ever materialized as an
+* all ``R x C`` surviving candidates are measured in one pass: against
+  per-chain incumbent caches by a
+  :class:`~repro.core.engine.stacked.StackedDeltaEngine` on the dense
+  layout, or as one full :class:`~repro.core.engine.stacked.StackedEngine`
+  measurement on the sparse (city-scale) layout — only each chain's
+  *winning* candidate is ever materialized as an
   :class:`~repro.core.evaluation.Evaluation`;
 * converged/stalled chains drop out of the lockstep via boolean masking
   and the survivors keep batching.
 
-Per-chain results — trace, best solution, phase and evaluation counts —
-are **bit-identical** to running each chain through a serial
-``NeighborhoodSearch`` (asserted by
+This is the repository's one best-improvement loop:
+:class:`~repro.neighborhood.search.NeighborhoodSearch` is its one-chain
+case.  Per-chain results — trace, best solution, phase and evaluation
+counts — are **bit-identical** to running each chain alone through the
+paper's serial phase loop, measuring every candidate with the dense
+reference evaluator (asserted against a frozen copy of that loop by
 ``tests/neighborhood/test_multichain.py``), because every random draw
 stays on its chain's own generator and every engine path shares the
 evaluation contract.
@@ -42,10 +46,10 @@ parent-derived:
 * callers with an existing per-chain key scheme (the replication
   harness's ``(instance_seed, label_key, seed)`` tuples) pass one
   pre-seeded ``Generator`` per chain instead;
-* chain ``r`` consumes **only** ``rngs[r]``, in the same order as the
-  serial loop (initial placement first if the caller drew it there, then
-  ``C`` proposals per phase).  Results are therefore invariant to chain
-  grouping: batching, ``workers=`` sharding and phase masking never
+* chain ``r`` consumes **only** ``rngs[r]``, in the same order as a
+  one-chain run (initial placement first if the caller drew it there,
+  then ``C`` proposals per phase).  Results are therefore invariant to
+  chain grouping: batching, ``workers=`` sharding and phase masking never
   change a chain's stream.
 
 ``run(..., workers=W)`` composes both parallelism axes: chains batch
@@ -56,7 +60,7 @@ and because of the stream contract the results are identical to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -65,13 +69,12 @@ from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.engine.stacked import StackedDeltaEngine, StackedEngine
 from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
-from repro.core.problem import ProblemInstance
+from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
 from repro.neighborhood.best_neighbor import apply_valid_move
 from repro.neighborhood.moves import RelocateMove, SwapMove
 from repro.neighborhood.movements import MovementType
-from repro.neighborhood.search import SearchResult
-from repro.neighborhood.trace import SearchTrace
+from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.parallel import (
     get_runtime,
     resolve_task_problem,
@@ -87,18 +90,23 @@ if TYPE_CHECKING:
 
 __all__ = [
     "chain_generators",
+    "check_search_parameters",
     "MultiChainSearch",
-    "MultiStartResult",
-    "MultiStartSearch",
 ]
 
-#: Portfolio-wide cap on the compiled delta engine's per-chain dense
-#: incumbent caches (``N * (N + M)`` byte-sized cells per chain) on
-#: sparse-layout instances.  ~256 MB — roomy for city portfolios
-#: (16 chains at 1024 routers / 4000 clients is ~80 MB) while keeping
-#: city-large (4096 routers / 50k clients, ~220 MB *per chain*) on the
-#: constant-memory stacked path.
-DELTA_CACHE_BUDGET = 1 << 28
+
+def check_search_parameters(
+    n_candidates: int, max_phases: int, stall_phases: int | None
+) -> None:
+    """Validate the best-improvement knobs shared by both search entries."""
+    if n_candidates <= 0:
+        raise ValueError(f"n_candidates must be positive, got {n_candidates}")
+    if max_phases <= 0:
+        raise ValueError(f"max_phases must be positive, got {max_phases}")
+    if stall_phases is not None and stall_phases <= 0:
+        raise ValueError(
+            f"stall_phases must be positive or None, got {stall_phases}"
+        )
 
 
 def chain_generators(
@@ -143,11 +151,11 @@ _SKIP, _NOOP, _RELOCATE, _SWAP, _EXOTIC = range(5)
 
 
 def _classify_move(move, incumbent: Placement, occupied, n_routers: int, grid):
-    """The serial validity rules, shared by both lockstep collectors.
+    """Candidate validity rules, shared by both lockstep collectors.
 
     One implementation of the decision
-    :func:`~repro.neighborhood.best_neighbor.apply_valid_move` makes for
-    the serial loop — stale relocations are dropped, an own-cell
+    :func:`~repro.neighborhood.best_neighbor.apply_valid_move` makes on
+    a built placement — stale relocations are dropped, an own-cell
     relocation is a no-op candidate, out-of-range ids and out-of-grid
     targets are skipped — tagged so the delta and full-measure paths can
     build their own candidate representations without re-deriving the
@@ -216,14 +224,7 @@ class MultiChainSearch:
         accept_equal: bool = False,
         engine: str = "auto",
     ) -> None:
-        if n_candidates <= 0:
-            raise ValueError(f"n_candidates must be positive, got {n_candidates}")
-        if max_phases <= 0:
-            raise ValueError(f"max_phases must be positive, got {max_phases}")
-        if stall_phases is not None and stall_phases <= 0:
-            raise ValueError(
-                f"stall_phases must be positive or None, got {stall_phases}"
-            )
+        check_search_parameters(n_candidates, max_phases, stall_phases)
         self.movement = movement
         self.n_candidates = n_candidates
         self.max_phases = max_phases
@@ -264,9 +265,10 @@ class MultiChainSearch:
         cancellation): when it fires, every still-active chain is
         masked out with ``stopped_by`` set and its best-so-far kept —
         chains that already converged keep their own results and traces
-        untouched (mask-out-and-finish).  A deadline forces the serial
-        lockstep path (``workers`` is ignored — results are identical
-        by the stream contract; cancel tokens cannot cross processes).
+        untouched (mask-out-and-finish).  A deadline forces the
+        in-process lockstep path (``workers`` is ignored — results are
+        identical by the stream contract; cancel tokens cannot cross
+        processes).
         """
         if not initials:
             raise ValueError("a portfolio needs at least one chain")
@@ -276,6 +278,8 @@ class MultiChainSearch:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be a positive int or None, got {workers}")
+        for index, initial in enumerate(initials):
+            check_start_placement(problem, initial, label=f"chain {index} start")
         if (
             workers is not None
             and workers > 1
@@ -297,23 +301,14 @@ class MultiChainSearch:
         engine = StackedEngine(problem, fitness, engine=self.engine)
         # On the dense layout every phase measures incrementally against
         # per-chain incumbent caches (the compiled tier carries through
-        # to the delta kernels).  The compiled tier also takes the delta
-        # path on sparse-layout instances — its commit updates are
-        # O(nnz), so the only cost of the dense per-chain caches is
-        # memory, gated below.  Numpy sparse instances keep the shared
-        # spatial-grid engine (per-candidate cost is already O(N k)).
-        per_chain_cells = problem.n_routers * (
-            problem.n_routers + problem.n_clients
-        )
+        # to the delta kernels).  Sparse-layout (city-scale) instances
+        # measure each phase's candidates in full: the per-chain dense
+        # caches would cost ``N * (N + M)`` cells per chain.
         delta = (
             StackedDeltaEngine(
                 problem, engine.fitness_function, engine=engine.engine
             )
             if engine.layout == "dense"
-            or (
-                engine.engine == "compiled"
-                and len(initials) * per_chain_cells <= DELTA_CACHE_BUDGET
-            )
             else None
         )
         states = self._initial_states(engine, initials, rngs)
@@ -428,7 +423,7 @@ class MultiChainSearch:
             if end > start:
                 state.n_evaluations += end - start
                 local = measurement.fitness[start:end]
-                # argmax keeps the first maximum — the serial loop's
+                # argmax keeps the first maximum — Algorithm 2's
                 # first-seen tie rule.
                 winner = start + int(np.argmax(local))
                 winner_fitness = float(measurement.fitness[winner])
@@ -473,8 +468,8 @@ class MultiChainSearch:
     ):
         """Neutral ``(chain, movers, new_positions)`` items for the phase.
 
-        Applies exactly the serial loop's validity rules (see
-        :func:`~repro.neighborhood.best_neighbor.apply_valid_move`):
+        Applies exactly the validity rules of
+        :func:`~repro.neighborhood.best_neighbor.apply_valid_move`:
         stale relocations are dropped, an own-cell relocation becomes a
         no-op candidate.  Returns ``None`` when a move outside the delta
         vocabulary (relocate/swap) appears — the phase then measures
@@ -534,11 +529,11 @@ class MultiChainSearch:
     ):
         """Full stacked measurement of the phase (no incremental caches).
 
-        The sparse path always measures here (one spatial-grid pass per
-        candidate); the dense path only when a phase contains exotic
-        move types.  ``sources[k]`` materializes candidate ``k`` later —
-        a move re-applied to its chain's incumbent, or an already-built
-        placement.
+        The sparse layout always measures here (one spatial-grid pass,
+        or the compiled kernels, per candidate); the dense layout only
+        when a phase contains exotic move types.  ``sources[k]``
+        materializes candidate ``k`` later — a move re-applied to its
+        chain's incumbent, or an already-built placement.
         """
         dense = engine.accepts_positions
         sources: list[object] = []
@@ -579,9 +574,8 @@ class MultiChainSearch:
                     sources.append(move)
                     rows.append(row)
                 else:
-                    # Sparse path, or an exotic move type: build the
-                    # placement (validity rules identical to the serial
-                    # loop's apply_valid_move).
+                    # Sparse layout, or an exotic move type: build the
+                    # placement (apply_valid_move's validity rules).
                     candidate = apply_valid_move(move, incumbent)
                     if candidate is None:
                         continue
@@ -682,123 +676,4 @@ class MultiChainSearch:
             f"n_candidates={self.n_candidates}, max_phases={self.max_phases}, "
             f"stall_phases={self.stall_phases}, accept_equal={self.accept_equal}, "
             f"engine={self.engine!r})"
-        )
-
-
-@dataclass(frozen=True)
-class MultiStartResult:
-    """Outcome of a best-of-``R`` multi-start run."""
-
-    results: tuple[SearchResult, ...]
-    best_index: int
-
-    @property
-    def n_restarts(self) -> int:
-        """Number of restart chains."""
-        return len(self.results)
-
-    @property
-    def best(self) -> SearchResult:
-        """The winning chain's full search result."""
-        return self.results[self.best_index]
-
-    @property
-    def best_evaluation(self) -> Evaluation:
-        """The winning chain's best evaluation."""
-        return self.best.best
-
-    @property
-    def n_evaluations(self) -> int:
-        """Total evaluations across every restart chain."""
-        return sum(result.n_evaluations for result in self.results)
-
-
-class MultiStartSearch:
-    """Best-of-``R`` random restarts on the lockstep engine.
-
-    The classic multi-start wrapper: draw ``n_restarts`` independent
-    initial placements, search each with its own chain, return the
-    fittest outcome (first chain wins exact ties).  All chains advance
-    through one :class:`MultiChainSearch`, so a whole restart portfolio
-    costs one stacked engine pass per phase — and ``workers=`` shards it
-    across processes without changing any result.
-
-    Each restart chain draws its initial placement from its *own*
-    generator before searching (the same stream layout the replication
-    harness uses), so a single parent seed reproduces the entire
-    portfolio.
-    """
-
-    def __init__(
-        self,
-        movement: "MovementType | Callable[[], MovementType]",
-        n_restarts: int = 8,
-        n_candidates: int = 16,
-        max_phases: int = 64,
-        stall_phases: int | None = None,
-        accept_equal: bool = False,
-        engine: str = "auto",
-    ) -> None:
-        if n_restarts <= 0:
-            raise ValueError(f"n_restarts must be positive, got {n_restarts}")
-        self.n_restarts = n_restarts
-        self.search = MultiChainSearch(
-            movement,
-            n_candidates=n_candidates,
-            max_phases=max_phases,
-            stall_phases=stall_phases,
-            accept_equal=accept_equal,
-            engine=engine,
-        )
-
-    def run(
-        self,
-        problem: ProblemInstance,
-        seed: "int | Sequence[int] | np.random.SeedSequence | Sequence[np.random.Generator]",
-        fitness: FitnessFunction | None = None,
-        fitness_target: float | None = None,
-        workers: int | None = None,
-        deadline: "Deadline | None" = None,
-    ) -> MultiStartResult:
-        """Run the restart portfolio; ``seed`` follows :func:`chain_generators`.
-
-        Pass a parent seed (int / entropy sequence / ``SeedSequence``)
-        for the documented spawn contract, or one pre-seeded
-        ``Generator`` per restart to control each stream directly.
-        ``deadline`` follows :meth:`MultiChainSearch.run` (cooperative,
-        mask-out-and-finish across the restart chains).
-        """
-        rngs = self._resolve_generators(seed)
-        initials = [
-            Placement.random(problem.grid, problem.n_routers, rng) for rng in rngs
-        ]
-        results = self.search.run(
-            problem,
-            initials,
-            rngs,
-            fitness=fitness,
-            fitness_target=fitness_target,
-            workers=workers,
-            deadline=deadline,
-        )
-        fitnesses = np.array([result.best.fitness for result in results])
-        return MultiStartResult(
-            results=tuple(results), best_index=int(np.argmax(fitnesses))
-        )
-
-    def _resolve_generators(self, seed) -> list[np.random.Generator]:
-        if isinstance(seed, (list, tuple)) and seed and all(
-            isinstance(item, np.random.Generator) for item in seed
-        ):
-            if len(seed) != self.n_restarts:
-                raise ValueError(
-                    f"{len(seed)} generators for {self.n_restarts} restarts"
-                )
-            return list(seed)
-        return chain_generators(seed, self.n_restarts)
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiStartSearch(n_restarts={self.n_restarts}, "
-            f"search={self.search!r})"
         )

@@ -27,11 +27,11 @@ import numpy as np
 from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.engine.delta import DeltaEvaluator
 from repro.core.evaluation import Evaluator
+from repro.core.problem import check_start_placement
 from repro.core.solution import Placement
 from repro.neighborhood.moves import Move, RelocateMove, SwapMove
 from repro.neighborhood.movements import MovementType
-from repro.neighborhood.search import SearchResult
-from repro.neighborhood.trace import SearchTrace
+from repro.neighborhood.trace import SearchResult, SearchTrace
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
@@ -83,6 +83,7 @@ class TabuSearch:
         returns the tracked best with ``stopped_by`` set — always a
         valid evaluated incumbent, even for an already-expired deadline.
         """
+        check_start_placement(evaluator.problem, initial, label="start placement")
         started = DEFAULT_CLOCK.now()
         evaluations_before = evaluator.n_evaluations
         # The delta engine follows the evaluator's resolved engine, so a

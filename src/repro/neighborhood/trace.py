@@ -1,10 +1,11 @@
-"""Search traces.
+"""Search traces and results.
 
 Figure 4 of the paper plots "the evolution of the size of the giant
 component" against "nb phases" of neighborhood search.  Every search in
 this subpackage records a :class:`SearchTrace`: one :class:`PhaseRecord`
 per phase with the metrics of the incumbent solution, ready to be
-printed as the figure's series.
+printed as the figure's series.  A run returns its trace and best
+solution as a :class:`SearchResult`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from repro.core.evaluation import Evaluation
 
-__all__ = ["PhaseRecord", "SearchTrace"]
+__all__ = ["PhaseRecord", "SearchResult", "SearchTrace"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,3 +106,33 @@ class SearchTrace:
         if not self.records:
             raise ValueError("empty trace")
         return self.records[-1]
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """Outcome of one local search run.
+
+    ``stopped_by`` is ``None`` for a run that exhausted its budget (or
+    met its stall/target condition) and ``"deadline"``/``"cancelled"``
+    when a :class:`~repro.anytime.deadline.Deadline` stopped it early —
+    the returned ``best`` is still a fully evaluated incumbent either
+    way.  ``elapsed_seconds`` is wall-clock (excluded from equality:
+    two bit-identical runs never have identical timings).
+    """
+
+    best: Evaluation
+    trace: SearchTrace
+    n_phases: int
+    n_evaluations: int
+    stopped_by: str | None = None
+    elapsed_seconds: float = field(default=0.0, compare=False)
+
+    @property
+    def giant_size(self) -> int:
+        """Giant component size of the best solution found."""
+        return self.best.giant_size
+
+    @property
+    def covered_clients(self) -> int:
+        """Covered clients of the best solution found."""
+        return self.best.covered_clients

@@ -35,7 +35,6 @@ from repro.genetic.initializers import AdHocInitializer, PopulationInitializer
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
 from repro.neighborhood.multichain import MultiChainSearch, chain_generators
 from repro.neighborhood.registry import make_movement
-from repro.neighborhood.search import NeighborhoodSearch
 from repro.neighborhood.tabu import TabuSearch
 from repro.solvers.base import SolveResult, Solver, _check_batch, solver_streams
 
@@ -151,9 +150,10 @@ class _InitializedSolver(Solver):
 class NeighborhoodSolver(_InitializedSolver):
     """The paper's best-improvement neighborhood search (Algorithm 1).
 
-    Runs on the batched engine (whole candidate sets per phase).  This
-    family's warm-start saving comes from ``stall_phases``: a
-    near-converged start stops after a handful of phases.
+    Runs on the lockstep driver: :meth:`solve` is a one-chain
+    :meth:`solve_batch`.  This family's warm-start saving comes from
+    ``stall_phases``: a near-converged start stops after a handful of
+    phases.
     """
 
     def __init__(
@@ -189,27 +189,15 @@ class NeighborhoodSolver(_InitializedSolver):
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
-        _check_budget(budget)
-        initial, rng_run, warm = self._resolve_start(problem, seed, warm_start)
-        evaluator = Evaluator(problem, fitness, engine=engine)
-        search = NeighborhoodSearch(
-            movement=self._movement,
-            n_candidates=self.n_candidates,
-            max_phases=budget if budget is not None else self.max_phases,
-            stall_phases=self.stall_phases,
-            accept_equal=self.accept_equal,
-        )
-        result = search.run(evaluator, initial, rng_run, deadline=deadline)
-        return SolveResult(
-            solver=self.name,
-            best=result.best,
-            n_evaluations=result.n_evaluations,
-            n_phases=result.n_phases,
-            warm_started=warm,
-            trace=result.trace,
-            stopped_by=result.stopped_by,
-            elapsed_seconds=result.elapsed_seconds,
-        )
+        return self.solve_batch(
+            problem,
+            [seed],
+            budget=budget,
+            warm_starts=[warm_start],
+            engine=engine,
+            fitness=fitness,
+            deadline=deadline,
+        )[0]
 
     def solve_batch(
         self,
@@ -224,14 +212,14 @@ class NeighborhoodSolver(_InitializedSolver):
     ) -> list[SolveResult]:
         """All seeds as one lockstep multi-chain portfolio.
 
-        Seed ``i``'s init/run streams come from the same
-        :func:`~repro.solvers.base.solver_streams` split as a serial
-        :meth:`solve`, and each chain consumes only its own run stream
-        inside :class:`~repro.neighborhood.multichain.MultiChainSearch`,
-        so the per-seed results (best, trace, phase and evaluation
-        counts) are bit-identical to the base class's serial loop — at a
-        fraction of its wall-clock, because every phase measures all
-        chains' candidates in one stacked engine pass.
+        Seed ``i``'s init/run streams come from the
+        :func:`~repro.solvers.base.solver_streams` split, and each chain
+        consumes only its own run stream inside
+        :class:`~repro.neighborhood.multichain.MultiChainSearch`, so the
+        per-seed results (best, trace, phase and evaluation counts) are
+        bit-identical to solving each seed alone (:meth:`solve` is the
+        one-seed batch); every phase measures all chains' candidates in
+        one stacked engine pass.
         """
         _check_budget(budget)
         warm_starts = _check_batch(seeds, warm_starts)

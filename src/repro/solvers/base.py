@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.evaluation import Evaluation
-from repro.core.problem import ProblemInstance
+from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
 from repro.seeding import root_sequence, spawn_children
 
@@ -211,31 +211,10 @@ class Solver(abc.ABC):
     ) -> None:
         """Validate a warm-start placement against the problem frame.
 
-        The warm start must place the whole fleet on the problem's own
-        grid: a placement on another grid is refused even when its cells
-        happen to fit, since the result would carry that other grid.
+        See :func:`~repro.core.problem.check_start_placement`.
         """
-        if warm_start is None:
-            return
-        if len(warm_start) != problem.n_routers:
-            raise ValueError(
-                f"warm start places {len(warm_start)} routers but the fleet "
-                f"has {problem.n_routers}"
-            )
-        grid = problem.grid
-        cells = warm_start.cells_array()
-        outside = ~((cells >= 0) & (cells < (grid.width, grid.height))).all(axis=1)
-        if outside.any():
-            raise ValueError(
-                f"warm start cell {tuple(cells[outside.argmax()].tolist())} lies "
-                f"outside the {grid.width}x{grid.height} grid"
-            )
-        if warm_start.grid != grid:
-            raise ValueError(
-                f"warm start is placed on a {warm_start.grid.width}x"
-                f"{warm_start.grid.height} grid but the problem grid is "
-                f"{grid.width}x{grid.height}"
-            )
+        if warm_start is not None:
+            check_start_placement(problem, warm_start)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"

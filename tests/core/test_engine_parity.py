@@ -20,7 +20,6 @@ from repro.core.engine import DeltaEvaluator, SparseEngine, compiled_available
 from repro.core.engine import stacked
 from repro.core.evaluation import Evaluator
 from repro.core.fitness import LexicographicFitness
-from repro.core.pareto import ParetoArchive
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_spec, tiny_spec
@@ -272,21 +271,25 @@ class TestSparseParityAtScale:
         for ref, got in zip(references, sparse.evaluate_many(placements)):
             assert_same_evaluation(ref, got)
 
-    def test_sparse_counter_and_archive_semantics(self):
+    def test_sparse_counter_semantics(self):
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(17)
         placements = random_placements(problem, rng, 5)
-        archive = ParetoArchive()
-        forced = Evaluator(problem, engine="sparse", archive=archive)
+        forced = Evaluator(problem, engine="sparse")
         assert forced.engine == "sparse"
         forced.evaluate_many(placements)
         assert forced.n_evaluations == 5
         forced.evaluate(placements[0])
         assert forced.n_evaluations == 6
-        assert archive.n_observed == 6
 
 
 class TestCounterSemantics:
+    def test_count_charges_outside_measurements(self):
+        evaluator = Evaluator(make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY))
+        evaluator.count()
+        evaluator.count(4)
+        assert evaluator.n_evaluations == 5
+
     def test_evaluate_many_counts_each_placement(self):
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(1)

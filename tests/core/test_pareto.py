@@ -103,9 +103,11 @@ class TestParetoArchive:
         with pytest.raises(ValueError):
             ParetoArchive().best_by(WeightedSumFitness())
 
-    def test_plugged_into_evaluator_and_search(self, tiny_problem, rng):
+    def test_fed_by_observe_alongside_search(self, tiny_problem, rng):
         archive = ParetoArchive()
-        evaluator = Evaluator(tiny_problem, archive=archive)
+        evaluator = Evaluator(tiny_problem)
+        for evaluation in evaluate_some(tiny_problem, 12, rng):
+            archive.observe(evaluation)
         initial = Placement.random(
             tiny_problem.grid, tiny_problem.n_routers, rng
         )
@@ -113,7 +115,8 @@ class TestParetoArchive:
             RandomMovement(), n_candidates=6, max_phases=8
         )
         result = search.run(evaluator, initial, rng)
-        assert archive.n_observed == result.n_evaluations
+        archive.observe(result.best)
+        assert archive.n_observed == 13
         best_key = (result.best.giant_size, result.best.covered_clients)
         front = archive.objective_vectors()
         # The search's best solution must sit on (or be dominated by a

@@ -1,33 +1,128 @@
 """Tests for the lockstep multi-chain search engine.
 
 The contract under test: per-chain results (best solution, trace, phase
-and evaluation counts) are **bit-identical** to running each chain
-through a serial :class:`NeighborhoodSearch`, for every movement type,
-stopping condition, engine path and ``workers=`` sharding — because the
-per-chain RNG streams are consumed identically everywhere.
+and evaluation counts, final generator state) are **bit-identical** to
+running each chain alone through the paper's serial phase loop, for
+every movement type, stopping condition, engine path and ``workers=``
+sharding — because the per-chain RNG streams are consumed identically
+everywhere.  The serial loop is kept here as a frozen reference
+(:func:`serial_reference`): it measures every candidate with the dense
+reference ``Evaluator`` and shares no code with the lockstep driver
+beyond the movements it samples from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.evaluation import Evaluation, Evaluator
+from repro.anytime.deadline import Deadline, SteppingClock
+from repro.core.clients import ClientSet
+from repro.core.engine import compiled
+from repro.core.evaluation import Evaluator
+from repro.core.geometry import Point
+from repro.core.grid import GridArea
+from repro.core.problem import ProblemInstance
+from repro.core.radio import CoverageRule, LinkRule
+from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
 from repro.neighborhood import (
     MultiChainSearch,
-    MultiStartSearch,
     NeighborhoodSearch,
     chain_generators,
 )
-from repro.neighborhood.moves import Move, RelocateMove
+from repro.neighborhood.moves import Move
 from repro.neighborhood.movements import (
     CombinedMovement,
     MovementType,
     RandomMovement,
     SwapMovement,
 )
+from repro.neighborhood.registry import available_movements, make_movement
+from repro.neighborhood.trace import SearchResult, SearchTrace
+from repro.solvers import make_solver
+
+
+def serial_reference(
+    problem,
+    movement,
+    initial,
+    rng,
+    n_candidates=16,
+    max_phases=64,
+    stall_phases=None,
+    accept_equal=False,
+    fitness_target=None,
+    deadline=None,
+):
+    """Frozen copy of the serial best-improvement loop (Algorithms 1 + 2).
+
+    Per phase: sample ``n_candidates`` moves from the chain's generator,
+    drop the ones that do not apply, measure every neighbor with the
+    dense reference evaluator, keep the *first* fittest one and move
+    there when it improves (or ties, with ``accept_equal``).
+    """
+    evaluator = Evaluator(problem, engine="dense")
+    current = evaluator.evaluate(initial)
+    best = current
+    trace = SearchTrace()
+    trace.record_phase(
+        phase=0, evaluation=current, improved=False, n_evaluations=1
+    )
+    stall = 0
+    phase = 0
+    stopped_by = None
+    for next_phase in range(1, max_phases + 1):
+        if deadline is not None:
+            stopped_by = deadline.stop_reason()
+            if stopped_by is not None:
+                break
+        phase = next_phase
+        neighbors = []
+        for _ in range(n_candidates):
+            move = movement.propose(current, problem, rng)
+            if move is None:
+                continue
+            try:
+                neighbors.append(move.apply(current.placement))
+            except ValueError:
+                continue
+        candidate = None
+        for neighbor in neighbors:
+            evaluation = evaluator.evaluate(neighbor)
+            if candidate is None or evaluation.fitness > candidate.fitness:
+                candidate = evaluation
+        improved = False
+        if candidate is not None:
+            accept = candidate.fitness > current.fitness or (
+                accept_equal and candidate.fitness == current.fitness
+            )
+            if accept:
+                improved = candidate.fitness > current.fitness
+                current = candidate
+                if current.fitness > best.fitness:
+                    best = current
+        trace.record_phase(
+            phase=phase,
+            evaluation=current,
+            improved=improved,
+            n_evaluations=evaluator.n_evaluations,
+        )
+        stall = 0 if improved else stall + 1
+        if fitness_target is not None and best.fitness >= fitness_target:
+            break
+        if stall_phases is not None and stall >= stall_phases:
+            break
+    return SearchResult(
+        best=best,
+        trace=trace,
+        n_phases=phase,
+        n_evaluations=evaluator.n_evaluations,
+        stopped_by=stopped_by,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +159,7 @@ def run_serial(problem, factory, n_chains, base=42, **kwargs):
     for chain in range(n_chains):
         rng = np.random.default_rng((base, chain))
         initial = Placement.random(problem.grid, problem.n_routers, rng)
-        search = NeighborhoodSearch(factory(), **kwargs)
-        results.append(search.run(Evaluator(problem), initial, rng))
+        results.append(serial_reference(problem, factory(), initial, rng, **kwargs))
     return results
 
 
@@ -174,11 +268,11 @@ class TestLockstepParity:
         for chain in range(4):
             rng = np.random.default_rng((42, chain))
             initial = Placement.random(problem.grid, problem.n_routers, rng)
-            search = NeighborhoodSearch(
-                SwapMovement(), n_candidates=5, max_phases=15
-            )
             serial.append(
-                search.run(Evaluator(problem), initial, rng, fitness_target=0.5)
+                serial_reference(
+                    problem, SwapMovement(), initial, rng,
+                    n_candidates=5, max_phases=15, fitness_target=0.5,
+                )
             )
         rngs = chain_rngs(4)
         initials = chain_starts(problem, rngs)
@@ -280,42 +374,41 @@ class TestDeterminismAndWorkers:
             MultiChainSearch(lambda: object()).run(problem, initials, rngs)
 
 
-class TestMultiStartSearch:
+class TestMultiStartSolver:
+    """``multistart`` is best-of-R over one lockstep portfolio."""
+
     def test_best_of_restarts(self, problem):
-        search = MultiStartSearch(
-            SwapMovement, n_restarts=5, n_candidates=5, max_phases=8
+        solver = make_solver(
+            "multistart:swap", n_restarts=5, n_candidates=5, max_phases=8
         )
-        outcome = search.run(problem, seed=77)
-        assert outcome.n_restarts == 5
-        fitnesses = [result.best.fitness for result in outcome.results]
-        assert outcome.best.best.fitness == max(fitnesses)
-        assert outcome.best_index == int(np.argmax(fitnesses))
-        assert isinstance(outcome.best_evaluation, Evaluation)
+        outcome = solver.solve(problem, seed=77)
+        rngs = chain_generators(77, 5)
+        initials = chain_starts(problem, rngs)
+        chains = MultiChainSearch(
+            SwapMovement(), n_candidates=5, max_phases=8
+        ).run(problem, initials, rngs)
+        fitnesses = [result.best.fitness for result in chains]
+        winner = chains[int(np.argmax(fitnesses))]
+        assert outcome.best.fitness == max(fitnesses)
+        assert outcome.best.placement.cells == winner.best.placement.cells
+        assert outcome.n_phases == winner.n_phases
         assert outcome.n_evaluations == sum(
-            result.n_evaluations for result in outcome.results
+            result.n_evaluations for result in chains
         )
 
     def test_deterministic_from_parent_seed(self, problem):
-        search = MultiStartSearch(
-            RandomMovement, n_restarts=3, n_candidates=4, max_phases=6
+        solver = make_solver(
+            "multistart:random", n_restarts=3, n_candidates=4, max_phases=6
         )
-        first = search.run(problem, seed=5)
-        second = search.run(problem, seed=5)
-        assert first.best_index == second.best_index
-        assert_identical(list(first.results), list(second.results))
-
-    def test_explicit_generators(self, problem):
-        search = MultiStartSearch(
-            RandomMovement, n_restarts=2, n_candidates=4, max_phases=4
-        )
-        outcome = search.run(problem, seed=chain_rngs(2, base=9))
-        assert outcome.n_restarts == 2
-        with pytest.raises(ValueError):
-            search.run(problem, seed=chain_rngs(3, base=9))
+        first = solver.solve(problem, seed=5)
+        second = solver.solve(problem, seed=5)
+        assert first.best.fitness == second.best.fitness
+        assert first.best.placement.cells == second.best.placement.cells
+        assert first.n_evaluations == second.n_evaluations
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MultiStartSearch(RandomMovement, n_restarts=0)
+            make_solver("multistart:random", n_restarts=0)
 
 
 class TestReplicationContract:
@@ -340,9 +433,10 @@ class TestReplicationContract:
                 initial = Placement.random(
                     problem.grid, problem.n_routers, rng
                 )
-                outcome = NeighborhoodSearch(
-                    factory(), n_candidates=4, max_phases=5, stall_phases=None
-                ).run(Evaluator(problem), initial, rng)
+                outcome = serial_reference(
+                    problem, factory(), initial, rng,
+                    n_candidates=4, max_phases=5,
+                )
                 giants.append(float(outcome.best.giant_size))
                 coverages.append(float(outcome.best.covered_clients))
             assert results[label]["giant"].values == tuple(giants)
@@ -369,3 +463,152 @@ class TestReplicationContract:
                 )
                 fitnesses.append(evaluation.fitness)
             assert results[name]["fitness"].values == tuple(fitnesses)
+
+
+# ----------------------------------------------------------------------
+# Differential property: lockstep driver vs the frozen serial loop
+# ----------------------------------------------------------------------
+
+TIERS = [
+    "dense",
+    "sparse",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not compiled.is_available(),
+            reason="compiled kernels not available (no C toolchain?)",
+        ),
+    ),
+]
+
+
+@st.composite
+def search_cases(draw):
+    """A generated instance plus one lockstep search configuration."""
+    if draw(st.booleans()):
+        width, height = 1, draw(st.integers(1, 10))  # 1xK strips
+        if draw(st.booleans()):
+            width, height = height, width
+    else:
+        width, height = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    n_routers = draw(st.integers(1, min(width * height, 12)))
+    client_cells = draw(st.lists(cell, max_size=12))
+    if client_cells:
+        # Coincident clients: repeat some drawn cells verbatim.
+        client_cells += draw(st.lists(st.sampled_from(client_cells), max_size=3))
+    radii = draw(
+        st.lists(
+            st.floats(0.5, 12.0, allow_nan=False, allow_infinity=False),
+            min_size=n_routers,
+            max_size=n_routers,
+        )
+    )
+    grid = GridArea(width, height)
+    problem = ProblemInstance(
+        grid=grid,
+        fleet=RouterFleet.from_radii(radii),
+        clients=ClientSet.from_points(
+            [Point(x, y) for x, y in client_cells], grid=grid
+        ),
+        link_rule=draw(st.sampled_from(list(LinkRule))),
+        coverage_rule=draw(st.sampled_from(list(CoverageRule))),
+    )
+    config = dict(
+        movement=draw(st.sampled_from(available_movements())),
+        n_chains=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_candidates=draw(st.integers(1, 6)),
+        max_phases=draw(st.integers(1, 6)),
+        stall_phases=draw(st.one_of(st.none(), st.integers(1, 3))),
+        accept_equal=draw(st.booleans()),
+        fitness_target=draw(st.sampled_from([None, 0.3, 0.6, 0.95])),
+        # Deadline fires at its k-th poll (0: already expired).
+        deadline_polls=draw(st.one_of(st.none(), st.integers(0, 4))),
+    )
+    return problem, config
+
+
+def stepping_deadline(polls):
+    """A deadline that fires at its ``polls``-th ``stop_reason`` call."""
+    if polls is None:
+        return None
+    return Deadline.at(float(polls), clock=SteppingClock(1.0))
+
+
+def assert_same_run(result, reference, rng, reference_rng):
+    assert result.best.placement.cells == reference.best.placement.cells
+    assert result.best.fitness == reference.best.fitness
+    assert result.best.metrics == reference.best.metrics
+    assert np.array_equal(result.best.giant_mask, reference.best.giant_mask)
+    assert result.n_phases == reference.n_phases
+    assert result.n_evaluations == reference.n_evaluations
+    assert result.stopped_by == reference.stopped_by
+    assert [r.as_dict() for r in result.trace] == [
+        r.as_dict() for r in reference.trace
+    ]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=search_cases())
+def test_lockstep_matches_frozen_serial_loop(tier, case):
+    problem, config = case
+    n_chains = config["n_chains"]
+    knobs = dict(
+        n_candidates=config["n_candidates"],
+        max_phases=config["max_phases"],
+        stall_phases=config["stall_phases"],
+        accept_equal=config["accept_equal"],
+    )
+    target = config["fitness_target"]
+
+    def chain_streams():
+        rngs = chain_generators(config["seed"], n_chains)
+        starts = [
+            Placement.random(problem.grid, problem.n_routers, rng) for rng in rngs
+        ]
+        return starts, rngs
+
+    references, reference_rngs = [], []
+    starts, rngs = chain_streams()
+    for start, rng in zip(starts, rngs):
+        references.append(
+            serial_reference(
+                problem, make_movement(config["movement"]), start, rng,
+                fitness_target=target,
+                deadline=stepping_deadline(config["deadline_polls"]),
+                **knobs,
+            )
+        )
+        reference_rngs.append(rng)
+
+    starts, rngs = chain_streams()
+    results = MultiChainSearch(
+        make_movement(config["movement"]), engine=tier, **knobs
+    ).run(
+        problem, starts, rngs, fitness_target=target,
+        deadline=stepping_deadline(config["deadline_polls"]),
+    )
+    for result, reference, rng, reference_rng in zip(
+        results, references, rngs, reference_rngs
+    ):
+        assert_same_run(result, reference, rng, reference_rng)
+
+    if n_chains == 1:
+        # NeighborhoodSearch is the one-chain case and charges its
+        # evaluator the run's evaluations.
+        (start,), (rng,) = chain_streams()
+        evaluator = Evaluator(problem, engine=tier)
+        result = NeighborhoodSearch(make_movement(config["movement"]), **knobs).run(
+            evaluator, start, rng, fitness_target=target,
+            deadline=stepping_deadline(config["deadline_polls"]),
+        )
+        assert_same_run(result, references[0], rng, reference_rngs[0])
+        assert evaluator.n_evaluations == references[0].n_evaluations
+
