@@ -4,8 +4,7 @@
 :class:`~repro.scenario.runner.ScenarioRunner`: the same unfolded
 perturbation steps, but arriving as *events* on a clock — one every
 ``interval`` seconds — each with a response SLA.  The runner keeps a
-live incumbent (warm starts, exactly the scenario runner's layout) and
-bounds every re-optimization with a cooperative
+live incumbent and bounds every re-optimization with a cooperative
 :class:`~repro.anytime.deadline.Deadline` so the response ships by its
 SLA with whatever best-so-far the solver holds.
 
@@ -17,11 +16,18 @@ the latest arrived event, *coalescing* the skipped perturbations into
 one warm-start carry.  Every rung decision, shed event and response
 latency lands in the :class:`LiveReport`.
 
-Two clock modes:
+The solver, budgets and warm starts are the scenario runner's: a
+:class:`LiveRunner` holds a :class:`ScenarioRunner` and takes its solver
+resolution, budget rules, positional step seeds and warm-start carry
+(:meth:`ScenarioRunner.step_seeds`, :meth:`ScenarioRunner.plan`) from
+it; the clock, ladder and shedding loop are its own.
+
+Two clock modes, chosen by ``seconds_per_evaluation``:
 
 * **Real clock** (default, ``seconds_per_evaluation=None``): solve
-  durations are measured wall-clock and solver deadlines run on the
-  monotonic clock — the latency numbers in ``BENCH_live_sla.json``.
+  durations are measured wall-clock and solver deadlines run on a
+  :class:`~repro.anytime.deadline.MonotonicClock` — the latency
+  numbers in ``BENCH_live_sla.json``.
 * **Simulated clock** (``seconds_per_evaluation`` set): each solve is
   *charged* ``n_evaluations * seconds_per_evaluation`` on a
   :class:`~repro.anytime.deadline.SimulatedClock`, making the entire
@@ -42,20 +48,13 @@ import numpy as np
 
 from repro.anytime.deadline import (
     DEFAULT_CLOCK,
-    Clock,
     Deadline,
     MonotonicClock,
     SimulatedClock,
 )
-from repro.parallel import (
-    get_runtime,
-    resolve_task_problem,
-    run_tasks,
-    runtime_enabled,
-)
-from repro.scenario.runner import _validate_budgets
+from repro.scenario.runner import ScenarioRunner
 from repro.scenario.scenario import Scenario, ScenarioStep
-from repro.seeding import root_sequence, spawn_children
+from repro.seeding import root_sequence
 from repro.solvers.base import SolveResult, Solver
 
 if TYPE_CHECKING:
@@ -163,55 +162,6 @@ def _scaled_solver(solver: Solver, rung: LadderRung):
     finally:
         for name, value in prior.items():
             setattr(solver, name, value)
-
-
-#: Worker request used by the offload path.  ``run_supervised`` treats
-#: ``workers <= 1`` as "run in-process", so the single-event solve asks
-#: for 2; the persistent pool then sizes itself to the actual task count
-#: (:func:`repro.parallel.effective_pool_size` → one process).
-_OFFLOAD_WORKERS = 2
-
-
-def _solve_offloaded(task):
-    """Pool-side solve of one live event (the ``offload=True`` path).
-
-    The task carries everything a worker needs to reproduce the
-    in-process solve bit-for-bit: the solver (with its *unscaled*
-    knobs), the problem payload (a broadcast handle or the instance
-    itself), the event's seed/budget/warm start, and the rung plus
-    deadline budget to re-derive the solver deadline locally.  The
-    deadline is rebuilt on a worker-local clock: a fresh
-    :class:`~repro.anytime.deadline.SimulatedClock` never advances
-    mid-solve — exactly like the parent's, which only advances *between*
-    solves — and a fresh monotonic deadline counts from solve start just
-    as the parent's did.
-    """
-    (
-        solver,
-        problem,
-        seed,
-        budget,
-        warm_start,
-        engine,
-        fitness,
-        solve_budget,
-        simulated,
-        rung,
-    ) = task
-    problem = resolve_task_problem(problem)
-    clock = SimulatedClock() if simulated else MonotonicClock()
-    event_deadline = Deadline.after(solve_budget, clock=clock)
-    with _scaled_solver(solver, rung):
-        result = solver.solve(
-            problem,
-            seed=seed,
-            budget=budget,
-            warm_start=warm_start,
-            engine=engine,
-            fitness=fitness,
-            deadline=event_deadline,
-        )
-    return (result,)
 
 
 @dataclass(frozen=True)
@@ -420,34 +370,18 @@ class LiveRunner:
         Per-event response budget in seconds (arrival to response).
     interval:
         Seconds between event arrivals on the run timeline.
-    clock:
-        The run's clock; defaults to a fresh
-        :class:`~repro.anytime.deadline.SimulatedClock` when
-        ``seconds_per_evaluation`` is given, else a monotonic clock.
     seconds_per_evaluation:
         When set, solve durations are *charged* as
-        ``n_evaluations * seconds_per_evaluation`` on the simulated
-        clock instead of measured — the deterministic mode.
+        ``n_evaluations * seconds_per_evaluation`` on a fresh
+        :class:`~repro.anytime.deadline.SimulatedClock` instead of
+        measured — the deterministic mode.  Otherwise the run's clock is
+        a :class:`~repro.anytime.deadline.MonotonicClock`.
     deadline_fraction:
         Fraction of the remaining SLA budget granted to each solve's
         deadline.  Cooperative cancellation stops at phase boundaries,
         so the slack (default 10%) absorbs the final phase in flight.
     ladder:
         The degradation rungs (:data:`DEFAULT_LADDER` by default).
-    offload:
-        When true, each event's solve runs on the process-wide
-        persistent worker pool (:mod:`repro.parallel`) instead of
-        in-process: the step's problem travels by shared-memory
-        broadcast, the solver and warm start by pickle, and the event
-        deadline is re-derived worker-side from the same budget —
-        reports are bit-identical to in-process runs in simulated-clock
-        mode.  This is the service shape: the event loop stays
-        responsive while solves occupy a warm worker, and a worker
-        crash is retried by the supervisor without republishing the
-        broadcast.  Requires a picklable solver/fitness; runs with an
-        external run ``deadline`` (a shared clock or cancel token
-        cannot cross a process boundary) and ``REPRO_RUNTIME=0`` runs
-        fall back in-process.
     """
 
     def __init__(
@@ -461,22 +395,20 @@ class LiveRunner:
         warm: bool = True,
         engine: str = "auto",
         fitness=None,
-        clock: "Clock | None" = None,
         seconds_per_evaluation: "float | None" = None,
         deadline_fraction: float = 0.9,
         ladder: Sequence[LadderRung] = DEFAULT_LADDER,
-        offload: bool = False,
         **solver_kwargs,
     ) -> None:
-        if isinstance(solver, str):
-            from repro.solvers.registry import make_solver
-
-            solver = make_solver(solver, **solver_kwargs)
-        elif solver_kwargs:
-            raise ValueError(
-                "solver keyword arguments require a registry spec, "
-                "not a Solver instance"
-            )
+        self.runner = ScenarioRunner(
+            solver,
+            budget=budget,
+            warm_budget=warm_budget,
+            warm=warm,
+            engine=engine,
+            fitness=fitness,
+            **solver_kwargs,
+        )
         if sla <= 0:
             raise ValueError(f"sla must be positive, got {sla}")
         if interval is not None and interval <= 0:
@@ -492,26 +424,24 @@ class LiveRunner:
             )
         if not ladder:
             raise ValueError("the degradation ladder needs at least one rung")
-        _validate_budgets(budget, warm_budget, warm)
-        self.solver = solver
         self.sla = float(sla)
         self.interval = float(interval) if interval is not None else float(sla)
-        self.budget = budget
-        self.warm_budget = warm_budget if warm_budget is not None else budget
-        self.warm = warm
-        self.engine = engine
-        self.fitness = fitness
         self.seconds_per_evaluation = seconds_per_evaluation
-        if clock is None:
-            clock = (
-                SimulatedClock()
-                if seconds_per_evaluation is not None
-                else MonotonicClock()
-            )
-        self.clock = clock
+        self.clock = (
+            SimulatedClock()
+            if seconds_per_evaluation is not None
+            else MonotonicClock()
+        )
         self.deadline_fraction = deadline_fraction
         self.ladder = tuple(ladder)
-        self.offload = bool(offload)
+
+    # The solve configuration lives on the runner; these read it.
+    solver = property(lambda self: self.runner.solver)
+    budget = property(lambda self: self.runner.budget)
+    warm_budget = property(lambda self: self.runner.warm_budget)
+    warm = property(lambda self: self.runner.warm)
+    engine = property(lambda self: self.runner.engine)
+    fitness = property(lambda self: self.runner.fitness)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -526,18 +456,15 @@ class LiveRunner:
     ) -> LiveReport:
         """Unfold ``scenario`` and respond to every step as a live event.
 
-        The seed layout is exactly :meth:`ScenarioRunner.run`'s — the
-        root's first child unfolds the perturbations, the second spawns
-        one solve stream per step — so a pressure-free simulated-clock
-        run reproduces the scenario runner's per-step results
-        bit-for-bit.  ``deadline`` optionally bounds the *whole run*
-        (composed with every per-event SLA deadline; attach a
+        The seed layout is :meth:`ScenarioRunner.run`'s (see
+        :meth:`ScenarioRunner.unfold`), so a pressure-free
+        simulated-clock run reproduces the scenario runner's per-step
+        results bit-for-bit.  ``deadline`` optionally bounds the *whole
+        run* (composed with every per-event SLA deadline; attach a
         :class:`~repro.anytime.deadline.CancelToken` for external
         cancellation).
         """
-        root = root_sequence(seed)
-        unfold_seq, solve_seq = spawn_children(root, 2)
-        steps = scenario.unfold(unfold_seq)
+        steps, solve_seq = self.runner.unfold(scenario, seed)
         return self.run_steps(
             steps,
             seed=solve_seq,
@@ -562,16 +489,8 @@ class LiveRunner:
         perturbation carries are composed into the next warm start and
         recorded as shed.
         """
-        if not steps:
-            raise ValueError("a live run needs at least one step")
-        solve_seq = root_sequence(seed)
-        step_seeds = spawn_children(solve_seq, len(steps))
-        warm_capable = self.warm and self.solver.supports_warm_start
+        step_seeds = self.runner.step_seeds(seed, steps)
         simulated = self.seconds_per_evaluation is not None
-        # Offloading needs the persistent runtime and a per-event-only
-        # deadline: an external run deadline shares a clock (or cancel
-        # token) with the caller, which a forked worker cannot observe.
-        offload = self.offload and deadline is None and runtime_enabled()
 
         origin = self.clock.now()
         now = 0.0  # run-relative timeline, seconds
@@ -586,7 +505,7 @@ class LiveRunner:
                 # advance explicitly; the real clock just re-bases
                 # (the runner never sleeps — latency accounting
                 # lives on the run timeline).
-                if isinstance(self.clock, SimulatedClock):
+                if simulated:
                     self.clock.advance(arrival - now)
                 now = arrival
             lag = now - arrival
@@ -627,18 +546,12 @@ class LiveRunner:
                     )
                 )
 
-            warm_start = None
-            if warm_capable and previous is not None:
-                warm_start = previous.best.placement
-                # Compose every pending carry — the shed steps'
-                # perturbations still happened to the deployment —
-                # then the served step's own carry.
-                for carry_step in (*skipped, step):
-                    if carry_step.change is not None and warm_start is not None:
-                        warm_start = carry_step.change.carry_placement(
-                            warm_start
-                        )
-            budget = self.budget if warm_start is None else self.warm_budget
+            # The shed steps' perturbations still happened to the
+            # deployment: the carry composes over all of them, then the
+            # served step's own.
+            warm_starts, budget = self.runner.plan(
+                None if previous is None else [previous], (*skipped, step)
+            )
             if rung.budget_scale < 1.0 and budget is not None:
                 budget = max(1, int(budget * rung.budget_scale))
 
@@ -650,37 +563,16 @@ class LiveRunner:
 
             started = now
             wall_before = DEFAULT_CLOCK.now()
-            if offload:
-                payload = get_runtime().broadcast(step.problem)
-                task = (
-                    self.solver,
-                    payload,
-                    step_seeds[step.index],
-                    budget,
-                    warm_start,
-                    self.engine,
-                    self.fitness,
-                    solve_budget,
-                    simulated,
-                    rung,
+            with _scaled_solver(self.solver, rung):
+                result = self.solver.solve(
+                    step.problem,
+                    seed=step_seeds[index],
+                    budget=budget,
+                    warm_start=None if warm_starts is None else warm_starts[0],
+                    engine=self.engine,
+                    fitness=self.fitness,
+                    deadline=event_deadline,
                 )
-                [result] = run_tasks(
-                    _solve_offloaded,
-                    [task],
-                    workers=_OFFLOAD_WORKERS,
-                    labels=[f"event {step.index} ({step.event})"],
-                )
-            else:
-                with _scaled_solver(self.solver, rung):
-                    result = self.solver.solve(
-                        step.problem,
-                        seed=step_seeds[step.index],
-                        budget=budget,
-                        warm_start=warm_start,
-                        engine=self.engine,
-                        fitness=self.fitness,
-                        deadline=event_deadline,
-                    )
             if simulated:
                 duration = result.n_evaluations * self.seconds_per_evaluation
                 self.clock.advance(duration)
@@ -726,5 +618,5 @@ class LiveRunner:
             sla=self.sla,
             interval=self.interval,
             events=tuple(events),
-            seed=solve_seq.entropy,
+            seed=root_sequence(seed).entropy,
         )

@@ -15,20 +15,21 @@ grid instead:
   the replication harness) and ``n_seeds`` per-replicate solve streams.
   Warm and cold arms reuse the same cell seeds, so a warm/cold delta is
   never an instance artifact.
-* **Lockstep steps** — each cell advances all replicates together: per
-  scenario step, one :meth:`~repro.solvers.base.Solver.solve_batch` call
-  re-optimizes every replicate (the search family measures all chains'
-  candidates in one stacked engine pass), with the same per-step
-  warm-start carry as the serial runner.
+* **Lockstep steps** — each (cell, arm, shard) task builds the cell's
+  :class:`~repro.scenario.runner.ScenarioRunner` and runs its one walk,
+  :meth:`~repro.scenario.runner.ScenarioRunner.run_replicates`, on the
+  shard's replicate streams: per scenario step, one
+  :meth:`~repro.solvers.base.Solver.solve_batch` call re-optimizes every
+  replicate (the search family measures all chains' candidates in one
+  stacked engine pass), with the runner's per-step warm-start carry.
 * **Process fan-out** — ``workers=`` shards each cell's replicates over
   a pool through the shared :mod:`repro.parallel` machinery.
 
 Because every replicate's streams are parent-derived and consumed only
-by that replicate, the per-triple results are **bit-identical** to the
-serial per-triple loop (``ScenarioRunner.run_steps`` on the same seeds)
-at any worker count — asserted by ``tests/scenario/test_fleet.py``, and
-the speedup over that loop is pinned by
-``benchmarks/bench_scenario_fleet.py``.
+by that replicate, the per-triple results are **bit-identical** to
+``ScenarioRunner.run_steps`` on the same seeds at any worker count —
+asserted by ``tests/scenario/test_fleet.py``, and the speedup over that
+serial loop is pinned by ``benchmarks/bench_scenario_fleet.py``.
 
 The outcome is a :class:`FleetReport`: per-(scenario, solver) mean/std
 fitness tables, per-event recovery curves, and warm-vs-cold regret —
@@ -43,7 +44,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.instances.shm import ProblemRef
 from repro.parallel import (
     get_runtime,
@@ -60,14 +60,10 @@ from repro.resilience.checkpoint import (
     scenario_result_to_dict,
 )
 from repro.resilience.supervisor import RetryPolicy, SupervisionReport
-from repro.scenario.runner import (
-    ScenarioResult,
-    ScenarioStepResult,
-    _validate_budgets,
-)
-from repro.scenario.scenario import Scenario, ScenarioStep
+from repro.scenario.runner import ScenarioResult, ScenarioRunner
+from repro.scenario.scenario import Scenario
 from repro.seeding import root_sequence, spawn_children
-from repro.solvers.base import SolveResult, Solver
+from repro.solvers.base import Solver
 
 __all__ = ["FleetRun", "FleetReport", "ScenarioFleet", "fleet_seed_grid"]
 
@@ -440,83 +436,6 @@ def _unpack_scenario(payload) -> Scenario:
     return payload.unpack() if isinstance(payload, _ScenarioRef) else payload
 
 
-def _resolve_solver(payload) -> Solver:
-    """A per-process solver from its picklable description."""
-    if isinstance(payload, Solver):
-        return payload
-    spec, kwargs = payload
-    from repro.solvers.registry import make_solver
-
-    return make_solver(spec, **kwargs)
-
-
-def _solve_portfolio(
-    solver: Solver,
-    scenario_name: str,
-    steps: Sequence[ScenarioStep],
-    rep_seqs: Sequence[np.random.SeedSequence],
-    *,
-    warm: bool,
-    budget: "int | None",
-    warm_budget: "int | None",
-    engine: str,
-    fitness,
-) -> list[ScenarioResult]:
-    """All replicates of one (scenario, solver, arm) cell, in lockstep.
-
-    Replicate ``r`` consumes exactly the streams of
-    ``ScenarioRunner.run_steps(steps, seed=rep_seqs[r])`` — the same
-    per-step ``spawn``, the same warm-start carry, the same budget
-    rule — but every step solves all
-    replicates through one :meth:`Solver.solve_batch` call, so families
-    with a lockstep engine pay one stacked pass per phase for the whole
-    cell.  Per-step ``seconds`` is the batch wall-clock amortized over
-    the replicates (individual timings have no meaning inside a batch).
-    """
-    n = len(rep_seqs)
-    warm_capable = warm and solver.supports_warm_start
-    # Spawn from fresh copies: both arms (and any rerun) must derive the
-    # same per-step children whatever was spawned from these sequences
-    # before (see repro.seeding).
-    step_seed_grid = [spawn_children(seq, len(steps)) for seq in rep_seqs]
-    per_rep: list[list[ScenarioStepResult]] = [[] for _ in range(n)]
-    previous: list["SolveResult | None"] = [None] * n
-    for index, step in enumerate(steps):
-        warm_starts = None
-        step_budget = budget
-        if warm_capable and index > 0:
-            warm_starts = [
-                step.change.carry_placement(prev.best.placement)
-                for prev in previous
-            ]
-            step_budget = warm_budget
-        began = DEFAULT_CLOCK.now()
-        results = solver.solve_batch(
-            step.problem,
-            [step_seed_grid[r][index] for r in range(n)],
-            budget=step_budget,
-            warm_starts=warm_starts,
-            engine=engine,
-            fitness=fitness,
-        )
-        elapsed = (DEFAULT_CLOCK.now() - began) / n
-        for r, result in enumerate(results):
-            per_rep[r].append(
-                ScenarioStepResult(step=step, result=result, seconds=elapsed)
-            )
-            previous[r] = result
-    return [
-        ScenarioResult(
-            scenario_name=scenario_name,
-            solver_name=solver.name,
-            warm=warm_capable,
-            steps=tuple(per_rep[r]),
-            seed=rep_seqs[r].entropy,
-        )
-        for r in range(n)
-    ]
-
-
 def _compact_results(results: list[ScenarioResult]) -> list[ScenarioResult]:
     """Shed the per-step problem instances from a shard's return payload.
 
@@ -552,14 +471,14 @@ def _run_fleet_shard(task) -> list[ScenarioResult]:
     returned rows carry step stand-ins instead of the instances
     (:func:`_compact_results`).
     """
-    (scenario, solver_payload, config, unfold_seq, steps, rep_seqs, warm) = task
+    (scenario, solver_payload, config, unfold_seq, steps, rep_seqs) = task
     scenario = _unpack_scenario(scenario)
-    solver = _resolve_solver(solver_payload)
     fanned_out = steps is None
     if fanned_out:
         steps = scenario.unfold(unfold_seq)
-    results = _solve_portfolio(
-        solver, scenario.name, steps, rep_seqs, warm=warm, **config
+    solver, kwargs = solver_payload
+    results = ScenarioRunner(solver, **config, **kwargs).run_replicates(
+        steps, rep_seqs, scenario_name=scenario.name
     )
     if fanned_out and runtime_enabled():
         results = _compact_results(results)
@@ -620,7 +539,7 @@ class ScenarioFleet:
                 f"workers must be a positive int or None, got {workers}"
             )
         self._arms = _resolve_arms(warm)
-        _validate_budgets(budget, warm_budget, True in self._arms)
+        ScenarioRunner.check_budgets(budget, warm_budget, True in self._arms)
         self.n_seeds = n_seeds
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
@@ -672,12 +591,18 @@ class ScenarioFleet:
         store = open_store(
             self._manifest(root), checkpoint=checkpoint, resume_from=resume_from
         )
-        config = dict(
-            budget=self.budget,
-            warm_budget=self.warm_budget,
-            engine=self.engine,
-            fitness=self.fitness,
-        )
+        configs = {
+            # warm_budget defaults to budget for the manifest; the cold
+            # arm's runner must not receive it (a cold runner refuses one).
+            warm: dict(
+                budget=self.budget,
+                warm_budget=self.warm_budget if warm else None,
+                warm=warm,
+                engine=self.engine,
+                fitness=self.fitness,
+            )
+            for warm in self._arms
+        }
         serial = self.workers is None or self.workers == 1
         tasks = []
         order: list[tuple[str, str, bool, range, list[str]]] = []
@@ -702,11 +627,10 @@ class ScenarioFleet:
                             (
                                 packed,
                                 payload,
-                                config,
+                                configs[warm],
                                 unfold_seq,
                                 steps,
                                 [rep_seqs[r] for r in shard],
-                                warm,
                             )
                         )
                         order.append(
@@ -796,20 +720,15 @@ class ScenarioFleet:
         document, wall-clock excluded.  Catches stale directories and
         code drift that the manifest alone cannot.
         """
-        scenario, payload, config, unfold_seq, steps, rep_seqs, warm = task
+        scenario, payload, config, unfold_seq, steps, rep_seqs = task
         scenario = _unpack_scenario(scenario)
-        keys = entry[4]
         if steps is None:
             steps = scenario.unfold(unfold_seq)
-        fresh = _solve_portfolio(
-            _resolve_solver(payload),
-            scenario.name,
-            steps,
-            rep_seqs[:1],
-            warm=warm,
-            **config,
-        )[0]
-        store.verify_cell(keys[0], scenario_result_to_dict(fresh))
+        solver, kwargs = payload
+        [fresh] = ScenarioRunner(solver, **config, **kwargs).run_replicates(
+            steps, rep_seqs[:1], scenario_name=scenario.name
+        )
+        store.verify_cell(entry[4][0], scenario_result_to_dict(fresh))
 
     def __repr__(self) -> str:
         scenarios = [label for label, _ in self._scenarios]
@@ -839,8 +758,12 @@ def _label_scenarios(scenarios) -> list[tuple[str, Scenario]]:
     return pairs
 
 
-def _label_solvers(solvers) -> list[tuple[str, object]]:
-    """``(label, payload)`` pairs; payloads stay picklable descriptions.
+def _label_solvers(solvers) -> list[tuple[str, tuple]]:
+    """``(label, (solver, kwargs))`` pairs; payloads stay picklable.
+
+    A payload is what :class:`ScenarioRunner` takes: a registry spec
+    and its solver kwargs, re-instantiated in the process that runs the
+    shard, or a solver instance (pickled) with no kwargs.
 
     A ``{label: item}`` mapping overrides the default labels (the spec
     string, or an instance's ``name``) — the way to put two
@@ -850,10 +773,10 @@ def _label_solvers(solvers) -> list[tuple[str, object]]:
         items = [(str(label), item) for label, item in solvers.items()]
     else:
         items = [(None, item) for item in solvers]
-    pairs: list[tuple[str, object]] = []
+    pairs: list[tuple[str, tuple]] = []
     for label, item in items:
         if isinstance(item, Solver):
-            pairs.append((label or item.name, item))
+            pairs.append((label or item.name, (item, {})))
         elif isinstance(item, str):
             pairs.append((label or item, (item, {})))
         elif (

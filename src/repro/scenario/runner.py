@@ -14,6 +14,15 @@ Warm-started searches converge in a fraction of a cold solve's phases
 warm-start parity tests), so the runner trades no quality for the
 speed.  ``warm=False`` switches to cold re-solves of the identical
 instance sequence — the controlled baseline of that benchmark.
+
+:meth:`ScenarioRunner.run_replicates` is the one re-optimization walk
+of the package: R replicate solve streams advance through the steps in
+lockstep, one :meth:`~repro.solvers.base.Solver.solve_batch` call per
+step.  :meth:`~ScenarioRunner.run_steps` is its one-replicate call, the
+scenario fleet runs it once per (cell, arm, shard), and the live loop
+(:class:`~repro.anytime.live.LiveRunner`) takes its step seeds, carry
+and budget rule from :meth:`~ScenarioRunner.step_seeds` and
+:meth:`~ScenarioRunner.plan`.
 """
 
 from __future__ import annotations
@@ -42,28 +51,6 @@ from repro.solvers.base import SolveResult, Solver
 _STEP_FORMAT = "repro.scenario_step.v1"
 
 __all__ = ["ScenarioStepResult", "ScenarioResult", "ScenarioRunner"]
-
-
-def _validate_budgets(
-    budget: "int | None", warm_budget: "int | None", warm_enabled: bool
-) -> None:
-    """The runner/fleet budget rules — one implementation, one message set."""
-    if budget is not None and budget <= 0:
-        raise ValueError(
-            f"budget must be a positive int or None, got {budget}"
-        )
-    if warm_budget is not None:
-        if warm_budget <= 0:
-            raise ValueError(
-                "warm_budget must be a positive int or None, "
-                f"got {warm_budget}"
-            )
-        if not warm_enabled:
-            raise ValueError(
-                "warm_budget only applies to warm-started steps; "
-                "with warm=False it would be silently ignored — drop "
-                "it or enable warm starts"
-            )
 
 
 @dataclass(frozen=True)
@@ -227,7 +214,7 @@ class ScenarioRunner:
                 "solver keyword arguments require a registry spec, "
                 "not a Solver instance"
             )
-        _validate_budgets(budget, warm_budget, warm)
+        self.check_budgets(budget, warm_budget, warm)
         self.solver = solver
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
@@ -235,6 +222,77 @@ class ScenarioRunner:
         self.engine = engine
         self.fitness = fitness
         self.policy = policy
+
+    @staticmethod
+    def check_budgets(
+        budget: "int | None", warm_budget: "int | None", warm: bool
+    ) -> None:
+        """The budget rules of every scenario driver, one message set."""
+        if budget is not None and budget <= 0:
+            raise ValueError(
+                f"budget must be a positive int or None, got {budget}"
+            )
+        if warm_budget is not None:
+            if warm_budget <= 0:
+                raise ValueError(
+                    "warm_budget must be a positive int or None, "
+                    f"got {warm_budget}"
+                )
+            if not warm:
+                raise ValueError(
+                    "warm_budget only applies to warm-started steps; "
+                    "with warm=False it would be silently ignored — drop "
+                    "it or enable warm starts"
+                )
+
+    @staticmethod
+    def unfold(
+        scenario: Scenario, seed: "int | np.random.SeedSequence"
+    ) -> tuple[list[ScenarioStep], np.random.SeedSequence]:
+        """The scenario's steps and the solve stream of one root seed.
+
+        The root's first child drives the perturbations, the second is
+        the solve stream — so warm, cold and live runs of one seed see
+        the *same* instance sequence and per-step solver streams.
+        """
+        unfold_seq, solve_seq = spawn_children(root_sequence(seed), 2)
+        return scenario.unfold(unfold_seq), solve_seq
+
+    @staticmethod
+    def step_seeds(
+        seed: "int | np.random.SeedSequence", steps: Sequence[ScenarioStep]
+    ) -> list[np.random.SeedSequence]:
+        """One solve stream per step, by position (not ``step.index``)."""
+        if not steps:
+            raise ValueError("a scenario run needs at least one step")
+        return spawn_children(root_sequence(seed), len(steps))
+
+    def plan(
+        self,
+        previous: "Sequence[SolveResult] | None",
+        changes: Sequence[ScenarioStep],
+    ) -> "tuple[list | None, int | None]":
+        """``(warm_starts, budget)`` of the next solve.
+
+        ``previous`` holds each replicate's last result (``None`` before
+        the first solve); the carry of every step in ``changes`` (one
+        step, or a live coalesced run) is composed onto its best
+        placement.  Cold solves get ``(None, budget)``.
+        """
+        if not self._warm_capable or previous is None:
+            return None, self.budget
+        warm_starts = []
+        for result in previous:
+            placement = result.best.placement
+            for step in changes:
+                if step.change is not None:
+                    placement = step.change.carry_placement(placement)
+            warm_starts.append(placement)
+        return warm_starts, self.warm_budget
+
+    @property
+    def _warm_capable(self) -> bool:
+        return self.warm and self.solver.supports_warm_start
 
     def run(
         self,
@@ -247,20 +305,14 @@ class ScenarioRunner:
     ) -> ScenarioResult:
         """Unfold ``scenario`` and (re-)optimize every step.
 
-        One root seed reproduces everything: its first child drives the
-        scenario's perturbations, the second spawns one solve stream per
-        step — so warm and cold runs of the same seed see the *same*
-        instance sequence and the same per-step solver streams.
-
+        One root seed reproduces everything (see :meth:`unfold`).
         ``checkpoint`` persists every completed step; ``resume_from``
         restores checkpointed steps (re-verifying the first restored one
         against a fresh recompute) and solves only the rest — semantics
         as on :meth:`repro.scenario.fleet.ScenarioFleet.run`, at step
         granularity.
         """
-        root = root_sequence(seed)
-        unfold_seq, solve_seq = spawn_children(root, 2)
-        steps = scenario.unfold(unfold_seq)
+        steps, solve_seq = self.unfold(scenario, seed)
         return self.run_steps(
             steps,
             seed=solve_seq,
@@ -288,30 +340,62 @@ class ScenarioRunner:
         which is what makes its portfolios controlled comparisons.
         ``seed`` spawns one solve stream per step; the recorded
         provenance is its root entropy, exactly as :meth:`run` records
-        the scenario seed.
+        the scenario seed.  The one-replicate :meth:`run_replicates`.
+        """
+        [result] = self.run_replicates(
+            steps,
+            [seed],
+            scenario_name=scenario_name,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            report=report,
+        )
+        return result
 
-        With a ``policy``, each step runs under the serial supervision
-        loop (:func:`~repro.resilience.supervisor.retry_call`); without
-        one, step errors propagate unwrapped as before.  With
-        ``checkpoint``/``resume_from``, completed
+    def run_replicates(
+        self,
+        steps: Sequence[ScenarioStep],
+        seeds: Sequence["int | np.random.SeedSequence"],
+        *,
+        scenario_name: str = "steps",
+        checkpoint: "str | None" = None,
+        resume_from: "str | None" = None,
+        report: "SupervisionReport | None" = None,
+    ) -> list[ScenarioResult]:
+        """Walk ``steps`` once per replicate seed, replicates in lockstep.
+
+        Replicate ``r`` solves step ``i`` on ``step_seeds(seeds[r],
+        steps)[i]``, warm-started from its own previous best
+        (:meth:`plan`).  Each step solves all replicates in one
+        :meth:`Solver.solve_batch` call — one stacked engine pass per
+        phase for lockstep families, the same results at any batch size
+        — and ``seconds`` is that call's wall-clock per replicate.
+
+        With a ``policy``, each step's batch runs under the serial
+        supervision loop (:func:`~repro.resilience.supervisor.retry_call`);
+        without one, step errors propagate unwrapped.  With
+        ``checkpoint``/``resume_from`` (one replicate only), completed
         steps persist as ``step###`` documents and a resumed walk solves
-        only the missing ones.  The warm-start chain survives resume
+        only the missing ones; the first restored step is recomputed and
+        compared, never trusted.  The warm-start chain survives resume
         because a restored step's best placement is exactly the computed
         one.
         """
-        solve_seq = root_sequence(seed)
-        step_seeds = spawn_children(solve_seq, len(steps))
-        warm_capable = self.warm and self.solver.supports_warm_start
+        streams = [root_sequence(seed) for seed in seeds]
+        seed_grid = [self.step_seeds(stream, steps) for stream in streams]
+        checkpointed = checkpoint is not None or resume_from is not None
+        if checkpointed and len(streams) != 1:
+            raise ValueError("step checkpoints need exactly one replicate")
         store = open_store(
             {
                 "kind": "scenario-run",
                 "scenario": scenario_name,
                 "solver": self.solver.name,
                 "n_steps": len(steps),
-                "seed_entropy": entropy_payload(solve_seq.entropy),
+                "seed_entropy": entropy_payload(streams[0].entropy),
                 "budget": self.budget,
                 "warm_budget": self.warm_budget,
-                "warm": warm_capable,
+                "warm": self._warm_capable,
                 "engine": self.engine,
                 "fitness": (
                     repr(self.fitness) if self.fitness is not None else None
@@ -321,48 +405,36 @@ class ScenarioRunner:
             resume_from=resume_from,
         )
 
-        results: list[ScenarioStepResult] = []
-        previous: "SolveResult | None" = None
+        walks: list[list[ScenarioStepResult]] = [[] for _ in streams]
+        previous: "list[SolveResult] | None" = None
         verified_restore = False
-        for step, step_seed in zip(steps, step_seeds):
+        for position, step in enumerate(steps):
             key = f"step{step.index:03d}"
             restored = store is not None and store.has(key)
             if restored and verified_restore:
                 payload = store.load(key)
                 result = solve_result_from_dict(payload["result"])
-                results.append(
+                walks[0].append(
                     ScenarioStepResult(
                         step=step,
                         result=result,
                         seconds=float(payload["seconds"]),
                     )
                 )
-                previous = result
+                previous = [result]
                 continue
-            warm_start = None
-            if warm_capable and previous is not None:
-                warm_start = step.change.carry_placement(
-                    previous.best.placement
-                )
-            budget = (
-                self.budget if warm_start is None else self.warm_budget
-            )
+            warm_starts, budget = self.plan(previous, (step,))
+            step_seeds = [grid[position] for grid in seed_grid]
+
             # ``deadline`` makes the step cooperatively preemptible:
-            # retry_call passes Deadline.after(policy.timeout) when
-            # the policy carries one, so RetryPolicy(timeout=) now
-            # bounds serial steps exactly like pooled tasks.
-            def solve_step(
-                step=step,
-                step_seed=step_seed,
-                budget=budget,
-                warm_start=warm_start,
-                deadline=None,
-            ):
-                return self.solver.solve(
+            # retry_call passes Deadline.after(policy.timeout) when the
+            # policy carries one.
+            def solve_step(deadline=None):
+                return self.solver.solve_batch(
                     step.problem,
-                    seed=step_seed,
+                    step_seeds,
                     budget=budget,
-                    warm_start=warm_start,
+                    warm_starts=warm_starts,
                     engine=self.engine,
                     fitness=self.fitness,
                     deadline=deadline,
@@ -373,9 +445,9 @@ class ScenarioRunner:
                 # No policy: exceptions propagate unwrapped — a
                 # genuinely broken step should fail loudly, not
                 # spend retries on a deterministic error.
-                result = solve_step()
+                results = solve_step()
             else:
-                result = retry_call(
+                results = retry_call(
                     solve_step,
                     task=step.index,
                     policy=self.policy,
@@ -385,32 +457,32 @@ class ScenarioRunner:
                     ),
                     report=report,
                 )
-            elapsed = DEFAULT_CLOCK.now() - began
-            step_result = ScenarioStepResult(
-                step=step, result=result, seconds=elapsed
-            )
+            seconds = (DEFAULT_CLOCK.now() - began) / len(streams)
             if store is not None:
                 payload = {
                     "format": _STEP_FORMAT,
                     "index": int(step.index),
                     "event": step.event,
-                    "seconds": float(elapsed),
-                    "result": solve_result_to_dict(result),
+                    "seconds": float(seconds),
+                    "result": solve_result_to_dict(results[0]),
                 }
                 if restored:
-                    # The first checkpointed step on a resumed walk
-                    # is recomputed and compared, never trusted —
-                    # the store-level parity gate.
                     store.verify_cell(key, payload)
                     verified_restore = True
                 else:
                     store.save(key, payload)
-            results.append(step_result)
-            previous = result
-        return ScenarioResult(
-            scenario_name=scenario_name,
-            solver_name=self.solver.name,
-            warm=warm_capable,
-            steps=tuple(results),
-            seed=solve_seq.entropy,
-        )
+            for walk, result in zip(walks, results):
+                walk.append(
+                    ScenarioStepResult(step=step, result=result, seconds=seconds)
+                )
+            previous = results
+        return [
+            ScenarioResult(
+                scenario_name=scenario_name,
+                solver_name=self.solver.name,
+                warm=self._warm_capable,
+                steps=tuple(walk),
+                seed=stream.entropy,
+            )
+            for walk, stream in zip(walks, streams)
+        ]

@@ -13,6 +13,7 @@ from repro.anytime import (
     LadderRung,
     LiveRunner,
 )
+from repro.anytime.deadline import MonotonicClock, SimulatedClock
 from repro.anytime.live import _scaled_solver, _select_rung
 from repro.scenario import Scenario, ScenarioRunner
 from repro.solvers import make_solver
@@ -48,6 +49,20 @@ class TestNoPressureParity:
             fingerprint(e.result) for e in live.responded
         ]
 
+    def test_step_window_not_starting_at_zero(self, drift):
+        steps = drift.unfold(3)[1:]
+        baseline = ScenarioRunner(
+            "search:swap", budget=4, n_candidates=6
+        ).run_steps(steps, seed=5)
+        live = LiveRunner(
+            "search:swap", budget=4, n_candidates=6,
+            sla=1e6, interval=1e6, seconds_per_evaluation=1e-6,
+        ).run_steps(steps, seed=5)
+        assert live.shed_count == 0
+        assert [fingerprint(s.result) for s in baseline.steps] == [
+            fingerprint(e.result) for e in live.responded
+        ]
+
     def test_simulated_run_is_reproducible(self, drift):
         def once():
             return LiveRunner(
@@ -60,56 +75,6 @@ class TestNoPressureParity:
         assert [fingerprint(e.result) for e in first.responded] == [
             fingerprint(e.result) for e in second.responded
         ]
-
-
-class TestOffload:
-    def test_offloaded_run_is_bit_identical_in_simulated_mode(self, drift):
-        def run(offload):
-            return LiveRunner(
-                "search:swap", budget=3, n_candidates=4,
-                sla=0.05, interval=0.02, seconds_per_evaluation=0.004,
-                offload=offload,
-            ).run(drift, seed=7)
-
-        inproc, offloaded = run(False), run(True)
-        # The whole timeline — rungs, shedding, simulated latencies —
-        # matches, not just the solutions: the worker re-derives each
-        # event deadline from the same budget and the evaluation-charged
-        # clock advances identically.
-        assert inproc.events == offloaded.events
-        assert [fingerprint(e.result) for e in inproc.responded] == [
-            fingerprint(e.result) for e in offloaded.responded
-        ]
-
-    def test_offload_respects_the_runtime_gate(self, drift, monkeypatch):
-        from repro.parallel.runtime import RUNTIME_ENV
-
-        monkeypatch.setenv(RUNTIME_ENV, "0")
-        gated = LiveRunner(
-            "search:swap", budget=3, n_candidates=4,
-            sla=0.05, interval=0.02, seconds_per_evaluation=0.004,
-            offload=True,
-        ).run(drift, seed=7)
-        monkeypatch.delenv(RUNTIME_ENV)
-        inproc = LiveRunner(
-            "search:swap", budget=3, n_candidates=4,
-            sla=0.05, interval=0.02, seconds_per_evaluation=0.004,
-        ).run(drift, seed=7)
-        assert gated.events == inproc.events
-
-    def test_offload_with_run_deadline_stays_in_process(self, drift):
-        # A run-level deadline shares a clock/token with the caller and
-        # cannot cross a process boundary: the runner solves in-process
-        # and still honors the external cancel.
-        token = CancelToken()
-        token.cancel()
-        report = LiveRunner(
-            "search:swap", budget=3, n_candidates=4,
-            sla=0.05, interval=0.02, seconds_per_evaluation=0.004,
-            offload=True,
-        ).run(drift, seed=7, deadline=Deadline.cancellable(token))
-        assert report.shed_count == len(report.events) - 1
-        assert all(e.rung == "cancelled" for e in report.events[1:])
 
 
 class TestOverloadShedding:
@@ -235,6 +200,29 @@ class TestValidation:
     def test_rejects_empty_ladder(self):
         with pytest.raises(ValueError):
             LiveRunner("search:swap", sla=1.0, ladder=())
+
+    def test_rejects_empty_steps_like_the_runner(self):
+        with pytest.raises(ValueError, match="a scenario run needs at least"):
+            LiveRunner("search:swap", sla=1.0).run_steps([])
+
+    def test_clock_follows_the_charging_mode(self):
+        assert isinstance(
+            LiveRunner("search:swap", sla=1.0).clock, MonotonicClock
+        )
+        assert isinstance(
+            LiveRunner(
+                "search:swap", sla=1.0, seconds_per_evaluation=1e-3
+            ).clock,
+            SimulatedClock,
+        )
+
+    def test_solve_configuration_reads_through(self):
+        live = LiveRunner(
+            "search:swap", sla=1.0, budget=4, warm_budget=2, n_candidates=3
+        )
+        assert (live.budget, live.warm_budget, live.warm) == (4, 2, True)
+        assert live.solver.n_candidates == 3
+        assert live.solver is live.runner.solver
 
     def test_rejects_kwargs_with_solver_instance(self):
         solver = make_solver("search:swap")

@@ -147,6 +147,35 @@ class TestRunSteps:
         assert whole.seed == split.seed == 11
         assert split.scenario_name == scenario.name
 
+    def test_empty_steps_rejected_before_the_checkpoint_opens(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        with pytest.raises(ValueError, match="at least one step"):
+            ScenarioRunner("search:swap").run_steps([], checkpoint=str(directory))
+        assert not directory.exists()
+
+    def test_replicates_each_match_their_own_walk(self, tiny_problem):
+        scenario = Scenario.router_outages(tiny_problem, 2)
+        runner = ScenarioRunner("search:swap", budget=3, n_candidates=4)
+        steps, _ = runner.unfold(scenario, 5)
+        seeds = np.random.SeedSequence(8).spawn(3)
+        batch = runner.run_replicates(steps, seeds)
+        for seed, walked in zip(seeds, batch):
+            alone = runner.run_steps(steps, seed=seed)
+            assert [s.result.best.placement.cells for s in walked.steps] == [
+                s.result.best.placement.cells for s in alone.steps
+            ]
+            assert walked.seed == alone.seed
+
+    def test_step_checkpoints_need_one_replicate(self, tiny_problem, tmp_path):
+        steps, _ = ScenarioRunner.unfold(
+            Scenario.client_drift(tiny_problem, 1), 0
+        )
+        with pytest.raises(ValueError, match="exactly one replicate"):
+            ScenarioRunner("search:swap").run_replicates(
+                steps, [1, 2], checkpoint=str(tmp_path / "ckpt")
+            )
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestResult:
     def test_accounting(self, tiny_problem):
