@@ -46,7 +46,7 @@ import numpy as np
 
 from _common import add_json_argument, write_bench_json
 from repro.core.engine import StackedEngine
-from repro.core.engine.stacked import StackedDeltaEngine
+from repro.core.engine.stacked import PhaseCandidates, StackedDeltaEngine
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec
 
@@ -54,9 +54,9 @@ from repro.instances.catalog import city_spec
 def build_phase_scripts(problem, incumbents, n_candidates, n_phases, seed):
     """Scripted phases: per chain, relocations plus an occasional swap.
 
-    Returns ``[(items, placements, winners)]`` — the delta engines
-    measure ``items`` (neutral ``(chain, movers, new_cells)`` tuples),
-    the full path measures the equivalent ``placements``, and
+    Returns ``[(candidates, placements, winners)]`` — the delta engines
+    measure ``candidates`` (:class:`PhaseCandidates` pair arrays), the
+    full path measures the equivalent ``placements``, and
     ``winners[chain]`` is the committed candidate index.  Scripts are
     generated once so every path sees byte-identical work.
     """
@@ -66,16 +66,21 @@ def build_phase_scripts(problem, incumbents, n_candidates, n_phases, seed):
     scripts = []
     current = list(incumbents)
     for _ in range(n_phases):
-        items, placements = [], []
+        chains, pair_candidate, pair_router, pair_xy = [], [], [], []
+        placements = []
         for chain, incumbent in enumerate(current):
             occupied = set(incumbent.cells)
             for candidate in range(n_candidates):
+                index = len(chains)
+                chains.append(chain)
                 cells = list(incumbent.cells)
                 if candidate % 4 == 3:
                     a, b = (int(r) for r in rng.choice(
                         n_routers, size=2, replace=False
                     ))
-                    items.append((chain, (a, b), (cells[b], cells[a])))
+                    pair_candidate += [index, index]
+                    pair_router += [a, b]
+                    pair_xy += [cells[b], cells[a]]
                     cells[a], cells[b] = cells[b], cells[a]
                 else:
                     router = int(rng.integers(n_routers))
@@ -86,14 +91,17 @@ def build_phase_scripts(problem, incumbents, n_candidates, n_phases, seed):
                         )
                         if target not in occupied:
                             break
-                    items.append((chain, (router,), (target,)))
+                    pair_candidate.append(index)
+                    pair_router.append(router)
+                    pair_xy.append(target)
                     cells[router] = target
                 placements.append(Placement.from_cells(problem.grid, cells))
+        candidates = PhaseCandidates(chains, pair_candidate, pair_router, pair_xy)
         winners = [
             chain * n_candidates + int(rng.integers(n_candidates))
             for chain in range(len(current))
         ]
-        scripts.append((items, placements, winners))
+        scripts.append((candidates, placements, winners))
         current = [placements[w] for w in winners]
     return scripts
 
@@ -107,9 +115,9 @@ def run_delta(problem, incumbents, scripts, engine):
         delta.reset_chain(chain, incumbent)
     setup = time.perf_counter() - start
     times, rows = [], []
-    for items, placements, winners in scripts:
+    for candidates, placements, winners in scripts:
         start = time.perf_counter()
-        measurement = delta.measure_phase(items)
+        measurement = delta.measure_phase(candidates)
         for chain, winner in enumerate(winners):
             delta.commit_chain(chain, placements[winner])
         times.append(time.perf_counter() - start)
@@ -206,7 +214,10 @@ def main(argv: "list[str] | None" = None) -> int:
     compiled.require()
     warm = StackedDeltaEngine(problem, engine="compiled")
     warm.reset_chain(0, incumbents[0])
-    warm.measure_phase([scripts[0][0][0]])
+    first = scripts[0][0]  # phase 0's candidate 0: a chain-0 relocation
+    warm.measure_phase(
+        PhaseCandidates([0], [0], first.pair_router[:1], first.pair_xy[:1])
+    )
     warmup = time.perf_counter() - start
     print(f"warm-up (library build + first call): {warmup * 1e3:.1f} ms "
           f"(excluded from timed phases; openmp={compiled.has_openmp()})")

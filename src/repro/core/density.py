@@ -168,29 +168,38 @@ class DensityMap:
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         counts = self._window_counts
-        # Stable sort on the (negated) counts keeps row-major order among
-        # ties, matching densest_window()/sparsest_window() tie-breaking.
-        keys = -counts if densest else counts
-        order = np.argsort(keys, axis=None, kind="stable")
-        # Greedy non-maximum suppression with an O(1) membership test:
-        # ``blocked[y0, x0]`` is True when the window anchored there would
-        # overlap an already-selected window.
-        blocked = np.zeros(counts.shape, dtype=bool)
         n_rows, n_cols = counts.shape
+        if not min_overlap_free:
+            # Stable sort on the (negated) counts keeps row-major order
+            # among ties, matching densest_window()/sparsest_window().
+            keys = -counts if densest else counts
+            order = np.argsort(keys, axis=None, kind="stable")[:count]
+            return [
+                self.window_at(int(flat) % n_cols, int(flat) // n_cols)
+                for flat in order
+            ]
+        # Masked non-maximum suppression: each pass takes the first
+        # extreme of the working copy (argmax/argmin keep the row-major
+        # first on ties, like the stable sort) and overwrites every
+        # anchor whose window would overlap the pick with a sentinel no
+        # real count reaches.  Landing on a sentinel means every window
+        # is blocked.
+        work = counts.copy()
+        if densest:
+            sentinel, pick = -1, work.argmax
+        else:
+            sentinel, pick = np.iinfo(work.dtype).max, work.argmin
         selected: list[Rect] = []
-        for flat_index in order:
-            y0, x0 = divmod(int(flat_index), n_cols)
-            if min_overlap_free and blocked[y0, x0]:
-                continue
-            selected.append(self.window_at(x0, y0))
-            if len(selected) == count:
+        while len(selected) < count:
+            flat_index = int(pick())
+            y0, x0 = divmod(flat_index, n_cols)
+            if work[y0, x0] == sentinel:
                 break
-            if min_overlap_free:
-                row_lo = max(0, y0 - self.window_height + 1)
-                row_hi = min(n_rows, y0 + self.window_height)
-                col_lo = max(0, x0 - self.window_width + 1)
-                col_hi = min(n_cols, x0 + self.window_width)
-                blocked[row_lo:row_hi, col_lo:col_hi] = True
+            selected.append(self.window_at(x0, y0))
+            work[
+                max(0, y0 - self.window_height + 1) : y0 + self.window_height,
+                max(0, x0 - self.window_width + 1) : x0 + self.window_width,
+            ] = sentinel
         return selected
 
     def sampled_extreme_window(

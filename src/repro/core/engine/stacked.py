@@ -43,7 +43,12 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule
 from repro.core.solution import Placement
 
-__all__ = ["DEFAULT_MAX_CHUNK", "StackedEngine", "StackedDeltaEngine"]
+__all__ = [
+    "DEFAULT_MAX_CHUNK",
+    "PhaseCandidates",
+    "StackedEngine",
+    "StackedDeltaEngine",
+]
 
 #: Candidate-count bound per dense vectorized pass: a stack of K
 #: candidates allocates O(K * N^2 + K * M * N) intermediates, so larger
@@ -217,6 +222,36 @@ class StackedEngine:
         )
 
 
+class PhaseCandidates:
+    """One phase's candidate stack as incumbent deltas, in array form.
+
+    Candidate ``k`` belongs to chain ``chains[k]`` and differs from that
+    chain's incumbent by the routers of its *pairs*: pair ``p`` moves
+    router ``pair_router[p]`` of candidate ``pair_candidate[p]`` to the
+    cell ``pair_xy[p]``.  Pairs are sorted by candidate, a candidate's
+    routers are distinct, and a candidate without pairs is the incumbent
+    itself.  Candidates must be grouped by chain (the search layer emits
+    them chain-major).
+    """
+
+    __slots__ = ("chains", "pair_candidate", "pair_router", "pair_xy")
+
+    def __init__(self, chains, pair_candidate, pair_router, pair_xy) -> None:
+        self.chains = np.asarray(chains, dtype=np.intp).reshape(-1)
+        self.pair_candidate = np.asarray(pair_candidate, dtype=np.intp).reshape(-1)
+        self.pair_router = np.asarray(pair_router, dtype=np.intp).reshape(-1)
+        self.pair_xy = np.ascontiguousarray(pair_xy, dtype=float).reshape(-1, 2)
+
+    def __len__(self) -> int:
+        return len(self.chains)
+
+    def __repr__(self) -> str:
+        return (
+            f"PhaseCandidates(candidates={len(self)}, "
+            f"pairs={len(self.pair_router)})"
+        )
+
+
 class _ChainCache:
     """Incumbent state of one chain (see :class:`StackedDeltaEngine`)."""
 
@@ -312,10 +347,9 @@ class StackedDeltaEngine:
     integer count arithmetic is exact.
 
     Protocol: :meth:`reset_chain` once per chain, :meth:`measure_phase`
-    once per phase with neutral ``(chain, movers, new_positions)``
-    candidate descriptions, :meth:`commit_chain` whenever a chain
-    accepts a candidate.  Pure measurement — counters live in the
-    search layer.
+    once per phase with the candidates as :class:`PhaseCandidates`
+    arrays, :meth:`commit_chain` whenever a chain accepts a candidate.
+    Pure measurement — counters live in the search layer.
     """
 
     def __init__(
@@ -454,24 +488,18 @@ class StackedDeltaEngine:
     # Phase measurement
     # ------------------------------------------------------------------
 
-    def measure_phase(
-        self,
-        items: "Sequence[tuple[int, tuple[int, ...], tuple[tuple[float, float], ...]]]",
-    ) -> StackedMeasurement:
+    def measure_phase(self, candidates: PhaseCandidates) -> StackedMeasurement:
         """Measure one phase's candidate stack incrementally.
 
-        ``items[k] = (chain, movers, new_positions)`` describes candidate
-        ``k`` as its chain id plus the parallel tuples of moved router
-        ids — distinct within one candidate — and their new ``(x, y)``
-        cells (empty tuples for a no-op candidate identical to the
-        incumbent).  Items must be grouped by chain (the search layer
-        emits them chain-major).  Returns a
-        :class:`~repro.core.engine.batch.StackedMeasurement` in item
-        order; materialize winners with ``measurement.evaluation(k,
-        placement)``.
+        ``candidates`` describes every candidate as its chain's
+        incumbent plus the flat ``(candidate, router, x, y)`` pairs of
+        its moved routers (see :class:`PhaseCandidates`).  Returns a
+        :class:`~repro.core.engine.batch.StackedMeasurement` in
+        candidate order; materialize winners with
+        ``measurement.evaluation(k, placement)``.
         """
         n = self._problem.n_routers
-        k_total = len(items)
+        k_total = len(candidates)
         if k_total == 0:
             return _empty_stacked(self._problem, self._fitness)
 
@@ -482,14 +510,15 @@ class StackedDeltaEngine:
         giant_masks = np.empty((k_total, n), dtype=bool)
 
         # ---- pass 1: per-chain adjacency deltas and edge stacks ------
-        segments = _chain_segments(items)
+        segments = _chain_segments(candidates)
         edge_sources: list[np.ndarray] = []
         edge_targets: list[np.ndarray] = []
         chain_scratch: list[tuple] = []
-        for chain, start, end in segments:
+        for chain, start, end, pairs in segments:
             cache = self._caches[chain]
             scratch = self._chain_edges(
-                cache, items, start, end, n_links, edge_sources, edge_targets
+                cache, candidates, start, end, pairs, n_links,
+                edge_sources, edge_targets,
             )
             chain_scratch.append(scratch)
 
@@ -517,7 +546,7 @@ class StackedDeltaEngine:
         np.equal(labels, giant_labels[:, np.newaxis], out=giant_masks)
 
         # ---- pass 2: coverage, per chain ------------------------------
-        for (chain, start, end), scratch in zip(segments, chain_scratch):
+        for (chain, start, end, _), scratch in zip(segments, chain_scratch):
             self._chain_coverage(
                 self._caches[chain], start, end, scratch, giant_masks, covered
             )
@@ -543,59 +572,35 @@ class StackedDeltaEngine:
     def _chain_edges(
         self,
         cache: _ChainCache,
-        items,
+        candidates: PhaseCandidates,
         start: int,
         end: int,
+        pairs: slice,
         n_links: np.ndarray,
         edge_sources: list[np.ndarray],
         edge_targets: list[np.ndarray],
     ) -> tuple:
         """Adjacency deltas + stacked edge arrays for one chain's segment.
 
-        Fills ``n_links[start:end]`` and appends this chain's globally
-        offset edge arrays; returns the scratch (pair arrays and new
-        coverage columns) the coverage pass reuses.
+        Candidates ``start:end`` are this chain's, and ``pairs`` slices
+        their (candidate, mover) pairs.  Fills ``n_links[start:end]``
+        and appends this chain's globally offset edge arrays; returns
+        the scratch (pair arrays and new coverage columns) the coverage
+        pass reuses.
         """
         n = self._problem.n_routers
         count = end - start
-        # Flatten (candidate, mover) pairs for the whole segment,
-        # candidate-major: candidate k's pairs are the contiguous run
-        # pair_first[k - start] .. (next first).
-        segment = [items[k] for k in range(start, end)]
-        single = all(len(item[1]) <= 1 for item in segment)
-        if single:
-            # Fast path for the dominant shape (relocations: at most one
-            # mover per candidate): two comprehension passes instead of
-            # the generic ragged flattening.
-            pair_locals = [
-                local for local, item in enumerate(segment) if item[1]
-            ]
-            cand_of_pair = np.asarray(pair_locals, dtype=np.intp)
-            router_of_pair = np.asarray(
-                [segment[local][1][0] for local in pair_locals], dtype=np.intp
-            )
-            pair_xy = [segment[local][2][0] for local in pair_locals]
-            mover_lengths = None
-            pair_first = None
-        else:
-            mover_lengths = [len(item[1]) for item in segment]
-            pair_first = [0] * count
-            total = 0
-            for local, length in enumerate(mover_lengths):
-                pair_first[local] = total
-                total += length
-            cand_of_pair = np.repeat(
-                np.arange(count, dtype=np.intp), mover_lengths
-            )
-            router_of_pair = np.asarray(
-                [router for item in segment for router in item[1]],
-                dtype=np.intp,
-            )
-            pair_xy = [xy for item in segment for xy in item[2]]
+        # Candidate k's pairs are the contiguous run pair_first[k - start]
+        # .. pair_first[k - start] + mover_lengths[k - start].
+        cand_of_pair = candidates.pair_candidate[pairs] - start
+        router_of_pair = candidates.pair_router[pairs]
+        new_xy = candidates.pair_xy[pairs]
         n_pairs = router_of_pair.size
+        mover_lengths = np.bincount(cand_of_pair, minlength=count)
+        pair_first = np.cumsum(mover_lengths) - mover_lengths
+        max_movers = int(mover_lengths.max(initial=0))
 
         if n_pairs:
-            new_xy = np.asarray(pair_xy, dtype=float)
             if self._compiled is not None:
                 # Fused kernel: both broadcasts in one parallel pass,
                 # same predicate order, diagonal already cleared.
@@ -634,61 +639,46 @@ class StackedDeltaEngine:
 
         # Mover-mover entries: computed from both new positions (the row
         # broadcast above tested against the co-mover's *old* position),
-        # counted/emitted once per unordered pair.
-        extra_edges: list[tuple[int, int, int]] = []  # (local cand, a, b)
-        if not single:
-            for local, (_, movers, new_positions) in enumerate(segment):
-                if len(movers) < 2:
-                    continue
-                first = pair_first[local]
-                pair_ids = range(first, first + len(movers))
-                for i in range(len(movers)):
-                    for j in range(i + 1, len(movers)):
-                        a, b = movers[i], movers[j]
-                        ax, ay = new_positions[i]
-                        bx, by = new_positions[j]
-                        dx2 = float(ax) - float(bx)
-                        dy2 = float(ay) - float(by)
-                        linked = (
-                            dx2 * dx2 + dy2 * dy2 <= self._range_squared[a, b]
-                        )
-                        # Clear both directed row entries so the pair is
-                        # neither double-counted nor tested against stale
-                        # positions.
-                        rows_new[pair_ids[i], b] = False
-                        rows_new[pair_ids[j], a] = False
-                        if linked:
-                            extra_edges.append((local, a, b))
+        # counted/emitted once per unordered pair.  One vectorized pass
+        # per (i, j) mover slot over the candidates that have both.
+        extra_local = extra_a = extra_b = np.zeros(0, dtype=np.intp)
+        for i in range(max_movers):
+            for j in range(i + 1, max_movers):
+                local = np.flatnonzero(mover_lengths > j)
+                pair_i = pair_first[local] + i
+                pair_j = pair_first[local] + j
+                a = router_of_pair[pair_i]
+                b = router_of_pair[pair_j]
+                dx2 = new_xy[pair_i, 0] - new_xy[pair_j, 0]
+                dy2 = new_xy[pair_i, 1] - new_xy[pair_j, 1]
+                linked = dx2 * dx2 + dy2 * dy2 <= self._range_squared[a, b]
+                # Clear both directed row entries so the pair is neither
+                # double-counted nor tested against stale positions.
+                rows_new[pair_i, b] = False
+                rows_new[pair_j, a] = False
+                extra_local = np.concatenate((extra_local, local[linked]))
+                extra_a = np.concatenate((extra_a, a[linked]))
+                extra_b = np.concatenate((extra_b, b[linked]))
 
         # Kept incumbent edges: both endpoints unmoved.
         base_rows = cache.edge_rows
         base_cols = cache.edge_cols
         keep = np.ones((count, base_rows.size), dtype=bool)
-        if single:
-            if n_pairs:
-                movers_column = np.full(count, -1, dtype=np.intp)
-                movers_column[cand_of_pair] = router_of_pair
-                column = movers_column[:, np.newaxis]
+        if max_movers:
+            padded = np.full((count, max_movers), -1, dtype=np.intp)
+            padded[cand_of_pair, np.arange(n_pairs) - pair_first[cand_of_pair]] = (
+                router_of_pair
+            )
+            for w in range(max_movers):
+                column = padded[:, w][:, np.newaxis]
                 keep &= base_rows[np.newaxis, :] != column
                 keep &= base_cols[np.newaxis, :] != column
-        else:
-            max_movers = max(mover_lengths, default=0)
-            if max_movers:
-                padded = np.full((count, max_movers), -1, dtype=np.intp)
-                for local, (_, movers, _unused) in enumerate(segment):
-                    if movers:
-                        padded[local, : len(movers)] = movers
-                for w in range(max_movers):
-                    column = padded[:, w][:, np.newaxis]
-                    keep &= base_rows[np.newaxis, :] != column
-                    keep &= base_cols[np.newaxis, :] != column
 
         kept_counts = keep.sum(axis=1)
         new_counts = np.zeros(count, dtype=np.intp)
         if n_pairs:
             np.add.at(new_counts, cand_of_pair, rows_new.sum(axis=1))
-        for local, _, _ in extra_edges:
-            new_counts[local] += 1
+        np.add.at(new_counts, extra_local, 1)
         n_links[start:end] = kept_counts + new_counts
 
         # Globally offset edge arrays for the phase labeling.
@@ -702,19 +692,9 @@ class StackedDeltaEngine:
                 offsets[cand_of_pair[new_pair]] + router_of_pair[new_pair]
             )
             edge_targets.append(offsets[cand_of_pair[new_pair]] + new_target)
-        if extra_edges:
-            edge_sources.append(
-                np.asarray(
-                    [offsets[local] + a for local, a, _ in extra_edges],
-                    dtype=np.intp,
-                )
-            )
-            edge_targets.append(
-                np.asarray(
-                    [offsets[local] + b for local, _, b in extra_edges],
-                    dtype=np.intp,
-                )
-            )
+        if extra_local.size:
+            edge_sources.append(offsets[extra_local] + extra_a)
+            edge_targets.append(offsets[extra_local] + extra_b)
         return (cand_of_pair, router_of_pair, cols_new)
 
     def _chain_coverage(
@@ -786,20 +766,26 @@ class StackedDeltaEngine:
         )
 
 
-def _chain_segments(items) -> list[tuple[int, int, int]]:
-    """``(chain, start, end)`` runs of chain-major candidate items."""
-    segments: list[tuple[int, int, int]] = []
-    start = 0
-    for index in range(1, len(items) + 1):
-        if index == len(items) or items[index][0] != items[start][0]:
-            segments.append((items[start][0], start, index))
-            start = index
-    seen = set()
-    for chain, _, _ in segments:
-        if chain in seen:
-            raise ValueError("measure_phase items must be grouped by chain")
-        seen.add(chain)
-    return segments
+def _chain_segments(
+    candidates: PhaseCandidates,
+) -> list[tuple[int, int, int, slice]]:
+    """``(chain, start, end, pairs)`` runs of chain-major candidates."""
+    chains = candidates.chains
+    if (np.diff(candidates.pair_candidate) < 0).any():
+        raise ValueError("measure_phase pairs must be sorted by candidate")
+    bounds = np.flatnonzero(chains[1:] != chains[:-1]) + 1
+    starts = [0, *bounds.tolist()]
+    ends = [*bounds.tolist(), len(chains)]
+    run_chains = chains[starts].tolist()
+    if len(set(run_chains)) != len(run_chains):
+        raise ValueError("measure_phase candidates must be grouped by chain")
+    pair_bounds = np.searchsorted(
+        candidates.pair_candidate, [*starts, len(chains)]
+    ).tolist()
+    return [
+        (chain, start, end, slice(pair_bounds[index], pair_bounds[index + 1]))
+        for index, (chain, start, end) in enumerate(zip(run_chains, starts, ends))
+    ]
 
 
 def _empty_stacked(

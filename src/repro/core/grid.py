@@ -20,7 +20,7 @@ __all__ = ["GridArea"]
 
 #: Rejection-sampling attempts before the free-cell samplers fall back to
 #: enumerating the free cells of the region.
-_REJECTION_ATTEMPTS = 64
+REJECTION_ATTEMPTS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +191,7 @@ class GridArea:
             occupied_set = set(occupied)
         # Rejection sampling is fast when occupancy is sparse (the common
         # case: N routers << W*H cells).
-        for _ in range(_REJECTION_ATTEMPTS):
+        for _ in range(REJECTION_ATTEMPTS):
             candidate = self.random_cell_in(region, rng)
             if candidate not in occupied_set:
                 return candidate
@@ -234,7 +234,7 @@ class GridArea:
         if x1 <= x0 or y1 <= y0:
             raise ValueError("sampling region is empty")
         integers = rng.integers
-        for _ in range(_REJECTION_ATTEMPTS):
+        for _ in range(REJECTION_ATTEMPTS):
             x = int(integers(x0, x1))
             index = int(integers(y0, y1)) * width + x
             if not bitmap[index]:

@@ -12,7 +12,7 @@ per phase; :class:`NeighborhoodSearch` is its one-chain case.
 
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
 from repro.neighborhood.best_neighbor import apply_valid_move
-from repro.neighborhood.moves import Move, RelocateMove, SwapMove
+from repro.neighborhood.moves import Move, MoveBatch, RelocateMove, SwapMove
 from repro.neighborhood.multichain import MultiChainSearch, chain_generators
 from repro.neighborhood.movements import (
     CombinedMovement,
@@ -37,6 +37,7 @@ __all__ = [
     "chain_generators",
     "MultiChainSearch",
     "Move",
+    "MoveBatch",
     "RelocateMove",
     "SwapMove",
     "CombinedMovement",

@@ -17,39 +17,44 @@ Two movement types come from the paper:
 :class:`CombinedMovement` mixes movement types stochastically — the
 building block for the "full featured local search methods" the paper
 announces as future work.
+
+Every movement has two proposal forms.  :meth:`MovementType.propose`
+draws one :class:`~repro.neighborhood.moves.Move` with scalar generator
+calls; it is the reference, and what simulated annealing and tabu
+search use.  :meth:`MovementType.propose_batch` samples a whole phase
+per chain into a :class:`~repro.neighborhood.moves.MoveBatch`: the
+RNG-free work (ranked windows, per-window router picks, the occupancy
+bitmap) is done once per incumbent with array operations, and every
+random draw is served by :class:`~repro.seeding.BulkDraws`, which
+replays numpy's own algorithms on prefetched words — so each chain's
+proposals and its final generator state equal those of the scalar
+calls exactly.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Sequence
+from bisect import bisect_right
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from repro.core.density import DensityMap
 from repro.core.evaluation import Evaluation
 from repro.core.geometry import Point, Rect
-from repro.core.grid import GridArea
+from repro.core.grid import REJECTION_ATTEMPTS, GridArea
 from repro.core.problem import ProblemInstance
-from repro.neighborhood.moves import Move, RelocateMove, SwapMove
+from repro.neighborhood.moves import Move, MoveBatch, RelocateMove, SwapMove
+from repro.seeding import BulkDraws
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
 
-
-def _strongest_id(radii: np.ndarray, ids: np.ndarray) -> int:
-    """Vectorized :meth:`RouterFleet.strongest_among`: max radius, min id."""
-    selected = radii[ids]
-    return int(ids[selected == selected.max()].min())
-
-
-def _weakest_id(radii: np.ndarray, ids: np.ndarray) -> int:
-    """Vectorized :meth:`RouterFleet.weakest_among`: min radius, min id."""
-    selected = radii[ids]
-    return int(ids[selected == selected.min()].min())
-
-
-#: "Not computed yet" marker for lazily filled per-window memo slots.
-_UNSET = object()
+#: One proposal in :class:`MoveBatch` row form,
+#: ``(kind, router, partner, x, y)``.
+Row = "tuple[int, int, int, int, int]"
+_NO_MOVE = MoveBatch.NO_MOVE
+_RELOCATE = MoveBatch.RELOCATE
+_SWAP = MoveBatch.SWAP
 
 #: Entry bound for the per-placement proposal caches; a multi-chain
 #: portfolio holds one live entry per chain, so overflow means old
@@ -57,21 +62,73 @@ _UNSET = object()
 _CACHE_LIMIT = 512
 
 
-class _SwapWindowState:
-    """Per-incumbent proposal cache of :class:`SwapMovement`.
+def _free_cell(
+    draws: BulkDraws,
+    bitmap: bytearray,
+    width: int,
+    x0: int,
+    x1: int,
+    y0: int,
+    y1: int,
+) -> "tuple[int, int] | None":
+    """``grid.random_free_cell(..., within=window)`` on bulk draws.
 
-    Holds the ranked window pools plus lazily filled memo slots for the
-    per-window router picks (weakest in a dense window, strongest in a
-    sparse window, strongest outside a dense window).  The picks are
-    RNG-free functions of the incumbent, so memoizing them never touches
-    a chain's stream.
+    The same draws in the same order: up to ``REJECTION_ATTEMPTS``
+    rejection samples of an ``x`` and a ``y`` draw, tested against the row-major occupancy
+    ``bitmap``, then one draw over the window's free cells in row-major
+    order.  ``None`` (after the rejection draws) when the window is
+    full.
+    """
+    draw = draws.integers
+    for _ in range(REJECTION_ATTEMPTS):
+        x = draw(x0, x1)
+        y = draw(y0, y1)
+        if not bitmap[y * width + x]:
+            return x, y
+    block = np.frombuffer(bitmap, dtype=np.uint8).reshape(-1, width)
+    ys, xs = np.nonzero(block[y0:y1, x0:x1] == 0)
+    if not xs.size:
+        return None
+    pick = draw(0, int(xs.size))
+    return x0 + int(xs[pick]), y0 + int(ys[pick])
+
+
+def _router_picks(
+    radii: np.ndarray, members: np.ndarray, strongest: bool
+) -> "list[int | None]":
+    """Per-row pick of a ``(windows, routers)`` membership mask.
+
+    The strongest member (max radius, then min id — the rule of
+    :meth:`~repro.core.routers.RouterFleet.strongest_among`) or the
+    weakest (min radius, then min id); ``None`` for an empty row.
+    """
+    fill = -np.inf if strongest else np.inf
+    selected = np.where(members, radii[np.newaxis, :], fill)
+    extreme = selected.max(axis=1) if strongest else selected.min(axis=1)
+    first = (members & (selected == extreme[:, np.newaxis])).argmax(axis=1)
+    return [
+        int(router) if any_member else None
+        for router, any_member in zip(first.tolist(), members.any(axis=1).tolist())
+    ]
+
+
+class _SwapWindowState:
+    """Per-incumbent proposal state of :class:`SwapMovement`.
+
+    The ranked window pools, plus — built on the first batch proposal
+    against the incumbent — the per-window router picks (weakest in a
+    dense window, strongest in a sparse window, strongest outside a
+    dense window) and the dense windows' bounds.  All of it is an
+    RNG-free function of the incumbent, so sharing it across proposals
+    never touches a chain's stream.  (The occupancy bitmap is rebuilt
+    per call instead: one grid-sized buffer per cached incumbent would
+    dominate the cache's memory.)
     """
 
     __slots__ = (
         "placement",
         "pools",
-        "x",
-        "y",
+        "dense_bounds",
         "weak_dense",
         "strong_sparse",
         "fallback_outside",
@@ -80,50 +137,39 @@ class _SwapWindowState:
     def __init__(self, placement, pools) -> None:
         self.placement = placement
         self.pools = pools
-        positions = placement.positions_array()
-        self.x = positions[:, 0]
-        self.y = positions[:, 1]
-        self.weak_dense: list = [_UNSET] * len(pools[0])
-        self.strong_sparse: list = [_UNSET] * len(pools[1])
-        self.fallback_outside: list = [_UNSET] * len(pools[0])
+        self.dense_bounds = None
 
-    def window_mask(self, window: Rect) -> np.ndarray:
-        """Boolean membership of every router in ``window``.
-
-        Same ids, in the same ascending order, as
-        :meth:`~repro.core.solution.Placement.routers_in`.
-        """
-        return (
-            (self.x >= window.x0)
-            & (self.x < window.x1)
-            & (self.y >= window.y0)
-            & (self.y < window.y1)
+    def prepare(self, radii: np.ndarray) -> None:
+        """Resolve every pooled window's picks in one array pass."""
+        if self.dense_bounds is not None:
+            return
+        cells = self.placement.cells_array()
+        dense_pool, sparse_pool = self.pools
+        dense_inside = self._inside(cells, dense_pool)
+        self.weak_dense = _router_picks(radii, dense_inside, strongest=False)
+        self.strong_sparse = _router_picks(
+            radii, self._inside(cells, sparse_pool), strongest=True
         )
+        self.fallback_outside = _router_picks(radii, ~dense_inside, strongest=True)
+        # Set last: it marks the state prepared.
+        self.dense_bounds = [
+            (window.x0, window.x1, window.y0, window.y1) for window in dense_pool
+        ]
 
-
-def _sample_free_cell(
-    window: Rect, occupied: frozenset, rng: np.random.Generator
-) -> Point | None:
-    """Stream-identical inline of ``grid.random_free_cell(..., within=window)``.
-
-    The proposal hot loop calls this thousands of times per phase;
-    inlining drops the per-call ``Rect.intersection`` allocations (the
-    ranked windows are already clipped to the grid) while drawing from
-    ``rng`` in exactly the same order: up to 64 rejection samples of two
-    ``integers`` draws each, then the exhaustive-enumeration fallback.
-    Returns ``None`` instead of raising when the window is full.
-    """
-    x0, x1 = window.x0, window.x1
-    y0, y1 = window.y0, window.y1
-    draw = rng.integers
-    for _ in range(64):
-        cell = Point(int(draw(x0, x1)), int(draw(y0, y1)))
-        if cell not in occupied:
-            return cell
-    free = [cell for cell in window.cells() if cell not in occupied]
-    if not free:
-        return None
-    return free[int(rng.integers(0, len(free)))]
+    @staticmethod
+    def _inside(cells: np.ndarray, windows: "list[Rect]") -> np.ndarray:
+        """``(windows, routers)`` membership of every router cell."""
+        bounds = np.array(
+            [(w.x0, w.x1, w.y0, w.y1) for w in windows], dtype=np.int64
+        ).reshape(-1, 4)
+        xs = cells[np.newaxis, :, 0]
+        ys = cells[np.newaxis, :, 1]
+        return (
+            (xs >= bounds[:, 0:1])
+            & (xs < bounds[:, 1:2])
+            & (ys >= bounds[:, 2:3])
+            & (ys < bounds[:, 3:4])
+        )
 
 
 class MovementType(abc.ABC):
@@ -151,48 +197,57 @@ class MovementType(abc.ABC):
         problem: ProblemInstance,
         rngs: "Sequence[np.random.Generator]",
         n_candidates: int,
-    ) -> "list[list[Move | None]]":
+    ) -> "list[Sequence[Move | None]]":
         """Candidate moves for ``R`` lockstep chains in one call.
 
-        The multi-chain stream contract (this base implementation is its
-        definition, and overrides must preserve it): chain ``r``'s
-        proposals are exactly what ``n_candidates`` successive
-        :meth:`propose` calls against ``currents[r]`` would draw from
-        ``rngs[r]`` — each chain consumes *only its own* generator, in
-        candidate order, so results are independent of how chains are
-        grouped into batches, processes or phases.  Overrides vectorize
-        the RNG-free work (window-router lookups, occupancy filters)
-        while keeping every random draw on the chain's stream; the
-        agreement with scalar ``propose`` is asserted by
+        The multi-chain stream contract: chain ``r``'s proposals are
+        exactly what ``n_candidates`` successive :meth:`propose` calls
+        against ``currents[r]`` would draw from ``rngs[r]``, and
+        ``rngs[r]`` ends in exactly the state those calls leave — each
+        chain consumes *only its own* generator, in candidate order, so
+        results are independent of how chains are grouped into batches,
+        processes or phases.
+
+        Movements with an array form (all built-ins) return one
+        :class:`~repro.neighborhood.moves.MoveBatch` per chain: the
+        RNG-free per-incumbent work is done once, and the candidates are
+        sampled on :class:`~repro.seeding.BulkDraws` over the chain's
+        generator.  Other movements return one list of :meth:`propose`
+        results per chain.  Either way each entry reads as a sequence of
+        ``n_candidates`` moves (``None`` where no move was available);
+        the agreement with scalar ``propose`` is asserted by
         ``tests/neighborhood/test_multichain.py``.
         """
         if len(currents) != len(rngs):
             raise ValueError(
                 f"{len(currents)} chain states for {len(rngs)} generators"
             )
-        return [
-            [
-                self._propose_cached(current, problem, rng)
-                for _ in range(n_candidates)
-            ]
-            for current, rng in zip(currents, rngs)
-        ]
+        batches: list[Sequence[Move | None]] = []
+        for current, rng in zip(currents, rngs):
+            propose_one = self._row_proposer(current, problem)
+            if propose_one is None:
+                batches.append(
+                    [self.propose(current, problem, rng) for _ in range(n_candidates)]
+                )
+                continue
+            with BulkDraws(rng, words=2 * n_candidates) as draws:
+                rows = [propose_one(draws) for _ in range(n_candidates)]
+            batches.append(MoveBatch.from_rows(rows))
+        return batches
 
-    def _propose_cached(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        """One proposal that may reuse per-incumbent cached state.
+    def _row_proposer(
+        self, current: Evaluation, problem: ProblemInstance
+    ) -> "Callable[[BulkDraws], Row] | None":
+        """A sampler of one :class:`MoveBatch` row against ``current``.
 
-        Result- and stream-identical to :meth:`propose` — the batch path
-        and :class:`CombinedMovement` route through this so subclasses
-        can hoist RNG-free work (window scans, occupancy sets) across
-        the many proposals drawn against one incumbent.  The base
-        implementation is :meth:`propose` itself.
+        The returned callable draws one proposal from its
+        :class:`~repro.seeding.BulkDraws` argument — the draws
+        :meth:`propose` would make, in the same order — and returns it as
+        a ``(kind, router, partner, x, y)`` row.  ``None`` means the
+        movement has no array form: :meth:`propose_batch` then calls
+        :meth:`propose`.
         """
-        return self.propose(current, problem, rng)
+        return None
 
     def release_proposal_caches(self) -> None:
         """Drop any per-incumbent proposal caches (results unaffected).
@@ -211,12 +266,6 @@ class RandomMovement(MovementType):
 
     name: ClassVar[str] = "random"
 
-    def __init__(self) -> None:
-        # One-slot (grid, bounds Rect) memo for the cached fast path;
-        # keyed on the (tiny, immutable) grid so nothing heavyweight is
-        # pinned or pickled along with the movement.
-        self._bounds_cache = None
-
     def propose(
         self,
         current: Evaluation,
@@ -232,25 +281,21 @@ class RandomMovement(MovementType):
             return None
         return RelocateMove(router_id=router_id, target=target)
 
-    def _propose_cached(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        # Same draws as propose(); the inline sampler skips the per-call
-        # region clipping the hot loop would otherwise re-do.
+    def _row_proposer(self, current, problem):
         placement = current.placement
-        router_id = int(rng.integers(0, len(placement)))
         grid = problem.grid
-        bounds_cache = self._bounds_cache
-        if bounds_cache is None or bounds_cache[0] is not grid:
-            bounds_cache = (grid, grid.bounds)
-            self._bounds_cache = bounds_cache
-        target = _sample_free_cell(bounds_cache[1], placement.occupied, rng)
-        if target is None:
-            return None
-        return RelocateMove(router_id=router_id, target=target)
+        n_routers = len(placement)
+        width, height = grid.width, grid.height
+        bitmap = grid.occupancy_bitmap(placement.cells_array())
+
+        def propose_one(draws: BulkDraws) -> Row:
+            router = draws.integers(0, n_routers)
+            cell = _free_cell(draws, bitmap, width, 0, width, 0, height)
+            if cell is None:
+                return _NO_MOVE
+            return (_RELOCATE, router, -1, cell[0], cell[1])
+
+        return propose_one
 
 
 class SwapMovement(MovementType):
@@ -461,64 +506,52 @@ class SwapMovement(MovementType):
             return None
         return RelocateMove(router_id=mover, target=target)
 
-    def _propose_cached(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        """Memoized fast path, stream-identical to :meth:`propose`.
+    def _row_proposer(self, current, problem):
+        """Algorithm 3 on the incumbent's precomputed window picks.
 
-        The scalar reference re-scans the sampled windows per proposal
-        (:meth:`~repro.core.solution.Placement.routers_in` python
-        loops); here the weakest/strongest/fallback router of each
-        pooled window is resolved once per incumbent via vectorized
-        masks and memoized in the window state, so repeated draws of the
-        same window cost two generator calls and a list lookup.  Every
-        random draw — the two window choices and the free-cell rejection
-        sampling — stays on the chain's stream in the scalar call order.
+        :meth:`propose` re-scans the two sampled windows per proposal;
+        here every pooled window's weakest/strongest/fallback router is
+        resolved once per incumbent (:class:`_SwapWindowState`), so a
+        proposal costs its two window draws, a list lookup and — when
+        relocating — the free-cell draws.
         """
         state = self._window_state(current, problem)
-        dense_pool, sparse_pool = state.pools
-        radii = problem.fleet.radii
-        dense_index = int(rng.integers(0, len(dense_pool)))
-        sparse_index = int(rng.integers(0, len(sparse_pool)))
-        dense = dense_pool[dense_index]
+        state.prepare(problem.fleet.radii)
+        n_dense = len(state.weak_dense)
+        n_sparse = len(state.strong_sparse)
+        strong_sparse = state.strong_sparse
 
         if not self.relocate:
-            weak = state.weak_dense[dense_index]
-            if weak is _UNSET:
-                ids = np.flatnonzero(state.window_mask(dense))
-                weak = _weakest_id(radii, ids) if ids.size else None
-                state.weak_dense[dense_index] = weak
-            strong = state.strong_sparse[sparse_index]
-            if strong is _UNSET:
-                ids = np.flatnonzero(
-                    state.window_mask(sparse_pool[sparse_index])
-                )
-                strong = _strongest_id(radii, ids) if ids.size else None
-                state.strong_sparse[sparse_index] = strong
-            if weak is None or strong is None or weak == strong:
-                return None
-            return SwapMove(router_a=weak, router_b=strong)
+            weak_dense = state.weak_dense
 
-        mover = state.strong_sparse[sparse_index]
-        if mover is _UNSET:
-            ids = np.flatnonzero(state.window_mask(sparse_pool[sparse_index]))
-            mover = _strongest_id(radii, ids) if ids.size else None
-            state.strong_sparse[sparse_index] = mover
-        if mover is None:
-            mover = state.fallback_outside[dense_index]
-            if mover is _UNSET:
-                outside = np.flatnonzero(~state.window_mask(dense))
-                mover = _strongest_id(radii, outside) if outside.size else None
-                state.fallback_outside[dense_index] = mover
+            def propose_swap(draws: BulkDraws) -> Row:
+                weak = weak_dense[draws.integers(0, n_dense)]
+                strong = strong_sparse[draws.integers(0, n_sparse)]
+                if weak is None or strong is None or weak == strong:
+                    return _NO_MOVE
+                return (_SWAP, weak, strong, -1, -1)
+
+            return propose_swap
+
+        fallback_outside = state.fallback_outside
+        dense_bounds = state.dense_bounds
+        grid = problem.grid
+        bitmap = grid.occupancy_bitmap(current.placement.cells_array())
+        width = grid.width
+
+        def propose_relocation(draws: BulkDraws) -> Row:
+            dense_index = draws.integers(0, n_dense)
+            mover = strong_sparse[draws.integers(0, n_sparse)]
             if mover is None:
-                return None
-        target = _sample_free_cell(dense, current.placement.occupied, rng)
-        if target is None:
-            return None
-        return RelocateMove(router_id=mover, target=target)
+                mover = fallback_outside[dense_index]
+                if mover is None:
+                    return _NO_MOVE
+            cell = _free_cell(draws, bitmap, width, *dense_bounds[dense_index])
+            if cell is None:
+                return _NO_MOVE
+            return (_RELOCATE, mover, -1, cell[0], cell[1])
+
+        return propose_relocation
 
     def _pick_mover(
         self,
@@ -590,11 +623,12 @@ class CombinedMovement(MovementType):
             raise ValueError("weights must be non-negative and not all zero")
         total = float(sum(weights))
         self._probabilities = np.array([weight / total for weight in weights])
-        # Cumulative weights for the cached fast path, normalized exactly
+        # Cumulative weights for the batch sampler, normalized exactly
         # the way Generator.choice does (cumsum then divide by the last
         # entry) so the bisection below rounds identically.
-        self._cdf = np.cumsum(self._probabilities)
-        self._cdf /= self._cdf[-1]
+        cdf = np.cumsum(self._probabilities)
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -610,22 +644,25 @@ class CombinedMovement(MovementType):
         index = int(rng.choice(len(self.movements), p=self._probabilities))
         return self.movements[index].propose(current, problem, rng)
 
-    def _propose_cached(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
+    def _row_proposer(self, current, problem):
+        proposers = [
+            movement._row_proposer(current, problem) for movement in self.movements
+        ]
+        if any(proposer is None for proposer in proposers):
+            return None
         # Generator.choice(n, p=...) draws one uniform double and bisects
-        # the normalized cumulative weights; doing the same against the
-        # precomputed cdf consumes the identical stream value and returns
-        # the identical index, without choice()'s per-call cumsum and
-        # validation.  Exactness is pinned by the propose_batch parity
-        # tests.
-        index = int(self._cdf.searchsorted(rng.random(), side="right"))
-        if index >= len(self.movements):  # guard exact-1.0 edge draw
-            index = len(self.movements) - 1
-        return self.movements[index]._propose_cached(current, problem, rng)
+        # the normalized cumulative weights; bisecting the same cdf
+        # consumes the identical stream value and returns the identical
+        # index, without choice()'s per-call cumsum and validation.
+        cdf = self._cdf
+        last = len(proposers) - 1
+
+        def propose_one(draws: BulkDraws) -> Row:
+            index = bisect_right(cdf, draws.random())
+            # min() guards the exact-1.0 edge draw.
+            return proposers[min(index, last)](draws)
+
+        return propose_one
 
     def release_proposal_caches(self) -> None:
         for movement in self.movements:

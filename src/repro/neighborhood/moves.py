@@ -4,17 +4,24 @@ A *move* is a small, concrete perturbation of one placement — the "local
 moves" of Section 4.  Moves are immutable descriptions; applying one
 yields a new placement and never mutates the original, so the search can
 evaluate many candidate moves against the same current solution.
+
+:class:`MoveBatch` is the array form the lockstep search samples into:
+one chain's proposals for a phase as integer columns, read as a sequence
+of moves that are only built when asked for.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.geometry import Point
 from repro.core.solution import Placement
 
-__all__ = ["Move", "SwapMove", "RelocateMove"]
+__all__ = ["Move", "SwapMove", "RelocateMove", "MoveBatch"]
 
 
 class Move(abc.ABC):
@@ -73,3 +80,76 @@ class RelocateMove(Move):
 
     def describe(self) -> str:
         return f"relocate(router {self.router_id} -> {tuple(self.target)})"
+
+
+class MoveBatch(Sequence):
+    """One chain's candidate moves as integer arrays.
+
+    Row ``k`` of :attr:`table` is ``(kind, router, partner, x, y)``:
+    ``kind`` is :attr:`NONE` (no move available), :attr:`RELOCATE`
+    (``router`` to cell ``(x, y)``) or :attr:`SWAP` (``router`` with
+    ``partner``); unused columns hold ``-1``.  The batch reads as a
+    ``Sequence[Move | None]`` — ``len`` is the candidate count, indexing
+    and iteration build the moves lazily, and it compares equal to the
+    list of moves it stands for — so the search layer can validate and
+    measure whole phases on the columns and build a :class:`Move` only
+    for the candidate it accepts.
+    """
+
+    NONE, RELOCATE, SWAP = 0, 1, 2
+    #: The row of a candidate slot with no move.
+    NO_MOVE = (NONE, -1, -1, -1, -1)
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+    @classmethod
+    def from_rows(cls, rows: "Sequence[tuple[int, int, int, int, int]]") -> "MoveBatch":
+        """A batch from ``(kind, router, partner, x, y)`` rows."""
+        return cls(np.array(rows, dtype=np.intp).reshape(-1, 5))
+
+    @classmethod
+    def from_moves(cls, moves: "Sequence[Move | None]") -> "MoveBatch | None":
+        """The array form of relocations, swaps and ``None`` slots.
+
+        ``None`` when another move type appears: it has no columns.
+        """
+        rows = []
+        for move in moves:
+            kind = type(move)
+            if move is None:
+                rows.append(cls.NO_MOVE)
+            elif kind is RelocateMove:
+                x, y = move.target
+                rows.append((cls.RELOCATE, move.router_id, -1, x, y))
+            elif kind is SwapMove:
+                rows.append((cls.SWAP, move.router_a, move.router_b, -1, -1))
+            else:
+                return None
+        return cls.from_rows(rows)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index: int) -> "Move | None":
+        kind, router, partner, x, y = self.table[index].tolist()
+        if kind == self.RELOCATE:
+            return RelocateMove(router_id=router, target=Point(x, y))
+        if kind == self.SWAP:
+            return SwapMove(router_a=router, router_b=partner)
+        return None
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MoveBatch):
+            return np.array_equal(self.table, other.table)
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"MoveBatch({list(self)!r})"
+

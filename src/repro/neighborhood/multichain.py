@@ -66,13 +66,17 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
-from repro.core.engine.stacked import StackedDeltaEngine, StackedEngine
+from repro.core.engine.stacked import (
+    PhaseCandidates,
+    StackedDeltaEngine,
+    StackedEngine,
+)
 from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
 from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
 from repro.neighborhood.best_neighbor import apply_valid_move
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import MovementType
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.parallel import (
@@ -86,6 +90,7 @@ from repro.seeding import root_sequence, spawn_children
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
+    from repro.core.grid import GridArea
     from repro.resilience.supervisor import RetryPolicy, SupervisionReport
 
 __all__ = [
@@ -146,46 +151,162 @@ class _ChainState:
     stopped_by: str | None = None
 
 
-#: Tags of :func:`_classify_move`.
-_SKIP, _NOOP, _RELOCATE, _SWAP, _EXOTIC = range(5)
+def _cell_owners(
+    cells: np.ndarray,
+    slots: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    grid: "GridArea",
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Router holding cell ``(xs[i], ys[i])`` in incumbent ``slots[i]``.
 
-
-def _classify_move(move, incumbent: Placement, occupied, n_routers: int, grid):
-    """Candidate validity rules, shared by both lockstep collectors.
-
-    One implementation of the decision
-    :func:`~repro.neighborhood.best_neighbor.apply_valid_move` makes on
-    a built placement — stale relocations are dropped, an own-cell
-    relocation is a no-op candidate, out-of-range ids and out-of-grid
-    targets are skipped — tagged so the delta and full-measure paths can
-    build their own candidate representations without re-deriving the
-    rules.  Returns ``(tag, target)``; ``target`` is only set for
-    ``_RELOCATE``.
+    ``cells`` stacks the incumbents' ``(N, 2)`` cell arrays; the result
+    is ``-1`` for a free cell and wherever ``mask`` is False (entries
+    outside the grid must be masked).  One sorted-key lookup for the
+    whole phase.
     """
-    kind = type(move)
-    if kind is RelocateMove:
-        if not 0 <= move.router_id < n_routers:
-            return _SKIP, None
-        target = move.target
-        if target in occupied:
-            if incumbent.cells[move.router_id] != target:
-                return _SKIP, None  # stale: another router holds the cell
-            return _NOOP, None
-        if not grid.contains(target):
-            return _SKIP, None
-        return _RELOCATE, target
-    if kind is SwapMove:
-        if not (
-            0 <= move.router_a < n_routers and 0 <= move.router_b < n_routers
-        ):
-            return _SKIP, None
-        if move.router_a == move.router_b:
-            # Unreachable through SwapMove's constructor (it rejects
-            # a == b), but duplicate movers would corrupt the delta
-            # engine's edge accounting — mirror with_swap's no-op.
-            return _NOOP, None
-        return _SWAP, None
-    return _EXOTIC, None
+    n_chains, n_routers = cells.shape[:2]
+    n_cells = grid.n_cells
+    keys = (
+        np.arange(n_chains)[:, np.newaxis] * n_cells
+        + cells[:, :, 1] * grid.width
+        + cells[:, :, 0]
+    ).ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    query = slots * n_cells + ys * grid.width + xs
+    found = np.searchsorted(sorted_keys, query).clip(max=keys.size - 1)
+    hit = mask & (sorted_keys[found] == query)
+    return np.where(hit, order[found] % n_routers, -1)
+
+
+class _Phase:
+    """One phase's valid candidates in array form (internal).
+
+    Candidate ``k`` is row ``local[k]`` of ``batches[slots[k]]`` — the
+    proposals of chain ``active[slots[k]]`` — and ``spans`` gives each
+    active chain's candidate range.  ``candidates`` feeds the delta
+    engine; :meth:`rows` the full-stack measurement.
+    """
+
+    __slots__ = (
+        "batches", "cells", "slots", "local", "movers", "candidates", "spans",
+    )
+
+    def __init__(
+        self, batches, cells, slots, local, movers, candidates, spans
+    ) -> None:
+        self.batches = batches
+        self.cells = cells
+        self.slots = slots
+        self.local = local
+        self.movers = movers
+        self.candidates = candidates
+        self.spans = spans
+
+    @classmethod
+    def collect(
+        cls,
+        states: "list[_ChainState]",
+        active: list[int],
+        proposals,
+        problem: ProblemInstance,
+    ) -> "_Phase | None":
+        """Validate the phase's proposals on their columns, in one pass.
+
+        The rules of
+        :func:`~repro.neighborhood.best_neighbor.apply_valid_move` on a
+        built placement: out-of-range router ids and out-of-grid targets
+        are skipped, a relocation onto another router's cell is stale and
+        skipped, one onto its own cell (or a swap of a router with
+        itself) is a no-op candidate equal to the incumbent.  Returns
+        ``None`` when a move outside the relocate/swap vocabulary
+        appears — the phase then measures built placements instead.
+        """
+        batches = []
+        for moves in proposals:
+            batch = (
+                moves if isinstance(moves, MoveBatch) else MoveBatch.from_moves(moves)
+            )
+            if batch is None:
+                return None
+            batches.append(batch)
+        lengths = [len(batch) for batch in batches]
+        table = np.concatenate([batch.table for batch in batches])
+        slots = np.repeat(np.arange(len(batches)), lengths)
+        kind, router, partner, xs, ys = table.T
+        grid = problem.grid
+        n_routers = problem.n_routers
+        cells = np.stack(
+            [states[r].current.placement.cells_array() for r in active]
+        ).astype(np.intp)
+
+        known = (router >= 0) & (router < n_routers)
+        relocation = (
+            (kind == MoveBatch.RELOCATE)
+            & known
+            & (xs >= 0) & (xs < grid.width)
+            & (ys >= 0) & (ys < grid.height)
+        )
+        owner = _cell_owners(cells, slots, xs, ys, grid, relocation)
+        swap = (
+            (kind == MoveBatch.SWAP)
+            & known
+            & (partner >= 0) & (partner < n_routers)
+        )
+        # Moved routers per candidate: 1 for a relocation to a free
+        # cell, 2 for a swap, 0 for a no-op; -1 marks a dropped slot.
+        movers = np.full(len(table), -1, dtype=np.intp)
+        movers[relocation & (owner == router)] = 0
+        movers[relocation & (owner < 0)] = 1
+        movers[swap] = np.where(router[swap] == partner[swap], 0, 2)
+        keep = np.flatnonzero(movers >= 0)
+
+        slot_of = slots[keep]
+        counts = movers[keep]
+        first = np.cumsum(counts) - counts
+        pair_router = np.empty(int(counts.sum()), dtype=np.intp)
+        pair_xy = np.empty((pair_router.size, 2), dtype=np.intp)
+        moved = counts > 0
+        pair_router[first[moved]] = router[keep[moved]]
+        single = counts == 1
+        pair_xy[first[single], 0] = xs[keep[single]]
+        pair_xy[first[single], 1] = ys[keep[single]]
+        double = counts == 2
+        a, b = router[keep[double]], partner[keep[double]]
+        pair_slots = slot_of[double]
+        pair_xy[first[double]] = cells[pair_slots, b]
+        pair_router[first[double] + 1] = b
+        pair_xy[first[double] + 1] = cells[pair_slots, a]
+
+        candidates = PhaseCandidates(
+            np.asarray(active, dtype=np.intp)[slot_of],
+            np.repeat(np.arange(keep.size), counts),
+            pair_router,
+            pair_xy,
+        )
+        ends = np.cumsum(np.bincount(slot_of, minlength=len(batches))).tolist()
+        spans = list(zip([0, *ends[:-1]], ends))
+        offsets = np.cumsum(lengths) - lengths
+        return cls(
+            batches, cells, slot_of, keep - offsets[slot_of], counts,
+            candidates, spans,
+        )
+
+    def rows(self) -> np.ndarray:
+        """Every candidate's full ``(N, 2)`` cell array, stacked."""
+        rows = self.cells[self.slots]
+        candidates = self.candidates
+        rows[candidates.pair_candidate, candidates.pair_router] = candidates.pair_xy
+        return rows
+
+    def placement(self, index: int, incumbent: Placement) -> Placement:
+        """Candidate ``index`` built from its move (the only one built)."""
+        if self.movers[index] == 0:
+            return incumbent
+        move = self.batches[self.slots[index]][self.local[index]]
+        return move.apply(incumbent)
 
 
 def _run_shard(task) -> list[SearchResult]:
@@ -404,18 +525,17 @@ class MultiChainSearch:
             [states[r].rng for r in active],
             self.n_candidates,
         )
-        collected = (
-            self._collect_delta(states, active, proposals, engine.problem)
-            if delta is not None
-            else None
-        )
-        if collected is not None:
-            items, sources, spans = collected
-            measurement = delta.measure_phase(items)
-        else:
-            sources, spans, measurement = self._measure_full(
+        collected = _Phase.collect(states, active, proposals, engine.problem)
+        if collected is None:
+            sources, spans, measurement = self._measure_moves(
                 states, active, proposals, engine
             )
+        elif delta is not None:
+            spans = collected.spans
+            measurement = delta.measure_phase(collected.candidates)
+        else:
+            spans = collected.spans
+            measurement = self._measure_rows(collected, engine)
 
         for (start, end), chain_index in zip(spans, active):
             state = states[chain_index]
@@ -433,9 +553,14 @@ class MultiChainSearch:
                 )
                 if accept:
                     improved = winner_fitness > state.current.fitness
-                    state.current = self._materialize(
-                        measurement, winner, sources[winner], state
+                    placement = (
+                        sources[winner]
+                        if collected is None
+                        else collected.placement(
+                            winner, state.current.placement
+                        )
                     )
+                    state.current = measurement.evaluation(winner, placement)
                     if delta is not None:
                         delta.commit_chain(chain_index, state.current.placement)
                     if state.current.fitness > state.best.fitness:
@@ -459,157 +584,48 @@ class MultiChainSearch:
             ):
                 state.active = False
 
-    def _collect_delta(
-        self,
-        states: list[_ChainState],
-        active: list[int],
-        proposals,
-        problem: ProblemInstance,
-    ):
-        """Neutral ``(chain, movers, new_positions)`` items for the phase.
+    @staticmethod
+    def _measure_rows(phase: _Phase, engine: StackedEngine):
+        """Full stacked measurement of an array phase (sparse layout).
 
-        Applies exactly the validity rules of
-        :func:`~repro.neighborhood.best_neighbor.apply_valid_move`:
-        stale relocations are dropped, an own-cell relocation becomes a
-        no-op candidate.  Returns ``None`` when a move outside the delta
-        vocabulary (relocate/swap) appears — the phase then measures
-        through the full stacked path instead.
+        Every candidate row is its incumbent with the pair cells written
+        in — one fancy-index assignment for the phase.  The numpy sparse
+        tier measures placements, so it gets them built from the rows.
         """
-        n_routers = problem.n_routers
-        grid = problem.grid
-        items: list[tuple] = []
-        sources: list[object] = []
-        spans: list[tuple[int, int]] = []
-        for chain_index, moves in zip(active, proposals):
-            state = states[chain_index]
-            start = len(sources)
-            incumbent = state.current.placement
-            occupied = incumbent.occupied
-            cells = incumbent.cells
-            for move in moves:
-                if move is None:
-                    continue
-                tag, target = _classify_move(
-                    move, incumbent, occupied, n_routers, grid
-                )
-                if tag == _SKIP:
-                    continue
-                if tag == _NOOP:
-                    item = (chain_index, (), ())
-                elif tag == _RELOCATE:
-                    item = (
-                        chain_index,
-                        (move.router_id,),
-                        ((float(target.x), float(target.y)),),
-                    )
-                elif tag == _SWAP:
-                    a, b = move.router_a, move.router_b
-                    pos_a, pos_b = cells[a], cells[b]
-                    item = (
-                        chain_index,
-                        (a, b),
-                        (
-                            (float(pos_b.x), float(pos_b.y)),
-                            (float(pos_a.x), float(pos_a.y)),
-                        ),
-                    )
-                else:
-                    return None
-                items.append(item)
-                sources.append(move)
-            spans.append((start, len(sources)))
-        return items, sources, spans
+        rows = phase.rows()
+        if engine.accepts_positions:
+            return engine.measure_positions(rows.astype(float))
+        grid = engine.problem.grid
+        return engine.measure_placements(
+            [Placement.from_cells(grid, row) for row in rows]
+        )
 
-    def _measure_full(
-        self,
+    @staticmethod
+    def _measure_moves(
         states: list[_ChainState],
         active: list[int],
         proposals,
         engine: StackedEngine,
     ):
-        """Full stacked measurement of the phase (no incremental caches).
+        """Full measurement of built placements, for exotic move types.
 
-        The sparse layout always measures here (one spatial-grid pass,
-        or the compiled kernels, per candidate); the dense layout only
-        when a phase contains exotic move types.  ``sources[k]``
-        materializes candidate ``k`` later — a move re-applied to its
-        chain's incumbent, or an already-built placement.
+        Moves outside the relocate/swap vocabulary have no columns, so
+        every candidate placement is built (:func:`apply_valid_move`'s
+        validity rules) and measured; ``sources[k]`` is candidate ``k``.
         """
-        dense = engine.accepts_positions
-        sources: list[object] = []
-        rows: list[np.ndarray] = []
-        placements: list[Placement] = []
+        sources: list[Placement] = []
         spans: list[tuple[int, int]] = []
-        n_routers = engine.problem.n_routers
-        grid = engine.problem.grid
         for chain_index, moves in zip(active, proposals):
-            state = states[chain_index]
+            incumbent = states[chain_index].current.placement
             start = len(sources)
-            incumbent = state.current.placement
-            occupied = incumbent.occupied
-            positions = incumbent.positions_array()
             for move in moves:
                 if move is None:
                     continue
-                tag, target = (
-                    _classify_move(move, incumbent, occupied, n_routers, grid)
-                    if dense
-                    else (_EXOTIC, None)
-                )
-                if tag == _SKIP:
-                    continue
-                if tag == _NOOP:
-                    sources.append(move)
-                    rows.append(positions)
-                elif tag == _RELOCATE:
-                    row = positions.copy()
-                    row[move.router_id] = (target.x, target.y)
-                    sources.append(move)
-                    rows.append(row)
-                elif tag == _SWAP:
-                    row = positions.copy()
-                    row[[move.router_a, move.router_b]] = row[
-                        [move.router_b, move.router_a]
-                    ]
-                    sources.append(move)
-                    rows.append(row)
-                else:
-                    # Sparse layout, or an exotic move type: build the
-                    # placement (apply_valid_move's validity rules).
-                    candidate = apply_valid_move(move, incumbent)
-                    if candidate is None:
-                        continue
+                candidate = apply_valid_move(move, incumbent)
+                if candidate is not None:
                     sources.append(candidate)
-                    if dense:
-                        rows.append(
-                            np.asarray(candidate.positions_array(), dtype=float)
-                        )
-                    else:
-                        placements.append(candidate)
             spans.append((start, len(sources)))
-
-        if dense:
-            stack = (
-                np.stack(rows)
-                if rows
-                else np.zeros((0, n_routers, 2), dtype=float)
-            )
-            measurement = engine.measure_positions(stack)
-        else:
-            measurement = engine.measure_placements(placements)
-        return sources, spans, measurement
-
-    @staticmethod
-    def _materialize(
-        measurement, index: int, source, state: _ChainState
-    ) -> Evaluation:
-        """Turn the winning stack row into a full :class:`Evaluation`."""
-        if isinstance(source, Placement):
-            return measurement.evaluation(index, source)
-        placement = apply_valid_move(source, state.current.placement)
-        if placement is None:  # pragma: no cover - validity pre-checked
-            raise RuntimeError("accepted candidate became invalid")
-        return measurement.evaluation(index, placement)
+        return sources, spans, engine.measure_placements(sources)
 
     # ------------------------------------------------------------------
     # Process fan-out

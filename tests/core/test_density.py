@@ -182,3 +182,74 @@ class TestSampledExtreme:
         grid = GridArea(16, 16)
         dm = DensityMap.build(grid, [Point(8, 8)] * 3, 4, 4)
         assert dm.sampled_extreme_window(rng, pool=1) == dm.densest_window()
+
+
+def sort_and_walk_windows(dm: DensityMap, count, densest, min_overlap_free):
+    """Frozen copy of the original ``ranked_windows`` (stable sort + walk)."""
+    counts = dm.window_counts
+    keys = -counts if densest else counts
+    order = np.argsort(keys, axis=None, kind="stable")
+    blocked = np.zeros(counts.shape, dtype=bool)
+    n_rows, n_cols = counts.shape
+    selected = []
+    for flat_index in order:
+        y0, x0 = divmod(int(flat_index), n_cols)
+        if min_overlap_free and blocked[y0, x0]:
+            continue
+        selected.append(dm.window_at(x0, y0))
+        if len(selected) == count:
+            break
+        if min_overlap_free:
+            row_lo = max(0, y0 - dm.window_height + 1)
+            row_hi = min(n_rows, y0 + dm.window_height)
+            col_lo = max(0, x0 - dm.window_width + 1)
+            col_hi = min(n_cols, x0 + dm.window_width)
+            blocked[row_lo:row_hi, col_lo:col_hi] = True
+    return selected
+
+
+@st.composite
+def density_cases(draw):
+    shape = draw(st.sampled_from(["strip", "square", "free"]))
+    if shape == "strip":
+        width, height = draw(st.integers(1, 24)), 1
+        if draw(st.booleans()):
+            width, height = height, width
+    else:
+        width = draw(st.integers(1, 20))
+        height = width if shape == "square" else draw(st.integers(1, 20))
+    grid = GridArea(width, height)
+    window_width = draw(st.integers(1, width))
+    window_height = draw(st.integers(1, height))
+    if draw(st.booleans()):
+        # Window equal to the grid: exactly one anchor.
+        window_width, window_height = width, height
+    layout = draw(st.sampled_from(["none", "all-equal", "random"]))
+    if layout == "none":
+        points = []
+    elif layout == "all-equal":
+        points = [(x, y) for y in range(height) for x in range(width)]
+    else:
+        points = draw(
+            st.lists(
+                st.tuples(st.integers(0, width - 1), st.integers(0, height - 1)),
+                max_size=60,
+            )
+        )
+    dm = DensityMap.build(grid, points, window_width, window_height)
+    # Up to far more windows than fit disjointly.
+    count = draw(st.integers(1, 40))
+    return dm, count
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=density_cases(),
+    densest=st.booleans(),
+    min_overlap_free=st.booleans(),
+)
+def test_ranked_windows_match_sort_and_walk(case, densest, min_overlap_free):
+    dm, count = case
+    assert dm.ranked_windows(
+        count, densest=densest, min_overlap_free=min_overlap_free
+    ) == sort_and_walk_windows(dm, count, densest, min_overlap_free)

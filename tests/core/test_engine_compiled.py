@@ -21,7 +21,11 @@ from repro.core.engine.components import labels_from_edges
 from repro.core.engine.delta import DeltaEvaluator
 from repro.core.engine.dispatch import ENGINE_TIERS, resolve_engine
 from repro.core.engine.sparse import link_hits
-from repro.core.engine.stacked import StackedDeltaEngine, StackedEngine
+from repro.core.engine.stacked import (
+    PhaseCandidates,
+    StackedDeltaEngine,
+    StackedEngine,
+)
 from repro.core.evaluation import Evaluator
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
@@ -205,19 +209,24 @@ class TestStackedDeltaParity:
         reference = StackedDeltaEngine(problem, engine="dense")
         under_test.reset_chain(0, incumbent)
         reference.reset_chain(0, incumbent)
-        items = [(0, (), ())]
-        for _ in range(4):
+        # Candidate 0 is a no-op, 1-4 relocations, 5 a swap.
+        pair_candidate, pair_router, pair_xy = [], [], []
+        for candidate in range(1, 5):
             router = int(rng.integers(0, len(incumbent)))
             cell = problem.grid.random_free_cell(incumbent.occupied, rng)
-            items.append((0, (router,), ((float(cell.x), float(cell.y)),)))
+            pair_candidate.append(candidate)
+            pair_router.append(router)
+            pair_xy.append((cell.x, cell.y))
         a = int(rng.integers(0, len(incumbent)))
         b = (a + 1) % len(incumbent)
-        items.append(
-            (0, (a, b), (tuple(map(float, incumbent[b])),
-                         tuple(map(float, incumbent[a]))))
+        pair_candidate += [5, 5]
+        pair_router += [a, b]
+        pair_xy += [tuple(incumbent[b]), tuple(incumbent[a])]
+        candidates = PhaseCandidates(
+            [0] * 6, pair_candidate, pair_router, pair_xy
         )
-        ours = under_test.measure_phase(items)
-        theirs = reference.measure_phase(items)
+        ours = under_test.measure_phase(candidates)
+        theirs = reference.measure_phase(candidates)
         for name in (
             "giant_sizes", "covered_clients", "n_components",
             "n_links", "mean_degrees", "fitness", "giant_masks",

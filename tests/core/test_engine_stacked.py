@@ -16,7 +16,7 @@ from repro.core.engine.components import (
     labels_from_edge_stack,
     labels_from_edges,
 )
-from repro.core.engine.stacked import StackedDeltaEngine
+from repro.core.engine.stacked import PhaseCandidates, StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.fitness import (
     LexicographicFitness,
@@ -185,9 +185,20 @@ class TestLabelsFromEdgeStack:
         assert labels.tolist() == [0, 1, 2, 3, 4]
 
 
+def phase_candidates(items):
+    """:class:`PhaseCandidates` from ``(chain, movers, new_cells)`` items."""
+    chains, pair_candidate, pair_router, pair_xy = [], [], [], []
+    for candidate, (chain, movers, new_cells) in enumerate(items):
+        chains.append(chain)
+        for router, cell in zip(movers, new_cells):
+            pair_candidate.append(candidate)
+            pair_router.append(router)
+            pair_xy.append(cell)
+    return PhaseCandidates(chains, pair_candidate, pair_router, pair_xy)
+
+
 def delta_parity_case(problem, moves_per_chain, seed):
     """Run measure_phase and compare against full stacked measurement."""
-    rng = np.random.default_rng(seed)
     incumbents = random_placements(problem, len(moves_per_chain), seed=seed)
     engine = StackedDeltaEngine(problem)
     for chain, incumbent in enumerate(incumbents):
@@ -197,18 +208,12 @@ def delta_parity_case(problem, moves_per_chain, seed):
     for chain, moves in enumerate(moves_per_chain):
         incumbent = incumbents[chain]
         for movers, new_cells in moves:
-            items.append(
-                (
-                    chain,
-                    tuple(movers),
-                    tuple((float(x), float(y)) for x, y in new_cells),
-                )
-            )
+            items.append((chain, movers, new_cells))
             cells = list(incumbent.cells)
             for router, cell in zip(movers, new_cells):
                 cells[router] = type(cells[0])(int(cell[0]), int(cell[1]))
             placements.append(Placement.from_cells(incumbent.grid, cells))
-    measurement = engine.measure_phase(items)
+    measurement = engine.measure_phase(phase_candidates(items))
     reference = measure_stack(
         problem,
         engine.fitness_function,
@@ -276,8 +281,9 @@ class TestStackedDeltaEngine:
         engine.reset_chain(0, incumbent)
         router = 0
         cell = problem.grid.random_free_cell(incumbent.occupied, rng)
-        items = [(0, (router,), ((float(cell.x), float(cell.y)),))]
-        measurement = engine.measure_phase(items)
+        measurement = engine.measure_phase(
+            PhaseCandidates([0], [0], [router], [(cell.x, cell.y)])
+        )
         candidate = incumbent.with_move(router, cell)
         reference = Evaluator(problem, engine="dense").evaluate(candidate)
         assert float(measurement.fitness[0]) == reference.fitness
@@ -307,14 +313,40 @@ class TestStackedDeltaEngine:
         engine = StackedDeltaEngine(problem)
         for chain, incumbent in enumerate(incumbents):
             engine.reset_chain(chain, incumbent)
-        interleaved = [
-            (0, (), ()),
-            (1, (), ()),
-            (0, (), ()),
-        ]
+        interleaved = PhaseCandidates([0, 1, 0], [], [], np.zeros((0, 2)))
         with pytest.raises(ValueError):
             engine.measure_phase(interleaved)
 
+    def test_pairs_must_be_candidate_sorted(self, problem):
+        incumbent = random_placements(problem, 1, seed=27)[0]
+        engine = StackedDeltaEngine(problem)
+        engine.reset_chain(0, incumbent)
+        free = problem.grid.random_free_cell(
+            incumbent.occupied, np.random.default_rng(27)
+        )
+        unsorted = PhaseCandidates([0, 0], [1, 0], [0, 1], [free, free])
+        with pytest.raises(ValueError):
+            engine.measure_phase(unsorted)
+
+    def test_mixed_phase_matches_full_measurement(self, problem):
+        # No-ops, relocations and swaps interleaved across three chains.
+        rng = np.random.default_rng(28)
+        incumbents = random_placements(problem, 3, seed=28)
+        moves = []
+        for incumbent in incumbents:
+            a, b = 1, 4
+            cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+            moves.append(
+                [
+                    ((), ()),
+                    ((a, b), (tuple(incumbent[b]), tuple(incumbent[a]))),
+                    ((2,), (tuple(cell),)),
+                    ((), ()),
+                ]
+            )
+        delta_parity_case(problem, moves, seed=28)
+
     def test_empty_phase(self, problem):
         engine = StackedDeltaEngine(problem)
-        assert len(engine.measure_phase([])) == 0
+        empty = PhaseCandidates([], [], [], np.zeros((0, 2)))
+        assert len(engine.measure_phase(empty)) == 0

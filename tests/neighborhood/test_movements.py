@@ -12,7 +12,7 @@ from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch, RelocateMove, SwapMove
 from repro.neighborhood.movements import (
     CombinedMovement,
     RandomMovement,
@@ -200,3 +200,167 @@ class TestCombinedMovement:
             CombinedMovement([RandomMovement()], weights=[0.0])
         with pytest.raises(ValueError):
             CombinedMovement([RandomMovement()], weights=[-1.0])
+
+
+def same_state(a, b) -> bool:
+    """Deep equality of ``bit_generator.state`` dicts (MT19937 holds an array)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def assert_batch_matches_scalar(factory, problem, placement, make_rng, n=24):
+    """The array path equals ``n`` scalar proposals on its own stream."""
+    current = Evaluator(problem).evaluate(placement)
+    batch_rng, scalar_rng = make_rng(), make_rng()
+    (batch,) = factory().propose_batch([current], problem, [batch_rng], n)
+    scalar_movement = factory()
+    scalar = [scalar_movement.propose(current, problem, scalar_rng) for _ in range(n)]
+    assert isinstance(batch, MoveBatch)
+    assert len(batch) == n
+    assert batch == scalar
+    assert list(batch) == scalar
+    assert same_state(batch_rng.bit_generator.state, scalar_rng.bit_generator.state)
+    return scalar
+
+
+def packed_problem(width, height, n_routers):
+    grid = GridArea(width, height)
+    fleet = RouterFleet.from_radii([1.0 + (i % 5) for i in range(n_routers)])
+    clients = ClientSet.from_points([Point(0, 0)], grid=grid)
+    return ProblemInstance(grid=grid, fleet=fleet, clients=clients)
+
+
+class TestArrayProposals:
+    """``propose_batch`` against scalar ``propose`` on the edge cases."""
+
+    def test_enumeration_fallback_after_64_misses(self):
+        # One free cell in 64: a third of the rejection runs miss all 64
+        # samples and fall back to enumerating the free cells.
+        problem = packed_problem(8, 8, 63)
+        cells = [Point(x, y) for y in range(8) for x in range(8)][1:]
+        placement = Placement.from_cells(problem.grid, cells)
+        moves = assert_batch_matches_scalar(
+            RandomMovement, problem, placement, lambda: np.random.default_rng(7)
+        )
+        assert all(move.target == Point(0, 0) for move in moves)
+
+    def test_full_grid_yields_none(self):
+        problem = packed_problem(4, 4, 16)
+        cells = [Point(x, y) for y in range(4) for x in range(4)]
+        placement = Placement.from_cells(problem.grid, cells)
+        moves = assert_batch_matches_scalar(
+            RandomMovement, problem, placement, lambda: np.random.default_rng(8)
+        )
+        assert moves == [None] * 24
+
+    def test_full_dense_window_yields_none(self):
+        # A packed 4x4 block is the single dense window; the sparse
+        # window's routers have nowhere to go.
+        problem = packed_problem(16, 16, 17)
+        cells = [Point(x, y) for y in range(4) for x in range(4)] + [Point(12, 12)]
+        placement = Placement.from_cells(problem.grid, cells)
+        moves = assert_batch_matches_scalar(
+            lambda: SwapMovement(window_width=4, window_height=4, pool=1),
+            problem,
+            placement,
+            lambda: np.random.default_rng(9),
+        )
+        assert moves == [None] * 24
+
+    def test_nearly_full_dense_window_enumerates(self):
+        problem = packed_problem(16, 16, 16)
+        cells = [Point(x, y) for y in range(4) for x in range(4)][1:] + [Point(12, 12)]
+        placement = Placement.from_cells(problem.grid, cells)
+        moves = assert_batch_matches_scalar(
+            lambda: SwapMovement(window_width=4, window_height=4, pool=1),
+            problem,
+            placement,
+            lambda: np.random.default_rng(10),
+        )
+        assert {move.target for move in moves} == {Point(0, 0)}
+
+    def test_no_mover_when_every_router_is_in_the_dense_window(self):
+        problem = packed_problem(16, 16, 4)
+        cells = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
+        placement = Placement.from_cells(problem.grid, cells)
+        moves = assert_batch_matches_scalar(
+            lambda: SwapMovement(window_width=4, window_height=4, pool=1),
+            problem,
+            placement,
+            lambda: np.random.default_rng(11),
+        )
+        assert moves == [None] * 24
+
+    def test_literal_swaps(self, tiny_problem):
+        # Half-grid windows: the sparse pool's windows hold routers too.
+        placement = Placement.random(
+            tiny_problem.grid, tiny_problem.n_routers, np.random.default_rng(1)
+        )
+        moves = assert_batch_matches_scalar(
+            lambda: SwapMovement(relocate=False, window_fraction=0.5),
+            tiny_problem,
+            placement,
+            lambda: np.random.default_rng(12),
+        )
+        assert any(isinstance(move, SwapMove) for move in moves)
+        assert None in moves
+
+    def test_combined_draws_its_doubles_in_stream(self, tiny_problem):
+        placement = Placement.random(
+            tiny_problem.grid, tiny_problem.n_routers, np.random.default_rng(2)
+        )
+        moves = assert_batch_matches_scalar(
+            lambda: CombinedMovement(
+                [
+                    SwapMovement(relocate=False, window_fraction=0.5),
+                    RandomMovement(),
+                    SwapMovement(),
+                ],
+                weights=[1.0, 2.0, 1.0],
+            ),
+            tiny_problem,
+            placement,
+            lambda: np.random.default_rng(13),
+            n=64,
+        )
+        assert {type(move) for move in moves} >= {SwapMove, RelocateMove}
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            RandomMovement,
+            SwapMovement,
+            lambda: SwapMovement(relocate=False),
+            lambda: CombinedMovement([SwapMovement(), RandomMovement()]),
+        ],
+    )
+    def test_non_pcg64_generators(self, clustered_problem, bit_generator, factory):
+        problem, placement = clustered_problem
+        assert_batch_matches_scalar(
+            factory,
+            problem,
+            placement,
+            lambda: np.random.Generator(bit_generator(14)),
+        )
+
+
+class TestMoveBatch:
+    def test_round_trips_moves(self):
+        moves = [RelocateMove(3, Point(4, 5)), None, SwapMove(1, 2)]
+        batch = MoveBatch.from_moves(moves)
+        assert batch == moves
+        assert batch[0] == moves[0] and batch[-1] == moves[-1]
+        assert MoveBatch.from_moves(batch) == batch
+        assert batch != moves[:2]
+
+    def test_other_move_types_have_no_array_form(self):
+        class Exotic(RelocateMove):
+            pass
+
+        assert MoveBatch.from_moves([Exotic(0, Point(1, 1))]) is None

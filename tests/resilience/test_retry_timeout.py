@@ -14,6 +14,7 @@ import pytest
 
 from repro.anytime import Deadline
 from repro.resilience import RetryPolicy, SupervisionReport, retry_call
+from repro.resilience.faults import FAULT_ENV
 from repro.scenario import Scenario, ScenarioRunner
 from repro.solvers import make_solver
 
@@ -68,9 +69,15 @@ class TestDeadlineInjection:
 
 
 class TestSerialPoolAgreement:
-    def test_serial_solve_truncates_at_the_timeout(self, tiny_problem):
-        """The serial path now bounds a solver step like the pool does —
-        but by truncate-and-keep instead of abandon-and-retry."""
+    @pytest.fixture(autouse=True)
+    def no_ambient_faults(self, monkeypatch):
+        # The assertions below pin exact supervision outcomes; an ambient
+        # fault plan (the CI fault-injection job sets one) would add
+        # its own crashes to them.
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+
+    @staticmethod
+    def _truncated_solve(tiny_problem):
         solver = make_solver("search:swap", n_candidates=4)
         report = SupervisionReport()
         result = retry_call(
@@ -81,11 +88,28 @@ class TestSerialPoolAgreement:
             policy=RetryPolicy(timeout=1e-9, backoff=0.0),
             report=report,
         )
+        return result, report
+
+    def test_serial_solve_truncates_at_the_timeout(self, tiny_problem):
+        """The serial path now bounds a solver step like the pool does —
+        but by truncate-and-keep instead of abandon-and-retry."""
+        result, report = self._truncated_solve(tiny_problem)
         assert result.stopped_by == "deadline"
         assert result.n_phases == 0
         assert result.n_evaluations > 0
         # Truncation is a successful attempt: no retry, no failure kinds.
         assert report.kinds() == {}
+
+    def test_truncation_survives_a_killed_first_attempt(
+        self, tiny_problem, monkeypatch
+    ):
+        # kill@0 crashes task 0's first attempt; the retry truncates as
+        # before, and the report holds exactly that one crash.
+        monkeypatch.setenv(FAULT_ENV, "kill@0")
+        result, report = self._truncated_solve(tiny_problem)
+        assert result.stopped_by == "deadline"
+        assert result.n_phases == 0
+        assert report.kinds() == {"crash": 1}
 
     def test_scenario_steps_are_bounded_by_policy_timeout(self, tiny_problem):
         scenario = Scenario.client_drift(tiny_problem, 2)
