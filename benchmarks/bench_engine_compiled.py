@@ -6,21 +6,18 @@ and swaps), the phase stack is measured, and every chain commits its
 winner.  Three paths measure the identical phase scripts:
 
 * **numpy stacked** — the sparse :class:`StackedEngine` re-measures the
-  full candidate stack each phase.  This is what
-  :class:`~repro.neighborhood.multichain.MultiChainSearch` runs on every
-  sparse-layout (city-scale) instance, on the numpy tier, and the
-  baseline of the speedup gate.
+  full candidate stack each phase, and the baseline of the speedup
+  gate.
 * **numpy delta**  — :class:`StackedDeltaEngine` on the numpy dense
-  broadcasts/sgemm (reported for context; its commit path is
-  matrix-sized).
-* **compiled**     — :class:`StackedDeltaEngine` on the C kernels:
-  fused adjacency-row/coverage-column recompute, one union-find
-  labeling pass, CSR giant-coverage counts, and O(nnz) commit updates.
-
-The search drivers use :class:`StackedDeltaEngine` on dense-layout
-instances only, so neither delta path here is a production city-scale
-path any more: the script drives the engine directly to keep the kernels
-measured.
+  layout (``engine="dense"``: adjacency and coverage matrices; reported
+  for context, its commit path is matrix-sized).
+* **compiled**     — :class:`StackedDeltaEngine` on the compiled tier.
+  On this city instance the tier picks the sparse layout: per chain a
+  router index, one-way edge arrays and coverage hits, the movers'
+  neighbourhoods re-queried per phase, one union-find labeling pass
+  and the compiled link filter.  This is what
+  :class:`~repro.neighborhood.multichain.MultiChainSearch` runs on
+  city-scale instances under ``engine="auto"``.
 
 The script asserts bit-identical measurement rows across all three
 paths before timing.  The one-time cost of building the shared library

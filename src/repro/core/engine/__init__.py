@@ -20,9 +20,10 @@ giant-component masks for the same placement:
   use as ground truth.
 * **Lockstep delta** — :class:`~repro.core.engine.stacked.StackedDeltaEngine`.
   Per-chain incumbent caches for portfolios advanced in lockstep
-  (:mod:`repro.neighborhood.multichain`): a phase recomputes only the
-  moved routers' adjacency rows and coverage columns.  It takes the tier
-  its :class:`StackedEngine` resolved.
+  (:mod:`repro.neighborhood.multichain`): a phase recomputes only what
+  the moved routers touch.  It takes the tier its :class:`StackedEngine`
+  resolved and caches matrices on the dense layout, or edge arrays,
+  coverage hits and a router index on the sparse (city-scale) layout.
 * **Single-chain delta** — :class:`DeltaEvaluator`.  Caches one
   incumbent and recomputes only what a move touches, for
   one-move-per-step loops (simulated annealing, tabu search).

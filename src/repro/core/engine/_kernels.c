@@ -33,6 +33,12 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
+/* Below this many candidate pairs a filter pass runs on one thread: the
+ * sparse delta paths filter a few dozen mover pairs per call, where a
+ * thread team costs more than the work and stalls whenever a sibling
+ * core is busy. */
+#define PARALLEL_MIN_PAIRS 16384
+
 /* ------------------------------------------------------------------ */
 /* Runtime introspection                                               */
 /* ------------------------------------------------------------------ */
@@ -592,7 +598,7 @@ void repro_filter_pairs(
     u8 *keep
 ) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if(n_pairs >= PARALLEL_MIN_PAIRS)
 #endif
     for (i64 p = 0; p < n_pairs; p++) {
         const i64 i = rows[p];

@@ -18,8 +18,10 @@ kernels of :mod:`repro.core.engine.compiled`):
 * **sparse** (city scale) — the incumbent's link-edge arrays and
   (client, router) coverage-hit pairs, plus a spatial index over the
   incumbent's router positions; a move drops the moved routers' entries
-  and re-queries only their new neighborhoods, so per-move cost and
-  memory stay ``O(E + H)`` (edges + coverage hits) instead of
+  and re-queries only their new neighborhoods
+  (:meth:`~repro.core.engine.sparse.SparseEngine.apply_moves`, the rule
+  the lockstep chain caches commit with), so per-move cost and memory
+  stay ``O(E + H)`` (edges + coverage hits) instead of
   ``O(N^2 + M * N)``.
 
 Protocol::
@@ -341,12 +343,6 @@ class DeltaEvaluator:
             self._positions, self._sparse_engine().link_cell
         )
 
-    def _coverage_pairs(
-        self, positions: np.ndarray, router_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Passing ``(router, client)`` hit pairs for the given routers."""
-        return self._sparse_engine().coverage_hits(positions, router_ids)
-
     def _sparse_reset(self, placement: Placement, positions: np.ndarray) -> Evaluation:
         from repro.core.engine.sparse import sparse_edges
 
@@ -356,9 +352,7 @@ class DeltaEvaluator:
             positions, self._radii, self._problem.link_rule,
             index=self._router_index,
         )
-        cov_router, cov_client = self._coverage_pairs(
-            positions, np.arange(positions.shape[0], dtype=np.intp)
-        )
+        cov_router, cov_client = self._sparse_engine().router_hits(positions)
         self._edge_rows, self._edge_cols = rows, cols
         self._cov_router, self._cov_client = cov_router, cov_client
         return self._sparse_measure(placement, rows, cols, cov_router, cov_client)
@@ -366,65 +360,22 @@ class DeltaEvaluator:
     def _sparse_apply(
         self, new_positions: np.ndarray, moved: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The candidate's edge and coverage-hit arrays.
-
-        Drops every cached entry that touches a moved router, then
-        re-queries only the moved routers' new neighborhoods: link
-        partners against the incumbent's router index (unmoved routers
-        are exactly where the index put them) plus exhaustive pairs
-        among the moved routers themselves, and coverage hits against
-        the static client index.
-        """
-        if moved.size == 0:
-            return (
-                self._edge_rows, self._edge_cols,
-                self._cov_router, self._cov_client,
-            )
-        n = self._problem.n_routers
-        is_moved = np.zeros(n, dtype=bool)
-        is_moved[moved] = True
-
-        keep = ~(is_moved[self._edge_rows] | is_moved[self._edge_cols])
-        row_parts = [self._edge_rows[keep]]
-        col_parts = [self._edge_cols[keep]]
-        # Moved-vs-unmoved links via the incumbent index.  A moved
-        # router's new position may fall outside the index extent; the
-        # query still finds every in-extent neighbor bin of that
-        # position, and unmoved routers all live in the extent.
+        """The candidate's edge and coverage-hit arrays (the shared
+        :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves` rule)."""
         from repro.core.engine.sparse import link_hits
 
-        if self._compiled is not None:
-            link_hits = self._compiled.link_hits_compiled
-        link_rule = self._problem.link_rule
-        local, partner = self._router_index.query_points(new_positions[moved])
-        if local.size:
-            sources = moved[local]
-            usable = ~is_moved[partner]
-            hit_rows, hit_cols = link_hits(
-                new_positions, self._radii, link_rule,
-                sources[usable], partner[usable],
-            )
-            row_parts.append(hit_rows)
-            col_parts.append(hit_cols)
-        # Moved-vs-moved links, each unordered pair tested once.
-        if moved.size > 1:
-            a_idx, b_idx = np.triu_indices(moved.size, k=1)
-            hit_rows, hit_cols = link_hits(
-                new_positions, self._radii, link_rule,
-                moved[a_idx], moved[b_idx],
-            )
-            row_parts.append(hit_rows)
-            col_parts.append(hit_cols)
-        rows = np.concatenate(row_parts)
-        cols = np.concatenate(col_parts)
-
-        ckeep = ~is_moved[self._cov_router]
-        new_cov_router, new_cov_client = self._coverage_pairs(
-            new_positions, moved.astype(np.intp, copy=False)
+        return self._sparse_engine().apply_moves(
+            self._router_index,
+            new_positions,
+            moved,
+            (self._edge_rows, self._edge_cols),
+            (self._cov_router, self._cov_client),
+            link_filter=(
+                link_hits
+                if self._compiled is None
+                else self._compiled.link_hits_compiled
+            ),
         )
-        cov_router = np.concatenate([self._cov_router[ckeep], new_cov_router])
-        cov_client = np.concatenate([self._cov_client[ckeep], new_cov_client])
-        return rows, cols, cov_router, cov_client
 
     def _sparse_measure(
         self,

@@ -37,6 +37,7 @@ from repro.core.solution import Placement
 __all__ = [
     "DEFAULT_QUERY_CHUNK",
     "SpatialGridIndex",
+    "expand_ranges",
     "link_cell_size",
     "coverage_cell_size",
     "sparse_edges",
@@ -47,11 +48,40 @@ __all__ = [
 #: pass in chunked coverage counting; bounds the candidate-pair arrays.
 DEFAULT_QUERY_CHUNK = 4096
 
+#: Routers per query pass when a chain cache collects every router's
+#: hits: the hit arrays are kept, so the transient candidate pairs are
+#: held to a small multiple of them (~25k pairs a pass at city scale).
+HIT_QUERY_CHUNK = 256
+
 #: Cross-bin offsets covering each unordered bin pair exactly once.
 _HALF_NEIGHBORHOOD = ((0, 1), (1, -1), (1, 0), (1, 1))
 
-#: The full 3x3 ring, for point-against-index queries.
+#: The full 3x3 ring, for point-against-index queries, as ``(9, 1)``
+#: offset columns.
 _FULL_NEIGHBORHOOD = tuple((ox, oy) for ox in (-1, 0, 1) for oy in (-1, 0, 1))
+_RING_X = np.array([ox for ox, _ in _FULL_NEIGHBORHOOD])[:, np.newaxis]
+_RING_Y = np.array([oy for _, oy in _FULL_NEIGHBORHOOD])[:, np.newaxis]
+
+
+def expand_ranges(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``(i, slot)`` for every slot in ``[starts[i], ends[i])``.
+
+    The flattened ragged-range trick: one ``repeat`` for the sources,
+    one ``repeat`` + ``arange`` for the in-range offsets.
+    """
+    lengths = np.maximum(ends - starts, 0)
+    total = int(lengths.sum())
+    if total == 0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty.copy()
+    sources = np.repeat(np.arange(len(starts), dtype=np.intp), lengths)
+    run_starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    slots = np.repeat(starts, lengths) + (
+        np.arange(total, dtype=np.intp) - run_starts
+    )
+    return sources, slots.astype(np.intp, copy=False)
 
 
 def link_cell_size(radii: np.ndarray, link_rule: LinkRule) -> float:
@@ -86,8 +116,6 @@ class SpatialGridIndex:
         "n_points",
         "_order",
         "_sorted_ids",
-        "_bx",
-        "_by",
         "_min_bx",
         "_max_bx",
         "_min_by",
@@ -103,19 +131,19 @@ class SpatialGridIndex:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self.cell_size = float(cell_size)
         self.n_points = int(points.shape[0])
-        self._bx = np.floor(points[:, 0] / self.cell_size).astype(np.int64) \
-            if self.n_points else np.zeros(0, dtype=np.int64)
-        self._by = np.floor(points[:, 1] / self.cell_size).astype(np.int64) \
-            if self.n_points else np.zeros(0, dtype=np.int64)
+        bx = np.floor(points[:, 0] / self.cell_size).astype(np.int64)
+        by = np.floor(points[:, 1] / self.cell_size).astype(np.int64)
         if self.n_points:
-            self._min_bx = int(self._bx.min())
-            self._max_bx = int(self._bx.max())
-            self._min_by = int(self._by.min())
-            self._max_by = int(self._by.max())
+            self._min_bx = int(bx.min())
+            self._max_bx = int(bx.max())
+            self._min_by = int(by.min())
+            self._max_by = int(by.max())
         else:
             self._min_bx = self._max_bx = self._min_by = self._max_by = 0
         self._stride = self._max_by - self._min_by + 1
-        ids = self._bin_ids(self._bx, self._by)
+        # Only the sorted bin ids are kept: a point's bin coordinates
+        # are recoverable from its id, so the index stays two arrays.
+        ids = self._bin_ids(bx, by)
         self._order = np.argsort(ids, kind="stable").astype(np.intp, copy=False)
         self._sorted_ids = ids[self._order]
 
@@ -131,25 +159,6 @@ class SpatialGridIndex:
             & (by <= self._max_by)
         )
 
-    @staticmethod
-    def _expand(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pairs ``(i, slot)`` for every slot in ``[starts[i], ends[i])``.
-
-        The flattened ragged-range trick: one ``repeat`` for the sources,
-        one ``repeat`` + ``arange`` for the in-range offsets.
-        """
-        lengths = np.maximum(ends - starts, 0)
-        total = int(lengths.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty.copy()
-        sources = np.repeat(np.arange(len(starts), dtype=np.intp), lengths)
-        run_starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        slots = np.repeat(starts, lengths) + (
-            np.arange(total, dtype=np.intp) - run_starts
-        )
-        return sources, slots.astype(np.intp, copy=False)
-
     def candidate_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All unordered point pairs from same-or-adjacent bins, each once.
 
@@ -162,13 +171,13 @@ class SpatialGridIndex:
             empty = np.zeros(0, dtype=np.intp)
             return empty, empty.copy()
         ids = self._sorted_ids
-        bx = self._bx[self._order]
-        by = self._by[self._order]
+        bx = ids // self._stride + self._min_bx
+        by = ids % self._stride + self._min_by
         source_parts: list[np.ndarray] = []
         target_parts: list[np.ndarray] = []
         # Same-bin pairs: each sorted slot against the rest of its bin.
         ends = np.searchsorted(ids, ids, side="right")
-        sources, targets = self._expand(np.arange(n, dtype=np.int64) + 1, ends)
+        sources, targets = expand_ranges(np.arange(n, dtype=np.int64) + 1, ends)
         source_parts.append(sources)
         target_parts.append(targets)
         # Cross-bin pairs: half the ring, so each bin pair appears once.
@@ -180,7 +189,7 @@ class SpatialGridIndex:
             starts = np.searchsorted(ids, tids, side="left")
             stops = np.searchsorted(ids, tids, side="right")
             stops = np.where(valid, stops, starts)
-            sources, targets = self._expand(starts, stops)
+            sources, targets = expand_ranges(starts, stops)
             source_parts.append(sources)
             target_parts.append(targets)
         order = self._order
@@ -203,26 +212,19 @@ class SpatialGridIndex:
         if points.shape[0] == 0 or self.n_points == 0:
             empty = np.zeros(0, dtype=np.intp)
             return empty, empty.copy()
+        # All nine ring offsets in one pass: ``(9, P)`` bin coordinates,
+        # flattened offset-major, then one ragged expansion.
         pbx = np.floor(points[:, 0] / self.cell_size).astype(np.int64)
         pby = np.floor(points[:, 1] / self.cell_size).astype(np.int64)
+        tbx = pbx[np.newaxis, :] + _RING_X
+        tby = pby[np.newaxis, :] + _RING_Y
+        tids = self._bin_ids(tbx, tby).ravel()
         ids = self._sorted_ids
-        query_parts: list[np.ndarray] = []
-        member_parts: list[np.ndarray] = []
-        for ox, oy in _FULL_NEIGHBORHOOD:
-            tbx = pbx + ox
-            tby = pby + oy
-            valid = self._in_range(tbx, tby)
-            tids = self._bin_ids(tbx, tby)
-            starts = np.searchsorted(ids, tids, side="left")
-            stops = np.searchsorted(ids, tids, side="right")
-            stops = np.where(valid, stops, starts)
-            queries, slots = self._expand(starts, stops)
-            query_parts.append(queries)
-            member_parts.append(slots)
-        return (
-            np.concatenate(query_parts),
-            self._order[np.concatenate(member_parts)],
-        )
+        starts = np.searchsorted(ids, tids, side="left")
+        stops = np.searchsorted(ids, tids, side="right")
+        stops = np.where(self._in_range(tbx, tby).ravel(), stops, starts)
+        ring_queries, slots = expand_ranges(starts, stops)
+        return ring_queries % points.shape[0], self._order[slots]
 
 
 def link_hits(
@@ -330,9 +332,10 @@ class SparseEngine:
     chunks of :data:`DEFAULT_QUERY_CHUNK` routers so the candidate-pair
     arrays stay bounded regardless of instance size.
     :class:`~repro.core.engine.stacked.StackedEngine` builds the one that
-    measures on the sparse tier; the sparse delta layout of
-    :class:`~repro.core.engine.delta.DeltaEvaluator` builds its own for
-    the coverage queries.
+    measures on the sparse tier; the sparse layouts of
+    :class:`~repro.core.engine.stacked.StackedDeltaEngine` and
+    :class:`~repro.core.engine.delta.DeltaEvaluator` build their own for
+    the coverage queries and the mover updates (:meth:`apply_moves`).
     """
 
     def __init__(
@@ -360,26 +363,122 @@ class SparseEngine:
         """The configured scalarization."""
         return self._fitness
 
-    def coverage_hits(
-        self, positions: np.ndarray, router_ids: np.ndarray
+    def point_hits(
+        self, points: np.ndarray, radii_squared: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Passing ``(router, client)`` coverage pairs for given routers.
+        """Passing ``(point, client)`` coverage pairs for arbitrary points.
 
-        One client-index query plus the exact float64 radius test — the
-        single implementation both :meth:`covered_count` and the sparse
-        delta path build on, so the coverage predicate cannot diverge
-        between them.
+        Point ``p`` covers with squared radius ``radii_squared[p]``.  One
+        client-index query plus the exact float64 radius test — the
+        single implementation every sparse coverage path builds on, so
+        the coverage predicate cannot diverge between them.
         """
-        local, client_idx = self.client_index.query_points(positions[router_ids])
+        local, client_idx = self.client_index.query_points(points)
         if local.size == 0:
             empty = np.zeros(0, dtype=np.intp)
             return empty, empty.copy()
         clients = self._problem.clients.positions
-        routers = router_ids[local]
-        dx = clients[client_idx, 0] - positions[routers, 0]
-        dy = clients[client_idx, 1] - positions[routers, 1]
-        hit = dx * dx + dy * dy <= self._radii_squared[routers]
-        return routers[hit], client_idx[hit]
+        dx = clients[client_idx, 0] - points[local, 0]
+        dy = clients[client_idx, 1] - points[local, 1]
+        hit = dx * dx + dy * dy <= radii_squared[local]
+        return local[hit], client_idx[hit]
+
+    def coverage_hits(
+        self, positions: np.ndarray, router_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Passing ``(router, client)`` coverage pairs for given routers."""
+        local, client_idx = self.point_hits(
+            positions[router_ids], self._radii_squared[router_ids]
+        )
+        return router_ids[local], client_idx
+
+    def router_hits(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every router's ``(router, client)`` hit pairs, router-major.
+
+        Queried in chunks of :data:`HIT_QUERY_CHUNK` routers, so the
+        candidate-pair arrays stay bounded; the stable sort keeps each
+        router's clients in query order.
+        """
+        router_parts: list[np.ndarray] = []
+        client_parts: list[np.ndarray] = []
+        step = HIT_QUERY_CHUNK
+        for start in range(0, positions.shape[0], step):
+            chunk = np.arange(
+                start, min(start + step, positions.shape[0]), dtype=np.intp
+            )
+            routers, clients = self.coverage_hits(positions, chunk)
+            router_parts.append(routers)
+            client_parts.append(clients)
+        if not router_parts:
+            empty = np.zeros(0, dtype=np.intp)
+            return empty, empty.copy()
+        routers = np.concatenate(router_parts)
+        order = np.argsort(routers, kind="stable")
+        return routers[order], np.concatenate(client_parts)[order]
+
+    def apply_moves(
+        self,
+        router_index: SpatialGridIndex,
+        positions: np.ndarray,
+        moved: np.ndarray,
+        edges: tuple[np.ndarray, np.ndarray],
+        hits: tuple[np.ndarray, np.ndarray],
+        link_filter=link_hits,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """An incumbent's edge and hit arrays after ``moved`` routers move.
+
+        The one mover-update rule of the sparse caches: every cached
+        entry touching a moved router is dropped, then only the moved
+        routers' new neighborhoods are re-queried — link partners
+        against ``router_index`` (the incumbent's router index: unmoved
+        routers are exactly where it put them), exhaustive pairs among
+        the moved routers themselves, and coverage hits against the
+        static client index.  ``positions`` are the candidate's,
+        ``link_filter`` is :func:`link_hits` or its compiled twin.
+        Returns ``(edge_rows, edge_cols, hit_router, hit_client)``;
+        kept entries stay in their cached order, new ones follow.
+        """
+        edge_rows, edge_cols = edges
+        hit_router, hit_client = hits
+        if moved.size == 0:
+            return edge_rows, edge_cols, hit_router, hit_client
+        moved = moved.astype(np.intp, copy=False)
+        is_moved = np.zeros(self._problem.n_routers, dtype=bool)
+        is_moved[moved] = True
+
+        keep = ~(is_moved[edge_rows] | is_moved[edge_cols])
+        row_parts = [edge_rows[keep]]
+        col_parts = [edge_cols[keep]]
+        link_rule = self._problem.link_rule
+        # A moved router's new position may fall outside the index
+        # extent; the query still finds every in-extent neighbor bin of
+        # that position, and unmoved routers all live in the extent.
+        local, partner = router_index.query_points(positions[moved])
+        if local.size:
+            usable = ~is_moved[partner]
+            rows, cols = link_filter(
+                positions, self._radii, link_rule,
+                moved[local][usable], partner[usable],
+            )
+            row_parts.append(rows)
+            col_parts.append(cols)
+        # Moved-vs-moved links, each unordered pair tested once.
+        if moved.size > 1:
+            a_idx, b_idx = np.triu_indices(moved.size, k=1)
+            rows, cols = link_filter(
+                positions, self._radii, link_rule, moved[a_idx], moved[b_idx]
+            )
+            row_parts.append(rows)
+            col_parts.append(cols)
+
+        kept = ~is_moved[hit_router]
+        new_router, new_client = self.coverage_hits(positions, moved)
+        return (
+            np.concatenate(row_parts),
+            np.concatenate(col_parts),
+            np.concatenate([hit_router[kept], new_router]),
+            np.concatenate([hit_client[kept], new_client]),
+        )
 
     def covered_count(
         self, positions: np.ndarray, router_mask: np.ndarray | None

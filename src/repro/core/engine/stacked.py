@@ -4,9 +4,10 @@
 argument to a tier and builds the per-tier sub-engines.  Every counted
 measurement (:class:`~repro.core.evaluation.Evaluator` on the compiled
 and sparse tiers, and its ``evaluate_many`` on every tier) and every
-full-stack phase of the lockstep search
-(:mod:`repro.neighborhood.multichain`) goes through it.  It measures a
-whole candidate stack in as few passes as the tier allows —
+full-stack measurement of the lockstep search
+(:mod:`repro.neighborhood.multichain`: chain starts and moves without
+an array form) goes through it.  It measures a whole candidate stack in
+as few passes as the tier allows —
 
 * **dense** — the ``(K, N, 2)`` position tensor goes straight into
   :func:`repro.core.engine.batch.measure_stack` in chunks of
@@ -23,7 +24,8 @@ whole candidate stack in as few passes as the tier allows —
 
 Every tier produces bit-identical metric rows, so no caller needs to
 know which tier it runs on.  :class:`StackedDeltaEngine` is the
-incremental companion for lockstep chains; it takes the tier its
+incremental companion that measures every array phase of the lockstep
+chains, on both cache layouts; it takes the tier its
 :class:`StackedEngine` resolved.
 """
 
@@ -37,6 +39,12 @@ from repro.core.coverage import coverage_matrix
 from repro.core.engine.batch import StackedMeasurement, measure_stack
 from repro.core.engine.components import labels_from_edge_stack
 from repro.core.engine.dispatch import resolve_engine
+from repro.core.engine.sparse import (
+    SparseEngine,
+    SpatialGridIndex,
+    expand_ranges,
+    link_hits,
+)
 from repro.core.fitness import FitnessFunction, WeightedSumFitness
 from repro.core.network import adjacency_matrix
 from repro.core.problem import ProblemInstance
@@ -54,6 +62,8 @@ __all__ = [
 #: candidates allocates O(K * N^2 + K * M * N) intermediates, so larger
 #: stacks are measured in chunks of this size.
 DEFAULT_MAX_CHUNK = 256
+
+_NO_PAIRS = np.zeros(0, dtype=np.intp)
 
 
 class StackedEngine:
@@ -96,9 +106,8 @@ class StackedEngine:
         """The numpy cache layout this engine's instance calls for.
 
         ``"dense"`` or ``"sparse"`` — for the compiled tier this is the
-        :func:`~repro.core.engine.dispatch.select_engine` form, which
-        also tells the search layer whether dense incumbent caches
-        (:class:`StackedDeltaEngine`) are affordable.
+        :func:`~repro.core.engine.dispatch.select_engine` form, the
+        layout a :class:`StackedDeltaEngine` of the same tier caches.
         """
         if self._engine == "compiled":
             from repro.core.engine.dispatch import select_engine
@@ -117,8 +126,6 @@ class StackedEngine:
 
     def _sparse_engine(self):
         if self._sparse is None:
-            from repro.core.engine.sparse import SparseEngine
-
             self._sparse = SparseEngine(self._problem, self._fitness)
         return self._sparse
 
@@ -253,62 +260,100 @@ class PhaseCandidates:
 
 
 class _ChainCache:
-    """Incumbent state of one chain (see :class:`StackedDeltaEngine`)."""
+    """Incumbent state of one chain (see :class:`StackedDeltaEngine`).
+
+    Both layouts hold the incumbent's placement, positions and one-way
+    edge arrays.  The dense layout adds the boolean adjacency and
+    coverage matrices plus one per-rule coverage aid; the sparse layout
+    adds a router :class:`~repro.core.engine.sparse.SpatialGridIndex`
+    binned on the link cell and the coverage hits in router-major CSR
+    form: router ``r`` covers clients
+    ``hit_client[hit_ptr[r]:hit_ptr[r + 1]]``.  That is ``O(N + E + H)``
+    bytes (routers, edges, hits) in all, with no array shaped by the
+    client count.
+    """
 
     __slots__ = (
         "placement",
         "positions",
+        "edge_rows",
+        "edge_cols",
+        # Dense layout.
         "adjacency",
         "coverage",
         "coverage32",
         "coverage_counts",
         "client_ptr",
         "client_hit",
-        "edge_rows",
-        "edge_cols",
+        # Sparse layout.
+        "index",
+        "hit_ptr",
+        "hit_client",
     )
 
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        placement: Placement,
-        use_csr: bool = False,
-    ) -> None:
+    def __init__(self, placement: Placement) -> None:
+        for name in self.__slots__:
+            setattr(self, name, None)
         self.placement = placement
         self.positions = np.array(placement.positions_array(), dtype=float)
+
+    @classmethod
+    def dense(
+        cls, problem: ProblemInstance, placement: Placement, use_csr: bool
+    ) -> "_ChainCache":
+        """Adjacency and coverage matrices by the reference builders."""
+        cache = cls(placement)
         # The reference matrix builders, so the cached state is exactly
         # what the scalar/batch paths would compute.
-        self.adjacency = adjacency_matrix(
-            self.positions, problem.fleet.radii, problem.link_rule
+        cache.adjacency = adjacency_matrix(
+            cache.positions, problem.fleet.radii, problem.link_rule
         )
-        self.coverage = coverage_matrix(
-            problem.clients.positions, self.positions, problem.fleet.radii
+        cache.coverage = coverage_matrix(
+            problem.clients.positions, cache.positions, problem.fleet.radii
         )
         if use_csr:
             # Compiled tier: byte-scan edge extraction, same (i < j)
             # row-major order as the np.nonzero path below.
             from repro.core.engine.compiled import dense_edges
 
-            self.edge_rows, self.edge_cols = dense_edges(self.adjacency)
+            cache.edge_rows, cache.edge_cols = dense_edges(cache.adjacency)
         else:
-            rows, cols = np.nonzero(self.adjacency)
-            one_way = rows < cols
-            self.edge_rows = rows[one_way].astype(np.intp)
-            self.edge_cols = cols[one_way].astype(np.intp)
-        self.coverage32 = None
-        self.coverage_counts = None
-        self.client_ptr = None
-        self.client_hit = None
+            cache.refresh_edges()
         if problem.coverage_rule is CoverageRule.ANY_ROUTER:
-            self.coverage_counts = self.coverage.sum(axis=1, dtype=np.int32)
+            cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
         elif use_csr:
             # Client-major hit lists for the compiled giant-only count
             # kernel (exact integers end to end).
-            self.refresh_csr()
+            cache.refresh_csr()
         else:
             # float32 copy for the per-phase sgemm: counts stay exact
             # (at most N ones per client, far below 2**24).
-            self.coverage32 = self.coverage.astype(np.float32)
+            cache.coverage32 = cache.coverage.astype(np.float32)
+        return cache
+
+    @classmethod
+    def sparse(
+        cls, sparse: SparseEngine, placement: Placement, link_filter
+    ) -> "_ChainCache":
+        """Edge and hit arrays from the spatial indexes."""
+        cache = cls(placement)
+        cache.index = SpatialGridIndex(cache.positions, sparse.link_cell)
+        problem = sparse.problem
+        cache.edge_rows, cache.edge_cols = link_filter(
+            cache.positions,
+            problem.fleet.radii,
+            problem.link_rule,
+            *cache.index.candidate_pairs(),
+        )
+        cache.set_hits(*sparse.router_hits(cache.positions))
+        return cache
+
+    def refresh_edges(self) -> None:
+        """One-way ``(i < j)`` edge arrays from the adjacency matrix."""
+        rows, cols = np.nonzero(self.adjacency)
+        one_way = rows < cols
+        self.edge_rows = rows[one_way].astype(np.intp)
+        self.edge_cols = cols[one_way].astype(np.intp)
 
     def refresh_csr(self) -> None:
         """Rebuild the client-major CSR from the coverage matrix."""
@@ -316,35 +361,67 @@ class _ChainCache:
 
         self.client_ptr, self.client_hit = client_csr(self.coverage)
 
+    def set_hits(self, hit_router: np.ndarray, hit_client: np.ndarray) -> None:
+        """Store router-sorted ``(router, client)`` hits as the CSR."""
+        self.hit_ptr = np.searchsorted(
+            hit_router, np.arange(self.positions.shape[0] + 1)
+        )
+        # Client ids fit 32 bits; half the bytes of the largest array.
+        self.hit_client = hit_client.astype(np.int32)
+
+    def hit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hits as parallel ``(router, client)`` arrays."""
+        routers = np.repeat(
+            np.arange(self.positions.shape[0], dtype=np.intp),
+            np.diff(self.hit_ptr),
+        )
+        return routers, self.hit_client
+
 
 class StackedDeltaEngine:
-    """Incremental stacked measurement for lockstep chains (dense layout).
+    """Incremental stacked measurement for lockstep chains.
 
     Every phase candidate differs from its chain's incumbent by at most
-    a couple of *moved* routers, so rebuilding the full
-    ``O(K * (N^2 + M * N))`` tensors per phase — what
-    :func:`~repro.core.engine.batch.measure_stack` does — wastes almost
-    all of its arithmetic on unchanged rows.  This engine keeps one
-    :class:`_ChainCache` per chain (incumbent adjacency, coverage hits
-    and one-way edge arrays, built by the reference formulas) and per
-    phase recomputes only:
+    a couple of *moved* routers, so re-measuring each candidate in full
+    wastes almost all of its work on unchanged routers.  This engine
+    keeps one :class:`_ChainCache` per chain and per phase recomputes
+    only what the movers touch:
 
-    * one ``(P, N)`` adjacency-row and one ``(P, M)`` coverage-column
-      broadcast per chain for the ``P`` (candidate, moved-router) pairs;
     * per-candidate edge lists as *kept incumbent edges* (a boolean mask
-      over the cached one-way arrays) plus the moved routers' new edges,
-      labeled for the whole phase in one
-      :func:`~repro.core.engine.components.labels_from_edge_stack` pass;
-    * covered-client counts from one exact ``float32`` matmul of the
-      cached hit matrix against the candidate giant masks, corrected per
-      moved router (``GIANT_ONLY``), or cached per-client hit counts
-      corrected per moved router (``ANY_ROUTER``).
+      over the cached one-way arrays) plus the movers' new links,
+      labeled for the whole phase in one connected-components pass;
+    * covered-client counts from the cached coverage state, corrected
+      per moved router.
 
-    Results are bit-identical to ``measure_stack`` on the candidate
-    placements (the multichain parity suite asserts it): the float64
-    row/column predicates match the reference matrix builders
-    elementwise, labels are canonical smallest-member ids, and the
-    integer count arithmetic is exact.
+    Two cache layouts, picked like
+    :class:`~repro.core.engine.delta.DeltaEvaluator` picks its own: the
+    ``"dense"`` tier uses the dense layout, ``"sparse"`` the sparse one
+    and ``"compiled"`` whichever
+    :func:`~repro.core.engine.dispatch.select_engine` names.
+
+    * **dense** — incumbent adjacency and coverage matrices.  A phase
+      broadcasts one ``(P, N)`` adjacency row and one ``(P, M)``
+      coverage column per (candidate, moved-router) pair, and counts
+      ``GIANT_ONLY`` coverage with one exact ``float32`` matmul of the
+      cached hits against the candidate giant masks (``ANY_ROUTER``:
+      cached per-client hit counts).  The compiled tier runs the fused
+      C kernels on the same caches.
+    * **sparse** (city scale) — a router index, edge arrays and
+      router-major coverage hits; no ``(M, N)`` or ``(N, N)`` array
+      exists.  A mover's links to unmoved routers come from one query
+      of all its chain's pair targets against the incumbent index,
+      co-mover links are tested at both new positions, and its new
+      coverage hits from one client-index query for the whole phase.
+      ``GIANT_ONLY`` coverage unions the cached hits of each
+      candidate's unmoved giant routers with the new hits of its giant
+      movers.  The tier picks only the labeler and the pair filter (the
+      compiled union-find and link filter, or their numpy twins).
+
+    Results are bit-identical to a full
+    :meth:`StackedEngine.measure_placements` of the candidate
+    placements (the parity suites assert it): every link and coverage
+    test is the reference float64 predicate, labels are canonical
+    smallest-member ids, and the integer count arithmetic is exact.
 
     Protocol: :meth:`reset_chain` once per chain, :meth:`measure_phase`
     once per phase with the candidates as :class:`PhaseCandidates`
@@ -361,29 +438,41 @@ class StackedDeltaEngine:
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         radii = problem.fleet.radii
-        link_range = problem.link_rule.range_matrix(radii)
-        self._range_squared = link_range * link_range
+        self._radii = radii
         self._radii_squared = radii * radii
         self._clients = problem.clients.positions
         self._giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
         self._caches: dict[int, _ChainCache] = {}
-        # The dense-layout caches are shared; ``engine`` — the tier a
-        # StackedEngine already resolved — only picks who crunches them:
-        # the numpy broadcasts/sgemm ("dense") or the C kernels
-        # ("compiled").
+        # ``engine`` is the tier a StackedEngine already resolved; on
+        # the compiled tier the C kernels crunch the layout the size
+        # heuristic picks.
         if engine == "compiled":
             from repro.core.engine import compiled
+            from repro.core.engine.dispatch import select_engine
 
             compiled.require()
             self._compiled = compiled
-        elif engine == "dense":
+            self._layout = select_engine(problem)
+            self._label = compiled.label_components
+            self._link_filter = compiled.link_hits_compiled
+        elif engine in ("dense", "sparse"):
             self._compiled = None
+            self._layout = engine
+            self._label = labels_from_edge_stack
+            self._link_filter = link_hits
         else:
             raise ValueError(
                 "StackedDeltaEngine engine must be a resolved tier, "
-                f"'dense' or 'compiled', got {engine!r}"
+                f"'dense', 'sparse' or 'compiled', got {engine!r}"
             )
         self._engine = engine
+        if self._layout == "dense":
+            link_range = problem.link_rule.range_matrix(radii)
+            self._range_squared = link_range * link_range
+            self._sparse = None
+        else:
+            # One client index, shared by every chain.
+            self._sparse = SparseEngine(problem, self._fitness)
 
     @property
     def problem(self) -> ProblemInstance:
@@ -397,32 +486,54 @@ class StackedDeltaEngine:
 
     @property
     def engine(self) -> str:
-        """Who crunches the phase deltas: ``"dense"`` or ``"compiled"``."""
+        """The resolved tier: ``"dense"``, ``"sparse"`` or ``"compiled"``."""
         return self._engine
+
+    @property
+    def layout(self) -> str:
+        """The chain-cache layout in use: ``"dense"`` or ``"sparse"``."""
+        return self._layout
 
     def reset_chain(self, chain: int, placement: Placement) -> None:
         """(Re)build chain ``chain``'s incumbent cache from scratch."""
-        self._caches[chain] = _ChainCache(
-            self._problem, placement, use_csr=self._compiled is not None
-        )
+        if self._sparse is None:
+            cache = _ChainCache.dense(
+                self._problem, placement, use_csr=self._compiled is not None
+            )
+        else:
+            cache = _ChainCache.sparse(self._sparse, placement, self._link_filter)
+        self._caches[chain] = cache
 
     def commit_chain(self, chain: int, placement: Placement) -> None:
         """Advance chain ``chain``'s incumbent to an accepted placement.
 
-        Rewrites only the moved routers' adjacency rows/columns and
-        coverage columns in place (the same update rule as
-        :meth:`~repro.core.engine.delta.DeltaEvaluator.commit`), then
-        refreshes the one-way edge arrays from the patched adjacency.
+        Rewrites only the moved routers' state.  Dense layout: their
+        adjacency rows/columns and coverage columns, in place (the same
+        update rule as :meth:`~repro.core.engine.delta.DeltaEvaluator.commit`),
+        then the one-way edge arrays.  Sparse layout: the shared
+        :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves` rule,
+        then a rebuilt router index.
         """
         cache = self._caches.get(chain)
         if cache is None:
             self.reset_chain(chain, placement)
             return
-        new_positions = placement.positions_array()
-        moved = np.flatnonzero((new_positions != cache.positions).any(axis=1))
-        if moved.size == 0:
-            cache.placement = placement
-            return
+        # The cell array, not positions_array(): an accepted placement
+        # carries no float copy of its cells (results keep placements).
+        new_cells = placement.cells_array()
+        moved = np.flatnonzero((new_cells != cache.positions).any(axis=1))
+        if moved.size:
+            new_positions = cache.positions.copy()
+            new_positions[moved] = new_cells[moved]
+            if self._sparse is None:
+                self._commit_dense(cache, new_positions, moved)
+            else:
+                self._commit_sparse(cache, new_positions, moved)
+        cache.placement = placement
+
+    def _commit_dense(
+        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
+    ) -> None:
         x = new_positions[:, 0]
         y = new_positions[:, 1]
         clients = self._clients
@@ -477,12 +588,29 @@ class StackedDeltaEngine:
             cache.edge_rows = np.concatenate(row_parts)
             cache.edge_cols = np.concatenate(col_parts)
         else:
-            rows, cols = np.nonzero(cache.adjacency)
-            one_way = rows < cols
-            cache.edge_rows = rows[one_way].astype(np.intp)
-            cache.edge_cols = cols[one_way].astype(np.intp)
+            cache.refresh_edges()
         cache.positions[moved] = new_positions[moved]
-        cache.placement = placement
+
+    def _commit_sparse(
+        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
+    ) -> None:
+        rows, cols, hit_router, hit_client = self._sparse.apply_moves(
+            cache.index,
+            new_positions,
+            moved,
+            (cache.edge_rows, cache.edge_cols),
+            cache.hit_pairs(),
+            link_filter=self._link_filter,
+        )
+        cache.edge_rows, cache.edge_cols = rows, cols
+        # Kept hits stay router-sorted and the movers' follow, so the
+        # stable sort is one merge-like pass.
+        order = np.argsort(hit_router, kind="stable")
+        cache.set_hits(hit_router[order], hit_client[order])
+        cache.positions[moved] = new_positions[moved]
+        # A full re-bin: O(N log N), a fraction of a millisecond at
+        # city scale, once per accepted candidate.
+        cache.index = SpatialGridIndex(cache.positions, self._sparse.link_cell)
 
     # ------------------------------------------------------------------
     # Phase measurement
@@ -509,7 +637,7 @@ class StackedDeltaEngine:
         n_links = np.empty(k_total, dtype=np.intp)
         giant_masks = np.empty((k_total, n), dtype=bool)
 
-        # ---- pass 1: per-chain adjacency deltas and edge stacks ------
+        # ---- pass 1: per-chain link deltas and edge stacks -----------
         segments = _chain_segments(candidates)
         edge_sources: list[np.ndarray] = []
         edge_targets: list[np.ndarray] = []
@@ -529,12 +657,7 @@ class StackedDeltaEngine:
         targets = (
             np.concatenate(edge_targets) if edge_targets else np.zeros(0, np.intp)
         )
-        if self._compiled is not None:
-            # One union-find kernel for any stack size, replacing the
-            # scipy-vs-propagation split (identical canonical labels).
-            labels = self._compiled.label_components(k_total * n, sources, targets)
-        else:
-            labels = labels_from_edge_stack(k_total * n, sources, targets)
+        labels = self._label(k_total * n, sources, targets)
         counts = np.bincount(labels, minlength=k_total * n).reshape(k_total, n)
         labels = labels.reshape(k_total, n)
         labels -= np.arange(k_total, dtype=np.intp)[:, np.newaxis] * n
@@ -545,10 +668,15 @@ class StackedDeltaEngine:
         n_components[:] = (counts > 0).sum(axis=1)
         np.equal(labels, giant_labels[:, np.newaxis], out=giant_masks)
 
-        # ---- pass 2: coverage, per chain ------------------------------
-        for (chain, start, end, _), scratch in zip(segments, chain_scratch):
-            self._chain_coverage(
-                self._caches[chain], start, end, scratch, giant_masks, covered
+        # ---- pass 2: coverage -----------------------------------------
+        if self._sparse is None:
+            for (chain, start, end, _), scratch in zip(segments, chain_scratch):
+                self._chain_coverage(
+                    self._caches[chain], start, end, scratch, giant_masks, covered
+                )
+        else:
+            self._sparse_coverage(
+                candidates, segments, chain_scratch, giant_masks, covered
             )
 
         degree_totals = 2 * n_links
@@ -580,13 +708,12 @@ class StackedDeltaEngine:
         edge_sources: list[np.ndarray],
         edge_targets: list[np.ndarray],
     ) -> tuple:
-        """Adjacency deltas + stacked edge arrays for one chain's segment.
+        """Link deltas + stacked edge arrays for one chain's segment.
 
         Candidates ``start:end`` are this chain's, and ``pairs`` slices
         their (candidate, mover) pairs.  Fills ``n_links[start:end]``
         and appends this chain's globally offset edge arrays; returns
-        the scratch (pair arrays and new coverage columns) the coverage
-        pass reuses.
+        the scratch the coverage pass reuses.
         """
         n = self._problem.n_routers
         count = end - start
@@ -595,11 +722,85 @@ class StackedDeltaEngine:
         cand_of_pair = candidates.pair_candidate[pairs] - start
         router_of_pair = candidates.pair_router[pairs]
         new_xy = candidates.pair_xy[pairs]
-        n_pairs = router_of_pair.size
         mover_lengths = np.bincount(cand_of_pair, minlength=count)
         pair_first = np.cumsum(mover_lengths) - mover_lengths
         max_movers = int(mover_lengths.max(initial=0))
+        # Co-mover pairs (pair_i, pair_j) of every candidate, one
+        # vectorized slice per (i, j) mover slot.
+        pair_i = pair_j = _NO_PAIRS
+        if max_movers > 1:
+            slot_i: list[np.ndarray] = []
+            slot_j: list[np.ndarray] = []
+            for i in range(max_movers):
+                for j in range(i + 1, max_movers):
+                    local = np.flatnonzero(mover_lengths > j)
+                    slot_i.append(pair_first[local] + i)
+                    slot_j.append(pair_first[local] + j)
+            pair_i = np.concatenate(slot_i)
+            pair_j = np.concatenate(slot_j)
 
+        # Mover links: (new_pair, new_target) to unmoved routers, and
+        # the linked co-mover pairs (extra_i, extra_j), each once.
+        if cache.index is None:
+            new_pair, new_target, extra_i, extra_j, scratch = (
+                self._dense_mover_links(
+                    cache, cand_of_pair, router_of_pair, new_xy, pair_i, pair_j
+                )
+            )
+        else:
+            new_pair, new_target, extra_i, extra_j, scratch = (
+                self._sparse_mover_links(
+                    cache, count, cand_of_pair, router_of_pair, new_xy,
+                    pair_i, pair_j,
+                )
+            )
+
+        # Kept incumbent edges: both endpoints unmoved.
+        base_rows = cache.edge_rows
+        base_cols = cache.edge_cols
+        keep = np.ones((count, base_rows.size), dtype=bool)
+        if max_movers:
+            padded = np.full((count, max_movers), -1, dtype=np.intp)
+            padded[
+                cand_of_pair, np.arange(cand_of_pair.size) - pair_first[cand_of_pair]
+            ] = router_of_pair
+            for w in range(max_movers):
+                column = padded[:, w][:, np.newaxis]
+                keep &= base_rows[np.newaxis, :] != column
+                keep &= base_cols[np.newaxis, :] != column
+
+        n_links[start:end] = keep.sum(axis=1) + np.bincount(
+            cand_of_pair[new_pair], minlength=count
+        )
+
+        # Globally offset edge arrays for the phase labeling.
+        offsets = (np.arange(start, end, dtype=np.intp)) * n
+        kept_cand, kept_edge = np.nonzero(keep)
+        edge_sources.append(offsets[kept_cand] + base_rows[kept_edge])
+        edge_targets.append(offsets[kept_cand] + base_cols[kept_edge])
+        if new_pair.size:
+            new_offsets = offsets[cand_of_pair[new_pair]]
+            edge_sources.append(new_offsets + router_of_pair[new_pair])
+            edge_targets.append(new_offsets + new_target)
+        if extra_i.size:
+            extra_local = cand_of_pair[extra_i]
+            n_links[start:end] += np.bincount(extra_local, minlength=count)
+            edge_sources.append(offsets[extra_local] + router_of_pair[extra_i])
+            edge_targets.append(offsets[extra_local] + router_of_pair[extra_j])
+        return scratch
+
+    def _dense_mover_links(
+        self,
+        cache: _ChainCache,
+        cand_of_pair: np.ndarray,
+        router_of_pair: np.ndarray,
+        new_xy: np.ndarray,
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+    ) -> tuple:
+        """Dense layout: one adjacency row and coverage column per pair."""
+        n = self._problem.n_routers
+        n_pairs = router_of_pair.size
         if n_pairs:
             if self._compiled is not None:
                 # Fused kernel: both broadcasts in one parallel pass,
@@ -637,65 +838,60 @@ class StackedDeltaEngine:
             rows_new = np.zeros((0, n), dtype=bool)
             cols_new = np.zeros((0, self._problem.n_clients), dtype=bool)
 
-        # Mover-mover entries: computed from both new positions (the row
-        # broadcast above tested against the co-mover's *old* position),
-        # counted/emitted once per unordered pair.  One vectorized pass
-        # per (i, j) mover slot over the candidates that have both.
-        extra_local = extra_a = extra_b = np.zeros(0, dtype=np.intp)
-        for i in range(max_movers):
-            for j in range(i + 1, max_movers):
-                local = np.flatnonzero(mover_lengths > j)
-                pair_i = pair_first[local] + i
-                pair_j = pair_first[local] + j
-                a = router_of_pair[pair_i]
-                b = router_of_pair[pair_j]
-                dx2 = new_xy[pair_i, 0] - new_xy[pair_j, 0]
-                dy2 = new_xy[pair_i, 1] - new_xy[pair_j, 1]
-                linked = dx2 * dx2 + dy2 * dy2 <= self._range_squared[a, b]
-                # Clear both directed row entries so the pair is neither
-                # double-counted nor tested against stale positions.
-                rows_new[pair_i, b] = False
-                rows_new[pair_j, a] = False
-                extra_local = np.concatenate((extra_local, local[linked]))
-                extra_a = np.concatenate((extra_a, a[linked]))
-                extra_b = np.concatenate((extra_b, b[linked]))
+        # Co-mover links from both new positions (the row broadcast
+        # above tested against the co-mover's *old* position); clear
+        # both directed row entries so the pair is neither
+        # double-counted nor tested against stale positions.
+        extra_i = extra_j = _NO_PAIRS
+        if pair_i.size:
+            a = router_of_pair[pair_i]
+            b = router_of_pair[pair_j]
+            dx2 = new_xy[pair_i, 0] - new_xy[pair_j, 0]
+            dy2 = new_xy[pair_i, 1] - new_xy[pair_j, 1]
+            linked = dx2 * dx2 + dy2 * dy2 <= self._range_squared[a, b]
+            rows_new[pair_i, b] = False
+            rows_new[pair_j, a] = False
+            extra_i, extra_j = pair_i[linked], pair_j[linked]
+        new_pair, new_target = np.nonzero(rows_new)
+        return (
+            new_pair, new_target, extra_i, extra_j,
+            (cand_of_pair, router_of_pair, cols_new),
+        )
 
-        # Kept incumbent edges: both endpoints unmoved.
-        base_rows = cache.edge_rows
-        base_cols = cache.edge_cols
-        keep = np.ones((count, base_rows.size), dtype=bool)
-        if max_movers:
-            padded = np.full((count, max_movers), -1, dtype=np.intp)
-            padded[cand_of_pair, np.arange(n_pairs) - pair_first[cand_of_pair]] = (
-                router_of_pair
-            )
-            for w in range(max_movers):
-                column = padded[:, w][:, np.newaxis]
-                keep &= base_rows[np.newaxis, :] != column
-                keep &= base_cols[np.newaxis, :] != column
-
-        kept_counts = keep.sum(axis=1)
-        new_counts = np.zeros(count, dtype=np.intp)
-        if n_pairs:
-            np.add.at(new_counts, cand_of_pair, rows_new.sum(axis=1))
-        np.add.at(new_counts, extra_local, 1)
-        n_links[start:end] = kept_counts + new_counts
-
-        # Globally offset edge arrays for the phase labeling.
-        offsets = (np.arange(start, end, dtype=np.intp)) * n
-        kept_cand, kept_edge = np.nonzero(keep)
-        edge_sources.append(offsets[kept_cand] + base_rows[kept_edge])
-        edge_targets.append(offsets[kept_cand] + base_cols[kept_edge])
-        if n_pairs:
-            new_pair, new_target = np.nonzero(rows_new)
-            edge_sources.append(
-                offsets[cand_of_pair[new_pair]] + router_of_pair[new_pair]
-            )
-            edge_targets.append(offsets[cand_of_pair[new_pair]] + new_target)
-        if extra_local.size:
-            edge_sources.append(offsets[extra_local] + extra_a)
-            edge_targets.append(offsets[extra_local] + extra_b)
-        return (cand_of_pair, router_of_pair, cols_new)
+    def _sparse_mover_links(
+        self,
+        cache: _ChainCache,
+        count: int,
+        cand_of_pair: np.ndarray,
+        router_of_pair: np.ndarray,
+        new_xy: np.ndarray,
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+    ) -> tuple:
+        """Sparse layout: index queries plus the exact pair filter."""
+        n = self._problem.n_routers
+        moved = np.zeros((count, n), dtype=bool)
+        moved[cand_of_pair, router_of_pair] = True
+        # Node n + p is pair p's router at its new cell, so the one link
+        # filter tests old-to-new and new-to-new pairs alike.
+        points = np.concatenate((cache.positions, new_xy))
+        point_radii = np.concatenate((self._radii, self._radii[router_of_pair]))
+        link_rule = self._problem.link_rule
+        # Unmoved partners: the incumbent index holds every unmoved
+        # router where it stands; co-movers (the mover itself included)
+        # are dropped.
+        local, partner = cache.index.query_points(new_xy)
+        usable = ~moved[cand_of_pair[local], partner]
+        rows, new_target = self._link_filter(
+            points, point_radii, link_rule, n + local[usable], partner[usable]
+        )
+        extra_i, extra_j = self._link_filter(
+            points, point_radii, link_rule, n + pair_i, n + pair_j
+        )
+        return (
+            rows - n, new_target, extra_i - n, extra_j - n,
+            (cand_of_pair, router_of_pair, moved),
+        )
 
     def _chain_coverage(
         self,
@@ -706,7 +902,7 @@ class StackedDeltaEngine:
         giant_masks: np.ndarray,
         covered: np.ndarray,
     ) -> None:
-        """Covered-client counts for one chain's segment."""
+        """Covered-client counts for one chain's segment (dense layout)."""
         m = self._problem.n_clients
         count = end - start
         if m == 0:
@@ -759,10 +955,70 @@ class StackedDeltaEngine:
                 np.add.at(counts.T, cand_of_pair[hot], difference)
         covered[start:end] = np.count_nonzero(counts > 0.5, axis=0)
 
+    def _sparse_coverage(
+        self,
+        candidates: PhaseCandidates,
+        segments: list[tuple[int, int, int, slice]],
+        chain_scratch: list[tuple],
+        giant_masks: np.ndarray,
+        covered: np.ndarray,
+    ) -> None:
+        """Covered-client counts for the whole phase (sparse layout)."""
+        m = self._problem.n_clients
+        if m == 0:
+            covered[:] = 0
+            return
+        # Every pair target's new hits from one client-index query,
+        # grouped by pair so each chain takes one contiguous run.
+        hit_pair, hit_client = self._sparse.point_hits(
+            candidates.pair_xy, self._radii_squared[candidates.pair_router]
+        )
+        order = np.argsort(hit_pair, kind="stable")
+        hit_pair = hit_pair[order]
+        hit_client = hit_client[order]
+        for (chain, start, end, pairs), scratch in zip(segments, chain_scratch):
+            cache = self._caches[chain]
+            cand_of_pair, router_of_pair, moved = scratch
+            low, high = np.searchsorted(hit_pair, (pairs.start, pairs.stop))
+            new_pair = hit_pair[low:high] - pairs.start
+            new_client = hit_client[low:high]
+            if self._giant_only:
+                # A client is covered by an unmoved giant router's cached
+                # hit or by a giant mover's new one.
+                owner, router = np.nonzero(giant_masks[start:end] & ~moved)
+                slot_owner, slot = expand_ranges(
+                    cache.hit_ptr[router], cache.hit_ptr[router + 1]
+                )
+                hot = giant_masks[
+                    start + cand_of_pair[new_pair], router_of_pair[new_pair]
+                ]
+                flags = np.zeros((end - start, m), dtype=bool)
+                flags[owner[slot_owner], cache.hit_client[slot]] = True
+                flags[cand_of_pair[new_pair[hot]], new_client[hot]] = True
+                covered[start:end] = np.count_nonzero(flags, axis=1)
+                continue
+            # ANY_ROUTER: the incumbent's per-client hit counts, minus
+            # each mover's cached hits, plus its new ones.
+            counts = np.repeat(
+                np.bincount(cache.hit_client, minlength=m).astype(np.int32)[
+                    np.newaxis, :
+                ],
+                end - start,
+                axis=0,
+            )
+            slot_pair, slot = expand_ranges(
+                cache.hit_ptr[router_of_pair], cache.hit_ptr[router_of_pair + 1]
+            )
+            np.subtract.at(
+                counts, (cand_of_pair[slot_pair], cache.hit_client[slot]), 1
+            )
+            np.add.at(counts, (cand_of_pair[new_pair], new_client), 1)
+            covered[start:end] = np.count_nonzero(counts > 0, axis=1)
+
     def __repr__(self) -> str:
         return (
             f"StackedDeltaEngine(n_routers={self._problem.n_routers}, "
-            f"chains={len(self._caches)})"
+            f"layout={self._layout!r}, chains={len(self._caches)})"
         )
 
 

@@ -9,11 +9,15 @@ share.
 
 The assignment is stored as a read-only int ``(N, 2)`` array of
 ``(x, y)`` cells, which the GA operators and the engines work on
-directly.  The :class:`~repro.core.geometry.Point` views — ``cells``,
-``occupied`` and the float ``positions_array()`` — are built on first
-use and cached, so code that only handles arrays never pays for them.
-A placement never stores a ``W x H`` occupancy bitmap: operators that
-need one build it for the duration of one call.
+directly.  The ``occupied`` set and the float ``positions_array()`` are
+built on first use and cached, so code that only handles arrays never
+pays for them; a derived placement starts without them (a swap shares
+its parent's ``occupied`` set).  The
+:class:`~repro.core.geometry.Point` tuple ``cells`` is built per call
+and never kept: at city scale it is ~13x the bytes of the cell array,
+and results and traces keep placements alive.  A placement never stores
+a ``W x H`` occupancy bitmap: operators that need one build it for the
+duration of one call.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ class Placement:
     share a cell.
     """
 
-    __slots__ = ("_grid", "_array", "_cells", "_occupied", "_positions", "_hash")
+    __slots__ = ("_grid", "_array", "_occupied", "_positions", "_hash")
 
     def __init__(self, grid: GridArea, cells: "Sequence[Point] | np.ndarray") -> None:
         array = cell_array(cells)
@@ -65,7 +69,6 @@ class Placement:
         array.setflags(write=False)
         self._grid = grid
         self._array = array
-        self._cells: tuple[Point, ...] | None = None
         self._occupied: frozenset[Point] | None = None
         self._positions: np.ndarray | None = None
         self._hash: int | None = None
@@ -138,7 +141,10 @@ class Placement:
         return iter(self.cells)
 
     def __getitem__(self, router_id: int) -> Point:
-        return self.cells[router_id]
+        if isinstance(router_id, slice):
+            return self.cells[router_id]
+        x, y = self._array[router_id].tolist()
+        return Point(x, y)
 
     # ------------------------------------------------------------------
     # Queries
@@ -146,11 +152,9 @@ class Placement:
 
     @property
     def cells(self) -> tuple[Point, ...]:
-        """The router cells as ``Point`` tuples (built once, on first use)."""
-        if self._cells is None:
-            xs, ys = self._array.T.tolist()
-            self._cells = tuple(map(Point, xs, ys))
-        return self._cells
+        """The router cells as ``Point`` tuples (built on every call)."""
+        xs, ys = self._array.T.tolist()
+        return tuple(map(Point, xs, ys))
 
     def cells_array(self) -> np.ndarray:
         """Read-only int ``(N, 2)`` array of router cells (id order)."""
@@ -203,7 +207,7 @@ class Placement:
         array = self._array
         if self._occupied is not None:
             if cell in self._occupied:
-                if self._cells[router_id] == cell:
+                if self[router_id] == cell:
                     return self
                 raise ValueError(f"cell {tuple(cell)} is already occupied")
         else:
@@ -215,20 +219,7 @@ class Placement:
         self._grid.require_inside(cell)
         moved = array.copy()
         moved[router_id] = (x, y)
-        derived = Placement._trusted(self._grid, moved)
-        # Seed the child's caches from ours: one entry changes, and the
-        # child shares every other ``Point`` instead of rebuilding them
-        # (hot in search loops, and search traces keep many placements).
-        if self._cells is not None:
-            cells = list(self._cells)
-            cells[router_id] = Point(int(x), int(y))
-            derived._cells = tuple(cells)
-        if self._positions is not None:
-            positions = self._positions.copy()
-            positions[router_id] = (x, y)
-            positions.setflags(write=False)
-            derived._positions = positions
-        return derived
+        return Placement._trusted(self._grid, moved)
 
     def with_swap(self, router_a: int, router_b: int) -> "Placement":
         """A new placement with the positions of two routers exchanged.
@@ -245,15 +236,6 @@ class Placement:
         swapped[[router_a, router_b]] = swapped[[router_b, router_a]]
         derived = Placement._trusted(self._grid, swapped)
         derived._occupied = self._occupied
-        if self._cells is not None:
-            cells = list(self._cells)
-            cells[router_a], cells[router_b] = cells[router_b], cells[router_a]
-            derived._cells = tuple(cells)
-        if self._positions is not None:
-            positions = self._positions.copy()
-            positions[[router_a, router_b]] = positions[[router_b, router_a]]
-            positions.setflags(write=False)
-            derived._positions = positions
         return derived
 
     def _require_router(self, router_id: int) -> None:

@@ -32,8 +32,10 @@ def apply_valid_move(move: Move, placement: Placement) -> Placement | None:
     through to the original try/except semantics.
     """
     if type(move) is RelocateMove and move.target in placement.occupied:
-        cells = placement.cells
-        if 0 <= move.router_id < len(cells) and cells[move.router_id] == move.target:
+        if (
+            0 <= move.router_id < len(placement)
+            and placement[move.router_id] == move.target
+        ):
             # Relocating onto its own cell: with_move's documented no-op.
             return placement
         return None

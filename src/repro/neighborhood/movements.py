@@ -566,11 +566,9 @@ class SwapMovement(MovementType):
         # The sparse window holds no router (common: its density is 0
         # because it is empty of everything).  Fall back to the most
         # powerful router currently outside the dense window.
-        outside = [
-            router_id
-            for router_id in range(len(placement))
-            if not dense.contains(placement[router_id])
-        ]
+        outside = np.flatnonzero(
+            ~dense.contains_cells(placement.cells_array())
+        ).tolist()
         if not outside:
             return None
         return problem.fleet.strongest_among(outside)

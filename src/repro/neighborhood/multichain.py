@@ -14,13 +14,12 @@ lockstep instead:
 * each phase samples all chains' candidates through one
   :meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
   (per-chain generator streams, vectorized window scans);
-* all ``R x C`` surviving candidates are measured in one pass: against
+* all ``R x C`` surviving candidates are measured in one pass against
   per-chain incumbent caches by a
-  :class:`~repro.core.engine.stacked.StackedDeltaEngine` on the dense
-  layout, or as one full :class:`~repro.core.engine.stacked.StackedEngine`
-  measurement on the sparse (city-scale) layout — only each chain's
-  *winning* candidate is ever materialized as an
-  :class:`~repro.core.evaluation.Evaluation`;
+  :class:`~repro.core.engine.stacked.StackedDeltaEngine` — matrices on
+  the dense (paper-scale) layout, edge and coverage-hit arrays on the
+  sparse (city-scale) one — and only each chain's *winning* candidate
+  is ever materialized as an :class:`~repro.core.evaluation.Evaluation`;
 * converged/stalled chains drop out of the lockstep via boolean masking
   and the survivors keep batching.
 
@@ -187,18 +186,13 @@ class _Phase:
     Candidate ``k`` is row ``local[k]`` of ``batches[slots[k]]`` — the
     proposals of chain ``active[slots[k]]`` — and ``spans`` gives each
     active chain's candidate range.  ``candidates`` feeds the delta
-    engine; :meth:`rows` the full-stack measurement.
+    engine.
     """
 
-    __slots__ = (
-        "batches", "cells", "slots", "local", "movers", "candidates", "spans",
-    )
+    __slots__ = ("batches", "slots", "local", "movers", "candidates", "spans")
 
-    def __init__(
-        self, batches, cells, slots, local, movers, candidates, spans
-    ) -> None:
+    def __init__(self, batches, slots, local, movers, candidates, spans) -> None:
         self.batches = batches
-        self.cells = cells
         self.slots = slots
         self.local = local
         self.movers = movers
@@ -290,16 +284,8 @@ class _Phase:
         spans = list(zip([0, *ends[:-1]], ends))
         offsets = np.cumsum(lengths) - lengths
         return cls(
-            batches, cells, slot_of, keep - offsets[slot_of], counts,
-            candidates, spans,
+            batches, slot_of, keep - offsets[slot_of], counts, candidates, spans
         )
-
-    def rows(self) -> np.ndarray:
-        """Every candidate's full ``(N, 2)`` cell array, stacked."""
-        rows = self.cells[self.slots]
-        candidates = self.candidates
-        rows[candidates.pair_candidate, candidates.pair_router] = candidates.pair_xy
-        return rows
 
     def placement(self, index: int, incumbent: Placement) -> Placement:
         """Candidate ``index`` built from its move (the only one built)."""
@@ -420,22 +406,15 @@ class MultiChainSearch:
         started = DEFAULT_CLOCK.now()
         movement = self._resolve_movement()
         engine = StackedEngine(problem, fitness, engine=self.engine)
-        # On the dense layout every phase measures incrementally against
-        # per-chain incumbent caches (the compiled tier carries through
-        # to the delta kernels).  Sparse-layout (city-scale) instances
-        # measure each phase's candidates in full: the per-chain dense
-        # caches would cost ``N * (N + M)`` cells per chain.
-        delta = (
-            StackedDeltaEngine(
-                problem, engine.fitness_function, engine=engine.engine
-            )
-            if engine.layout == "dense"
-            else None
+        # Every phase measures incrementally against per-chain incumbent
+        # caches, on the layout the resolved tier calls for: matrices at
+        # paper scale, edge and hit arrays at city scale.
+        delta = StackedDeltaEngine(
+            problem, engine.fitness_function, engine=engine.engine
         )
         states = self._initial_states(engine, initials, rngs)
-        if delta is not None:
-            for index, initial in enumerate(initials):
-                delta.reset_chain(index, initial)
+        for index, initial in enumerate(initials):
+            delta.reset_chain(index, initial)
         try:
             for phase in range(1, self.max_phases + 1):
                 active = [r for r, state in enumerate(states) if state.active]
@@ -516,7 +495,7 @@ class MultiChainSearch:
         active: list[int],
         movement: MovementType,
         engine: StackedEngine,
-        delta: StackedDeltaEngine | None,
+        delta: StackedDeltaEngine,
         fitness_target: float | None,
     ) -> None:
         proposals = movement.propose_batch(
@@ -530,12 +509,9 @@ class MultiChainSearch:
             sources, spans, measurement = self._measure_moves(
                 states, active, proposals, engine
             )
-        elif delta is not None:
-            spans = collected.spans
-            measurement = delta.measure_phase(collected.candidates)
         else:
             spans = collected.spans
-            measurement = self._measure_rows(collected, engine)
+            measurement = delta.measure_phase(collected.candidates)
 
         for (start, end), chain_index in zip(spans, active):
             state = states[chain_index]
@@ -561,8 +537,7 @@ class MultiChainSearch:
                         )
                     )
                     state.current = measurement.evaluation(winner, placement)
-                    if delta is not None:
-                        delta.commit_chain(chain_index, state.current.placement)
+                    delta.commit_chain(chain_index, state.current.placement)
                     if state.current.fitness > state.best.fitness:
                         state.best = state.current
             state.trace.record_phase(
@@ -583,22 +558,6 @@ class MultiChainSearch:
                 and state.stall >= self.stall_phases
             ):
                 state.active = False
-
-    @staticmethod
-    def _measure_rows(phase: _Phase, engine: StackedEngine):
-        """Full stacked measurement of an array phase (sparse layout).
-
-        Every candidate row is its incumbent with the pair cells written
-        in — one fancy-index assignment for the phase.  The numpy sparse
-        tier measures placements, so it gets them built from the rows.
-        """
-        rows = phase.rows()
-        if engine.accepts_positions:
-            return engine.measure_positions(rows.astype(float))
-        grid = engine.problem.grid
-        return engine.measure_placements(
-            [Placement.from_cells(grid, row) for row in rows]
-        )
 
     @staticmethod
     def _measure_moves(

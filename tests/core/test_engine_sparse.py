@@ -21,7 +21,11 @@ from repro.core.engine import (
 )
 from repro.core.engine import sparse
 from repro.core.engine.dispatch import resolve_engine
-from repro.core.engine.sparse import coverage_cell_size, link_cell_size
+from repro.core.engine.sparse import (
+    coverage_cell_size,
+    expand_ranges,
+    link_cell_size,
+)
 from repro.core.evaluation import Evaluator
 from repro.core.network import adjacency_matrix
 from repro.core.problem import ProblemInstance
@@ -100,6 +104,23 @@ class TestSpatialGridIndex:
         index = SpatialGridIndex(np.zeros((3, 2)), cell_size=1.0)
         with pytest.raises(ValueError):
             index.query_points(np.zeros((2, 3)))
+
+
+class TestExpandRanges:
+    def test_matches_a_python_loop(self):
+        starts = np.array([3, 0, 5, 7, 2])
+        ends = np.array([6, 0, 4, 9, 3])
+        sources, slots = expand_ranges(starts, ends)
+        expected = [
+            (i, slot)
+            for i, (start, end) in enumerate(zip(starts, ends))
+            for slot in range(start, end)
+        ]
+        assert list(zip(sources.tolist(), slots.tolist())) == expected
+
+    def test_empty_ranges(self):
+        sources, slots = expand_ranges(np.array([2, 4]), np.array([2, 1]))
+        assert sources.size == 0 and slots.size == 0
 
 
 class TestSparseEdgesEdgeCases:
@@ -197,6 +218,21 @@ class TestSparseCoverageEdgeCases:
         mask = np.array([True, False, True, False])
         assert engine.covered_count(positions, mask) == int(
             matrix[:, mask].any(axis=1).sum()
+        )
+
+    def test_router_hits_are_router_major_coverage_pairs(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        cells = [tuple(map(int, c)) for c in rng.integers(0, 64, size=(120, 2))]
+        problem = self.make_problem(cells, radio=RadioProfile(3.0, 9.0))
+        positions = Placement.random(problem.grid, 4, rng).positions_array()
+        matrix = coverage_matrix(
+            problem.clients.positions, positions, problem.fleet.radii
+        )
+        monkeypatch.setattr(sparse, "HIT_QUERY_CHUNK", 3)
+        routers, clients = SparseEngine(problem).router_hits(positions)
+        assert np.all(np.diff(routers) >= 0)
+        assert sorted(zip(routers.tolist(), clients.tolist())) == sorted(
+            (int(r), int(c)) for c, r in zip(*np.nonzero(matrix))
         )
 
     def test_query_chunk_does_not_change_counts(self, monkeypatch):

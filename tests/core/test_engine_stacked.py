@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core.engine import StackedEngine, measure_stack, stacked
+from repro.core.clients import ClientSet
+from repro.core.engine import StackedEngine, compiled, measure_stack, stacked
 from repro.core.engine.components import (
     labels_from_edge_stack,
     labels_from_edges,
 )
+from repro.core.engine.dispatch import select_engine
+from repro.core.engine.sparse import link_cell_size
 from repro.core.engine.stacked import PhaseCandidates, StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.fitness import (
@@ -23,9 +28,13 @@ from repro.core.fitness import (
     NetworkMetrics,
     WeightedSumFitness,
 )
-from repro.core.radio import CoverageRule
+from repro.core.geometry import Point
+from repro.core.grid import GridArea
+from repro.core.problem import ProblemInstance
+from repro.core.radio import CoverageRule, LinkRule
+from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
-from repro.instances.catalog import tiny_spec
+from repro.instances.catalog import city_spec, tiny_spec
 
 
 @pytest.fixture(scope="module")
@@ -350,3 +359,315 @@ class TestStackedDeltaEngine:
         engine = StackedDeltaEngine(problem)
         empty = PhaseCandidates([], [], [], np.zeros((0, 2)))
         assert len(engine.measure_phase(empty)) == 0
+
+
+# ----------------------------------------------------------------------
+# Sparse chain-cache layout
+# ----------------------------------------------------------------------
+
+ROW_FIELDS = (
+    "giant_sizes", "covered_clients", "n_components",
+    "n_links", "mean_degrees", "fitness", "giant_masks",
+)
+
+needs_kernels = pytest.mark.skipif(
+    not compiled.is_available(),
+    reason="compiled kernels not available (no C toolchain?)",
+)
+
+
+def random_moves(problem, placement, rng, count):
+    """``(movers, new_cells)`` candidates of every phase shape.
+
+    No-ops, relocations to a free cell, literal swaps (two routers
+    exchange cells) and two-router relocations, in random order.
+    """
+    grid = problem.grid
+    n = problem.n_routers
+    cells = placement.cells_array()
+    moves = []
+    for _ in range(count):
+        kind = int(rng.integers(4))
+        free = grid.n_cells - n
+        if kind == 0 or (kind != 2 and free == 0) or (kind >= 2 and n < 2):
+            moves.append(((), ()))
+        elif kind == 1:
+            router = int(rng.integers(n))
+            cell = grid.random_free_cell(placement.occupied, rng)
+            moves.append(((router,), (tuple(cell),)))
+        elif kind == 2:
+            a, b = (int(r) for r in rng.choice(n, size=2, replace=False))
+            moves.append(((a, b), (tuple(cells[b]), tuple(cells[a]))))
+        else:
+            a, b = (int(r) for r in rng.choice(n, size=2, replace=False))
+            first = grid.random_free_cell(placement.occupied, rng)
+            taken = set(placement.occupied) | {first}
+            if len(taken) >= grid.n_cells:
+                moves.append(((a,), (tuple(first),)))
+                continue
+            second = grid.random_free_cell(taken, rng)
+            moves.append(((a, b), (tuple(first), tuple(second))))
+    return moves
+
+
+def candidate_placement(incumbent, movers, new_cells):
+    cells = incumbent.cells_array().copy()
+    for router, cell in zip(movers, new_cells):
+        cells[router] = cell
+    return Placement.from_cells(incumbent.grid, cells)
+
+
+def assert_phase_matches(engine, reference, incumbents, moves_per_chain):
+    """One phase through ``engine`` against a full ``reference`` measure.
+
+    Returns the candidate placements, chain-major.
+    """
+    items, placements = [], []
+    for chain, moves in enumerate(moves_per_chain):
+        for movers, new_cells in moves:
+            items.append((chain, movers, new_cells))
+            placements.append(
+                candidate_placement(incumbents[chain], movers, new_cells)
+            )
+    measurement = engine.measure_phase(phase_candidates(items))
+    expected = reference.measure_placements(placements)
+    for name in ROW_FIELDS:
+        assert np.array_equal(
+            getattr(measurement, name), getattr(expected, name)
+        ), name
+    return placements
+
+
+def sparse_phase_loop(engine, reference, incumbents, rng, count, phases=2):
+    """Measure, commit one candidate per chain, measure again."""
+    for chain, incumbent in enumerate(incumbents):
+        engine.reset_chain(chain, incumbent)
+    problem = engine.problem
+    incumbents = list(incumbents)
+    for _ in range(phases):
+        moves = [
+            random_moves(problem, incumbent, rng, count)
+            for incumbent in incumbents
+        ]
+        placements = assert_phase_matches(engine, reference, incumbents, moves)
+        for chain in range(len(incumbents)):
+            incumbents[chain] = placements[chain * count + int(rng.integers(count))]
+            engine.commit_chain(chain, incumbents[chain])
+
+
+@st.composite
+def small_cases(draw):
+    """``(problem, incumbents, seed)`` on grids up to 14x14."""
+    width = draw(st.integers(1, 14))
+    height = draw(st.integers(1, 14))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    n_routers = draw(st.integers(1, min(width * height, 20)))
+    client_cells = draw(st.lists(cell, max_size=30))
+    if client_cells:
+        # Coincident clients: repeat some drawn cells verbatim.
+        client_cells += draw(st.lists(st.sampled_from(client_cells), max_size=4))
+    radii = draw(
+        st.lists(
+            st.floats(0.5, 20.0, allow_nan=False, allow_infinity=False),
+            min_size=n_routers,
+            max_size=n_routers,
+        )
+    )
+    grid = GridArea(width, height)
+    problem = ProblemInstance(
+        grid=grid,
+        fleet=RouterFleet.from_radii(radii),
+        clients=ClientSet.from_points(
+            [Point(x, y) for x, y in client_cells], grid=grid
+        ),
+        link_rule=draw(st.sampled_from(list(LinkRule))),
+        coverage_rule=draw(st.sampled_from(list(CoverageRule))),
+    )
+    incumbents = [
+        Placement.from_cells(
+            grid,
+            draw(st.lists(cell, min_size=n_routers, max_size=n_routers, unique=True)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return problem, incumbents, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSparseChainCache:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=small_cases())
+    def test_numpy_sparse_matches_full_measurement(self, case):
+        problem, incumbents, seed = case
+        engine = StackedDeltaEngine(problem, engine="sparse")
+        assert engine.layout == "sparse"
+        reference = StackedEngine(problem, engine="dense")
+        sparse_phase_loop(
+            engine, reference, incumbents, np.random.default_rng(seed), count=6
+        )
+
+    @pytest.mark.parametrize("coverage_rule", list(CoverageRule))
+    def test_zero_clients_and_one_router(self, coverage_rule):
+        grid = GridArea(9, 7)
+        for n_routers, client_points in ((1, [Point(2, 2), Point(8, 6)]), (5, [])):
+            problem = ProblemInstance(
+                grid=grid,
+                fleet=RouterFleet.from_radii([2.5] * n_routers),
+                clients=ClientSet.from_points(client_points, grid=grid),
+                coverage_rule=coverage_rule,
+            )
+            rng = np.random.default_rng(n_routers)
+            incumbents = [
+                Placement.random(grid, n_routers, rng) for _ in range(2)
+            ]
+            sparse_phase_loop(
+                StackedDeltaEngine(problem, engine="sparse"),
+                StackedEngine(problem, engine="dense"),
+                incumbents, rng, count=5, phases=3,
+            )
+
+    @pytest.mark.parametrize("link_rule", list(LinkRule))
+    def test_mover_outside_the_incumbent_index_extent(self, link_rule):
+        # Routers crowd one corner; the movers land bins beyond the
+        # router index's extent, next to clients on the far side.
+        grid = GridArea(64, 64)
+        clients = [Point(60, 60), Point(61, 59), Point(2, 2), Point(5, 1)]
+        problem = ProblemInstance(
+            grid=grid,
+            fleet=RouterFleet.from_radii([3.0, 2.0, 3.5, 2.5]),
+            clients=ClientSet.from_points(clients, grid=grid),
+            link_rule=link_rule,
+        )
+        incumbent = Placement.from_cells(grid, [(0, 0), (2, 1), (4, 3), (1, 5)])
+        engine = StackedDeltaEngine(problem, engine="sparse")
+        engine.reset_chain(0, incumbent)
+        cell = link_cell_size(problem.fleet.radii, link_rule)
+        extent = np.floor(incumbent.positions_array() / cell).max()
+        moves = [
+            ((1,), ((61, 61),)),
+            ((0, 2), ((60, 62), (62, 60))),
+            ((3, 1), ((59, 59), (63, 63))),
+            ((), ()),
+        ]
+        for _, targets in moves[:3]:
+            assert np.floor(np.array(targets) / cell).min() > extent + 1
+        placements = assert_phase_matches(
+            engine, StackedEngine(problem, engine="dense"), [incumbent], [moves]
+        )
+        # Commit a far mover, then measure back towards the corner.
+        engine.commit_chain(0, placements[1])
+        assert_phase_matches(
+            engine,
+            StackedEngine(problem, engine="dense"),
+            [placements[1]],
+            [[((0,), ((3, 3),)), ((2, 1), ((1, 1), (61, 61))), ((), ())]],
+        )
+
+    def test_commit_matches_a_fresh_cache(self):
+        problem = city_spec(512, 6_000, seed=4).generate()
+        rng = np.random.default_rng(41)
+        incumbent = Placement.random(problem.grid, problem.n_routers, rng)
+        engine = StackedDeltaEngine(problem, engine="sparse")
+        engine.reset_chain(0, incumbent)
+        for movers, new_cells in random_moves(problem, incumbent, rng, 6):
+            incumbent = candidate_placement(incumbent, movers, new_cells)
+            engine.commit_chain(0, incumbent)
+        fresh = StackedDeltaEngine(problem, engine="sparse")
+        fresh.reset_chain(0, incumbent)
+        committed, rebuilt = engine._caches[0], fresh._caches[0]
+        assert np.array_equal(committed.positions, rebuilt.positions)
+        assert np.array_equal(committed.hit_ptr, rebuilt.hit_ptr)
+        assert sorted(zip(*committed.hit_pairs())) == sorted(
+            zip(*rebuilt.hit_pairs())
+        )
+        assert {
+            (min(a, b), max(a, b))
+            for a, b in zip(committed.edge_rows, committed.edge_cols)
+        } == {
+            (min(a, b), max(a, b))
+            for a, b in zip(rebuilt.edge_rows, rebuilt.edge_cols)
+        }
+
+    def test_cache_bytes_are_linear_in_routers_edges_and_hits(self):
+        # Many more clients than routers: an (M, N) or (K, M, N) array
+        # would dwarf the bound below by two orders of magnitude.
+        problem = city_spec(128, 20_000, seed=5).generate()
+        rng = np.random.default_rng(42)
+        incumbent = Placement.random(problem.grid, problem.n_routers, rng)
+        engine = StackedDeltaEngine(problem, engine="sparse")
+        engine.reset_chain(0, incumbent)
+        engine.commit_chain(
+            0, candidate_placement(incumbent, (3,), ((500, 7),))
+        )
+        cache = engine._caches[0]
+        n, m = problem.n_routers, problem.n_clients
+        edges = cache.edge_rows.size
+        hits = cache.hit_client.size
+        arrays = cache_arrays(cache)
+        total = sum(array.nbytes for array in arrays)
+        # Per router: positions, index order and ids, CSR offsets; per
+        # edge two endpoints; per hit one client id — 8 bytes at most.
+        assert total <= 8 * (2 * n + 2 * n + (n + 1) + 2 * edges + hits)
+        assert max(array.size for array in arrays) < m
+        assert m * n > 100 * total
+
+    def test_layout_follows_the_tier(self):
+        problem = tiny_spec(seed=3).generate()
+        assert StackedDeltaEngine(problem, engine="dense").layout == "dense"
+        assert StackedDeltaEngine(problem, engine="sparse").layout == "sparse"
+
+    @needs_kernels
+    @pytest.mark.parametrize("coverage_rule", list(CoverageRule))
+    @pytest.mark.parametrize("link_rule", list(LinkRule))
+    def test_compiled_tier_matches_full_measurement(self, link_rule, coverage_rule):
+        problem = (
+            city_spec(1024, 4_000, seed=3)
+            .generate()
+            .with_link_rule(link_rule)
+            .with_coverage_rule(coverage_rule)
+        )
+        assert select_engine(problem) == "sparse"
+        engine = StackedDeltaEngine(problem, engine="compiled")
+        assert engine.layout == "sparse"
+        rng = np.random.default_rng(43)
+        incumbents = [
+            Placement.random(problem.grid, problem.n_routers, rng)
+            for _ in range(2)
+        ]
+        sparse_phase_loop(
+            engine, StackedEngine(problem, engine="sparse"), incumbents, rng,
+            count=6,
+        )
+
+    @needs_kernels
+    def test_compiled_tier_without_clients(self):
+        problem = city_spec(2100, 0, seed=3).generate()
+        assert select_engine(problem) == "sparse"
+        engine = StackedDeltaEngine(problem, engine="compiled")
+        assert engine.layout == "sparse"
+        rng = np.random.default_rng(44)
+        incumbents = [Placement.random(problem.grid, problem.n_routers, rng)]
+        sparse_phase_loop(
+            engine, StackedEngine(problem, engine="sparse"), incumbents, rng,
+            count=4,
+        )
+
+
+def cache_arrays(value) -> list[np.ndarray]:
+    """Every array a chain cache holds, through its index too.
+
+    The incumbent placement is the caller's object, not cache state.
+    """
+    if isinstance(value, np.ndarray):
+        return [value]
+    if not hasattr(type(value), "__slots__"):
+        return []
+    return [
+        array
+        for name in type(value).__slots__
+        if name != "placement"
+        for array in cache_arrays(getattr(value, name, None))
+    ]
