@@ -7,8 +7,8 @@ Three engines evaluate the identical candidate set:
 
 * **scalar** — ``Evaluator.evaluate`` in a loop (the reference path),
 * **batch** — ``Evaluator.evaluate_many`` (one vectorized pass),
-* **delta** — ``DeltaEvaluator.propose`` per candidate (incremental
-  row/column updates off the cached incumbent).
+* **delta** — ``StackedDeltaEngine.measure_one`` per candidate
+  (incremental row/column updates off the cached incumbent).
 
 The script asserts bit-identical results across engines before timing,
 prints per-engine medians and the speedup over scalar.  Run standalone::
@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from _common import add_json_argument, write_bench_json
-from repro.core.engine import DeltaEvaluator
+from repro.core.engine import StackedDeltaEngine
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.instances.generator import InstanceSpec
@@ -142,11 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         check_parity(scalar_results[index], results, "batch")
 
     delta_times: list[float] = []
-    delta = DeltaEvaluator(Evaluator(problem))
-    delta.reset(incumbent)
+    delta = StackedDeltaEngine(problem, engine=Evaluator(problem).engine)
+    delta.reset_chain(0, incumbent)
     for index, phase in enumerate(phases):
         start = time.perf_counter()
-        results = [delta.propose(move) for move in phase]
+        results = [delta.measure_one(0, move.apply(incumbent)) for move in phase]
         delta_times.append(time.perf_counter() - start)
         check_parity(scalar_results[index], results, "delta")
 

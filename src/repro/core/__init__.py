@@ -18,7 +18,7 @@ from repro.core.connectivity import (
 )
 from repro.core.coverage import coverage_mask, coverage_matrix, covered_clients
 from repro.core.density import DensityMap
-from repro.core.engine import DeltaEvaluator, SparseEngine, select_engine
+from repro.core.engine import SparseEngine, StackedDeltaEngine, select_engine
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.fitness import (
     FitnessFunction,
@@ -44,8 +44,8 @@ __all__ = [
     "connected_components",
     "connected_components_from_arrays",
     "giant_component_mask",
-    "DeltaEvaluator",
     "SparseEngine",
+    "StackedDeltaEngine",
     "select_engine",
     "coverage_mask",
     "coverage_matrix",

@@ -18,15 +18,17 @@ giant-component masks for the same placement:
   ``engine="dense"``, ``evaluate`` runs the reference path
   (``RouterNetwork.build`` + ``coverage_mask``) that the parity suites
   use as ground truth.
-* **Lockstep delta** — :class:`~repro.core.engine.stacked.StackedDeltaEngine`.
-  Per-chain incumbent caches for portfolios advanced in lockstep
-  (:mod:`repro.neighborhood.multichain`): a phase recomputes only what
-  the moved routers touch.  It takes the tier its :class:`StackedEngine`
-  resolved and caches matrices on the dense layout, or edge arrays,
-  coverage hits and a router index on the sparse (city-scale) layout.
-* **Single-chain delta** — :class:`DeltaEvaluator`.  Caches one
-  incumbent and recomputes only what a move touches, for
-  one-move-per-step loops (simulated annealing, tabu search).
+* **One incremental cache** —
+  :class:`~repro.core.engine.stacked.StackedDeltaEngine`.  Per-chain
+  incumbent caches: a candidate is measured from only what its moved
+  routers touch.  ``measure_phase`` measures a whole phase of
+  candidates (the lockstep portfolios of
+  :mod:`repro.neighborhood.multichain`, tabu search), ``measure_one``
+  one candidate at a time for a loop that accepts or rejects each move
+  before drawing the next (simulated annealing).  It takes the tier its
+  :class:`StackedEngine` resolved and caches matrices on the dense
+  layout, or edge arrays, coverage hits and a router index on the
+  sparse (city-scale) layout.
 
 The tiers (see :mod:`repro.core.engine.dispatch`):
 
@@ -65,18 +67,17 @@ from repro.core.engine.components import (
 )
 from repro.core.engine.compiled import CompiledEngine
 from repro.core.engine.compiled import is_available as compiled_available
-from repro.core.engine.delta import DeltaEvaluator
 from repro.core.engine.dispatch import ENGINE_TIERS, resolve_engine, select_engine
 from repro.core.engine.sparse import SparseEngine, SpatialGridIndex, sparse_edges
-from repro.core.engine.stacked import StackedEngine
+from repro.core.engine.stacked import StackedDeltaEngine, StackedEngine
 
 __all__ = [
     "CompiledEngine",
-    "DeltaEvaluator",
     "ENGINE_TIERS",
     "compiled_available",
     "SparseEngine",
     "SpatialGridIndex",
+    "StackedDeltaEngine",
     "StackedEngine",
     "StackedMeasurement",
     "batch_adjacency",

@@ -393,8 +393,9 @@ def measure_dense_matrices(
 
     Returns ``(giant_size, covered, n_components, n_links, giant_mask)``
     with the shared smallest-canonical-label giant tie-break — the
-    :class:`~repro.core.engine.delta.DeltaEvaluator`'s per-propose
-    ``_measure`` in one pass.
+    dense-layout measurement of
+    :meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one` in
+    one pass.
     """
     n = adjacency.shape[0]
     m = coverage.shape[0]

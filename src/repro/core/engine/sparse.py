@@ -332,10 +332,10 @@ class SparseEngine:
     chunks of :data:`DEFAULT_QUERY_CHUNK` routers so the candidate-pair
     arrays stay bounded regardless of instance size.
     :class:`~repro.core.engine.stacked.StackedEngine` builds the one that
-    measures on the sparse tier; the sparse layouts of
-    :class:`~repro.core.engine.stacked.StackedDeltaEngine` and
-    :class:`~repro.core.engine.delta.DeltaEvaluator` build their own for
-    the coverage queries and the mover updates (:meth:`apply_moves`).
+    measures on the sparse tier; the sparse layout of
+    :class:`~repro.core.engine.stacked.StackedDeltaEngine` builds its
+    own for the coverage queries and the mover updates
+    (:meth:`apply_moves`).
     """
 
     def __init__(

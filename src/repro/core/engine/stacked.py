@@ -5,9 +5,9 @@ argument to a tier and builds the per-tier sub-engines.  Every counted
 measurement (:class:`~repro.core.evaluation.Evaluator` on the compiled
 and sparse tiers, and its ``evaluate_many`` on every tier) and every
 full-stack measurement of the lockstep search
-(:mod:`repro.neighborhood.multichain`: chain starts and moves without
-an array form) goes through it.  It measures a whole candidate stack in
-as few passes as the tier allows —
+(:mod:`repro.neighborhood.multichain`: the chain starts) goes through
+it.  It measures a whole candidate stack in as few passes as the tier
+allows —
 
 * **dense** — the ``(K, N, 2)`` position tensor goes straight into
   :func:`repro.core.engine.batch.measure_stack` in chunks of
@@ -24,8 +24,9 @@ as few passes as the tier allows —
 
 Every tier produces bit-identical metric rows, so no caller needs to
 know which tier it runs on.  :class:`StackedDeltaEngine` is the
-incremental companion that measures every array phase of the lockstep
-chains, on both cache layouts; it takes the tier its
+engine's one incremental (delta) cache: it measures every phase of the
+lockstep chains and of tabu search, and every single move of simulated
+annealing, on both cache layouts; it takes the tier its
 :class:`StackedEngine` resolved.
 """
 
@@ -45,7 +46,8 @@ from repro.core.engine.sparse import (
     expand_ranges,
     link_hits,
 )
-from repro.core.fitness import FitnessFunction, WeightedSumFitness
+from repro.core.evaluation import Evaluation
+from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
 from repro.core.network import adjacency_matrix
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule
@@ -266,11 +268,19 @@ class _ChainCache:
     edge arrays.  The dense layout adds the boolean adjacency and
     coverage matrices plus one per-rule coverage aid; the sparse layout
     adds a router :class:`~repro.core.engine.sparse.SpatialGridIndex`
-    binned on the link cell and the coverage hits in router-major CSR
-    form: router ``r`` covers clients
-    ``hit_client[hit_ptr[r]:hit_ptr[r + 1]]``.  That is ``O(N + E + H)``
-    bytes (routers, edges, hits) in all, with no array shaped by the
-    client count.
+    binned on the link cell and the coverage hits, in router-major CSR
+    form (router ``r`` covers clients
+    ``hit_client[hit_ptr[r]:hit_ptr[r + 1]]``) or, after a single-move
+    trial was adopted, as unsorted ``(hit_router, hit_client)`` pairs.
+    That is ``O(N + E + H)`` bytes (routers, edges, hits) in all, with no
+    array shaped by the client count.
+
+    The *phase aids* — the dense edge arrays and coverage aid, the
+    sparse CSR — are read by :meth:`StackedDeltaEngine.measure_phase`
+    only.  Adopting a trial drops them, and the next phase rebuilds them
+    (:meth:`StackedDeltaEngine._ensure_aids`).  ``trial`` is the last
+    :meth:`StackedDeltaEngine.measure_one` state:
+    ``(placement, positions, arrays)``.
     """
 
     __slots__ = (
@@ -289,6 +299,8 @@ class _ChainCache:
         "index",
         "hit_ptr",
         "hit_client",
+        "hit_router",
+        "trial",
     )
 
     def __init__(self, placement: Placement) -> None:
@@ -298,9 +310,7 @@ class _ChainCache:
         self.positions = np.array(placement.positions_array(), dtype=float)
 
     @classmethod
-    def dense(
-        cls, problem: ProblemInstance, placement: Placement, use_csr: bool
-    ) -> "_ChainCache":
+    def dense(cls, problem: ProblemInstance, placement: Placement) -> "_ChainCache":
         """Adjacency and coverage matrices by the reference builders."""
         cache = cls(placement)
         # The reference matrix builders, so the cached state is exactly
@@ -311,24 +321,6 @@ class _ChainCache:
         cache.coverage = coverage_matrix(
             problem.clients.positions, cache.positions, problem.fleet.radii
         )
-        if use_csr:
-            # Compiled tier: byte-scan edge extraction, same (i < j)
-            # row-major order as the np.nonzero path below.
-            from repro.core.engine.compiled import dense_edges
-
-            cache.edge_rows, cache.edge_cols = dense_edges(cache.adjacency)
-        else:
-            cache.refresh_edges()
-        if problem.coverage_rule is CoverageRule.ANY_ROUTER:
-            cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
-        elif use_csr:
-            # Client-major hit lists for the compiled giant-only count
-            # kernel (exact integers end to end).
-            cache.refresh_csr()
-        else:
-            # float32 copy for the per-phase sgemm: counts stay exact
-            # (at most N ones per client, far below 2**24).
-            cache.coverage32 = cache.coverage.astype(np.float32)
         return cache
 
     @classmethod
@@ -368,35 +360,50 @@ class _ChainCache:
         )
         # Client ids fit 32 bits; half the bytes of the largest array.
         self.hit_client = hit_client.astype(np.int32)
+        self.hit_router = None
 
     def hit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The hits as parallel ``(router, client)`` arrays."""
+        if self.hit_router is not None:
+            return self.hit_router, self.hit_client
         routers = np.repeat(
             np.arange(self.positions.shape[0], dtype=np.intp),
             np.diff(self.hit_ptr),
         )
         return routers, self.hit_client
 
+    def use_hit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`hit_pairs`, keeping the pair form (the CSR is dropped)."""
+        self.hit_router, self.hit_client = self.hit_pairs()
+        self.hit_ptr = None
+        return self.hit_router, self.hit_client
+
 
 class StackedDeltaEngine:
-    """Incremental stacked measurement for lockstep chains.
+    """Incremental measurement around cached chain incumbents.
 
-    Every phase candidate differs from its chain's incumbent by at most
-    a couple of *moved* routers, so re-measuring each candidate in full
-    wastes almost all of its work on unchanged routers.  This engine
-    keeps one :class:`_ChainCache` per chain and per phase recomputes
-    only what the movers touch:
+    Every candidate of a local search differs from its chain's
+    incumbent by at most a couple of *moved* routers, so re-measuring it
+    in full wastes almost all of its work on unchanged routers.  This
+    engine keeps one :class:`_ChainCache` per chain and measures only
+    what the movers touch.  It has two entry points, one per search
+    shape:
 
-    * per-candidate edge lists as *kept incumbent edges* (a boolean mask
+    * :meth:`measure_phase` — a whole phase of ``K`` candidates off the
+      chains' incumbents (the lockstep chains, tabu search).  Per
+      candidate, edge lists as *kept incumbent edges* (a boolean mask
       over the cached one-way arrays) plus the movers' new links,
       labeled for the whole phase in one connected-components pass;
-    * covered-client counts from the cached coverage state, corrected
+      covered-client counts from the cached coverage state, corrected
       per moved router.
+    * :meth:`measure_one` — one candidate, accepted or rejected before
+      the next is drawn (simulated annealing).  The commit rule is
+      applied to a copy of the incumbent's arrays, that state is
+      measured in full and remembered, and :meth:`commit_chain` adopts
+      it when the candidate is accepted.
 
-    Two cache layouts, picked like
-    :class:`~repro.core.engine.delta.DeltaEvaluator` picks its own: the
-    ``"dense"`` tier uses the dense layout, ``"sparse"`` the sparse one
-    and ``"compiled"`` whichever
+    Two cache layouts: the ``"dense"`` tier uses the dense layout,
+    ``"sparse"`` the sparse one and ``"compiled"`` whichever
     :func:`~repro.core.engine.dispatch.select_engine` names.
 
     * **dense** — incumbent adjacency and coverage matrices.  A phase
@@ -423,10 +430,11 @@ class StackedDeltaEngine:
     test is the reference float64 predicate, labels are canonical
     smallest-member ids, and the integer count arithmetic is exact.
 
-    Protocol: :meth:`reset_chain` once per chain, :meth:`measure_phase`
-    once per phase with the candidates as :class:`PhaseCandidates`
-    arrays, :meth:`commit_chain` whenever a chain accepts a candidate.
-    Pure measurement — counters live in the search layer.
+    Protocol: :meth:`reset_chain` once per chain, then
+    :meth:`measure_phase` with the candidates as
+    :class:`PhaseCandidates` arrays or :meth:`measure_one` per
+    candidate, and :meth:`commit_chain` whenever a chain accepts a
+    candidate.  Pure measurement — counters live in the search layer.
     """
 
     def __init__(
@@ -497,26 +505,31 @@ class StackedDeltaEngine:
     def reset_chain(self, chain: int, placement: Placement) -> None:
         """(Re)build chain ``chain``'s incumbent cache from scratch."""
         if self._sparse is None:
-            cache = _ChainCache.dense(
-                self._problem, placement, use_csr=self._compiled is not None
-            )
+            cache = _ChainCache.dense(self._problem, placement)
         else:
             cache = _ChainCache.sparse(self._sparse, placement, self._link_filter)
+        self._ensure_aids(cache)
         self._caches[chain] = cache
 
     def commit_chain(self, chain: int, placement: Placement) -> None:
         """Advance chain ``chain``'s incumbent to an accepted placement.
 
-        Rewrites only the moved routers' state.  Dense layout: their
-        adjacency rows/columns and coverage columns, in place (the same
-        update rule as :meth:`~repro.core.engine.delta.DeltaEvaluator.commit`),
-        then the one-way edge arrays.  Sparse layout: the shared
+        When ``placement`` is the chain's last :meth:`measure_one` trial,
+        the trial's arrays become the incumbent's.  Otherwise only the
+        moved routers' state is rewritten.  Dense layout: their
+        adjacency rows/columns and coverage columns, in place, then the
+        phase aids.  Sparse layout: the shared
         :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves` rule,
         then a rebuilt router index.
         """
         cache = self._caches.get(chain)
         if cache is None:
             self.reset_chain(chain, placement)
+            return
+        trial, cache.trial = cache.trial, None
+        if trial is not None and trial[0] is placement:
+            self._adopt(cache, trial[1], trial[2])
+            cache.placement = placement
             return
         # The cell array, not positions_array(): an accepted placement
         # carries no float copy of its cells (results keep placements).
@@ -531,42 +544,59 @@ class StackedDeltaEngine:
                 self._commit_sparse(cache, new_positions, moved)
         cache.placement = placement
 
-    def _commit_dense(
-        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
+    def _rewrite_dense(
+        self,
+        adjacency: np.ndarray,
+        coverage: np.ndarray,
+        positions: np.ndarray,
+        moved: np.ndarray,
+        aids: _ChainCache | None = None,
     ) -> None:
-        x = new_positions[:, 0]
-        y = new_positions[:, 1]
+        """Rewrite every moved router's adjacency row/column and coverage
+        column in place, against ``positions``; the coverage aids of
+        ``aids`` (the cache that owns the matrices) follow each column."""
+        x = positions[:, 0]
+        y = positions[:, 1]
         clients = self._clients
         for router in moved.tolist():
             dx = x[router] - x
             dy = y[router] - y
             row = dx * dx + dy * dy <= self._range_squared[router]
             row[router] = False
-            cache.adjacency[router, :] = row
-            cache.adjacency[:, router] = row
-            if clients.size:
-                cdx = clients[:, 0] - x[router]
-                cdy = clients[:, 1] - y[router]
-                column = cdx * cdx + cdy * cdy <= self._radii_squared[router]
-                if cache.coverage_counts is not None:
-                    # Keep the per-client totals in sync before the
-                    # column is overwritten.
-                    cache.coverage_counts += column
-                    cache.coverage_counts -= cache.coverage[:, router]
-                cache.coverage[:, router] = column
-                if cache.coverage32 is not None:
-                    cache.coverage32[:, router] = column
-                if cache.client_ptr is not None:
-                    # O(nnz) CSR rewrite for this column; rebuilding
-                    # from the full matrix rescans mostly-unchanged
-                    # cells (the commit hot spot at city scale).
-                    cache.client_ptr, cache.client_hit = (
-                        self._compiled.csr_update_column(
-                            cache.client_ptr, cache.client_hit,
-                            router, column,
-                        )
-                    )
-        if self._compiled is not None:
+            adjacency[router, :] = row
+            adjacency[:, router] = row
+            if not clients.size:
+                continue
+            cdx = clients[:, 0] - x[router]
+            cdy = clients[:, 1] - y[router]
+            column = cdx * cdx + cdy * cdy <= self._radii_squared[router]
+            if aids is not None and aids.coverage_counts is not None:
+                # Keep the per-client totals in sync before the column
+                # is overwritten.
+                aids.coverage_counts += column
+                aids.coverage_counts -= coverage[:, router]
+            coverage[:, router] = column
+            if aids is None:
+                continue
+            if aids.coverage32 is not None:
+                aids.coverage32[:, router] = column
+            if aids.client_ptr is not None:
+                # O(nnz) CSR rewrite for this column; rebuilding from
+                # the full matrix rescans mostly-unchanged cells (the
+                # commit hot spot at city scale).
+                aids.client_ptr, aids.client_hit = self._compiled.csr_update_column(
+                    aids.client_ptr, aids.client_hit, router, column
+                )
+
+    def _commit_dense(
+        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
+    ) -> None:
+        self._rewrite_dense(
+            cache.adjacency, cache.coverage, new_positions, moved, aids=cache
+        )
+        if self._compiled is None:
+            cache.refresh_edges()
+        elif cache.edge_rows is not None:  # else an adoption dropped them
             # Incremental edge refresh: drop edges touching a mover,
             # re-add each mover's links from its patched adjacency row
             # (final positions — the rows above already use them).
@@ -587,8 +617,6 @@ class StackedDeltaEngine:
                 col_parts.append(np.maximum(partners, router))
             cache.edge_rows = np.concatenate(row_parts)
             cache.edge_cols = np.concatenate(col_parts)
-        else:
-            cache.refresh_edges()
         cache.positions[moved] = new_positions[moved]
 
     def _commit_sparse(
@@ -611,6 +639,190 @@ class StackedDeltaEngine:
         # A full re-bin: O(N log N), a fraction of a millisecond at
         # city scale, once per accepted candidate.
         cache.index = SpatialGridIndex(cache.positions, self._sparse.link_cell)
+
+    def _adopt(
+        self, cache: _ChainCache, positions: np.ndarray, arrays: tuple
+    ) -> None:
+        """Make a :meth:`measure_one` trial's state the incumbent's."""
+        cache.positions = positions
+        if self._sparse is None:
+            cache.adjacency, cache.coverage = arrays
+            cache.edge_rows = cache.edge_cols = None
+            cache.coverage32 = cache.coverage_counts = None
+            cache.client_ptr = cache.client_hit = None
+            return
+        cache.edge_rows, cache.edge_cols, cache.hit_router, cache.hit_client = arrays
+        cache.hit_ptr = None
+        cache.index = SpatialGridIndex(positions, self._sparse.link_cell)
+
+    def _ensure_aids(self, cache: _ChainCache) -> None:
+        """Build whichever phase aids the cache lacks.
+
+        After a reset, or after a trial was adopted; a rule commit keeps
+        them in step.  Every aid is an exact function of the incumbent
+        arrays, so a rebuilt one equals the maintained one.
+        """
+        if self._sparse is not None:
+            if cache.hit_ptr is None:
+                order = np.argsort(cache.hit_router, kind="stable")
+                cache.set_hits(cache.hit_router[order], cache.hit_client[order])
+            return
+        if cache.edge_rows is None:
+            if self._compiled is not None:
+                # Byte-scan edge extraction, same (i < j) row-major
+                # order as the np.nonzero path.
+                cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
+                    cache.adjacency
+                )
+            else:
+                cache.refresh_edges()
+        if not self._giant_only:
+            if cache.coverage_counts is None:
+                cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
+        elif self._compiled is not None:
+            if cache.client_ptr is None:
+                # Client-major hit lists for the compiled giant-only
+                # count kernel (exact integers end to end).
+                cache.refresh_csr()
+        elif cache.coverage32 is None:
+            # float32 copy for the per-phase sgemm: counts stay exact
+            # (at most N ones per client, far below 2**24).
+            cache.coverage32 = cache.coverage.astype(np.float32)
+
+    # ------------------------------------------------------------------
+    # Single-candidate measurement
+    # ------------------------------------------------------------------
+
+    def measure_one(self, chain: int, placement: Placement) -> Evaluation:
+        """Measure one candidate placement of chain ``chain``.
+
+        The commit rule runs on a copy of the arrays a full measurement
+        reads (dense: the moved routers' matrix rows and columns;
+        sparse: :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves`
+        on the edge and hit arrays), and that state is measured in full.
+        The state is kept as the chain's trial, so committing this same
+        placement next adopts it instead of redoing the rule.  The
+        incumbent itself is untouched.
+        """
+        cache = self._caches.get(chain)
+        if cache is None:
+            raise ValueError(f"chain {chain} has no incumbent; call reset_chain()")
+        new_cells = placement.cells_array()
+        moved = np.flatnonzero((new_cells != cache.positions).any(axis=1))
+        positions = cache.positions.copy()
+        positions[moved] = new_cells[moved]
+        if self._sparse is None:
+            arrays = (cache.adjacency.copy(), cache.coverage.copy())
+            self._rewrite_dense(*arrays, positions, moved)
+            evaluation = self._measure_matrices(placement, *arrays)
+        else:
+            arrays = self._sparse.apply_moves(
+                cache.index,
+                positions,
+                moved,
+                (cache.edge_rows, cache.edge_cols),
+                cache.use_hit_pairs(),
+                link_filter=self._link_filter,
+            )
+            evaluation = self._measure_edges_and_hits(placement, *arrays)
+        cache.trial = (placement, positions, arrays) if moved.size else None
+        return evaluation
+
+    def _measure_matrices(
+        self, placement: Placement, adjacency: np.ndarray, coverage: np.ndarray
+    ) -> Evaluation:
+        """Full measurement of dense adjacency and coverage matrices."""
+        if self._compiled is not None:
+            giant_size, covered, n_components, n_links, giant_mask = (
+                self._compiled.measure_dense_matrices(
+                    adjacency, coverage, self._giant_only
+                )
+            )
+            return self._evaluation(
+                placement, giant_size, covered, n_components, n_links, giant_mask
+            )
+        n = self._problem.n_routers
+        # One flat nonzero pass: the directed endpoint count is twice
+        # the link count, and one direction per edge suffices for the
+        # labeling.
+        flat = np.flatnonzero(adjacency.ravel())
+        rows = flat // n
+        cols = flat % n
+        one_way = rows < cols
+        labels = self._label(n, rows[one_way], cols[one_way])
+        counts = np.bincount(labels, minlength=n)
+        # First maximum = smallest canonical label among the largest
+        # components — the shared giant tie-break rule.
+        giant_label = int(counts.argmax())
+        giant_mask = labels == giant_label
+        if self._giant_only:
+            coverage = coverage[:, giant_mask]
+        covered = int(coverage.any(axis=1).sum()) if coverage.size else 0
+        return self._evaluation(
+            placement,
+            int(counts[giant_label]),
+            covered,
+            int((counts > 0).sum()),
+            int(flat.shape[0]) // 2,
+            giant_mask,
+        )
+
+    def _measure_edges_and_hits(
+        self,
+        placement: Placement,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        hit_router: np.ndarray,
+        hit_client: np.ndarray,
+    ) -> Evaluation:
+        """Full measurement of one-way edge and coverage-hit arrays."""
+        n = self._problem.n_routers
+        labels = self._label(n, rows, cols)
+        counts = np.bincount(labels, minlength=n)
+        giant_label = int(counts.argmax())
+        giant_mask = labels == giant_label
+        covered = 0
+        if self._problem.n_clients:
+            if self._giant_only:
+                hit_client = hit_client[giant_mask[hit_router]]
+            flags = np.zeros(self._problem.n_clients, dtype=bool)
+            flags[hit_client] = True
+            covered = int(np.count_nonzero(flags))
+        return self._evaluation(
+            placement,
+            int(counts[giant_label]),
+            covered,
+            int((counts > 0).sum()),
+            int(rows.size),
+            giant_mask,
+        )
+
+    def _evaluation(
+        self,
+        placement: Placement,
+        giant_size: int,
+        covered: int,
+        n_components: int,
+        n_links: int,
+        giant_mask: np.ndarray,
+    ) -> Evaluation:
+        n = self._problem.n_routers
+        metrics = NetworkMetrics(
+            giant_size=giant_size,
+            n_routers=n,
+            covered_clients=covered,
+            n_clients=self._problem.n_clients,
+            n_components=n_components,
+            n_links=n_links,
+            # Identical to degrees().mean(): an exact integer over N.
+            mean_degree=2 * n_links / n,
+        )
+        return Evaluation(
+            placement=placement,
+            metrics=metrics,
+            fitness=self._fitness.score(metrics),
+            giant_mask=giant_mask,
+        )
 
     # ------------------------------------------------------------------
     # Phase measurement
@@ -644,6 +856,7 @@ class StackedDeltaEngine:
         chain_scratch: list[tuple] = []
         for chain, start, end, pairs in segments:
             cache = self._caches[chain]
+            self._ensure_aids(cache)
             scratch = self._chain_edges(
                 cache, candidates, start, end, pairs, n_links,
                 edge_sources, edge_targets,

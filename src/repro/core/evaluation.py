@@ -18,11 +18,14 @@ measures a candidate set there and materializes the rows, and
 ``evaluate`` does the same for one placement.  On the ``"dense"`` tier
 ``evaluate`` instead runs the reference path (``RouterNetwork.build``
 plus ``coverage_mask``), the ground truth every other path is tested
-against.  :class:`~repro.core.engine.delta.DeltaEvaluator` wraps an
-evaluator for incremental single-move loops, and
-:class:`~repro.neighborhood.search.NeighborhoodSearch` charges its
-lockstep run to one; both report through :meth:`Evaluator.count`.  All
-paths share this evaluator's counter and produce bit-identical results.
+against.  The local searches measure through the engine's incremental
+cache, :class:`~repro.core.engine.stacked.StackedDeltaEngine`, and
+charge an evaluator for it
+(:class:`~repro.neighborhood.search.NeighborhoodSearch`,
+:class:`~repro.neighborhood.annealing.SimulatedAnnealing`,
+:class:`~repro.neighborhood.tabu.TabuSearch`); they report through
+:meth:`Evaluator.count`.  All paths share this evaluator's counter and
+produce bit-identical results.
 A :class:`~repro.core.pareto.ParetoArchive` is fed by its caller
 (``archive.observe(evaluation)``), not by the evaluator.
 """

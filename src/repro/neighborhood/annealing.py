@@ -11,12 +11,18 @@ The trace format matches :class:`~repro.neighborhood.search.SearchResult`
 so the ablation bench can overlay SA, tabu and the paper's search on the
 same axes.
 
-Every step is a single move off the incumbent, so the loop runs on the
-incremental :class:`~repro.core.engine.delta.DeltaEvaluator`: only the
-state the moved router touches is recomputed per candidate (matrix
-rows/columns at paper scale, sparse edge/coverage-hit arrays on
-city-scale instances — the engine dispatch picks automatically), with
-results and evaluation counts bit-identical to the scalar path.
+Every step is a single move off the incumbent, accepted or rejected
+before the next is drawn, so the loop runs on one chain of the
+engine's incremental cache,
+:class:`~repro.core.engine.stacked.StackedDeltaEngine`:
+:meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one`
+recomputes only the state the moved routers touch (matrix rows/columns
+at paper scale, sparse edge/coverage-hit arrays on city-scale
+instances — the engine dispatch picks automatically), and an accepted
+candidate's state is adopted on commit.  Results and evaluation counts
+are bit-identical to measuring every candidate with the reference
+evaluator (asserted against a frozen copy of the loop by
+``tests/neighborhood/test_local_search_reference.py``).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
-from repro.core.engine.delta import DeltaEvaluator
+from repro.core.engine.stacked import StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.problem import check_start_placement
 from repro.core.solution import Placement
@@ -118,13 +124,17 @@ class SimulatedAnnealing:
         returns the tracked best with ``stopped_by`` set — always a
         valid evaluated incumbent, even for an already-expired deadline.
         """
-        check_start_placement(evaluator.problem, initial, label="start placement")
+        problem = evaluator.problem
+        check_start_placement(problem, initial, label="start placement")
         started = DEFAULT_CLOCK.now()
         evaluations_before = evaluator.n_evaluations
+        current = evaluator.evaluate(initial)
         # The delta engine follows the evaluator's resolved engine, so a
         # forced dense/sparse choice applies to the whole run.
-        engine = DeltaEvaluator(evaluator, engine=evaluator.engine)
-        current = engine.reset(initial)
+        engine = StackedDeltaEngine(
+            problem, evaluator.fitness_function, engine=evaluator.engine
+        )
+        engine.reset_chain(0, initial)
         best = current
         trace = SearchTrace()
         trace.record_phase(
@@ -144,17 +154,19 @@ class SimulatedAnnealing:
             temperature = self.schedule.temperature_at(phase)
             improved_this_phase = False
             for _ in range(self.moves_per_phase):
-                move = self.movement.propose(current, evaluator.problem, rng)
+                move = self.movement.propose(current, problem, rng)
                 if move is None:
                     continue
                 try:
-                    candidate = engine.propose(move)
+                    placement = move.apply(current.placement)
                 except ValueError:  # repro-lint: disable=RL007
                     # Invalid move for the current placement; skip it.
                     continue
+                candidate = engine.measure_one(0, placement)
+                evaluator.count()
                 delta = candidate.fitness - current.fitness
                 if delta >= 0 or rng.uniform() < math.exp(delta / temperature):
-                    engine.commit(candidate)
+                    engine.commit_chain(0, placement)
                     current = candidate
                     if current.fitness > best.fitness:
                         best = current

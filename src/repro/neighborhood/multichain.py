@@ -183,49 +183,50 @@ def _cell_owners(
 class _Phase:
     """One phase's valid candidates in array form (internal).
 
-    Candidate ``k`` is row ``local[k]`` of ``batches[slots[k]]`` — the
-    proposals of chain ``active[slots[k]]`` — and ``spans`` gives each
-    active chain's candidate range.  ``candidates`` feeds the delta
-    engine.
+    Candidate ``k``'s move is row ``table[k]`` of the
+    :class:`~repro.neighborhood.moves.MoveBatch` columns, so
+    ``table[:, 1:3]`` names the routers it touches (``-1``: none).
+    ``movers`` counts each candidate's moved routers, ``spans`` gives
+    each chain's candidate range and ``candidates`` feeds the delta
+    engine.  Candidates of moves without columns are built up front
+    (``built``, and no ``movers``); their rows read as no move.
     """
 
-    __slots__ = ("batches", "slots", "local", "movers", "candidates", "spans")
+    __slots__ = ("table", "movers", "candidates", "spans", "built")
 
-    def __init__(self, batches, slots, local, movers, candidates, spans) -> None:
-        self.batches = batches
-        self.slots = slots
-        self.local = local
+    def __init__(self, table, movers, candidates, spans, built=None) -> None:
+        self.table = table
         self.movers = movers
         self.candidates = candidates
         self.spans = spans
+        self.built = built
 
     @classmethod
     def collect(
         cls,
-        states: "list[_ChainState]",
-        active: list[int],
+        incumbents: Sequence[Placement],
+        chains: Sequence[int],
         proposals,
         problem: ProblemInstance,
-    ) -> "_Phase | None":
+    ) -> "_Phase":
         """Validate the phase's proposals on their columns, in one pass.
 
-        The rules of
+        ``proposals[i]`` are the moves proposed off ``incumbents[i]``,
+        the incumbent of chain ``chains[i]``.  The rules of
         :func:`~repro.neighborhood.best_neighbor.apply_valid_move` on a
         built placement: out-of-range router ids and out-of-grid targets
         are skipped, a relocation onto another router's cell is stale and
         skipped, one onto its own cell (or a swap of a router with
-        itself) is a no-op candidate equal to the incumbent.  Returns
-        ``None`` when a move outside the relocate/swap vocabulary
-        appears — the phase then measures built placements instead.
+        itself) is a no-op candidate equal to the incumbent.  When a
+        move outside the relocate/swap vocabulary appears, the phase's
+        candidates are built and diffed instead (:meth:`_by_cell_diff`).
         """
-        batches = []
-        for moves in proposals:
-            batch = (
-                moves if isinstance(moves, MoveBatch) else MoveBatch.from_moves(moves)
-            )
-            if batch is None:
-                return None
-            batches.append(batch)
+        batches = [
+            moves if isinstance(moves, MoveBatch) else MoveBatch.from_moves(moves)
+            for moves in proposals
+        ]
+        if any(batch is None for batch in batches):
+            return cls._by_cell_diff(incumbents, chains, proposals)
         lengths = [len(batch) for batch in batches]
         table = np.concatenate([batch.table for batch in batches])
         slots = np.repeat(np.arange(len(batches)), lengths)
@@ -233,7 +234,7 @@ class _Phase:
         grid = problem.grid
         n_routers = problem.n_routers
         cells = np.stack(
-            [states[r].current.placement.cells_array() for r in active]
+            [incumbent.cells_array() for incumbent in incumbents]
         ).astype(np.intp)
 
         known = (router >= 0) & (router < n_routers)
@@ -275,24 +276,74 @@ class _Phase:
         pair_xy[first[double] + 1] = cells[pair_slots, a]
 
         candidates = PhaseCandidates(
-            np.asarray(active, dtype=np.intp)[slot_of],
+            np.asarray(chains, dtype=np.intp)[slot_of],
             np.repeat(np.arange(keep.size), counts),
             pair_router,
             pair_xy,
         )
-        ends = np.cumsum(np.bincount(slot_of, minlength=len(batches))).tolist()
-        spans = list(zip([0, *ends[:-1]], ends))
-        offsets = np.cumsum(lengths) - lengths
+        return cls(table[keep], counts, candidates, _spans(slot_of, len(batches)))
+
+    @classmethod
+    def _by_cell_diff(
+        cls, incumbents: Sequence[Placement], chains: Sequence[int], proposals
+    ) -> "_Phase":
+        """Candidates of moves without columns, built and diffed.
+
+        Each valid candidate is built (:func:`apply_valid_move`), and
+        its movers are the routers whose cells differ from the
+        incumbent's.
+        """
+        built: list[Placement] = []
+        rows: list[tuple] = []
+        slots: list[int] = []
+        pair_candidate = [_NO_ROUTERS]
+        pair_router = [_NO_ROUTERS]
+        pair_xy = [np.zeros((0, 2), dtype=np.intp)]
+        for slot, (incumbent, moves) in enumerate(zip(incumbents, proposals)):
+            cells = incumbent.cells_array()
+            for move in moves:
+                candidate = None if move is None else apply_valid_move(move, incumbent)
+                if candidate is None:
+                    continue
+                new_cells = candidate.cells_array()
+                moved = np.flatnonzero((new_cells != cells).any(axis=1))
+                pair_candidate.append(np.full(moved.size, len(built), dtype=np.intp))
+                pair_router.append(moved)
+                pair_xy.append(new_cells[moved])
+                rows.append(MoveBatch.row(move) or MoveBatch.NO_MOVE)
+                slots.append(slot)
+                built.append(candidate)
+        slot_of = np.array(slots, dtype=np.intp)
+        candidates = PhaseCandidates(
+            np.asarray(chains, dtype=np.intp)[slot_of],
+            np.concatenate(pair_candidate),
+            np.concatenate(pair_router),
+            np.concatenate(pair_xy),
+        )
         return cls(
-            batches, slot_of, keep - offsets[slot_of], counts, candidates, spans
+            MoveBatch.from_rows(rows).table,
+            None,
+            candidates,
+            _spans(slot_of, len(proposals)),
+            built,
         )
 
     def placement(self, index: int, incumbent: Placement) -> Placement:
         """Candidate ``index`` built from its move (the only one built)."""
+        if self.built is not None:
+            return self.built[index]
         if self.movers[index] == 0:
             return incumbent
-        move = self.batches[self.slots[index]][self.local[index]]
-        return move.apply(incumbent)
+        return MoveBatch(self.table)[index].apply(incumbent)
+
+
+_NO_ROUTERS = np.zeros(0, dtype=np.intp)
+
+
+def _spans(slot_of: np.ndarray, n_slots: int) -> list[tuple[int, int]]:
+    """Each slot's ``(start, end)`` candidate range (slot-major order)."""
+    ends = np.cumsum(np.bincount(slot_of, minlength=n_slots)).tolist()
+    return list(zip([0, *ends[:-1]], ends))
 
 
 def _run_shard(task) -> list[SearchResult]:
@@ -504,16 +555,15 @@ class MultiChainSearch:
             [states[r].rng for r in active],
             self.n_candidates,
         )
-        collected = _Phase.collect(states, active, proposals, engine.problem)
-        if collected is None:
-            sources, spans, measurement = self._measure_moves(
-                states, active, proposals, engine
-            )
-        else:
-            spans = collected.spans
-            measurement = delta.measure_phase(collected.candidates)
+        collected = _Phase.collect(
+            [states[r].current.placement for r in active],
+            active,
+            proposals,
+            engine.problem,
+        )
+        measurement = delta.measure_phase(collected.candidates)
 
-        for (start, end), chain_index in zip(spans, active):
+        for (start, end), chain_index in zip(collected.spans, active):
             state = states[chain_index]
             improved = False
             if end > start:
@@ -529,12 +579,8 @@ class MultiChainSearch:
                 )
                 if accept:
                     improved = winner_fitness > state.current.fitness
-                    placement = (
-                        sources[winner]
-                        if collected is None
-                        else collected.placement(
-                            winner, state.current.placement
-                        )
+                    placement = collected.placement(
+                        winner, state.current.placement
                     )
                     state.current = measurement.evaluation(winner, placement)
                     delta.commit_chain(chain_index, state.current.placement)
@@ -558,33 +604,6 @@ class MultiChainSearch:
                 and state.stall >= self.stall_phases
             ):
                 state.active = False
-
-    @staticmethod
-    def _measure_moves(
-        states: list[_ChainState],
-        active: list[int],
-        proposals,
-        engine: StackedEngine,
-    ):
-        """Full measurement of built placements, for exotic move types.
-
-        Moves outside the relocate/swap vocabulary have no columns, so
-        every candidate placement is built (:func:`apply_valid_move`'s
-        validity rules) and measured; ``sources[k]`` is candidate ``k``.
-        """
-        sources: list[Placement] = []
-        spans: list[tuple[int, int]] = []
-        for chain_index, moves in zip(active, proposals):
-            incumbent = states[chain_index].current.placement
-            start = len(sources)
-            for move in moves:
-                if move is None:
-                    continue
-                candidate = apply_valid_move(move, incumbent)
-                if candidate is not None:
-                    sources.append(candidate)
-            spans.append((start, len(sources)))
-        return sources, spans, engine.measure_placements(sources)
 
     # ------------------------------------------------------------------
     # Process fan-out

@@ -7,45 +7,42 @@ touched routers are tabu for ``tenure`` phases, and an aspiration
 criterion overrides the tabu status of a move that beats the global
 best.
 
-Every candidate is one move off the incumbent, so the sampling loop runs
-on the incremental :class:`~repro.core.engine.delta.DeltaEvaluator`: the
-incumbent's state is cached (adjacency/coverage matrices at paper
+Each phase samples ``n_candidates`` moves off one incumbent and moves
+to one of them: exactly one lockstep phase of one chain.  So the phase
+is proposed through
+:meth:`~repro.neighborhood.movements.MovementType.propose_batch`,
+validated on the move columns the lockstep driver
+(:mod:`repro.neighborhood.multichain`) uses, and measured by one
+:meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_phase`
+call against the cached incumbent (adjacency/coverage matrices at paper
 scale, sparse edge/coverage-hit arrays on city-scale instances — the
-engine dispatch picks automatically) and each candidate recomputes only
-what its move touches.  The chosen neighbor is then committed as the
-new incumbent.  Results and evaluation counts are bit-identical to the
-scalar path.
+engine dispatch picks automatically).  The tabu and aspiration rules
+run on the fitness array, and only the chosen neighbor is built and
+committed.  Results and evaluation counts are bit-identical to
+measuring every candidate with the reference evaluator (asserted
+against a frozen copy of the loop by
+``tests/neighborhood/test_local_search_reference.py``).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
-from repro.core.engine.delta import DeltaEvaluator
+from repro.core.engine.stacked import StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.problem import check_start_placement
 from repro.core.solution import Placement
-from repro.neighborhood.moves import Move, RelocateMove, SwapMove
 from repro.neighborhood.movements import MovementType
+from repro.neighborhood.multichain import _Phase
 from repro.neighborhood.trace import SearchResult, SearchTrace
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
 
 __all__ = ["TabuSearch"]
-
-
-def _touched_routers(move: Move) -> tuple[int, ...]:
-    """The router ids a move modifies (used as the tabu attribute)."""
-    if isinstance(move, SwapMove):
-        return (move.router_a, move.router_b)
-    if isinstance(move, RelocateMove):
-        return (move.router_id,)
-    return ()
 
 
 class TabuSearch:
@@ -83,13 +80,17 @@ class TabuSearch:
         returns the tracked best with ``stopped_by`` set — always a
         valid evaluated incumbent, even for an already-expired deadline.
         """
-        check_start_placement(evaluator.problem, initial, label="start placement")
+        problem = evaluator.problem
+        check_start_placement(problem, initial, label="start placement")
         started = DEFAULT_CLOCK.now()
         evaluations_before = evaluator.n_evaluations
+        current = evaluator.evaluate(initial)
         # The delta engine follows the evaluator's resolved engine, so a
         # forced dense/sparse choice applies to the whole run.
-        engine = DeltaEvaluator(evaluator, engine=evaluator.engine)
-        current = engine.reset(initial)
+        engine = StackedDeltaEngine(
+            problem, evaluator.fitness_function, engine=evaluator.engine
+        )
+        engine.reset_chain(0, initial)
         best = current
         trace = SearchTrace()
         trace.record_phase(
@@ -98,10 +99,10 @@ class TabuSearch:
             improved=False,
             n_evaluations=evaluator.n_evaluations - evaluations_before,
         )
-        # Router id -> phase until which it is tabu; a deque of
-        # (router, expiry) keeps eviction O(1).
-        tabu_until: dict[int, int] = {}
-        expiry_queue: deque[tuple[int, int]] = deque()
+        # Phase until which each router is tabu.  The extra last slot is
+        # never set, so the -1 "no router" entries of a candidate's
+        # touched routers read as not tabu.
+        tabu_until = np.zeros(problem.n_routers + 1, dtype=np.intp)
 
         phases_done = 0
         stopped_by: str | None = None
@@ -111,47 +112,38 @@ class TabuSearch:
                 if stopped_by is not None:
                     break
             phases_done = phase
-            while expiry_queue and expiry_queue[0][1] <= phase:
-                router, expiry = expiry_queue.popleft()
-                if tabu_until.get(router) == expiry:
-                    del tabu_until[router]
-
-            chosen = None
-            chosen_move: Move | None = None
-            for _ in range(self.n_candidates):
-                move = self.movement.propose(current, evaluator.problem, rng)
-                if move is None:
-                    continue
-                try:
-                    candidate = engine.propose(move)
-                except ValueError:  # repro-lint: disable=RL007
-                    # Invalid move for the current placement; skip it.
-                    continue
-                is_tabu = any(
-                    tabu_until.get(router, 0) > phase
-                    for router in _touched_routers(move)
-                )
-                # Aspiration: a tabu move that improves the global best
-                # is always admissible.
-                if is_tabu and candidate.fitness <= best.fitness:
-                    continue
-                if chosen is None or candidate.fitness > chosen.fitness:
-                    chosen = candidate
-                    chosen_move = move
+            proposals = self.movement.propose_batch(
+                [current], problem, [rng], self.n_candidates
+            )
+            sample = _Phase.collect([current.placement], [0], proposals, problem)
+            measurement = engine.measure_phase(sample.candidates)
+            evaluator.count(len(measurement))
+            # The routers each candidate's move touches: a relocation
+            # one, a swap two, another move type none.
+            touched = sample.table[:, 1:3]
+            is_tabu = (tabu_until[touched] > phase).any(axis=1)
+            # Aspiration: a tabu move that improves the global best is
+            # always admissible.
+            admissible = np.flatnonzero(
+                ~is_tabu | (measurement.fitness > best.fitness)
+            )
             improved = False
-            if chosen is not None:
+            if admissible.size:
                 # Tabu search always moves to the best admissible
-                # neighbor, even when it worsens the incumbent.
-                engine.commit(chosen)
-                current = chosen
+                # neighbor (the first maximum), even when it worsens the
+                # incumbent.
+                chosen = int(
+                    admissible[np.argmax(measurement.fitness[admissible])]
+                )
+                placement = sample.placement(chosen, current.placement)
+                current = measurement.evaluation(chosen, placement)
+                engine.commit_chain(0, placement)
                 if current.fitness > best.fitness:
                     best = current
                     improved = True
-                if chosen_move is not None and self.tenure > 0:
-                    for router in _touched_routers(chosen_move):
-                        expiry = phase + self.tenure
-                        tabu_until[router] = expiry
-                        expiry_queue.append((router, expiry))
+                if self.tenure > 0:
+                    routers = touched[chosen]
+                    tabu_until[routers[routers >= 0]] = phase + self.tenure
             trace.record_phase(
                 phase=phase,
                 evaluation=current,

@@ -3,11 +3,14 @@
 Hypothesis generates small instances (grids up to 12x12, any router
 count that fits, clients that may share cells, radii from half a cell
 to past the grid diagonal, every link and coverage rule) and random
-relocate/swap sequences, each proposal optionally committed.  Every
-``reset`` and ``propose`` evaluation of :class:`DeltaEvaluator` must
-equal a fresh ``Evaluator(problem, engine="dense").evaluate`` of the
-same placement, on the dense layout, the forced sparse layout and (when
-the kernels are built) the compiled tier.
+relocate/swap sequences, each candidate optionally committed.  Every
+``measure_one`` evaluation of :class:`StackedDeltaEngine` — the
+incumbent right after ``reset_chain`` and every candidate — must equal
+a fresh ``Evaluator(problem, engine="dense").evaluate`` of the same
+placement, on the dense layout, the forced sparse layout and (when the
+kernels are built) the compiled tier.  A commit adopts the last trial
+or applies the update rule; either way the chain must then measure like
+a fresh ``reset_chain`` of the committed placement.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.clients import ClientSet
 from repro.core.engine import compiled
-from repro.core.engine.delta import DeltaEvaluator
+from repro.core.engine.stacked import PhaseCandidates, StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
@@ -114,6 +117,56 @@ def assert_same_evaluation(ours, reference):
     assert np.array_equal(ours.giant_mask, reference.giant_mask)
 
 
+def assert_same_rows(ours, reference):
+    for name in (
+        "giant_sizes",
+        "covered_clients",
+        "n_components",
+        "n_links",
+        "mean_degrees",
+        "giant_masks",
+        "fitness",
+    ):
+        assert np.array_equal(getattr(ours, name), getattr(reference, name)), name
+
+
+def probe_candidates(problem, placement):
+    """A no-op, every router relocated to a free cell, and one swap."""
+    occupied = placement.occupied
+    free = [
+        (x, y)
+        for y in range(problem.grid.height)
+        for x in range(problem.grid.width)
+        if Point(x, y) not in occupied
+    ]
+    n = problem.n_routers
+    pair_candidate, pair_router, pair_xy = [], [], []
+    if free:
+        pair_candidate = list(range(1, n + 1))
+        pair_router = list(range(n))
+        pair_xy = [free[router % len(free)] for router in range(n)]
+    count = len(pair_candidate) + 1
+    if n > 1:
+        pair_candidate += [count, count]
+        pair_router += [0, n - 1]
+        pair_xy += [tuple(placement[n - 1]), tuple(placement[0])]
+        count += 1
+    return PhaseCandidates(
+        [0] * count, pair_candidate, pair_router, np.reshape(pair_xy, (-1, 2))
+    )
+
+
+def assert_matches_fresh_reset(delta, engine, problem, placement):
+    """The chain measures exactly like a fresh cache of ``placement``."""
+    fresh = StackedDeltaEngine(problem, engine=engine)
+    fresh.reset_chain(0, placement)
+    probe = probe_candidates(problem, placement)
+    assert_same_rows(delta.measure_phase(probe), fresh.measure_phase(probe))
+    assert_same_evaluation(
+        delta.measure_one(0, placement), fresh.measure_one(0, placement)
+    )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @settings(
     max_examples=60,
@@ -124,31 +177,62 @@ def assert_same_evaluation(ours, reference):
 def test_delta_matches_dense_reference(engine, case):
     problem, initial, script = case
     reference = Evaluator(problem, engine="dense")
-    evaluator = Evaluator(problem, engine="dense")
-    delta = DeltaEvaluator(evaluator, engine=engine)
+    delta = StackedDeltaEngine(problem, engine=engine)
     assert delta.engine == engine
     if engine == "sparse":
         assert delta.layout == "sparse"
 
-    incumbent = delta.reset(initial)
+    delta.reset_chain(0, initial)
+    incumbent = delta.measure_one(0, initial)
     assert_same_evaluation(incumbent, reference.evaluate(initial))
-    n_proposes = 0
     for kind, a, b, commit in script:
         move = make_move(problem, kind, a, b)
         if move is None:
             continue
         try:
-            candidate = delta.propose(move)
+            placement = move.apply(incumbent.placement)
         except ValueError:  # repro-lint: disable=RL007
             # Target cell occupied: the move does not apply, as in the
-            # search loops, and nothing was counted.
+            # search loops.
             continue
-        n_proposes += 1
-        assert_same_evaluation(
-            candidate, reference.evaluate(move.apply(incumbent.placement))
-        )
+        candidate = delta.measure_one(0, placement)
+        assert_same_evaluation(candidate, reference.evaluate(placement))
         if commit:
-            delta.commit(candidate)
+            delta.commit_chain(0, placement)
             incumbent = candidate
-        assert delta.incumbent is incumbent
-    assert evaluator.n_evaluations == 1 + n_proposes
+    assert_matches_fresh_reset(delta, engine, problem, incumbent.placement)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=cases())
+def test_commit_by_rule_equals_fresh_reset(engine, case):
+    """Committing a placement other than the last trial applies the
+    update rule; the chain must equal a fresh ``reset_chain``, and so
+    must one that adopted its last trial."""
+    problem, initial, script = case
+    delta = StackedDeltaEngine(problem, engine=engine)
+    delta.reset_chain(0, initial)
+    incumbent = initial
+    trials = []
+    for kind, a, b, commit in script:
+        move = make_move(problem, kind, a, b)
+        if move is None:
+            continue
+        try:
+            placement = move.apply(incumbent)
+        except ValueError:  # repro-lint: disable=RL007
+            continue
+        delta.measure_one(0, placement)
+        trials.append(placement)
+        if commit:
+            # The first trial since the last commit: the last one only
+            # when it is the only one, so both commit paths run.
+            incumbent = trials[0]
+            delta.commit_chain(0, incumbent)
+            trials = []
+            assert_matches_fresh_reset(delta, engine, problem, incumbent)

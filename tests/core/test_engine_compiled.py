@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.engine import compiled
 from repro.core.engine.components import labels_from_edges
-from repro.core.engine.delta import DeltaEvaluator
 from repro.core.engine.dispatch import ENGINE_TIERS, resolve_engine
 from repro.core.engine.sparse import link_hits
 from repro.core.engine.stacked import (
@@ -144,57 +143,58 @@ class TestStackedParity:
 
 @needs_kernels
 class TestDeltaParity:
-    class _Move:
-        def __init__(self, placement):
-            self._placement = placement
-
-        def apply(self, incumbent):
-            return self._placement
-
     @pytest.mark.parametrize("coverage_rule", COVERAGE_RULES)
     def test_propose_commit_loop_matches_dense(self, coverage_rule):
         problem = tiny_problem(coverage_rule=coverage_rule)
         rng = np.random.default_rng(17)
         start = Placement.random(problem.grid, problem.n_routers, rng)
-        under_test = DeltaEvaluator(Evaluator(problem), engine="compiled")
-        reference = DeltaEvaluator(Evaluator(problem), engine="dense")
+        under_test = StackedDeltaEngine(problem, engine="compiled")
+        reference = StackedDeltaEngine(problem, engine="dense")
         assert under_test.engine == "compiled"
         assert under_test.layout == "dense"
-        assert_same_evaluation(under_test.reset(start), reference.reset(start))
+        under_test.reset_chain(0, start)
+        reference.reset_chain(0, start)
+        assert_same_evaluation(
+            under_test.measure_one(0, start), reference.measure_one(0, start)
+        )
         incumbent = start
         for _ in range(20):
             router = int(rng.integers(0, len(incumbent)))
             cell = problem.grid.random_free_cell(incumbent.occupied, rng)
             candidate = incumbent.with_move(router, cell)
-            ours = under_test.propose(self._Move(candidate))
-            theirs = reference.propose(self._Move(candidate))
+            ours = under_test.measure_one(0, candidate)
+            theirs = reference.measure_one(0, candidate)
             assert_same_evaluation(ours, theirs)
             if rng.random() < 0.5:
-                under_test.commit(ours)
-                reference.commit(theirs)
+                under_test.commit_chain(0, candidate)
+                reference.commit_chain(0, candidate)
                 incumbent = candidate
 
     def test_sparse_layout_propose_matches(self):
         problem = city_spec(1024, 4_000, seed=3).generate()
         rng = np.random.default_rng(18)
         start = Placement.random(problem.grid, problem.n_routers, rng)
-        under_test = DeltaEvaluator(Evaluator(problem), engine="compiled")
-        reference = DeltaEvaluator(Evaluator(problem), engine="sparse")
+        under_test = StackedDeltaEngine(problem, engine="compiled")
+        reference = StackedDeltaEngine(problem, engine="sparse")
         assert under_test.layout == "sparse"
-        assert_same_evaluation(under_test.reset(start), reference.reset(start))
+        under_test.reset_chain(0, start)
+        reference.reset_chain(0, start)
+        assert_same_evaluation(
+            under_test.measure_one(0, start), reference.measure_one(0, start)
+        )
         for _ in range(5):
             router = int(rng.integers(0, len(start)))
             cell = problem.grid.random_free_cell(start.occupied, rng)
             candidate = start.with_move(router, cell)
             assert_same_evaluation(
-                under_test.propose(self._Move(candidate)),
-                reference.propose(self._Move(candidate)),
+                under_test.measure_one(0, candidate),
+                reference.measure_one(0, candidate),
             )
 
     def test_reports_size_heuristic_layout(self):
         problem = tiny_problem()
-        delta = DeltaEvaluator(Evaluator(problem), engine="compiled")
-        delta.reset(random_placements(problem, 1, seed=19)[0])
+        delta = StackedDeltaEngine(problem, engine="compiled")
+        delta.reset_chain(0, random_placements(problem, 1, seed=19)[0])
         assert delta.engine == "compiled"
         assert delta.layout == "dense"
 

@@ -16,13 +16,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import DeltaEvaluator, SparseEngine, compiled_available
+from repro.core.engine import (
+    SparseEngine,
+    StackedDeltaEngine,
+    compiled_available,
+    resolve_engine,
+)
 from repro.core.engine import stacked
 from repro.core.evaluation import Evaluator
 from repro.core.fitness import LexicographicFitness
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_spec, tiny_spec
+from repro.neighborhood.annealing import SimulatedAnnealing
+from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.moves import RelocateMove, SwapMove
 
 LINK_RULES = list(LinkRule)
@@ -42,6 +49,22 @@ def random_placements(problem, rng, count: int) -> list[Placement]:
         Placement.random(problem.grid, problem.n_routers, rng)
         for _ in range(count)
     ]
+
+
+def delta_engine(problem, engine="auto"):
+    """A one-chain delta engine on the tier ``engine`` resolves to."""
+    return StackedDeltaEngine(problem, engine=resolve_engine(problem, engine))
+
+
+def reset(delta, placement):
+    """Cache ``placement`` as chain 0's incumbent; its evaluation."""
+    delta.reset_chain(0, placement)
+    return delta.measure_one(0, placement)
+
+
+def propose(delta, current, move):
+    """``current ⊕ move`` measured against the cached incumbent."""
+    return delta.measure_one(0, move.apply(current.placement))
 
 
 def assert_same_evaluation(scalar, other):
@@ -104,9 +127,9 @@ class TestDeltaParity:
     def test_random_move_chain_bit_identical(self, link_rule, coverage_rule):
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(99)
-        delta = DeltaEvaluator(Evaluator(problem))
-        current = delta.reset(
-            Placement.random(problem.grid, problem.n_routers, rng)
+        delta = delta_engine(problem)
+        current = reset(
+            delta, Placement.random(problem.grid, problem.n_routers, rng)
         )
         reference = Evaluator(problem, engine="dense")
         assert_same_evaluation(reference.evaluate(current.placement), current)
@@ -120,22 +143,22 @@ class TestDeltaParity:
                     current.placement.occupied, rng
                 )
                 move = RelocateMove(router_id=router, target=cell)
-            candidate = delta.propose(move)
+            candidate = propose(delta, current, move)
             expected = reference.evaluate(move.apply(current.placement))
             assert_same_evaluation(expected, candidate)
             # Accept roughly half the candidates so the caches advance
             # through commits and later proposes build on them.
             if rng.uniform() < 0.5:
-                delta.commit(candidate)
+                delta.commit_chain(0, candidate.placement)
                 current = candidate
 
     def test_speculative_proposals_share_incumbent(self, link_rule, coverage_rule):
         """Tabu-style usage: many previews off one incumbent, one commit."""
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(5)
-        delta = DeltaEvaluator(Evaluator(problem))
-        current = delta.reset(
-            Placement.random(problem.grid, problem.n_routers, rng)
+        delta = delta_engine(problem)
+        current = reset(
+            delta, Placement.random(problem.grid, problem.n_routers, rng)
         )
         reference = Evaluator(problem, engine="dense")
         candidates = []
@@ -143,15 +166,16 @@ class TestDeltaParity:
             router = int(rng.integers(0, problem.n_routers))
             cell = problem.grid.random_free_cell(current.placement.occupied, rng)
             move = RelocateMove(router_id=router, target=cell)
-            candidate = delta.propose(move)
+            candidate = propose(delta, current, move)
             assert_same_evaluation(
                 reference.evaluate(move.apply(current.placement)), candidate
             )
             candidates.append(candidate)
         chosen = max(candidates, key=lambda e: e.fitness)
-        delta.commit(chosen)
-        assert delta.incumbent is chosen
-        follow_up = delta.propose(
+        delta.commit_chain(0, chosen.placement)
+        follow_up = propose(
+            delta,
+            chosen,
             RelocateMove(
                 router_id=0,
                 target=problem.grid.random_free_cell(
@@ -182,9 +206,9 @@ class TestSparseParity:
     def test_sparse_delta_move_chain_bit_identical(self, link_rule, coverage_rule):
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(77)
-        delta = DeltaEvaluator(Evaluator(problem), engine="sparse")
-        current = delta.reset(
-            Placement.random(problem.grid, problem.n_routers, rng)
+        delta = delta_engine(problem, engine="sparse")
+        current = reset(
+            delta, Placement.random(problem.grid, problem.n_routers, rng)
         )
         reference = Evaluator(problem, engine="dense")
         assert_same_evaluation(reference.evaluate(current.placement), current)
@@ -198,21 +222,21 @@ class TestSparseParity:
                     current.placement.occupied, rng
                 )
                 move = RelocateMove(router_id=router, target=cell)
-            candidate = delta.propose(move)
+            candidate = propose(delta, current, move)
             expected = reference.evaluate(move.apply(current.placement))
             assert_same_evaluation(expected, candidate)
             if rng.uniform() < 0.5:
-                delta.commit(candidate)
+                delta.commit_chain(0, candidate.placement)
                 current = candidate
 
     def test_sparse_delta_commit_of_earlier_propose(self, link_rule, coverage_rule):
-        """Tabu-style: commit an evaluation that was not the last propose
-        (the commit fast-path cache must miss and recompute)."""
+        """Commit an evaluation that was not the last trial (the
+        adoption must miss and the update rule recompute)."""
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(55)
-        delta = DeltaEvaluator(Evaluator(problem), engine="sparse")
-        current = delta.reset(
-            Placement.random(problem.grid, problem.n_routers, rng)
+        delta = delta_engine(problem, engine="sparse")
+        current = reset(
+            delta, Placement.random(problem.grid, problem.n_routers, rng)
         )
         reference = Evaluator(problem, engine="dense")
         for _ in range(4):
@@ -223,12 +247,16 @@ class TestSparseParity:
                     current.placement.occupied, rng
                 )
                 candidates.append(
-                    delta.propose(RelocateMove(router_id=router, target=cell))
+                    propose(
+                        delta, current, RelocateMove(router_id=router, target=cell)
+                    )
                 )
-            chosen = candidates[0]  # deliberately not the last propose
-            delta.commit(chosen)
+            chosen = candidates[0]  # deliberately not the last trial
+            delta.commit_chain(0, chosen.placement)
             current = chosen
-            follow = delta.propose(
+            follow = propose(
+                delta,
+                current,
                 RelocateMove(
                     router_id=0,
                     target=problem.grid.random_free_cell(
@@ -318,16 +346,16 @@ class TestCounterSemantics:
             assert_same_evaluation(ref, got)
 
     def test_delta_counts_through_wrapped_evaluator(self):
+        # The delta engine is pure measurement; a search on it charges
+        # its evaluator the start and every measured candidate.
         problem = make_problem(LinkRule.UNIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(3)
         evaluator = Evaluator(problem)
-        delta = DeltaEvaluator(evaluator)
-        current = delta.reset(
-            Placement.random(problem.grid, problem.n_routers, rng)
+        SimulatedAnnealing(
+            RandomMovement(), max_phases=1, moves_per_phase=1
+        ).run(
+            evaluator, Placement.random(problem.grid, problem.n_routers, rng), rng
         )
-        assert evaluator.n_evaluations == 1
-        cell = problem.grid.random_free_cell(current.placement.occupied, rng)
-        delta.propose(RelocateMove(router_id=0, target=cell))
         assert evaluator.n_evaluations == 2
 
     def test_empty_batch_is_free(self):
@@ -399,8 +427,9 @@ class TestValidation:
 
     def test_delta_requires_reset(self):
         problem = make_problem(LinkRule.BIDIRECTIONAL, CoverageRule.GIANT_ONLY)
-        delta = DeltaEvaluator(Evaluator(problem))
+        delta = delta_engine(problem)
+        placement = Placement.random(
+            problem.grid, problem.n_routers, np.random.default_rng(6)
+        )
         with pytest.raises(ValueError):
-            delta.propose(RelocateMove(router_id=0, target=None))
-        with pytest.raises(ValueError):
-            delta.incumbent
+            delta.measure_one(0, placement)

@@ -1,10 +1,11 @@
 """Exact giant-size ties must break identically on every engine.
 
 Audit of the delta engine's ``counts.argmax()`` giant selection (see
-``repro/core/engine/delta.py``): component labels are canonical
-smallest-member ids on every path, so ``argmax`` — which returns the
-*first* maximum — picks the smallest label among the largest components,
-which is exactly :meth:`ComponentStructure.giant_label`'s rule.  These
+``StackedDeltaEngine.measure_one`` in ``repro/core/engine/stacked.py``):
+component labels are canonical smallest-member ids on every path, so
+``argmax`` — which returns the *first* maximum — picks the smallest
+label among the largest components, which is exactly
+:meth:`ComponentStructure.giant_label`'s rule.  These
 tests construct placements with two components of exactly equal size
 (where the old union-find-root tie-break was order-dependent) and assert
 that the dense reference, every tier's batch path, the delta-dense,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import DeltaEvaluator, SparseEngine, compiled_available
+from repro.core.engine import SparseEngine, StackedDeltaEngine, compiled_available
 from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.problem import ProblemInstance
@@ -72,8 +73,9 @@ class TestExactGiantTie:
             assert np.array_equal(other.giant_mask, scalar.giant_mask)
 
         for engine in ("dense", "sparse"):
-            delta = DeltaEvaluator(Evaluator(problem), engine=engine)
-            evaluation = delta.reset(placement)
+            delta = StackedDeltaEngine(problem, engine=engine)
+            delta.reset_chain(0, placement)
+            evaluation = delta.measure_one(0, placement)
             assert evaluation.metrics == scalar.metrics
             assert np.array_equal(evaluation.giant_mask, scalar.giant_mask)
 
@@ -89,11 +91,12 @@ class TestExactGiantTie:
         )
         move = RelocateMove(router_id=4, target=Point(25, 25))
         for engine in ("dense", "sparse"):
-            delta = DeltaEvaluator(Evaluator(problem), engine=engine)
-            start = delta.reset(initial)
+            delta = StackedDeltaEngine(problem, engine=engine)
+            delta.reset_chain(0, initial)
+            start = delta.measure_one(0, initial)
             assert start.giant_size == 3
             assert start.covered_clients == 1  # client (0, 0) on the giant
-            candidate = delta.propose(move)
+            candidate = delta.measure_one(0, move.apply(initial))
             reference = Evaluator(problem, engine="dense").evaluate(
                 move.apply(initial)
             )

@@ -9,17 +9,27 @@ from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
 from repro.neighborhood.moves import RelocateMove, SwapMove
 from repro.neighborhood.movements import RandomMovement
-from repro.neighborhood.tabu import TabuSearch, _touched_routers
+from repro.neighborhood.multichain import _Phase
+from repro.neighborhood.tabu import TabuSearch
+
+
+def touched_routers(problem, placement, move) -> tuple[int, ...]:
+    """The tabu attribute of ``move``: the routers its columns name."""
+    phase = _Phase.collect([placement], [0], [[move]], problem)
+    return tuple(int(router) for router in phase.table[0, 1:3] if router >= 0)
 
 
 class TestTouchedRouters:
-    def test_swap_touches_both(self):
-        assert _touched_routers(SwapMove(2, 5)) == (2, 5)
+    def test_swap_touches_both(self, tiny_problem, rng):
+        placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
+        assert touched_routers(tiny_problem, placement, SwapMove(2, 5)) == (2, 5)
 
-    def test_relocate_touches_one(self):
-        from repro.core.geometry import Point
-
-        assert _touched_routers(RelocateMove(3, Point(0, 0))) == (3,)
+    def test_relocate_touches_one(self, tiny_problem, rng):
+        placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
+        cell = tiny_problem.grid.random_free_cell(placement.occupied, rng)
+        assert touched_routers(
+            tiny_problem, placement, RelocateMove(3, cell)
+        ) == (3,)
 
 
 class TestTabuSearch:
