@@ -73,7 +73,9 @@ class StackedEngine:
 
     Pure measurement: no evaluation counters — the
     :class:`~repro.core.evaluation.Evaluator` adapter and the search
-    layer on top own the bookkeeping.
+    layer on top own the bookkeeping.  Construction rejects non-finite
+    router radii and client positions, for every evaluator and search
+    driver at once.
     """
 
     def __init__(
@@ -82,6 +84,22 @@ class StackedEngine:
         fitness: FitnessFunction | None = None,
         engine: str = "auto",
     ) -> None:
+        # Cheap non-finite gate (two vectorized isfinite scans).  The
+        # same check runs at ProblemInstance construction; repeating it
+        # here, at the one tier dispatch every evaluator and search
+        # driver builds, catches instances whose arrays were mutated
+        # after the fact (e.g. through object.__setattr__) before any
+        # tier sees them.
+        if not np.isfinite(problem.fleet.radii).all():
+            raise ValueError(
+                "router radii must be finite (NaN/inf would silently "
+                "produce garbage fitness in every engine tier)"
+            )
+        if not np.isfinite(problem.clients.positions).all():
+            raise ValueError(
+                "client positions must be finite (NaN/inf would silently "
+                "produce garbage fitness in every engine tier)"
+            )
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         self._engine = resolve_engine(problem, engine)

@@ -19,8 +19,8 @@ measures a candidate set there and materializes the rows, and
 ``evaluate`` instead runs the reference path (``RouterNetwork.build``
 plus ``coverage_mask``), the ground truth every other path is tested
 against.  The local searches measure through the engine's incremental
-cache, :class:`~repro.core.engine.stacked.StackedDeltaEngine`, and
-charge an evaluator for it
+cache, :class:`~repro.core.engine.stacked.StackedDeltaEngine`, inside
+their one lockstep driver, and charge an evaluator for it
 (:class:`~repro.neighborhood.search.NeighborhoodSearch`,
 :class:`~repro.neighborhood.annealing.SimulatedAnnealing`,
 :class:`~repro.neighborhood.tabu.TabuSearch`); they report through
@@ -111,21 +111,6 @@ class Evaluator:
         # Deferred: the engine package's modules import this one.
         from repro.core.engine.stacked import StackedEngine
 
-        # Cheap non-finite gate (two vectorized isfinite scans).  The
-        # same check runs at ProblemInstance construction; repeating it
-        # here catches instances whose arrays were mutated after the
-        # fact (e.g. through object.__setattr__), before whichever
-        # engine tier this evaluator resolves to sees them.
-        if not np.isfinite(problem.fleet.radii).all():
-            raise ValueError(
-                "router radii must be finite (NaN/inf would silently "
-                "produce garbage fitness in every engine tier)"
-            )
-        if not np.isfinite(problem.clients.positions).all():
-            raise ValueError(
-                "client positions must be finite (NaN/inf would silently "
-                "produce garbage fitness in every engine tier)"
-            )
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         self._n_evaluations = 0

@@ -116,16 +116,6 @@ def label_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) & 0xFFFF
 
 
-#: Backward-compatible alias (pre-PR-4 name).
-_name_key = label_key
-
-
-#: Backward-compatible aliases: the sharding and pool plumbing moved to
-#: :mod:`repro.parallel`, shared with the multi-chain engine and the
-#: scenario fleet so the three ``workers=`` layers cannot drift.
-_seed_shards = seed_shards
-
-
 def _standalone_run(task) -> list[tuple[float, float, float]]:
     """One (method, seed-shard) batch of stand-alone runs (picklable).
 
@@ -178,8 +168,6 @@ def _movement_run(task) -> list[tuple[float, float]]:
     ]
 
 
-_run_tasks = run_tasks
-
 _ROW_FORMAT = "repro.replicate_row.v1"
 
 
@@ -222,7 +210,7 @@ def _run_replication(
     the single-seed parity re-verification on resume.  Returns
     ``{label: rows-ordered-by-seed}``.
     """
-    shards = _seed_shards(n_seeds, workers)
+    shards = seed_shards(n_seeds, workers)
     entries = [
         (label, shard, [_rep_key(label, seed) for seed in shard])
         for label in labels
@@ -247,7 +235,7 @@ def _run_replication(
         for seed, key, row in zip(shard, keys, rows):
             store.save(key, _row_doc(label, seed, row))
 
-    flat = _run_tasks(
+    flat = run_tasks(
         run_fn,
         [make_task(entries[i][0], entries[i][1]) for i in pending],
         workers,

@@ -4,10 +4,12 @@ The paper's Algorithm 1 (best-improvement neighborhood search),
 Algorithm 2 (sampled best-neighbor selection) and Algorithm 3 (the swap
 movement), the purely-random movement baseline, plus the "full featured
 local search methods" announced as future work: simulated annealing and
-tabu search.  Every best-improvement search runs on the lockstep
-multi-chain driver (:mod:`repro.neighborhood.multichain`), which
-executes whole replication portfolios through one stacked evaluation
-per phase; :class:`NeighborhoodSearch` is its one-chain case.
+tabu search.  Every local search runs on the lockstep multi-chain
+driver (:mod:`repro.neighborhood.multichain`), which executes whole
+replication portfolios through one stacked evaluation per phase;
+:class:`NeighborhoodSearch`, :class:`TabuSearch` and
+:class:`SimulatedAnnealing` are its one-chain cases on the
+best-improvement, tabu and Metropolis rules.
 """
 
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing

@@ -11,10 +11,11 @@ The trace format matches :class:`~repro.neighborhood.search.SearchResult`
 so the ablation bench can overlay SA, tabu and the paper's search on the
 same axes.
 
-Every step is a single move off the incumbent, accepted or rejected
-before the next is drawn, so the loop runs on one chain of the
-engine's incremental cache,
-:class:`~repro.core.engine.stacked.StackedDeltaEngine`:
+:class:`SimulatedAnnealing` runs as a one-chain
+:class:`~repro.neighborhood.multichain.MultiChainSearch` on the
+Metropolis rule.  Every step is a single move off the incumbent,
+accepted or rejected before the next is drawn, so each move is measured
+alone on the chain's incremental cache:
 :meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one`
 recomputes only the state the moved routers touch (matrix rows/columns
 at paper scale, sparse edge/coverage-hit arrays on city-scale
@@ -27,22 +28,14 @@ evaluator (asserted against a frozen copy of the loop by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.anytime.deadline import DEFAULT_CLOCK
-from repro.core.engine.stacked import StackedDeltaEngine
-from repro.core.evaluation import Evaluator
-from repro.core.problem import check_start_placement
-from repro.core.solution import Placement
 from repro.neighborhood.movements import MovementType
-from repro.neighborhood.trace import SearchResult, SearchTrace
-
-if TYPE_CHECKING:
-    from repro.anytime.deadline import Deadline
+from repro.neighborhood.multichain import (
+    MultiChainSearch,
+    _Metropolis,
+    _OneChainSearch,
+)
 
 __all__ = ["AnnealingSchedule", "SimulatedAnnealing"]
 
@@ -84,7 +77,7 @@ class AnnealingSchedule:
         return max(value, self.floor_temperature)
 
 
-class SimulatedAnnealing:
+class SimulatedAnnealing(_OneChainSearch):
     """Metropolis acceptance over a movement type.
 
     Per phase, ``moves_per_phase`` single moves are proposed; improving
@@ -110,80 +103,13 @@ class SimulatedAnnealing:
         self.max_phases = max_phases
         self.moves_per_phase = moves_per_phase
 
-    def run(
-        self,
-        evaluator: Evaluator,
-        initial: Placement,
-        rng: np.random.Generator,
-        deadline: "Deadline | None" = None,
-    ) -> SearchResult:
-        """Anneal from ``initial``; returns the best solution and trace.
-
-        ``deadline`` is polled once per phase boundary (cooperative
-        cancellation, never mid-phase): when it fires the run stops and
-        returns the tracked best with ``stopped_by`` set — always a
-        valid evaluated incumbent, even for an already-expired deadline.
-        """
-        problem = evaluator.problem
-        check_start_placement(problem, initial, label="start placement")
-        started = DEFAULT_CLOCK.now()
-        evaluations_before = evaluator.n_evaluations
-        current = evaluator.evaluate(initial)
-        # The delta engine follows the evaluator's resolved engine, so a
-        # forced dense/sparse choice applies to the whole run.
-        engine = StackedDeltaEngine(
-            problem, evaluator.fitness_function, engine=evaluator.engine
-        )
-        engine.reset_chain(0, initial)
-        best = current
-        trace = SearchTrace()
-        trace.record_phase(
-            phase=0,
-            evaluation=current,
-            improved=False,
-            n_evaluations=evaluator.n_evaluations - evaluations_before,
-        )
-        phases_done = 0
-        stopped_by: str | None = None
-        for phase in range(1, self.max_phases + 1):
-            if deadline is not None:
-                stopped_by = deadline.stop_reason()
-                if stopped_by is not None:
-                    break
-            phases_done = phase
-            temperature = self.schedule.temperature_at(phase)
-            improved_this_phase = False
-            for _ in range(self.moves_per_phase):
-                move = self.movement.propose(current, problem, rng)
-                if move is None:
-                    continue
-                try:
-                    placement = move.apply(current.placement)
-                except ValueError:  # repro-lint: disable=RL007
-                    # Invalid move for the current placement; skip it.
-                    continue
-                candidate = engine.measure_one(0, placement)
-                evaluator.count()
-                delta = candidate.fitness - current.fitness
-                if delta >= 0 or rng.uniform() < math.exp(delta / temperature):
-                    engine.commit_chain(0, placement)
-                    current = candidate
-                    if current.fitness > best.fitness:
-                        best = current
-                        improved_this_phase = True
-            trace.record_phase(
-                phase=phase,
-                evaluation=current,
-                improved=improved_this_phase,
-                n_evaluations=evaluator.n_evaluations - evaluations_before,
-            )
-        return SearchResult(
-            best=best,
-            trace=trace,
-            n_phases=phases_done,
-            n_evaluations=evaluator.n_evaluations - evaluations_before,
-            stopped_by=stopped_by,
-            elapsed_seconds=DEFAULT_CLOCK.now() - started,
+    def _chains(self, engine: str) -> MultiChainSearch:
+        return MultiChainSearch._with_rule(
+            _Metropolis(self.schedule),
+            self.movement,
+            n_candidates=self.moves_per_phase,
+            max_phases=self.max_phases,
+            engine=engine,
         )
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Lockstep execution of whole neighborhood-search portfolios.
+"""Lockstep execution of whole local-search portfolios.
 
 The paper's headline experiments are *portfolios* of independent search
 runs — many seeds x many movements (Tables 1-3, Fig. 4) — and the
@@ -7,9 +7,8 @@ chain as its own python loop leaves most of the vectorized engine's
 throughput on the table: every phase of every chain pays its own small
 batch evaluation and its own per-candidate object churn.
 
-:class:`MultiChainSearch` advances ``R`` independent
-:class:`~repro.neighborhood.search.NeighborhoodSearch` chains in
-lockstep instead:
+:class:`MultiChainSearch` advances ``R`` independent chains in lockstep
+instead.  Under the batched rules (best improvement and tabu, below):
 
 * each phase samples all chains' candidates through one
   :meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
@@ -18,20 +17,25 @@ lockstep instead:
   per-chain incumbent caches by a
   :class:`~repro.core.engine.stacked.StackedDeltaEngine` — matrices on
   the dense (paper-scale) layout, edge and coverage-hit arrays on the
-  sparse (city-scale) one — and only each chain's *winning* candidate
+  sparse (city-scale) one — and only each chain's *chosen* candidate
   is ever materialized as an :class:`~repro.core.evaluation.Evaluation`;
 * converged/stalled chains drop out of the lockstep via boolean masking
   and the survivors keep batching.
 
-This is the repository's one best-improvement loop:
+This is the repository's one local-search loop; only the rule a chain
+chooses its next incumbent by varies.  Best improvement (paper
+Algorithm 1) is the default, and
 :class:`~repro.neighborhood.search.NeighborhoodSearch` is its one-chain
-case.  Per-chain results — trace, best solution, phase and evaluation
-counts — are **bit-identical** to running each chain alone through the
-paper's serial phase loop, measuring every candidate with the dense
-reference evaluator (asserted against a frozen copy of that loop by
-``tests/neighborhood/test_multichain.py``), because every random draw
-stays on its chain's own generator and every engine path shares the
-evaluation contract.
+case; :class:`~repro.neighborhood.tabu.TabuSearch` and
+:class:`~repro.neighborhood.annealing.SimulatedAnnealing` are one chain
+on the tabu and Metropolis rules.  Per-chain results — trace, best
+solution, phase and evaluation counts — are **bit-identical** to
+running each chain alone through a serial phase loop that measures
+every candidate with the dense reference evaluator (asserted against
+frozen copies of those loops by ``tests/neighborhood/test_multichain.py``
+and ``tests/neighborhood/test_local_search_reference.py``), because
+every random draw stays on its chain's own generator and every engine
+path shares the evaluation contract.
 
 RNG contract
 ------------
@@ -47,7 +51,8 @@ parent-derived:
   pre-seeded ``Generator`` per chain instead;
 * chain ``r`` consumes **only** ``rngs[r]``, in the same order as a
   one-chain run (initial placement first if the caller drew it there,
-  then ``C`` proposals per phase).  Results are therefore invariant to
+  then each phase's proposals and, under the Metropolis rule, its
+  acceptance draws).  Results are therefore invariant to
   chain grouping: batching, ``workers=`` sharding and phase masking never
   change a chain's stream.
 
@@ -59,6 +64,7 @@ and because of the stream contract the results are identical to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -89,7 +95,9 @@ from repro.seeding import root_sequence, spawn_children
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
+    from repro.core.evaluation import Evaluator
     from repro.core.grid import GridArea
+    from repro.neighborhood.annealing import AnnealingSchedule
     from repro.resilience.supervisor import RetryPolicy, SupervisionReport
 
 __all__ = [
@@ -102,7 +110,7 @@ __all__ = [
 def check_search_parameters(
     n_candidates: int, max_phases: int, stall_phases: int | None
 ) -> None:
-    """Validate the best-improvement knobs shared by both search entries."""
+    """Validate the phase knobs shared by the lockstep search entries."""
     if n_candidates <= 0:
         raise ValueError(f"n_candidates must be positive, got {n_candidates}")
     if max_phases <= 0:
@@ -148,6 +156,19 @@ class _ChainState:
     last_phase: int = 0
     active: bool = True
     stopped_by: str | None = None
+    #: Tabu rule only: the phase until which each router is tabu.
+    tabu_until: np.ndarray | None = None
+
+    def accept(
+        self, chain: int, evaluation: Evaluation, delta: StackedDeltaEngine
+    ) -> bool:
+        """Move to ``evaluation``; True when it beats the best so far."""
+        self.current = evaluation
+        delta.commit_chain(chain, evaluation.placement)
+        if evaluation.fitness > self.best.fitness:
+            self.best = evaluation
+            return True
+        return False
 
 
 def _cell_owners(
@@ -346,25 +367,232 @@ def _spans(slot_of: np.ndarray, n_slots: int) -> list[tuple[int, int]]:
     return list(zip([0, *ends[:-1]], ends))
 
 
+class _PhaseRule:
+    """How the active chains take one phase's step (internal).
+
+    Immutable configuration, set once at construction; per-chain memory
+    lives on :class:`_ChainState`.  :meth:`step` advances chains ``chains``
+    (states ``states``) by one phase of ``n_moves`` candidates and
+    returns, per chain, whether the phase raised its best.
+    """
+
+    __slots__ = ()
+
+    def start(self, state: _ChainState, problem: ProblemInstance) -> None:
+        """Set up a chain's memory before its first phase (none here)."""
+
+    def step(
+        self,
+        phase: int,
+        chains: Sequence[int],
+        states: Sequence[_ChainState],
+        movement: MovementType,
+        problem: ProblemInstance,
+        delta: StackedDeltaEngine,
+        n_moves: int,
+    ) -> list[bool]:
+        raise NotImplementedError
+
+
+class _ChoiceRule(_PhaseRule):
+    """One batched phase, then a choice per chain.
+
+    One :meth:`~MovementType.propose_batch` call across the chains, one
+    :meth:`_Phase.collect` and one ``measure_phase``; ``choose(phase,
+    state, fitness, table)`` then picks the index of the candidate a
+    chain moves to (or ``None``) from its non-empty slice of the
+    fitness array and :class:`MoveBatch` rows.  Only that candidate is
+    built.
+    """
+
+    __slots__ = ()
+
+    def step(self, phase, chains, states, movement, problem, delta, n_moves):
+        proposals = movement.propose_batch(
+            [state.current for state in states],
+            problem,
+            [state.rng for state in states],
+            n_moves,
+        )
+        collected = _Phase.collect(
+            [state.current.placement for state in states],
+            chains,
+            proposals,
+            problem,
+        )
+        measurement = delta.measure_phase(collected.candidates)
+        improved = []
+        for (start, end), chain, state in zip(collected.spans, chains, states):
+            state.n_evaluations += end - start
+            choice = None
+            if end > start:
+                choice = self.choose(
+                    phase,
+                    state,
+                    measurement.fitness[start:end],
+                    collected.table[start:end],
+                )
+            if choice is None:
+                improved.append(False)
+                continue
+            winner = start + choice
+            placement = collected.placement(winner, state.current.placement)
+            evaluation = measurement.evaluation(winner, placement)
+            improved.append(state.accept(chain, evaluation, delta))
+        return improved
+
+
+class _BestImprovement(_ChoiceRule):
+    """Paper Algorithm 1: the fittest candidate, when it improves."""
+
+    __slots__ = ("accept_equal",)
+
+    def __init__(self, accept_equal: bool) -> None:
+        self.accept_equal = accept_equal
+
+    def choose(self, phase, state, fitness, table):
+        # argmax keeps the first maximum — Algorithm 2's first-seen tie
+        # rule.
+        winner = int(np.argmax(fitness))
+        current = state.current.fitness
+        if fitness[winner] > current or (
+            self.accept_equal and fitness[winner] == current
+        ):
+            return winner
+        return None
+
+
+class _Tabu(_ChoiceRule):
+    """Tabu search: the best admissible candidate, even when worsening.
+
+    The routers the chosen move touches (a relocation one, a swap two,
+    another move type none) are tabu for ``tenure`` phases; aspiration
+    admits a tabu move that beats the chain's best.
+    """
+
+    __slots__ = ("tenure",)
+
+    def __init__(self, tenure: int) -> None:
+        self.tenure = tenure
+
+    def start(self, state, problem):
+        # The extra last slot is never set, so the -1 "no router"
+        # entries of a candidate's touched routers read as not tabu.
+        state.tabu_until = np.zeros(problem.n_routers + 1, dtype=np.intp)
+
+    def choose(self, phase, state, fitness, table):
+        touched = table[:, 1:3]
+        is_tabu = (state.tabu_until[touched] > phase).any(axis=1)
+        admissible = np.flatnonzero(~is_tabu | (fitness > state.best.fitness))
+        if not admissible.size:
+            return None
+        chosen = int(admissible[np.argmax(fitness[admissible])])
+        if self.tenure > 0:
+            routers = touched[chosen]
+            state.tabu_until[routers[routers >= 0]] = phase + self.tenure
+        return chosen
+
+
+class _Metropolis(_PhaseRule):
+    """Simulated annealing: each move accepted or rejected on its own.
+
+    An improving or equal move is always taken, a worsening one with
+    probability ``exp(delta / T)`` at the schedule's phase temperature.
+    The acceptance draws interleave with the proposals on the chain's
+    generator, so moves are proposed one at a time and each is measured
+    by one ``measure_one``.
+    """
+
+    __slots__ = ("schedule",)
+
+    def __init__(self, schedule: "AnnealingSchedule") -> None:
+        self.schedule = schedule
+
+    def step(self, phase, chains, states, movement, problem, delta, n_moves):
+        temperature = self.schedule.temperature_at(phase)
+        improved = []
+        for chain, state in zip(chains, states):
+            rng = state.rng
+            raised = False
+            for _ in range(n_moves):
+                move = movement.propose(state.current, problem, rng)
+                if move is None:
+                    continue
+                try:
+                    placement = move.apply(state.current.placement)
+                except ValueError:  # repro-lint: disable=RL007
+                    # Invalid move for the current placement; skip it.
+                    continue
+                candidate = delta.measure_one(chain, placement)
+                state.n_evaluations += 1
+                change = candidate.fitness - state.current.fitness
+                if change >= 0 or rng.uniform() < math.exp(change / temperature):
+                    raised = state.accept(chain, candidate, delta) or raised
+            improved.append(raised)
+        return improved
+
+
+class _OneChainSearch:
+    """A search that runs as one chain of its lockstep driver (internal).
+
+    Subclasses name the driver (:meth:`_chains`); :meth:`run` runs it on
+    the evaluator's problem, fitness and tier.
+    """
+
+    def _chains(self, engine: str) -> "MultiChainSearch":
+        """This search's lockstep driver on the ``engine`` tier."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        evaluator: "Evaluator",
+        initial: Placement,
+        rng: np.random.Generator,
+        deadline: "Deadline | None" = None,
+    ) -> SearchResult:
+        """Search from ``initial``; returns the best solution and trace.
+
+        ``deadline`` is polled once per phase boundary (cooperative
+        cancellation, never mid-phase): when it fires the run stops and
+        returns the tracked best with ``stopped_by`` set — always a
+        valid evaluated incumbent, even for an already-expired deadline.
+        The run's evaluations are charged to ``evaluator``.
+        """
+        (result,) = self._chains(evaluator.engine).run(
+            evaluator.problem,
+            [initial],
+            [rng],
+            fitness=evaluator.fitness_function,
+            deadline=deadline,
+        )
+        evaluator.count(result.n_evaluations)
+        return result
+
+
 def _run_shard(task) -> list[SearchResult]:
     """One contiguous chain shard in a worker process (top-level: pickling).
 
-    The problem payload is either the instance itself (pickle path) or a
-    broadcast handle resolved against this process's attached shared
-    memory (see :mod:`repro.parallel.runtime`).
+    The task ships the search itself, so the shard runs the caller's
+    rule.  The problem payload is either the instance itself (pickle
+    path) or a broadcast handle resolved against this process's
+    attached shared memory (see :mod:`repro.parallel.runtime`).
     """
-    (parameters, problem, movement, initials, rngs, fitness, target) = task
+    (search, problem, initials, rngs, fitness, target) = task
     problem = resolve_task_problem(problem)
-    search = MultiChainSearch(movement, **parameters)
     return search.run(problem, initials, rngs, fitness=fitness, fitness_target=target)
 
 
 class MultiChainSearch:
-    """``R`` independent best-improvement chains advanced in lockstep.
+    """``R`` independent local-search chains advanced in lockstep.
 
     Parameters mirror :class:`~repro.neighborhood.search.NeighborhoodSearch`
     (movement, candidates per phase, phase budget, patience, sideways
     acceptance) plus the ``engine`` tier of the stacked evaluation path.
+    The chains follow the best-improvement rule;
+    :class:`~repro.neighborhood.tabu.TabuSearch` and
+    :class:`~repro.neighborhood.annealing.SimulatedAnnealing` build their
+    drivers on the tabu and Metropolis rules instead (see the module
+    docstring), with ``n_candidates`` as their moves per phase.
 
     ``movement`` is a :class:`MovementType` shared by all chains or a
     zero-argument factory (one instance per run / worker shard).  Either
@@ -389,6 +617,16 @@ class MultiChainSearch:
         self.stall_phases = stall_phases
         self.accept_equal = accept_equal
         self.engine = engine
+        self._rule: _PhaseRule = _BestImprovement(accept_equal)
+
+    @classmethod
+    def _with_rule(
+        cls, rule: _PhaseRule, movement: MovementType, **parameters
+    ) -> "MultiChainSearch":
+        """A driver whose chains step by ``rule`` (the tabu/SA seam)."""
+        search = cls(movement, **parameters)
+        search._rule = rule
+        return search
 
     # ------------------------------------------------------------------
     # Public entry
@@ -464,6 +702,8 @@ class MultiChainSearch:
             problem, engine.fitness_function, engine=engine.engine
         )
         states = self._initial_states(engine, initials, rngs)
+        for state in states:
+            self._rule.start(state, problem)
         for index, initial in enumerate(initials):
             delta.reset_chain(index, initial)
         try:
@@ -482,7 +722,7 @@ class MultiChainSearch:
                             states[r].stopped_by = reason
                         break
                 self._advance_phase(
-                    phase, states, active, movement, engine, delta,
+                    phase, states, active, movement, problem, delta,
                     fitness_target,
                 )
         finally:
@@ -545,55 +785,23 @@ class MultiChainSearch:
         states: list[_ChainState],
         active: list[int],
         movement: MovementType,
-        engine: StackedEngine,
+        problem: ProblemInstance,
         delta: StackedDeltaEngine,
         fitness_target: float | None,
     ) -> None:
-        proposals = movement.propose_batch(
-            [states[r].current for r in active],
-            engine.problem,
-            [states[r].rng for r in active],
-            self.n_candidates,
+        chains = [states[r] for r in active]
+        improved = self._rule.step(
+            phase, active, chains, movement, problem, delta, self.n_candidates
         )
-        collected = _Phase.collect(
-            [states[r].current.placement for r in active],
-            active,
-            proposals,
-            engine.problem,
-        )
-        measurement = delta.measure_phase(collected.candidates)
-
-        for (start, end), chain_index in zip(collected.spans, active):
-            state = states[chain_index]
-            improved = False
-            if end > start:
-                state.n_evaluations += end - start
-                local = measurement.fitness[start:end]
-                # argmax keeps the first maximum — Algorithm 2's
-                # first-seen tie rule.
-                winner = start + int(np.argmax(local))
-                winner_fitness = float(measurement.fitness[winner])
-                accept = winner_fitness > state.current.fitness or (
-                    self.accept_equal
-                    and winner_fitness == state.current.fitness
-                )
-                if accept:
-                    improved = winner_fitness > state.current.fitness
-                    placement = collected.placement(
-                        winner, state.current.placement
-                    )
-                    state.current = measurement.evaluation(winner, placement)
-                    delta.commit_chain(chain_index, state.current.placement)
-                    if state.current.fitness > state.best.fitness:
-                        state.best = state.current
+        for state, raised in zip(chains, improved):
             state.trace.record_phase(
                 phase=phase,
                 evaluation=state.current,
-                improved=improved,
+                improved=raised,
                 n_evaluations=state.n_evaluations,
             )
             state.last_phase = phase
-            state.stall = 0 if improved else state.stall + 1
+            state.stall = 0 if raised else state.stall + 1
             if (
                 fitness_target is not None
                 and state.best.fitness >= fitness_target
@@ -620,13 +828,6 @@ class MultiChainSearch:
         policy: "RetryPolicy | None" = None,
         report: "SupervisionReport | None" = None,
     ) -> list[SearchResult]:
-        parameters = dict(
-            n_candidates=self.n_candidates,
-            max_phases=self.max_phases,
-            stall_phases=self.stall_phases,
-            accept_equal=self.accept_equal,
-            engine=self.engine,
-        )
         # Publish the instance once; every shard task carries the small
         # broadcast handle (or the instance itself when it is below the
         # broadcast threshold / the runtime is disabled).
@@ -636,9 +837,8 @@ class MultiChainSearch:
         parts = shard_slices(len(initials), workers)
         tasks = [
             (
-                parameters,
+                self,
                 payload,
-                self.movement,
                 list(initials[part]),
                 list(rngs[part]),
                 fitness,

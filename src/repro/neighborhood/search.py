@@ -8,10 +8,11 @@ samples ``n_candidates`` neighbors from the movement type (Algorithm 2's
 "pre-fixed number of movements"), and moves to the fittest one when it
 improves (or ties, if sideways steps are enabled).  It runs as a
 one-chain :class:`~repro.neighborhood.multichain.MultiChainSearch`, the
-repository's one best-improvement loop, on the evaluator's problem,
-fitness and engine tier, and charges the run's evaluations to the
-evaluator.  The run returns a :class:`SearchResult` holding the best
-solution and the full phase trace used by Figure 4.
+repository's one local-search loop, on its default best-improvement
+rule and the evaluator's problem, fitness and engine tier, and charges
+the run's evaluations to the evaluator.  The run returns a
+:class:`SearchResult` holding the best solution and the full phase
+trace used by Figure 4.
 
 Stopping conditions: a phase budget (``max_phases``, the figure's x
 axis), an optional patience (``stall_phases`` without improvement) and

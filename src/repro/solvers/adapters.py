@@ -16,6 +16,11 @@ into the family's native run call.  The shared conventions:
   constructors.
 * **Engine** — threaded into the family's evaluator(s); the delta and
   stacked engines follow it too.
+* **Lockstep** — the local-search families (best-improvement search,
+  simulated annealing, tabu search) share one ``solve``/``solve_batch``:
+  every seed is one chain of a
+  :class:`~repro.neighborhood.multichain.MultiChainSearch` portfolio on
+  the family's acceptance rule, and ``solve`` is a one-seed batch.
 """
 
 from __future__ import annotations
@@ -147,36 +152,30 @@ class _InitializedSolver(Solver):
         return self._init_method.place(problem, rng_init), rng_run, False
 
 
-class NeighborhoodSolver(_InitializedSolver):
-    """The paper's best-improvement neighborhood search (Algorithm 1).
+class _LocalSearchSolver(_InitializedSolver):
+    """The local-search families on the one lockstep driver.
 
-    Runs on the lockstep driver: :meth:`solve` is a one-chain
-    :meth:`solve_batch`.  This family's warm-start saving comes from
-    ``stall_phases``: a near-converged start stops after a handful of
-    phases.
+    :meth:`solve_batch` runs every seed as one chain of a
+    :class:`~repro.neighborhood.multichain.MultiChainSearch` portfolio
+    on the family's acceptance rule, and :meth:`solve` is its one-seed
+    batch.  A subclass names its registry ``family`` and its driver
+    (:meth:`_chains`).
     """
 
-    def __init__(
-        self,
-        movement: str = "swap",
-        init: str = "random",
-        n_candidates: int = 16,
-        max_phases: int = 64,
-        stall_phases: "int | None" = None,
-        accept_equal: bool = False,
-        **movement_params,
-    ) -> None:
+    family: str
+
+    def __init__(self, movement: str, init: str, **movement_params) -> None:
         super().__init__(init)
         self._movement_name = movement
         self._movement = make_movement(movement, **movement_params)
-        self.n_candidates = n_candidates
-        self.max_phases = max_phases
-        self.stall_phases = stall_phases
-        self.accept_equal = accept_equal
 
     @property
     def name(self) -> str:
-        return f"search:{self._movement_name}"
+        return f"{self.family}:{self._movement_name}"
+
+    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+        """The family's lockstep driver at a phase budget and tier."""
+        raise NotImplementedError
 
     def solve(
         self,
@@ -218,28 +217,19 @@ class NeighborhoodSolver(_InitializedSolver):
         :class:`~repro.neighborhood.multichain.MultiChainSearch`, so the
         per-seed results (best, trace, phase and evaluation counts) are
         bit-identical to solving each seed alone (:meth:`solve` is the
-        one-seed batch); every phase measures all chains' candidates in
-        one stacked engine pass.
+        one-seed batch).  A shared ``deadline`` masks the chains still
+        running when it fires.
         """
         _check_budget(budget)
         warm_starts = _check_batch(seeds, warm_starts)
-        initials: list[Placement] = []
-        rngs: list[np.random.Generator] = []
-        warm_flags: list[bool] = []
-        for seed, warm_start in zip(seeds, warm_starts):
-            initial, rng_run, warm = self._resolve_start(
-                problem, seed, warm_start
+        initials, rngs, warm_flags = zip(
+            *(
+                self._resolve_start(problem, seed, warm_start)
+                for seed, warm_start in zip(seeds, warm_starts)
             )
-            initials.append(initial)
-            rngs.append(rng_run)
-            warm_flags.append(warm)
-        search = MultiChainSearch(
-            self._movement,
-            n_candidates=self.n_candidates,
-            max_phases=budget if budget is not None else self.max_phases,
-            stall_phases=self.stall_phases,
-            accept_equal=self.accept_equal,
-            engine=engine,
+        )
+        search = self._chains(
+            budget if budget is not None else self.max_phases, engine
         )
         results = search.run(
             problem, initials, rngs, fitness=fitness, deadline=deadline
@@ -259,8 +249,46 @@ class NeighborhoodSolver(_InitializedSolver):
         ]
 
 
-class AnnealingSolver(_InitializedSolver):
+class NeighborhoodSolver(_LocalSearchSolver):
+    """The paper's best-improvement neighborhood search (Algorithm 1).
+
+    This family's warm-start saving comes from ``stall_phases``: a
+    near-converged start stops after a handful of phases.
+    """
+
+    family = "search"
+
+    def __init__(
+        self,
+        movement: str = "swap",
+        init: str = "random",
+        n_candidates: int = 16,
+        max_phases: int = 64,
+        stall_phases: "int | None" = None,
+        accept_equal: bool = False,
+        **movement_params,
+    ) -> None:
+        super().__init__(movement, init, **movement_params)
+        self.n_candidates = n_candidates
+        self.max_phases = max_phases
+        self.stall_phases = stall_phases
+        self.accept_equal = accept_equal
+
+    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+        return MultiChainSearch(
+            self._movement,
+            n_candidates=self.n_candidates,
+            max_phases=max_phases,
+            stall_phases=self.stall_phases,
+            accept_equal=self.accept_equal,
+            engine=engine,
+        )
+
+
+class AnnealingSolver(_LocalSearchSolver):
     """Simulated annealing (the authors' WMN-SA follow-up line)."""
+
+    family = "annealing"
 
     def __init__(
         self,
@@ -271,52 +299,24 @@ class AnnealingSolver(_InitializedSolver):
         moves_per_phase: int = 16,
         **movement_params,
     ) -> None:
-        super().__init__(init)
-        self._movement_name = movement
-        self._movement = make_movement(movement, **movement_params)
+        super().__init__(movement, init, **movement_params)
         self.schedule = schedule
         self.max_phases = max_phases
         self.moves_per_phase = moves_per_phase
 
-    @property
-    def name(self) -> str:
-        return f"annealing:{self._movement_name}"
-
-    def solve(
-        self,
-        problem: ProblemInstance,
-        *,
-        seed=0,
-        budget=None,
-        warm_start=None,
-        engine: str = "auto",
-        fitness=None,
-        deadline: "Deadline | None" = None,
-    ) -> SolveResult:
-        _check_budget(budget)
-        initial, rng_run, warm = self._resolve_start(problem, seed, warm_start)
-        evaluator = Evaluator(problem, fitness, engine=engine)
-        annealing = SimulatedAnnealing(
-            movement=self._movement,
+    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+        return SimulatedAnnealing(
+            self._movement,
             schedule=self.schedule,
-            max_phases=budget if budget is not None else self.max_phases,
+            max_phases=max_phases,
             moves_per_phase=self.moves_per_phase,
-        )
-        result = annealing.run(evaluator, initial, rng_run, deadline=deadline)
-        return SolveResult(
-            solver=self.name,
-            best=result.best,
-            n_evaluations=result.n_evaluations,
-            n_phases=result.n_phases,
-            warm_started=warm,
-            trace=result.trace,
-            stopped_by=result.stopped_by,
-            elapsed_seconds=result.elapsed_seconds,
-        )
+        )._chains(engine)
 
 
-class TabuSolver(_InitializedSolver):
+class TabuSolver(_LocalSearchSolver):
     """Tabu search (the authors' WMN-TS follow-up line)."""
+
+    family = "tabu"
 
     def __init__(
         self,
@@ -327,48 +327,18 @@ class TabuSolver(_InitializedSolver):
         max_phases: int = 64,
         **movement_params,
     ) -> None:
-        super().__init__(init)
-        self._movement_name = movement
-        self._movement = make_movement(movement, **movement_params)
+        super().__init__(movement, init, **movement_params)
         self.tenure = tenure
         self.n_candidates = n_candidates
         self.max_phases = max_phases
 
-    @property
-    def name(self) -> str:
-        return f"tabu:{self._movement_name}"
-
-    def solve(
-        self,
-        problem: ProblemInstance,
-        *,
-        seed=0,
-        budget=None,
-        warm_start=None,
-        engine: str = "auto",
-        fitness=None,
-        deadline: "Deadline | None" = None,
-    ) -> SolveResult:
-        _check_budget(budget)
-        initial, rng_run, warm = self._resolve_start(problem, seed, warm_start)
-        evaluator = Evaluator(problem, fitness, engine=engine)
-        tabu = TabuSearch(
-            movement=self._movement,
+    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+        return TabuSearch(
+            self._movement,
             tenure=self.tenure,
             n_candidates=self.n_candidates,
-            max_phases=budget if budget is not None else self.max_phases,
-        )
-        result = tabu.run(evaluator, initial, rng_run, deadline=deadline)
-        return SolveResult(
-            solver=self.name,
-            best=result.best,
-            n_evaluations=result.n_evaluations,
-            n_phases=result.n_phases,
-            warm_started=warm,
-            trace=result.trace,
-            stopped_by=result.stopped_by,
-            elapsed_seconds=result.elapsed_seconds,
-        )
+            max_phases=max_phases,
+        )._chains(engine)
 
 
 class MultiStartSolver(Solver):

@@ -182,15 +182,18 @@ class Solver(abc.ABC):
         runs with ``warm_starts[i]`` (the list defaults to all-``None``)
         under the shared ``budget``/``engine``/
         ``fitness``.  The base implementation is the literal serial loop
-        over :meth:`solve`; families with a lockstep engine override it
-        with a vectorized path whose per-seed results are **bit-identical**
-        to this loop (asserted by ``tests/solvers/test_adapters.py``), so
+        over :meth:`solve`.  The local-search families (``search``,
+        ``annealing``, ``tabu``) override it with one lockstep
+        :class:`~repro.neighborhood.multichain.MultiChainSearch`
+        portfolio whose per-seed results are **bit-identical** to this
+        loop (asserted by ``tests/solvers/test_adapters.py``), so
         callers may treat the two as interchangeable.
 
         ``deadline`` is shared by the whole batch: each seed's solve
         polls the same deadline, so once it fires every remaining seed
-        returns its evaluated start immediately (the lockstep override
-        masks the still-running chains instead — same semantics).
+        returns its evaluated start immediately.  The lockstep override
+        polls it once per phase for all seeds and masks the chains still
+        running when it fires.
         """
         warm_starts = _check_batch(seeds, warm_starts)
         return [

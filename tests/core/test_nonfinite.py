@@ -7,9 +7,11 @@ inputs with a clear ``ValueError``:
 
 * :class:`ProblemInstance` construction — the choke point every
   instance passes through, naming the offending ids.
-* :class:`Evaluator` construction — re-checked per engine tier, which
-  also catches arrays mutated *after* instance validation (the frozen
-  dataclasses hold numpy arrays; ``object.__setattr__`` can swap them).
+* :class:`~repro.core.engine.stacked.StackedEngine` construction — the
+  one tier dispatch every :class:`Evaluator` and every lockstep search
+  driver builds, re-checked per engine tier, which also catches arrays
+  mutated *after* instance validation (the frozen dataclasses hold
+  numpy arrays; ``object.__setattr__`` can swap them).
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ import pytest
 from repro.core.engine import compiled
 from repro.core.evaluation import Evaluator
 from repro.core.problem import ProblemInstance
+from repro.core.solution import Placement
+from repro.neighborhood.movements import SwapMovement
+from repro.neighborhood.multichain import MultiChainSearch
+from repro.solvers import make_solver
 
 needs_compiled = pytest.mark.skipif(
     not compiled.is_available(),
@@ -104,3 +110,38 @@ class TestEvaluatorGate:
             tiny_problem.grid, tiny_problem.n_routers, rng
         )
         assert np.isfinite(evaluator.evaluate(placement).fitness)
+
+
+class TestSearchGate:
+    """The lockstep searches build their own engine, never an
+    ``Evaluator``, so the gate must sit in the engine they build."""
+
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    @pytest.mark.parametrize(
+        "spec", ["search:swap", "multistart:swap", "annealing:swap", "tabu:swap"]
+    )
+    def test_nan_radius_rejected_by_solver(self, tiny_problem, spec, engine):
+        problem = with_nan_radius(tiny_problem)
+        with pytest.raises(ValueError, match="radii must be finite"):
+            make_solver(spec).solve(problem, seed=1, budget=2, engine=engine)
+
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (with_nan_radius, "radii must be finite"),
+            (with_inf_position, "positions must be finite"),
+        ],
+    )
+    def test_multichain_run_rejects(self, tiny_problem, engine, mutate, message):
+        rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+        starts = [
+            Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
+            for rng in rngs
+        ]
+        problem = mutate(tiny_problem)
+        search = MultiChainSearch(
+            SwapMovement(), n_candidates=4, max_phases=2, engine=engine
+        )
+        with pytest.raises(ValueError, match=message):
+            search.run(problem, starts, rngs)

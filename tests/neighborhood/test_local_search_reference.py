@@ -42,6 +42,8 @@ from repro.neighborhood.movements import (
 from repro.neighborhood.registry import available_movements, make_movement
 from repro.neighborhood.tabu import TabuSearch
 from repro.neighborhood.trace import SearchResult, SearchTrace
+from repro.solvers.adapters import AnnealingSolver, TabuSolver
+from repro.solvers.base import solver_streams
 
 TIERS = [
     "dense",
@@ -379,3 +381,84 @@ def test_compiled_sparse_layout_matches_reference(search, movement):
         problem, initial, config, "compiled"
     )
     assert_same_run(result, reference, rng, reference_rng)
+
+
+def assert_same_outcome(result, reference):
+    """A solver's per-seed result equals a frozen reference run."""
+    assert result.best.placement.cells == reference.best.placement.cells
+    assert result.best.fitness == reference.best.fitness
+    assert result.best.metrics == reference.best.metrics
+    assert np.array_equal(result.best.giant_mask, reference.best.giant_mask)
+    assert result.n_phases == reference.n_phases
+    assert result.n_evaluations == reference.n_evaluations
+    assert result.stopped_by == reference.stopped_by
+    assert [r.as_dict() for r in result.trace] == [
+        r.as_dict() for r in reference.trace
+    ]
+
+
+@pytest.mark.parametrize("family", ["annealing", "tabu"])
+@pytest.mark.parametrize("tier", TIERS)
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    case=search_cases(),
+    movement=st.sampled_from(available_movements()),
+    n_seeds=st.integers(2, 3),
+    third_warm=st.booleans(),
+)
+def test_solve_batch_matches_frozen_reference_per_seed(
+    family, tier, case, movement, n_seeds, third_warm
+):
+    # R lockstep chains, warm and cold, each equal to the one-chain loop
+    # of its seed: the run stream of the solver split, started from the
+    # warm placement or from the cold draw of the init stream.  (A shared
+    # deadline is pinned by tests/solvers/test_deadline.py.)
+    problem, initial, config = case
+    seeds = [config["seed"] + offset for offset in range(n_seeds)]
+    warm_starts = [initial, None, initial if third_warm else None][:n_seeds]
+    schedule = AnnealingSchedule(
+        initial_temperature=config["temperature"],
+        cooling_rate=config["cooling_rate"],
+    )
+    if family == "annealing":
+        solver = AnnealingSolver(
+            movement,
+            schedule=schedule,
+            max_phases=config["max_phases"],
+            moves_per_phase=config["per_phase"],
+        )
+    else:
+        solver = TabuSolver(
+            movement,
+            tenure=config["tenure"],
+            n_candidates=config["per_phase"],
+            max_phases=config["max_phases"],
+        )
+    results = solver.solve_batch(
+        problem,
+        seeds,
+        warm_starts=warm_starts,
+        engine=tier,
+    )
+    assert len(results) == n_seeds
+    for seed, warm_start, result in zip(seeds, warm_starts, results):
+        start = warm_start
+        if start is None:
+            start = solver.initial_placement(problem, seed)
+        _, rng = solver_streams(seed)
+        if family == "annealing":
+            reference = annealing_reference(
+                problem, make_movement(movement), start, rng, schedule,
+                config["max_phases"], config["per_phase"],
+            )
+        else:
+            reference = tabu_reference(
+                problem, make_movement(movement), start, rng,
+                config["tenure"], config["per_phase"], config["max_phases"],
+            )
+        assert_same_outcome(result, reference)
+        assert result.warm_started == (warm_start is not None)

@@ -416,7 +416,7 @@ class TestReplicationContract:
 
     def test_movement_replication_matches_serial_chains(self):
         from repro.experiments.replication import (
-            _name_key,
+            label_key,
             replicate_movements,
         )
 
@@ -429,7 +429,7 @@ class TestReplicationContract:
             giants = []
             coverages = []
             for seed in range(3):
-                rng = np.random.default_rng((spec.seed, _name_key(label), seed))
+                rng = np.random.default_rng((spec.seed, label_key(label), seed))
                 initial = Placement.random(
                     problem.grid, problem.n_routers, rng
                 )
@@ -445,7 +445,7 @@ class TestReplicationContract:
     def test_standalone_replication_matches_scalar_runs(self):
         from repro.adhoc.registry import make_method
         from repro.experiments.replication import (
-            _name_key,
+            label_key,
             replicate_standalone,
         )
 
@@ -457,7 +457,7 @@ class TestReplicationContract:
         for name in ("random", "hotspot"):
             fitnesses = []
             for seed in range(3):
-                rng = np.random.default_rng((spec.seed, _name_key(name), seed))
+                rng = np.random.default_rng((spec.seed, label_key(name), seed))
                 evaluation = Evaluator(problem).evaluate(
                     make_method(name).place(problem, rng)
                 )

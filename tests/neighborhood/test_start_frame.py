@@ -47,8 +47,8 @@ def run_tabu(problem, start):
 DRIVERS = [
     pytest.param(run_search, "chain 0 start", id="search"),
     pytest.param(run_multichain, "chain 1 start", id="multichain"),
-    pytest.param(run_annealing, "start placement", id="annealing"),
-    pytest.param(run_tabu, "start placement", id="tabu"),
+    pytest.param(run_annealing, "chain 0 start", id="annealing"),
+    pytest.param(run_tabu, "chain 0 start", id="tabu"),
 ]
 
 

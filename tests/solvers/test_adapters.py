@@ -143,6 +143,12 @@ class TestSolveBatch:
         ("annealing:swap", {"moves_per_phase": 4}),
         ("adhoc:hotspot", {}),
     )
+    #: The local-search families, whose batches run in lockstep.
+    LOCKSTEP_SPECS = (
+        ("search:swap", {"n_candidates": 4}),
+        ("tabu:swap", {"n_candidates": 4}),
+        ("annealing:swap", {"moves_per_phase": 4}),
+    )
 
     @pytest.mark.parametrize("spec,kwargs", BATCH_SPECS)
     def test_batch_matches_serial_solves(self, tiny_problem, spec, kwargs):
@@ -159,8 +165,9 @@ class TestSolveBatch:
             assert a.n_phases == b.n_phases
             assert a.warm_started == b.warm_started
 
-    def test_batch_traces_match_serial(self, tiny_problem):
-        solver = make_solver("search:swap", n_candidates=4)
+    @pytest.mark.parametrize("spec,kwargs", LOCKSTEP_SPECS)
+    def test_batch_traces_match_serial(self, tiny_problem, spec, kwargs):
+        solver = make_solver(spec, **kwargs)
         seeds = [np.random.SeedSequence(s) for s in (1, 2)]
         serial = [
             solver.solve(
@@ -174,8 +181,9 @@ class TestSolveBatch:
                 (r.phase, r.fitness, r.improved) for r in a.trace
             ] == [(r.phase, r.fitness, r.improved) for r in b.trace]
 
-    def test_batch_threads_per_seed_warm_starts(self, tiny_problem):
-        solver = make_solver("search:swap", n_candidates=4)
+    @pytest.mark.parametrize("spec,kwargs", LOCKSTEP_SPECS)
+    def test_batch_threads_per_seed_warm_starts(self, tiny_problem, spec, kwargs):
+        solver = make_solver(spec, **kwargs)
         warm = solver.initial_placement(tiny_problem, 7)
         warm_starts = [warm, None, warm]
         seeds = [7, 8, 9]

@@ -98,9 +98,11 @@ class TestDeadlineContract:
             assert result.stopped_by == "cancelled"
 
 
+@pytest.mark.parametrize("family", ["search", "annealing", "tabu"])
 class TestBatchDeadline:
-    def test_solve_batch_accepts_shared_deadline(self, tiny_problem):
-        solver = make_solver("search:swap", n_candidates=4)
+    def test_solve_batch_accepts_shared_deadline(self, family, tiny_problem):
+        spec, kwargs = FAMILY_SPECS[family]
+        solver = make_solver(spec, **kwargs)
         bare = solver.solve_batch(tiny_problem, seeds=[1, 2], budget=3)
         guarded = solver.solve_batch(
             tiny_problem, seeds=[1, 2], budget=3,
@@ -110,8 +112,9 @@ class TestBatchDeadline:
             fingerprint(r) for r in guarded
         ]
 
-    def test_expired_deadline_masks_every_chain(self, tiny_problem):
-        solver = make_solver("search:swap", n_candidates=4)
+    def test_expired_deadline_masks_every_chain(self, family, tiny_problem):
+        spec, kwargs = FAMILY_SPECS[family]
+        solver = make_solver(spec, **kwargs)
         clock = SimulatedClock()
         expired = Deadline.after(1.0, clock=clock)
         clock.advance(5.0)
@@ -122,6 +125,30 @@ class TestBatchDeadline:
         for result in results:
             assert result.stopped_by == "deadline"
             assert result.n_evaluations > 0
+
+    def test_mid_run_deadline_masks_every_chain_at_one_phase(
+        self, family, tiny_problem
+    ):
+        # The batch polls the shared deadline once per lockstep phase, so
+        # it fires on the third poll for every seed alike: each result is
+        # its seed's solve under a deadline of its own.
+        spec, kwargs = FAMILY_SPECS[family]
+        solver = make_solver(spec, **kwargs)
+
+        def stepping():
+            return Deadline.after(2.5, clock=SteppingClock(dt=1.0))
+
+        seeds = [1, 2, 3]
+        batch = solver.solve_batch(
+            tiny_problem, seeds=seeds, budget=6, deadline=stepping()
+        )
+        for seed, result in zip(seeds, batch):
+            alone = solver.solve(
+                tiny_problem, seed=seed, budget=6, deadline=stepping()
+            )
+            assert result.stopped_by == alone.stopped_by == "deadline"
+            assert result.n_phases == alone.n_phases == 2
+            assert fingerprint(result) == fingerprint(alone)
 
 
 class TestMultiChainMasking:
