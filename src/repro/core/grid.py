@@ -9,12 +9,14 @@ zones) and uniform sampling of free cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.geometry import Point, Rect
+from repro.seeding import BulkDraws, unbroken_prefix
 
 __all__ = ["GridArea"]
 
@@ -214,7 +216,7 @@ class GridArea:
     def random_free_index(
         self,
         bitmap: bytearray,
-        rng: np.random.Generator,
+        rng: "np.random.Generator | BulkDraws",
         x0: int,
         y0: int,
         x1: int,
@@ -226,7 +228,10 @@ class GridArea:
         with exactly the draws :meth:`random_free_cell` makes for that
         window: up to 64 rejection attempts of an ``(x, y)`` pair, then
         a uniform pick among the free cells in row-major order.  Returns
-        the row-major index of the chosen cell.
+        the row-major index of the chosen cell.  ``rng`` may also be a
+        :class:`~repro.seeding.BulkDraws` over the generator: that is how
+        :meth:`sample_distinct_cells` and the movements finish the one
+        pick an array block could not keep.
         """
         width = self.width
         x0, y0 = max(x0, 0), max(y0, 0)
@@ -256,8 +261,19 @@ class GridArea:
         """Sample ``count`` distinct free cells uniformly at random.
 
         Each cell is drawn as :meth:`random_free_cell` would draw it from
-        the cells still free, over a bitmap that lives for this call.
+        the cells still free, over a bitmap that lives for this call, and
+        ``rng`` ends where those scalar draws leave it.  The picks are
+        taken in array blocks (:meth:`~repro.seeding.BulkDraws.rows`): a
+        block of ``(x, y)`` draws is reduced at once and kept up to the
+        first pick that lands on a taken cell, repeats an earlier pick of
+        the block (the first occurrence wins) or meets a Lemire
+        rejection; :meth:`random_free_index` finishes that pick on the
+        same draws.  Blocks are bounded by the run expected before a
+        pick finds its cell taken, so a crowded region falls back to the
+        scalar picks.
         """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         region = self.bounds if within is None else within.intersection(self.bounds)
         width = self.width
         bitmap = bytearray(self.n_cells)
@@ -272,11 +288,39 @@ class GridArea:
                 f"cannot place {count} nodes in a region with only "
                 f"{available} free cells"
             )
-        chosen: list[Point] = []
-        for _ in range(count):
+        if not count:
+            return []
+        taken_cells = np.frombuffer(bitmap, dtype=bool)
+        picks = np.empty(count, dtype=np.intp)
+        x0, y0, area = region.x0, region.y0, region.area
+
+        def keep(values: np.ndarray, rejected: np.ndarray, at: int) -> int:
+            index = (values[:, 1] + y0) * width + (values[:, 0] + x0)
+            broken = rejected | taken_cells[index]
+            # A repeat of an earlier pick in the block would find its
+            # cell taken: the first occurrence wins.
+            order = np.argsort(index, kind="stable")
+            ranked = index[order]
+            broken[order[1:][ranked[1:] == ranked[:-1]]] = True
+            kept = unbroken_prefix(broken)
+            taken_cells[index[:kept]] = True
+            picks[at : at + kept] = index[:kept]
+            return kept
+
+        def finish(at: int) -> None:
             index = self.random_free_index(
-                bitmap, rng, region.x0, region.y0, region.x1, region.y1
+                bitmap, draws, x0, y0, region.x1, region.y1
             )
             bitmap[index] = 1
-            chosen.append(Point(index % width, index // width))
-        return chosen
+            picks[at] = index
+
+        def break_rate(at: int) -> float:
+            # Pick i of a block finds its cell taken with chance
+            # (held + i) / area; one break is expected once those sum to
+            # one, after sqrt(held**2 + 2 area) - held picks.
+            held = taken + at
+            return 1.0 / (math.sqrt(held * held + 2.0 * area) - held)
+
+        with BulkDraws(rng, words=count + 16) as draws:
+            draws.rows(count, (region.width, region.height), keep, finish, break_rate)
+        return [Point(index % width, index // width) for index in picks.tolist()]

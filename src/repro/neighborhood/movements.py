@@ -20,22 +20,26 @@ announces as future work.
 
 Every movement has two proposal forms.  :meth:`MovementType.propose`
 draws one :class:`~repro.neighborhood.moves.Move` with scalar generator
-calls; it is the reference, and what simulated annealing and tabu
-search use.  :meth:`MovementType.propose_batch` samples a whole phase
-per chain into a :class:`~repro.neighborhood.moves.MoveBatch`: the
-RNG-free work (ranked windows, per-window router picks, the occupancy
-bitmap) is done once per incumbent with array operations, and every
-random draw is served by :class:`~repro.seeding.BulkDraws`, which
-replays numpy's own algorithms on prefetched words — so each chain's
-proposals and its final generator state equal those of the scalar
-calls exactly.
+calls; it is the reference, and what simulated annealing uses.
+:meth:`MovementType.propose_batch` samples a whole phase per chain into
+a :class:`~repro.neighborhood.moves.MoveBatch`: the RNG-free work
+(ranked windows, per-window router picks, the occupancy bitmap) is done
+once per incumbent with array operations, and the draws are served by
+:class:`~repro.seeding.BulkDraws`, which replays numpy's own algorithms
+on prefetched words.  Random and Swap proposals are taken as array
+blocks: a block of proposals is reduced from the words at once under
+the layout of an unbroken proposal, kept up to the first proposal that
+breaks it (an occupied target cell, a window with no router to move, a
+Lemire rejection), and that one proposal is finished by the scalar row
+sampler on the same draws.  Each chain's proposals and its final
+generator state equal those of the scalar calls exactly.
 """
 
 from __future__ import annotations
 
 import abc
 from bisect import bisect_right
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +49,7 @@ from repro.core.geometry import Point, Rect
 from repro.core.grid import REJECTION_ATTEMPTS, GridArea
 from repro.core.problem import ProblemInstance
 from repro.neighborhood.moves import Move, MoveBatch, RelocateMove, SwapMove
-from repro.seeding import BulkDraws
+from repro.seeding import BulkDraws, unbroken_prefix
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
 
@@ -62,6 +66,37 @@ _SWAP = MoveBatch.SWAP
 _CACHE_LIMIT = 512
 
 
+class _Proposer(NamedTuple):
+    """A movement's samplers of one incumbent's proposals.
+
+    ``row`` draws one proposal from a :class:`~repro.seeding.BulkDraws`
+    — the draws :meth:`MovementType.propose` makes, in the same order —
+    as a ``(kind, router, partner, x, y)`` row.  ``block``, when the
+    movement has an array form, maps a speculated ``(n, len(spans))``
+    block of draws (and its Lemire-rejected rows) to ``n`` table rows
+    and the mask of rows that break the layout of an unbroken proposal;
+    ``break_rate`` is the share of proposals expected to break it.
+    """
+
+    row: "Callable[[BulkDraws], Row]"
+    spans: "tuple[int, ...]" = ()
+    block: "Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None" = None
+    break_rate: float = 0.0
+
+
+def _relocation_rows(
+    routers: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """:class:`MoveBatch` rows relocating ``routers`` to ``(xs, ys)``."""
+    rows = np.empty((len(routers), 5), dtype=np.intp)
+    rows[:, 0] = _RELOCATE
+    rows[:, 1] = routers
+    rows[:, 2] = -1
+    rows[:, 3] = xs
+    rows[:, 4] = ys
+    return rows
+
+
 def _free_cell(
     draws: BulkDraws,
     bitmap: bytearray,
@@ -74,10 +109,11 @@ def _free_cell(
     """``grid.random_free_cell(..., within=window)`` on bulk draws.
 
     The same draws in the same order: up to ``REJECTION_ATTEMPTS``
-    rejection samples of an ``x`` and a ``y`` draw, tested against the row-major occupancy
-    ``bitmap``, then one draw over the window's free cells in row-major
-    order.  ``None`` (after the rejection draws) when the window is
-    full.
+    rejection samples of an ``x`` and a ``y`` draw, tested against the
+    row-major occupancy ``bitmap``, then one draw over the window's free
+    cells in row-major order.  ``None`` (after the rejection draws) when
+    the window is full.  The scalar row samplers use it to finish a
+    proposal whose first cell draw was taken.
     """
     draw = draws.integers
     for _ in range(REJECTION_ATTEMPTS):
@@ -95,43 +131,48 @@ def _free_cell(
 
 def _router_picks(
     radii: np.ndarray, members: np.ndarray, strongest: bool
-) -> "list[int | None]":
+) -> np.ndarray:
     """Per-row pick of a ``(windows, routers)`` membership mask.
 
     The strongest member (max radius, then min id — the rule of
     :meth:`~repro.core.routers.RouterFleet.strongest_among`) or the
-    weakest (min radius, then min id); ``None`` for an empty row.
+    weakest (min radius, then min id); ``-1`` for an empty row.
     """
     fill = -np.inf if strongest else np.inf
     selected = np.where(members, radii[np.newaxis, :], fill)
     extreme = selected.max(axis=1) if strongest else selected.min(axis=1)
     first = (members & (selected == extreme[:, np.newaxis])).argmax(axis=1)
-    return [
-        int(router) if any_member else None
-        for router, any_member in zip(first.tolist(), members.any(axis=1).tolist())
-    ]
+    return np.where(members.any(axis=1), first, -1)
 
 
 class _SwapWindowState:
     """Per-incumbent proposal state of :class:`SwapMovement`.
 
     The ranked window pools, plus — built on the first batch proposal
-    against the incumbent — the per-window router picks (weakest in a
-    dense window, strongest in a sparse window, strongest outside a
-    dense window) and the dense windows' bounds.  All of it is an
-    RNG-free function of the incumbent, so sharing it across proposals
-    never touches a chain's stream.  (The occupancy bitmap is rebuilt
-    per call instead: one grid-sized buffer per cached incumbent would
-    dominate the cache's memory.)
+    against the incumbent — what the movement's reading needs of the
+    per-window router picks (``-1`` for none).  The literal swap keeps
+    the weakest router of each dense window, the strongest of each
+    sparse window and the swap row of each ``(dense, sparse)`` pair.  A
+    relocation keeps the strongest router of each sparse window and
+    outside each dense window, the router each pair moves, the dense
+    windows' corners and the share of relocations expected to find no
+    room.  All of it is an RNG-free function of the incumbent, so
+    sharing it across proposals never touches a chain's stream.  (The
+    occupancy bitmap is rebuilt per call instead: one grid-sized buffer
+    per cached incumbent would dominate the cache's memory.)
     """
 
     __slots__ = (
         "placement",
         "pools",
         "dense_bounds",
+        "dense_corners",
+        "no_room",
         "weak_dense",
         "strong_sparse",
         "fallback_outside",
+        "pair_rows",
+        "pair_movers",
     )
 
     def __init__(self, placement, pools) -> None:
@@ -139,37 +180,89 @@ class _SwapWindowState:
         self.pools = pools
         self.dense_bounds = None
 
-    def prepare(self, radii: np.ndarray) -> None:
-        """Resolve every pooled window's picks in one array pass."""
+    def prepare(self, radii: np.ndarray, relocate: bool) -> None:
+        """Resolve every pooled window's picks in one array pass.
+
+        The picks are kept as lists for the scalar rows and as the pair
+        tables for the array blocks.
+        """
         if self.dense_bounds is not None:
             return
         cells = self.placement.cells_array()
         dense_pool, sparse_pool = self.pools
-        dense_inside = self._inside(cells, dense_pool)
-        self.weak_dense = _router_picks(radii, dense_inside, strongest=False)
-        self.strong_sparse = _router_picks(
-            radii, self._inside(cells, sparse_pool), strongest=True
+        dense_box = _window_bounds(dense_pool)
+        dense_inside = _inside(cells, dense_box)
+        strong_sparse = _router_picks(
+            radii, _inside(cells, _window_bounds(sparse_pool)), strongest=True
         )
-        self.fallback_outside = _router_picks(radii, ~dense_inside, strongest=True)
+        self.strong_sparse = strong_sparse.tolist()
+        strong = strong_sparse[np.newaxis, :]
+        if relocate:
+            fallback_outside = _router_picks(radii, ~dense_inside, strongest=True)
+            self.fallback_outside = fallback_outside.tolist()
+            movers = np.where(strong >= 0, strong, fallback_outside[:, np.newaxis])
+            self.pair_movers = movers
+            self.dense_corners = dense_box[:, 0], dense_box[:, 2]
+            # A relocation finds no room when no router can move or its
+            # first cell draw in the dense window is taken (routers sit
+            # on distinct cells; ranked windows share one size).
+            dense_cells = len(dense_pool) * dense_pool[0].area
+            self.no_room = (
+                np.count_nonzero(movers < 0) / movers.size
+                + np.count_nonzero(dense_inside) / dense_cells
+            )
+        else:
+            weak_dense = _router_picks(radii, dense_inside, strongest=False)
+            self.weak_dense = weak_dense.tolist()
+            weak = weak_dense[:, np.newaxis]
+            valid = (weak >= 0) & (strong >= 0) & (weak != strong)
+            rows = np.full(valid.shape + (5,), -1, dtype=np.intp)
+            rows[..., 0] = np.where(valid, _SWAP, MoveBatch.NONE)
+            rows[..., 1] = np.where(valid, weak, -1)
+            rows[..., 2] = np.where(valid, strong, -1)
+            self.pair_rows = rows
         # Set last: it marks the state prepared.
-        self.dense_bounds = [
-            (window.x0, window.x1, window.y0, window.y1) for window in dense_pool
-        ]
+        self.dense_bounds = dense_box.tolist()
 
-    @staticmethod
-    def _inside(cells: np.ndarray, windows: "list[Rect]") -> np.ndarray:
-        """``(windows, routers)`` membership of every router cell."""
-        bounds = np.array(
-            [(w.x0, w.x1, w.y0, w.y1) for w in windows], dtype=np.int64
-        ).reshape(-1, 4)
-        xs = cells[np.newaxis, :, 0]
-        ys = cells[np.newaxis, :, 1]
-        return (
-            (xs >= bounds[:, 0:1])
-            & (xs < bounds[:, 1:2])
-            & (ys >= bounds[:, 2:3])
-            & (ys < bounds[:, 3:4])
-        )
+
+def _window_bounds(windows: "list[Rect]") -> np.ndarray:
+    """``(windows, 4)`` rows of ``(x0, x1, y0, y1)``."""
+    return np.array(
+        [(w.x0, w.x1, w.y0, w.y1) for w in windows], dtype=np.intp
+    ).reshape(-1, 4)
+
+
+def _inside(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(windows, routers)`` membership of every router cell."""
+    xs = cells[np.newaxis, :, 0]
+    ys = cells[np.newaxis, :, 1]
+    return (
+        (xs >= bounds[:, 0:1])
+        & (xs < bounds[:, 1:2])
+        & (ys >= bounds[:, 2:3])
+        & (ys < bounds[:, 3:4])
+    )
+
+
+def _sample(proposer: _Proposer, draws: BulkDraws, count: int) -> MoveBatch:
+    """``count`` proposals of ``proposer`` on ``draws``, as one batch."""
+    if proposer.block is None:
+        return MoveBatch.from_rows([proposer.row(draws) for _ in range(count)])
+    table = np.empty((count, 5), dtype=np.intp)
+    finished: dict[int, Row] = {}
+
+    def keep(values: np.ndarray, rejected: np.ndarray, at: int) -> int:
+        rows, broken = proposer.block(values, rejected)
+        table[at : at + len(rows)] = rows
+        return unbroken_prefix(broken)
+
+    def finish(at: int) -> None:
+        finished[at] = proposer.row(draws)
+
+    draws.rows(count, proposer.spans, keep, finish, lambda at: proposer.break_rate)
+    if finished:
+        table[list(finished)] = list(finished.values())
+    return MoveBatch(table)
 
 
 class MovementType(abc.ABC):
@@ -212,10 +305,13 @@ class MovementType(abc.ABC):
         :class:`~repro.neighborhood.moves.MoveBatch` per chain: the
         RNG-free per-incumbent work is done once, and the candidates are
         sampled on :class:`~repro.seeding.BulkDraws` over the chain's
-        generator.  Other movements return one list of :meth:`propose`
-        results per chain.  Either way each entry reads as a sequence of
-        ``n_candidates`` moves (``None`` where no move was available);
-        the agreement with scalar ``propose`` is asserted by
+        generator — Random and Swap in speculated array blocks
+        (:meth:`~repro.seeding.BulkDraws.rows`) repaired by the scalar
+        row sampler, :class:`CombinedMovement` row by row.  Other
+        movements return one list of :meth:`propose` results per chain.
+        Either way each entry reads as a sequence of ``n_candidates``
+        moves (``None`` where no move was available); the agreement with
+        scalar ``propose`` is asserted by
         ``tests/neighborhood/test_multichain.py``.
         """
         if len(currents) != len(rngs):
@@ -224,28 +320,23 @@ class MovementType(abc.ABC):
             )
         batches: list[Sequence[Move | None]] = []
         for current, rng in zip(currents, rngs):
-            propose_one = self._row_proposer(current, problem)
-            if propose_one is None:
+            proposer = self._proposer(current, problem)
+            if proposer is None:
                 batches.append(
                     [self.propose(current, problem, rng) for _ in range(n_candidates)]
                 )
                 continue
             with BulkDraws(rng, words=2 * n_candidates) as draws:
-                rows = [propose_one(draws) for _ in range(n_candidates)]
-            batches.append(MoveBatch.from_rows(rows))
+                batches.append(_sample(proposer, draws, n_candidates))
         return batches
 
-    def _row_proposer(
+    def _proposer(
         self, current: Evaluation, problem: ProblemInstance
-    ) -> "Callable[[BulkDraws], Row] | None":
-        """A sampler of one :class:`MoveBatch` row against ``current``.
+    ) -> "_Proposer | None":
+        """The samplers of :class:`MoveBatch` rows against ``current``.
 
-        The returned callable draws one proposal from its
-        :class:`~repro.seeding.BulkDraws` argument — the draws
-        :meth:`propose` would make, in the same order — and returns it as
-        a ``(kind, router, partner, x, y)`` row.  ``None`` means the
-        movement has no array form: :meth:`propose_batch` then calls
-        :meth:`propose`.
+        ``None`` means the movement has no array form:
+        :meth:`propose_batch` then calls :meth:`propose`.
         """
         return None
 
@@ -281,21 +372,32 @@ class RandomMovement(MovementType):
             return None
         return RelocateMove(router_id=router_id, target=target)
 
-    def _row_proposer(self, current, problem):
+    def _proposer(self, current, problem):
         placement = current.placement
         grid = problem.grid
         n_routers = len(placement)
         width, height = grid.width, grid.height
         bitmap = grid.occupancy_bitmap(placement.cells_array())
+        taken = np.frombuffer(bitmap, dtype=bool)
 
-        def propose_one(draws: BulkDraws) -> Row:
+        def row(draws: BulkDraws) -> Row:
             router = draws.integers(0, n_routers)
             cell = _free_cell(draws, bitmap, width, 0, width, 0, height)
             if cell is None:
                 return _NO_MOVE
             return (_RELOCATE, router, -1, cell[0], cell[1])
 
-        return propose_one
+        def block(values, rejected):
+            routers, xs, ys = values.T
+            return (
+                _relocation_rows(routers, xs, ys),
+                rejected | taken[ys * width + xs],
+            )
+
+        # A proposal breaks when its first cell draw is taken.
+        return _Proposer(
+            row, (n_routers, width, height), block, n_routers / grid.n_cells
+        )
 
 
 class SwapMovement(MovementType):
@@ -506,52 +608,74 @@ class SwapMovement(MovementType):
             return None
         return RelocateMove(router_id=mover, target=target)
 
-    def _row_proposer(self, current, problem):
+    def _proposer(self, current, problem):
         """Algorithm 3 on the incumbent's precomputed window picks.
 
         :meth:`propose` re-scans the two sampled windows per proposal;
         here every pooled window's weakest/strongest/fallback router is
         resolved once per incumbent (:class:`_SwapWindowState`), so a
-        proposal costs its two window draws, a list lookup and — when
+        proposal costs its two window draws, a table lookup and — when
         relocating — the free-cell draws.
         """
         state = self._window_state(current, problem)
-        state.prepare(problem.fleet.radii)
-        n_dense = len(state.weak_dense)
-        n_sparse = len(state.strong_sparse)
+        state.prepare(problem.fleet.radii, self.relocate)
         strong_sparse = state.strong_sparse
+        dense_bounds = state.dense_bounds
+        n_dense = len(dense_bounds)
+        n_sparse = len(strong_sparse)
 
         if not self.relocate:
             weak_dense = state.weak_dense
+            pair_rows = state.pair_rows
 
-            def propose_swap(draws: BulkDraws) -> Row:
+            def swap_row(draws: BulkDraws) -> Row:
                 weak = weak_dense[draws.integers(0, n_dense)]
                 strong = strong_sparse[draws.integers(0, n_sparse)]
-                if weak is None or strong is None or weak == strong:
+                if weak < 0 or strong < 0 or weak == strong:
                     return _NO_MOVE
                 return (_SWAP, weak, strong, -1, -1)
 
-            return propose_swap
+            def swap_block(values, rejected):
+                return pair_rows[values[:, 0], values[:, 1]], rejected
+
+            # Every proposal draws exactly its two windows.
+            return _Proposer(swap_row, (n_dense, n_sparse), swap_block)
 
         fallback_outside = state.fallback_outside
-        dense_bounds = state.dense_bounds
-        grid = problem.grid
-        bitmap = grid.occupancy_bitmap(current.placement.cells_array())
-        width = grid.width
+        pair_movers = state.pair_movers
+        corner_x, corner_y = state.dense_corners
+        x0, x1, y0, y1 = dense_bounds[0]
+        width = problem.grid.width
+        bitmap = problem.grid.occupancy_bitmap(current.placement.cells_array())
+        taken = np.frombuffer(bitmap, dtype=bool)
 
-        def propose_relocation(draws: BulkDraws) -> Row:
+        def relocation_row(draws: BulkDraws) -> Row:
             dense_index = draws.integers(0, n_dense)
             mover = strong_sparse[draws.integers(0, n_sparse)]
-            if mover is None:
+            if mover < 0:
                 mover = fallback_outside[dense_index]
-                if mover is None:
+                if mover < 0:
                     return _NO_MOVE
             cell = _free_cell(draws, bitmap, width, *dense_bounds[dense_index])
             if cell is None:
                 return _NO_MOVE
             return (_RELOCATE, mover, -1, cell[0], cell[1])
 
-        return propose_relocation
+        def relocation_block(values, rejected):
+            dense = values[:, 0]
+            movers = pair_movers[dense, values[:, 1]]
+            xs = corner_x[dense] + values[:, 2]
+            ys = corner_y[dense] + values[:, 3]
+            broken = rejected | (movers < 0) | taken[ys * width + xs]
+            return _relocation_rows(movers, xs, ys), broken
+
+        # Every ranked window has the map's size.
+        return _Proposer(
+            relocation_row,
+            (n_dense, n_sparse, x1 - x0, y1 - y0),
+            relocation_block,
+            state.no_room,
+        )
 
     def _pick_mover(
         self,
@@ -642,25 +766,27 @@ class CombinedMovement(MovementType):
         index = int(rng.choice(len(self.movements), p=self._probabilities))
         return self.movements[index].propose(current, problem, rng)
 
-    def _row_proposer(self, current, problem):
+    def _proposer(self, current, problem):
         proposers = [
-            movement._row_proposer(current, problem) for movement in self.movements
+            movement._proposer(current, problem) for movement in self.movements
         ]
         if any(proposer is None for proposer in proposers):
             return None
+        rows = [proposer.row for proposer in proposers]
         # Generator.choice(n, p=...) draws one uniform double and bisects
         # the normalized cumulative weights; bisecting the same cdf
         # consumes the identical stream value and returns the identical
         # index, without choice()'s per-call cumsum and validation.
         cdf = self._cdf
-        last = len(proposers) - 1
+        last = len(rows) - 1
 
-        def propose_one(draws: BulkDraws) -> Row:
+        def row(draws: BulkDraws) -> Row:
             index = bisect_right(cdf, draws.random())
             # min() guards the exact-1.0 edge draw.
-            return proposers[min(index, last)](draws)
+            return rows[min(index, last)](draws)
 
-        return propose_one
+        # The movement draw takes a whole word: no array layout.
+        return _Proposer(row)
 
     def release_proposal_caches(self) -> None:
         for movement in self.movements:

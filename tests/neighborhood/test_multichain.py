@@ -29,6 +29,7 @@ from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
+from repro.instances.generator import InstanceSpec
 from repro.neighborhood import (
     MultiChainSearch,
     NeighborhoodSearch,
@@ -213,6 +214,63 @@ class TestProposeBatchContract:
         # The streams must also END in the same state: no hidden draws.
         for fast, reference in zip(batch_rngs, scalar_rngs):
             assert fast.integers(1 << 30) == reference.integers(1 << 30)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param((32, 32, 1), id="one-router"),
+            pytest.param((1, 40, 6), id="one-column"),
+            pytest.param((40, 1, 6), id="one-row"),
+            pytest.param((6, 6, 30), id="crowded"),
+            pytest.param((32, 32, 60), id="busy"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            pytest.param(RandomMovement, id="random"),
+            pytest.param(SwapMovement, id="swap"),
+            pytest.param(lambda: SwapMovement(relocate=False), id="swap-literal"),
+            pytest.param(lambda: SwapMovement(pool=1), id="pool-1"),
+            pytest.param(
+                lambda: SwapMovement(relocate=False, pool=1), id="pool-1-literal"
+            ),
+            pytest.param(
+                lambda: SwapMovement(window_width=1, window_height=1), id="window-1"
+            ),
+            pytest.param(lambda: SwapMovement(window_width=1), id="window-width-1"),
+        ],
+    )
+    def test_agrees_with_scalar_propose_on_degenerate_edges(self, shape, factory):
+        # Spans of 1 draw nothing (one router, a one-cell-wide grid or
+        # window, a pool of one window), a busy grid breaks some
+        # speculated proposals and a crowded one most: the array blocks
+        # must still replay the scalar draws exactly.
+        width, height, n_routers = shape
+        problem = InstanceSpec(
+            name="edge", width=width, height=height, n_routers=n_routers,
+            n_clients=12, min_radius=1.0, max_radius=4.0, seed=3,
+        ).generate()
+        evaluator = Evaluator(problem)
+        currents = [
+            evaluator.evaluate(placement)
+            for placement in chain_starts(problem, chain_rngs(3, 5))
+        ]
+        n_candidates = 48
+        batch_rngs = chain_rngs(3, 13)
+        scalar_rngs = chain_rngs(3, 13)
+        batch = factory().propose_batch(currents, problem, batch_rngs, n_candidates)
+        scalar_movement = factory()
+        scalar = [
+            [
+                scalar_movement.propose(currents[chain], problem, rng)
+                for _ in range(n_candidates)
+            ]
+            for chain, rng in enumerate(scalar_rngs)
+        ]
+        assert batch == scalar
+        for fast, reference in zip(batch_rngs, scalar_rngs):
+            assert fast.bit_generator.state == reference.bit_generator.state
 
     def test_rejects_mismatched_lengths(self, problem):
         evaluator = Evaluator(problem)
