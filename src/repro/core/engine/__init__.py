@@ -7,7 +7,7 @@ giant-component masks for the same placement:
 
 * **One dispatch** — :class:`StackedEngine`.  The only code that
   resolves an ``engine`` argument to a tier and builds the per-tier
-  sub-engines.  ``measure_placements`` / ``measure_positions`` measure a
+  sub-engines.  Its one stack entry, ``measure_placements``, measures a
   whole candidate stack into metric *arrays*
   (:class:`StackedMeasurement`); callers materialize only the rows they
   keep.
@@ -20,7 +20,8 @@ giant-component masks for the same placement:
   use as ground truth.
 * **One incremental cache** —
   :class:`~repro.core.engine.stacked.StackedDeltaEngine`.  Per-chain
-  incumbent caches: a candidate is measured from only what its moved
+  incumbent caches: ``reset_chain`` builds one and measures the chain
+  start from it, then a candidate is measured from only what its moved
   routers touch.  ``measure_phase`` measures a whole phase of
   candidates (the lockstep portfolios of
   :mod:`repro.neighborhood.multichain`, tabu search), ``measure_one``
@@ -38,7 +39,8 @@ The tiers (see :mod:`repro.core.engine.dispatch`):
 * **sparse** — :class:`SparseEngine` bins positions into a spatial grid
   and generates only neighbor-bin candidate pairs, replacing the
   ``O(N^2 + M * N)`` matrices with ``O(N k + M k)`` edge and hit
-  arrays.  City-scale instances the dense tensors cannot hold.
+  arrays, which :class:`StackedEngine` reduces to metrics one placement
+  at a time.  City-scale instances the dense tensors cannot hold.
 * **compiled** — :class:`CompiledEngine`
   (:mod:`repro.core.engine.compiled`).  The hottest stacked and delta
   paths as C kernels, built on demand with the system toolchain and

@@ -12,6 +12,12 @@ bit-identical to the reference
 suite asserts it — so search algorithms can batch their candidate sets
 freely without perturbing experiment results.
 
+:class:`StackedMeasurement` is what every tier's stack measurement
+returns — the dense chunks, the compiled kernels, the numpy sparse
+loop and the delta engine's phases alike: metric arrays only, one row
+per candidate, and every row materializes the same way,
+``measurement.evaluation(index, placement)``.
+
 Grid coordinates are small integers, so the hot comparisons run in
 ``int32``: squared cell distances are exact in both ``int32`` and
 ``float64``, and ``d2 <= r2`` with integer ``d2`` is equivalent to
@@ -186,12 +192,10 @@ class StackedMeasurement:
     n_links: np.ndarray
     mean_degrees: np.ndarray
     giant_masks: np.ndarray
-    #: Per-row scalar fitness, filled by ``measure_stack`` via
+    #: Per-row scalar fitness, filled by :meth:`scored` via
     #: ``fitness_function.score_rows`` (bit-identical to per-row
     #: ``score`` calls).
     fitness: np.ndarray = field(default=None)
-    #: Sparse-path measurements wrap already-materialized evaluations.
-    evaluations: "list[Evaluation] | None" = None
 
     def __len__(self) -> int:
         return int(self.giant_sizes.shape[0])
@@ -221,22 +225,48 @@ class StackedMeasurement:
     def evaluation(self, index: int, placement: Placement | None = None) -> Evaluation:
         """Materialize row ``index`` as a full :class:`Evaluation`.
 
-        ``placement`` must be supplied on the array path (the stack never
-        saw placement objects); sparse-path measurements return their
-        stored evaluation directly.
+        ``placement`` must be supplied: a measurement holds metric
+        arrays only, on every tier.
         """
-        if self.evaluations is not None:
-            return self.evaluations[index]
         if placement is None:
-            raise ValueError(
-                "materializing an array-path row needs its placement"
-            )
+            raise ValueError("materializing a measurement row needs its placement")
         return Evaluation(
             placement=placement,
             metrics=self.metrics(index),
             fitness=float(self.fitness[index]),
             giant_mask=self.giant_masks[index],
         )
+
+    @classmethod
+    def scored(
+        cls,
+        problem: ProblemInstance,
+        fitness_function: FitnessFunction,
+        giant_sizes: np.ndarray,
+        covered_clients: np.ndarray,
+        n_components: np.ndarray,
+        n_links: np.ndarray,
+        giant_masks: np.ndarray,
+    ) -> "StackedMeasurement":
+        """Integer metric rows with mean degrees and fitness filled in.
+
+        Every tier's stack measurement ends here: ``2 * n_links / N`` is
+        an exact integer divided by the same ``N`` as the reference
+        ``degrees().mean()``, and ``score_rows`` is bit-identical to
+        per-row ``score`` calls.
+        """
+        measurement = cls(
+            problem=problem,
+            fitness_function=fitness_function,
+            giant_sizes=giant_sizes,
+            covered_clients=covered_clients,
+            n_components=n_components,
+            n_links=n_links,
+            mean_degrees=2 * n_links / problem.n_routers,
+            giant_masks=giant_masks,
+        )
+        measurement.fitness = fitness_function.score_rows(measurement)
+        return measurement
 
     @classmethod
     def concatenate(
@@ -248,9 +278,6 @@ class StackedMeasurement:
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
-        evaluations = None
-        if all(part.evaluations is not None for part in parts):
-            evaluations = [e for part in parts for e in part.evaluations]
         return cls(
             problem=first.problem,
             fitness_function=first.fitness_function,
@@ -261,7 +288,6 @@ class StackedMeasurement:
             mean_degrees=np.concatenate([p.mean_degrees for p in parts]),
             giant_masks=np.concatenate([p.giant_masks for p in parts]),
             fitness=np.concatenate([p.fitness for p in parts]),
-            evaluations=evaluations,
         )
 
 
@@ -317,26 +343,12 @@ def measure_stack(
     n_components = (counts > 0).sum(axis=1)
     giant_masks = labels == giant_labels[:, np.newaxis]
 
-    n_links = degree_totals // 2
-    # Identical to per-candidate degrees().mean(): the degree total is an
-    # exact integer in float64, divided by the same N.
-    mean_degrees = degree_totals / n
-
     coverage = batch_coverage(problem.clients.positions, positions, radii)
     if problem.coverage_rule is CoverageRule.ANY_ROUTER:
         covered = coverage.any(axis=2).sum(axis=1)
     else:
         covered = (coverage & giant_masks[:, np.newaxis, :]).any(axis=2).sum(axis=1)
-
-    measurement = StackedMeasurement(
-        problem=problem,
-        fitness_function=fitness,
-        giant_sizes=giant_sizes,
-        covered_clients=covered,
-        n_components=n_components,
-        n_links=n_links,
-        mean_degrees=mean_degrees,
-        giant_masks=giant_masks,
+    return StackedMeasurement.scored(
+        problem, fitness, giant_sizes, covered, n_components,
+        degree_totals // 2, giant_masks,
     )
-    measurement.fitness = fitness.score_rows(measurement)
-    return measurement

@@ -672,20 +672,15 @@ class CompiledEngine:
                     _pi(n_components), _pi(n_links),
                     _pu8(giant_masks),
                 )
-        degree_totals = 2 * n_links
-        measurement = StackedMeasurement(
-            problem=self._problem,
-            fitness_function=self._fitness,
-            giant_sizes=giant_sizes.astype(np.intp, copy=False),
-            covered_clients=covered.astype(np.intp, copy=False),
-            n_components=n_components.astype(np.intp, copy=False),
-            n_links=n_links.astype(np.intp, copy=False),
-            # The same exact-integer float64 division as every other path.
-            mean_degrees=degree_totals / n,
-            giant_masks=giant_masks.view(bool),
+        return StackedMeasurement.scored(
+            self._problem,
+            self._fitness,
+            giant_sizes.astype(np.intp, copy=False),
+            covered.astype(np.intp, copy=False),
+            n_components.astype(np.intp, copy=False),
+            n_links.astype(np.intp, copy=False),
+            giant_masks.view(bool),
         )
-        measurement.fitness = self._fitness.score_rows(measurement)
-        return measurement
 
     def __repr__(self) -> str:
         return (

@@ -1,4 +1,4 @@
-"""Sparse spatial-grid placement evaluation.
+"""Sparse spatial-grid measurement building blocks.
 
 The dense engines materialize ``O(N^2)`` adjacency and ``O(M * N)``
 coverage matrices, so memory — not compute — caps instance size around a
@@ -8,9 +8,15 @@ radio range, which is exactly the regime where neighbor queries beat
 pairwise matrices: this module bins positions into square cells at least
 as large as the radio reach, generates candidate pairs only from
 same-and-adjacent bins, and tests the exact link/coverage predicate on
-those candidates.  Evaluation drops from ``O(N^2 + M * N)`` to roughly
-``O(N k + M k)`` for realistic densities (``k`` = neighbors per bin
-ring).
+those candidates.  A measurement drops from ``O(N^2 + M * N)`` to
+roughly ``O(N k + M k)`` for realistic densities (``k`` = neighbors per
+bin ring).
+
+This module holds the edge and hit builders only; the measurement that
+reduces them to metrics lives in :mod:`repro.core.engine.stacked` —
+:meth:`~repro.core.engine.stacked.StackedEngine.measure_placements` on
+the sparse tier, and the sparse layout of
+:class:`~repro.core.engine.stacked.StackedDeltaEngine`.
 
 Bit-identity with the dense engines: binning is purely a *conservative
 prune*.  A pair in bins more than one apart along either axis is
@@ -18,24 +24,19 @@ separated by strictly more than one cell width, which is at least the
 maximum link range (respectively coverage radius), so the dense
 comparison would reject it anyway; every surviving candidate is tested
 with the same float64 subtract/square/compare the scalar formulas use.
-The resulting edge set, component labels, metrics and fitness are
-therefore exactly those of :class:`~repro.core.evaluation.Evaluator`
-(the parity suite asserts it).
+The resulting edge and hit sets are therefore exactly those the dense
+matrices hold (the parity suite asserts it).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine.components import labels_from_edges
-from repro.core.evaluation import Evaluation
-from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
 from repro.core.problem import ProblemInstance
-from repro.core.radio import CoverageRule, LinkRule
-from repro.core.solution import Placement
+from repro.core.radio import LinkRule
 
 __all__ = [
-    "DEFAULT_QUERY_CHUNK",
+    "HIT_QUERY_CHUNK",
     "SpatialGridIndex",
     "expand_ranges",
     "link_cell_size",
@@ -44,13 +45,10 @@ __all__ = [
     "SparseEngine",
 ]
 
-#: Number of query points per :meth:`SpatialGridIndex.query_points`
-#: pass in chunked coverage counting; bounds the candidate-pair arrays.
-DEFAULT_QUERY_CHUNK = 4096
-
-#: Routers per query pass when a chain cache collects every router's
-#: hits: the hit arrays are kept, so the transient candidate pairs are
-#: held to a small multiple of them (~25k pairs a pass at city scale).
+#: Routers per client-index query pass of
+#: :meth:`SparseEngine.coverage_hits`: the transient candidate pairs are
+#: held to a small multiple of the hits a pass keeps (~25k pairs a pass
+#: at city scale).
 HIT_QUERY_CHUNK = 256
 
 #: Cross-bin offsets covering each unordered bin pair exactly once.
@@ -273,78 +271,22 @@ def sparse_edges(
     return link_hits(positions, radii, link_rule, rows, cols)
 
 
-def _measure_from_sparse(
-    problem: ProblemInstance,
-    fitness: FitnessFunction,
-    placement: Placement,
-    labels: np.ndarray,
-    n_links: int,
-    covered: int,
-    giant_mask: np.ndarray,
-    counts: np.ndarray,
-    giant_label: int,
-) -> Evaluation:
-    """Assemble the :class:`Evaluation` from sparse building blocks.
-
-    The integer metrics are shared with the dense paths by construction;
-    ``mean_degree`` uses the same exact-integer float division.
-    """
-    n = problem.n_routers
-    degree_total = 2 * n_links
-    metrics = NetworkMetrics(
-        giant_size=int(counts[giant_label]),
-        n_routers=n,
-        covered_clients=covered,
-        n_clients=problem.n_clients,
-        n_components=int((counts > 0).sum()),
-        n_links=n_links,
-        mean_degree=degree_total / n,
-    )
-    return Evaluation(
-        placement=placement,
-        metrics=metrics,
-        fitness=fitness.score(metrics),
-        giant_mask=giant_mask,
-    )
-
-
-def components_from_edges(
-    n_nodes: int, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """``(labels, counts, giant_label, giant_mask)`` of an edge set.
-
-    ``labels`` are canonical smallest-member ids, so ``counts`` is
-    indexed by label and ``argmax`` (first maximum) realizes the shared
-    smallest-member giant tie-break.
-    """
-    labels = labels_from_edges(n_nodes, rows, cols)
-    counts = np.bincount(labels, minlength=n_nodes)
-    giant_label = int(counts.argmax())
-    return labels, counts, giant_label, labels == giant_label
-
-
 class SparseEngine:
-    """Sparse evaluator for one problem instance.
+    """The static spatial state of one problem instance.
 
     Caches everything static across placements — the client spatial
-    index above all (clients never move) — and evaluates one placement
-    per call by indexing its router positions.  Coverage is counted in
-    chunks of :data:`DEFAULT_QUERY_CHUNK` routers so the candidate-pair
-    arrays stay bounded regardless of instance size.
-    :class:`~repro.core.engine.stacked.StackedEngine` builds the one that
-    measures on the sparse tier; the sparse layout of
+    index above all (clients never move) and the link bin width — and
+    turns router positions into exact coverage hits
+    (:meth:`coverage_hits`, :meth:`router_hits`) or an incumbent's
+    updated edge and hit arrays (:meth:`apply_moves`).
+    :class:`~repro.core.engine.stacked.StackedEngine` builds the one
+    its sparse tier measures with; the sparse layout of
     :class:`~repro.core.engine.stacked.StackedDeltaEngine` builds its
-    own for the coverage queries and the mover updates
-    (:meth:`apply_moves`).
+    own.
     """
 
-    def __init__(
-        self,
-        problem: ProblemInstance,
-        fitness: FitnessFunction | None = None,
-    ) -> None:
+    def __init__(self, problem: ProblemInstance) -> None:
         self._problem = problem
-        self._fitness = fitness if fitness is not None else WeightedSumFitness()
         radii = problem.fleet.radii
         self._radii = radii
         self._radii_squared = radii * radii
@@ -355,13 +297,8 @@ class SparseEngine:
 
     @property
     def problem(self) -> ProblemInstance:
-        """The instance this engine measures against."""
+        """The instance this engine indexes."""
         return self._problem
-
-    @property
-    def fitness_function(self) -> FitnessFunction:
-        """The configured scalarization."""
-        return self._fitness
 
     def point_hits(
         self, points: np.ndarray, radii_squared: np.ndarray
@@ -386,35 +323,36 @@ class SparseEngine:
     def coverage_hits(
         self, positions: np.ndarray, router_ids: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Passing ``(router, client)`` coverage pairs for given routers."""
-        local, client_idx = self.point_hits(
-            positions[router_ids], self._radii_squared[router_ids]
-        )
-        return router_ids[local], client_idx
+        """Passing ``(router, client)`` coverage pairs for given routers.
 
-    def router_hits(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every router's ``(router, client)`` hit pairs, router-major.
-
-        Queried in chunks of :data:`HIT_QUERY_CHUNK` routers, so the
-        candidate-pair arrays stay bounded; the stable sort keeps each
-        router's clients in query order.
+        Queried in passes of :data:`HIT_QUERY_CHUNK` routers, so the
+        candidate-pair arrays stay bounded; pairs come pass by pass.
         """
         router_parts: list[np.ndarray] = []
         client_parts: list[np.ndarray] = []
         step = HIT_QUERY_CHUNK
-        for start in range(0, positions.shape[0], step):
-            chunk = np.arange(
-                start, min(start + step, positions.shape[0]), dtype=np.intp
+        for start in range(0, router_ids.size, step):
+            chunk = router_ids[start : start + step]
+            local, clients = self.point_hits(
+                positions[chunk], self._radii_squared[chunk]
             )
-            routers, clients = self.coverage_hits(positions, chunk)
-            router_parts.append(routers)
+            router_parts.append(chunk[local])
             client_parts.append(clients)
         if not router_parts:
             empty = np.zeros(0, dtype=np.intp)
             return empty, empty.copy()
-        routers = np.concatenate(router_parts)
+        return np.concatenate(router_parts), np.concatenate(client_parts)
+
+    def router_hits(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every router's ``(router, client)`` hit pairs, router-major.
+
+        The stable sort keeps each router's clients in query order.
+        """
+        routers, clients = self.coverage_hits(
+            positions, np.arange(positions.shape[0], dtype=np.intp)
+        )
         order = np.argsort(routers, kind="stable")
-        return routers[order], np.concatenate(client_parts)[order]
+        return routers[order], clients[order]
 
     def apply_moves(
         self,
@@ -478,57 +416,4 @@ class SparseEngine:
             np.concatenate(col_parts),
             np.concatenate([hit_router[kept], new_router]),
             np.concatenate([hit_client[kept], new_client]),
-        )
-
-    def covered_count(
-        self, positions: np.ndarray, router_mask: np.ndarray | None
-    ) -> int:
-        """Clients within radius of any (qualifying) router.
-
-        ``router_mask`` restricts which routers may cover (the giant
-        component under ``GIANT_ONLY``); masked-out routers are skipped
-        before the index query, which only shrinks the candidate set.
-        """
-        n_clients = self._problem.n_clients
-        if n_clients == 0:
-            return 0
-        if router_mask is None:
-            router_ids = np.arange(positions.shape[0], dtype=np.intp)
-        else:
-            router_ids = np.flatnonzero(router_mask)
-        covered = np.zeros(n_clients, dtype=bool)
-        step = DEFAULT_QUERY_CHUNK
-        for start in range(0, router_ids.size, step):
-            chunk = router_ids[start : start + step]
-            _, hit_clients = self.coverage_hits(positions, chunk)
-            covered[hit_clients] = True
-        return int(np.count_nonzero(covered))
-
-    def evaluate(self, placement: Placement) -> Evaluation:
-        """Measure one placement; bit-identical to the scalar path."""
-        problem = self._problem
-        if len(placement) != problem.n_routers:
-            raise ValueError(
-                f"placement positions {len(placement)} routers but the fleet "
-                f"has {problem.n_routers}"
-            )
-        positions = placement.positions_array()
-        rows, cols = sparse_edges(positions, self._radii, problem.link_rule)
-        labels, counts, giant_label, giant_mask = components_from_edges(
-            problem.n_routers, rows, cols
-        )
-        if problem.coverage_rule is CoverageRule.ANY_ROUTER:
-            covered = self.covered_count(positions, None)
-        else:
-            covered = self.covered_count(positions, giant_mask)
-        return _measure_from_sparse(
-            problem,
-            self._fitness,
-            placement,
-            labels,
-            int(rows.size),
-            covered,
-            giant_mask,
-            counts,
-            giant_label,
         )

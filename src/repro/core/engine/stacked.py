@@ -1,13 +1,12 @@
 """The engine's one measurement front door, plus the lockstep delta engine.
 
 :class:`StackedEngine` is the only code that resolves an ``engine``
-argument to a tier and builds the per-tier sub-engines.  Every counted
-measurement (:class:`~repro.core.evaluation.Evaluator` on the compiled
-and sparse tiers, and its ``evaluate_many`` on every tier) and every
-full-stack measurement of the lockstep search
-(:mod:`repro.neighborhood.multichain`: the chain starts) goes through
-it.  It measures a whole candidate stack in as few passes as the tier
-allows —
+argument to a tier and builds the per-tier sub-engines, and
+:meth:`StackedEngine.measure_placements` is its one stack entry.  Every
+counted measurement (:class:`~repro.core.evaluation.Evaluator` on the
+compiled and sparse tiers, and its ``evaluate_many`` on every tier)
+goes through it.  It measures a whole candidate stack in as few passes
+as the tier allows —
 
 * **dense** — the ``(K, N, 2)`` position tensor goes straight into
   :func:`repro.core.engine.batch.measure_stack` in chunks of
@@ -16,18 +15,22 @@ allows —
   materialize only the rows they keep.
 * **compiled** — the same tensor goes to one fused
   :class:`~repro.core.engine.compiled.CompiledEngine` kernel call.
-* **sparse** — each candidate runs through one shared
+* **sparse** — each candidate's edges, component labels and coverage
+  hits come from one shared
   :class:`~repro.core.engine.sparse.SparseEngine` (the per-candidate
-  cost and memory stay ``O(N k + M k)``, which dominates any object
-  overhead at city scale); the resulting evaluations are wrapped in the
-  same :class:`~repro.core.engine.batch.StackedMeasurement` interface.
+  cost and memory stay ``O(N k + M k)``) and go straight into the same
+  metric arrays.
 
 Every tier produces bit-identical metric rows, so no caller needs to
 know which tier it runs on.  :class:`StackedDeltaEngine` is the
-engine's one incremental (delta) cache: it measures every phase of the
-lockstep chains and of tabu search, and every single move of simulated
-annealing, on both cache layouts; it takes the tier its
-:class:`StackedEngine` resolved.
+engine's one incremental (delta) cache, on the tier a
+:class:`StackedEngine` resolved: :meth:`StackedDeltaEngine.reset_chain`
+builds a chain's cache and measures the chain start from it (the
+lockstep search's phase 0), and the cache then measures every phase of
+the lockstep chains and of tabu search, and every single move of
+simulated annealing, on both cache layouts.  Each layout has one full
+measurement, shared by the chain starts and
+:meth:`StackedDeltaEngine.measure_one`.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ import numpy as np
 
 from repro.core.coverage import coverage_matrix
 from repro.core.engine.batch import StackedMeasurement, measure_stack
-from repro.core.engine.components import labels_from_edge_stack
+from repro.core.engine.components import labels_from_edge_stack, labels_from_edges
 from repro.core.engine.dispatch import resolve_engine
 from repro.core.engine.sparse import (
     SparseEngine,
     SpatialGridIndex,
     expand_ranges,
     link_hits,
+    sparse_edges,
 )
 from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
@@ -135,18 +139,9 @@ class StackedEngine:
             return select_engine(self._problem)
         return self._engine
 
-    @property
-    def accepts_positions(self) -> bool:
-        """Whether :meth:`measure_positions` works on this engine.
-
-        True for the dense and compiled tiers, whose kernels consume raw
-        ``(K, N, 2)`` stacks; the numpy sparse path needs placements.
-        """
-        return self._engine in ("dense", "compiled")
-
     def _sparse_engine(self):
         if self._sparse is None:
-            self._sparse = SparseEngine(self._problem, self._fitness)
+            self._sparse = SparseEngine(self._problem)
         return self._sparse
 
     def _compiled_engine(self):
@@ -156,87 +151,78 @@ class StackedEngine:
             self._compiled = CompiledEngine(self._problem, self._fitness)
         return self._compiled
 
-    def measure_positions(self, positions: np.ndarray) -> StackedMeasurement:
-        """Measure a raw ``(K, N, 2)`` position stack (dense/compiled).
+    def measure_placements(
+        self, placements: Sequence[Placement]
+    ) -> StackedMeasurement:
+        """Measure a candidate set of placements on the dispatched path.
 
-        The fast lane for multi-chain phases: candidate rows are derived
-        numerically from the incumbents' position rows, so no placement
-        objects exist yet.  Raises on the numpy sparse path, which needs
-        placements — use :meth:`measure_placements` there.  The compiled
-        tier accepts stacks in *both* kernel forms, so city-scale
-        portfolios stay on this lane too.
+        Dense and compiled: one ``(K, N, 2)`` stack of the (cached)
+        position arrays.  Sparse: each placement's edges, labels and
+        coverage hits, straight into the metric arrays.  Every tier
+        raises ``ValueError`` for a placement whose router count is not
+        the fleet's.
         """
-        if not self.accepts_positions:
-            raise ValueError(
-                "measure_positions requires the dense or compiled engine; "
-                "the sparse path measures placements (see "
-                "measure_placements)"
-            )
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 3 or positions.shape[2] != 2:
-            raise ValueError(
-                f"positions must be (K, N, 2), got {positions.shape}"
-            )
-        k = positions.shape[0]
-        if k == 0:
+        for placement in placements:
+            _check_router_count(self._problem, placement)
+        if not placements:
             return self._empty_measurement()
+        if self._engine == "sparse":
+            return self._measure_sparse(placements)
+        positions = np.stack([p.positions_array() for p in placements])
         if self._engine == "compiled":
             # The fused kernels never materialize per-candidate tensors,
             # so no memory-bounding chunking is needed.
             return self._compiled_engine().measure_stack(positions)
         chunk = DEFAULT_MAX_CHUNK
-        if k <= chunk:
+        if len(positions) <= chunk:
             return measure_stack(self._problem, self._fitness, positions)
         return StackedMeasurement.concatenate(
             [
                 measure_stack(
                     self._problem, self._fitness, positions[start : start + chunk]
                 )
-                for start in range(0, k, chunk)
+                for start in range(0, len(positions), chunk)
             ]
         )
 
-    def measure_placements(
-        self, placements: Sequence[Placement]
-    ) -> StackedMeasurement:
-        """Measure a candidate set of placements on the dispatched path.
+    def _measure_sparse(self, placements: Sequence[Placement]) -> StackedMeasurement:
+        """The numpy sparse tier: one placement at a time, ``O(N k + M k)``.
 
-        Dense/compiled: stacks the (cached) position arrays and defers
-        to :meth:`measure_positions`.  Sparse: evaluates each placement
-        on the shared spatial-grid engine and keeps the evaluations, so
-        :meth:`StackedMeasurement.evaluation` is free.  Every tier
-        raises ``ValueError`` for a placement whose router count is not
-        the fleet's.
+        Under ``GIANT_ONLY`` only the giant's routers query the client
+        index.
         """
-        if not placements:
-            return self._empty_measurement()
-        if self.accepts_positions:
-            positions = np.stack([p.positions_array() for p in placements])
-            return self.measure_positions(positions)
-        evaluations = [
-            self._sparse_engine().evaluate(placement) for placement in placements
-        ]
-        return StackedMeasurement(
-            problem=self._problem,
-            fitness_function=self._fitness,
-            giant_sizes=np.array(
-                [e.giant_size for e in evaluations], dtype=np.intp
-            ),
-            covered_clients=np.array(
-                [e.covered_clients for e in evaluations], dtype=np.intp
-            ),
-            n_components=np.array(
-                [e.metrics.n_components for e in evaluations], dtype=np.intp
-            ),
-            n_links=np.array(
-                [e.metrics.n_links for e in evaluations], dtype=np.intp
-            ),
-            mean_degrees=np.array(
-                [e.metrics.mean_degree for e in evaluations], dtype=float
-            ),
-            giant_masks=np.stack([e.giant_mask for e in evaluations]),
-            fitness=np.array([e.fitness for e in evaluations], dtype=float),
-            evaluations=evaluations,
+        problem = self._problem
+        sparse = self._sparse_engine()
+        n = problem.n_routers
+        k = len(placements)
+        giant_sizes = np.empty(k, dtype=np.intp)
+        covered = np.empty(k, dtype=np.intp)
+        n_components = np.empty(k, dtype=np.intp)
+        n_links = np.empty(k, dtype=np.intp)
+        giant_masks = np.empty((k, n), dtype=bool)
+        giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
+        for row, placement in enumerate(placements):
+            positions = placement.positions_array()
+            rows, cols = sparse_edges(
+                positions, problem.fleet.radii, problem.link_rule
+            )
+            counts, giant_label, giant_mask = _label_giant(
+                labels_from_edges, n, rows, cols
+            )
+            giant_masks[row] = giant_mask
+            giant_sizes[row] = counts[giant_label]
+            n_components[row] = np.count_nonzero(counts)
+            n_links[row] = rows.size
+            routers = (
+                np.flatnonzero(giant_mask)
+                if giant_only
+                else np.arange(n, dtype=np.intp)
+            )
+            _, hit_client = sparse.coverage_hits(positions, routers)
+            covered[row] = _count_covered(problem.n_clients, hit_client)
+        return StackedMeasurement.scored(
+            problem, self._fitness, giant_sizes, covered, n_components,
+            n_links, giant_masks,
         )
 
     def _empty_measurement(self) -> StackedMeasurement:
@@ -448,7 +434,8 @@ class StackedDeltaEngine:
     test is the reference float64 predicate, labels are canonical
     smallest-member ids, and the integer count arithmetic is exact.
 
-    Protocol: :meth:`reset_chain` once per chain, then
+    Protocol: :meth:`reset_chain` once per chain (it returns the
+    chain start's evaluation), then
     :meth:`measure_phase` with the candidates as
     :class:`PhaseCandidates` arrays or :meth:`measure_one` per
     candidate, and :meth:`commit_chain` whenever a chain accepts a
@@ -498,7 +485,7 @@ class StackedDeltaEngine:
             self._sparse = None
         else:
             # One client index, shared by every chain.
-            self._sparse = SparseEngine(problem, self._fitness)
+            self._sparse = SparseEngine(problem)
 
     @property
     def problem(self) -> ProblemInstance:
@@ -520,14 +507,28 @@ class StackedDeltaEngine:
         """The chain-cache layout in use: ``"dense"`` or ``"sparse"``."""
         return self._layout
 
-    def reset_chain(self, chain: int, placement: Placement) -> None:
-        """(Re)build chain ``chain``'s incumbent cache from scratch."""
+    def reset_chain(self, chain: int, placement: Placement) -> Evaluation:
+        """(Re)build chain ``chain``'s incumbent cache from scratch.
+
+        Returns the placement's evaluation, measured from the arrays
+        just built — the chain start's one full measurement.  Raises
+        ``ValueError`` for a placement whose router count is not the
+        fleet's.
+        """
+        _check_router_count(self._problem, placement)
         if self._sparse is None:
             cache = _ChainCache.dense(self._problem, placement)
+            evaluation = self._measure_matrices(
+                placement, cache.adjacency, cache.coverage
+            )
         else:
             cache = _ChainCache.sparse(self._sparse, placement, self._link_filter)
+            evaluation = self._measure_edges_and_hits(
+                placement, cache.edge_rows, cache.edge_cols, *cache.hit_pairs()
+            )
         self._ensure_aids(cache)
         self._caches[chain] = cache
+        return evaluation
 
     def commit_chain(self, chain: int, placement: Placement) -> None:
         """Advance chain ``chain``'s incumbent to an accepted placement.
@@ -544,6 +545,7 @@ class StackedDeltaEngine:
         if cache is None:
             self.reset_chain(chain, placement)
             return
+        _check_router_count(self._problem, placement)
         trial, cache.trial = cache.trial, None
         if trial is not None and trial[0] is placement:
             self._adopt(cache, trial[1], trial[2])
@@ -722,6 +724,7 @@ class StackedDeltaEngine:
         placement next adopts it instead of redoing the rule.  The
         incumbent itself is untouched.
         """
+        _check_router_count(self._problem, placement)
         cache = self._caches.get(chain)
         if cache is None:
             raise ValueError(f"chain {chain} has no incumbent; call reset_chain()")
@@ -767,12 +770,9 @@ class StackedDeltaEngine:
         rows = flat // n
         cols = flat % n
         one_way = rows < cols
-        labels = self._label(n, rows[one_way], cols[one_way])
-        counts = np.bincount(labels, minlength=n)
-        # First maximum = smallest canonical label among the largest
-        # components — the shared giant tie-break rule.
-        giant_label = int(counts.argmax())
-        giant_mask = labels == giant_label
+        counts, giant_label, giant_mask = _label_giant(
+            self._label, n, rows[one_way], cols[one_way]
+        )
         if self._giant_only:
             coverage = coverage[:, giant_mask]
         covered = int(coverage.any(axis=1).sum()) if coverage.size else 0
@@ -780,7 +780,7 @@ class StackedDeltaEngine:
             placement,
             int(counts[giant_label]),
             covered,
-            int((counts > 0).sum()),
+            int(np.count_nonzero(counts)),
             int(flat.shape[0]) // 2,
             giant_mask,
         )
@@ -794,23 +794,16 @@ class StackedDeltaEngine:
         hit_client: np.ndarray,
     ) -> Evaluation:
         """Full measurement of one-way edge and coverage-hit arrays."""
-        n = self._problem.n_routers
-        labels = self._label(n, rows, cols)
-        counts = np.bincount(labels, minlength=n)
-        giant_label = int(counts.argmax())
-        giant_mask = labels == giant_label
-        covered = 0
-        if self._problem.n_clients:
-            if self._giant_only:
-                hit_client = hit_client[giant_mask[hit_router]]
-            flags = np.zeros(self._problem.n_clients, dtype=bool)
-            flags[hit_client] = True
-            covered = int(np.count_nonzero(flags))
+        counts, giant_label, giant_mask = _label_giant(
+            self._label, self._problem.n_routers, rows, cols
+        )
+        if self._giant_only:
+            hit_client = hit_client[giant_mask[hit_router]]
         return self._evaluation(
             placement,
             int(counts[giant_label]),
-            covered,
-            int((counts > 0).sum()),
+            _count_covered(self._problem.n_clients, hit_client),
+            int(np.count_nonzero(counts)),
             int(rows.size),
             giant_mask,
         )
@@ -910,19 +903,10 @@ class StackedDeltaEngine:
                 candidates, segments, chain_scratch, giant_masks, covered
             )
 
-        degree_totals = 2 * n_links
-        measurement = StackedMeasurement(
-            problem=self._problem,
-            fitness_function=self._fitness,
-            giant_sizes=giant_sizes,
-            covered_clients=covered,
-            n_components=n_components,
-            n_links=n_links,
-            mean_degrees=degree_totals / n,
-            giant_masks=giant_masks,
+        return StackedMeasurement.scored(
+            self._problem, self._fitness, giant_sizes, covered, n_components,
+            n_links, giant_masks,
         )
-        measurement.fitness = self._fitness.score_rows(measurement)
-        return measurement
 
     # ------------------------------------------------------------------
     # Per-chain internals
@@ -1275,6 +1259,38 @@ def _chain_segments(
     ]
 
 
+def _check_router_count(problem: ProblemInstance, placement: Placement) -> None:
+    """The one router-count check of every placement the engines take."""
+    if len(placement) != problem.n_routers:
+        raise ValueError(
+            f"placement positions {len(placement)} routers but the fleet "
+            f"has {problem.n_routers}"
+        )
+
+
+def _label_giant(
+    label, n: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(counts, giant_label, giant_mask)`` of one ``n``-router graph.
+
+    ``label`` is the tier's labeler (canonical smallest-member ids), so
+    ``counts`` is indexed by label and its first maximum — the smallest
+    label among the largest components — is the shared giant
+    tie-break rule.
+    """
+    labels = label(n, rows, cols)
+    counts = np.bincount(labels, minlength=n)
+    giant_label = int(counts.argmax())
+    return counts, giant_label, labels == giant_label
+
+
+def _count_covered(n_clients: int, hit_client: np.ndarray) -> int:
+    """Distinct clients among coverage hits (the qualifying routers')."""
+    flags = np.zeros(n_clients, dtype=bool)
+    flags[hit_client] = True
+    return int(np.count_nonzero(flags))
+
+
 def _empty_stacked(
     problem: ProblemInstance, fitness: FitnessFunction
 ) -> StackedMeasurement:
@@ -1289,5 +1305,4 @@ def _empty_stacked(
         mean_degrees=np.zeros(0, dtype=float),
         giant_masks=np.zeros((0, problem.n_routers), dtype=bool),
         fitness=np.zeros(0, dtype=float),
-        evaluations=[],
     )

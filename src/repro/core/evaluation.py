@@ -20,7 +20,8 @@ measures a candidate set there and materializes the rows, and
 plus ``coverage_mask``), the ground truth every other path is tested
 against.  The local searches measure through the engine's incremental
 cache, :class:`~repro.core.engine.stacked.StackedDeltaEngine`, inside
-their one lockstep driver, and charge an evaluator for it
+their one lockstep driver — a chain start once, as its cache is built,
+then every candidate against that cache — and charge an evaluator for it
 (:class:`~repro.neighborhood.search.NeighborhoodSearch`,
 :class:`~repro.neighborhood.annealing.SimulatedAnnealing`,
 :class:`~repro.neighborhood.tabu.TabuSearch`); they report through

@@ -694,18 +694,18 @@ class MultiChainSearch:
             )
         started = DEFAULT_CLOCK.now()
         movement = self._resolve_movement()
-        engine = StackedEngine(problem, fitness, engine=self.engine)
-        # Every phase measures incrementally against per-chain incumbent
+        # StackedEngine resolves the tier and gates non-finite inputs.
+        # Each chain start is measured once, as its cache is built, and
+        # every phase incrementally against those per-chain incumbent
         # caches, on the layout the resolved tier calls for: matrices at
         # paper scale, edge and hit arrays at city scale.
+        engine = StackedEngine(problem, fitness, engine=self.engine)
         delta = StackedDeltaEngine(
             problem, engine.fitness_function, engine=engine.engine
         )
-        states = self._initial_states(engine, initials, rngs)
+        states = self._initial_states(delta, initials, rngs)
         for state in states:
             self._rule.start(state, problem)
-        for index, initial in enumerate(initials):
-            delta.reset_chain(index, initial)
         try:
             for phase in range(1, self.max_phases + 1):
                 active = [r for r, state in enumerate(states) if state.active]
@@ -759,15 +759,14 @@ class MultiChainSearch:
 
     def _initial_states(
         self,
-        engine: StackedEngine,
+        delta: StackedDeltaEngine,
         initials: Sequence[Placement],
         rngs: Sequence[np.random.Generator],
     ) -> list[_ChainState]:
-        """Evaluate every chain's start in one stacked pass (phase 0)."""
-        measurement = engine.measure_placements(list(initials))
+        """Cache every chain's start; its evaluation is phase 0."""
         states: list[_ChainState] = []
         for index, (initial, rng) in enumerate(zip(initials, rngs)):
-            evaluation = measurement.evaluation(index, initial)
+            evaluation = delta.reset_chain(index, initial)
             trace = SearchTrace()
             trace.record_phase(
                 phase=0, evaluation=evaluation, improved=False, n_evaluations=1

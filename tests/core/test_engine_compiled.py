@@ -106,15 +106,15 @@ class TestScalarParity:
 
 @needs_kernels
 class TestStackedParity:
-    def test_measure_positions_matches_numpy_stack(self):
+    def test_measure_placements_matches_numpy_stack(self):
         problem = tiny_problem()
         placements = random_placements(problem, 9, seed=15)
-        stack = np.stack([p.positions_array() for p in placements])
-        reference = StackedEngine(problem, engine="dense").measure_positions(stack)
+        reference = StackedEngine(problem, engine="dense").measure_placements(
+            placements
+        )
         engine = StackedEngine(problem, engine="compiled")
         assert engine.engine == "compiled" and engine.layout == "dense"
-        assert engine.accepts_positions
-        measurement = engine.measure_positions(stack)
+        measurement = engine.measure_placements(placements)
         for name in (
             "giant_sizes", "covered_clients", "n_components",
             "n_links", "mean_degrees", "fitness", "giant_masks",
@@ -123,10 +123,10 @@ class TestStackedParity:
                 getattr(measurement, name), getattr(reference, name)
             ), name
 
-    def test_city_stack_takes_positions_lane(self):
+    def test_city_stack_matches_numpy_sparse(self):
         problem = city_spec(1024, 4_000, seed=3).generate()
         engine = StackedEngine(problem, engine="compiled")
-        assert engine.layout == "sparse" and engine.accepts_positions
+        assert engine.layout == "sparse"
         placements = random_placements(problem, 2, seed=16)
         reference = StackedEngine(problem, engine="sparse").measure_placements(
             placements

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import (
-    SparseEngine,
     StackedDeltaEngine,
+    StackedEngine,
     compiled_available,
     resolve_engine,
 )
@@ -197,10 +197,13 @@ class TestSparseParity:
         rng = np.random.default_rng(21)
         placements = random_placements(problem, rng, 8)
         scalar = Evaluator(problem, engine="dense")
-        sparse = SparseEngine(problem)
-        for placement in placements:
+        measurement = StackedEngine(problem, engine="sparse").measure_placements(
+            placements
+        )
+        for index, placement in enumerate(placements):
             assert_same_evaluation(
-                scalar.evaluate(placement), sparse.evaluate(placement)
+                scalar.evaluate(placement),
+                measurement.evaluation(index, placement),
             )
 
     def test_sparse_delta_move_chain_bit_identical(self, link_rule, coverage_rule):

@@ -16,6 +16,7 @@ from repro.core.coverage import coverage_matrix
 from repro.core.engine import (
     SparseEngine,
     SpatialGridIndex,
+    StackedEngine,
     select_engine,
     sparse_edges,
 )
@@ -186,8 +187,7 @@ class TestSparseCoverageEdgeCases:
         placement = Placement.from_cells(
             problem.grid, [(0, 0), (1, 0), (0, 1), (1, 1)]
         )
-        engine = SparseEngine(problem)
-        evaluation = engine.evaluate(placement)
+        evaluation = sparse_evaluation(problem, placement)
         assert evaluation.covered_clients == 0
         reference = Evaluator(problem, engine="dense").evaluate(placement)
         assert reference.metrics == evaluation.metrics
@@ -197,8 +197,7 @@ class TestSparseCoverageEdgeCases:
         placement = Placement.from_cells(
             problem.grid, [(0, 0), (5, 5), (10, 10), (15, 15)]
         )
-        engine = SparseEngine(problem)
-        evaluation = engine.evaluate(placement)
+        evaluation = sparse_evaluation(problem, placement)
         assert evaluation.covered_clients == 0
         assert evaluation.metrics.n_clients == 0
 
@@ -208,15 +207,17 @@ class TestSparseCoverageEdgeCases:
         problem = self.make_problem(cells, radio=RadioProfile(3.0, 9.0))
         placement = Placement.random(problem.grid, 4, rng)
         positions = placement.positions_array()
-        engine = SparseEngine(problem)
         matrix = coverage_matrix(
             problem.clients.positions, positions, problem.fleet.radii
         )
-        assert engine.covered_count(positions, None) == int(
+        assert sparse_evaluation(problem, placement).covered_clients == int(
             matrix.any(axis=1).sum()
         )
-        mask = np.array([True, False, True, False])
-        assert engine.covered_count(positions, mask) == int(
+        # GIANT_ONLY counts the giant's routers only.
+        giant_only = problem.with_coverage_rule(CoverageRule.GIANT_ONLY)
+        evaluation = sparse_evaluation(giant_only, placement)
+        mask = evaluation.giant_mask
+        assert evaluation.covered_clients == int(
             matrix[:, mask].any(axis=1).sum()
         )
 
@@ -235,24 +236,32 @@ class TestSparseCoverageEdgeCases:
             (int(r), int(c)) for c, r in zip(*np.nonzero(matrix))
         )
 
-    def test_query_chunk_does_not_change_counts(self, monkeypatch):
+    def test_hit_query_chunk_does_not_change_counts(self, monkeypatch):
         rng = np.random.default_rng(29)
         cells = [tuple(map(int, c)) for c in rng.integers(0, 64, size=(80, 2))]
         problem = self.make_problem(cells, radio=RadioProfile(3.0, 9.0))
         placement = Placement.random(problem.grid, 4, rng)
-        baseline = SparseEngine(problem).evaluate(placement)
-        monkeypatch.setattr(sparse, "DEFAULT_QUERY_CHUNK", 1)
-        engine = SparseEngine(problem)
+        baseline = sparse_evaluation(problem, placement)
+        monkeypatch.setattr(sparse, "HIT_QUERY_CHUNK", 1)
         queries = []
-        hits = engine.coverage_hits
+        point_hits = SparseEngine.point_hits
         monkeypatch.setattr(
-            engine,
-            "coverage_hits",
-            lambda positions, ids: queries.append(ids.size) or hits(positions, ids),
+            SparseEngine,
+            "point_hits",
+            lambda engine, points, radii_squared: queries.append(len(points))
+            or point_hits(engine, points, radii_squared),
         )
-        chunked = engine.evaluate(placement)
+        chunked = sparse_evaluation(problem, placement)
         assert queries and set(queries) == {1}
         assert baseline.metrics == chunked.metrics
+
+
+def sparse_evaluation(problem, placement):
+    """``placement`` measured on the numpy sparse tier."""
+    measurement = StackedEngine(problem, engine="sparse").measure_placements(
+        [placement]
+    )
+    return measurement.evaluation(0, placement)
 
 
 class TestEngineDispatch:

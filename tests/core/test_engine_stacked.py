@@ -8,13 +8,22 @@ portfolio results.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.clients import ClientSet
-from repro.core.engine import StackedEngine, compiled, measure_stack, stacked
+from repro.core.engine import (
+    StackedEngine,
+    compiled,
+    dispatch,
+    measure_stack,
+    stacked,
+)
 from repro.core.engine.components import (
     labels_from_edge_stack,
     labels_from_edges,
@@ -71,17 +80,6 @@ class TestStackedEngine:
         measurement = StackedEngine(problem).measure_placements(placements)
         assert_rows_match(measurement, references)
 
-    def test_measure_positions_matches_placements(self, problem):
-        placements = random_placements(problem, 5, seed=4)
-        engine = StackedEngine(problem)
-        by_placement = engine.measure_placements(placements)
-        stack = np.stack([p.positions_array() for p in placements])
-        by_positions = engine.measure_positions(stack)
-        assert np.array_equal(by_positions.fitness, by_placement.fitness)
-        assert np.array_equal(
-            by_positions.giant_sizes, by_placement.giant_sizes
-        )
-
     def test_chunking_preserves_rows(self, problem, monkeypatch):
         placements = random_placements(problem, 9, seed=5)
         whole = StackedEngine(problem, engine="dense").measure_placements(
@@ -124,13 +122,11 @@ class TestStackedEngine:
         measurement = engine.measure_placements(placements)
         assert engine.engine == "sparse"
         assert_rows_match(measurement, references)
-        # Sparse rows come with stored evaluations.
-        assert measurement.evaluation(2).metrics == references[2].metrics
-
-    def test_sparse_rejects_position_stack(self, problem):
-        engine = StackedEngine(problem, engine="sparse")
+        # Sparse rows materialize like every other tier's.
+        evaluation = measurement.evaluation(2, placements[2])
+        assert evaluation.metrics == references[2].metrics
         with pytest.raises(ValueError):
-            engine.measure_positions(np.zeros((1, problem.n_routers, 2)))
+            measurement.evaluation(2)
 
 
 class TestScoreRows:
@@ -671,3 +667,151 @@ def cache_arrays(value) -> list[np.ndarray]:
         if name != "placement"
         for array in cache_arrays(getattr(value, name, None))
     ]
+
+
+# ----------------------------------------------------------------------
+# Every tier and layout against the dense reference
+# ----------------------------------------------------------------------
+
+#: Every tier this machine can run (compiled only when its kernels build).
+TIERS = ("dense", "sparse") + (("compiled",) if compiled.is_available() else ())
+
+#: ``(tier, layout)`` pairs: a numpy tier caches its own layout, the
+#: compiled tier whichever one ``select_engine`` names.
+TIER_LAYOUTS = [
+    (tier, layout)
+    for tier in TIERS
+    for layout in ("dense", "sparse")
+    if tier in ("compiled", layout)
+]
+
+
+def force_layout(monkeypatch, layout):
+    """Make ``select_engine`` name ``layout`` for every instance."""
+    if layout == "dense":
+        monkeypatch.setattr(dispatch, "DENSE_CELL_BUDGET", math.inf)
+    else:
+        monkeypatch.setattr(dispatch, "DENSE_CELL_BUDGET", 0)
+        monkeypatch.setattr(dispatch, "_RING_AREA_FRACTION", math.inf)
+
+
+def assert_same_evaluation(evaluation, reference):
+    assert evaluation.metrics == reference.metrics
+    assert evaluation.fitness == reference.fitness
+    assert np.array_equal(evaluation.giant_mask, reference.giant_mask)
+
+
+class TestRouterCount:
+    @pytest.mark.parametrize(
+        "tier,layout", TIER_LAYOUTS, ids=[f"{t}-{l}" for t, l in TIER_LAYOUTS]
+    )
+    @pytest.mark.parametrize("offset", (-1, 1), ids=("short", "long"))
+    def test_wrong_size_placement_is_refused(
+        self, problem, tier, layout, offset, monkeypatch
+    ):
+        force_layout(monkeypatch, layout)
+        n = problem.n_routers
+        rng = np.random.default_rng(33)
+        right = Placement.random(problem.grid, n, rng)
+        wrong = Placement.random(problem.grid, n + offset, rng)
+        message = re.escape(
+            f"placement positions {n + offset} routers but the fleet has {n}"
+        )
+        engine = StackedEngine(problem, engine=tier)
+        delta = StackedDeltaEngine(problem, engine=tier)
+        assert delta.layout == layout
+        for stack in ([wrong], [right, wrong]):
+            with pytest.raises(ValueError, match=message):
+                engine.measure_placements(stack)
+        with pytest.raises(ValueError, match=message):
+            delta.reset_chain(0, wrong)
+        # The refused start left no incumbent behind.
+        with pytest.raises(ValueError, match="no incumbent"):
+            delta.measure_one(0, right)
+        reference = Evaluator(problem, engine="dense").evaluate(right)
+        assert_same_evaluation(delta.reset_chain(0, right), reference)
+        for entry in (delta.measure_one, delta.commit_chain):
+            with pytest.raises(ValueError, match=message):
+                entry(0, wrong)
+        assert_same_evaluation(delta.measure_one(0, right), reference)
+
+
+@st.composite
+def generated_instances(draw):
+    """``(problem, placements)`` over the degenerate instance shapes.
+
+    1xK and Kx1 grids, one router or a full grid, no clients or
+    coincident ones, radii at or above the grid diagonal, every link
+    and coverage rule.
+    """
+    shape = draw(st.sampled_from(("row", "column", "block")))
+    if shape == "block":
+        width, height = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    else:
+        width, height = draw(st.integers(1, 16)), 1
+        if shape == "column":
+            width, height = height, width
+    n_cells = width * height
+    n_routers = draw(
+        st.one_of(st.just(1), st.just(n_cells), st.integers(1, n_cells))
+    )
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    client_cells = draw(st.lists(cell, max_size=30))
+    if client_cells:
+        client_cells += draw(st.lists(st.sampled_from(client_cells), max_size=6))
+    diagonal = max(math.hypot(width - 1, height - 1), 0.5)
+    if draw(st.booleans()):
+        radius = st.one_of(
+            st.just(diagonal), st.floats(diagonal, 2.0 * diagonal + 1.0)
+        )
+    else:
+        # Short radii split the graph, so GIANT_ONLY coverage differs
+        # from ANY_ROUTER coverage.
+        radius = st.floats(0.5, 3.0)
+    grid = GridArea(width, height)
+    problem = ProblemInstance(
+        grid=grid,
+        fleet=RouterFleet.from_radii(
+            draw(st.lists(radius, min_size=n_routers, max_size=n_routers))
+        ),
+        clients=ClientSet.from_points(
+            [Point(x, y) for x, y in client_cells], grid=grid
+        ),
+        link_rule=draw(st.sampled_from(list(LinkRule))),
+        coverage_rule=draw(st.sampled_from(list(CoverageRule))),
+    )
+    placements = []
+    for _ in range(draw(st.integers(1, 3))):
+        flat = draw(st.permutations(range(n_cells)))[:n_routers]
+        placements.append(
+            Placement.from_cells(grid, [(i % width, i // width) for i in flat])
+        )
+    return problem, placements
+
+
+class TestGeneratedInstances:
+    @settings(
+        max_examples=120,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(case=generated_instances())
+    def test_every_tier_and_layout_matches_the_reference(self, case):
+        problem, placements = case
+        reference = Evaluator(problem, engine="dense")
+        expected = [reference.evaluate(placement) for placement in placements]
+        for tier, layout in TIER_LAYOUTS:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                force_layout(monkeypatch, layout)
+                measurement = StackedEngine(problem, engine=tier).measure_placements(
+                    placements
+                )
+                delta = StackedDeltaEngine(problem, engine=tier)
+                assert delta.layout == layout
+                for chain, placement in enumerate(placements):
+                    assert_same_evaluation(
+                        measurement.evaluation(chain, placement), expected[chain]
+                    )
+                    assert_same_evaluation(
+                        delta.reset_chain(chain, placement), expected[chain]
+                    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import SparseEngine, StackedDeltaEngine, compiled_available
+from repro.core.engine import StackedDeltaEngine, StackedEngine, compiled_available
 from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.problem import ProblemInstance
@@ -66,7 +66,9 @@ class TestExactGiantTie:
             Evaluator(problem, engine=tier).evaluate_many([placement])[0]
             for tier in tiers
         ]
-        sparse = SparseEngine(problem).evaluate(placement)
+        sparse = StackedEngine(problem, engine="sparse").measure_placements(
+            [placement]
+        ).evaluation(0, placement)
         for other in (*batches, sparse):
             assert other.metrics == scalar.metrics
             assert other.fitness == scalar.fitness
@@ -74,10 +76,11 @@ class TestExactGiantTie:
 
         for engine in ("dense", "sparse"):
             delta = StackedDeltaEngine(problem, engine=engine)
-            delta.reset_chain(0, placement)
+            start = delta.reset_chain(0, placement)
             evaluation = delta.measure_one(0, placement)
-            assert evaluation.metrics == scalar.metrics
-            assert np.array_equal(evaluation.giant_mask, scalar.giant_mask)
+            for other in (start, evaluation):
+                assert other.metrics == scalar.metrics
+                assert np.array_equal(other.giant_mask, scalar.giant_mask)
 
     def test_delta_propose_into_an_exact_tie(self):
         # The tie must also break canonically when it *arises* from an
