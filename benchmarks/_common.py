@@ -61,11 +61,16 @@ def host_metadata() -> dict:
         "numpy": numpy.__version__,
     }
 
-#: Default destination for benchmark records: the repository root, so
-#: every bench run leaves a committed-able ``BENCH_<name>.json`` behind
-#: and successive PRs accumulate a perf trajectory without anyone
+#: Default destination for full-scale benchmark records: the repository
+#: root, so every full run leaves a committed-able ``BENCH_<name>.json``
+#: behind and successive PRs accumulate a perf trajectory without anyone
 #: remembering a flag.
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Default destination (under :data:`_REPO_ROOT`, git-ignored) for
+#: reduced-scale (``--quick``/``--smoke``) records: crash checks, not
+#: trajectory points, so they never overwrite a committed record.
+_REDUCED_DIR = Path(".bench_build") / "bench"
 
 
 def bench_scale() -> ExperimentScale:
@@ -102,25 +107,30 @@ def add_json_argument(parser) -> None:
         default=None,
         metavar="DIR",
         help="write the machine-readable BENCH_<name>.json record to DIR "
-        "(default: $REPRO_BENCH_JSON, else the repository root, so the "
-        "perf trajectory accumulates without flags)",
+        "(default: $REPRO_BENCH_JSON, else the repository root for a "
+        "full-scale run, so the perf trajectory accumulates without "
+        "flags, and .bench_build/bench/ for a --quick/--smoke run)",
     )
 
 
-def write_bench_json(name: str, payload: dict, directory: "str | None") -> Path:
-    """Write one machine-readable benchmark record, if enabled.
+def write_bench_json(
+    name: str, payload: dict, directory: "str | None", *, reduced: bool
+) -> Path:
+    """Write one machine-readable benchmark record.
 
     ``payload`` carries the bench-specific records (timings, sizes,
     speedups); this helper stamps the shared envelope (bench name,
     scale, unix timestamp) and writes ``BENCH_<name>.json`` into
-    ``directory``, falling back to ``$REPRO_BENCH_JSON`` and finally to
-    the repository root — records are always written, so the committed
-    ``BENCH_*.json`` trajectory tracks regressions across PRs.  Returns
-    the written path.
+    ``directory``, falling back to ``$REPRO_BENCH_JSON`` and then, for
+    a full-scale run, to the repository root, so the committed
+    ``BENCH_*.json`` trajectory tracks regressions across PRs.  A
+    ``reduced`` (``--quick``/``--smoke``) run falls back to
+    ``.bench_build/bench/`` instead: its numbers must not replace a
+    committed full-scale record.  Returns the written path.
     """
     directory = directory if directory is not None else envgates.bench_json_dir()
     if not directory:
-        directory = str(_REPO_ROOT)
+        directory = str(_REPO_ROOT / _REDUCED_DIR if reduced else _REPO_ROOT)
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     record = {

@@ -183,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             "delta_speedup": delta_speedup,
         },
         args.json,
+        reduced=args.quick,
     )
 
     if args.min_speedup is not None and not args.quick:

@@ -276,6 +276,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "min_speedup_gate": gate,
         },
         args.json,
+        reduced=args.smoke,
     )
 
     if speedup < gate:

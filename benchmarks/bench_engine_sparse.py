@@ -255,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             "large": large,
         },
         args.json,
+        reduced=args.quick,
     )
 
     failed = False

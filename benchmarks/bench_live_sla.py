@@ -244,7 +244,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "mean_regret": mean_regret,
         "deadline_overhead": overhead,
     }
-    write_bench_json("live_sla", payload, args.json)
+    write_bench_json("live_sla", payload, args.json, reduced=args.smoke)
 
     if not args.smoke:
         if pressured.p95_latency > sla:

@@ -247,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     if workers_seconds is not None:
         payload["workers"] = args.workers
         payload["workers_seconds"] = workers_seconds
-    write_bench_json("multichain", payload, args.json)
+    write_bench_json("multichain", payload, args.json, reduced=args.smoke)
 
     if args.min_speedup is not None and not args.smoke:
         if portfolio_speedup < args.min_speedup:

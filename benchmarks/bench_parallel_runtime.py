@@ -227,7 +227,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "publishes": stats.publishes,
         "broadcast_hits": stats.broadcast_hits,
     }
-    write_bench_json("parallel_runtime", payload, args.json)
+    write_bench_json("parallel_runtime", payload, args.json, reduced=args.smoke)
     shutdown_runtime()
 
     if byte_ratio < args.min_byte_ratio:

@@ -160,7 +160,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "warm_mean_fitness": warm.mean_fitness(),
         "quality_delta": quality_delta,
     }
-    write_bench_json("scenario", payload, args.json)
+    write_bench_json("scenario", payload, args.json, reduced=args.smoke)
 
     if not args.smoke:
         if step_speedup < args.min_speedup:

@@ -215,7 +215,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "speedup": speedup,
         "total_evaluations": evaluations,
     }
-    write_bench_json("scenario_fleet", payload, args.json)
+    write_bench_json("scenario_fleet", payload, args.json, reduced=args.smoke)
 
     if not args.smoke:
         if speedup < args.min_speedup:

@@ -440,12 +440,12 @@ void repro_measure_stack_sparse(
 /* Metrics from a candidate's dense boolean matrices — the dense-layout
  * single-candidate measurement (StackedDeltaEngine.measure_one) with
  * the edge extraction, labeling and masked coverage count fused into
- * one pass. */
+ * one pass.  out receives giant size, covered, components, links. */
 void repro_measure_dense_matrices(
     const u8 *adjacency,  /* N*N, symmetric, zero diagonal */
     const u8 *coverage,   /* M*N */
     i64 n_routers, i64 n_clients, i64 giant_only,
-    i64 *giant_size, i64 *covered, i64 *n_components, i64 *n_links,
+    i64 *out,             /* 4 */
     u8 *giant_mask        /* N */
 ) {
     const i64 n = n_routers;
@@ -465,8 +465,8 @@ void repro_measure_dense_matrices(
             }
         }
     }
-    finish_components(parent, counts, n, giant_size, n_components, giant_mask);
-    *n_links = links;
+    finish_components(parent, counts, n, &out[0], &out[2], giant_mask);
+    out[3] = links;
     i64 cov = 0;
     for (i64 c = 0; c < m; c++) {
         const u8 *row = coverage + c * n;
@@ -477,113 +477,182 @@ void repro_measure_dense_matrices(
             }
         }
     }
-    *covered = cov;
+    out[1] = cov;
     free(parent);
     free(counts);
 }
 
-/* Moved-router adjacency rows and coverage columns for a whole phase:
- * P (candidate, mover) pairs, each tested against the incumbent
- * positions and the client set — the StackedDeltaEngine's two hottest
- * broadcasts fused into one parallel pass. */
-void repro_delta_rows_cols(
-    const double *new_xy,        /* P*2 */
-    const i64 *router_of_pair,   /* P */
-    i64 n_pairs,
-    const double *positions,     /* N*2 incumbent */
-    i64 n_routers,
-    const double *range2,        /* N*N */
-    const double *clients,       /* M*2 */
-    i64 n_clients,
-    const double *radii2,        /* N */
-    u8 *rows_new,                /* P*N */
-    u8 *cols_new                 /* P*M */
-) {
-    const i64 n = n_routers;
-    const i64 m = n_clients;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (i64 p = 0; p < n_pairs; p++) {
-        const i64 r = router_of_pair[p];
-        const double nx = new_xy[2 * p];
-        const double ny = new_xy[2 * p + 1];
-        const double *row2 = range2 + r * n;
-        u8 *row = rows_new + p * n;
-        for (i64 j = 0; j < n; j++) {
-            const double dx = nx - positions[2 * j];
-            const double dy = ny - positions[2 * j + 1];
-            row[j] = (u8)(dx * dx + dy * dy <= row2[j]);
-        }
-        row[r] = 0;
-        u8 *col = cols_new + p * m;
-        const double rr2 = radii2[r];
-        for (i64 c = 0; c < m; c++) {
-            const double dx = nx - clients[2 * c];
-            const double dy = ny - clients[2 * c + 1];
-            col[c] = (u8)(dx * dx + dy * dy <= rr2);
+/* One dense chain incumbent as the phase kernel reads it.  The Python
+ * side packs one row of eight 64-bit words per chain (addresses, plus
+ * the edge count); the aid the coverage rule does not use is NULL. */
+typedef struct {
+    const double *positions;         /* N*2 */
+    const u8 *coverage;              /* M*N */
+    const i64 *edge_rows;            /* E, one-way (i < j) edges */
+    const i64 *edge_cols;            /* E */
+    i64 n_edges;
+    const i64 *client_ptr;           /* M+1 client-major CSR (GIANT_ONLY) */
+    const i64 *client_hit;           /* covering router ids */
+    const int32_t *coverage_counts;  /* M covering routers (ANY_ROUTER) */
+} chain_state;
+
+/* First index in sorted values[0..count) holding at least key. */
+static i64 lower_bound(const i64 *values, i64 count, i64 key) {
+    i64 low = 0;
+    i64 high = count;
+    while (low < high) {
+        const i64 mid = low + (high - low) / 2;
+        if (values[mid] < key) {
+            low = mid + 1;
+        } else {
+            high = mid;
         }
     }
+    return low;
 }
 
-/* Giant-only covered-client counts for one chain's candidate segment,
- * replacing the float32 sgemm + per-mover corrections: per candidate,
- * count each client's covering giant routers from the incumbent's
- * client-major CSR hit lists, then exchange each giant mover's old
- * coverage column for its new one.  All-integer, hence exact. */
-void repro_giant_covered(
-    const i64 *client_ptr,   /* M+1 CSR offsets */
-    const i64 *client_hit,   /* covering router ids, client-major */
-    i64 n_clients, i64 n_routers, i64 n_candidates,
-    const u8 *giant_masks,   /* C*N, segment-local */
-    const i64 *pair_cand,    /* P, segment-local candidate index */
-    const i64 *pair_router,  /* P */
+/* A whole dense-layout phase in one call: every candidate is its
+ * chain's incumbent with the routers of its pairs moved.  Per
+ * candidate, one union-find over the kept incumbent edges (neither
+ * endpoint moved), each mover's links to the unmoved routers from its
+ * new cell and the co-mover links between new cells; then the covered
+ * clients from the incumbent's per-client counts with each mover's old
+ * coverage column exchanged for its new one (under GIANT_ONLY the
+ * counts are of giant routers, and only giant movers exchange).  The
+ * predicates are the numpy dense delta path's, operand for operand. */
+void repro_measure_phase_dense(
+    const chain_state *states,   /* S, one per chain segment */
+    i64 n_segments,
+    const i64 *segment_starts,   /* S+1 candidate offsets */
+    const i64 *pair_candidate,   /* P, sorted */
+    const i64 *pair_router,      /* P */
+    const double *pair_xy,       /* P*2 new cells */
     i64 n_pairs,
-    const u8 *cols_new,      /* P*M new coverage columns */
-    const u8 *cov_old,       /* M*N incumbent coverage matrix */
-    i64 *covered             /* C */
+    i64 n_routers,
+    const double *range2,        /* N*N squared link ranges */
+    i64 n_clients,
+    const double *clients,       /* M*2 */
+    const double *radii2,        /* N squared coverage radii */
+    i64 giant_only,
+    i64 *out,                    /* 4*K: giants, covered, components, links */
+    u8 *giant_masks              /* K*N */
 ) {
     const i64 n = n_routers;
     const i64 m = n_clients;
+    const i64 k_total = segment_starts[n_segments];
+    i64 *giant_sizes = out;
+    i64 *covered = out + k_total;
+    i64 *n_components = out + 2 * k_total;
+    i64 *n_links = out + 3 * k_total;
 #ifdef _OPENMP
 #pragma omp parallel
 #endif
     {
+        i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+        i64 *counts = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+        u8 *moved = (u8 *)calloc((size_t)(n > 0 ? n : 1), 1);
         int32_t *cnt = (int32_t *)malloc(
             (size_t)(m > 0 ? m : 1) * sizeof(int32_t)
         );
 #ifdef _OPENMP
-#pragma omp for schedule(dynamic)
+#pragma omp for schedule(dynamic, 8)
 #endif
-        for (i64 c = 0; c < n_candidates; c++) {
-            const u8 *g = giant_masks + c * n;
-            for (i64 i = 0; i < m; i++) {
-                int32_t hits = 0;
-                for (i64 s = client_ptr[i]; s < client_ptr[i + 1]; s++) {
-                    hits += (int32_t)g[client_hit[s]];
-                }
-                cnt[i] = hits;
+        for (i64 k = 0; k < k_total; k++) {
+            /* The segment holding k: the last start at or below it. */
+            const i64 s = lower_bound(segment_starts, n_segments + 1, k + 1) - 1;
+            const chain_state *st = &states[s];
+            const double *pos = st->positions;
+            const i64 first = lower_bound(pair_candidate, n_pairs, k);
+            const i64 last = lower_bound(pair_candidate, n_pairs, k + 1);
+            u8 *gmask = giant_masks + k * n;
+            for (i64 p = first; p < last; p++) {
+                moved[pair_router[p]] = 1;
             }
-            for (i64 p = 0; p < n_pairs; p++) {
-                if (pair_cand[p] != c) {
-                    continue;
+            for (i64 i = 0; i < n; i++) {
+                parent[i] = i;
+            }
+            i64 links = 0;
+            for (i64 e = 0; e < st->n_edges; e++) {
+                const i64 a = st->edge_rows[e];
+                const i64 b = st->edge_cols[e];
+                if (!moved[a] && !moved[b]) {
+                    links++;
+                    uf_union(parent, a, b);
                 }
+            }
+            for (i64 p = first; p < last; p++) {
                 const i64 r = pair_router[p];
-                if (!g[r]) {
-                    continue;
+                const double nx = pair_xy[2 * p];
+                const double ny = pair_xy[2 * p + 1];
+                const double *row2 = range2 + r * n;
+                for (i64 j = 0; j < n; j++) {
+                    if (moved[j]) {
+                        continue;
+                    }
+                    const double dx = nx - pos[2 * j];
+                    const double dy = ny - pos[2 * j + 1];
+                    if (dx * dx + dy * dy <= row2[j]) {
+                        links++;
+                        uf_union(parent, r, j);
+                    }
                 }
-                const u8 *newcol = cols_new + p * m;
-                const u8 *oldcol = cov_old + r;
-                for (i64 i = 0; i < m; i++) {
-                    cnt[i] += (int32_t)newcol[i] - (int32_t)oldcol[i * n];
+                for (i64 q = p + 1; q < last; q++) {
+                    const double dx = nx - pair_xy[2 * q];
+                    const double dy = ny - pair_xy[2 * q + 1];
+                    if (dx * dx + dy * dy <= row2[pair_router[q]]) {
+                        links++;
+                        uf_union(parent, r, pair_router[q]);
+                    }
                 }
             }
+            finish_components(
+                parent, counts, n,
+                &giant_sizes[k], &n_components[k], gmask
+            );
+            n_links[k] = links;
             i64 cov = 0;
-            for (i64 i = 0; i < m; i++) {
-                cov += (cnt[i] > 0);
+            if (m > 0) {
+                if (giant_only) {
+                    for (i64 i = 0; i < m; i++) {
+                        int32_t hits = 0;
+                        for (i64 h = st->client_ptr[i]; h < st->client_ptr[i + 1]; h++) {
+                            hits += (int32_t)gmask[st->client_hit[h]];
+                        }
+                        cnt[i] = hits;
+                    }
+                } else {
+                    for (i64 i = 0; i < m; i++) {
+                        cnt[i] = st->coverage_counts[i];
+                    }
+                }
+                for (i64 p = first; p < last; p++) {
+                    const i64 r = pair_router[p];
+                    if (giant_only && !gmask[r]) {
+                        continue;
+                    }
+                    const double nx = pair_xy[2 * p];
+                    const double ny = pair_xy[2 * p + 1];
+                    const double rr2 = radii2[r];
+                    const u8 *oldcol = st->coverage + r;
+                    for (i64 i = 0; i < m; i++) {
+                        const double dx = nx - clients[2 * i];
+                        const double dy = ny - clients[2 * i + 1];
+                        cnt[i] += (int32_t)(dx * dx + dy * dy <= rr2)
+                            - (int32_t)oldcol[i * n];
+                    }
+                }
+                for (i64 i = 0; i < m; i++) {
+                    cov += (cnt[i] > 0);
+                }
             }
-            covered[c] = cov;
+            covered[k] = cov;
+            for (i64 p = first; p < last; p++) {
+                moved[pair_router[p]] = 0;
+            }
         }
+        free(parent);
+        free(counts);
+        free(moved);
         free(cnt);
     }
 }

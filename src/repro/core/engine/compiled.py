@@ -1,14 +1,18 @@
 """The compiled evaluation tier (``engine="compiled"``).
 
-The numpy engines spend their city-scale and multi-chain budgets in four
-hot paths: the fused pairwise-distance/range tests, the
-:class:`~repro.core.engine.stacked.StackedDeltaEngine`'s moved-router
-row/column recompute, edge-stack component labeling, and the giant-only
-covered-count reduction.  This module replaces them with C kernels
+The numpy engines spend their city-scale and multi-chain budgets in the
+fused pairwise-distance/range tests, component labeling and the
+covered-count reductions.  This module replaces them with C kernels
 (:mod:`_kernels.c <repro.core.engine>`), compiled on demand by the
 system toolchain into a content-hashed shared library and bound via
 :mod:`ctypes` — no third-party dependency, so tier-1 environments
-without a C compiler simply fall back to the numpy paths.
+without a C compiler simply fall back to the numpy paths.  A dense
+lockstep phase of the
+:class:`~repro.core.engine.stacked.StackedDeltaEngine` is one call,
+:func:`measure_phase_dense`: per candidate, the movers' new links, one
+union-find over the kept incumbent edges plus those links, and the
+covered count with each mover's coverage column exchanged, over a table
+of each chain's incumbent buffers (:func:`chain_state`).
 
 Availability contract (mirrored by the dispatch layer):
 
@@ -20,6 +24,10 @@ Availability contract (mirrored by the dispatch layer):
 * :func:`require` is the loud probe — returns the bound library or
   raises a ``RuntimeError`` explaining why ``engine="compiled"`` cannot
   run and how to fall back.
+
+Both are read when an engine is built.  The engines keep the library
+:func:`require` returned and hand it to every wrapper as ``lib``, so no
+kernel call re-reads the gate.
 
 Bit-identity: every kernel performs the same float64 subtract / square /
 add / compare sequence as the numpy reference formulas (the build passes
@@ -193,16 +201,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     )
     lib.repro_measure_dense_matrices.restype = None
     lib.repro_measure_dense_matrices.argtypes = (
-        _PU8, _PU8, _I64, _I64, _I64,
-        _PI, _PI, _PI, _PI, _PU8,
+        _PU8, _PU8, _I64, _I64, _I64, _PI, _PU8,
     )
-    lib.repro_delta_rows_cols.restype = None
-    lib.repro_delta_rows_cols.argtypes = (
-        _PD, _PI, _I64, _PD, _I64, _PD, _PD, _I64, _PD, _PU8, _PU8,
-    )
-    lib.repro_giant_covered.restype = None
-    lib.repro_giant_covered.argtypes = (
-        _PI, _PI, _I64, _I64, _I64, _PU8, _PI, _PI, _I64, _PU8, _PU8, _PI,
+    lib.repro_measure_phase_dense.restype = None
+    lib.repro_measure_phase_dense.argtypes = (
+        _PI, _I64, _PI, _PI, _PI, _PD, _I64,
+        _I64, _PD, _I64, _PD, _PD, _I64, _PI, _PU8,
     )
     lib.repro_filter_pairs.restype = None
     lib.repro_filter_pairs.argtypes = (_PD, _PI, _PI, _I64, _PD, _I64, _PU8)
@@ -334,9 +338,17 @@ def _pu8(values: np.ndarray):
 # Kernel wrappers
 # ----------------------------------------------------------------------
 
+# Every wrapper takes the bound library as ``lib``: the engines pass the
+# one their constructor's require() returned, and a call without it
+# probes require() itself.
+
 
 def label_components(
-    n_nodes: int, rows: np.ndarray, cols: np.ndarray
+    n_nodes: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    *,
+    lib: "ctypes.CDLL | None" = None,
 ) -> np.ndarray:
     """Canonical smallest-member component labels (one kernel, any size).
 
@@ -354,7 +366,7 @@ def label_components(
     ):
         raise ValueError(f"edge endpoints out of range for {n_nodes} nodes")
     labels = np.empty(n_nodes, dtype=np.int64)
-    require().repro_label_components(
+    (lib or require()).repro_label_components(
         n_nodes, rows.size, _pi(rows), _pi(cols), _pi(labels)
     )
     return labels.astype(np.intp, copy=False)
@@ -366,6 +378,8 @@ def link_hits_compiled(
     link_rule: LinkRule,
     rows: np.ndarray,
     cols: np.ndarray,
+    *,
+    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact-predicate filter of candidate router pairs (bin-pair form).
 
@@ -378,7 +392,7 @@ def link_hits_compiled(
     rows64 = _i64a(rows)
     cols64 = _i64a(cols)
     keep = np.empty(rows64.size, dtype=np.uint8)
-    require().repro_filter_pairs(
+    (lib or require()).repro_filter_pairs(
         _pd(_f64(positions)), _pi(rows64), _pi(cols64), rows64.size,
         _pd(_f64(radii)), _RULE_CODES[link_rule], _pu8(keep),
     )
@@ -387,7 +401,11 @@ def link_hits_compiled(
 
 
 def measure_dense_matrices(
-    adjacency: np.ndarray, coverage: np.ndarray, giant_only: bool
+    adjacency: np.ndarray,
+    coverage: np.ndarray,
+    giant_only: bool,
+    *,
+    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[int, int, int, int, np.ndarray]:
     """Fused metrics from an incumbent's dense boolean matrices.
 
@@ -395,98 +413,153 @@ def measure_dense_matrices(
     with the shared smallest-canonical-label giant tie-break — the
     dense-layout measurement of
     :meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one` in
-    one pass.
+    one pass.  The four counts come back through one ``int64[4]``.
     """
     n = adjacency.shape[0]
-    m = coverage.shape[0]
-    out = np.zeros(4, dtype=np.int64)
-    giant_mask = np.empty(n, dtype=np.uint8)
-    require().repro_measure_dense_matrices(
-        _pu8(_u8(adjacency)), _pu8(_u8(coverage)), n, m, int(giant_only),
-        _pi(out[0:1]), _pi(out[1:2]), _pi(out[2:3]), _pi(out[3:4]),
-        _pu8(giant_mask),
+    out = np.empty(4, dtype=np.int64)
+    giant_mask = np.empty(n, dtype=bool)
+    (lib or require()).repro_measure_dense_matrices(
+        _pu8(_u8(adjacency)), _pu8(_u8(coverage)), n, coverage.shape[0],
+        int(giant_only), _pi(out), _pu8(giant_mask.view(np.uint8)),
     )
-    return (
-        int(out[0]), int(out[1]), int(out[2]), int(out[3]),
-        giant_mask.view(bool),
-    )
+    giant_size, covered, n_components, n_links = out.tolist()
+    return giant_size, covered, n_components, n_links, giant_mask
 
 
-def delta_rows_cols(
-    new_xy: np.ndarray,
-    router_of_pair: np.ndarray,
+#: ``(field, dtype)`` of ``chain_state`` in ``_kernels.c``, in order:
+#: the buffers a dense chain incumbent hands the phase kernel.  The
+#: edge count follows the edge arrays.
+_CHAIN_STATE = (
+    ("positions", np.float64),
+    ("coverage", np.bool_),
+    ("edge_rows", np.int64),
+    ("edge_cols", np.int64),
+    ("client_ptr", np.int64),
+    ("client_hit", np.int64),
+    ("coverage_counts", np.int32),
+)
+
+
+def chain_state(
     positions: np.ndarray,
+    coverage: np.ndarray,
+    edge_rows: np.ndarray,
+    edge_cols: np.ndarray,
+    client_ptr: "np.ndarray | None",
+    client_hit: "np.ndarray | None",
+    coverage_counts: "np.ndarray | None",
+) -> tuple[int, ...]:
+    """One dense chain incumbent's ``chain_state`` row for
+    :func:`measure_phase_dense`.
+
+    The row holds the buffers' addresses (``0`` for the coverage aid the
+    rule does not use) and the edge count, so the caller keeps every
+    array alive and unmoved while the row is in use, and builds a new
+    row whenever it replaces one of them.  Only ``GIANT_ONLY`` phases
+    read the client-major CSR (``client_ptr``/``client_hit``), only
+    ``ANY_ROUTER`` phases the per-client ``coverage_counts``.
+    """
+    arrays = (
+        positions, coverage, edge_rows, edge_cols,
+        client_ptr, client_hit, coverage_counts,
+    )
+    addresses = []
+    for (field, dtype), array in zip(_CHAIN_STATE, arrays):
+        if array is None:
+            addresses.append(0)
+            continue
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise ValueError(
+                f"chain state {field} must be a C-contiguous "
+                f"{np.dtype(dtype)} array, got {array.dtype}"
+            )
+        addresses.append(array.ctypes.data)
+    n = positions.shape[0]
+    m = coverage.shape[0]
+    if (
+        positions.shape != (n, 2)
+        or coverage.shape != (m, n)
+        or edge_rows.shape != edge_cols.shape
+        or (client_ptr is not None and (
+            client_ptr.shape != (m + 1,)
+            or client_hit is None
+            or client_hit.shape != (int(client_ptr[m]),)
+        ))
+        or (coverage_counts is not None and coverage_counts.shape != (m,))
+    ):
+        raise ValueError("chain state arrays disagree on their shapes")
+    return (*addresses[:4], edge_rows.size, *addresses[4:])
+
+
+def measure_phase_dense(
+    states: np.ndarray,
+    segment_starts: np.ndarray,
+    pair_candidate: np.ndarray,
+    pair_router: np.ndarray,
+    pair_xy: np.ndarray,
     range_squared: np.ndarray,
     clients: np.ndarray,
     radii_squared: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moved-router adjacency rows + coverage columns for ``P`` pairs.
+    giant_only: bool,
+    *,
+    lib: "ctypes.CDLL | None" = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A whole dense-layout phase in one kernel call.
 
-    The :class:`~repro.core.engine.stacked.StackedDeltaEngine`'s two
-    per-phase broadcasts fused into one parallel pass: ``rows_new[p]``
-    is router ``router_of_pair[p]``'s adjacency row at ``new_xy[p]``
-    against the incumbent ``positions`` (diagonal cleared), ``cols_new
-    [p]`` its coverage column over ``clients``.  Boolean views, no copy.
+    ``states`` stacks one :func:`chain_state` row per chain segment, and
+    candidates ``segment_starts[s]:segment_starts[s + 1]`` are segment
+    ``s``'s incumbent with the routers of their pairs moved
+    (``pair_candidate`` sorted, routers distinct within a candidate).
+    Returns ``(giant_sizes, covered, n_components, n_links,
+    giant_masks)`` per candidate, bit-identical to the numpy dense
+    delta path.
     """
-    pairs = _i64a(router_of_pair)
-    n = positions.shape[0]
-    m = clients.shape[0]
-    rows_new = np.empty((pairs.size, n), dtype=np.uint8)
-    cols_new = np.empty((pairs.size, m), dtype=np.uint8)
-    require().repro_delta_rows_cols(
-        _pd(_f64(new_xy)), _pi(pairs), pairs.size,
-        _pd(_f64(positions)), n,
-        _pd(_f64(range_squared)), _pd(_f64(clients)), m,
-        _pd(_f64(radii_squared)),
-        _pu8(rows_new), _pu8(cols_new),
-    )
-    return rows_new.view(bool), cols_new.view(bool)
-
-
-def giant_covered(
-    client_ptr: np.ndarray,
-    client_hit: np.ndarray,
-    n_routers: int,
-    giant_masks: np.ndarray,
-    pair_cand: np.ndarray,
-    pair_router: np.ndarray,
-    cols_new: np.ndarray,
-    coverage: np.ndarray,
-) -> np.ndarray:
-    """Giant-only covered-client counts for one chain segment.
-
-    All-integer replacement of the float32 sgemm + per-mover
-    corrections: per candidate, each client's covering-giant-router
-    count comes from the incumbent's client-major CSR hit lists
-    (``client_ptr``/``client_hit``), then every giant mover exchanges
-    its old coverage column for its new one.
-    """
-    count = giant_masks.shape[0]
-    covered = np.empty(count, dtype=np.int64)
-    pair_cand = _i64a(pair_cand)
+    n = range_squared.shape[0]
+    segment_starts = _i64a(segment_starts)
+    k = int(segment_starts[-1])
+    if (
+        states.shape != (segment_starts.size - 1, len(_CHAIN_STATE) + 1)
+        or segment_starts[0] != 0
+        or (np.diff(segment_starts) < 0).any()
+    ):
+        raise ValueError("one chain state row per candidate segment expected")
+    # The coverage rule's aid: the client CSR, or the per-client counts.
+    aid = states[:, 5] if giant_only else states[:, 7]
+    if clients.shape[0] and not aid.all():
+        raise ValueError("a chain state lacks the coverage rule's aid")
+    pair_candidate = _i64a(pair_candidate)
     pair_router = _i64a(pair_router)
-    client_ptr = _i64a(client_ptr)
-    client_hit = _i64a(client_hit)
-    require().repro_giant_covered(
-        _pi(client_ptr), _pi(client_hit),
-        client_ptr.size - 1, n_routers, count,
-        _pu8(_u8(giant_masks)),
-        _pi(pair_cand), _pi(pair_router), pair_cand.size,
-        _pu8(_u8(cols_new)), _pu8(_u8(coverage)),
-        _pi(covered),
+    if pair_router.size and not (
+        0 <= int(pair_router.min()) and int(pair_router.max()) < n
+        and 0 <= int(pair_candidate[0]) and int(pair_candidate[-1]) < k
+    ):
+        raise ValueError("phase pairs name a router or candidate out of range")
+    out = np.empty((4, k), dtype=np.int64)
+    giant_masks = np.empty((k, n), dtype=bool)
+    (lib or require()).repro_measure_phase_dense(
+        _pi(_i64a(states)), segment_starts.size - 1, _pi(segment_starts),
+        _pi(pair_candidate), _pi(pair_router), _pd(_f64(pair_xy)),
+        pair_router.size,
+        n, _pd(_f64(range_squared)),
+        clients.shape[0], _pd(_f64(clients)), _pd(_f64(radii_squared)),
+        int(giant_only),
+        _pi(out), _pu8(giant_masks.view(np.uint8)),
     )
-    return covered.astype(np.intp, copy=False)
+    giant_sizes, covered, n_components, n_links = out.astype(np.intp, copy=False)
+    return giant_sizes, covered, n_components, n_links, giant_masks
 
 
-def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def client_csr(
+    coverage: np.ndarray, *, lib: "ctypes.CDLL | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Client-major CSR of a boolean ``(M, N)`` coverage matrix.
 
-    Offsets come from one row-sum cumsum; the hit lists are filled by
-    the C kernel when it is loaded (``np.nonzero`` over the full matrix
-    is the commit-path hot spot at city scale) and by ``np.nonzero``
-    otherwise.  Both fills emit routers in ascending order per client —
-    row-major — so the arrays are bit-identical either way.
+    Offsets come from one row-sum cumsum, and the kernel fills the hit
+    lists (``np.nonzero`` over the full matrix is the commit-path hot
+    spot at city scale) in ascending router order per client, the
+    row-major order ``np.nonzero`` emits.
     """
+    lib = lib or require()
     matrix = _u8(coverage)
     m = matrix.shape[0]
     n = matrix.shape[1] if matrix.ndim == 2 else 0
@@ -494,14 +567,7 @@ def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(matrix.sum(axis=1, dtype=np.int64), out=ptr[1:])
     hit = np.empty(int(ptr[m]), dtype=np.int64)
     if hit.size:
-        lib = _load() if _env_enabled() else None
-        if lib is not None:
-            lib.repro_client_csr_fill(_pu8(matrix), m, n, _pi(ptr), _pi(hit))
-        else:
-            # np.nonzero returns strided column views of one (nnz, 2)
-            # buffer; the downstream kernel walks raw int64s, so the
-            # hit list must be compacted.
-            hit[:] = np.nonzero(matrix)[1]
+        lib.repro_client_csr_fill(_pu8(matrix), m, n, _pi(ptr), _pi(hit))
     return ptr, hit
 
 
@@ -510,6 +576,8 @@ def csr_update_column(
     hit: np.ndarray,
     router: int,
     newcol: np.ndarray,
+    *,
+    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rewrite a client-major CSR for one moved router's new column.
 
@@ -517,7 +585,7 @@ def csr_update_column(
     from the full ``(M, N)`` matrix would rescan mostly-unchanged
     cells.  Bit-identical to :func:`client_csr` on the patched matrix.
     """
-    lib = require()
+    lib = lib or require()
     ptr = _i64a(ptr)
     hit = _i64a(hit)
     newcol = _u8(newcol)
@@ -536,14 +604,16 @@ def csr_update_column(
     return new_ptr, new_hit[: int(new_ptr[m])]
 
 
-def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dense_edges(
+    adjacency: np.ndarray, *, lib: "ctypes.CDLL | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
     """One-way ``(rows, cols)`` edge arrays of a dense adjacency matrix.
 
     The upper-triangle scan that refreshes a chain cache's edge arrays
     on commit; same ``(i < j)`` row-major order as the ``np.nonzero``
     path it replaces.
     """
-    lib = require()
+    lib = lib or require()
     matrix = _u8(adjacency)
     n = matrix.shape[0]
     # Each undirected link sets two cells, so the popcount halves.
@@ -586,7 +656,7 @@ class CompiledEngine:
         from repro.core.engine.dispatch import select_engine
         from repro.core.engine.sparse import coverage_cell_size, link_cell_size
 
-        require()
+        self._lib = require()
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         self.form = select_engine(problem)
@@ -646,7 +716,7 @@ class CompiledEngine:
         n_links = np.zeros(k, dtype=np.int64)
         giant_masks = np.zeros((k, n), dtype=np.uint8)
         if k:
-            lib = require()
+            lib = self._lib
             m = self._clients.shape[0]
             if self.form == "dense":
                 lib.repro_measure_stack_dense(
@@ -685,7 +755,7 @@ class CompiledEngine:
     def __repr__(self) -> str:
         return (
             f"CompiledEngine(n_routers={self._problem.n_routers}, "
-            f"form={self.form!r}, openmp={bool(require().repro_has_openmp())})"
+            f"form={self.form!r}, openmp={bool(self._lib.repro_has_openmp())})"
         )
 
 

@@ -35,6 +35,7 @@ measurement, shared by the chain starts and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -281,7 +282,7 @@ class _ChainCache:
 
     The *phase aids* — the dense edge arrays and coverage aid, the
     sparse CSR — are read by :meth:`StackedDeltaEngine.measure_phase`
-    only.  Adopting a trial drops them, and the next phase rebuilds them
+    only (on the compiled dense layout through :meth:`kernel_state`).  Adopting a trial drops them, and the next phase rebuilds them
     (:meth:`StackedDeltaEngine._ensure_aids`).  ``trial`` is the last
     :meth:`StackedDeltaEngine.measure_one` state:
     ``(placement, positions, arrays)``.
@@ -305,6 +306,9 @@ class _ChainCache:
         "hit_client",
         "hit_router",
         "trial",
+        # Compiled dense phase kernel.
+        "kernel_arrays",
+        "kernel_row",
     )
 
     def __init__(self, placement: Placement) -> None:
@@ -351,11 +355,26 @@ class _ChainCache:
         self.edge_rows = rows[one_way].astype(np.intp)
         self.edge_cols = cols[one_way].astype(np.intp)
 
-    def refresh_csr(self) -> None:
-        """Rebuild the client-major CSR from the coverage matrix."""
-        from repro.core.engine.compiled import client_csr
+    def kernel_state(self) -> tuple[int, ...]:
+        """This incumbent's ``chain_state`` row for the compiled phase
+        kernel (:func:`~repro.core.engine.compiled.chain_state`).
 
-        self.client_ptr, self.client_hit = client_csr(self.coverage)
+        The row holds buffer addresses, so it is rebuilt whenever a
+        commit or an adoption has replaced one of its arrays since the
+        last phase; in-place rewrites keep their addresses.  The arrays
+        the row points into are held with it.
+        """
+        arrays = (
+            self.positions, self.coverage, self.edge_rows, self.edge_cols,
+            self.client_ptr, self.client_hit, self.coverage_counts,
+        )
+        held = self.kernel_arrays
+        if held is None or any(now is not then for now, then in zip(arrays, held)):
+            from repro.core.engine.compiled import chain_state
+
+            self.kernel_row = chain_state(*arrays)
+            self.kernel_arrays = arrays
+        return self.kernel_row
 
     def set_hits(self, hit_router: np.ndarray, hit_client: np.ndarray) -> None:
         """Store router-sorted ``(router, client)`` hits as the CSR."""
@@ -415,8 +434,10 @@ class StackedDeltaEngine:
       coverage column per (candidate, moved-router) pair, and counts
       ``GIANT_ONLY`` coverage with one exact ``float32`` matmul of the
       cached hits against the candidate giant masks (``ANY_ROUTER``:
-      cached per-client hit counts).  The compiled tier runs the fused
-      C kernels on the same caches.
+      cached per-client hit counts).  On the compiled tier a phase is
+      one C kernel call over the same caches: per candidate, the
+      movers' links, one union-find and the exchanged coverage
+      columns, with no ``(P, N)`` or ``(P, M)`` array.
     * **sparse** (city scale) — a router index, edge arrays and
       router-major coverage hits; no ``(M, N)`` or ``(N, N)`` array
       exists.  A mover's links to unmoved routers come from one query
@@ -463,13 +484,16 @@ class StackedDeltaEngine:
             from repro.core.engine import compiled
             from repro.core.engine.dispatch import select_engine
 
-            compiled.require()
+            # Bound once: no kernel call re-reads the REPRO_COMPILED gate.
+            lib = compiled.require()
             self._compiled = compiled
+            self._lib = lib
             self._layout = select_engine(problem)
-            self._label = compiled.label_components
-            self._link_filter = compiled.link_hits_compiled
+            self._label = partial(compiled.label_components, lib=lib)
+            self._link_filter = partial(compiled.link_hits_compiled, lib=lib)
         elif engine in ("dense", "sparse"):
             self._compiled = None
+            self._lib = None
             self._layout = engine
             self._label = labels_from_edge_stack
             self._link_filter = link_hits
@@ -605,7 +629,7 @@ class StackedDeltaEngine:
                 # the full matrix rescans mostly-unchanged cells (the
                 # commit hot spot at city scale).
                 aids.client_ptr, aids.client_hit = self._compiled.csr_update_column(
-                    aids.client_ptr, aids.client_hit, router, column
+                    aids.client_ptr, aids.client_hit, router, column, lib=self._lib
                 )
 
     def _commit_dense(
@@ -692,7 +716,7 @@ class StackedDeltaEngine:
                 # Byte-scan edge extraction, same (i < j) row-major
                 # order as the np.nonzero path.
                 cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
-                    cache.adjacency
+                    cache.adjacency, lib=self._lib
                 )
             else:
                 cache.refresh_edges()
@@ -701,9 +725,11 @@ class StackedDeltaEngine:
                 cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
         elif self._compiled is not None:
             if cache.client_ptr is None:
-                # Client-major hit lists for the compiled giant-only
-                # count kernel (exact integers end to end).
-                cache.refresh_csr()
+                # Client-major hit lists for the compiled phase kernel's
+                # giant-only count (exact integers end to end).
+                cache.client_ptr, cache.client_hit = self._compiled.client_csr(
+                    cache.coverage, lib=self._lib
+                )
         elif cache.coverage32 is None:
             # float32 copy for the per-phase sgemm: counts stay exact
             # (at most N ones per client, far below 2**24).
@@ -756,7 +782,7 @@ class StackedDeltaEngine:
         if self._compiled is not None:
             giant_size, covered, n_components, n_links, giant_mask = (
                 self._compiled.measure_dense_matrices(
-                    adjacency, coverage, self._giant_only
+                    adjacency, coverage, self._giant_only, lib=self._lib
                 )
             )
             return self._evaluation(
@@ -847,12 +873,16 @@ class StackedDeltaEngine:
         its moved routers (see :class:`PhaseCandidates`).  Returns a
         :class:`~repro.core.engine.batch.StackedMeasurement` in
         candidate order; materialize winners with
-        ``measurement.evaluation(k, placement)``.
+        ``measurement.evaluation(k, placement)``.  On the compiled tier's
+        dense layout the whole phase is one kernel call.
         """
         n = self._problem.n_routers
         k_total = len(candidates)
         if k_total == 0:
             return _empty_stacked(self._problem, self._fitness)
+        segments = _chain_segments(candidates)
+        if self._compiled is not None and self._sparse is None:
+            return self._measure_phase_kernel(candidates, segments)
 
         giant_sizes = np.empty(k_total, dtype=np.intp)
         covered = np.empty(k_total, dtype=np.intp)
@@ -861,7 +891,6 @@ class StackedDeltaEngine:
         giant_masks = np.empty((k_total, n), dtype=bool)
 
         # ---- pass 1: per-chain link deltas and edge stacks -----------
-        segments = _chain_segments(candidates)
         edge_sources: list[np.ndarray] = []
         edge_targets: list[np.ndarray] = []
         chain_scratch: list[tuple] = []
@@ -907,6 +936,34 @@ class StackedDeltaEngine:
             self._problem, self._fitness, giant_sizes, covered, n_components,
             n_links, giant_masks,
         )
+
+    def _measure_phase_kernel(
+        self,
+        candidates: PhaseCandidates,
+        segments: list[tuple[int, int, int, slice]],
+    ) -> StackedMeasurement:
+        """The dense layout on the compiled tier: one kernel call over
+        every chain's :meth:`_ChainCache.kernel_state` row."""
+        states = []
+        for chain, _, _, _ in segments:
+            cache = self._caches[chain]
+            self._ensure_aids(cache)
+            states.append(cache.kernel_state())
+        starts = [start for _, start, _, _ in segments]
+        starts.append(len(candidates))
+        rows = self._compiled.measure_phase_dense(
+            np.array(states, dtype=np.int64),
+            np.array(starts, dtype=np.int64),
+            candidates.pair_candidate,
+            candidates.pair_router,
+            candidates.pair_xy,
+            self._range_squared,
+            self._clients,
+            self._radii_squared,
+            self._giant_only,
+            lib=self._lib,
+        )
+        return StackedMeasurement.scored(self._problem, self._fitness, *rows)
 
     # ------------------------------------------------------------------
     # Per-chain internals
@@ -1017,38 +1074,24 @@ class StackedDeltaEngine:
         n = self._problem.n_routers
         n_pairs = router_of_pair.size
         if n_pairs:
-            if self._compiled is not None:
-                # Fused kernel: both broadcasts in one parallel pass,
-                # same predicate order, diagonal already cleared.
-                rows_new, cols_new = self._compiled.delta_rows_cols(
-                    new_xy,
-                    router_of_pair,
-                    cache.positions,
-                    self._range_squared,
-                    self._clients,
-                    self._radii_squared,
+            new_x = new_xy[:, 0]
+            new_y = new_xy[:, 1]
+            # New adjacency rows against the *incumbent* positions —
+            # identical predicate to the reference adjacency_matrix.
+            dx = new_x[:, np.newaxis] - cache.positions[np.newaxis, :, 0]
+            dy = new_y[:, np.newaxis] - cache.positions[np.newaxis, :, 1]
+            rows_new = dx * dx + dy * dy <= self._range_squared[router_of_pair]
+            rows_new[np.arange(n_pairs), router_of_pair] = False
+            # New coverage columns (client within the mover's radius).
+            if self._clients.size:
+                cdx = new_x[:, np.newaxis] - self._clients[np.newaxis, :, 0]
+                cdy = new_y[:, np.newaxis] - self._clients[np.newaxis, :, 1]
+                cols_new = (
+                    cdx * cdx + cdy * cdy
+                    <= self._radii_squared[router_of_pair, np.newaxis]
                 )
             else:
-                new_x = new_xy[:, 0]
-                new_y = new_xy[:, 1]
-                # New adjacency rows against the *incumbent* positions —
-                # identical predicate to the reference adjacency_matrix.
-                dx = new_x[:, np.newaxis] - cache.positions[np.newaxis, :, 0]
-                dy = new_y[:, np.newaxis] - cache.positions[np.newaxis, :, 1]
-                rows_new = (
-                    dx * dx + dy * dy <= self._range_squared[router_of_pair]
-                )
-                rows_new[np.arange(n_pairs), router_of_pair] = False
-                # New coverage columns (client within the mover's radius).
-                if self._clients.size:
-                    cdx = new_x[:, np.newaxis] - self._clients[np.newaxis, :, 0]
-                    cdy = new_y[:, np.newaxis] - self._clients[np.newaxis, :, 1]
-                    cols_new = (
-                        cdx * cdx + cdy * cdy
-                        <= self._radii_squared[router_of_pair, np.newaxis]
-                    )
-                else:
-                    cols_new = np.zeros((n_pairs, 0), dtype=bool)
+                cols_new = np.zeros((n_pairs, 0), dtype=bool)
         else:
             rows_new = np.zeros((0, n), dtype=bool)
             cols_new = np.zeros((0, self._problem.n_clients), dtype=bool)
@@ -1135,21 +1178,6 @@ class StackedDeltaEngine:
                 )
                 np.add.at(counts, cand_of_pair, difference)
             covered[start:end] = np.count_nonzero(counts > 0, axis=1)
-            return
-        if self._compiled is not None:
-            # GIANT_ONLY via the all-integer CSR kernel: per-client
-            # covering-giant counts from the incumbent's hit lists, then
-            # each giant mover swaps its old column for its new one.
-            covered[start:end] = self._compiled.giant_covered(
-                cache.client_ptr,
-                cache.client_hit,
-                self._problem.n_routers,
-                giant_masks[start:end],
-                cand_of_pair,
-                router_of_pair,
-                cols_new,
-                cache.coverage,
-            )
             return
         # GIANT_ONLY: per-client count of covering giant routers =
         # hits x giant-mask, one exact float32 sgemm for the segment...

@@ -271,8 +271,8 @@ class TestKernelUnits:
         assert np.array_equal(ours[1], theirs[1])
 
     def test_client_csr_is_contiguous(self):
-        # np.nonzero hands back strided column views; the kernels walk
-        # raw int64 buffers, so the hit list must be compacted.
+        # The kernels walk raw int64 buffers, so the hit list must be
+        # contiguous.
         coverage = np.zeros((6, 4), dtype=bool)
         coverage[1, 2] = coverage[3, 0] = coverage[3, 3] = True
         ptr, hit = compiled.client_csr(coverage)
@@ -285,15 +285,28 @@ class TestKernelUnits:
             [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 0, 0]], dtype=bool
         )
         ptr, hit = compiled.client_csr(coverage)
-        giant = np.array([[True, False, True]])
+        # Routers 0 and 2 form the giant: router 0 links to router 2
+        # from any cell and never to router 1.
+        range_squared = np.array(
+            [[0.0, 0.0, 1e6], [0.0, 0.0, 0.0], [1e6, 0.0, 0.0]]
+        )
+        clients = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
+        positions = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
+        state = compiled.chain_state(
+            positions, coverage, np.array([0]), np.array([2]), ptr, hit, None
+        )
         # Candidate 0 moves router 0 (in the giant) to cover only the
         # last client: c0 loses its hit, c2 keeps router 2, c3 gains.
-        covered = compiled.giant_covered(
-            ptr, hit, 3, giant,
-            np.array([0], dtype=np.intp), np.array([0], dtype=np.intp),
-            np.array([[0, 0, 0, 1]], dtype=bool), coverage,
+        giants, covered, components, links, masks = compiled.measure_phase_dense(
+            np.array([state]), np.array([0, 1]),
+            np.array([0]), np.array([0]), np.array([[30.0, 0.0]]),
+            range_squared, clients, np.ones(3), True,
         )
         assert covered.tolist() == [2]
+        assert masks.tolist() == [[True, False, True]]
+        assert (giants.tolist(), components.tolist(), links.tolist()) == (
+            [2], [2], [1]
+        )
 
     def test_csr_update_column_matches_full_rebuild(self):
         rng = np.random.default_rng(37)
