@@ -25,9 +25,9 @@ Availability contract (mirrored by the dispatch layer):
   raises a ``RuntimeError`` explaining why ``engine="compiled"`` cannot
   run and how to fall back.
 
-Both are read when an engine is built.  The engines keep the library
-:func:`require` returned and hand it to every wrapper as ``lib``, so no
-kernel call re-reads the gate.
+Both are read when an engine is built.  The kernel wrappers take the
+library the first successful probe cached, so no kernel call re-reads
+the gate.
 
 Bit-identity: every kernel performs the same float64 subtract / square /
 add / compare sequence as the numpy reference formulas (the build passes
@@ -338,17 +338,17 @@ def _pu8(values: np.ndarray):
 # Kernel wrappers
 # ----------------------------------------------------------------------
 
-# Every wrapper takes the bound library as ``lib``: the engines pass the
-# one their constructor's require() returned, and a call without it
-# probes require() itself.
+
+def _kernels() -> ctypes.CDLL:
+    """The cached library for a kernel call; probes :func:`require`
+    only while nothing has loaded it yet."""
+    return _lib if _lib is not None else require()
 
 
 def label_components(
     n_nodes: int,
     rows: np.ndarray,
     cols: np.ndarray,
-    *,
-    lib: "ctypes.CDLL | None" = None,
 ) -> np.ndarray:
     """Canonical smallest-member component labels (one kernel, any size).
 
@@ -366,7 +366,7 @@ def label_components(
     ):
         raise ValueError(f"edge endpoints out of range for {n_nodes} nodes")
     labels = np.empty(n_nodes, dtype=np.int64)
-    (lib or require()).repro_label_components(
+    _kernels().repro_label_components(
         n_nodes, rows.size, _pi(rows), _pi(cols), _pi(labels)
     )
     return labels.astype(np.intp, copy=False)
@@ -378,8 +378,6 @@ def link_hits_compiled(
     link_rule: LinkRule,
     rows: np.ndarray,
     cols: np.ndarray,
-    *,
-    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact-predicate filter of candidate router pairs (bin-pair form).
 
@@ -392,7 +390,7 @@ def link_hits_compiled(
     rows64 = _i64a(rows)
     cols64 = _i64a(cols)
     keep = np.empty(rows64.size, dtype=np.uint8)
-    (lib or require()).repro_filter_pairs(
+    _kernels().repro_filter_pairs(
         _pd(_f64(positions)), _pi(rows64), _pi(cols64), rows64.size,
         _pd(_f64(radii)), _RULE_CODES[link_rule], _pu8(keep),
     )
@@ -404,8 +402,6 @@ def measure_dense_matrices(
     adjacency: np.ndarray,
     coverage: np.ndarray,
     giant_only: bool,
-    *,
-    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[int, int, int, int, np.ndarray]:
     """Fused metrics from an incumbent's dense boolean matrices.
 
@@ -418,7 +414,7 @@ def measure_dense_matrices(
     n = adjacency.shape[0]
     out = np.empty(4, dtype=np.int64)
     giant_mask = np.empty(n, dtype=bool)
-    (lib or require()).repro_measure_dense_matrices(
+    _kernels().repro_measure_dense_matrices(
         _pu8(_u8(adjacency)), _pu8(_u8(coverage)), n, coverage.shape[0],
         int(giant_only), _pi(out), _pu8(giant_mask.view(np.uint8)),
     )
@@ -501,8 +497,6 @@ def measure_phase_dense(
     clients: np.ndarray,
     radii_squared: np.ndarray,
     giant_only: bool,
-    *,
-    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A whole dense-layout phase in one kernel call.
 
@@ -529,6 +523,16 @@ def measure_phase_dense(
         raise ValueError("a chain state lacks the coverage rule's aid")
     pair_candidate = _i64a(pair_candidate)
     pair_router = _i64a(pair_router)
+    pair_xy = _f64(pair_xy)
+    # The kernel reads every pair array to pair_router's length.
+    if (
+        pair_candidate.shape != pair_router.shape
+        or pair_xy.shape != (pair_router.size, 2)
+    ):
+        raise ValueError(
+            f"phase pairs disagree on their count: {pair_candidate.shape} "
+            f"candidates, {pair_router.shape} routers, {pair_xy.shape} cells"
+        )
     if pair_router.size and not (
         0 <= int(pair_router.min()) and int(pair_router.max()) < n
         and 0 <= int(pair_candidate[0]) and int(pair_candidate[-1]) < k
@@ -536,9 +540,9 @@ def measure_phase_dense(
         raise ValueError("phase pairs name a router or candidate out of range")
     out = np.empty((4, k), dtype=np.int64)
     giant_masks = np.empty((k, n), dtype=bool)
-    (lib or require()).repro_measure_phase_dense(
+    _kernels().repro_measure_phase_dense(
         _pi(_i64a(states)), segment_starts.size - 1, _pi(segment_starts),
-        _pi(pair_candidate), _pi(pair_router), _pd(_f64(pair_xy)),
+        _pi(pair_candidate), _pi(pair_router), _pd(pair_xy),
         pair_router.size,
         n, _pd(_f64(range_squared)),
         clients.shape[0], _pd(_f64(clients)), _pd(_f64(radii_squared)),
@@ -549,9 +553,7 @@ def measure_phase_dense(
     return giant_sizes, covered, n_components, n_links, giant_masks
 
 
-def client_csr(
-    coverage: np.ndarray, *, lib: "ctypes.CDLL | None" = None
-) -> tuple[np.ndarray, np.ndarray]:
+def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Client-major CSR of a boolean ``(M, N)`` coverage matrix.
 
     Offsets come from one row-sum cumsum, and the kernel fills the hit
@@ -559,7 +561,7 @@ def client_csr(
     spot at city scale) in ascending router order per client, the
     row-major order ``np.nonzero`` emits.
     """
-    lib = lib or require()
+    lib = _kernels()
     matrix = _u8(coverage)
     m = matrix.shape[0]
     n = matrix.shape[1] if matrix.ndim == 2 else 0
@@ -576,8 +578,6 @@ def csr_update_column(
     hit: np.ndarray,
     router: int,
     newcol: np.ndarray,
-    *,
-    lib: "ctypes.CDLL | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rewrite a client-major CSR for one moved router's new column.
 
@@ -585,7 +585,7 @@ def csr_update_column(
     from the full ``(M, N)`` matrix would rescan mostly-unchanged
     cells.  Bit-identical to :func:`client_csr` on the patched matrix.
     """
-    lib = lib or require()
+    lib = _kernels()
     ptr = _i64a(ptr)
     hit = _i64a(hit)
     newcol = _u8(newcol)
@@ -604,16 +604,14 @@ def csr_update_column(
     return new_ptr, new_hit[: int(new_ptr[m])]
 
 
-def dense_edges(
-    adjacency: np.ndarray, *, lib: "ctypes.CDLL | None" = None
-) -> tuple[np.ndarray, np.ndarray]:
+def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-way ``(rows, cols)`` edge arrays of a dense adjacency matrix.
 
     The upper-triangle scan that refreshes a chain cache's edge arrays
     on commit; same ``(i < j)`` row-major order as the ``np.nonzero``
     path it replaces.
     """
-    lib = lib or require()
+    lib = _kernels()
     matrix = _u8(adjacency)
     n = matrix.shape[0]
     # Each undirected link sets two cells, so the popcount halves.
@@ -656,7 +654,7 @@ class CompiledEngine:
         from repro.core.engine.dispatch import select_engine
         from repro.core.engine.sparse import coverage_cell_size, link_cell_size
 
-        self._lib = require()
+        require()
         self._problem = problem
         self._fitness = fitness if fitness is not None else WeightedSumFitness()
         self.form = select_engine(problem)
@@ -716,7 +714,7 @@ class CompiledEngine:
         n_links = np.zeros(k, dtype=np.int64)
         giant_masks = np.zeros((k, n), dtype=np.uint8)
         if k:
-            lib = self._lib
+            lib = _kernels()
             m = self._clients.shape[0]
             if self.form == "dense":
                 lib.repro_measure_stack_dense(
@@ -755,7 +753,7 @@ class CompiledEngine:
     def __repr__(self) -> str:
         return (
             f"CompiledEngine(n_routers={self._problem.n_routers}, "
-            f"form={self.form!r}, openmp={bool(self._lib.repro_has_openmp())})"
+            f"form={self.form!r}, openmp={bool(_kernels().repro_has_openmp())})"
         )
 
 

@@ -35,7 +35,6 @@ measurement, shared by the chain starts and
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -282,7 +281,7 @@ class _ChainCache:
 
     The *phase aids* — the dense edge arrays and coverage aid, the
     sparse CSR — are read by :meth:`StackedDeltaEngine.measure_phase`
-    only (on the compiled dense layout through :meth:`kernel_state`).  Adopting a trial drops them, and the next phase rebuilds them
+    only.  Adopting a trial drops them, and the next phase rebuilds them
     (:meth:`StackedDeltaEngine._ensure_aids`).  ``trial`` is the last
     :meth:`StackedDeltaEngine.measure_one` state:
     ``(placement, positions, arrays)``.
@@ -306,9 +305,6 @@ class _ChainCache:
         "hit_client",
         "hit_router",
         "trial",
-        # Compiled dense phase kernel.
-        "kernel_arrays",
-        "kernel_row",
     )
 
     def __init__(self, placement: Placement) -> None:
@@ -354,27 +350,6 @@ class _ChainCache:
         one_way = rows < cols
         self.edge_rows = rows[one_way].astype(np.intp)
         self.edge_cols = cols[one_way].astype(np.intp)
-
-    def kernel_state(self) -> tuple[int, ...]:
-        """This incumbent's ``chain_state`` row for the compiled phase
-        kernel (:func:`~repro.core.engine.compiled.chain_state`).
-
-        The row holds buffer addresses, so it is rebuilt whenever a
-        commit or an adoption has replaced one of its arrays since the
-        last phase; in-place rewrites keep their addresses.  The arrays
-        the row points into are held with it.
-        """
-        arrays = (
-            self.positions, self.coverage, self.edge_rows, self.edge_cols,
-            self.client_ptr, self.client_hit, self.coverage_counts,
-        )
-        held = self.kernel_arrays
-        if held is None or any(now is not then for now, then in zip(arrays, held)):
-            from repro.core.engine.compiled import chain_state
-
-            self.kernel_row = chain_state(*arrays)
-            self.kernel_arrays = arrays
-        return self.kernel_row
 
     def set_hits(self, hit_router: np.ndarray, hit_client: np.ndarray) -> None:
         """Store router-sorted ``(router, client)`` hits as the CSR."""
@@ -484,16 +459,13 @@ class StackedDeltaEngine:
             from repro.core.engine import compiled
             from repro.core.engine.dispatch import select_engine
 
-            # Bound once: no kernel call re-reads the REPRO_COMPILED gate.
-            lib = compiled.require()
+            compiled.require()
             self._compiled = compiled
-            self._lib = lib
             self._layout = select_engine(problem)
-            self._label = partial(compiled.label_components, lib=lib)
-            self._link_filter = partial(compiled.link_hits_compiled, lib=lib)
+            self._label = compiled.label_components
+            self._link_filter = compiled.link_hits_compiled
         elif engine in ("dense", "sparse"):
             self._compiled = None
-            self._lib = None
             self._layout = engine
             self._label = labels_from_edge_stack
             self._link_filter = link_hits
@@ -629,7 +601,7 @@ class StackedDeltaEngine:
                 # the full matrix rescans mostly-unchanged cells (the
                 # commit hot spot at city scale).
                 aids.client_ptr, aids.client_hit = self._compiled.csr_update_column(
-                    aids.client_ptr, aids.client_hit, router, column, lib=self._lib
+                    aids.client_ptr, aids.client_hit, router, column
                 )
 
     def _commit_dense(
@@ -716,7 +688,7 @@ class StackedDeltaEngine:
                 # Byte-scan edge extraction, same (i < j) row-major
                 # order as the np.nonzero path.
                 cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
-                    cache.adjacency, lib=self._lib
+                    cache.adjacency
                 )
             else:
                 cache.refresh_edges()
@@ -728,7 +700,7 @@ class StackedDeltaEngine:
                 # Client-major hit lists for the compiled phase kernel's
                 # giant-only count (exact integers end to end).
                 cache.client_ptr, cache.client_hit = self._compiled.client_csr(
-                    cache.coverage, lib=self._lib
+                    cache.coverage
                 )
         elif cache.coverage32 is None:
             # float32 copy for the per-phase sgemm: counts stay exact
@@ -782,7 +754,7 @@ class StackedDeltaEngine:
         if self._compiled is not None:
             giant_size, covered, n_components, n_links, giant_mask = (
                 self._compiled.measure_dense_matrices(
-                    adjacency, coverage, self._giant_only, lib=self._lib
+                    adjacency, coverage, self._giant_only
                 )
             )
             return self._evaluation(
@@ -943,12 +915,21 @@ class StackedDeltaEngine:
         segments: list[tuple[int, int, int, slice]],
     ) -> StackedMeasurement:
         """The dense layout on the compiled tier: one kernel call over
-        every chain's :meth:`_ChainCache.kernel_state` row."""
+        every chain's incumbent buffers."""
+        chain_state = self._compiled.chain_state
         states = []
         for chain, _, _, _ in segments:
             cache = self._caches[chain]
             self._ensure_aids(cache)
-            states.append(cache.kernel_state())
+            # Buffer addresses: built each phase, so no row outlives a
+            # commit or adoption that replaces one of the arrays.
+            states.append(
+                chain_state(
+                    cache.positions, cache.coverage,
+                    cache.edge_rows, cache.edge_cols,
+                    cache.client_ptr, cache.client_hit, cache.coverage_counts,
+                )
+            )
         starts = [start for _, start, _, _ in segments]
         starts.append(len(candidates))
         rows = self._compiled.measure_phase_dense(
@@ -961,7 +942,6 @@ class StackedDeltaEngine:
             self._clients,
             self._radii_squared,
             self._giant_only,
-            lib=self._lib,
         )
         return StackedMeasurement.scored(self._problem, self._fitness, *rows)
 

@@ -312,7 +312,7 @@ class TestCrossings:
     def test_one_kernel_call_per_phase(self, n_chains, monkeypatch):
         problem = tiny_spec(seed=3).generate()
         library = CountingLibrary(compiled.require())
-        monkeypatch.setattr(compiled, "require", lambda: library)
+        monkeypatch.setattr(compiled, "_lib", library)
         engine = StackedDeltaEngine(problem, engine="compiled")
         rng = np.random.default_rng(n_chains)
         incumbents = [
@@ -399,6 +399,31 @@ class TestKernelInputs:
         assert compiled.measure_phase_dense(*args, False)[1].tolist() == [0]
         with pytest.raises(ValueError, match="aid"):
             compiled.measure_phase_dense(*args, True)
+
+    def test_phase_refuses_pair_arrays_of_different_lengths(self):
+        positions = np.zeros((2, 2))
+        coverage = np.zeros((3, 2), dtype=bool)
+        edges = np.zeros(0, dtype=np.int64)
+        counts = np.zeros(3, dtype=np.int32)
+        state = compiled.chain_state(positions, coverage, edges, edges, None, None, counts)
+        head = (np.array([state]), np.array([0, 1]))
+        tail = (np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2), False)
+        # Each case's pair_router is a valid count the others disagree with.
+        for pairs in (
+            ([0], [0, 1], [[0.0, 0.0], [1.0, 1.0]]),
+            ([0, 0], [0], [[0.0, 0.0]]),
+            ([0], [0], [[0.0, 0.0], [1.0, 1.0]]),
+            ([0, 0], [0, 1], [[0.0, 0.0]]),
+        ):
+            with pytest.raises(ValueError, match="disagree on their count"):
+                compiled.measure_phase_dense(
+                    *head, *(np.array(a) for a in pairs), *tail
+                )
+        bad = PhaseCandidates([0], [0], [1, 0], [[0, 0], [1, 1]])
+        with pytest.raises(ValueError, match="disagree on their count"):
+            compiled.measure_phase_dense(
+                *head, bad.pair_candidate, bad.pair_router, bad.pair_xy, *tail
+            )
 
     def test_phase_refuses_out_of_range_pairs(self):
         problem = tiny_spec(seed=3).generate()
