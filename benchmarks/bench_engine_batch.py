@@ -57,11 +57,13 @@ def sample_phase(
     problem, incumbent: Placement, rng: np.random.Generator, n_candidates: int
 ) -> list[Move]:
     """``n_candidates`` random single-router moves off the incumbent."""
+    grid = problem.grid
+    bitmap = grid.occupancy_bitmap(incumbent.cells_array())
     moves: list[Move] = []
     while len(moves) < n_candidates:
         router = int(rng.integers(0, problem.n_routers))
-        cell = problem.grid.random_free_cell(incumbent.occupied, rng)
-        moves.append(RelocateMove(router_id=router, target=cell))
+        index = grid.random_free_index(bitmap, rng, 0, 0, grid.width, grid.height)
+        moves.append(RelocateMove(router_id=router, target=grid.cell_at(index)))
     return moves
 
 

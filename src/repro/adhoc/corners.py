@@ -73,16 +73,20 @@ class CornersPlacement(PatternedAdHocMethod):
     ) -> list[Point]:
         grid = problem.grid
         zones = self.corner_zones(grid)
-        taken: set[Point] = set()
+        taken = bytearray(grid.n_cells)
         cells: list[Point] = []
         for index in range(count):
             zone = zones[index % len(zones)]
             # Sample inside the zone, tolerating a full zone by falling
             # back to the zone itself and letting the base class nudge.
             try:
-                cell = grid.random_free_cell(taken, rng, within=zone)
+                cell = grid.cell_at(
+                    grid.random_free_index(
+                        taken, rng, zone.x0, zone.y0, zone.x1, zone.y1
+                    )
+                )
             except ValueError:
                 cell = zone.center
-            taken.add(cell)
+            taken[grid.cell_index(cell)] = 1
             cells.append(cell)
         return cells

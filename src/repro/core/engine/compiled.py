@@ -101,14 +101,42 @@ def _env_enabled() -> bool:
     return envgates.compiled_enabled()
 
 
-def _cache_dirs() -> list[Path]:
+def _cache_dirs() -> "list[tuple[Path, bool]]":
+    """Build directories in order of preference, each with its ownership.
+
+    An owned directory (the package ``_build`` directory or a
+    ``REPRO_COMPILED_CACHE`` override) holds this checkout's libraries
+    only, so a publish there prunes the others.  The per-user tempdir
+    fallback is shared with other checkouts, whose libraries may still
+    be about to load, and is never pruned.
+    """
     override = envgates.compiled_cache_override()
     if override:
-        return [Path(override)]
+        return [(Path(override), True)]
     return [
-        Path(__file__).with_name("_build"),
-        Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}",
+        (Path(__file__).with_name("_build"), True),
+        (Path(tempfile.gettempdir()) / f"repro-kernels-{os.getuid()}", False),
     ]
+
+
+def _prune_cache(directory: Path, live: str) -> None:
+    """Delete other-hash libraries and stale temp files from ``directory``.
+
+    Temp files of ``live`` itself are kept: they are concurrent builds
+    of the same source (pool workers) about to publish.
+    """
+    stale = [
+        *directory.glob("repro_kernels_*.so"),
+        *directory.glob(".repro_kernels_*.tmp"),
+    ]
+    for path in stale:
+        if path.name == live or path.name.startswith(f".{live}."):
+            continue
+        try:
+            path.unlink()
+        except OSError:  # repro-lint: disable=RL007
+            # Best-effort: another builder may have removed it first.
+            pass
 
 
 def _find_compiler() -> "str | None":
@@ -138,7 +166,7 @@ def _compile_library() -> Path:
     ).hexdigest()[:16]
     lib_name = f"repro_kernels_{tag}.so"
     errors: list[str] = []
-    for directory in _cache_dirs():
+    for directory, owned in _cache_dirs():
         target = directory / lib_name
         if target.exists():
             return target
@@ -173,6 +201,8 @@ def _compile_library() -> Path:
         except OSError as exc:
             errors.append(f"{target}: {exc}")
             continue
+        if owned:
+            _prune_cache(directory, lib_name)
         return target
     raise RuntimeError("; ".join(errors) or "no writable build directory")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class GridArea:
     # Sampling
     # ------------------------------------------------------------------
 
-    def random_cell(self, rng: np.random.Generator) -> Point:
-        """A uniformly random cell."""
-        return Point(
-            int(rng.integers(0, self.width)), int(rng.integers(0, self.height))
-        )
-
     def random_cell_in(self, rect: Rect, rng: np.random.Generator) -> Point:
         """A uniformly random cell inside ``rect`` (clipped to the grid)."""
         clipped = rect.intersection(self.bounds)
@@ -170,37 +164,6 @@ class GridArea:
             int(rng.integers(clipped.x0, clipped.x1)),
             int(rng.integers(clipped.y0, clipped.y1)),
         )
-
-    def random_free_cell(
-        self,
-        occupied: Iterable[Point],
-        rng: np.random.Generator,
-        within: Rect | None = None,
-    ) -> Point:
-        """A uniformly random unoccupied cell, optionally inside ``within``.
-
-        Uses rejection sampling with a fallback to exhaustive enumeration
-        so it terminates even when the free cells are scarce.
-        """
-        region = self.bounds if within is None else within.intersection(self.bounds)
-        if region.area == 0:
-            raise ValueError("sampling region is empty")
-        # Placements pass their cached frozenset; copying it per call is
-        # pure overhead on the proposal hot path.
-        if isinstance(occupied, (set, frozenset)):
-            occupied_set = occupied
-        else:
-            occupied_set = set(occupied)
-        # Rejection sampling is fast when occupancy is sparse (the common
-        # case: N routers << W*H cells).
-        for _ in range(REJECTION_ATTEMPTS):
-            candidate = self.random_cell_in(region, rng)
-            if candidate not in occupied_set:
-                return candidate
-        free = [cell for cell in region.cells() if cell not in occupied_set]
-        if not free:
-            raise ValueError("no free cell available in the requested region")
-        return free[int(rng.integers(0, len(free)))]
 
     def occupancy_bitmap(self, cells: np.ndarray) -> bytearray:
         """Row-major occupancy bitmap of an int ``(N, 2)`` cell array.
@@ -222,16 +185,20 @@ class GridArea:
         x1: int,
         y1: int,
     ) -> int:
-        """Flat-index twin of :meth:`random_free_cell` over ``bitmap``.
+        """A uniformly random free cell of ``bitmap``, as a flat index.
 
-        Samples the window ``[x0, x1) x [y0, y1)`` clipped to the grid
-        with exactly the draws :meth:`random_free_cell` makes for that
-        window: up to 64 rejection attempts of an ``(x, y)`` pair, then
-        a uniform pick among the free cells in row-major order.  Returns
-        the row-major index of the chosen cell.  ``rng`` may also be a
+        The one free-cell draw of the package.  Samples the window
+        ``[x0, x1) x [y0, y1)`` clipped to the grid: up to
+        ``REJECTION_ATTEMPTS`` (64) rejection attempts of an ``x`` then
+        a ``y`` draw, tested against the row-major occupancy ``bitmap``
+        (see :meth:`occupancy_bitmap`), then — so it terminates when
+        free cells are scarce — one uniform pick among the window's
+        free cells in row-major order.  Returns the row-major index of
+        the chosen cell; raises ``ValueError`` when the window is empty
+        or full (after the rejection draws).  ``rng`` may also be a
         :class:`~repro.seeding.BulkDraws` over the generator: that is how
-        :meth:`sample_distinct_cells` and the movements finish the one
-        pick an array block could not keep.
+        :meth:`sample_distinct_cells` and the movements' row samplers
+        draw the picks an array block could not keep.
         """
         width = self.width
         x0, y0 = max(x0, 0), max(y0, 0)
@@ -260,9 +227,9 @@ class GridArea:
     ) -> list[Point]:
         """Sample ``count`` distinct free cells uniformly at random.
 
-        Each cell is drawn as :meth:`random_free_cell` would draw it from
-        the cells still free, over a bitmap that lives for this call, and
-        ``rng`` ends where those scalar draws leave it.  The picks are
+        Each cell is drawn as :meth:`random_free_index` would draw it
+        from the cells still free, over a bitmap that lives for this
+        call, and ``rng`` ends where those scalar draws leave it.  The picks are
         taken in array blocks (:meth:`~repro.seeding.BulkDraws.rows`): a
         block of ``(x, y)`` draws is reduced at once and kept up to the
         first pick that lands on a taken cell, repeats an earlier pick of

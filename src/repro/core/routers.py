@@ -125,17 +125,3 @@ class RouterFleet:
     def weakest(self) -> MeshRouter:
         """The least powerful router (smallest coverage radius)."""
         return self.by_power_descending()[-1]
-
-    def strongest_among(self, router_ids: Sequence[int]) -> int:
-        """Id of the most powerful router among ``router_ids``."""
-        ids = list(router_ids)
-        if not ids:
-            raise ValueError("router_ids must not be empty")
-        return max(ids, key=lambda rid: (self.routers[rid].radius, -rid))
-
-    def weakest_among(self, router_ids: Sequence[int]) -> int:
-        """Id of the least powerful router among ``router_ids``."""
-        ids = list(router_ids)
-        if not ids:
-            raise ValueError("router_ids must not be empty")
-        return min(ids, key=lambda rid: (self.routers[rid].radius, rid))

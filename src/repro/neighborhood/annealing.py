@@ -14,8 +14,11 @@ same axes.
 :class:`SimulatedAnnealing` runs as a one-chain
 :class:`~repro.neighborhood.multichain.MultiChainSearch` on the
 Metropolis rule.  Every step is a single move off the incumbent,
-accepted or rejected before the next is drawn, so each move is measured
-alone on the chain's incremental cache:
+accepted or rejected before the next is drawn.  The move is one row of
+the movement's sampler
+(:meth:`~repro.neighborhood.movements.MovementType.propose`), the same
+sampler the best-improvement searches draw whole phases from.  Each
+move is measured alone on the chain's incremental cache:
 :meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one`
 recomputes only the state the moved routers touch (matrix rows/columns
 at paper scale, sparse edge/coverage-hit arrays on city-scale

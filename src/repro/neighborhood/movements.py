@@ -18,26 +18,26 @@ Two movement types come from the paper:
 building block for the "full featured local search methods" the paper
 announces as future work.
 
-Every movement has two proposal forms.  :meth:`MovementType.propose`
-draws one :class:`~repro.neighborhood.moves.Move` with scalar generator
-calls; it is the reference, and what simulated annealing uses.
-:meth:`MovementType.propose_batch` samples a whole phase per chain into
-a :class:`~repro.neighborhood.moves.MoveBatch`: the RNG-free work
-(ranked windows, per-window router picks, the occupancy bitmap) is done
-once per incumbent with array operations, and the draws are served by
-:class:`~repro.seeding.BulkDraws`, which replays numpy's own algorithms
-on prefetched words.  Random and Swap proposals are taken as array
+Each movement defines its proposal once, as a sampler of
+:class:`~repro.neighborhood.moves.MoveBatch` rows against an incumbent
+(:class:`_Proposer`): the RNG-free work (ranked windows, per-window
+router picks, the occupancy bitmap) is done with array operations, and
+the draws are served by :class:`~repro.seeding.BulkDraws`, which
+replays numpy's own algorithms on prefetched words.
+:meth:`MovementType.propose` draws one row of it, which is what
+simulated annealing uses; :meth:`MovementType.propose_batch` samples a
+whole phase per chain.  Random and Swap proposals are taken as array
 blocks: a block of proposals is reduced from the words at once under
 the layout of an unbroken proposal, kept up to the first proposal that
 breaks it (an occupied target cell, a window with no router to move, a
-Lemire rejection), and that one proposal is finished by the scalar row
-sampler on the same draws.  Each chain's proposals and its final
-generator state equal those of the scalar calls exactly.
+Lemire rejection), and that one proposal is finished by the row sampler
+on the same draws.  A phase's proposals and the chain's final generator
+state equal those of the same number of :meth:`~MovementType.propose`
+calls exactly.
 """
 
 from __future__ import annotations
 
-import abc
 from bisect import bisect_right
 from typing import Callable, ClassVar, NamedTuple, Sequence
 
@@ -45,10 +45,10 @@ import numpy as np
 
 from repro.core.density import DensityMap
 from repro.core.evaluation import Evaluation
-from repro.core.geometry import Point, Rect
-from repro.core.grid import REJECTION_ATTEMPTS, GridArea
+from repro.core.geometry import Rect
+from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
-from repro.neighborhood.moves import Move, MoveBatch, RelocateMove, SwapMove
+from repro.neighborhood.moves import Move, MoveBatch
 from repro.seeding import BulkDraws, unbroken_prefix
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
@@ -70,12 +70,13 @@ class _Proposer(NamedTuple):
     """A movement's samplers of one incumbent's proposals.
 
     ``row`` draws one proposal from a :class:`~repro.seeding.BulkDraws`
-    — the draws :meth:`MovementType.propose` makes, in the same order —
-    as a ``(kind, router, partner, x, y)`` row.  ``block``, when the
-    movement has an array form, maps a speculated ``(n, len(spans))``
-    block of draws (and its Lemire-rejected rows) to ``n`` table rows
-    and the mask of rows that break the layout of an unbroken proposal;
-    ``break_rate`` is the share of proposals expected to break it.
+    as a ``(kind, router, partner, x, y)`` row; it is the movement's
+    definition, and :meth:`MovementType.propose` is one call of it.
+    ``block``, when the movement has an array form, maps a speculated
+    ``(n, len(spans))`` block of draws (and its Lemire-rejected rows) to
+    ``n`` table rows and the mask of rows that break the layout of an
+    unbroken proposal; ``break_rate`` is the share of proposals expected
+    to break it.
     """
 
     row: "Callable[[BulkDraws], Row]"
@@ -97,46 +98,14 @@ def _relocation_rows(
     return rows
 
 
-def _free_cell(
-    draws: BulkDraws,
-    bitmap: bytearray,
-    width: int,
-    x0: int,
-    x1: int,
-    y0: int,
-    y1: int,
-) -> "tuple[int, int] | None":
-    """``grid.random_free_cell(..., within=window)`` on bulk draws.
-
-    The same draws in the same order: up to ``REJECTION_ATTEMPTS``
-    rejection samples of an ``x`` and a ``y`` draw, tested against the
-    row-major occupancy ``bitmap``, then one draw over the window's free
-    cells in row-major order.  ``None`` (after the rejection draws) when
-    the window is full.  The scalar row samplers use it to finish a
-    proposal whose first cell draw was taken.
-    """
-    draw = draws.integers
-    for _ in range(REJECTION_ATTEMPTS):
-        x = draw(x0, x1)
-        y = draw(y0, y1)
-        if not bitmap[y * width + x]:
-            return x, y
-    block = np.frombuffer(bitmap, dtype=np.uint8).reshape(-1, width)
-    ys, xs = np.nonzero(block[y0:y1, x0:x1] == 0)
-    if not xs.size:
-        return None
-    pick = draw(0, int(xs.size))
-    return x0 + int(xs[pick]), y0 + int(ys[pick])
-
-
 def _router_picks(
     radii: np.ndarray, members: np.ndarray, strongest: bool
 ) -> np.ndarray:
     """Per-row pick of a ``(windows, routers)`` membership mask.
 
-    The strongest member (max radius, then min id — the rule of
-    :meth:`~repro.core.routers.RouterFleet.strongest_among`) or the
-    weakest (min radius, then min id); ``-1`` for an empty row.
+    The strongest member (max radius, then min id) or the weakest (min
+    radius, then min id) — Algorithm 3's "best" and "worst" router of a
+    window; ``-1`` for an empty row.
     """
     fill = -np.inf if strongest else np.inf
     selected = np.where(members, radii[np.newaxis, :], fill)
@@ -183,37 +152,45 @@ class _SwapWindowState:
     def prepare(self, radii: np.ndarray, relocate: bool) -> None:
         """Resolve every pooled window's picks in one array pass.
 
-        The picks are kept as lists for the scalar rows and as the pair
+        The picks are kept as lists for the row sampler and as the pair
         tables for the array blocks.
         """
         if self.dense_bounds is not None:
             return
-        cells = self.placement.cells_array()
         dense_pool, sparse_pool = self.pools
-        dense_box = _window_bounds(dense_pool)
-        dense_inside = _inside(cells, dense_box)
-        strong_sparse = _router_picks(
-            radii, _inside(cells, _window_bounds(sparse_pool)), strongest=True
-        )
-        self.strong_sparse = strong_sparse.tolist()
-        strong = strong_sparse[np.newaxis, :]
+        n_dense = len(dense_pool)
+        bounds = _window_bounds(dense_pool + sparse_pool)
+        inside = _inside(self.placement.cells_array(), bounds)
+        dense_box, dense_inside = bounds[:n_dense], inside[:n_dense]
         if relocate:
-            fallback_outside = _router_picks(radii, ~dense_inside, strongest=True)
+            # The strongest router of each sparse window and outside each
+            # dense window, in one pass.
+            picks = _router_picks(
+                radii,
+                np.concatenate((inside[n_dense:], ~dense_inside)),
+                strongest=True,
+            )
+            strong_sparse, fallback_outside = picks[:-n_dense], picks[-n_dense:]
+            self.strong_sparse = strong_sparse.tolist()
             self.fallback_outside = fallback_outside.tolist()
+            strong = strong_sparse[np.newaxis, :]
             movers = np.where(strong >= 0, strong, fallback_outside[:, np.newaxis])
             self.pair_movers = movers
             self.dense_corners = dense_box[:, 0], dense_box[:, 2]
             # A relocation finds no room when no router can move or its
             # first cell draw in the dense window is taken (routers sit
             # on distinct cells; ranked windows share one size).
-            dense_cells = len(dense_pool) * dense_pool[0].area
+            dense_cells = n_dense * dense_pool[0].area
             self.no_room = (
                 np.count_nonzero(movers < 0) / movers.size
                 + np.count_nonzero(dense_inside) / dense_cells
             )
         else:
+            strong_sparse = _router_picks(radii, inside[n_dense:], strongest=True)
             weak_dense = _router_picks(radii, dense_inside, strongest=False)
+            self.strong_sparse = strong_sparse.tolist()
             self.weak_dense = weak_dense.tolist()
+            strong = strong_sparse[np.newaxis, :]
             weak = weak_dense[:, np.newaxis]
             valid = (weak >= 0) & (strong >= 0) & (weak != strong)
             rows = np.full(valid.shape + (5,), -1, dtype=np.intp)
@@ -265,13 +242,12 @@ def _sample(proposer: _Proposer, draws: BulkDraws, count: int) -> MoveBatch:
     return MoveBatch(table)
 
 
-class MovementType(abc.ABC):
+class MovementType:
     """A neighborhood structure: proposes candidate moves."""
 
     #: Registry name of the movement (e.g. ``"swap"``).
     name: ClassVar[str] = "abstract"
 
-    @abc.abstractmethod
     def propose(
         self,
         current: Evaluation,
@@ -282,7 +258,19 @@ class MovementType(abc.ABC):
 
         ``None`` signals that no move of this type is available (e.g. no
         router in the chosen window); Algorithm 2 simply samples again.
+        The move is one row of the movement's sampler (:meth:`_proposer`)
+        on :class:`~repro.seeding.BulkDraws` over ``rng``, which ends
+        where the row's scalar draws leave it.  A movement without a
+        sampler overrides this method instead.
         """
+        proposer = self._proposer(current, problem)
+        if proposer is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither propose() nor a "
+                "row sampler (_proposer())"
+            )
+        with BulkDraws(rng, words=16) as draws:
+            return MoveBatch.move(proposer.row(draws))
 
     def propose_batch(
         self,
@@ -306,13 +294,16 @@ class MovementType(abc.ABC):
         RNG-free per-incumbent work is done once, and the candidates are
         sampled on :class:`~repro.seeding.BulkDraws` over the chain's
         generator — Random and Swap in speculated array blocks
-        (:meth:`~repro.seeding.BulkDraws.rows`) repaired by the scalar
-        row sampler, :class:`CombinedMovement` row by row.  Other
-        movements return one list of :meth:`propose` results per chain.
-        Either way each entry reads as a sequence of ``n_candidates``
-        moves (``None`` where no move was available); the agreement with
-        scalar ``propose`` is asserted by
-        ``tests/neighborhood/test_multichain.py``.
+        (:meth:`~repro.seeding.BulkDraws.rows`) repaired by the row
+        sampler that :meth:`propose` calls, :class:`CombinedMovement`
+        row by row.  Other movements (those that override
+        :meth:`propose`) return one list of :meth:`propose` results per
+        chain.  Either way each entry reads as a sequence of
+        ``n_candidates`` moves (``None`` where no move was available);
+        the agreement with ``propose`` is asserted by
+        ``tests/neighborhood/test_multichain.py``, and ``propose``
+        against a frozen copy of the scalar formulation by
+        ``tests/neighborhood/test_proposal_stream_parity.py``.
         """
         if len(currents) != len(rngs):
             raise ValueError(
@@ -335,8 +326,8 @@ class MovementType(abc.ABC):
     ) -> "_Proposer | None":
         """The samplers of :class:`MoveBatch` rows against ``current``.
 
-        ``None`` means the movement has no array form:
-        :meth:`propose_batch` then calls :meth:`propose`.
+        ``None`` means the movement has no array form: it must override
+        :meth:`propose`, which :meth:`propose_batch` then calls.
         """
         return None
 
@@ -357,21 +348,6 @@ class RandomMovement(MovementType):
 
     name: ClassVar[str] = "random"
 
-    def propose(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        placement = current.placement
-        router_id = int(rng.integers(0, len(placement)))
-        try:
-            target = problem.grid.random_free_cell(placement.occupied, rng)
-        except ValueError:
-            # Fully packed grid: no relocation exists.
-            return None
-        return RelocateMove(router_id=router_id, target=target)
-
     def _proposer(self, current, problem):
         placement = current.placement
         grid = problem.grid
@@ -382,10 +358,12 @@ class RandomMovement(MovementType):
 
         def row(draws: BulkDraws) -> Row:
             router = draws.integers(0, n_routers)
-            cell = _free_cell(draws, bitmap, width, 0, width, 0, height)
-            if cell is None:
+            try:
+                index = grid.random_free_index(bitmap, draws, 0, 0, width, height)
+            except ValueError:
+                # Fully packed grid: no relocation exists.
                 return _NO_MOVE
-            return (_RELOCATE, router, -1, cell[0], cell[1])
+            return (_RELOCATE, router, -1, index % width, index // width)
 
         def block(values, rejected):
             routers, xs, ys = values.T
@@ -550,69 +528,25 @@ class SwapMovement(MovementType):
             self._static_pools = (problem, pools)
         return pools
 
-    def _window_pools(
-        self, current: Evaluation, problem: ProblemInstance
-    ) -> tuple[list[Rect], list[Rect]]:
-        """The top dense and sparse windows for the current solution."""
-        return self._window_state(current, problem).pools
-
     def release_proposal_caches(self) -> None:
         # The static client-density pools stay (one tiny problem-keyed
         # slot); only the per-placement window states pin solutions.
         self._window_cache.clear()
 
-    def _windows(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> tuple[Rect, Rect]:
-        dense_pool, sparse_pool = self._window_pools(current, problem)
-        dense = dense_pool[int(rng.integers(0, len(dense_pool)))]
-        sparse = sparse_pool[int(rng.integers(0, len(sparse_pool)))]
-        return dense, sparse
-
     # ------------------------------------------------------------------
     # Algorithm 3, steps 4-7: pick routers and build the move
     # ------------------------------------------------------------------
 
-    def propose(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        placement = current.placement
-        dense, sparse = self._windows(current, problem, rng)
-        dense_routers = placement.routers_in(dense)
-        sparse_routers = placement.routers_in(sparse)
-
-        if not self.relocate:
-            # Literal Algorithm 3: both windows must contain a router and
-            # the two routers must differ.
-            if not dense_routers or not sparse_routers:
-                return None
-            weak_dense = problem.fleet.weakest_among(dense_routers)
-            strong_sparse = problem.fleet.strongest_among(sparse_routers)
-            if weak_dense == strong_sparse:
-                return None
-            return SwapMove(router_a=weak_dense, router_b=strong_sparse)
-
-        # Relocating reading (D6): the best router available outside the
-        # dense window moves into a free cell of the dense window.
-        mover = self._pick_mover(problem, placement, dense, sparse_routers)
-        if mover is None:
-            return None
-        target = self._free_cell_in(problem.grid, placement, dense, rng)
-        if target is None:
-            return None
-        return RelocateMove(router_id=mover, target=target)
-
     def _proposer(self, current, problem):
         """Algorithm 3 on the incumbent's precomputed window picks.
 
-        :meth:`propose` re-scans the two sampled windows per proposal;
-        here every pooled window's weakest/strongest/fallback router is
+        A proposal draws a dense and a sparse window from the pools.
+        Literally (``relocate=False``), the weakest router of the dense
+        window swaps with the strongest of the sparse one; both windows
+        must hold a router and the two must differ.  Relocating (D6),
+        the strongest router of the sparse window — or, when it holds
+        none, the strongest outside the dense window — moves to a free
+        cell of the dense window.  Every pooled window's picks are
         resolved once per incumbent (:class:`_SwapWindowState`), so a
         proposal costs its two window draws, a table lookup and — when
         relocating — the free-cell draws.
@@ -645,8 +579,9 @@ class SwapMovement(MovementType):
         pair_movers = state.pair_movers
         corner_x, corner_y = state.dense_corners
         x0, x1, y0, y1 = dense_bounds[0]
-        width = problem.grid.width
-        bitmap = problem.grid.occupancy_bitmap(current.placement.cells_array())
+        grid = problem.grid
+        width = grid.width
+        bitmap = grid.occupancy_bitmap(current.placement.cells_array())
         taken = np.frombuffer(bitmap, dtype=bool)
 
         def relocation_row(draws: BulkDraws) -> Row:
@@ -656,10 +591,15 @@ class SwapMovement(MovementType):
                 mover = fallback_outside[dense_index]
                 if mover < 0:
                     return _NO_MOVE
-            cell = _free_cell(draws, bitmap, width, *dense_bounds[dense_index])
-            if cell is None:
+            left, right, bottom, top = dense_bounds[dense_index]
+            try:
+                index = grid.random_free_index(
+                    bitmap, draws, left, bottom, right, top
+                )
+            except ValueError:
+                # The dense window is full.
                 return _NO_MOVE
-            return (_RELOCATE, mover, -1, cell[0], cell[1])
+            return (_RELOCATE, mover, -1, index % width, index // width)
 
         def relocation_block(values, rejected):
             dense = values[:, 0]
@@ -676,36 +616,6 @@ class SwapMovement(MovementType):
             relocation_block,
             state.no_room,
         )
-
-    def _pick_mover(
-        self,
-        problem: ProblemInstance,
-        placement,
-        dense: Rect,
-        sparse_routers: list[int],
-    ) -> int | None:
-        """The router that should migrate towards the dense window."""
-        if sparse_routers:
-            return problem.fleet.strongest_among(sparse_routers)
-        # The sparse window holds no router (common: its density is 0
-        # because it is empty of everything).  Fall back to the most
-        # powerful router currently outside the dense window.
-        outside = np.flatnonzero(
-            ~dense.contains_cells(placement.cells_array())
-        ).tolist()
-        if not outside:
-            return None
-        return problem.fleet.strongest_among(outside)
-
-    @staticmethod
-    def _free_cell_in(
-        grid: GridArea, placement, window: Rect, rng: np.random.Generator
-    ) -> Point | None:
-        """A random free cell inside ``window`` (``None`` when full)."""
-        try:
-            return grid.random_free_cell(placement.occupied, rng, within=window)
-        except ValueError:
-            return None
 
     def __repr__(self) -> str:
         return (

@@ -127,6 +127,16 @@ class MoveBatch(Sequence):
         return None
 
     @classmethod
+    def move(cls, row: "Sequence[int]") -> "Move | None":
+        """The move of one ``(kind, router, partner, x, y)`` row."""
+        kind, router, partner, x, y = row
+        if kind == cls.RELOCATE:
+            return RelocateMove(router_id=router, target=Point(x, y))
+        if kind == cls.SWAP:
+            return SwapMove(router_a=router, router_b=partner)
+        return None
+
+    @classmethod
     def from_moves(cls, moves: "Sequence[Move | None]") -> "MoveBatch | None":
         """The array form of relocations, swaps and ``None`` slots.
 
@@ -141,12 +151,7 @@ class MoveBatch(Sequence):
         return len(self.table)
 
     def __getitem__(self, index: int) -> "Move | None":
-        kind, router, partner, x, y = self.table[index].tolist()
-        if kind == self.RELOCATE:
-            return RelocateMove(router_id=router, target=Point(x, y))
-        if kind == self.SWAP:
-            return SwapMove(router_a=router, router_b=partner)
-        return None
+        return self.move(self.table[index].tolist())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MoveBatch):

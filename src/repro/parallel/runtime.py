@@ -52,6 +52,7 @@ from repro.instances.shm import (
     problem_nbytes,
     publish_problem,
 )
+from repro.resilience.supervisor import _close_pool, _worker_init
 
 __all__ = [
     "ParallelRuntime",
@@ -68,8 +69,8 @@ RUNTIME_ENV = "REPRO_RUNTIME"
 
 #: Instances whose array payload is below this many bytes are pickled
 #: rather than broadcast — segment setup is pure overhead for the
-#: paper-scale instances that dominate the test suite.
-SHM_MIN_BYTES_ENV = "REPRO_SHM_MIN_BYTES"
+#: paper-scale instances that dominate the test suite.  Overridden by
+#: ``REPRO_SHM_MIN_BYTES``.
 DEFAULT_SHM_MIN_BYTES = 1 << 16
 
 
@@ -172,8 +173,6 @@ class ParallelRuntime:
         first caller.
         """
         size = effective_pool_size(workers)
-        from repro.resilience.supervisor import _worker_init
-
         with self._lock:
             if self._closed:
                 raise RuntimeError("parallel runtime is shut down")
@@ -192,7 +191,7 @@ class ParallelRuntime:
                 # Too small for this request — or a worker died while
                 # the pool sat warm: retire it and build fresh (workers
                 # are fungible; only warmth is lost).
-                _terminate_pool(self._pool, force=not healthy)
+                _close_pool(self._pool, force=not healthy)
                 self._pool = None
             pool = ProcessPoolExecutor(
                 max_workers=size, initializer=_worker_init
@@ -209,14 +208,14 @@ class ParallelRuntime:
         with self._lock:
             if pool is not self._pool:
                 # A private overflow pool: always torn down.
-                _terminate_pool(pool, force=dirty)
+                _close_pool(pool, force=dirty)
                 return
             self._pool_in_use = False
             if dirty:
                 self.stats.pool_rebuilds_dirty += 1
                 self._pool = None
                 self._pool_size = 0
-                _terminate_pool(pool, force=True)
+                _close_pool(pool, force=True)
 
     def worker_pids(self) -> set[int]:
         """Pids of the kept pool's processes (empty when no pool lives)."""
@@ -370,7 +369,7 @@ class ParallelRuntime:
             self._broadcasts.clear()
             self._by_id.clear()
         if pool is not None:
-            _terminate_pool(pool, force=True)
+            _close_pool(pool, force=True)
         for entry in entries:
             for shm in entry.segments:
                 _destroy_segment(shm)
@@ -380,20 +379,6 @@ class ParallelRuntime:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def _terminate_pool(pool: ProcessPoolExecutor, force: bool) -> None:
-    if not force:
-        pool.shutdown(wait=True)
-        return
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # repro-lint: disable=RL007
-            # Best-effort teardown of an already-dying process.
-            pass
 
 
 def _destroy_segment(shm) -> None:

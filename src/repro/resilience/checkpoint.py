@@ -29,7 +29,6 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -429,13 +428,3 @@ def scenario_result_from_dict(payload: dict) -> ScenarioResult:
         steps=steps,
         seed=_seed_restore(payload["seed"]),
     )
-
-
-def rows_payload(rows: Sequence) -> list:
-    """Replication rows (tuples of floats) as JSON lists."""
-    return [list(map(float, row)) for row in rows]
-
-
-def rows_restore(payload: Sequence) -> list[tuple]:
-    """Inverse of :func:`rows_payload`."""
-    return [tuple(row) for row in payload]

@@ -45,3 +45,48 @@ def micro_problem() -> ProblemInstance:
         grid=grid,
     )
     return ProblemInstance(grid=grid, fleet=fleet, clients=clients)
+
+
+# ----------------------------------------------------------------------
+# Free-cell draws shared by the tests
+# ----------------------------------------------------------------------
+
+
+def free_cell(grid: GridArea, occupied, rng) -> Point:
+    """A uniformly random cell of ``grid`` not in ``occupied``.
+
+    Drawn by :meth:`GridArea.random_free_index` over a bitmap of
+    ``occupied``; the tests use it to build relocation moves.
+    """
+    bitmap = bytearray(grid.n_cells)
+    for x, y in occupied:
+        bitmap[y * grid.width + x] = 1
+    return grid.cell_at(
+        grid.random_free_index(bitmap, rng, 0, 0, grid.width, grid.height)
+    )
+
+
+def ref_random_free_cell(grid, occupied, rng, within=None):
+    """Frozen reference of the free-cell draw, on ``Point`` sets.
+
+    Up to 64 rejection samples of an ``x`` then a ``y`` draw, then one
+    pick among the region's free cells in row-major order.  The stream
+    parity suites compare the array samplers against it; do not
+    "modernise" it.
+    """
+    region = grid.bounds if within is None else within.intersection(grid.bounds)
+    if region.area == 0:
+        raise ValueError("sampling region is empty")
+    occupied_set = set(occupied)
+    for _ in range(64):
+        clipped = region.intersection(grid.bounds)
+        candidate = Point(
+            int(rng.integers(clipped.x0, clipped.x1)),
+            int(rng.integers(clipped.y0, clipped.y1)),
+        )
+        if candidate not in occupied_set:
+            return candidate
+    free = [cell for cell in region.cells() if cell not in occupied_set]
+    if not free:
+        raise ValueError("no free cell available in the requested region")
+    return free[int(rng.integers(0, len(free)))]

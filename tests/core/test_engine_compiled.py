@@ -13,6 +13,9 @@ Two halves with different availability requirements:
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,8 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
+
+from tests.conftest import free_cell
 
 needs_kernels = pytest.mark.skipif(
     not compiled.is_available(),
@@ -160,7 +165,7 @@ class TestDeltaParity:
         incumbent = start
         for _ in range(20):
             router = int(rng.integers(0, len(incumbent)))
-            cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+            cell = free_cell(problem.grid, incumbent.occupied, rng)
             candidate = incumbent.with_move(router, cell)
             ours = under_test.measure_one(0, candidate)
             theirs = reference.measure_one(0, candidate)
@@ -184,7 +189,7 @@ class TestDeltaParity:
         )
         for _ in range(5):
             router = int(rng.integers(0, len(start)))
-            cell = problem.grid.random_free_cell(start.occupied, rng)
+            cell = free_cell(problem.grid, start.occupied, rng)
             candidate = start.with_move(router, cell)
             assert_same_evaluation(
                 under_test.measure_one(0, candidate),
@@ -213,7 +218,7 @@ class TestStackedDeltaParity:
         pair_candidate, pair_router, pair_xy = [], [], []
         for candidate in range(1, 5):
             router = int(rng.integers(0, len(incumbent)))
-            cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+            cell = free_cell(problem.grid, incumbent.occupied, rng)
             pair_candidate.append(candidate)
             pair_router.append(router)
             pair_xy.append((cell.x, cell.y))
@@ -377,6 +382,38 @@ class TestForcedUnavailability:
 
     def test_is_available_honors_gate(self, disabled):
         assert not compiled.is_available()
+
+
+class TestBuildCache:
+    """A publish prunes other-hash libraries from directories it owns."""
+
+    @pytest.mark.skipif(
+        compiled._find_compiler() is None, reason="no C compiler found"
+    )
+    def test_publish_prunes_stale_siblings(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_COMPILED_CACHE", str(tmp_path))
+        stale = tmp_path / "repro_kernels_0000000000000000.so"
+        stale.write_bytes(b"stale")
+        leftover = tmp_path / ".repro_kernels_0000000000000000.so.1.tmp"
+        leftover.write_bytes(b"leftover")
+        unrelated = tmp_path / "notes.txt"
+        unrelated.write_text("kept")
+        live = compiled._compile_library()
+        assert live.parent == tmp_path and live.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [live.name, "notes.txt"]
+        )
+        # The live library is reused as is, and still loads.
+        assert compiled._compile_library() == live
+        compiled._bind(ctypes.CDLL(str(live)))
+
+    def test_shared_fallback_is_not_owned(self, monkeypatch):
+        monkeypatch.delenv("REPRO_COMPILED_CACHE", raising=False)
+        (build, build_owned), (shared, shared_owned) = compiled._cache_dirs()
+        assert build.name == "_build" and build_owned
+        assert not shared_owned
+        monkeypatch.setenv("REPRO_COMPILED_CACHE", "/nonexistent/cache")
+        assert compiled._cache_dirs() == [(Path("/nonexistent/cache"), True)]
 
 
 class TestDispatchContract:

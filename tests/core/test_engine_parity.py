@@ -32,6 +32,8 @@ from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.moves import RelocateMove, SwapMove
 
+from tests.conftest import free_cell
+
 LINK_RULES = list(LinkRule)
 COVERAGE_RULES = list(CoverageRule)
 
@@ -139,8 +141,8 @@ class TestDeltaParity:
                 move = SwapMove(router_a=int(a), router_b=int(b))
             else:
                 router = int(rng.integers(0, problem.n_routers))
-                cell = problem.grid.random_free_cell(
-                    current.placement.occupied, rng
+                cell = free_cell(
+                    problem.grid, current.placement.occupied, rng
                 )
                 move = RelocateMove(router_id=router, target=cell)
             candidate = propose(delta, current, move)
@@ -164,7 +166,7 @@ class TestDeltaParity:
         candidates = []
         for _ in range(8):
             router = int(rng.integers(0, problem.n_routers))
-            cell = problem.grid.random_free_cell(current.placement.occupied, rng)
+            cell = free_cell(problem.grid, current.placement.occupied, rng)
             move = RelocateMove(router_id=router, target=cell)
             candidate = propose(delta, current, move)
             assert_same_evaluation(
@@ -178,8 +180,8 @@ class TestDeltaParity:
             chosen,
             RelocateMove(
                 router_id=0,
-                target=problem.grid.random_free_cell(
-                    chosen.placement.occupied, rng
+                target=free_cell(
+                    problem.grid, chosen.placement.occupied, rng
                 ),
             )
         )
@@ -221,8 +223,8 @@ class TestSparseParity:
                 move = SwapMove(router_a=int(a), router_b=int(b))
             else:
                 router = int(rng.integers(0, problem.n_routers))
-                cell = problem.grid.random_free_cell(
-                    current.placement.occupied, rng
+                cell = free_cell(
+                    problem.grid, current.placement.occupied, rng
                 )
                 move = RelocateMove(router_id=router, target=cell)
             candidate = propose(delta, current, move)
@@ -246,8 +248,8 @@ class TestSparseParity:
             candidates = []
             for _ in range(5):
                 router = int(rng.integers(0, problem.n_routers))
-                cell = problem.grid.random_free_cell(
-                    current.placement.occupied, rng
+                cell = free_cell(
+                    problem.grid, current.placement.occupied, rng
                 )
                 candidates.append(
                     propose(
@@ -262,8 +264,8 @@ class TestSparseParity:
                 current,
                 RelocateMove(
                     router_id=0,
-                    target=problem.grid.random_free_cell(
-                        current.placement.occupied, rng
+                    target=free_cell(
+                        problem.grid, current.placement.occupied, rng
                     ),
                 )
             )

@@ -45,6 +45,8 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
 
+from tests.conftest import free_cell
+
 
 @pytest.fixture(scope="module")
 def problem():
@@ -240,7 +242,7 @@ class TestStackedDeltaEngine:
         moves = []
         for _ in range(count):
             router = int(rng.integers(0, len(incumbent)))
-            cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+            cell = free_cell(problem.grid, incumbent.occupied, rng)
             moves.append(((router,), (tuple(cell),)))
         return moves
 
@@ -285,7 +287,7 @@ class TestStackedDeltaEngine:
         engine = StackedDeltaEngine(problem)
         engine.reset_chain(0, incumbent)
         router = 0
-        cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+        cell = free_cell(problem.grid, incumbent.occupied, rng)
         measurement = engine.measure_phase(
             PhaseCandidates([0], [0], [router], [(cell.x, cell.y)])
         )
@@ -300,7 +302,7 @@ class TestStackedDeltaEngine:
         engine = StackedDeltaEngine(problem)
         engine.reset_chain(0, incumbent)
         moved = incumbent.with_move(
-            2, problem.grid.random_free_cell(incumbent.occupied, rng)
+            2, free_cell(problem.grid, incumbent.occupied, rng)
         )
         engine.commit_chain(0, moved)
         fresh = StackedDeltaEngine(problem)
@@ -326,8 +328,8 @@ class TestStackedDeltaEngine:
         incumbent = random_placements(problem, 1, seed=27)[0]
         engine = StackedDeltaEngine(problem)
         engine.reset_chain(0, incumbent)
-        free = problem.grid.random_free_cell(
-            incumbent.occupied, np.random.default_rng(27)
+        free = free_cell(
+            problem.grid, incumbent.occupied, np.random.default_rng(27)
         )
         unsorted = PhaseCandidates([0, 0], [1, 0], [0, 1], [free, free])
         with pytest.raises(ValueError):
@@ -340,7 +342,7 @@ class TestStackedDeltaEngine:
         moves = []
         for incumbent in incumbents:
             a, b = 1, 4
-            cell = problem.grid.random_free_cell(incumbent.occupied, rng)
+            cell = free_cell(problem.grid, incumbent.occupied, rng)
             moves.append(
                 [
                     ((), ()),
@@ -389,19 +391,19 @@ def random_moves(problem, placement, rng, count):
             moves.append(((), ()))
         elif kind == 1:
             router = int(rng.integers(n))
-            cell = grid.random_free_cell(placement.occupied, rng)
+            cell = free_cell(grid, placement.occupied, rng)
             moves.append(((router,), (tuple(cell),)))
         elif kind == 2:
             a, b = (int(r) for r in rng.choice(n, size=2, replace=False))
             moves.append(((a, b), (tuple(cells[b]), tuple(cells[a]))))
         else:
             a, b = (int(r) for r in rng.choice(n, size=2, replace=False))
-            first = grid.random_free_cell(placement.occupied, rng)
+            first = free_cell(grid, placement.occupied, rng)
             taken = set(placement.occupied) | {first}
             if len(taken) >= grid.n_cells:
                 moves.append(((a,), (tuple(first),)))
                 continue
-            second = grid.random_free_cell(taken, rng)
+            second = free_cell(grid, taken, rng)
             moves.append(((a, b), (tuple(first), tuple(second))))
     return moves
 

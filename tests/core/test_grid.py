@@ -115,10 +115,6 @@ class TestSubAreas:
 
 
 class TestSampling:
-    def test_random_cell_inside(self, grid, rng):
-        for _ in range(100):
-            assert grid.contains(grid.random_cell(rng))
-
     def test_random_cell_in_rect(self, grid, rng):
         rect = Rect(4, 4, 3, 3)
         for _ in range(50):
@@ -128,23 +124,29 @@ class TestSampling:
         with pytest.raises(ValueError):
             grid.random_cell_in(Rect(100, 100, 5, 5), rng)
 
-    def test_random_free_cell_avoids_occupied(self, rng):
+    def test_random_free_index_avoids_occupied(self, rng):
         g = GridArea(3, 3)
-        occupied = [Point(x, y) for x in range(3) for y in range(3)]
-        occupied.remove(Point(1, 1))
+        bitmap = bytearray(b"\x01" * g.n_cells)
+        bitmap[g.cell_index(Point(1, 1))] = 0
         for _ in range(10):
-            assert g.random_free_cell(occupied, rng) == Point(1, 1)
+            index = g.random_free_index(bitmap, rng, 0, 0, 3, 3)
+            assert g.cell_at(index) == Point(1, 1)
 
-    def test_random_free_cell_no_free_raises(self, rng):
+    def test_random_free_index_no_free_raises(self, rng):
         g = GridArea(2, 2)
-        occupied = list(g.cells())
-        with pytest.raises(ValueError):
-            g.random_free_cell(occupied, rng)
+        bitmap = bytearray(b"\x01" * g.n_cells)
+        with pytest.raises(ValueError, match="no free cell"):
+            g.random_free_index(bitmap, rng, 0, 0, 2, 2)
 
-    def test_random_free_cell_within(self, grid, rng):
-        rect = Rect(0, 0, 2, 2)
-        occupied = [Point(0, 0), Point(1, 0), Point(0, 1)]
-        assert grid.random_free_cell(occupied, rng, within=rect) == Point(1, 1)
+    def test_random_free_index_empty_region_raises(self, grid, rng):
+        bitmap = bytearray(grid.n_cells)
+        with pytest.raises(ValueError, match="empty"):
+            grid.random_free_index(bitmap, rng, 40, 40, 45, 45)
+
+    def test_random_free_index_within(self, grid, rng):
+        bitmap = grid.occupancy_bitmap(np.array([(0, 0), (1, 0), (0, 1)]))
+        index = grid.random_free_index(bitmap, rng, 0, 0, 2, 2)
+        assert grid.cell_at(index) == Point(1, 1)
 
     def test_sample_distinct_cells(self, grid, rng):
         cells = grid.sample_distinct_cells(100, rng)

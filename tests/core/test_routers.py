@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.radio import RadioProfile
 from repro.core.routers import MeshRouter, RouterFleet
+from repro.neighborhood.movements import _router_picks
 
 
 class TestMeshRouter:
@@ -77,22 +78,23 @@ class TestRouterFleet:
         assert fleet.strongest().router_id == 1
         assert fleet.weakest().router_id == 2
 
-    def test_strongest_among(self):
+    def test_router_picks(self):
         fleet = RouterFleet.from_radii([3.0, 5.0, 1.0, 4.0])
-        assert fleet.strongest_among([0, 2, 3]) == 3
-        assert fleet.weakest_among([0, 1, 3]) == 0
+        members = np.array([[True, False, True, True], [True, True, False, True]])
+        assert _router_picks(fleet.radii, members, strongest=True).tolist() == [3, 1]
+        assert _router_picks(fleet.radii, members, strongest=False).tolist() == [2, 0]
 
-    def test_strongest_among_tie_prefers_lower_id(self):
+    def test_router_picks_tie_prefers_lower_id(self):
         fleet = RouterFleet.from_radii([5.0, 5.0, 1.0])
-        assert fleet.strongest_among([0, 1]) == 0
-        assert fleet.weakest_among([0, 1]) == 0
+        members = np.array([[True, True, False]])
+        assert _router_picks(fleet.radii, members, strongest=True).tolist() == [0]
+        assert _router_picks(fleet.radii, members, strongest=False).tolist() == [0]
 
-    def test_among_empty_raises(self):
-        fleet = RouterFleet.from_radii([1.0])
-        with pytest.raises(ValueError):
-            fleet.strongest_among([])
-        with pytest.raises(ValueError):
-            fleet.weakest_among([])
+    def test_router_picks_empty_row(self):
+        fleet = RouterFleet.from_radii([1.0, 2.0])
+        members = np.array([[False, False], [True, False]])
+        assert _router_picks(fleet.radii, members, strongest=True).tolist() == [-1, 0]
+        assert _router_picks(fleet.radii, members, strongest=False).tolist() == [-1, 0]
 
     def test_iteration_order(self):
         fleet = RouterFleet.from_radii([1.0, 2.0, 3.0])

@@ -37,6 +37,8 @@ from repro.genetic.mutation import (
 )
 from repro.genetic.population import Population
 
+from tests.conftest import ref_random_free_cell
+
 SETTINGS = settings(
     max_examples=100,
     deadline=None,
@@ -46,25 +48,6 @@ SETTINGS = settings(
 # ----------------------------------------------------------------------
 # Frozen reference: the tuple-of-Point operators
 # ----------------------------------------------------------------------
-
-
-def ref_random_free_cell(grid, occupied, rng, within=None):
-    region = grid.bounds if within is None else within.intersection(grid.bounds)
-    if region.area == 0:
-        raise ValueError("sampling region is empty")
-    occupied_set = set(occupied)
-    for _ in range(64):
-        clipped = region.intersection(grid.bounds)
-        candidate = Point(
-            int(rng.integers(clipped.x0, clipped.x1)),
-            int(rng.integers(clipped.y0, clipped.y1)),
-        )
-        if candidate not in occupied_set:
-            return candidate
-    free = [cell for cell in region.cells() if cell not in occupied_set]
-    if not free:
-        raise ValueError("no free cell available in the requested region")
-    return free[int(rng.integers(0, len(free)))]
 
 
 def ref_sample_distinct_cells(grid, count, rng, within=None, occupied=()):

@@ -12,6 +12,8 @@ from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.multichain import _Phase
 from repro.neighborhood.tabu import TabuSearch
 
+from tests.conftest import free_cell
+
 
 def touched_routers(problem, placement, move) -> tuple[int, ...]:
     """The tabu attribute of ``move``: the routers its columns name."""
@@ -26,7 +28,7 @@ class TestTouchedRouters:
 
     def test_relocate_touches_one(self, tiny_problem, rng):
         placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        cell = tiny_problem.grid.random_free_cell(placement.occupied, rng)
+        cell = free_cell(tiny_problem.grid, placement.occupied, rng)
         assert touched_routers(
             tiny_problem, placement, RelocateMove(3, cell)
         ) == (3,)
