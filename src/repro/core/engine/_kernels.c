@@ -763,3 +763,239 @@ void repro_client_csr_fill(
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Movement proposals on numpy's own bit generators                    */
+/* ------------------------------------------------------------------ */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), as
+ * Generator.bit_generator.ctypes.bit_generator points at it: the bit
+ * generator's state and its draw functions.  Drawing through them
+ * advances the Python generator itself, whatever its algorithm, so no
+ * state is read or written back. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Generator.integers(0, span) for 1 <= span <= 2**32: numpy's 32-bit
+ * bounded path (buffered_bounded_lemire_uint32), Lemire's
+ * multiply-shift rejecting while the low word is below
+ * (2**32 - span) % span (arXiv:1805.10941).  A span of 1 draws
+ * nothing; a span of 2**32 takes the raw word. */
+static i64 bounded(bitgen_t *bitgen, i64 span) {
+    if (span <= 1) {
+        return 0;
+    }
+    if (span == ((i64)1 << 32)) {
+        return (i64)bitgen->next_uint32(bitgen->state);
+    }
+    const uint32_t range = (uint32_t)span;
+    uint64_t product = (uint64_t)bitgen->next_uint32(bitgen->state) * range;
+    uint32_t leftover = (uint32_t)product;
+    if (leftover < range) {
+        const uint32_t threshold = (uint32_t)(UINT32_MAX - (range - 1)) % range;
+        while (leftover < threshold) {
+            product = (uint64_t)bitgen->next_uint32(bitgen->state) * range;
+            leftover = (uint32_t)product;
+        }
+    }
+    return (i64)(product >> 32);
+}
+
+/* Rejection attempts before free_index enumerates the free cells. */
+#define FREE_CELL_ATTEMPTS 64
+
+/* GridArea.random_free_index: a uniformly random free cell of the
+ * row-major occupancy bitmap in [x0, x1) x [y0, y1) clipped to the
+ * grid, as a flat index.  Up to 64 attempts of an x then a y draw,
+ * then one pick among the window's free cells in row-major order.
+ * -1 when the window is empty (no draw) or full. */
+static i64 free_index(
+    bitgen_t *bitgen, const u8 *bitmap, i64 width, i64 height,
+    i64 x0, i64 y0, i64 x1, i64 y1
+) {
+    x0 = x0 > 0 ? x0 : 0;
+    y0 = y0 > 0 ? y0 : 0;
+    x1 = x1 < width ? x1 : width;
+    y1 = y1 < height ? y1 : height;
+    if (x1 <= x0 || y1 <= y0) {
+        return -1;
+    }
+    for (int attempt = 0; attempt < FREE_CELL_ATTEMPTS; attempt++) {
+        const i64 x = x0 + bounded(bitgen, x1 - x0);
+        const i64 index = (y0 + bounded(bitgen, y1 - y0)) * width + x;
+        if (!bitmap[index]) {
+            return index;
+        }
+    }
+    i64 n_free = 0;
+    for (i64 y = y0; y < y1; y++) {
+        for (i64 x = x0; x < x1; x++) {
+            n_free += !bitmap[y * width + x];
+        }
+    }
+    if (!n_free) {
+        return -1;
+    }
+    i64 pick = bounded(bitgen, n_free);
+    for (i64 y = y0; y < y1; y++) {
+        for (i64 x = x0; x < x1; x++) {
+            if (!bitmap[y * width + x] && pick-- == 0) {
+                return y * width + x;
+            }
+        }
+    }
+    return -1;
+}
+
+/* Movement codes of repro_propose_rows (compiled.py PROPOSE_*). */
+#define PROPOSE_RANDOM 0
+#define PROPOSE_SWAP_RELOCATE 1
+#define PROPOSE_SWAP_LITERAL 2
+
+/* MoveBatch kinds. */
+#define MOVE_NONE 0
+#define MOVE_RELOCATE 1
+#define MOVE_SWAP 2
+
+static void move_row(i64 *row, i64 kind, i64 router, i64 partner, i64 x, i64 y) {
+    row[0] = kind;
+    row[1] = router;
+    row[2] = partner;
+    row[3] = x;
+    row[4] = y;
+}
+
+/* `count` proposals per chain off its incumbent, in MoveBatch rows
+ * (kind, router, partner, x, y), each chain drawing on its own
+ * generator in row order exactly as the Python row samplers of
+ * movements.py draw them.  Random: a router, then a free cell of the
+ * grid.  Swap: a dense and a sparse window; literally, the dense
+ * window's weakest router swaps with the sparse window's strongest
+ * (both present and distinct); relocating, the sparse window's
+ * strongest router (or, when it holds none, the strongest outside the
+ * dense window) moves to a free cell of the dense window.
+ *
+ * A chain's Swap pick table (at picks + pick_starts[r]) holds n_dense,
+ * n_sparse, the strongest router of each sparse window, per dense
+ * window the strongest router outside it (relocating) or its weakest
+ * router (literal), then each dense window's x0, x1, y0, y1; -1 marks
+ * no router.  The occupancy bitmap of each incumbent is set and
+ * cleared in one calloc scratch buffer.  Serial: the chains share the
+ * scratch, and may share a generator.  Returns -2 when an incumbent
+ * cell lies outside the grid and -1 when the scratch cannot be
+ * allocated; nothing is drawn then. */
+i64 repro_propose_rows(
+    bitgen_t *const *bitgens,  /* R */
+    i64 n_chains,
+    i64 movement,
+    i64 count,
+    const i64 *cells,          /* R*N*2 incumbent cells (not literal) */
+    i64 n_routers,
+    const i64 *picks,          /* Swap pick tables, concatenated */
+    const i64 *pick_starts,    /* R (Swap) */
+    i64 width, i64 height,
+    i64 *rows                  /* R*count*5 */
+) {
+    u8 *bitmap = NULL;
+    if (movement != PROPOSE_SWAP_LITERAL) {
+        for (i64 i = 0; i < n_chains * n_routers; i++) {
+            const i64 x = cells[2 * i];
+            const i64 y = cells[2 * i + 1];
+            if (x < 0 || x >= width || y < 0 || y >= height) {
+                return -2;
+            }
+        }
+        bitmap = calloc((size_t)(width * height), 1);
+        if (bitmap == NULL) {
+            return -1;
+        }
+    }
+    for (i64 r = 0; r < n_chains; r++) {
+        bitgen_t *bitgen = bitgens[r];
+        const i64 *chain_cells = bitmap != NULL ? cells + r * n_routers * 2 : NULL;
+        i64 *out = rows + r * count * 5;
+        for (i64 i = 0; chain_cells != NULL && i < n_routers; i++) {
+            bitmap[chain_cells[2 * i + 1] * width + chain_cells[2 * i]] = 1;
+        }
+        if (movement == PROPOSE_RANDOM) {
+            for (i64 k = 0; k < count; k++, out += 5) {
+                const i64 router = bounded(bitgen, n_routers);
+                const i64 index = free_index(
+                    bitgen, bitmap, width, height, 0, 0, width, height
+                );
+                if (index < 0) {
+                    move_row(out, MOVE_NONE, -1, -1, -1, -1);
+                } else {
+                    move_row(out, MOVE_RELOCATE, router, -1,
+                             index % width, index / width);
+                }
+            }
+        } else {
+            const i64 *table = picks + pick_starts[r];
+            const i64 n_dense = table[0];
+            const i64 n_sparse = table[1];
+            const i64 *strong_sparse = table + 2;
+            const i64 *dense_picks = strong_sparse + n_sparse;
+            const i64 *bounds = dense_picks + n_dense;
+            for (i64 k = 0; k < count; k++, out += 5) {
+                const i64 dense = bounded(bitgen, n_dense);
+                const i64 strong = strong_sparse[bounded(bitgen, n_sparse)];
+                if (movement == PROPOSE_SWAP_LITERAL) {
+                    const i64 weak = dense_picks[dense];
+                    if (weak < 0 || strong < 0 || weak == strong) {
+                        move_row(out, MOVE_NONE, -1, -1, -1, -1);
+                    } else {
+                        move_row(out, MOVE_SWAP, weak, strong, -1, -1);
+                    }
+                    continue;
+                }
+                const i64 mover = strong >= 0 ? strong : dense_picks[dense];
+                if (mover < 0) {
+                    move_row(out, MOVE_NONE, -1, -1, -1, -1);
+                    continue;
+                }
+                const i64 *box = bounds + 4 * dense;
+                const i64 index = free_index(
+                    bitgen, bitmap, width, height, box[0], box[2], box[1], box[3]
+                );
+                if (index < 0) {
+                    move_row(out, MOVE_NONE, -1, -1, -1, -1);
+                } else {
+                    move_row(out, MOVE_RELOCATE, mover, -1,
+                             index % width, index / width);
+                }
+            }
+        }
+        for (i64 i = 0; chain_cells != NULL && i < n_routers; i++) {
+            bitmap[chain_cells[2 * i + 1] * width + chain_cells[2 * i]] = 0;
+        }
+    }
+    free(bitmap);
+    return 0;
+}
+
+/* GridArea.sample_distinct_cells: `count` free cells of the bitmap in
+ * [x0, x1) x [y0, y1), each drawn as free_index draws it from the cells
+ * still free and then marked taken.  The caller has checked that the
+ * region holds `count` free cells. */
+void repro_distinct_cells(
+    bitgen_t *bitgen,
+    u8 *bitmap,  /* width*height, updated */
+    i64 width, i64 height,
+    i64 x0, i64 y0, i64 x1, i64 y1,
+    i64 count,
+    i64 *picks   /* count flat indices */
+) {
+    for (i64 k = 0; k < count; k++) {
+        const i64 index = free_index(bitgen, bitmap, width, height, x0, y0, x1, y1);
+        picks[k] = index;
+        if (index >= 0) {
+            bitmap[index] = 1;
+        }
+    }
+}

@@ -12,7 +12,12 @@ lockstep phase of the
 :func:`measure_phase_dense`: per candidate, the movers' new links, one
 union-find over the kept incumbent edges plus those links, and the
 covered count with each mover's coverage column exchanged, over a table
-of each chain's incumbent buffers (:func:`chain_state`).
+of each chain's incumbent buffers (:func:`chain_state`).  Movement
+proposals draw in C too: :func:`propose_rows` draws a phase's Random or
+Swap rows for every chain, and :func:`distinct_cells` the picks of
+``GridArea.sample_distinct_cells``, each through the chain generator's
+own numpy ``bitgen_t``, so the draws, the moves and the generator's
+final state are those of the Python samplers on every bit generator.
 
 Availability contract (mirrored by the dispatch layer):
 
@@ -57,7 +62,9 @@ import subprocess
 import tempfile
 import threading
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -94,6 +101,7 @@ _I64 = ctypes.c_int64
 _PD = ctypes.POINTER(ctypes.c_double)
 _PI = ctypes.POINTER(_I64)
 _PU8 = ctypes.POINTER(ctypes.c_uint8)
+_PV = ctypes.c_void_p
 
 
 def _env_enabled() -> bool:
@@ -248,6 +256,14 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_csr_update_column.argtypes = (
         _PI, _PI, _I64, _I64, _PU8, _PI, _PI,
     )
+    lib.repro_propose_rows.restype = _I64
+    lib.repro_propose_rows.argtypes = (
+        _PI, _I64, _I64, _I64, _PV, _I64, _PV, _PI, _I64, _I64, _PI,
+    )
+    lib.repro_distinct_cells.restype = None
+    lib.repro_distinct_cells.argtypes = (
+        _PV, _PU8, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _PI,
+    )
     return lib
 
 
@@ -283,6 +299,12 @@ def _load() -> "ctypes.CDLL | None":
 def is_available() -> bool:
     """Whether the compiled tier can run (gate enabled + build succeeds)."""
     return _env_enabled() and _load() is not None
+
+
+def is_loaded() -> bool:
+    """Whether the compiled tier is enabled and already built in this
+    process.  Unlike :func:`is_available` it never starts a build."""
+    return _env_enabled() and _lib is not None
 
 
 def build_error() -> "str | None":
@@ -651,6 +673,125 @@ def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n_links:
         lib.repro_dense_edges(_pu8(matrix), n, _pi(rows), _pi(cols))
     return rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+
+
+#: Movement codes of ``repro_propose_rows`` in ``_kernels.c``.
+PROPOSE_RANDOM, PROPOSE_SWAP_RELOCATE, PROPOSE_SWAP_LITERAL = 0, 1, 2
+
+
+def _held(bit_generators):
+    """The generators' locks, held for a kernel that draws on them.
+
+    ctypes releases the GIL around the call, and numpy holds the same
+    lock around its own draws.  Chains may share a generator, so each
+    lock is taken once, in one global order.
+    """
+    locks = {id(bg): bg.lock for bg in bit_generators}
+    if len(locks) == 1:
+        return next(iter(locks.values()))
+    with ExitStack() as stack:
+        for _, lock in sorted(locks.items()):
+            stack.enter_context(lock)
+        return stack.pop_all()
+
+
+def _address_table(values: "list[int]"):
+    """A ctypes ``int64`` array of ``values`` (kernel pointer tables)."""
+    return (_I64 * len(values))(*values)
+
+
+def propose_rows(
+    movement: int,
+    count: int,
+    rngs: "Sequence[np.random.Generator]",
+    cells: "Sequence[np.ndarray] | None",
+    picks: "Sequence[np.ndarray] | None",
+    width: int,
+    height: int,
+) -> np.ndarray:
+    """``count`` proposals of ``movement`` per chain, as ``(R, count, 5)``
+    :class:`~repro.neighborhood.moves.MoveBatch` rows.
+
+    Chain ``r`` draws on ``rngs[r]`` off the incumbent with the ``(N,
+    2)`` cells ``cells[r]`` (Random and relocating Swap) and the Swap
+    pick table ``picks[r]`` (layout in ``repro_propose_rows``), exactly
+    as the Python row samplers of :mod:`repro.neighborhood.movements`
+    draw on the same generator, which ends in the same state.  The
+    draws go through each generator's own ``bitgen_t``, so every numpy
+    bit generator works.
+    """
+    if movement not in (PROPOSE_RANDOM, PROPOSE_SWAP_RELOCATE, PROPOSE_SWAP_LITERAL):
+        raise ValueError(f"unknown proposal movement code {movement}")
+    if (cells is None) != (movement == PROPOSE_SWAP_LITERAL) or (
+        picks is None
+    ) != (movement == PROPOSE_RANDOM):
+        raise ValueError("the movement's incumbent cells or pick tables are missing")
+    n_chains = len(rngs)
+    bit_generators = [rng.bit_generator for rng in rngs]
+    bitgens = _address_table(
+        [bg.ctypes.bit_generator.value for bg in bit_generators]
+    )
+    # The inputs stay referenced until the call returns.
+    n_routers = 0
+    all_cells = all_picks = starts = None
+    if cells is not None:
+        n_routers = len(cells[0])
+        all_cells = _i64a(np.concatenate(cells))
+        if all_cells.shape != (n_chains * n_routers, 2):
+            raise ValueError("every incumbent must hold the same (N, 2) cells")
+    if picks is not None:
+        if len(picks) != n_chains:
+            raise ValueError(f"{len(picks)} pick tables for {n_chains} chains")
+        all_picks = _i64a(np.concatenate(picks))
+        offset, offsets = 0, []
+        for table in picks:
+            n_dense, n_sparse = int(table[0]), int(table[1])
+            if min(n_dense, n_sparse) < 1 or len(table) != 2 + n_sparse + 5 * n_dense:
+                raise ValueError("a Swap pick table disagrees with its window counts")
+            offsets.append(offset)
+            offset += len(table)
+        starts = _address_table(offsets)
+    rows = (_I64 * (n_chains * count * 5))()
+    with _held(bit_generators):
+        status = _kernels().repro_propose_rows(
+            bitgens, n_chains, movement, count,
+            None if all_cells is None else all_cells.ctypes.data, n_routers,
+            None if all_picks is None else all_picks.ctypes.data, starts,
+            width, height, rows,
+        )
+    if status == -2:
+        raise ValueError("an incumbent cell lies outside the grid")
+    if status:
+        raise MemoryError("no scratch bitmap for the proposal kernel")
+    table = np.frombuffer(rows, dtype=np.int64).reshape(n_chains, count, 5)
+    return table.astype(np.intp, copy=False)
+
+
+def distinct_cells(
+    rng: np.random.Generator,
+    bitmap: bytearray,
+    width: int,
+    height: int,
+    region: "tuple[int, int, int, int]",
+    count: int,
+) -> "list[int]":
+    """``count`` free cells of ``bitmap`` in ``region`` ``(x0, y0, x1,
+    y1)``, as flat indices, each marked taken once drawn.
+
+    The compiled :meth:`~repro.core.grid.GridArea.sample_distinct_cells`:
+    one free-cell draw per pick on ``rng``'s own bit generator.  The
+    caller checks that the region has ``count`` free cells.
+    """
+    picks = np.empty(count, dtype=np.int64)
+    buffer = (ctypes.c_uint8 * len(bitmap)).from_buffer(bitmap)
+    bit_generator = rng.bit_generator
+    lib = _kernels()
+    with _held([bit_generator]):
+        lib.repro_distinct_cells(
+            bit_generator.ctypes.bit_generator, buffer, width, height,
+            *region, count, _pi(picks),
+        )
+    return picks.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -4,19 +4,22 @@ Section 2 of the paper defines an instance over "an area W x H where to
 distribute N mesh routers".  :class:`GridArea` models that area as a
 discrete cell grid and provides the spatial queries the placement methods
 need: bounds checks, sub-rectangles (diagonal bands, corner zones, central
-zones) and uniform sampling of free cells.
+zones) and uniform sampling of free cells.  The free-cell draw
+(:meth:`GridArea.random_free_index`) has a C twin, ``free_index`` in
+``_kernels.c``, which the compiled tier's movement proposals and
+:meth:`GridArea.sample_distinct_cells` draw through; it makes the same
+draws in the same order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.geometry import Point, Rect
-from repro.seeding import BulkDraws, unbroken_prefix
+from repro.seeding import BulkDraws
 
 __all__ = ["GridArea"]
 
@@ -198,7 +201,7 @@ class GridArea:
         or full (after the rejection draws).  ``rng`` may also be a
         :class:`~repro.seeding.BulkDraws` over the generator: that is how
         :meth:`sample_distinct_cells` and the movements' row samplers
-        draw the picks an array block could not keep.
+        draw off the compiled tier.
         """
         width = self.width
         x0, y0 = max(x0, 0), max(y0, 0)
@@ -229,16 +232,16 @@ class GridArea:
 
         Each cell is drawn as :meth:`random_free_index` would draw it
         from the cells still free, over a bitmap that lives for this
-        call, and ``rng`` ends where those scalar draws leave it.  The picks are
-        taken in array blocks (:meth:`~repro.seeding.BulkDraws.rows`): a
-        block of ``(x, y)`` draws is reduced at once and kept up to the
-        first pick that lands on a taken cell, repeats an earlier pick of
-        the block (the first occurrence wins) or meets a Lemire
-        rejection; :meth:`random_free_index` finishes that pick on the
-        same draws.  Blocks are bounded by the run expected before a
-        pick finds its cell taken, so a crowded region falls back to the
-        scalar picks.
+        call, and ``rng`` ends where those scalar draws leave it.  When
+        the compiled tier is enabled and already loaded
+        (:func:`~repro.core.engine.compiled.is_loaded`; sampling never
+        starts a build) the picks are drawn by one kernel call
+        (:func:`~repro.core.engine.compiled.distinct_cells`, the same
+        draws through the generator's own ``bitgen_t``); otherwise on
+        :class:`~repro.seeding.BulkDraws`.
         """
+        from repro.core.engine import compiled
+
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         region = self.bounds if within is None else within.intersection(self.bounds)
@@ -257,37 +260,16 @@ class GridArea:
             )
         if not count:
             return []
-        taken_cells = np.frombuffer(bitmap, dtype=bool)
-        picks = np.empty(count, dtype=np.intp)
-        x0, y0, area = region.x0, region.y0, region.area
-
-        def keep(values: np.ndarray, rejected: np.ndarray, at: int) -> int:
-            index = (values[:, 1] + y0) * width + (values[:, 0] + x0)
-            broken = rejected | taken_cells[index]
-            # A repeat of an earlier pick in the block would find its
-            # cell taken: the first occurrence wins.
-            order = np.argsort(index, kind="stable")
-            ranked = index[order]
-            broken[order[1:][ranked[1:] == ranked[:-1]]] = True
-            kept = unbroken_prefix(broken)
-            taken_cells[index[:kept]] = True
-            picks[at : at + kept] = index[:kept]
-            return kept
-
-        def finish(at: int) -> None:
-            index = self.random_free_index(
-                bitmap, draws, x0, y0, region.x1, region.y1
+        bounds = (region.x0, region.y0, region.x1, region.y1)
+        if compiled.is_loaded():
+            picks = compiled.distinct_cells(
+                rng, bitmap, width, self.height, bounds, count
             )
-            bitmap[index] = 1
-            picks[at] = index
-
-        def break_rate(at: int) -> float:
-            # Pick i of a block finds its cell taken with chance
-            # (held + i) / area; one break is expected once those sum to
-            # one, after sqrt(held**2 + 2 area) - held picks.
-            held = taken + at
-            return 1.0 / (math.sqrt(held * held + 2.0 * area) - held)
-
-        with BulkDraws(rng, words=count + 16) as draws:
-            draws.rows(count, (region.width, region.height), keep, finish, break_rate)
-        return [Point(index % width, index // width) for index in picks.tolist()]
+        else:
+            picks = []
+            with BulkDraws(rng, words=count + 16) as draws:
+                for _ in range(count):
+                    index = self.random_free_index(bitmap, draws, *bounds)
+                    bitmap[index] = 1
+                    picks.append(index)
+        return [Point(index % width, index // width) for index in picks]

@@ -117,11 +117,3 @@ class RouterFleet:
     def by_power_descending(self) -> list[MeshRouter]:
         """Routers sorted from most to least powerful (ties by id)."""
         return sorted(self.routers, key=lambda router: (-router.radius, router.router_id))
-
-    def strongest(self) -> MeshRouter:
-        """The most powerful router (largest coverage radius)."""
-        return self.by_power_descending()[0]
-
-    def weakest(self) -> MeshRouter:
-        """The least powerful router (smallest coverage radius)."""
-        return self.by_power_descending()[-1]

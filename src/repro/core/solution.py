@@ -26,7 +26,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.geometry import Point, Rect, cell_array
+from repro.core.geometry import Point, cell_array
 from repro.core.grid import GridArea
 
 __all__ = ["Placement"]
@@ -183,10 +183,6 @@ class Placement:
             positions.setflags(write=False)
             self._positions = positions
         return self._positions
-
-    def routers_in(self, rect: Rect) -> list[int]:
-        """Ids of routers whose cell lies inside ``rect``."""
-        return np.flatnonzero(rect.contains_cells(self._array)).tolist()
 
     def as_mapping(self) -> Mapping[int, Point]:
         """Router id -> cell dictionary view (a fresh dict)."""

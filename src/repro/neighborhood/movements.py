@@ -20,36 +20,37 @@ announces as future work.
 
 Each movement defines its proposal once, as a sampler of
 :class:`~repro.neighborhood.moves.MoveBatch` rows against an incumbent
-(:class:`_Proposer`): the RNG-free work (ranked windows, per-window
-router picks, the occupancy bitmap) is done with array operations, and
-the draws are served by :class:`~repro.seeding.BulkDraws`, which
-replays numpy's own algorithms on prefetched words.
-:meth:`MovementType.propose` draws one row of it, which is what
-simulated annealing uses; :meth:`MovementType.propose_batch` samples a
-whole phase per chain.  Random and Swap proposals are taken as array
-blocks: a block of proposals is reduced from the words at once under
-the layout of an unbroken proposal, kept up to the first proposal that
-breaks it (an occupied target cell, a window with no router to move, a
-Lemire rejection), and that one proposal is finished by the row sampler
-on the same draws.  A phase's proposals and the chain's final generator
-state equal those of the same number of :meth:`~MovementType.propose`
-calls exactly.
+(:meth:`MovementType._proposer`): the RNG-free work (ranked windows,
+per-window router picks, the occupancy bitmap) is done with array
+operations, and the draws are served by
+:class:`~repro.seeding.BulkDraws`, which replays numpy's own algorithms
+on prefetched words.  That Python row sampler is the reference.  On the
+compiled tier, Random and Swap proposals are drawn by one C kernel call
+per phase for every chain (:func:`~repro.core.engine.compiled.propose_rows`),
+through each chain generator's own ``bitgen_t``, with the same draws in
+the same order: the moves and every generator's final state equal the
+row sampler's.  :meth:`MovementType.propose_batch` samples a whole
+phase per chain, and :meth:`MovementType.propose` — what simulated
+annealing uses — is one row of it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, ClassVar, NamedTuple, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.density import DensityMap
+from repro.core.engine import compiled
 from repro.core.evaluation import Evaluation
 from repro.core.geometry import Rect
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.neighborhood.moves import Move, MoveBatch
-from repro.seeding import BulkDraws, unbroken_prefix
+from repro.seeding import BulkDraws
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
 
@@ -66,36 +67,8 @@ _SWAP = MoveBatch.SWAP
 _CACHE_LIMIT = 512
 
 
-class _Proposer(NamedTuple):
-    """A movement's samplers of one incumbent's proposals.
-
-    ``row`` draws one proposal from a :class:`~repro.seeding.BulkDraws`
-    as a ``(kind, router, partner, x, y)`` row; it is the movement's
-    definition, and :meth:`MovementType.propose` is one call of it.
-    ``block``, when the movement has an array form, maps a speculated
-    ``(n, len(spans))`` block of draws (and its Lemire-rejected rows) to
-    ``n`` table rows and the mask of rows that break the layout of an
-    unbroken proposal; ``break_rate`` is the share of proposals expected
-    to break it.
-    """
-
-    row: "Callable[[BulkDraws], Row]"
-    spans: "tuple[int, ...]" = ()
-    block: "Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None" = None
-    break_rate: float = 0.0
-
-
-def _relocation_rows(
-    routers: np.ndarray, xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """:class:`MoveBatch` rows relocating ``routers`` to ``(xs, ys)``."""
-    rows = np.empty((len(routers), 5), dtype=np.intp)
-    rows[:, 0] = _RELOCATE
-    rows[:, 1] = routers
-    rows[:, 2] = -1
-    rows[:, 3] = xs
-    rows[:, 4] = ys
-    return rows
+#: One proposal drawn from a :class:`~repro.seeding.BulkDraws`.
+RowSampler = "Callable[[BulkDraws], Row]"
 
 
 def _router_picks(
@@ -117,89 +90,50 @@ def _router_picks(
 class _SwapWindowState:
     """Per-incumbent proposal state of :class:`SwapMovement`.
 
-    The ranked window pools, plus — built on the first batch proposal
-    against the incumbent — what the movement's reading needs of the
-    per-window router picks (``-1`` for none).  The literal swap keeps
-    the weakest router of each dense window, the strongest of each
-    sparse window and the swap row of each ``(dense, sparse)`` pair.  A
-    relocation keeps the strongest router of each sparse window and
-    outside each dense window, the router each pair moves, the dense
-    windows' corners and the share of relocations expected to find no
-    room.  All of it is an RNG-free function of the incumbent, so
-    sharing it across proposals never touches a chain's stream.  (The
-    occupancy bitmap is rebuilt per call instead: one grid-sized buffer
-    per cached incumbent would dominate the cache's memory.)
+    The ranked window pools, plus — built on the first proposal against
+    the incumbent — the per-window router picks the movement's reading
+    needs, packed in one int64 table (``picks``, the layout documented
+    on ``repro_propose_rows`` in ``_kernels.c``): ``n_dense``, ``n_sparse``, the strongest
+    router of each sparse window, per dense window the strongest router
+    outside it (relocating) or its weakest router (literal), then each
+    dense window's ``x0, x1, y0, y1``; ``-1`` marks no router.  All of
+    it is an RNG-free function of the incumbent, so sharing it across
+    proposals never touches a chain's stream.  (The occupancy bitmap is
+    rebuilt per call instead: one grid-sized buffer per cached incumbent
+    would dominate the cache's memory.)
     """
 
-    __slots__ = (
-        "placement",
-        "pools",
-        "dense_bounds",
-        "dense_corners",
-        "no_room",
-        "weak_dense",
-        "strong_sparse",
-        "fallback_outside",
-        "pair_rows",
-        "pair_movers",
-    )
+    __slots__ = ("placement", "pools", "picks")
 
     def __init__(self, placement, pools) -> None:
         self.placement = placement
         self.pools = pools
-        self.dense_bounds = None
+        self.picks = None
 
-    def prepare(self, radii: np.ndarray, relocate: bool) -> None:
-        """Resolve every pooled window's picks in one array pass.
-
-        The picks are kept as lists for the row sampler and as the pair
-        tables for the array blocks.
-        """
-        if self.dense_bounds is not None:
-            return
+    def prepare(self, radii: np.ndarray, relocate: bool) -> np.ndarray:
+        """The pick table, every pooled window resolved in one array pass."""
+        if self.picks is not None:
+            return self.picks
         dense_pool, sparse_pool = self.pools
         n_dense = len(dense_pool)
         bounds = _window_bounds(dense_pool + sparse_pool)
         inside = _inside(self.placement.cells_array(), bounds)
-        dense_box, dense_inside = bounds[:n_dense], inside[:n_dense]
+        dense_inside = inside[:n_dense]
         if relocate:
             # The strongest router of each sparse window and outside each
             # dense window, in one pass.
             picks = _router_picks(
-                radii,
-                np.concatenate((inside[n_dense:], ~dense_inside)),
-                strongest=True,
-            )
-            strong_sparse, fallback_outside = picks[:-n_dense], picks[-n_dense:]
-            self.strong_sparse = strong_sparse.tolist()
-            self.fallback_outside = fallback_outside.tolist()
-            strong = strong_sparse[np.newaxis, :]
-            movers = np.where(strong >= 0, strong, fallback_outside[:, np.newaxis])
-            self.pair_movers = movers
-            self.dense_corners = dense_box[:, 0], dense_box[:, 2]
-            # A relocation finds no room when no router can move or its
-            # first cell draw in the dense window is taken (routers sit
-            # on distinct cells; ranked windows share one size).
-            dense_cells = n_dense * dense_pool[0].area
-            self.no_room = (
-                np.count_nonzero(movers < 0) / movers.size
-                + np.count_nonzero(dense_inside) / dense_cells
+                radii, np.concatenate((inside[n_dense:], ~dense_inside)), True
             )
         else:
-            strong_sparse = _router_picks(radii, inside[n_dense:], strongest=True)
-            weak_dense = _router_picks(radii, dense_inside, strongest=False)
-            self.strong_sparse = strong_sparse.tolist()
-            self.weak_dense = weak_dense.tolist()
-            strong = strong_sparse[np.newaxis, :]
-            weak = weak_dense[:, np.newaxis]
-            valid = (weak >= 0) & (strong >= 0) & (weak != strong)
-            rows = np.full(valid.shape + (5,), -1, dtype=np.intp)
-            rows[..., 0] = np.where(valid, _SWAP, MoveBatch.NONE)
-            rows[..., 1] = np.where(valid, weak, -1)
-            rows[..., 2] = np.where(valid, strong, -1)
-            self.pair_rows = rows
-        # Set last: it marks the state prepared.
-        self.dense_bounds = dense_box.tolist()
+            picks = np.concatenate((
+                _router_picks(radii, inside[n_dense:], strongest=True),
+                _router_picks(radii, dense_inside, strongest=False),
+            ))
+        self.picks = np.concatenate(
+            ([n_dense, len(sparse_pool)], picks, bounds[:n_dense].ravel())
+        ).astype(np.int64)
+        return self.picks
 
 
 def _window_bounds(windows: "list[Rect]") -> np.ndarray:
@@ -221,25 +155,35 @@ def _inside(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     )
 
 
-def _sample(proposer: _Proposer, draws: BulkDraws, count: int) -> MoveBatch:
-    """``count`` proposals of ``proposer`` on ``draws``, as one batch."""
-    if proposer.block is None:
-        return MoveBatch.from_rows([proposer.row(draws) for _ in range(count)])
-    table = np.empty((count, 5), dtype=np.intp)
-    finished: dict[int, Row] = {}
+#: The proposal sampler's tier while a search runs (see
+#: :func:`proposal_tier`); ``None`` outside a run.  A context variable,
+#: not a parameter: the search rules call the public ``propose`` and
+#: ``propose_batch``, whose signature custom movements override.
+_KERNEL_TIER: "ContextVar[bool | None]" = ContextVar("proposal_kernel", default=None)
 
-    def keep(values: np.ndarray, rejected: np.ndarray, at: int) -> int:
-        rows, broken = proposer.block(values, rejected)
-        table[at : at + len(rows)] = rows
-        return unbroken_prefix(broken)
 
-    def finish(at: int) -> None:
-        finished[at] = proposer.row(draws)
+@contextmanager
+def proposal_tier(use_kernel: bool) -> Iterator[None]:
+    """Draw every proposal of the block on the kernel exactly when
+    ``use_kernel``.
 
-    draws.rows(count, proposer.spans, keep, finish, lambda at: proposer.break_rate)
-    if finished:
-        table[list(finished)] = list(finished.values())
-    return MoveBatch(table)
+    A search run resolves the tier once, after it has built its engine,
+    so no phase reads the ``REPRO_COMPILED`` gate; outside a run each
+    :meth:`MovementType.propose_batch` call resolves it.  Either way the
+    kernel is used when the compiled tier is enabled and already loaded
+    (:func:`~repro.core.engine.compiled.is_loaded`): drawing proposals
+    never starts a build, and both tiers draw the same moves.
+    """
+    token = _KERNEL_TIER.set(use_kernel)
+    try:
+        yield
+    finally:
+        _KERNEL_TIER.reset(token)
+
+
+def _use_kernel() -> bool:
+    tier = _KERNEL_TIER.get()
+    return compiled.is_loaded() if tier is None else tier
 
 
 class MovementType:
@@ -258,19 +202,12 @@ class MovementType:
 
         ``None`` signals that no move of this type is available (e.g. no
         router in the chosen window); Algorithm 2 simply samples again.
-        The move is one row of the movement's sampler (:meth:`_proposer`)
-        on :class:`~repro.seeding.BulkDraws` over ``rng``, which ends
-        where the row's scalar draws leave it.  A movement without a
-        sampler overrides this method instead.
+        The move is one row of :meth:`propose_batch` for one chain,
+        which leaves ``rng`` where the row's scalar draws leave it.  A
+        movement without a row sampler (:meth:`_proposer`) overrides
+        this method instead.
         """
-        proposer = self._proposer(current, problem)
-        if proposer is None:
-            raise NotImplementedError(
-                f"{type(self).__name__} defines neither propose() nor a "
-                "row sampler (_proposer())"
-            )
-        with BulkDraws(rng, words=16) as draws:
-            return MoveBatch.move(proposer.row(draws))
+        return self._sample([current], problem, [rng], 1, _use_kernel())[0][0]
 
     def propose_batch(
         self,
@@ -289,46 +226,89 @@ class MovementType:
         results are independent of how chains are grouped into batches,
         processes or phases.
 
-        Movements with an array form (all built-ins) return one
+        Movements with a row sampler (all built-ins) return one
         :class:`~repro.neighborhood.moves.MoveBatch` per chain: the
         RNG-free per-incumbent work is done once, and the candidates are
-        sampled on :class:`~repro.seeding.BulkDraws` over the chain's
-        generator — Random and Swap in speculated array blocks
-        (:meth:`~repro.seeding.BulkDraws.rows`) repaired by the row
-        sampler that :meth:`propose` calls, :class:`CombinedMovement`
-        row by row.  Other movements (those that override
-        :meth:`propose`) return one list of :meth:`propose` results per
-        chain.  Either way each entry reads as a sequence of
+        drawn on the chain's generator — Random and Swap on the compiled
+        tier by one kernel call for every chain
+        (:func:`~repro.core.engine.compiled.propose_rows`), otherwise
+        (and :class:`CombinedMovement` always) row by row on
+        :class:`~repro.seeding.BulkDraws`.  Other movements (those that
+        override :meth:`propose`) return one list of :meth:`propose`
+        results per chain.  Either way each entry reads as a sequence of
         ``n_candidates`` moves (``None`` where no move was available);
-        the agreement with ``propose`` is asserted by
-        ``tests/neighborhood/test_multichain.py``, and ``propose``
+        the kernel's agreement with the row sampler is asserted by
+        ``tests/neighborhood/test_propose_kernel.py``, and ``propose``
         against a frozen copy of the scalar formulation by
         ``tests/neighborhood/test_proposal_stream_parity.py``.
         """
+        return self._sample(currents, problem, rngs, n_candidates, _use_kernel())
+
+    def _sample(
+        self,
+        currents: Sequence[Evaluation],
+        problem: ProblemInstance,
+        rngs: "Sequence[np.random.Generator]",
+        count: int,
+        use_kernel: bool,
+    ) -> "list[Sequence[Move | None]]":
+        """:meth:`propose_batch`, Random and Swap on the kernel when
+        ``use_kernel``."""
         if len(currents) != len(rngs):
             raise ValueError(
                 f"{len(currents)} chain states for {len(rngs)} generators"
             )
+        if use_kernel and currents:
+            inputs = [self._kernel_input(current, problem) for current in currents]
+            if all(entry is not None for entry in inputs):
+                codes, cells, picks = zip(*inputs)
+                grid = problem.grid
+                rows = compiled.propose_rows(
+                    codes[0],
+                    count,
+                    rngs,
+                    None if cells[0] is None else cells,
+                    None if picks[0] is None else picks,
+                    grid.width,
+                    grid.height,
+                )
+                return [MoveBatch(table) for table in rows]
         batches: list[Sequence[Move | None]] = []
         for current, rng in zip(currents, rngs):
-            proposer = self._proposer(current, problem)
-            if proposer is None:
+            row = self._proposer(current, problem)
+            if row is None:
+                if type(self).propose is MovementType.propose:
+                    raise NotImplementedError(
+                        f"{type(self).__name__} defines neither propose() nor "
+                        "a row sampler (_proposer())"
+                    )
                 batches.append(
-                    [self.propose(current, problem, rng) for _ in range(n_candidates)]
+                    [self.propose(current, problem, rng) for _ in range(count)]
                 )
                 continue
-            with BulkDraws(rng, words=2 * n_candidates) as draws:
-                batches.append(_sample(proposer, draws, n_candidates))
+            with BulkDraws(rng, words=2 * count) as draws:
+                batches.append(MoveBatch.from_rows([row(draws) for _ in range(count)]))
         return batches
 
     def _proposer(
         self, current: Evaluation, problem: ProblemInstance
-    ) -> "_Proposer | None":
-        """The samplers of :class:`MoveBatch` rows against ``current``.
+    ) -> "RowSampler | None":
+        """The sampler of :class:`MoveBatch` rows against ``current``.
 
-        ``None`` means the movement has no array form: it must override
-        :meth:`propose`, which :meth:`propose_batch` then calls.
+        It draws one proposal from a :class:`~repro.seeding.BulkDraws`
+        as a ``(kind, router, partner, x, y)`` row: the movement's
+        definition and the reference for the kernel.  ``None`` means the
+        movement has none: it must override :meth:`propose`, which
+        :meth:`propose_batch` then calls.
         """
+        return None
+
+    def _kernel_input(
+        self, current: Evaluation, problem: ProblemInstance
+    ) -> "tuple[int, np.ndarray | None, np.ndarray | None] | None":
+        """``(movement code, cells, picks)`` of ``current`` for
+        :func:`~repro.core.engine.compiled.propose_rows`, or ``None``
+        when the movement is not drawn by the kernel."""
         return None
 
     def release_proposal_caches(self) -> None:
@@ -354,7 +334,6 @@ class RandomMovement(MovementType):
         n_routers = len(placement)
         width, height = grid.width, grid.height
         bitmap = grid.occupancy_bitmap(placement.cells_array())
-        taken = np.frombuffer(bitmap, dtype=bool)
 
         def row(draws: BulkDraws) -> Row:
             router = draws.integers(0, n_routers)
@@ -365,17 +344,10 @@ class RandomMovement(MovementType):
                 return _NO_MOVE
             return (_RELOCATE, router, -1, index % width, index // width)
 
-        def block(values, rejected):
-            routers, xs, ys = values.T
-            return (
-                _relocation_rows(routers, xs, ys),
-                rejected | taken[ys * width + xs],
-            )
+        return row
 
-        # A proposal breaks when its first cell draw is taken.
-        return _Proposer(
-            row, (n_routers, width, height), block, n_routers / grid.n_cells
-        )
+    def _kernel_input(self, current, problem):
+        return compiled.PROPOSE_RANDOM, current.placement.cells_array(), None
 
 
 class SwapMovement(MovementType):
@@ -551,47 +523,37 @@ class SwapMovement(MovementType):
         proposal costs its two window draws, a table lookup and — when
         relocating — the free-cell draws.
         """
-        state = self._window_state(current, problem)
-        state.prepare(problem.fleet.radii, self.relocate)
-        strong_sparse = state.strong_sparse
-        dense_bounds = state.dense_bounds
-        n_dense = len(dense_bounds)
-        n_sparse = len(strong_sparse)
+        picks = self._picks(current, problem).tolist()
+        n_dense, n_sparse = picks[0], picks[1]
+        strong_sparse = picks[2 : 2 + n_sparse]
+        dense_picks = picks[2 + n_sparse : 2 + n_sparse + n_dense]
+        flat_bounds = picks[2 + n_sparse + n_dense :]
 
         if not self.relocate:
-            weak_dense = state.weak_dense
-            pair_rows = state.pair_rows
 
             def swap_row(draws: BulkDraws) -> Row:
-                weak = weak_dense[draws.integers(0, n_dense)]
+                weak = dense_picks[draws.integers(0, n_dense)]
                 strong = strong_sparse[draws.integers(0, n_sparse)]
                 if weak < 0 or strong < 0 or weak == strong:
                     return _NO_MOVE
                 return (_SWAP, weak, strong, -1, -1)
 
-            def swap_block(values, rejected):
-                return pair_rows[values[:, 0], values[:, 1]], rejected
+            return swap_row
 
-            # Every proposal draws exactly its two windows.
-            return _Proposer(swap_row, (n_dense, n_sparse), swap_block)
-
-        fallback_outside = state.fallback_outside
-        pair_movers = state.pair_movers
-        corner_x, corner_y = state.dense_corners
-        x0, x1, y0, y1 = dense_bounds[0]
         grid = problem.grid
         width = grid.width
         bitmap = grid.occupancy_bitmap(current.placement.cells_array())
-        taken = np.frombuffer(bitmap, dtype=bool)
 
         def relocation_row(draws: BulkDraws) -> Row:
             dense_index = draws.integers(0, n_dense)
             mover = strong_sparse[draws.integers(0, n_sparse)]
             if mover < 0:
-                mover = fallback_outside[dense_index]
+                # The sparse window is empty: the strongest router
+                # outside the dense window moves instead.
+                mover = dense_picks[dense_index]
                 if mover < 0:
                     return _NO_MOVE
-            left, right, bottom, top = dense_bounds[dense_index]
+            left, right, bottom, top = flat_bounds[4 * dense_index : 4 * dense_index + 4]
             try:
                 index = grid.random_free_index(
                     bitmap, draws, left, bottom, right, top
@@ -601,20 +563,21 @@ class SwapMovement(MovementType):
                 return _NO_MOVE
             return (_RELOCATE, mover, -1, index % width, index // width)
 
-        def relocation_block(values, rejected):
-            dense = values[:, 0]
-            movers = pair_movers[dense, values[:, 1]]
-            xs = corner_x[dense] + values[:, 2]
-            ys = corner_y[dense] + values[:, 3]
-            broken = rejected | (movers < 0) | taken[ys * width + xs]
-            return _relocation_rows(movers, xs, ys), broken
+        return relocation_row
 
-        # Every ranked window has the map's size.
-        return _Proposer(
-            relocation_row,
-            (n_dense, n_sparse, x1 - x0, y1 - y0),
-            relocation_block,
-            state.no_room,
+    def _kernel_input(self, current, problem):
+        if not self.relocate:
+            return compiled.PROPOSE_SWAP_LITERAL, None, self._picks(current, problem)
+        return (
+            compiled.PROPOSE_SWAP_RELOCATE,
+            current.placement.cells_array(),
+            self._picks(current, problem),
+        )
+
+    def _picks(self, current, problem) -> np.ndarray:
+        """The incumbent's window pick table (:class:`_SwapWindowState`)."""
+        return self._window_state(current, problem).prepare(
+            problem.fleet.radii, self.relocate
         )
 
     def __repr__(self) -> str:
@@ -677,12 +640,9 @@ class CombinedMovement(MovementType):
         return self.movements[index].propose(current, problem, rng)
 
     def _proposer(self, current, problem):
-        proposers = [
-            movement._proposer(current, problem) for movement in self.movements
-        ]
-        if any(proposer is None for proposer in proposers):
+        rows = [movement._proposer(current, problem) for movement in self.movements]
+        if any(row is None for row in rows):
             return None
-        rows = [proposer.row for proposer in proposers]
         # Generator.choice(n, p=...) draws one uniform double and bisects
         # the normalized cumulative weights; bisecting the same cdf
         # consumes the identical stream value and returns the identical
@@ -695,8 +655,7 @@ class CombinedMovement(MovementType):
             # min() guards the exact-1.0 edge draw.
             return rows[min(index, last)](draws)
 
-        # The movement draw takes a whole word: no array layout.
-        return _Proposer(row)
+        return row
 
     def release_proposal_caches(self) -> None:
         for movement in self.movements:

@@ -71,6 +71,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
+from repro.core.engine import compiled
 from repro.core.engine.stacked import (
     PhaseCandidates,
     StackedDeltaEngine,
@@ -82,7 +83,7 @@ from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
 from repro.neighborhood.best_neighbor import apply_valid_move
 from repro.neighborhood.moves import MoveBatch
-from repro.neighborhood.movements import MovementType
+from repro.neighborhood.movements import MovementType, proposal_tier
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.parallel import (
     get_runtime,
@@ -706,25 +707,28 @@ class MultiChainSearch:
         states = self._initial_states(delta, initials, rngs)
         for state in states:
             self._rule.start(state, problem)
+        # The proposal sampler's tier is resolved once per run, after the
+        # engine's: no phase reads the REPRO_COMPILED gate.
         try:
-            for phase in range(1, self.max_phases + 1):
-                active = [r for r, state in enumerate(states) if state.active]
-                if not active:
-                    break
-                if deadline is not None:
-                    reason = deadline.stop_reason()
-                    if reason is not None:
-                        # Mask-out-and-finish: surviving chains stop at
-                        # their tracked best; converged chains keep
-                        # their own (deadline-free) results and traces.
-                        for r in active:
-                            states[r].active = False
-                            states[r].stopped_by = reason
+            with proposal_tier(compiled.is_loaded()):
+                for phase in range(1, self.max_phases + 1):
+                    active = [r for r, state in enumerate(states) if state.active]
+                    if not active:
                         break
-                self._advance_phase(
-                    phase, states, active, movement, problem, delta,
-                    fitness_target,
-                )
+                    if deadline is not None:
+                        reason = deadline.stop_reason()
+                        if reason is not None:
+                            # Mask-out-and-finish: surviving chains stop at
+                            # their tracked best; converged chains keep
+                            # their own (deadline-free) results and traces.
+                            for r in active:
+                                states[r].active = False
+                                states[r].stopped_by = reason
+                            break
+                    self._advance_phase(
+                        phase, states, active, movement, problem, delta,
+                        fitness_target,
+                    )
         finally:
             # Shared movement instances must not pin this run's
             # incumbents after the portfolio finishes.

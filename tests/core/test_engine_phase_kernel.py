@@ -33,6 +33,10 @@ from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
+from repro.neighborhood.annealing import SimulatedAnnealing
+from repro.neighborhood.movements import RandomMovement, SwapMovement
+from repro.neighborhood.multichain import MultiChainSearch
+from repro.neighborhood.tabu import TabuSearch
 
 pytestmark = pytest.mark.skipif(
     not compiled.is_available(),
@@ -355,6 +359,64 @@ class TestCrossings:
                 phases=phases,
                 count=4,
             )
+            counts[phases] = len(reads)
+        assert counts[10] == counts[1]
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            pytest.param(
+                lambda phases: MultiChainSearch(
+                    SwapMovement(), n_candidates=4, max_phases=phases,
+                    engine="compiled",
+                ),
+                id="swap",
+            ),
+            pytest.param(
+                lambda phases: MultiChainSearch(
+                    RandomMovement(), n_candidates=4, max_phases=phases,
+                    engine="compiled",
+                ),
+                id="random",
+            ),
+            pytest.param(
+                lambda phases: TabuSearch(
+                    SwapMovement(relocate=False), n_candidates=4, max_phases=phases
+                )._chains("compiled"),
+                id="tabu",
+            ),
+            pytest.param(
+                lambda phases: SimulatedAnnealing(
+                    RandomMovement(), max_phases=phases, moves_per_phase=4
+                )._chains("compiled"),
+                id="annealing",
+            ),
+        ],
+    )
+    def test_gate_reads_do_not_grow_with_phases_of_a_run(self, driver, monkeypatch):
+        # A whole run, proposals included: the engine and the proposal
+        # sampler resolve their tier once, where the run starts.
+        problem = tiny_spec(seed=4).generate()
+        reads = []
+        flag = envgates._flag
+
+        def counting_flag(name):
+            reads.append(name)
+            return flag(name)
+
+        monkeypatch.setattr(envgates, "_flag", counting_flag)
+        counts = {}
+        for phases in (1, 10):
+            rng = np.random.default_rng(phases)
+            starts = [
+                Placement.random(problem.grid, problem.n_routers, rng)
+                for _ in range(2)
+            ]
+            reads.clear()
+            results = driver(phases).run(
+                problem, starts, [np.random.default_rng(seed) for seed in (1, 2)]
+            )
+            assert [result.n_phases for result in results] == [phases, phases]
             counts[phases] = len(reads)
         assert counts[10] == counts[1]
 

@@ -73,11 +73,6 @@ class TestRouterFleet:
         # Ties broken by id: router 1 before router 3.
         assert [r.router_id for r in ordered][:2] == [1, 3]
 
-    def test_strongest_weakest(self):
-        fleet = RouterFleet.from_radii([3.0, 5.0, 1.0])
-        assert fleet.strongest().router_id == 1
-        assert fleet.weakest().router_id == 2
-
     def test_router_picks(self):
         fleet = RouterFleet.from_radii([3.0, 5.0, 1.0, 4.0])
         members = np.array([[True, False, True, True], [True, True, False, True]])

@@ -1,16 +1,15 @@
 """Stream parity of ``GridArea.sample_distinct_cells`` on degenerate edges.
 
-The sampler takes its picks in speculated array blocks and finishes a
-broken pick on the scalar draws, so it must return exactly the cells of
-the scalar pick-by-pick loop *and* leave the generator in exactly the
-same full ``bit_generator.state``.  This module keeps a frozen copy of
-that loop as the reference (``frozen_sample_distinct_cells``; do not
-"modernise" it) and compares on the edges where the array layout
-changes: one-cell-wide grids and windows (a span of 1 draws nothing),
+The sampler draws its picks on bulk draws (``BulkDraws``), so it must
+return exactly the cells of the scalar pick-by-pick loop *and* leave
+the generator in exactly the same full ``bit_generator.state``.
+This module keeps a frozen copy of that loop as the reference
+(``frozen_sample_distinct_cells``; do not "modernise" it) and compares
+on the edges where the draws change shape: one-cell-wide grids and
+windows (a span of 1 draws nothing),
 ``count == available``, regions crowded enough to reach the 64-attempt
 enumeration, ``within`` regions clipped by the grid edge, ``occupied``
-cells with duplicates, and grids large enough for several blocks with
-in-block repeats.
+cells with duplicates, and large grids.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def test_crowded_region_reaches_the_enumeration():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_crowding_region_falls_back_to_scalar_picks(seed):
-    # 200 picks of 256 cells: speculation first, scalar picks later.
+    # 200 picks of 256 cells: the later picks reject most draws.
     assert_parity(GridArea(16, 16), 200, seed)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.geometry import Point, Rect
+from repro.core.geometry import Point
 from repro.core.grid import GridArea
 from repro.core.solution import Placement
 
@@ -66,11 +66,6 @@ class TestQueries:
     def test_positions_array(self):
         p = make_placement((1, 2), (3, 4))
         assert np.array_equal(p.positions_array(), [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_routers_in(self):
-        p = make_placement((0, 0), (5, 5), (1, 1))
-        assert p.routers_in(Rect(0, 0, 2, 2)) == [0, 2]
-        assert p.routers_in(Rect(10, 10, 2, 2)) == []
 
     def test_as_mapping(self):
         p = make_placement((0, 0), (5, 5))

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.seeding import BulkDraws
-from repro.seeding import unbroken_prefix
 
 #: Spans that exercise every branch of the 32-bit bounded path: no draw
 #: (1), the raw half (2**32), powers of two, and rejection-heavy spans
@@ -131,147 +130,3 @@ def test_empty_range_raises_like_numpy():
     reference.integers(0, 9)
     assert value == int(reference.integers(0, 9))
     assert rng.bit_generator.state == reference.bit_generator.state
-
-
-# ----------------------------------------------------------------------
-# Array take: speculate / accept / rows
-# ----------------------------------------------------------------------
-
-#: One row's spans for the array take: every 32-bit branch, including
-#: spans of 1 (no half consumed) and rejection-heavy spans.
-row_spans = st.lists(
-    st.one_of(st.sampled_from(EDGE_SPANS), HEAVY_SPANS), min_size=1, max_size=4
-)
-
-block_ops = st.one_of(
-    draw_ops,
-    st.tuples(
-        st.just("block"),
-        row_spans,
-        st.integers(0, 40),
-        # Rows the caller breaks on (an occupied cell, say): each is
-        # finished on the scalar replay instead of being kept.
-        st.sets(st.integers(0, 39), max_size=6),
-        st.sampled_from([0.0, 0.01, 0.2, 1.0]),
-    ),
-)
-
-
-def scalar_block_draws(rng, ops):
-    values = []
-    for op in ops:
-        if op[0] != "block":
-            values.extend(scalar_draws(rng, [op]))
-            continue
-        _, spans, n_rows, _, _ = op
-        for _ in range(n_rows):
-            values.extend(int(rng.integers(0, span)) for span in spans)
-    return values
-
-
-def speculated_rows(draws, spans, n_rows, breaks):
-    """The documented loop, written out on speculate/accept."""
-    rows = []
-    while len(rows) < n_rows:
-        values, rejected = draws.speculate(spans, n_rows - len(rows))
-        broken = rejected.copy()
-        broken[[row - len(rows) for row in breaks if len(rows) <= row < n_rows]] = True
-        kept = unbroken_prefix(broken)
-        draws.accept(kept)
-        rows.extend(values[:kept].tolist())
-        if len(rows) < n_rows:
-            rows.append([draws.integers(0, span) for span in spans])
-    return [value for row in rows for value in row]
-
-
-def looped_rows(draws, spans, n_rows, breaks, rate):
-    """The same rows through ``BulkDraws.rows``."""
-    table = np.full((n_rows, len(spans)), -1, dtype=np.int64)
-
-    def keep(values, rejected, at):
-        table[at : at + len(values)] = values
-        hits = [row - at for row in breaks if at <= row < at + len(values)]
-        broken = rejected.copy()
-        broken[hits] = True
-        return unbroken_prefix(broken)
-
-    def finish(at):
-        table[at] = [draws.integers(0, span) for span in spans]
-
-    draws.rows(n_rows, spans, keep, finish, lambda at: rate)
-    return table.ravel().tolist()
-
-
-def block_draws(rng, ops, words, take):
-    values = []
-    with BulkDraws(rng, words=words) as draws:
-        for op in ops:
-            if op[0] == "random":
-                values.append(draws.random())
-            elif op[0] == "integers":
-                values.append(draws.integers(op[1], op[1] + op[2]))
-            else:
-                _, spans, n_rows, breaks, rate = op
-                values.extend(take(draws, spans, n_rows, breaks, rate))
-    return values
-
-
-@settings(max_examples=250, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    buffered=st.booleans(),
-    ops=st.lists(block_ops, max_size=12),
-    words=st.sampled_from([16, 64, 256]),
-    looped=st.booleans(),
-)
-def test_array_take_matches_scalar_calls(seed, buffered, ops, words, looped):
-    fast = np.random.default_rng(seed)
-    reference = np.random.default_rng(seed)
-    if buffered:
-        fast.integers(0, 10)
-        reference.integers(0, 10)
-    if looped:
-        take = looped_rows
-    else:
-        def take(draws, spans, n_rows, breaks, rate):
-            return speculated_rows(draws, spans, n_rows, breaks)
-    assert block_draws(fast, ops, words, take) == scalar_block_draws(reference, ops)
-    assert fast.bit_generator.state == reference.bit_generator.state
-
-
-@pytest.mark.parametrize("spans", [(1,), (1, 1), (1, 7, 1), (3, 1 << 32)])
-@pytest.mark.parametrize("buffered", [False, True])
-def test_accepted_prefix_leaves_scalar_state(spans, buffered):
-    # Every prefix length of one speculated block: the cursor, the
-    # buffered half and numpy's stale ``uinteger`` all land where the
-    # scalar calls leave them.
-    for kept in range(6):
-        fast = np.random.default_rng(8)
-        reference = np.random.default_rng(8)
-        if buffered:
-            fast.integers(0, 10)
-            reference.integers(0, 10)
-        with BulkDraws(fast, words=16) as draws:
-            values, _ = draws.speculate(spans, 5)
-            draws.accept(kept)
-        expected = [
-            [int(reference.integers(0, span)) for span in spans] for _ in range(kept)
-        ]
-        assert values[:kept].tolist() == expected
-        assert fast.bit_generator.state == reference.bit_generator.state
-
-
-def test_speculate_has_no_array_form_off_the_32_bit_path():
-    with BulkDraws(np.random.default_rng(1)) as draws:
-        assert draws.speculate([5, (1 << 32) + 1], 4) is None
-        assert draws.speculate([0, 5], 4) is None
-    with BulkDraws(np.random.Generator(np.random.MT19937(1))) as draws:
-        assert draws.speculate([5], 4) is None
-
-
-def test_rows_fall_back_to_scalar_rows_on_other_generators():
-    fast = np.random.Generator(np.random.MT19937(2))
-    reference = np.random.Generator(np.random.MT19937(2))
-    got = block_draws(fast, [("block", [7, 9], 12, set(), 0.0)], 16, looped_rows)
-    assert got == scalar_block_draws(reference, [("block", [7, 9], 12, set(), 0.0)])
-    assert same_state(fast.bit_generator.state, reference.bit_generator.state)
