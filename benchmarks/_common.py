@@ -4,7 +4,7 @@ Every bench regenerates one table or figure of the paper (or one
 ablation from DESIGN.md) and prints the resulting rows/series, so a
 ``pytest benchmarks/ --benchmark-only -s`` run reproduces the paper's
 evaluation section.  Scale is selected by ``REPRO_SCALE`` (``quick`` by
-default; ``paper`` for full-size runs — see EXPERIMENTS.md).
+default; ``paper`` for full-size runs — see the README's Quickstart).
 
 Heavy experiments run exactly once per bench via ``benchmark.pedantic``
 (rounds=1): the interesting output is the *result*, the wall-clock time

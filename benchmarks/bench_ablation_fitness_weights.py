@@ -63,7 +63,7 @@ def test_ablation_fitness_weights(benchmark):
 
     # All runs stay within bounds and every weighting improves on the
     # initial solution (cross-weight ordering is single-seed noise at
-    # quick scale; EXPERIMENTS.md discusses the trend).
+    # quick scale).
     for _, giant, coverage in rows:
         assert start_giant <= giant <= 64
         assert 0 <= coverage <= 192

@@ -7,11 +7,14 @@ Three engines evaluate the identical candidate set:
 
 * **scalar** — ``Evaluator.evaluate`` in a loop (the reference path),
 * **batch** — ``Evaluator.evaluate_many`` (one vectorized pass),
-* **delta** — ``StackedDeltaEngine.measure_one`` per candidate
-  (incremental row/column updates off the cached incumbent).
+* **delta** — one ``StackedDeltaEngine.measure_phase`` per phase: one
+  chain and the phase's ``K`` candidates as
+  :class:`~repro.core.engine.stacked.PhaseCandidates`, measured
+  incrementally off the cached incumbent (the candidates' evaluations
+  are materialized after the timed call, for the parity check).
 
-The script asserts bit-identical results across engines before timing,
-prints per-engine medians and the speedup over scalar.  Run standalone::
+The script asserts bit-identical results across engines, prints
+per-engine medians and the speedup over scalar.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine_batch.py [--quick]
 
@@ -31,6 +34,7 @@ import numpy as np
 
 from _common import add_json_argument, write_bench_json
 from repro.core.engine import StackedDeltaEngine
+from repro.core.engine.stacked import PhaseCandidates
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.instances.generator import InstanceSpec
@@ -146,10 +150,23 @@ def main(argv: list[str] | None = None) -> int:
     delta_times: list[float] = []
     delta = StackedDeltaEngine(problem, engine=Evaluator(problem).engine)
     delta.reset_chain(0, incumbent)
-    for index, phase in enumerate(phases):
+    for index, (phase, phase_placements) in enumerate(
+        zip(phases, fresh_placements())
+    ):
+        # Every move relocates one router to a free cell: one pair each.
+        candidates = PhaseCandidates(
+            np.zeros(len(phase), dtype=np.intp),
+            np.arange(len(phase)),
+            [move.router_id for move in phase],
+            [tuple(move.target) for move in phase],
+        )
         start = time.perf_counter()
-        results = [delta.measure_one(0, move.apply(incumbent)) for move in phase]
+        measurement = delta.measure_phase(candidates)
         delta_times.append(time.perf_counter() - start)
+        results = [
+            measurement.evaluation(k, placement)
+            for k, placement in enumerate(phase_placements)
+        ]
         check_parity(scalar_results[index], results, "delta")
 
     scalar_median = statistics.median(scalar_times)

@@ -28,5 +28,5 @@ def test_figure3_weibull(benchmark):
         assert series.final_giant >= series.giant_sizes[0]
     # Client-aware HotSpot must stay a top-coverage initializer on the
     # strongly clustered Weibull instance (the giant-metric ordering at
-    # short budgets is seed-sensitive; EXPERIMENTS.md discusses it).
+    # short budgets is seed-sensitive).
     # This is checked on the underlying study via the table bench.

@@ -15,7 +15,7 @@ N(mu=64, sigma=12.8)):
 
 We reproduce the *shape*: stand-alone giants are small fractions of the
 fleet, the GA lifts every initializer substantially, and HotSpot is the
-top initializer (see EXPERIMENTS.md for the measured numbers).
+top initializer (the bench prints the measured rows).
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ giant-component masks for the same placement:
   incumbent caches: ``reset_chain`` builds one and measures the chain
   start from it, then a candidate is measured from only what its moved
   routers touch.  ``measure_phase`` measures a whole phase of
-  candidates (the lockstep portfolios of
-  :mod:`repro.neighborhood.multichain`, tabu search), ``measure_one``
-  one candidate at a time for a loop that accepts or rejects each move
-  before drawing the next (simulated annealing).  It takes the tier its
+  candidates for every search rule of
+  :mod:`repro.neighborhood.multichain` (best improvement, tabu, and
+  the one-candidate sub-steps of simulated annealing), and
+  ``commit_chain`` advances a chain that accepts one.  It takes the tier its
   :class:`StackedEngine` resolved and caches matrices on the dense
   layout, or edge arrays, coverage hits and a router index on the
   sparse (city-scale) layout.

@@ -437,10 +437,10 @@ void repro_measure_stack_sparse(
 /* Incremental (delta) kernels                                         */
 /* ------------------------------------------------------------------ */
 
-/* Metrics from a candidate's dense boolean matrices — the dense-layout
- * single-candidate measurement (StackedDeltaEngine.measure_one) with
- * the edge extraction, labeling and masked coverage count fused into
- * one pass.  out receives giant size, covered, components, links. */
+/* Metrics from an incumbent's dense boolean matrices — the dense-layout
+ * chain-start measurement (StackedDeltaEngine.reset_chain) with the
+ * edge extraction, labeling and masked coverage count fused into one
+ * pass.  out receives giant size, covered, components, links. */
 void repro_measure_dense_matrices(
     const u8 *adjacency,  /* N*N, symmetric, zero diagonal */
     const u8 *coverage,   /* M*N */

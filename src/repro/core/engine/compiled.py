@@ -459,8 +459,8 @@ def measure_dense_matrices(
 
     Returns ``(giant_size, covered, n_components, n_links, giant_mask)``
     with the shared smallest-canonical-label giant tie-break — the
-    dense-layout measurement of
-    :meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one` in
+    dense-layout chain-start measurement of
+    :meth:`~repro.core.engine.stacked.StackedDeltaEngine.reset_chain` in
     one pass.  The four counts come back through one ``int64[4]``.
     """
     n = adjacency.shape[0]

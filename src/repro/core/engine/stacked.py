@@ -26,11 +26,10 @@ know which tier it runs on.  :class:`StackedDeltaEngine` is the
 engine's one incremental (delta) cache, on the tier a
 :class:`StackedEngine` resolved: :meth:`StackedDeltaEngine.reset_chain`
 builds a chain's cache and measures the chain start from it (the
-lockstep search's phase 0), and the cache then measures every phase of
-the lockstep chains and of tabu search, and every single move of
-simulated annealing, on both cache layouts.  Each layout has one full
-measurement, shared by the chain starts and
-:meth:`StackedDeltaEngine.measure_one`.
+lockstep search's phase 0), and :meth:`StackedDeltaEngine.measure_phase`
+then measures every phase of every search rule off that cache —
+best improvement, tabu, and the one-candidate sub-steps of simulated
+annealing — on both cache layouts.
 """
 
 from __future__ import annotations
@@ -274,17 +273,14 @@ class _ChainCache:
     adds a router :class:`~repro.core.engine.sparse.SpatialGridIndex`
     binned on the link cell and the coverage hits, in router-major CSR
     form (router ``r`` covers clients
-    ``hit_client[hit_ptr[r]:hit_ptr[r + 1]]``) or, after a single-move
-    trial was adopted, as unsorted ``(hit_router, hit_client)`` pairs.
-    That is ``O(N + E + H)`` bytes (routers, edges, hits) in all, with no
-    array shaped by the client count.
+    ``hit_client[hit_ptr[r]:hit_ptr[r + 1]]``).  That is
+    ``O(N + E + H)`` bytes (routers, edges, hits) in all, with no array
+    shaped by the client count.
 
-    The *phase aids* — the dense edge arrays and coverage aid, the
-    sparse CSR — are read by :meth:`StackedDeltaEngine.measure_phase`
-    only.  Adopting a trial drops them, and the next phase rebuilds them
-    (:meth:`StackedDeltaEngine._ensure_aids`).  ``trial`` is the last
-    :meth:`StackedDeltaEngine.measure_one` state:
-    ``(placement, positions, arrays)``.
+    The dense *phase aids* — the edge arrays and the coverage rule's
+    aid — are built once with the cache
+    (:meth:`StackedDeltaEngine._build_aids`) and kept in step by every
+    commit.
     """
 
     __slots__ = (
@@ -303,8 +299,6 @@ class _ChainCache:
         "index",
         "hit_ptr",
         "hit_client",
-        "hit_router",
-        "trial",
     )
 
     def __init__(self, placement: Placement) -> None:
@@ -358,23 +352,14 @@ class _ChainCache:
         )
         # Client ids fit 32 bits; half the bytes of the largest array.
         self.hit_client = hit_client.astype(np.int32)
-        self.hit_router = None
 
     def hit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The hits as parallel ``(router, client)`` arrays."""
-        if self.hit_router is not None:
-            return self.hit_router, self.hit_client
         routers = np.repeat(
             np.arange(self.positions.shape[0], dtype=np.intp),
             np.diff(self.hit_ptr),
         )
         return routers, self.hit_client
-
-    def use_hit_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`hit_pairs`, keeping the pair form (the CSR is dropped)."""
-        self.hit_router, self.hit_client = self.hit_pairs()
-        self.hit_ptr = None
-        return self.hit_router, self.hit_client
 
 
 class StackedDeltaEngine:
@@ -384,21 +369,14 @@ class StackedDeltaEngine:
     incumbent by at most a couple of *moved* routers, so re-measuring it
     in full wastes almost all of its work on unchanged routers.  This
     engine keeps one :class:`_ChainCache` per chain and measures only
-    what the movers touch.  It has two entry points, one per search
-    shape:
-
-    * :meth:`measure_phase` — a whole phase of ``K`` candidates off the
-      chains' incumbents (the lockstep chains, tabu search).  Per
-      candidate, edge lists as *kept incumbent edges* (a boolean mask
-      over the cached one-way arrays) plus the movers' new links,
-      labeled for the whole phase in one connected-components pass;
-      covered-client counts from the cached coverage state, corrected
-      per moved router.
-    * :meth:`measure_one` — one candidate, accepted or rejected before
-      the next is drawn (simulated annealing).  The commit rule is
-      applied to a copy of the incumbent's arrays, that state is
-      measured in full and remembered, and :meth:`commit_chain` adopts
-      it when the candidate is accepted.
+    what the movers touch, in one entry point: :meth:`measure_phase`
+    measures a whole phase of ``K`` candidates off the chains'
+    incumbents — a best-improvement or tabu phase, or one sub-step of
+    simulated annealing with one candidate per chain.  Per candidate,
+    edge lists as *kept incumbent edges* (a boolean mask over the
+    cached one-way arrays) plus the movers' new links, labeled for the
+    whole phase in one connected-components pass; covered-client counts
+    from the cached coverage state, corrected per moved router.
 
     Two cache layouts: the ``"dense"`` tier uses the dense layout,
     ``"sparse"`` the sparse one and ``"compiled"`` whichever
@@ -431,11 +409,10 @@ class StackedDeltaEngine:
     smallest-member ids, and the integer count arithmetic is exact.
 
     Protocol: :meth:`reset_chain` once per chain (it returns the
-    chain start's evaluation), then
-    :meth:`measure_phase` with the candidates as
-    :class:`PhaseCandidates` arrays or :meth:`measure_one` per
-    candidate, and :meth:`commit_chain` whenever a chain accepts a
-    candidate.  Pure measurement — counters live in the search layer.
+    chain start's evaluation), then :meth:`measure_phase` with the
+    candidates as :class:`PhaseCandidates` arrays, and
+    :meth:`commit_chain` whenever a chain accepts a candidate.  Pure
+    measurement — counters live in the search layer.
     """
 
     def __init__(
@@ -517,21 +494,47 @@ class StackedDeltaEngine:
             evaluation = self._measure_matrices(
                 placement, cache.adjacency, cache.coverage
             )
+            self._build_aids(cache)
         else:
             cache = _ChainCache.sparse(self._sparse, placement, self._link_filter)
             evaluation = self._measure_edges_and_hits(
                 placement, cache.edge_rows, cache.edge_cols, *cache.hit_pairs()
             )
-        self._ensure_aids(cache)
         self._caches[chain] = cache
         return evaluation
+
+    def _build_aids(self, cache: _ChainCache) -> None:
+        """A fresh dense cache's phase aids: the one-way edge arrays and
+        the coverage rule's aid.
+
+        Every commit keeps them in step (:meth:`_commit_dense`), and each
+        is an exact function of the incumbent matrices.
+        """
+        if self._compiled is not None:
+            # Byte-scan edge extraction, same (i < j) row-major order as
+            # the np.nonzero path.
+            cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
+                cache.adjacency
+            )
+        else:
+            cache.refresh_edges()
+        if not self._giant_only:
+            cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
+        elif self._compiled is not None:
+            # Client-major hit lists for the compiled phase kernel's
+            # giant-only count (exact integers end to end).
+            cache.client_ptr, cache.client_hit = self._compiled.client_csr(
+                cache.coverage
+            )
+        else:
+            # float32 copy for the per-phase sgemm: counts stay exact (at
+            # most N ones per client, far below 2**24).
+            cache.coverage32 = cache.coverage.astype(np.float32)
 
     def commit_chain(self, chain: int, placement: Placement) -> None:
         """Advance chain ``chain``'s incumbent to an accepted placement.
 
-        When ``placement`` is the chain's last :meth:`measure_one` trial,
-        the trial's arrays become the incumbent's.  Otherwise only the
-        moved routers' state is rewritten.  Dense layout: their
+        Only the moved routers' state is rewritten.  Dense layout: their
         adjacency rows/columns and coverage columns, in place, then the
         phase aids.  Sparse layout: the shared
         :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves` rule,
@@ -542,11 +545,6 @@ class StackedDeltaEngine:
             self.reset_chain(chain, placement)
             return
         _check_router_count(self._problem, placement)
-        trial, cache.trial = cache.trial, None
-        if trial is not None and trial[0] is placement:
-            self._adopt(cache, trial[1], trial[2])
-            cache.placement = placement
-            return
         # The cell array, not positions_array(): an accepted placement
         # carries no float copy of its cells (results keep placements).
         new_cells = placement.cells_array()
@@ -560,19 +558,16 @@ class StackedDeltaEngine:
                 self._commit_sparse(cache, new_positions, moved)
         cache.placement = placement
 
-    def _rewrite_dense(
-        self,
-        adjacency: np.ndarray,
-        coverage: np.ndarray,
-        positions: np.ndarray,
-        moved: np.ndarray,
-        aids: _ChainCache | None = None,
+    def _commit_dense(
+        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
     ) -> None:
         """Rewrite every moved router's adjacency row/column and coverage
-        column in place, against ``positions``; the coverage aids of
-        ``aids`` (the cache that owns the matrices) follow each column."""
-        x = positions[:, 0]
-        y = positions[:, 1]
+        column in place, against ``new_positions``, with the coverage aid
+        following each column; then the edge arrays."""
+        adjacency = cache.adjacency
+        coverage = cache.coverage
+        x = new_positions[:, 0]
+        y = new_positions[:, 1]
         clients = self._clients
         for router in moved.tolist():
             dx = x[router] - x
@@ -586,33 +581,24 @@ class StackedDeltaEngine:
             cdx = clients[:, 0] - x[router]
             cdy = clients[:, 1] - y[router]
             column = cdx * cdx + cdy * cdy <= self._radii_squared[router]
-            if aids is not None and aids.coverage_counts is not None:
+            if cache.coverage_counts is not None:
                 # Keep the per-client totals in sync before the column
                 # is overwritten.
-                aids.coverage_counts += column
-                aids.coverage_counts -= coverage[:, router]
+                cache.coverage_counts += column
+                cache.coverage_counts -= coverage[:, router]
             coverage[:, router] = column
-            if aids is None:
-                continue
-            if aids.coverage32 is not None:
-                aids.coverage32[:, router] = column
-            if aids.client_ptr is not None:
+            if cache.coverage32 is not None:
+                cache.coverage32[:, router] = column
+            if cache.client_ptr is not None:
                 # O(nnz) CSR rewrite for this column; rebuilding from
                 # the full matrix rescans mostly-unchanged cells (the
                 # commit hot spot at city scale).
-                aids.client_ptr, aids.client_hit = self._compiled.csr_update_column(
-                    aids.client_ptr, aids.client_hit, router, column
+                cache.client_ptr, cache.client_hit = self._compiled.csr_update_column(
+                    cache.client_ptr, cache.client_hit, router, column
                 )
-
-    def _commit_dense(
-        self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
-    ) -> None:
-        self._rewrite_dense(
-            cache.adjacency, cache.coverage, new_positions, moved, aids=cache
-        )
         if self._compiled is None:
             cache.refresh_edges()
-        elif cache.edge_rows is not None:  # else an adoption dropped them
+        else:
             # Incremental edge refresh: drop edges touching a mover,
             # re-add each mover's links from its patched adjacency row
             # (final positions — the rows above already use them).
@@ -624,7 +610,7 @@ class StackedDeltaEngine:
             row_parts = [cache.edge_rows[keep]]
             col_parts = [cache.edge_cols[keep]]
             for router in moved.tolist():
-                partners = np.flatnonzero(cache.adjacency[router])
+                partners = np.flatnonzero(adjacency[router])
                 # A mover-mover link appears in both rows; keep it once.
                 partners = partners[
                     ~mover_mask[partners] | (partners > router)
@@ -656,96 +642,9 @@ class StackedDeltaEngine:
         # city scale, once per accepted candidate.
         cache.index = SpatialGridIndex(cache.positions, self._sparse.link_cell)
 
-    def _adopt(
-        self, cache: _ChainCache, positions: np.ndarray, arrays: tuple
-    ) -> None:
-        """Make a :meth:`measure_one` trial's state the incumbent's."""
-        cache.positions = positions
-        if self._sparse is None:
-            cache.adjacency, cache.coverage = arrays
-            cache.edge_rows = cache.edge_cols = None
-            cache.coverage32 = cache.coverage_counts = None
-            cache.client_ptr = cache.client_hit = None
-            return
-        cache.edge_rows, cache.edge_cols, cache.hit_router, cache.hit_client = arrays
-        cache.hit_ptr = None
-        cache.index = SpatialGridIndex(positions, self._sparse.link_cell)
-
-    def _ensure_aids(self, cache: _ChainCache) -> None:
-        """Build whichever phase aids the cache lacks.
-
-        After a reset, or after a trial was adopted; a rule commit keeps
-        them in step.  Every aid is an exact function of the incumbent
-        arrays, so a rebuilt one equals the maintained one.
-        """
-        if self._sparse is not None:
-            if cache.hit_ptr is None:
-                order = np.argsort(cache.hit_router, kind="stable")
-                cache.set_hits(cache.hit_router[order], cache.hit_client[order])
-            return
-        if cache.edge_rows is None:
-            if self._compiled is not None:
-                # Byte-scan edge extraction, same (i < j) row-major
-                # order as the np.nonzero path.
-                cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
-                    cache.adjacency
-                )
-            else:
-                cache.refresh_edges()
-        if not self._giant_only:
-            if cache.coverage_counts is None:
-                cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
-        elif self._compiled is not None:
-            if cache.client_ptr is None:
-                # Client-major hit lists for the compiled phase kernel's
-                # giant-only count (exact integers end to end).
-                cache.client_ptr, cache.client_hit = self._compiled.client_csr(
-                    cache.coverage
-                )
-        elif cache.coverage32 is None:
-            # float32 copy for the per-phase sgemm: counts stay exact
-            # (at most N ones per client, far below 2**24).
-            cache.coverage32 = cache.coverage.astype(np.float32)
-
     # ------------------------------------------------------------------
-    # Single-candidate measurement
+    # Full measurement of a chain start
     # ------------------------------------------------------------------
-
-    def measure_one(self, chain: int, placement: Placement) -> Evaluation:
-        """Measure one candidate placement of chain ``chain``.
-
-        The commit rule runs on a copy of the arrays a full measurement
-        reads (dense: the moved routers' matrix rows and columns;
-        sparse: :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves`
-        on the edge and hit arrays), and that state is measured in full.
-        The state is kept as the chain's trial, so committing this same
-        placement next adopts it instead of redoing the rule.  The
-        incumbent itself is untouched.
-        """
-        _check_router_count(self._problem, placement)
-        cache = self._caches.get(chain)
-        if cache is None:
-            raise ValueError(f"chain {chain} has no incumbent; call reset_chain()")
-        new_cells = placement.cells_array()
-        moved = np.flatnonzero((new_cells != cache.positions).any(axis=1))
-        positions = cache.positions.copy()
-        positions[moved] = new_cells[moved]
-        if self._sparse is None:
-            arrays = (cache.adjacency.copy(), cache.coverage.copy())
-            self._rewrite_dense(*arrays, positions, moved)
-            evaluation = self._measure_matrices(placement, *arrays)
-        else:
-            arrays = self._sparse.apply_moves(
-                cache.index,
-                positions,
-                moved,
-                (cache.edge_rows, cache.edge_cols),
-                cache.use_hit_pairs(),
-                link_filter=self._link_filter,
-            )
-            evaluation = self._measure_edges_and_hits(placement, *arrays)
-        cache.trial = (placement, positions, arrays) if moved.size else None
-        return evaluation
 
     def _measure_matrices(
         self, placement: Placement, adjacency: np.ndarray, coverage: np.ndarray
@@ -846,7 +745,8 @@ class StackedDeltaEngine:
         :class:`~repro.core.engine.batch.StackedMeasurement` in
         candidate order; materialize winners with
         ``measurement.evaluation(k, placement)``.  On the compiled tier's
-        dense layout the whole phase is one kernel call.
+        dense layout the whole phase is one kernel call.  Raises
+        ``ValueError`` for a chain :meth:`reset_chain` has not cached.
         """
         n = self._problem.n_routers
         k_total = len(candidates)
@@ -867,8 +767,7 @@ class StackedDeltaEngine:
         edge_targets: list[np.ndarray] = []
         chain_scratch: list[tuple] = []
         for chain, start, end, pairs in segments:
-            cache = self._caches[chain]
-            self._ensure_aids(cache)
+            cache = self._cache(chain)
             scratch = self._chain_edges(
                 cache, candidates, start, end, pairs, n_links,
                 edge_sources, edge_targets,
@@ -919,10 +818,10 @@ class StackedDeltaEngine:
         chain_state = self._compiled.chain_state
         states = []
         for chain, _, _, _ in segments:
-            cache = self._caches[chain]
-            self._ensure_aids(cache)
+            cache = self._cache(chain)
             # Buffer addresses: built each phase, so no row outlives a
-            # commit or adoption that replaces one of the arrays.
+            # commit that replaces one of the arrays (the edge arrays,
+            # the client CSR).
             states.append(
                 chain_state(
                     cache.positions, cache.coverage,
@@ -948,6 +847,12 @@ class StackedDeltaEngine:
     # ------------------------------------------------------------------
     # Per-chain internals
     # ------------------------------------------------------------------
+
+    def _cache(self, chain: int) -> _ChainCache:
+        cache = self._caches.get(chain)
+        if cache is None:
+            raise ValueError(f"chain {chain} has no incumbent; call reset_chain()")
+        return cache
 
     def _chain_edges(
         self,

@@ -3,7 +3,8 @@
 ``run_all`` executes the whole evaluation section of the paper —
 Tables 1-3, Figures 1-3 (GA initializer study) and Figure 4
 (neighborhood search) — and renders each artifact as text and CSV.
-Used by the CLI (``wmn-placement reproduce``) and by EXPERIMENTS.md.
+Used by the CLI (``wmn-placement reproduce``; the README's Quickstart
+shows the paper-scale run).
 """
 
 from __future__ import annotations

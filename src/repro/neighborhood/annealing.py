@@ -13,19 +13,21 @@ same axes.
 
 :class:`SimulatedAnnealing` runs as a one-chain
 :class:`~repro.neighborhood.multichain.MultiChainSearch` on the
-Metropolis rule.  Every step is a single move off the incumbent,
-accepted or rejected before the next is drawn.  The move is one row of
-the movement's sampler
-(:meth:`~repro.neighborhood.movements.MovementType.propose`), the same
-sampler the best-improvement searches draw whole phases from.  Each
-move is measured alone on the chain's incremental cache:
-:meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_one`
-recomputes only the state the moved routers touch (matrix rows/columns
-at paper scale, sparse edge/coverage-hit arrays on city-scale
-instances — the engine dispatch picks automatically), and an accepted
-candidate's state is adopted on commit.  Results and evaluation counts
-are bit-identical to measuring every candidate with the reference
-evaluator (asserted against a frozen copy of the loop by
+Metropolis rule (``solve_batch`` runs its replicates as the chains of
+one driver).  Every step is a single move off the incumbent, accepted
+or rejected before the next is drawn, so a phase of ``moves_per_phase``
+moves is as many lockstep sub-steps of one candidate per chain.  Each
+sub-step is one
+:meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
+across the chains (the sampler the best-improvement searches draw whole
+phases from) and one
+:meth:`~repro.core.engine.stacked.StackedDeltaEngine.measure_phase`,
+which recomputes only the state the moved routers touch (matrix
+rows/columns at paper scale, sparse edge/coverage-hit arrays on
+city-scale instances — the engine dispatch picks automatically); an
+accepted move is committed to the chain's cache.  Results and
+evaluation counts are bit-identical to measuring every candidate with
+the reference evaluator (asserted against a frozen copy of the loop by
 ``tests/neighborhood/test_local_search_reference.py``).
 """
 

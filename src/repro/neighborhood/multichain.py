@@ -8,7 +8,8 @@ throughput on the table: every phase of every chain pays its own small
 batch evaluation and its own per-candidate object churn.
 
 :class:`MultiChainSearch` advances ``R`` independent chains in lockstep
-instead.  Under the batched rules (best improvement and tabu, below):
+instead.  Under every rule (best improvement, tabu and Metropolis,
+below):
 
 * each phase samples all chains' candidates through one
   :meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
@@ -21,6 +22,10 @@ instead.  Under the batched rules (best improvement and tabu, below):
   is ever materialized as an :class:`~repro.core.evaluation.Evaluation`;
 * converged/stalled chains drop out of the lockstep via boolean masking
   and the survivors keep batching.
+
+The Metropolis rule accepts or rejects each move before the next is
+drawn, so its phase of ``C`` moves is ``C`` such lockstep sub-steps of
+one candidate per chain.
 
 This is the repository's one local-search loop; only the rule a chain
 chooses its next incumbent by varies.  Best improvement (paper
@@ -368,13 +373,20 @@ def _spans(slot_of: np.ndarray, n_slots: int) -> list[tuple[int, int]]:
     return list(zip([0, *ends[:-1]], ends))
 
 
-class _PhaseRule:
-    """How the active chains take one phase's step (internal).
+class _ChoiceRule:
+    """How the active chains take one phase's step: one batched phase,
+    then a choice per chain (internal).
 
     Immutable configuration, set once at construction; per-chain memory
-    lives on :class:`_ChainState`.  :meth:`step` advances chains ``chains``
-    (states ``states``) by one phase of ``n_moves`` candidates and
-    returns, per chain, whether the phase raised its best.
+    lives on :class:`_ChainState`.  :meth:`step` advances chains
+    ``chains`` (states ``states``) by one phase of ``n_moves``
+    candidates and returns, per chain, whether the phase raised its
+    best: one :meth:`~MovementType.propose_batch` call across the
+    chains, one :meth:`_Phase.collect` and one ``measure_phase``;
+    ``choose(phase, state, fitness, table)`` then picks the index of the
+    candidate a chain moves to (or ``None``) from its non-empty slice of
+    the fitness array and :class:`MoveBatch` rows.  Only that candidate
+    is built.
     """
 
     __slots__ = ()
@@ -392,23 +404,6 @@ class _PhaseRule:
         delta: StackedDeltaEngine,
         n_moves: int,
     ) -> list[bool]:
-        raise NotImplementedError
-
-
-class _ChoiceRule(_PhaseRule):
-    """One batched phase, then a choice per chain.
-
-    One :meth:`~MovementType.propose_batch` call across the chains, one
-    :meth:`_Phase.collect` and one ``measure_phase``; ``choose(phase,
-    state, fitness, table)`` then picks the index of the candidate a
-    chain moves to (or ``None``) from its non-empty slice of the
-    fitness array and :class:`MoveBatch` rows.  Only that candidate is
-    built.
-    """
-
-    __slots__ = ()
-
-    def step(self, phase, chains, states, movement, problem, delta, n_moves):
         proposals = movement.propose_batch(
             [state.current for state in states],
             problem,
@@ -494,14 +489,16 @@ class _Tabu(_ChoiceRule):
         return chosen
 
 
-class _Metropolis(_PhaseRule):
+class _Metropolis(_ChoiceRule):
     """Simulated annealing: each move accepted or rejected on its own.
 
     An improving or equal move is always taken, a worsening one with
     probability ``exp(delta / T)`` at the schedule's phase temperature.
     The acceptance draws interleave with the proposals on the chain's
-    generator, so moves are proposed one at a time and each is measured
-    by one ``measure_one``.
+    generator, so a phase of ``n_moves`` moves is ``n_moves`` sub-steps
+    of one candidate per active chain: move ``j`` of every chain is
+    proposed, collected and measured in one :class:`_ChoiceRule` step,
+    then each chain that has a candidate draws its coin.
     """
 
     __slots__ = ("schedule",)
@@ -510,27 +507,19 @@ class _Metropolis(_PhaseRule):
         self.schedule = schedule
 
     def step(self, phase, chains, states, movement, problem, delta, n_moves):
-        temperature = self.schedule.temperature_at(phase)
-        improved = []
-        for chain, state in zip(chains, states):
-            rng = state.rng
-            raised = False
-            for _ in range(n_moves):
-                move = movement.propose(state.current, problem, rng)
-                if move is None:
-                    continue
-                try:
-                    placement = move.apply(state.current.placement)
-                except ValueError:  # repro-lint: disable=RL007
-                    # Invalid move for the current placement; skip it.
-                    continue
-                candidate = delta.measure_one(chain, placement)
-                state.n_evaluations += 1
-                change = candidate.fitness - state.current.fitness
-                if change >= 0 or rng.uniform() < math.exp(change / temperature):
-                    raised = state.accept(chain, candidate, delta) or raised
-            improved.append(raised)
+        improved = [False] * len(states)
+        for _ in range(n_moves):
+            raised = super().step(phase, chains, states, movement, problem, delta, 1)
+            improved = [before or now for before, now in zip(improved, raised)]
         return improved
+
+    def choose(self, phase, state, fitness, table):
+        change = fitness[0] - state.current.fitness
+        if change >= 0 or state.rng.uniform() < math.exp(
+            change / self.schedule.temperature_at(phase)
+        ):
+            return 0
+        return None
 
 
 class _OneChainSearch:
@@ -618,11 +607,11 @@ class MultiChainSearch:
         self.stall_phases = stall_phases
         self.accept_equal = accept_equal
         self.engine = engine
-        self._rule: _PhaseRule = _BestImprovement(accept_equal)
+        self._rule: _ChoiceRule = _BestImprovement(accept_equal)
 
     @classmethod
     def _with_rule(
-        cls, rule: _PhaseRule, movement: MovementType, **parameters
+        cls, rule: _ChoiceRule, movement: MovementType, **parameters
     ) -> "MultiChainSearch":
         """A driver whose chains step by ``rule`` (the tabu/SA seam)."""
         search = cls(movement, **parameters)

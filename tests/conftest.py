@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.clients import ClientSet
+from repro.core.engine.stacked import PhaseCandidates
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.core.routers import RouterFleet
+from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
 
 
@@ -90,3 +92,38 @@ def ref_random_free_cell(grid, occupied, rng, within=None):
     if not free:
         raise ValueError("no free cell available in the requested region")
     return free[int(rng.integers(0, len(free)))]
+
+
+# ----------------------------------------------------------------------
+# Delta-engine phases built by hand
+# ----------------------------------------------------------------------
+
+
+def phase_of(items):
+    """``(PhaseCandidates, placements)`` from ``(chain, incumbent,
+    movers, new_cells)`` items, in item order."""
+    chains, pair_candidate, pair_router, pair_xy, placements = [], [], [], [], []
+    for candidate, (chain, incumbent, movers, new_cells) in enumerate(items):
+        chains.append(chain)
+        cells = incumbent.cells_array().copy()
+        for router, cell in zip(movers, new_cells):
+            pair_candidate.append(candidate)
+            pair_router.append(router)
+            pair_xy.append(cell)
+            cells[router] = cell
+        placements.append(Placement.from_cells(incumbent.grid, cells))
+    phase = PhaseCandidates(
+        chains, pair_candidate, pair_router, np.reshape(pair_xy, (-1, 2))
+    )
+    return phase, placements
+
+
+def measure_placement(delta, chain, placement):
+    """``placement`` measured by the ``StackedDeltaEngine`` ``delta`` as
+    a one-candidate ``measure_phase`` off chain ``chain``'s incumbent:
+    its movers are the routers whose cells differ."""
+    incumbent = delta._caches[chain].placement
+    cells = placement.cells_array()
+    movers = np.flatnonzero((cells != incumbent.cells_array()).any(axis=1))
+    phase, _ = phase_of([(chain, incumbent, movers, cells[movers])])
+    return delta.measure_phase(phase).evaluation(0, placement)

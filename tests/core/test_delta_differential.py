@@ -4,13 +4,13 @@ Hypothesis generates small instances (grids up to 12x12, any router
 count that fits, clients that may share cells, radii from half a cell
 to past the grid diagonal, every link and coverage rule) and random
 relocate/swap sequences, each candidate optionally committed.  Every
-``measure_one`` evaluation of :class:`StackedDeltaEngine` — the
-incumbent right after ``reset_chain`` and every candidate — must equal
-a fresh ``Evaluator(problem, engine="dense").evaluate`` of the same
-placement, on the dense layout, the forced sparse layout and (when the
-kernels are built) the compiled tier.  A commit adopts the last trial
-or applies the update rule; either way the chain must then measure like
-a fresh ``reset_chain`` of the committed placement.
+one-candidate ``measure_phase`` evaluation of
+:class:`StackedDeltaEngine` — the incumbent right after ``reset_chain``
+and every candidate — must equal a fresh ``Evaluator(problem,
+engine="dense").evaluate`` of the same placement, on the dense layout,
+the forced sparse layout and (when the kernels are built) the compiled
+tier.  A commit applies the update rule, and the chain must then
+measure like a fresh ``reset_chain`` of the committed placement.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.neighborhood.moves import RelocateMove, SwapMove
+from tests.conftest import measure_placement
 
 ENGINES = [
     "dense",
@@ -163,7 +164,8 @@ def assert_matches_fresh_reset(delta, engine, problem, placement):
     probe = probe_candidates(problem, placement)
     assert_same_rows(delta.measure_phase(probe), fresh.measure_phase(probe))
     assert_same_evaluation(
-        delta.measure_one(0, placement), fresh.measure_one(0, placement)
+        measure_placement(delta, 0, placement),
+        measure_placement(fresh, 0, placement),
     )
 
 
@@ -183,7 +185,7 @@ def test_delta_matches_dense_reference(engine, case):
         assert delta.layout == "sparse"
 
     delta.reset_chain(0, initial)
-    incumbent = delta.measure_one(0, initial)
+    incumbent = measure_placement(delta, 0, initial)
     assert_same_evaluation(incumbent, reference.evaluate(initial))
     for kind, a, b, commit in script:
         move = make_move(problem, kind, a, b)
@@ -195,7 +197,7 @@ def test_delta_matches_dense_reference(engine, case):
             # Target cell occupied: the move does not apply, as in the
             # search loops.
             continue
-        candidate = delta.measure_one(0, placement)
+        candidate = measure_placement(delta, 0, placement)
         assert_same_evaluation(candidate, reference.evaluate(placement))
         if commit:
             delta.commit_chain(0, placement)
@@ -211,14 +213,14 @@ def test_delta_matches_dense_reference(engine, case):
 )
 @given(case=cases())
 def test_commit_by_rule_equals_fresh_reset(engine, case):
-    """Committing a placement other than the last trial applies the
-    update rule; the chain must equal a fresh ``reset_chain``, and so
-    must one that adopted its last trial."""
+    """Committing a measured candidate, the last one measured or an
+    earlier one, applies the update rule; the chain must then equal a
+    fresh ``reset_chain``."""
     problem, initial, script = case
     delta = StackedDeltaEngine(problem, engine=engine)
     delta.reset_chain(0, initial)
     incumbent = initial
-    trials = []
+    measured = []
     for kind, a, b, commit in script:
         move = make_move(problem, kind, a, b)
         if move is None:
@@ -227,12 +229,12 @@ def test_commit_by_rule_equals_fresh_reset(engine, case):
             placement = move.apply(incumbent)
         except ValueError:  # repro-lint: disable=RL007
             continue
-        delta.measure_one(0, placement)
-        trials.append(placement)
+        measure_placement(delta, 0, placement)
+        measured.append(placement)
         if commit:
-            # The first trial since the last commit: the last one only
-            # when it is the only one, so both commit paths run.
-            incumbent = trials[0]
+            # The first candidate measured since the last commit: the
+            # last one only when it is the only one.
+            incumbent = measured[0]
             delta.commit_chain(0, incumbent)
-            trials = []
+            measured = []
             assert_matches_fresh_reset(delta, engine, problem, incumbent)

@@ -34,7 +34,7 @@ from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
 
-from tests.conftest import free_cell
+from tests.conftest import free_cell, measure_placement
 
 needs_kernels = pytest.mark.skipif(
     not compiled.is_available(),
@@ -160,15 +160,16 @@ class TestDeltaParity:
         under_test.reset_chain(0, start)
         reference.reset_chain(0, start)
         assert_same_evaluation(
-            under_test.measure_one(0, start), reference.measure_one(0, start)
+            measure_placement(under_test, 0, start),
+            measure_placement(reference, 0, start),
         )
         incumbent = start
         for _ in range(20):
             router = int(rng.integers(0, len(incumbent)))
             cell = free_cell(problem.grid, incumbent.occupied, rng)
             candidate = incumbent.with_move(router, cell)
-            ours = under_test.measure_one(0, candidate)
-            theirs = reference.measure_one(0, candidate)
+            ours = measure_placement(under_test, 0, candidate)
+            theirs = measure_placement(reference, 0, candidate)
             assert_same_evaluation(ours, theirs)
             if rng.random() < 0.5:
                 under_test.commit_chain(0, candidate)
@@ -185,15 +186,16 @@ class TestDeltaParity:
         under_test.reset_chain(0, start)
         reference.reset_chain(0, start)
         assert_same_evaluation(
-            under_test.measure_one(0, start), reference.measure_one(0, start)
+            measure_placement(under_test, 0, start),
+            measure_placement(reference, 0, start),
         )
         for _ in range(5):
             router = int(rng.integers(0, len(start)))
             cell = free_cell(problem.grid, start.occupied, rng)
             candidate = start.with_move(router, cell)
             assert_same_evaluation(
-                under_test.measure_one(0, candidate),
-                reference.measure_one(0, candidate),
+                measure_placement(under_test, 0, candidate),
+                measure_placement(reference, 0, candidate),
             )
 
     def test_reports_size_heuristic_layout(self):

@@ -32,7 +32,7 @@ from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.moves import RelocateMove, SwapMove
 
-from tests.conftest import free_cell
+from tests.conftest import free_cell, measure_placement, phase_of
 
 LINK_RULES = list(LinkRule)
 COVERAGE_RULES = list(CoverageRule)
@@ -61,12 +61,12 @@ def delta_engine(problem, engine="auto"):
 def reset(delta, placement):
     """Cache ``placement`` as chain 0's incumbent; its evaluation."""
     delta.reset_chain(0, placement)
-    return delta.measure_one(0, placement)
+    return measure_placement(delta, 0, placement)
 
 
 def propose(delta, current, move):
     """``current ⊕ move`` measured against the cached incumbent."""
-    return delta.measure_one(0, move.apply(current.placement))
+    return measure_placement(delta, 0, move.apply(current.placement))
 
 
 def assert_same_evaluation(scalar, other):
@@ -235,8 +235,8 @@ class TestSparseParity:
                 current = candidate
 
     def test_sparse_delta_commit_of_earlier_propose(self, link_rule, coverage_rule):
-        """Commit an evaluation that was not the last trial (the
-        adoption must miss and the update rule recompute)."""
+        """Commit an evaluation that was not the last one measured: the
+        update rule recomputes the chosen candidate's state."""
         problem = make_problem(link_rule, coverage_rule)
         rng = np.random.default_rng(55)
         delta = delta_engine(problem, engine="sparse")
@@ -256,7 +256,7 @@ class TestSparseParity:
                         delta, current, RelocateMove(router_id=router, target=cell)
                     )
                 )
-            chosen = candidates[0]  # deliberately not the last trial
+            chosen = candidates[0]  # deliberately not the last measured
             delta.commit_chain(0, chosen.placement)
             current = chosen
             follow = propose(
@@ -436,5 +436,6 @@ class TestValidation:
         placement = Placement.random(
             problem.grid, problem.n_routers, np.random.default_rng(6)
         )
-        with pytest.raises(ValueError):
-            delta.measure_one(0, placement)
+        phase, _ = phase_of([(0, placement, (), ())])
+        with pytest.raises(ValueError, match="no incumbent"):
+            delta.measure_phase(phase)

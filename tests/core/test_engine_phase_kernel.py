@@ -4,8 +4,8 @@ On the dense layout, a compiled ``StackedDeltaEngine.measure_phase`` is
 one kernel call for every chain of the phase.  These tests pin it
 against the numpy ``"dense"`` tier's phase and a full
 ``StackedEngine.measure_placements`` of the candidate placements, on
-generated phases and across commits and adoptions, bit for bit at one
-and two kernel threads; and they count what a phase crosses into: one
+generated phases and across commits, bit for bit at one and two kernel
+threads; and they count what a phase crosses into: one
 kernel call, and no read of the ``REPRO_COMPILED`` gate.
 """
 
@@ -37,6 +37,7 @@ from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement, SwapMovement
 from repro.neighborhood.multichain import MultiChainSearch
 from repro.neighborhood.tabu import TabuSearch
+from tests.conftest import phase_of
 
 pytestmark = pytest.mark.skipif(
     not compiled.is_available(),
@@ -47,25 +48,6 @@ ROW_FIELDS = (
     "giant_sizes", "covered_clients", "n_components", "n_links",
     "mean_degrees", "fitness", "giant_masks",
 )
-
-
-def phase_of(items):
-    """``(PhaseCandidates, placements)`` from ``(chain, incumbent,
-    movers, new_cells)`` items, in item order."""
-    chains, pair_candidate, pair_router, pair_xy, placements = [], [], [], [], []
-    for candidate, (chain, incumbent, movers, new_cells) in enumerate(items):
-        chains.append(chain)
-        cells = incumbent.cells_array().copy()
-        for router, cell in zip(movers, new_cells):
-            pair_candidate.append(candidate)
-            pair_router.append(router)
-            pair_xy.append(cell)
-            cells[router] = cell
-        placements.append(Placement.from_cells(incumbent.grid, cells))
-    phase = PhaseCandidates(
-        chains, pair_candidate, pair_router, np.reshape(pair_xy, (-1, 2))
-    )
-    return phase, placements
 
 
 def random_moves(problem, placement, rng, count):
@@ -215,12 +197,10 @@ def kernel_threads():
 
 
 def phase_loop(problem, engine, reference, rng, n_chains, phases, count):
-    """Measure, then commit or adopt one candidate per chain, ``phases``
-    times; every phase's rows must equal ``reference``'s.
+    """Measure, then commit one candidate per chain, ``phases`` times;
+    every phase's rows must equal ``reference``'s.
 
-    Odd chains advance through ``measure_one`` + ``commit_chain`` of the
-    same placement, so their incumbent arrays are swapped by adoption;
-    even chains through the in-place commit rule.
+    Every chain advances through the in-place commit rule.
     """
     incumbents = [
         Placement.random(problem.grid, problem.n_routers, rng)
@@ -242,9 +222,6 @@ def phase_loop(problem, engine, reference, rng, n_chains, phases, count):
         rows.append(measurement)
         for chain in range(n_chains):
             chosen = placements[chain * count + int(rng.integers(count))]
-            if chain % 2:
-                engine.measure_one(chain, chosen)
-                reference.measure_one(chain, chosen)
             engine.commit_chain(chain, chosen)
             reference.commit_chain(chain, chosen)
             incumbents[chain] = chosen
@@ -254,7 +231,7 @@ def phase_loop(problem, engine, reference, rng, n_chains, phases, count):
 class TestCommitsAndThreads:
     @pytest.mark.parametrize("coverage_rule", list(CoverageRule))
     @pytest.mark.parametrize("link_rule", list(LinkRule))
-    def test_phases_across_commits_and_adoptions(self, link_rule, coverage_rule):
+    def test_phases_across_commits(self, link_rule, coverage_rule):
         problem = (
             tiny_spec(seed=5).generate()
             .with_link_rule(link_rule)

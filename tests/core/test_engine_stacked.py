@@ -45,7 +45,7 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
 
-from tests.conftest import free_cell
+from tests.conftest import free_cell, measure_placement, phase_of
 
 
 @pytest.fixture(scope="module")
@@ -728,14 +728,14 @@ class TestRouterCount:
         with pytest.raises(ValueError, match=message):
             delta.reset_chain(0, wrong)
         # The refused start left no incumbent behind.
+        phase, _ = phase_of([(0, right, (), ())])
         with pytest.raises(ValueError, match="no incumbent"):
-            delta.measure_one(0, right)
+            delta.measure_phase(phase)
         reference = Evaluator(problem, engine="dense").evaluate(right)
         assert_same_evaluation(delta.reset_chain(0, right), reference)
-        for entry in (delta.measure_one, delta.commit_chain):
-            with pytest.raises(ValueError, match=message):
-                entry(0, wrong)
-        assert_same_evaluation(delta.measure_one(0, right), reference)
+        with pytest.raises(ValueError, match=message):
+            delta.commit_chain(0, wrong)
+        assert_same_evaluation(measure_placement(delta, 0, right), reference)
 
 
 @st.composite

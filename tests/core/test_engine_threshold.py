@@ -19,10 +19,8 @@ from repro.core.engine.dispatch import DENSE_CELL_BUDGET, select_engine
 from repro.core.engine.stacked import StackedDeltaEngine
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec
-from tests.core.test_engine_phase_kernel import (
-    assert_rows_equal,
-    phase_of,
-)
+from tests.conftest import phase_of
+from tests.core.test_engine_phase_kernel import assert_rows_equal
 
 pytestmark = pytest.mark.skipif(
     not compiled.is_available(),

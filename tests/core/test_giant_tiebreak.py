@@ -1,7 +1,7 @@
 """Exact giant-size ties must break identically on every engine.
 
 Audit of the delta engine's ``counts.argmax()`` giant selection (see
-``StackedDeltaEngine.measure_one`` in ``repro/core/engine/stacked.py``):
+``StackedDeltaEngine.measure_phase`` in ``repro/core/engine/stacked.py``):
 component labels are canonical smallest-member ids on every path, so
 ``argmax`` — which returns the *first* maximum — picks the smallest
 label among the largest components, which is exactly
@@ -24,6 +24,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, RadioProfile
 from repro.core.solution import Placement
 from repro.neighborhood.moves import RelocateMove
+from tests.conftest import measure_placement
 
 
 def tie_problem() -> ProblemInstance:
@@ -77,7 +78,7 @@ class TestExactGiantTie:
         for engine in ("dense", "sparse"):
             delta = StackedDeltaEngine(problem, engine=engine)
             start = delta.reset_chain(0, placement)
-            evaluation = delta.measure_one(0, placement)
+            evaluation = measure_placement(delta, 0, placement)
             for other in (start, evaluation):
                 assert other.metrics == scalar.metrics
                 assert np.array_equal(other.giant_mask, scalar.giant_mask)
@@ -96,10 +97,10 @@ class TestExactGiantTie:
         for engine in ("dense", "sparse"):
             delta = StackedDeltaEngine(problem, engine=engine)
             delta.reset_chain(0, initial)
-            start = delta.measure_one(0, initial)
+            start = measure_placement(delta, 0, initial)
             assert start.giant_size == 3
             assert start.covered_clients == 1  # client (0, 0) on the giant
-            candidate = delta.measure_one(0, move.apply(initial))
+            candidate = measure_placement(delta, 0, move.apply(initial))
             reference = Evaluator(problem, engine="dense").evaluate(
                 move.apply(initial)
             )

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine.stacked import StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.movements import RandomMovement
+from repro.neighborhood.movements import RandomMovement, SwapMovement
 
 
 class TestAnnealingSchedule:
@@ -109,3 +110,42 @@ class TestSimulatedAnnealing:
             SimulatedAnnealing(RandomMovement(), max_phases=0)
         with pytest.raises(ValueError):
             SimulatedAnnealing(RandomMovement(), moves_per_phase=0)
+
+
+class TestLockstepSubSteps:
+    """Every move of a Metropolis phase is one lockstep sub-step: one
+    ``propose_batch`` and one ``measure_phase`` across all the chains,
+    whatever their number, never a call per chain."""
+
+    @pytest.mark.parametrize("n_chains", (1, 3, 7))
+    @pytest.mark.parametrize("engine", ("dense", "sparse"))
+    @pytest.mark.parametrize("movement", (RandomMovement, SwapMovement))
+    def test_one_proposal_and_one_measurement_call_per_move(
+        self, tiny_problem, monkeypatch, n_chains, engine, movement
+    ):
+        calls = {"propose_batch": 0, "measure_phase": 0}
+
+        def counting(owner, name):
+            method = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(movement, "propose_batch")
+        counting(StackedDeltaEngine, "measure_phase")
+        rng = np.random.default_rng(n_chains)
+        starts = [
+            Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
+            for _ in range(n_chains)
+        ]
+        search = SimulatedAnnealing(movement(), max_phases=5, moves_per_phase=3)
+        results = search._chains(engine).run(
+            tiny_problem,
+            starts,
+            [np.random.default_rng([n_chains, chain]) for chain in range(n_chains)],
+        )
+        assert [result.n_phases for result in results] == [5] * n_chains
+        assert calls == {"propose_batch": 5 * 3, "measure_phase": 5 * 3}

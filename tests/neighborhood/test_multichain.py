@@ -243,9 +243,10 @@ class TestProposeBatchContract:
     )
     def test_agrees_with_scalar_propose_on_degenerate_edges(self, shape, factory):
         # Spans of 1 draw nothing (one router, a one-cell-wide grid or
-        # window, a pool of one window), a busy grid breaks some
-        # speculated proposals and a crowded one most: the array blocks
-        # must still replay the scalar draws exactly.
+        # window, a pool of one window), and a busy or crowded grid
+        # sends the free-cell draws through their rejection retries:
+        # one batch call must still draw every chain's rows, and leave
+        # its generator, exactly as the scalar calls do.
         width, height, n_routers = shape
         problem = InstanceSpec(
             name="edge", width=width, height=height, n_routers=n_routers,
