@@ -6,9 +6,11 @@ round trip is one :meth:`~repro.scenario.fleet.ScenarioFleet.run` call
 fanning replicate shards over ``--workers`` processes.  Two executions
 of the *identical* portfolio:
 
-* **cold** — ``REPRO_RUNTIME=0``, the pre-runtime behavior: every call
-  builds a fresh ``ProcessPoolExecutor`` and pickles the full scenario —
-  city-scale client arrays included — into every shard task.
+* **cold** — the pre-runtime behavior: every call runs on a fresh
+  :class:`~repro.parallel.runtime.ParallelRuntime` (a new process pool,
+  shut down afterwards) whose broadcast threshold sits above the
+  instance, so the full base instance — city-scale client arrays
+  included — is pickled into every shard task.
 * **warm** — the persistent runtime (:mod:`repro.parallel.runtime`):
   one pool reused across calls and the instance broadcast once over
   shared memory, each task carrying a few-hundred-byte handle.
@@ -35,32 +37,44 @@ default).
 from __future__ import annotations
 
 import argparse
-import os
 import pickle
 import sys
 import time
 from contextlib import contextmanager
 
 from _common import add_json_argument, write_bench_json
+import repro.parallel.runtime as runtime_mod
 from repro.instances.catalog import city_spec
-from repro.parallel import get_runtime, shutdown_runtime
-from repro.parallel.runtime import RUNTIME_ENV
+from repro.instances.shm import problem_nbytes
+from repro.parallel import ParallelRuntime, get_runtime, shutdown_runtime
 from repro.scenario import Scenario, ScenarioFleet
-from repro.scenario.fleet import _pack_scenario
 
 
 @contextmanager
-def runtime_disabled():
-    """The cold arm: legacy pool-per-call + pickle-everything."""
-    prior = os.environ.get(RUNTIME_ENV)
-    os.environ[RUNTIME_ENV] = "0"
+def cold_runtime(problem):
+    """The cold arm: a fresh pool for this call and no broadcast.
+
+    A private runtime whose threshold is above ``problem`` replaces the
+    process runtime for the call, so the fleet pickles the instance into
+    every task; shutting it down afterwards discards its pool.
+    """
+    runtime = ParallelRuntime(shm_min_bytes=problem_nbytes(problem) + 1)
+    prior = runtime_mod._global_runtime
+    runtime_mod._global_runtime = runtime
     try:
-        yield
+        yield runtime
     finally:
-        if prior is None:
-            del os.environ[RUNTIME_ENV]
-        else:
-            os.environ[RUNTIME_ENV] = prior
+        runtime_mod._global_runtime = prior
+        runtime.shutdown()
+
+
+def task_scenario(scenario, runtime) -> tuple:
+    """A scenario exactly as the fleet ships it in each shard task."""
+    return (
+        scenario.name,
+        runtime.broadcast(scenario.base),
+        scenario.perturbations,
+    )
 
 
 def cell_signature(result) -> list[tuple]:
@@ -161,7 +175,7 @@ def main(argv: "list[str] | None" = None) -> int:
     # creation + broadcast publish; min-of-rounds reports the runtime's
     # steady state, which is the amortized claim under test.
     for _ in range(rounds):
-        with runtime_disabled():
+        with cold_runtime(problem):
             start = time.perf_counter()
             cold_report = fleet.run(seed=args.seed)
             cold_seconds = min(cold_seconds, time.perf_counter() - start)
@@ -182,10 +196,14 @@ def main(argv: "list[str] | None" = None) -> int:
     )
 
     # Transport gate: the per-task scenario payload, exactly as the
-    # fleet ships it (full scenario cold, broadcast handle warm).
-    with runtime_disabled():
-        cold_bytes = max(len(pickle.dumps(s)) for s in scenarios)
-    warm_bytes = max(len(pickle.dumps(_pack_scenario(s))) for s in scenarios)
+    # fleet ships it (full base instance cold, broadcast handle warm).
+    with cold_runtime(problem) as runtime:
+        cold_bytes = max(
+            len(pickle.dumps(task_scenario(s, runtime))) for s in scenarios
+        )
+    warm_bytes = max(
+        len(pickle.dumps(task_scenario(s, get_runtime()))) for s in scenarios
+    )
     byte_ratio = cold_bytes / warm_bytes
     stats = get_runtime().stats
 

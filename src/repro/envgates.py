@@ -22,13 +22,6 @@ variable                  type    meaning
 ``REPRO_COMPILED_CACHE``  path    override directory for the on-demand kernel
                                   build cache (default: the package ``_build``
                                   directory, then a tempdir).
-``REPRO_RUNTIME``         flag    the persistent parallel runtime (warm pools
-                                  + shared-memory broadcast); ``0/false/off/
-                                  no`` restores pool-per-call + full pickles.
-``REPRO_SHM_MIN_BYTES``   int     instances whose array payload is smaller
-                                  than this are pickled instead of broadcast
-                                  (default ``65536``; invalid values fall back
-                                  to the default).
 ``REPRO_SCALE``           choice  experiment scale preset (``quick``/
                                   ``paper``); validated by
                                   :func:`repro.experiments.config.current_scale`.
@@ -41,9 +34,12 @@ variable                  type    meaning
                                   effort knobs for the CI smoke job.
 ========================  ======  =============================================
 
-The first six are runtime gates read by ``src/repro``; the last two
+The first four are runtime gates read by ``src/repro``; the last two
 belong to the benchmark/examples harness but are registered so the
-unknown-variable check below recognizes them.
+unknown-variable check below recognizes them.  The parallel runtime has
+no gate: it is the only fan-out path, and its broadcast threshold is the
+``ParallelRuntime(shm_min_bytes=...)`` argument, so a retired runtime
+variable left in an environment trips the unknown-variable warning.
 
 Unknown variables
 -----------------
@@ -76,9 +72,7 @@ __all__ = [
     "fault_spec",
     "raw",
     "reset_unknown_check",
-    "runtime_enabled",
     "scale_name",
-    "shm_min_bytes",
 ]
 
 #: Values that turn a flag gate off (everything else, including unset,
@@ -92,7 +86,7 @@ class Gate:
     """One registered environment gate."""
 
     name: str
-    kind: str  # "flag" | "int" | "path" | "choice" | "spec"
+    kind: str  # "flag" | "path" | "choice" | "spec"
     default: "str | None"
     description: str
 
@@ -111,18 +105,6 @@ GATES: "dict[str, Gate]" = {
             "path",
             None,
             "override directory for the kernel build cache",
-        ),
-        Gate(
-            "REPRO_RUNTIME",
-            "flag",
-            "1",
-            "persistent parallel runtime: warm pools + SHM broadcast",
-        ),
-        Gate(
-            "REPRO_SHM_MIN_BYTES",
-            "int",
-            str(1 << 16),
-            "minimum array payload (bytes) worth broadcasting over SHM",
         ),
         Gate(
             "REPRO_SCALE",
@@ -227,23 +209,6 @@ def compiled_cache_override() -> "str | None":
     """``REPRO_COMPILED_CACHE``, or ``None`` for the default cache dirs."""
     check_environment()
     return os.environ.get("REPRO_COMPILED_CACHE") or None
-
-
-def runtime_enabled() -> bool:
-    """Live read of ``REPRO_RUNTIME`` (default: enabled)."""
-    return _flag("REPRO_RUNTIME")
-
-
-def shm_min_bytes(default: int) -> int:
-    """``REPRO_SHM_MIN_BYTES`` as a non-negative int, else ``default``."""
-    check_environment()
-    value = os.environ.get("REPRO_SHM_MIN_BYTES", "").strip()
-    if not value:
-        return default
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return default
 
 
 def scale_name(default: str) -> str:

@@ -53,7 +53,6 @@ from repro.parallel import (
     get_runtime,
     resolve_task_problem,
     run_tasks,
-    runtime_enabled,
     seed_shards,
 )
 from repro.resilience.checkpoint import open_store
@@ -78,11 +77,12 @@ def _cached_problem(source):
     """The instance behind a task's problem payload.
 
     ``source`` is an :class:`InstanceSpec` (regenerate once per process,
-    the pickle path) or a :class:`~repro.instances.shm.ProblemRef`
-    (attach the broadcast shared-memory payload, cached per process by
-    content hash).
+    the pickle path) or what the runtime's broadcast returned: a
+    :class:`~repro.instances.shm.ProblemRef` (attach the shared-memory
+    payload, cached per process by content hash) or, after a lost
+    broadcast was re-shipped by pickle, the instance itself.
     """
-    if isinstance(source, ProblemRef):
+    if not isinstance(source, InstanceSpec):
         return resolve_task_problem(source)
     key = repr(source)
     problem = _PROBLEM_CACHE.get(key)
@@ -95,10 +95,10 @@ def _cached_problem(source):
 def _problem_source(spec: InstanceSpec, workers: "int | None"):
     """What shard tasks carry for ``spec``: a broadcast handle when the
     fan-out is real and the instance is big enough, the spec otherwise
-    (a spec pickles smaller than any instance, so the legacy path keeps
-    shipping the recipe and regenerating per worker).
+    (a spec pickles smaller than any instance, so below the broadcast
+    threshold workers get the recipe and regenerate once each).
     """
-    if workers is None or workers <= 1 or not runtime_enabled():
+    if workers is None or workers <= 1:
         return spec
     payload = get_runtime().broadcast(_cached_problem(spec))
     return payload if isinstance(payload, ProblemRef) else spec

@@ -33,8 +33,9 @@ Design rules:
 * **Loss is recoverable.**  Attaching after the parent unlinked raises
   :class:`BroadcastLost`; the supervised runner catches it and retries
   the task with the original pickled instance (see
-  ``run_supervised(on_retry=...)``), so a dropped broadcast degrades to
-  today's pickle path instead of failing the run.
+  :meth:`~repro.parallel.runtime.ParallelRuntime.task_fallback`), so a
+  dropped broadcast degrades to the pickle path instead of failing the
+  run.
 
 The handles pickle in a few hundred bytes regardless of instance size —
 the ≥10x per-task byte reduction gated by

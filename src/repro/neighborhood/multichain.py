@@ -94,7 +94,6 @@ from repro.parallel import (
     get_runtime,
     resolve_task_problem,
     run_tasks,
-    runtime_enabled,
     shard_slices,
 )
 from repro.seeding import root_sequence, spawn_children
@@ -822,10 +821,8 @@ class MultiChainSearch:
     ) -> list[SearchResult]:
         # Publish the instance once; every shard task carries the small
         # broadcast handle (or the instance itself when it is below the
-        # broadcast threshold / the runtime is disabled).
-        payload = (
-            get_runtime().broadcast(problem) if runtime_enabled() else problem
-        )
+        # broadcast threshold).
+        payload = get_runtime().broadcast(problem)
         parts = shard_slices(len(initials), workers)
         tasks = [
             (

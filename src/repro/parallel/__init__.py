@@ -29,7 +29,6 @@ from repro.parallel.runtime import (
     effective_pool_size,
     get_runtime,
     resolve_task_problem,
-    runtime_enabled,
     shutdown_runtime,
 )
 from repro.resilience.supervisor import (
@@ -46,7 +45,6 @@ __all__ = [
     "effective_pool_size",
     "get_runtime",
     "resolve_task_problem",
-    "runtime_enabled",
     "shutdown_runtime",
 ]
 
@@ -96,7 +94,6 @@ def run_tasks(
     labels: "Sequence[str] | None" = None,
     on_shard: "Callable[[int, Sequence], None] | None" = None,
     report: "SupervisionReport | None" = None,
-    on_retry: "Callable | None" = None,
 ) -> list:
     """Run shard tasks serially or over a supervised pool, flat, in order.
 
@@ -112,15 +109,13 @@ def run_tasks(
     :class:`~repro.resilience.supervisor.RetryExhaustedError` says which
     seeds were lost.  ``on_shard(index, rows)`` fires in the parent as
     each shard completes (the checkpoint persistence hook); ``report``
-    collects recovery activity for the caller to surface; ``on_retry``
-    may rewrite a failed task before resubmission (the broadcast
-    fallback hook — defaults to the global runtime's
-    :meth:`~repro.parallel.runtime.ParallelRuntime.task_fallback`).
+    collects recovery activity for the caller to surface.
 
-    Pools are warm by default: execution goes through the process-wide
+    Pools are warm: execution goes through the process-wide
     :class:`~repro.parallel.runtime.ParallelRuntime`, which keeps its
-    worker pool alive between calls (``REPRO_RUNTIME=0`` restores the
-    legacy pool-per-call behavior).
+    worker pool alive between calls and re-ships a task's lost
+    broadcast by pickle on retry
+    (:meth:`~repro.parallel.runtime.ParallelRuntime.task_fallback`).
     """
     shards = run_supervised(
         runner,
@@ -130,6 +125,5 @@ def run_tasks(
         labels=labels,
         on_result=on_shard,
         report=report,
-        on_retry=on_retry,
     )
     return [row for shard in shards for row in shard]

@@ -28,12 +28,14 @@ dominates wall-clock.  :class:`ParallelRuntime` amortizes both:
   any worker count (the existing parity suites run through this runtime
   unchanged).
 
-The process-global instance (:func:`get_runtime`) is what the harnesses
-use implicitly; ``REPRO_RUNTIME=0`` restores the legacy
-pool-per-call/pickle-everything behavior wholesale (the benchmark's
-cold-baseline arm, and the escape hatch).  Long-running services should
-call :func:`shutdown_runtime` (or use the runtime as a context manager)
-when a workload ends; an ``atexit`` hook covers interpreter exit, so no
+The process-global instance (:func:`get_runtime`) is the only fan-out
+path: every ``workers=`` harness and every bare
+:func:`~repro.resilience.supervisor.run_supervised` call executes
+through it.  A private ``ParallelRuntime(shm_min_bytes=...)`` passed as
+``pool_provider`` gets its own pool and broadcast threshold (the test
+and benchmark seam).  Long-running services should call
+:func:`shutdown_runtime` (or use the runtime as a context manager) when
+a workload ends; an ``atexit`` hook covers interpreter exit, so no
 ``/dev/shm`` segment ever outlives the parent.
 """
 
@@ -45,14 +47,12 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro import envgates
 from repro.instances.shm import (
     ProblemRef,
     attach_problem,
     problem_nbytes,
     publish_problem,
 )
-from repro.resilience.supervisor import _close_pool, _worker_init
 
 __all__ = [
     "ParallelRuntime",
@@ -60,23 +60,13 @@ __all__ = [
     "effective_pool_size",
     "get_runtime",
     "resolve_task_problem",
-    "runtime_enabled",
     "shutdown_runtime",
 ]
 
-#: Gate for the persistent runtime as a whole (pools *and* broadcast).
-RUNTIME_ENV = "REPRO_RUNTIME"
-
 #: Instances whose array payload is below this many bytes are pickled
 #: rather than broadcast — segment setup is pure overhead for the
-#: paper-scale instances that dominate the test suite.  Overridden by
-#: ``REPRO_SHM_MIN_BYTES``.
+#: paper-scale instances that dominate the test suite.
 DEFAULT_SHM_MIN_BYTES = 1 << 16
-
-
-def runtime_enabled() -> bool:
-    """Whether the persistent runtime is active (``REPRO_RUNTIME`` gate)."""
-    return envgates.runtime_enabled()
 
 
 def _cpu_count() -> int:
@@ -101,8 +91,38 @@ def effective_pool_size(workers: int, n_tasks: "int | None" = None) -> int:
     return max(1, size)
 
 
-def _shm_min_bytes() -> int:
-    return envgates.shm_min_bytes(DEFAULT_SHM_MIN_BYTES)
+def _worker_init() -> None:
+    """Pool-worker bootstrap: pin each worker to one compute thread.
+
+    The compiled kernels parallelize with OpenMP; with the process pool
+    already saturating the cores, nested threading would oversubscribe
+    them.  Runs once per worker process at pool start.
+    """
+    os.environ["OMP_NUM_THREADS"] = "1"
+    try:
+        from repro.core.engine import compiled
+
+        if compiled.is_available():
+            compiled.set_num_threads(1)
+    except Exception:  # repro-lint: disable=RL007
+        # Thread pinning is a performance nicety; a worker that cannot
+        # build or load the kernels simply runs the numpy paths.
+        pass
+
+
+def _close_pool(pool: ProcessPoolExecutor, force: bool) -> None:
+    """Shut a pool down; ``force`` abandons hung/dead workers."""
+    if not force:
+        pool.shutdown(wait=True)
+        return
+    pool.shutdown(wait=False, cancel_futures=True)
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.terminate()
+        except Exception:  # repro-lint: disable=RL007
+            # Best-effort teardown of an already-dying process.
+            pass
 
 
 @dataclass
@@ -144,7 +164,7 @@ class ParallelRuntime:
     ever reused.
     """
 
-    def __init__(self, shm_min_bytes: "int | None" = None) -> None:
+    def __init__(self, shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES) -> None:
         self._lock = threading.Lock()
         self._pid = os.getpid()
         self._pool: "ProcessPoolExecutor | None" = None
@@ -229,14 +249,15 @@ class ParallelRuntime:
     # Broadcast registry
     # ------------------------------------------------------------------
 
-    def broadcast(self, problem, force: bool = False):
+    def broadcast(self, problem):
         """Publish ``problem`` once; returns its task payload.
 
         The payload is a :class:`~repro.instances.shm.ProblemRef` when
         the instance was broadcast and the instance itself when it was
-        not (too small, SHM unavailable, or the runtime disabled) — so
-        call sites can splice the return value straight into task tuples
-        and let :func:`resolve_task_problem` undo it on the worker side.
+        not (below ``shm_min_bytes``, SHM unavailable, or the runtime
+        shut down) — so call sites can splice the return value straight
+        into task tuples and let :func:`resolve_task_problem` undo it on
+        the worker side.
         Re-broadcasting an already-published instance is a registry hit;
         nothing is republished (the invariant the crash path relies on:
         a dead worker rebuilds the *pool*, never the broadcast).
@@ -251,12 +272,7 @@ class ParallelRuntime:
             if entry is not None and entry.problem is problem:
                 self.stats.broadcast_hits += 1
                 return entry.ref
-        minimum = (
-            self._shm_min_bytes
-            if self._shm_min_bytes is not None
-            else _shm_min_bytes()
-        )
-        if not force and problem_nbytes(problem) < minimum:
+        if problem_nbytes(problem) < self._shm_min_bytes:
             return problem
         try:
             ref, segments = publish_problem(problem)
@@ -313,16 +329,16 @@ class ParallelRuntime:
                 _destroy_segment(shm)
 
     def task_fallback(self, index: int, task, kind: str, error: str):
-        """``on_retry`` hook: re-ship lost broadcasts by pickle.
+        """The supervisor's retry hook: re-ship lost broadcasts by pickle.
 
         When a task failed because a worker attached after the segments
         were gone (:class:`~repro.instances.shm.BroadcastLost`), the
-        retry gets the task with every :class:`ProblemRef` element
-        replaced by its source instance.  Elements that *contain* a
-        handle (e.g. the fleet's packed scenarios) participate through a
-        ``swap_broadcast(lookup)`` method returning their pickled form.
-        Any other failure keeps the original payload — crashes must
-        *not* rebroadcast.
+        retry gets the task with every top-level :class:`ProblemRef`
+        element replaced by its source instance — every harness ships
+        its instance as such an element, and
+        :func:`resolve_task_problem` passes the instance through.  Any
+        other failure keeps the original payload — crashes must *not*
+        rebroadcast.
         """
         if "BroadcastLost" not in error or not isinstance(task, tuple):
             return None
@@ -332,17 +348,8 @@ class ParallelRuntime:
             if isinstance(element, ProblemRef):
                 problem = self.broadcast_problem(element.token)
                 if problem is not None:
-                    swapped.append(problem)
+                    element = problem
                     replaced = True
-                    continue
-            else:
-                swapper = getattr(element, "swap_broadcast", None)
-                if swapper is not None:
-                    replacement = swapper(self.broadcast_problem)
-                    if replacement is not None:
-                        swapped.append(replacement)
-                        replaced = True
-                        continue
             swapped.append(element)
         return tuple(swapped) if replaced else None
 

@@ -8,6 +8,9 @@ recovery built on the repository's determinism contract
 (:mod:`repro.parallel`): every task is a pure function of its payload
 (seeds included), so re-running a failed task — and only that task —
 reproduces exactly the rows the lost worker would have returned.
+Executors come from a pool provider — the process-wide
+:class:`~repro.parallel.runtime.ParallelRuntime` unless the caller
+passes its own — so a warm pool serves every round and every call.
 
 Failure handling, per task attempt:
 
@@ -45,7 +48,7 @@ import inspect
 import os
 import time
 import warnings
-from concurrent.futures import CancelledError, ProcessPoolExecutor
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -243,25 +246,6 @@ def _compiled_enabled() -> bool:
     return envgates.compiled_enabled()
 
 
-def _worker_init() -> None:
-    """Pool-worker bootstrap: pin each worker to one compute thread.
-
-    The compiled kernels parallelize with OpenMP; with the process pool
-    already saturating the cores, nested threading would oversubscribe
-    them.  Runs once per worker process at pool start.
-    """
-    os.environ["OMP_NUM_THREADS"] = "1"
-    try:
-        from repro.core.engine import compiled
-
-        if compiled.is_available():
-            compiled.set_num_threads(1)
-    except Exception:  # repro-lint: disable=RL007
-        # Thread pinning is a performance nicety; a worker that cannot
-        # build or load the kernels simply runs the numpy paths.
-        pass
-
-
 #: Environment the parent snapshots into every task payload.  Persistent
 #: pool workers fork *once* and are reused across calls, so variables
 #: the caller (or a test) flips after pool creation — fault plans, the
@@ -420,39 +404,6 @@ def retry_call(
                 time.sleep(delay)
 
 
-#: Sentinel distinguishing "use the global runtime" (the default) from an
-#: explicit ``pool_provider=None`` (force the legacy pool-per-round path).
-_USE_DEFAULT_PROVIDER = object()
-
-
-def _close_pool(pool: ProcessPoolExecutor, force: bool) -> None:
-    """Shut a round's pool down; ``force`` abandons hung/dead workers."""
-    if not force:
-        pool.shutdown(wait=True)
-        return
-    pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # repro-lint: disable=RL007
-            # Best-effort teardown of an already-dying process.
-            pass
-
-
-def _default_pool_provider():
-    """The global persistent runtime, unless ``REPRO_RUNTIME`` disables it.
-
-    Deferred import: :mod:`repro.parallel` imports this module at load
-    time, so the runtime can only be reached lazily from here.
-    """
-    from repro.parallel.runtime import get_runtime, runtime_enabled
-
-    if not runtime_enabled():
-        return None
-    return get_runtime()
-
-
 def run_supervised(
     runner: Callable[[object], object],
     tasks: Sequence,
@@ -462,8 +413,7 @@ def run_supervised(
     labels: "Sequence[str] | None" = None,
     on_result: "Callable[[int, object], None] | None" = None,
     report: "SupervisionReport | None" = None,
-    pool_provider: object = _USE_DEFAULT_PROVIDER,
-    on_retry: "Callable | None" = None,
+    pool_provider: object = None,
 ) -> list:
     """Run every task to completion (or exhaustion); results in order.
 
@@ -479,22 +429,15 @@ def run_supervised(
     delivered to ``on_result``).
 
     ``pool_provider`` supplies executors (``acquire_pool(workers)`` /
-    ``release_pool(pool, dirty=...)``).  By default the process-wide
-    :class:`~repro.parallel.runtime.ParallelRuntime` keeps one warm pool
-    across calls; a crash or timeout releases the pool *dirty* — its
-    processes are terminated and the next round rebuilds — so no broken
-    worker is ever reused.  Pass ``None`` (or set ``REPRO_RUNTIME=0``)
-    for the legacy pool-per-round behavior.  ``on_retry(index, task,
-    kind, error)`` may return a replacement payload for a failed task
-    before it is resubmitted — the broadcast-loss fallback hook; it
-    defaults to the provider's ``task_fallback`` when the provider has
-    one.
+    ``release_pool(pool, dirty=...)``) and rewrites failed tasks before
+    resubmission (``task_fallback(index, task, kind, error)``, the
+    broadcast-loss hook).  ``None`` means the process-wide
+    :class:`~repro.parallel.runtime.ParallelRuntime`, which keeps one
+    warm pool across calls; a crash or timeout releases the pool
+    *dirty* — its processes are terminated and the next round rebuilds
+    — so no broken worker is ever reused.
     """
     policy = policy if policy is not None else RetryPolicy()
-    if pool_provider is _USE_DEFAULT_PROVIDER:
-        pool_provider = _default_pool_provider()
-    if on_retry is None and pool_provider is not None:
-        on_retry = getattr(pool_provider, "task_fallback", None)
     if workers is not None and workers < 1:
         raise ValueError(
             f"workers must be a positive int or None, got {workers}"
@@ -523,19 +466,19 @@ def run_supervised(
                 on_result(index, value)
         return results
 
+    if pool_provider is None:
+        # Deferred import: repro.parallel imports this module at load
+        # time, so the runtime can only be reached lazily from here.
+        from repro.parallel.runtime import get_runtime
+
+        pool_provider = get_runtime()
     tasks = list(tasks)
     attempts = [0] * n
     degraded = [False] * n
     pending = list(range(n))
     round_index = 0
     while pending:
-        if pool_provider is not None:
-            pool = pool_provider.acquire_pool(min(workers, len(pending)))
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                initializer=_worker_init,
-            )
+        pool = pool_provider.acquire_pool(min(workers, len(pending)))
         env = _env_snapshot()
         futures = []
         unsubmitted: list[int] = []
@@ -592,10 +535,7 @@ def run_supervised(
             failed.append(
                 (index, "crash", "worker process died (BrokenProcessPool)")
             )
-        if pool_provider is not None:
-            pool_provider.release_pool(pool, dirty=dirty)
-        else:
-            _close_pool(pool, force=dirty)
+        pool_provider.release_pool(pool, dirty=dirty)
 
         pending = []
         for index, kind, error in failed:
@@ -625,10 +565,11 @@ def run_supervised(
             ):
                 degraded[index] = True
                 _mark_degraded(report, index, label_of(index), kind)
-            if on_retry is not None:
-                replacement = on_retry(index, tasks[index], kind, error)
-                if replacement is not None:
-                    tasks[index] = replacement
+            replacement = pool_provider.task_fallback(
+                index, tasks[index], kind, error
+            )
+            if replacement is not None:
+                tasks[index] = replacement
             pending.append(index)
         if pending:
             delay = backoff_seconds(policy, round_index)

@@ -44,12 +44,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.instances.shm import ProblemRef
 from repro.parallel import (
     get_runtime,
     resolve_task_problem,
     run_tasks,
-    runtime_enabled,
     seed_shards,
 )
 from repro.resilience.checkpoint import (
@@ -387,55 +385,6 @@ def _shard_label(entry) -> str:
     return f"{scenario_label}/{solver_label} ({arm}) {seeds}"
 
 
-@dataclass(frozen=True)
-class _ScenarioRef:
-    """A scenario whose base instance travels as a broadcast handle.
-
-    The perturbation list and name pickle inline (they are small); the
-    base — the only array-heavy payload — rides shared memory.  Workers
-    rebuild the :class:`Scenario` around the attached instance and
-    re-unfold from the deterministic unfold stream as before.
-    """
-
-    name: str
-    base: ProblemRef
-    perturbations: tuple
-
-    def unpack(self) -> Scenario:
-        return Scenario(
-            name=self.name,
-            base=resolve_task_problem(self.base),
-            perturbations=self.perturbations,
-        )
-
-    def swap_broadcast(self, lookup) -> "Scenario | None":
-        """The pickled form, for the supervisor's broadcast-loss retry."""
-        problem = lookup(self.base.token)
-        if problem is None:
-            return None
-        return Scenario(
-            name=self.name, base=problem, perturbations=self.perturbations
-        )
-
-
-def _pack_scenario(scenario: Scenario):
-    """Broadcast a scenario's base instance when it is worth it."""
-    if not runtime_enabled():
-        return scenario
-    payload = get_runtime().broadcast(scenario.base)
-    if not isinstance(payload, ProblemRef):
-        return scenario
-    return _ScenarioRef(
-        name=scenario.name,
-        base=payload,
-        perturbations=scenario.perturbations,
-    )
-
-
-def _unpack_scenario(payload) -> Scenario:
-    return payload.unpack() if isinstance(payload, _ScenarioRef) else payload
-
-
 def _compact_results(results: list[ScenarioResult]) -> list[ScenarioResult]:
     """Shed the per-step problem instances from a shard's return payload.
 
@@ -460,6 +409,23 @@ def _compact_results(results: list[ScenarioResult]) -> list[ScenarioResult]:
     ]
 
 
+def _task_scenario(task) -> Scenario:
+    """Rebuild a shard task's scenario around its (attached) base.
+
+    A task carries ``(name, base, perturbations, ...)`` with ``base``
+    exactly what :meth:`~repro.parallel.runtime.ParallelRuntime.broadcast`
+    returned — a shared-memory handle or the instance itself — so
+    :func:`~repro.parallel.runtime.resolve_task_problem` undoes it the
+    same way for every harness.
+    """
+    name, base, perturbations = task[:3]
+    return Scenario(
+        name=name,
+        base=resolve_task_problem(base),
+        perturbations=perturbations,
+    )
+
+
 def _run_fleet_shard(task) -> list[ScenarioResult]:
     """One (cell, arm, replicate-shard) task (top-level: pickling).
 
@@ -471,8 +437,8 @@ def _run_fleet_shard(task) -> list[ScenarioResult]:
     returned rows carry step stand-ins instead of the instances
     (:func:`_compact_results`).
     """
-    (scenario, solver_payload, config, unfold_seq, steps, rep_seqs) = task
-    scenario = _unpack_scenario(scenario)
+    solver_payload, config, unfold_seq, steps, rep_seqs = task[3:]
+    scenario = _task_scenario(task)
     fanned_out = steps is None
     if fanned_out:
         steps = scenario.unfold(unfold_seq)
@@ -480,9 +446,7 @@ def _run_fleet_shard(task) -> list[ScenarioResult]:
     results = ScenarioRunner(solver, **config, **kwargs).run_replicates(
         steps, rep_seqs, scenario_name=scenario.name
     )
-    if fanned_out and runtime_enabled():
-        results = _compact_results(results)
-    return results
+    return _compact_results(results) if fanned_out else results
 
 
 class ScenarioFleet:
@@ -614,9 +578,13 @@ class ScenarioFleet:
                 # the steps across its arm/shard tasks; worker processes
                 # re-unfold from the seed instead (see _run_fleet_shard),
                 # attaching the broadcast base rather than unpickling it
-                # (see _pack_scenario).
+                # when it is above the runtime's threshold.
                 steps = scenario.unfold(unfold_seq) if serial else None
-                packed = scenario if serial else _pack_scenario(scenario)
+                base = (
+                    scenario.base
+                    if serial
+                    else get_runtime().broadcast(scenario.base)
+                )
                 for warm in self._arms:
                     for shard in shards:
                         keys = [
@@ -625,7 +593,9 @@ class ScenarioFleet:
                         ]
                         tasks.append(
                             (
-                                packed,
+                                scenario.name,
+                                base,
+                                scenario.perturbations,
                                 payload,
                                 configs[warm],
                                 unfold_seq,
@@ -720,8 +690,8 @@ class ScenarioFleet:
         document, wall-clock excluded.  Catches stale directories and
         code drift that the manifest alone cannot.
         """
-        scenario, payload, config, unfold_seq, steps, rep_seqs = task
-        scenario = _unpack_scenario(scenario)
+        payload, config, unfold_seq, steps, rep_seqs = task[3:]
+        scenario = _task_scenario(task)
         if steps is None:
             steps = scenario.unfold(unfold_seq)
         solver, kwargs = payload

@@ -6,8 +6,7 @@ The invariants under test, in rough order of load-bearing-ness:
 * a clean release keeps the pool warm (same worker processes serve the
   next call), a crash rebuilds the *pool* but never the *broadcast*;
 * a broadcast released too early degrades to the pickle path via the
-  supervisor's retry hook instead of failing the run;
-* ``REPRO_RUNTIME=0`` bypasses the runtime wholesale.
+  supervisor's retry hook instead of failing the run.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from repro.parallel import (
     effective_pool_size,
     get_runtime,
     resolve_task_problem,
-    runtime_enabled,
 )
-from repro.parallel.runtime import RUNTIME_ENV
 from repro.resilience.faults import FAULT_ENV
 from repro.resilience.supervisor import (
     RetryPolicy,
@@ -52,7 +49,6 @@ SEED_SHARDS = [[0, 1], [2, 3], [4, 5]]
 def clean_env(monkeypatch):
     monkeypatch.delenv(FAULT_ENV, raising=False)
     monkeypatch.delenv("REPRO_COMPILED", raising=False)
-    monkeypatch.delenv(RUNTIME_ENV, raising=False)
 
 
 @pytest.fixture
@@ -67,11 +63,10 @@ def expected(tiny_problem, clean_env):
     return run_supervised(
         _probe_shard,
         [(tiny_problem, seeds) for seeds in SEED_SHARDS],
-        pool_provider=None,
     )
 
 
-class TestSizingAndGate:
+class TestSizing:
     def test_effective_pool_size_rule(self, monkeypatch):
         import repro.parallel.runtime as runtime_mod
 
@@ -80,32 +75,6 @@ class TestSizingAndGate:
         assert effective_pool_size(2) == 2  # the request itself
         assert effective_pool_size(8, n_tasks=3) == 3  # capped by tasks
         assert effective_pool_size(8, n_tasks=0) == 1  # floored at 1
-
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no", "No"])
-    def test_runtime_disabled_values(self, monkeypatch, value):
-        monkeypatch.setenv(RUNTIME_ENV, value)
-        assert not runtime_enabled()
-
-    @pytest.mark.parametrize("value", [None, "1", "on", "anything"])
-    def test_runtime_enabled_values(self, monkeypatch, value):
-        if value is None:
-            monkeypatch.delenv(RUNTIME_ENV, raising=False)
-        else:
-            monkeypatch.setenv(RUNTIME_ENV, value)
-        assert runtime_enabled()
-
-    def test_disabled_runtime_skips_the_global_pool(
-        self, clean_env, monkeypatch, tiny_problem, expected
-    ):
-        monkeypatch.setenv(RUNTIME_ENV, "0")
-        before = get_runtime().stats.pool_creates
-        got = run_supervised(
-            _probe_shard,
-            [(tiny_problem, seeds) for seeds in SEED_SHARDS],
-            workers=2,
-        )
-        assert got == expected
-        assert get_runtime().stats.pool_creates == before
 
 
 class TestWarmPool:

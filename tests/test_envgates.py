@@ -25,14 +25,12 @@ class TestRegistry:
             "REPRO_COMPILED_CACHE",
             "REPRO_EXAMPLES_SMOKE",
             "REPRO_FAULT_INJECT",
-            "REPRO_RUNTIME",
             "REPRO_SCALE",
-            "REPRO_SHM_MIN_BYTES",
         ]
 
     def test_every_gate_documented(self):
         for gate in envgates.GATES.values():
-            assert gate.kind in {"flag", "int", "path", "choice", "spec"}
+            assert gate.kind in {"flag", "path", "choice", "spec"}
             assert gate.description
 
     def test_raw_rejects_unregistered_names(self):
@@ -49,8 +47,6 @@ class TestFlagGates:
     def test_falsy_spellings_disable(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_COMPILED", value)
         assert envgates.compiled_enabled() is False
-        monkeypatch.setenv("REPRO_RUNTIME", value)
-        assert envgates.runtime_enabled() is False
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", "anything"])
     def test_everything_else_enables(self, monkeypatch, value):
@@ -59,9 +55,7 @@ class TestFlagGates:
 
     def test_unset_defaults_to_enabled(self, monkeypatch):
         monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        monkeypatch.delenv("REPRO_RUNTIME", raising=False)
         assert envgates.compiled_enabled() is True
-        assert envgates.runtime_enabled() is True
 
     def test_reads_are_live(self, monkeypatch):
         # The supervisor flips the gate per task attempt; a cached
@@ -79,16 +73,6 @@ class TestFlagGates:
 
 
 class TestTypedAccessors:
-    def test_shm_min_bytes_parses_and_clamps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1024")
-        assert envgates.shm_min_bytes(65536) == 1024
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "-5")
-        assert envgates.shm_min_bytes(65536) == 0
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "not-a-number")
-        assert envgates.shm_min_bytes(65536) == 65536
-        monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
-        assert envgates.shm_min_bytes(65536) == 65536
-
     def test_scale_name_normalizes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "  PAPER ")
         assert envgates.scale_name("quick") == "paper"
@@ -135,7 +119,19 @@ class TestUnknownVariableCheck:
             assert envgates.check_environment(force=True) == []
 
     def test_accessors_trigger_the_check(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNTIM", "0")
+        monkeypatch.setenv("REPRO_COMPILD", "0")
         envgates.reset_unknown_check()
-        with pytest.warns(RuntimeWarning, match="REPRO_RUNTIM"):
-            envgates.runtime_enabled()
+        with pytest.warns(RuntimeWarning, match="REPRO_COMPILD"):
+            envgates.compiled_enabled()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("REPRO_RUNTIME", "0"), ("REPRO_SHM_MIN_BYTES", "0")],
+    )
+    def test_retired_runtime_gates_warn(self, monkeypatch, name, value):
+        # The parallel runtime has no gates left: a stale setting is
+        # flagged, not silently obeyed.
+        monkeypatch.setenv(name, value)
+        with pytest.warns(RuntimeWarning, match=name):
+            unknown = envgates.check_environment(force=True)
+        assert unknown == [name]
