@@ -6,21 +6,27 @@ The invariants under test, in rough order of load-bearing-ness:
 * a clean release keeps the pool warm (same worker processes serve the
   next call), a crash rebuilds the *pool* but never the *broadcast*;
 * a broadcast released too early degrades to the pickle path via the
-  supervisor's retry hook instead of failing the run.
+  supervisor's retry hook instead of failing the run;
+* every bare fan-out runs on the process-wide runtime, whatever retired
+  runtime variables are left in the environment.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+import repro.parallel.runtime as runtime_mod
+from repro.instances.shm import ProblemRef, problem_nbytes
 from repro.parallel import (
     ParallelRuntime,
     effective_pool_size,
     get_runtime,
     resolve_task_problem,
+    run_tasks,
 )
 from repro.resilience.faults import FAULT_ENV
 from repro.resilience.supervisor import (
@@ -59,6 +65,15 @@ def runtime(clean_env):
 
 
 @pytest.fixture
+def global_runtime(clean_env, monkeypatch):
+    """A fresh runtime installed as the process-wide one."""
+    rt = ParallelRuntime()
+    monkeypatch.setattr(runtime_mod, "_global_runtime", rt)
+    yield rt
+    rt.shutdown()
+
+
+@pytest.fixture
 def expected(tiny_problem, clean_env):
     return run_supervised(
         _probe_shard,
@@ -75,6 +90,46 @@ class TestSizing:
         assert effective_pool_size(2) == 2  # the request itself
         assert effective_pool_size(8, n_tasks=3) == 3  # capped by tasks
         assert effective_pool_size(8, n_tasks=0) == 1  # floored at 1
+
+
+class TestGlobalRuntime:
+    def test_bare_run_supervised_uses_the_global_runtime(
+        self, global_runtime, tiny_problem, expected
+    ):
+        got = run_supervised(
+            _probe_shard,
+            [(tiny_problem, seeds) for seeds in SEED_SHARDS],
+            workers=2,
+        )
+        assert got == expected
+        assert global_runtime.stats.pool_creates == 1
+        assert global_runtime.worker_pids()
+
+    def test_run_tasks_reuses_the_global_pool(
+        self, global_runtime, tiny_problem, expected
+    ):
+        tasks = [(tiny_problem, seeds) for seeds in SEED_SHARDS]
+        flat = [row for shard in expected for row in shard]
+        assert run_tasks(_probe_shard, tasks, 2) == flat
+        assert run_tasks(_probe_shard, tasks, 2) == flat
+        assert global_runtime.stats.pool_creates == 1
+        assert global_runtime.stats.pool_reuses >= 1
+
+    def test_stale_runtime_gate_does_not_bypass_the_pool(
+        self, global_runtime, monkeypatch, tiny_problem, expected
+    ):
+        # REPRO_RUNTIME=0 once meant "a fresh pool per call"; the setting
+        # is now only flagged as unknown, never obeyed.
+        monkeypatch.setenv("REPRO_RUNTIME", "0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = run_supervised(
+                _probe_shard,
+                [(tiny_problem, seeds) for seeds in SEED_SHARDS],
+                workers=2,
+            )
+        assert got == expected
+        assert global_runtime.stats.pool_creates == 1
 
 
 class TestWarmPool:
@@ -123,6 +178,26 @@ class TestBroadcastLifecycle:
         self, clean_env, tiny_problem
     ):
         with ParallelRuntime(shm_min_bytes=1 << 30) as rt:
+            assert rt.broadcast(tiny_problem) is tiny_problem
+            assert rt.stats.publishes == 0
+
+    def test_threshold_is_inclusive(self, clean_env, tiny_problem):
+        nbytes = problem_nbytes(tiny_problem)
+        with ParallelRuntime(shm_min_bytes=nbytes + 1) as rt:
+            assert rt.broadcast(tiny_problem) is tiny_problem
+            assert rt.stats.publishes == 0
+        with ParallelRuntime(shm_min_bytes=nbytes) as rt:
+            assert isinstance(rt.broadcast(tiny_problem), ProblemRef)
+            assert rt.stats.publishes == 1
+
+    def test_stale_threshold_setting_is_ignored(
+        self, clean_env, monkeypatch, tiny_problem
+    ):
+        # The threshold is a constructor argument only; the retired
+        # REPRO_SHM_MIN_BYTES variable no longer lowers it.
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        assert problem_nbytes(tiny_problem) < runtime_mod.DEFAULT_SHM_MIN_BYTES
+        with ParallelRuntime() as rt:
             assert rt.broadcast(tiny_problem) is tiny_problem
             assert rt.stats.publishes == 0
 
