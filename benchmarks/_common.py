@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every bench regenerates one table or figure of the paper (or one
-ablation from DESIGN.md) and prints the resulting rows/series, so a
+ablation of a modelling choice the paper leaves open) and prints the resulting rows/series, so a
 ``pytest benchmarks/ --benchmark-only -s`` run reproduces the paper's
 evaluation section.  Scale is selected by ``REPRO_SCALE`` (``quick`` by
 default; ``paper`` for full-size runs — see the README's Quickstart).

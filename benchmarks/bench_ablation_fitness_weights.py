@@ -1,4 +1,4 @@
-"""Ablation C (DESIGN.md D5) — fitness weight sensitivity.
+"""Ablation C — fitness weight sensitivity.
 
 The paper says connectivity is "more important" than coverage but gives
 no weights; we default to 0.7/0.3.  This bench sweeps the connectivity
@@ -55,7 +55,7 @@ def test_ablation_fitness_weights(benchmark):
     scale = bench_scale()
     start_giant, rows = run_once(benchmark, _sweep, scale)
 
-    print_header("Ablation C — connectivity weight sweep (DESIGN.md D5)")
+    print_header("Ablation C — connectivity weight sweep")
     print(f"(initial random placement: giant {start_giant})")
     print(f"{'w_connectivity':>14s} {'giant':>8s} {'coverage':>10s}")
     for weight, giant, coverage in rows:

@@ -1,4 +1,4 @@
-"""Ablation A (DESIGN.md D3) — link-rule sensitivity.
+"""Ablation A — link-rule sensitivity.
 
 The paper never states when two routers share a link; this bench
 evaluates every ad hoc method stand-alone under the three candidate

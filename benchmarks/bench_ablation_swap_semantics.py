@@ -1,4 +1,4 @@
-"""Ablation B (DESIGN.md D6) — the two readings of Algorithm 3.
+"""Ablation B — the two readings of Algorithm 3.
 
 Literal reading: the two routers exchange positions (the occupied-cell
 multiset never changes).  Relocating reading (default): the strong
@@ -41,7 +41,7 @@ def test_ablation_swap_semantics(benchmark):
     scale = bench_scale()
     outcomes = run_once(benchmark, _compare, scale)
 
-    print_header("Ablation B — literal vs relocating swap (DESIGN.md D6)")
+    print_header("Ablation B — literal vs relocating swap")
     for label, result in outcomes.items():
         trace = result.trace
         print(

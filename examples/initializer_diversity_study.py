@@ -51,10 +51,9 @@ def main() -> None:
         evaluator = Evaluator(problem)
 
         # Initial population statistics.
-        population = Population.from_placements(
-            initializer.generate(problem, population_size, rng)
+        population = Population.evaluate_all(
+            evaluator, initializer.generate(problem, population_size, rng)
         )
-        population.evaluate_all(evaluator)
         quality = population.mean_fitness()
         diversity = population.diversity()
 

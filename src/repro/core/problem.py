@@ -37,9 +37,11 @@ class ProblemInstance:
     clients:
         The ``M`` fixed mesh clients.
     link_rule:
-        When two routers form a wireless link (DESIGN.md decision D3).
+        When two routers form a wireless link (the paper never pins the
+        link predicate down).
     coverage_rule:
-        Which routers cover clients (DESIGN.md decision D4).
+        Which routers cover clients (by default only the giant
+        component's: "mesh client nodes connected to the WMN").
     """
 
     grid: GridArea

@@ -10,7 +10,7 @@ exchanges the "worst" and "best" routers by radio coverage).
 Two routers are joined by a wireless link when they are within radio
 range of each other.  Because the paper never pins down the link
 predicate, :class:`LinkRule` offers the three standard readings; the
-experiment configuration selects one (see DESIGN.md, decision D3).
+experiment configuration selects one.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ class ExponentialDistribution(ClientDistribution):
 
     When ``scale`` is ``None`` it defaults to ``extent / 4`` so that the
     bulk of the mass sits in the lower-left quarter of the grid (the
-    paper leaves the parameter unspecified; see DESIGN.md decision D7).
+    paper leaves the parameter unspecified).
     """
 
     scale: float | None = None

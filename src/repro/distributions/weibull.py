@@ -28,10 +28,9 @@ __all__ = ["WeibullDistribution"]
 class WeibullDistribution(ClientDistribution):
     """Per-axis Weibull with the given ``shape`` and ``scale``.
 
-    When ``scale`` is ``None`` it defaults to ``extent / 3`` (DESIGN.md
-    decision D7: the paper leaves Weibull parameters unspecified; the
-    default produces a hotspot around the lower-left with a visible tail
-    across the grid).
+    When ``scale`` is ``None`` it defaults to ``extent / 3`` (the paper
+    leaves Weibull parameters unspecified; the default produces a
+    hotspot around the lower-left with a visible tail across the grid).
     """
 
     shape: float = 1.2

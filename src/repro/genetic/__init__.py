@@ -1,9 +1,10 @@
 """Genetic algorithm substrate (paper Section 5, scenario 2).
 
 The GA the paper uses to evaluate ad hoc methods as population
-initializers: individuals, populations, selection / crossover / mutation
-operators, initializers wrapping the ad hoc methods, the generational
-engine with elitism and the per-generation trace behind Figures 1-3.
+initializers: populations of evaluated members, selection / crossover /
+mutation operators on int cell arrays, initializers wrapping the ad hoc
+methods, the generational engine with elitism and the per-generation
+trace behind Figures 1-3.
 """
 
 from repro.genetic.crossover import (
@@ -13,7 +14,6 @@ from repro.genetic.crossover import (
     UniformCrossover,
 )
 from repro.genetic.engine import GAConfig, GAResult, GeneticAlgorithm
-from repro.genetic.individual import Individual
 from repro.genetic.initializers import (
     AdHocInitializer,
     MixedInitializer,
@@ -45,7 +45,6 @@ __all__ = [
     "GAConfig",
     "GAResult",
     "GeneticAlgorithm",
-    "Individual",
     "AdHocInitializer",
     "MixedInitializer",
     "PopulationInitializer",

@@ -1,11 +1,11 @@
 """Crossover operators.
 
-A chromosome is the vector of router cells, so crossover mixes the
-positions two parents assign to each router.  The operators work on the
-parents' int ``(N, 2)`` cell arrays: a child is a row mask or a
-concatenation of the two.  Children can inherit colliding cells (two
-routers on one cell); the shared ``_repair`` step nudges collisions
-apart, preserving the placement invariants.
+A chromosome is the int ``(N, 2)`` array of router cells, so crossover
+mixes the positions two parents assign to each router: a child is a row
+mask or a concatenation of the two parents' arrays.  Children can
+inherit colliding cells (two routers on one cell);
+:func:`~repro.adhoc.base.resolve_collisions` nudges collisions apart, so
+every child holds the distinct in-grid cells of a valid placement.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.adhoc.base import resolve_collisions
 from repro.core.geometry import Rect
-from repro.core.solution import Placement
+from repro.core.grid import GridArea
 
 __all__ = [
     "CrossoverOperator",
@@ -27,33 +27,28 @@ __all__ = [
 ]
 
 
-def _repair(grid, cells: np.ndarray, rng: np.random.Generator) -> Placement:
-    """Nudge duplicate cells apart and build a valid placement."""
-    return Placement.from_cells(grid, resolve_collisions(grid, cells, rng))
-
-
 class CrossoverOperator(abc.ABC):
-    """Produces two children from two parent placements."""
+    """Produces two children's cells from two parents' cells on one grid."""
 
     name: ClassVar[str] = "abstract"
 
     @abc.abstractmethod
     def crossover(
         self,
-        parent_a: Placement,
-        parent_b: Placement,
+        grid: GridArea,
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[Placement, Placement]:
-        """Two valid child placements."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two new collision-free child arrays (the parents are never written)."""
 
-    def _check_parents(self, parent_a: Placement, parent_b: Placement) -> None:
-        if len(parent_a) != len(parent_b):
+    @staticmethod
+    def _check_parents(cells_a: np.ndarray, cells_b: np.ndarray) -> None:
+        if len(cells_a) != len(cells_b):
             raise ValueError(
-                f"parents place {len(parent_a)} and {len(parent_b)} routers; "
+                f"parents place {len(cells_a)} and {len(cells_b)} routers; "
                 "crossover needs equal-length chromosomes"
             )
-        if parent_a.grid != parent_b.grid:
-            raise ValueError("parents live on different grids")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -75,18 +70,18 @@ class UniformCrossover(CrossoverOperator):
 
     def crossover(
         self,
-        parent_a: Placement,
-        parent_b: Placement,
+        grid: GridArea,
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[Placement, Placement]:
-        self._check_parents(parent_a, parent_b)
-        take_b = (rng.uniform(size=len(parent_a)) < self.mix_rate)[:, None]
-        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_parents(cells_a, cells_b)
+        take_b = (rng.uniform(size=len(cells_a)) < self.mix_rate)[:, None]
         child1 = np.where(take_b, cells_b, cells_a)
         child2 = np.where(take_b, cells_a, cells_b)
         return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
+            resolve_collisions(grid, child1, rng),
+            resolve_collisions(grid, child2, rng),
         )
 
     def __repr__(self) -> str:
@@ -100,19 +95,19 @@ class OnePointCrossover(CrossoverOperator):
 
     def crossover(
         self,
-        parent_a: Placement,
-        parent_b: Placement,
+        grid: GridArea,
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[Placement, Placement]:
-        self._check_parents(parent_a, parent_b)
-        n = len(parent_a)
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_parents(cells_a, cells_b)
+        n = len(cells_a)
         cut = int(rng.integers(1, n)) if n > 1 else 0
-        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
         child1 = np.concatenate([cells_a[:cut], cells_b[cut:]])
         child2 = np.concatenate([cells_b[:cut], cells_a[cut:]])
         return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
+            resolve_collisions(grid, child1, rng),
+            resolve_collisions(grid, child2, rng),
         )
 
 
@@ -139,7 +134,7 @@ class RegionExchangeCrossover(CrossoverOperator):
         self.min_fraction = min_fraction
         self.max_fraction = max_fraction
 
-    def _random_region(self, grid, rng: np.random.Generator) -> Rect:
+    def _random_region(self, grid: GridArea, rng: np.random.Generator) -> Rect:
         width = max(
             1,
             int(
@@ -158,18 +153,18 @@ class RegionExchangeCrossover(CrossoverOperator):
 
     def crossover(
         self,
-        parent_a: Placement,
-        parent_b: Placement,
+        grid: GridArea,
+        cells_a: np.ndarray,
+        cells_b: np.ndarray,
         rng: np.random.Generator,
-    ) -> tuple[Placement, Placement]:
-        self._check_parents(parent_a, parent_b)
-        region = self._random_region(parent_a.grid, rng)
-        cells_a, cells_b = parent_a.cells_array(), parent_b.cells_array()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_parents(cells_a, cells_b)
+        region = self._random_region(grid, rng)
         child1 = np.where(region.contains_cells(cells_a)[:, None], cells_a, cells_b)
         child2 = np.where(region.contains_cells(cells_b)[:, None], cells_b, cells_a)
         return (
-            _repair(parent_a.grid, child1, rng),
-            _repair(parent_a.grid, child2, rng),
+            resolve_collisions(grid, child1, rng),
+            resolve_collisions(grid, child2, rng),
         )
 
     def __repr__(self) -> str:

@@ -2,17 +2,21 @@
 
 Section 5 evaluates the ad hoc methods "by using a genetic algorithm
 implementation for the problem".  The paper does not publish its GA
-internals, so this is a standard generational GA with elitism (DESIGN.md
-decision D8): tournament selection, spatial crossover and composite
-mutation by default, all operators pluggable.
+internals, so this is a standard generational GA with elitism:
+tournament selection, spatial crossover and composite mutation by
+default, all operators pluggable.
 
 The engine reports a :class:`~repro.genetic.trace.GATrace` whose
 ``best_giant_size`` series is exactly what Figures 1-3 plot.
 
-Each offspring generation is evaluated as one batch through the
-vectorized engine (see :mod:`repro.core.engine` and
-:meth:`~repro.genetic.population.Population.evaluate_all`); elites keep
-their cached evaluations, so counts match the scalar loop exactly.
+A chromosome is an int ``(N, 2)`` cell array: the operators map arrays
+to arrays, and a population member is the chromosome's
+:class:`~repro.core.evaluation.Evaluation`.  Elites and parents copied
+unchanged keep their evaluations.  Every child that went through
+crossover or mutation becomes one placement in
+:meth:`~repro.genetic.population.Population.evaluate_all`, and the
+whole offspring generation is measured there as one batch through the
+vectorized engine (see :mod:`repro.core.engine`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import numpy as np
 from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.genetic.crossover import CrossoverOperator, RegionExchangeCrossover
-from repro.genetic.individual import Individual
 from repro.genetic.initializers import PopulationInitializer
 from repro.genetic.mutation import (
     CompositeMutation,
@@ -42,6 +45,13 @@ if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
 
 __all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
+
+
+def _cells(member: "Evaluation | np.ndarray") -> np.ndarray:
+    """A member's chromosome: its int ``(N, 2)`` cell array."""
+    if isinstance(member, Evaluation):
+        return member.placement.cells_array()
+    return member
 
 
 def _default_crossover() -> CrossoverOperator:
@@ -157,12 +167,10 @@ class GeneticAlgorithm:
         placements = initializer.generate(
             evaluator.problem, config.population_size, rng
         )
-        population = Population.from_placements(placements)
-        population.evaluate_all(evaluator)
+        population = Population.evaluate_all(evaluator, placements)
 
         trace = GATrace()
-        best = population.best().evaluation
-        assert best is not None
+        best = population.best()
         self._record(trace, 0, population, best, evaluator, evaluations_before)
 
         generation = 0
@@ -174,8 +182,7 @@ class GeneticAlgorithm:
                     break
             generation = next_generation
             population = self._next_generation(population, evaluator, rng)
-            generation_best = population.best().evaluation
-            assert generation_best is not None
+            generation_best = population.best()
             if generation_best.fitness > best.fitness:
                 best = generation_best
             self._record(
@@ -203,25 +210,23 @@ class GeneticAlgorithm:
         rng: np.random.Generator,
     ) -> Population:
         config = self.config
-        offspring: list[Individual] = population.elites(config.n_elites)
+        grid = evaluator.problem.grid
+        # Members are kept Evaluations or the cell arrays of new children.
+        offspring: list[Evaluation | np.ndarray] = population.elites(config.n_elites)
         while len(offspring) < config.population_size:
             parent_a, parent_b = config.selection.select_pair(population, rng)
+            children: tuple[Evaluation | np.ndarray, ...] = (parent_a, parent_b)
             if rng.uniform() < config.crossover_rate:
-                child_a, child_b = config.crossover.crossover(
-                    parent_a.placement, parent_b.placement, rng
+                children = config.crossover.crossover(
+                    grid, _cells(parent_a), _cells(parent_b), rng
                 )
-                children = [Individual(child_a), Individual(child_b)]
-            else:
-                children = [parent_a.copy(), parent_b.copy()]
             for child in children:
                 if rng.uniform() < config.mutation_rate:
-                    child = Individual(config.mutation.mutate(child.placement, rng))
+                    child = config.mutation.mutate(grid, _cells(child), rng)
                 offspring.append(child)
                 if len(offspring) == config.population_size:
                     break
-        next_population = Population(offspring)
-        next_population.evaluate_all(evaluator)
-        return next_population
+        return Population.evaluate_all(evaluator, offspring)
 
     @staticmethod
     def _record(

@@ -6,20 +6,22 @@ routers anywhere (exploration); ``GeneSwapMutation`` exchanges the
 positions of two routers — the GA analogue of the paper's swap movement.
 ``CompositeMutation`` mixes them.
 
-The relocating operators work on the placement's int ``(N, 2)`` cell
-array with a row-major occupancy bitmap that lives for one call, and
-draw exactly what the cell-by-cell ``Point`` formulation drew.
+Every operator takes a chromosome, the int ``(N, 2)`` array of router
+cells, and returns a new array of distinct in-grid cells; it never
+writes its input.  The relocating operators test cells against a
+row-major occupancy bitmap that lives for one call, and draw exactly
+what the cell-by-cell ``Point`` formulation drew.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.core.geometry import Point
-from repro.core.solution import Placement
+from repro.core.grid import GridArea
 
 __all__ = [
     "MutationOperator",
@@ -32,13 +34,15 @@ __all__ = [
 
 
 class MutationOperator(abc.ABC):
-    """Perturbs a placement into a new valid placement."""
+    """Perturbs a chromosome's cells into new distinct in-grid cells."""
 
     name: ClassVar[str] = "abstract"
 
     @abc.abstractmethod
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
-        """A mutated copy (the input placement is never modified)."""
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """A mutated copy of ``cells`` (the input array is never written)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -65,11 +69,12 @@ class JiggleMutation(MutationOperator):
         self.radius = radius
         self.per_gene_rate = per_gene_rate
 
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
-        grid = placement.grid
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         width = grid.width
         radius = self.radius
-        xs, ys = placement.cells_array().T.tolist()
+        xs, ys = cells.T.tolist()
         bitmap = None
         for router_id in range(len(xs)):
             # ``random()`` is the draw ``uniform()`` makes, without its
@@ -77,7 +82,7 @@ class JiggleMutation(MutationOperator):
             if rng.random() >= self.per_gene_rate:
                 continue
             if bitmap is None:
-                bitmap = grid.occupancy_bitmap(placement.cells_array())
+                bitmap = grid.occupancy_bitmap(cells)
             x, y = xs[router_id], ys[router_id]
             current = y * width + x
             bitmap[current] = 0
@@ -90,7 +95,7 @@ class JiggleMutation(MutationOperator):
                 target = current
             bitmap[target] = 1
             ys[router_id], xs[router_id] = divmod(target, width)
-        return Placement.from_cells(grid, np.array([xs, ys], dtype=np.int64).T)
+        return np.array([xs, ys], dtype=np.int64).T
 
     def __repr__(self) -> str:
         return (
@@ -109,9 +114,10 @@ class ResetMutation(MutationOperator):
             raise ValueError(f"count must be positive, got {count}")
         self.count = count
 
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
-        grid = placement.grid
-        cells = placement.cells_array().copy()
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        cells = cells.copy()
         n_resets = min(self.count, len(cells))
         victims = rng.choice(len(cells), size=n_resets, replace=False)
         bitmap = grid.occupancy_bitmap(cells)
@@ -122,7 +128,7 @@ class ResetMutation(MutationOperator):
             bitmap[target] = 1
             y, x = divmod(target, grid.width)
             cells[router_id] = (x, y)
-        return Placement.from_cells(grid, cells)
+        return cells
 
     def __repr__(self) -> str:
         return f"ResetMutation(count={self.count})"
@@ -138,12 +144,14 @@ class GeneSwapMutation(MutationOperator):
 
     name: ClassVar[str] = "gene-swap"
 
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
-        n = len(placement)
-        if n < 2:
-            return placement
-        a, b = rng.choice(n, size=2, replace=False)
-        return placement.with_swap(int(a), int(b))
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        swapped = cells.copy()
+        if len(cells) >= 2:
+            a, b = rng.choice(len(cells), size=2, replace=False)
+            swapped[[a, b]] = swapped[[b, a]]
+        return swapped
 
 
 class TowardCentroidMutation(MutationOperator):
@@ -168,12 +176,13 @@ class TowardCentroidMutation(MutationOperator):
         self.max_step_fraction = max_step_fraction
         self.jitter = jitter
 
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
-        grid = placement.grid
-        positions = placement.positions_array()
-        centroid = positions.mean(axis=0)
-        cells = placement.cells_array()
-        router_id = int(rng.integers(0, len(placement)))
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        # Integer coordinates sum exactly in float64, so the centroid is
+        # the same for every int dtype ``cells`` may arrive in.
+        centroid = cells.mean(axis=0)
+        router_id = int(rng.integers(0, len(cells)))
         current_x, current_y = cells[router_id].tolist()
         fraction = rng.uniform(0.0, self.max_step_fraction)
         target_x = current_x + fraction * (centroid[0] - current_x)
@@ -183,8 +192,9 @@ class TowardCentroidMutation(MutationOperator):
             target_y += rng.integers(-self.jitter, self.jitter + 1)
         x = min(max(int(round(target_x)), 0), grid.width - 1)
         y = min(max(int(round(target_y)), 0), grid.height - 1)
+        moved = cells.copy()
         if (x, y) == (current_x, current_y):
-            return placement
+            return moved
         if ((cells[:, 0] == x) & (cells[:, 1] == y)).any():
             # Land on the nearest free spot around the intended target.
             bitmap = grid.occupancy_bitmap(cells)
@@ -192,9 +202,10 @@ class TowardCentroidMutation(MutationOperator):
             try:
                 target = grid.random_free_index(bitmap, rng, x - 2, y - 2, x + 3, y + 3)
             except ValueError:
-                return placement
+                return moved
             y, x = divmod(target, grid.width)
-        return placement.with_move(router_id, Point(x, y))
+        moved[router_id] = (x, y)
+        return moved
 
     def __repr__(self) -> str:
         return (
@@ -222,8 +233,10 @@ class CompositeMutation(MutationOperator):
             raise ValueError(
                 f"{len(weights)} weights for {len(self.operators)} operators"
             )
-        if any(weight < 0 for weight in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative and not all zero")
+        if not all(math.isfinite(weight) and weight >= 0 for weight in weights) or (
+            sum(weights) <= 0
+        ):
+            raise ValueError("weights must be finite, non-negative and not all zero")
         total = float(sum(weights))
         self._probabilities = np.array([weight / total for weight in weights])
 
@@ -232,9 +245,11 @@ class CompositeMutation(MutationOperator):
         """Normalized operator selection probabilities."""
         return self._probabilities
 
-    def mutate(self, placement: Placement, rng: np.random.Generator) -> Placement:
+    def mutate(
+        self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
         index = int(rng.choice(len(self.operators), p=self._probabilities))
-        return self.operators[index].mutate(placement, rng)
+        return self.operators[index].mutate(grid, cells, rng)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(op) for op in self.operators)

@@ -1,20 +1,22 @@
 """GA populations.
 
-A thin, explicit container over :class:`~repro.genetic.individual.Individual`
-with the aggregate queries the engine and the diversity analysis need
-(best individual, mean fitness, spatial diversity of the gene pool).
+A population is an ordered tuple of :class:`~repro.core.evaluation.Evaluation`
+members, so it is always measured: an evaluation carries its placement,
+whose int ``(N, 2)`` cell array is the member's chromosome.  The
+container adds the aggregate queries the engine and the diversity
+analysis need (best member, elites, mean fitness, spatial diversity of
+the gene pool).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.evaluation import Evaluator
-from repro.genetic.individual import Individual
+from repro.core.evaluation import Evaluation, Evaluator
+from repro.core.solution import Placement
 
 __all__ = ["Population"]
 
@@ -31,96 +33,86 @@ def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(size, 1)
 
 
-@dataclass
 class Population:
-    """An ordered collection of individuals."""
+    """An ordered, evaluated collection of GA members."""
 
-    individuals: list[Individual] = field(default_factory=list)
-    #: Fitness of every individual, set once all of them are evaluated.
-    #: The GA never mutates a population after evaluating it, so the
-    #: per-pick aggregates and selection read this instead of re-checking
-    #: every individual.
-    _fitness: tuple[float, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("members", "fitness")
 
-    def __post_init__(self) -> None:
-        if not self.individuals:
-            raise ValueError("a population must contain at least one individual")
+    def __init__(self, members: Sequence[Evaluation]) -> None:
+        if not members:
+            raise ValueError("a population must contain at least one member")
+        self.members: tuple[Evaluation, ...] = tuple(members)
+        #: Fitness of every member, in population order.
+        self.fitness: tuple[float, ...] = tuple(
+            member.fitness for member in self.members
+        )
 
     def __len__(self) -> int:
-        return len(self.individuals)
+        return len(self.members)
 
-    def __iter__(self) -> Iterator[Individual]:
-        return iter(self.individuals)
+    def __iter__(self) -> Iterator[Evaluation]:
+        return iter(self.members)
 
-    def __getitem__(self, index: int) -> Individual:
-        return self.individuals[index]
+    def __getitem__(self, index: int) -> Evaluation:
+        return self.members[index]
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
+    @classmethod
+    def evaluate_all(
+        cls,
+        evaluator: Evaluator,
+        members: "Sequence[Evaluation | Placement | np.ndarray]",
+    ) -> "Population":
+        """The population of ``members``, each measured at most once.
 
-    def evaluate_all(self, evaluator: Evaluator) -> None:
-        """Ensure every individual carries an evaluation.
-
-        The unevaluated individuals (a whole offspring generation, after
-        elites carried their cached evaluations over) are measured as one
-        batch through the vectorized engine — bit-identical results and
-        evaluation counts, one pass instead of a Python loop.  Evaluators
-        without a batch path (e.g. test doubles) fall back to the scalar
-        loop.
+        An :class:`Evaluation` (an elite, or a parent copied unchanged)
+        is kept.  A cell array is built into a :class:`Placement` here,
+        the one place a new chromosome becomes a placement.  Every
+        placement is then measured in one ``evaluate_many`` batch, in
+        member order.
         """
-        pending = [ind for ind in self.individuals if not ind.is_evaluated]
-        if not pending:
-            return
-        evaluate_many = getattr(evaluator, "evaluate_many", None)
-        if evaluate_many is None:
-            for individual in pending:
-                individual.ensure_evaluated(evaluator)
-            return
-        evaluations = evaluate_many([ind.placement for ind in pending])
-        for individual, evaluation in zip(pending, evaluations):
-            individual.evaluation = evaluation
-
-    def require_evaluated(self) -> None:
-        """Raise unless every individual is evaluated."""
-        for index, individual in enumerate(self.individuals):
-            if not individual.is_evaluated:
-                raise ValueError(f"individual {index} has not been evaluated")
-
-    def fitness_tuple(self) -> tuple[float, ...]:
-        """Fitness of every individual, in population order (cached)."""
-        if self._fitness is None:
-            self.require_evaluated()
-            self._fitness = tuple(ind.fitness for ind in self.individuals)
-        return self._fitness
+        members = list(members)
+        pending = [
+            index
+            for index, member in enumerate(members)
+            if not isinstance(member, Evaluation)
+        ]
+        if pending:
+            grid = evaluator.problem.grid
+            placements = [
+                Placement.from_cells(grid, members[index])
+                if isinstance(members[index], np.ndarray)
+                else members[index]
+                for index in pending
+            ]
+            for index, evaluation in zip(pending, evaluator.evaluate_many(placements)):
+                members[index] = evaluation
+        return cls(members)
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
 
-    def best(self) -> Individual:
-        """The fittest individual (first on ties, deterministic)."""
-        fitness = self.fitness_tuple()
-        return self.individuals[max(range(len(fitness)), key=fitness.__getitem__)]
+    def best(self) -> Evaluation:
+        """The fittest member (first on ties, deterministic)."""
+        fitness = self.fitness
+        return self.members[max(range(len(fitness)), key=fitness.__getitem__)]
 
-    def elites(self, count: int) -> list[Individual]:
-        """The ``count`` fittest individuals, fittest first."""
+    def elites(self, count: int) -> list[Evaluation]:
+        """The ``count`` fittest members, fittest first."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        fitness = self.fitness_tuple()
-        # A stable sort keeps equal-fitness individuals in population order.
+        fitness = self.fitness
+        # A stable sort keeps equal-fitness members in population order.
         ranked = sorted(range(len(fitness)), key=fitness.__getitem__, reverse=True)
-        return [self.individuals[index].copy() for index in ranked[:count]]
+        return [self.members[index] for index in ranked[:count]]
 
     def mean_fitness(self) -> float:
         """Average fitness over the population."""
-        return float(np.mean(self.fitness_tuple()))
+        return float(np.mean(self.fitness))
 
     def fitness_values(self) -> np.ndarray:
-        """Fitness of every individual, in population order."""
-        return np.array(self.fitness_tuple())
+        """Fitness of every member, in population order."""
+        return np.array(self.fitness)
 
     def diversity(self) -> float:
         """Mean pairwise distance between chromosomes (gene-averaged).
@@ -129,15 +121,15 @@ class Population:
         premature convergence" (Section 5): this metric lets experiments
         quantify what the different ad hoc initializers contribute.
         Computed as the average over router ids of the mean pairwise
-        Euclidean distance between the routers' cells across individuals.
+        Euclidean distance between the routers' cells across members.
         """
-        size = len(self.individuals)
+        size = len(self.members)
         if size < 2:
             return 0.0
         # (P, N) x and y planes: population size x routers.  Integer
         # arithmetic gives dx² + dy² exactly, as the float coordinates
         # did, in half the memory traffic of float64.
-        cells = np.stack([ind.placement.cells_array() for ind in self.individuals])
+        cells = np.stack([member.placement.cells_array() for member in self.members])
         if cells.max() > _INT32_SAFE_COORDINATE:
             cells = cells.astype(np.int64)
         xs, ys = cells[:, :, 0], cells[:, :, 1]
@@ -159,8 +151,3 @@ class Population:
             total += float(np.add.reduce(pair_means[start : start + count]))
             start += count
         return total / start
-
-    @classmethod
-    def from_placements(cls, placements: Sequence) -> "Population":
-        """Wrap raw placements into unevaluated individuals."""
-        return cls([Individual(placement=placement) for placement in placements])

@@ -12,7 +12,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.genetic.individual import Individual
+from repro.core.evaluation import Evaluation
 from repro.genetic.population import Population
 
 __all__ = [
@@ -29,12 +29,12 @@ class SelectionOperator(abc.ABC):
     name: ClassVar[str] = "abstract"
 
     @abc.abstractmethod
-    def select(self, population: Population, rng: np.random.Generator) -> Individual:
-        """One parent (the population must be fully evaluated)."""
+    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
+        """One parent."""
 
     def select_pair(
         self, population: Population, rng: np.random.Generator
-    ) -> tuple[Individual, Individual]:
+    ) -> tuple[Evaluation, Evaluation]:
         """Two independently selected parents (may coincide)."""
         return self.select(population, rng), self.select(population, rng)
 
@@ -52,8 +52,8 @@ class TournamentSelection(SelectionOperator):
             raise ValueError(f"tournament size must be positive, got {size}")
         self.size = size
 
-    def select(self, population: Population, rng: np.random.Generator) -> Individual:
-        fitness = population.fitness_tuple()
+    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
+        fitness = population.fitness
         indices = rng.integers(0, len(population), size=self.size).tolist()
         return population[max(indices, key=fitness.__getitem__)]
 
@@ -72,7 +72,7 @@ class RouletteWheelSelection(SelectionOperator):
 
     name: ClassVar[str] = "roulette"
 
-    def select(self, population: Population, rng: np.random.Generator) -> Individual:
+    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
         values = population.fitness_values()
         shifted = values - values.min()
         total = shifted.sum()
@@ -92,9 +92,9 @@ class RankSelection(SelectionOperator):
 
     name: ClassVar[str] = "rank"
 
-    def select(self, population: Population, rng: np.random.Generator) -> Individual:
+    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
         values = population.fitness_values()
-        # ranks: worst individual gets 1, best gets len(population)
+        # ranks: worst member gets 1, best gets len(population)
         order = np.argsort(np.argsort(values, kind="stable"), kind="stable") + 1
         probabilities = order / order.sum()
         index = int(rng.choice(len(population), p=probabilities))

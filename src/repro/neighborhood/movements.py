@@ -365,9 +365,9 @@ class SwapMovement(MovementType):
         HotSpot carries, and only the router reading sustains the giant
         component growth of Fig. 4: as routers accrete, the dense window
         tracks the growing cluster instead of saturating on a fixed
-        client hotspot (see DESIGN.md, decision D6).
+        client hotspot.
     relocate:
-        DESIGN.md decision D6.  ``False`` = literal Algorithm 3: the two
+        Which reading of Algorithm 3.  ``False`` = literal: the two
         routers exchange positions.  ``True`` (default) = the best
         sparse-area router also *relocates into* the dense window, the
         reading consistent with the growth shown in Fig. 4.

@@ -67,9 +67,10 @@ class SwapMove(Move):
 class RelocateMove(Move):
     """Move one router to a new (free) cell.
 
-    This is the relocating reading of the swap movement (DESIGN.md
-    decision D6) and the primitive behind the purely random movement the
-    paper compares against.
+    This is the relocating reading of the swap movement (the strong
+    router moves into the dense window, the reading consistent with the
+    growth of Fig. 4) and the primitive behind the purely random
+    movement the paper compares against.
     """
 
     router_id: int

@@ -7,12 +7,21 @@ import pytest
 
 from repro.adhoc import HotSpotPlacement, NearPlacement, RandomPlacement
 from repro.core.evaluation import Evaluator
+from repro.core.solution import Placement
 from repro.genetic.engine import GAConfig, GeneticAlgorithm
 from repro.genetic.initializers import (
     AdHocInitializer,
     MixedInitializer,
     RandomInitializer,
 )
+from repro.genetic.mutation import (
+    CompositeMutation,
+    GeneSwapMutation,
+    JiggleMutation,
+    ResetMutation,
+    TowardCentroidMutation,
+)
+from repro.genetic.population import Population
 from repro.genetic.trace import GATrace, GenerationRecord
 
 
@@ -142,6 +151,67 @@ class TestGeneticAlgorithm:
         )
         assert result.giant_size == result.best.giant_size
         assert result.covered_clients == result.best.covered_clients
+
+
+class TestOnePlacementPerChild:
+    """A child that went through an operator becomes one placement."""
+
+    POPULATION = 10
+    ELITES = 2
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            JiggleMutation(radius=2, per_gene_rate=0.5),
+            ResetMutation(count=2),
+            GeneSwapMutation(),
+            TowardCentroidMutation(),
+            None,  # the default composite
+        ],
+        ids=["jiggle", "reset", "gene-swap", "toward-centroid", "default"],
+    )
+    @pytest.mark.parametrize(
+        "crossover_rate,mutation_rate",
+        [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],
+    )
+    def test_one_generation(
+        self, tiny_problem, monkeypatch, mutation, crossover_rate, mutation_rate
+    ):
+        config = GAConfig(
+            population_size=self.POPULATION,
+            n_elites=self.ELITES,
+            crossover_rate=crossover_rate,
+            mutation_rate=mutation_rate,
+        )
+        if mutation is not None:
+            config.mutation = mutation
+        ga = GeneticAlgorithm(config)
+        evaluator = Evaluator(tiny_problem)
+        rng = np.random.default_rng(4)
+        population = Population.evaluate_all(
+            evaluator, RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
+        )
+
+        built = []
+        original = Placement.__dict__["from_cells"].__func__
+
+        def counted(cls, grid, cells):
+            built.append(cells)
+            return original(cls, grid, cells)
+
+        monkeypatch.setattr(Placement, "from_cells", classmethod(counted))
+        before = evaluator.n_evaluations
+        offspring = ga._next_generation(population, evaluator, rng)
+
+        # At these rates either every non-elite child went through an
+        # operator or none did; each operated child is built once and
+        # measured once, even when its cells came out unchanged.
+        operated = self.POPULATION - self.ELITES if crossover_rate or mutation_rate else 0
+        assert len(built) == operated
+        assert evaluator.n_evaluations - before == operated
+        assert len(offspring) == self.POPULATION
+        kept = [m for m in offspring if any(m is p for p in population)]
+        assert len(kept) == self.POPULATION - operated
 
 
 class TestGATrace:

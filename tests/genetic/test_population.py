@@ -1,55 +1,38 @@
-"""Unit tests for individuals and populations."""
+"""Unit tests for populations of evaluated members."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.evaluation import Evaluator
+from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
-from repro.genetic.individual import Individual
 from repro.genetic.population import Population
+
+
+def random_placements(problem, rng, count: int) -> list[Placement]:
+    return [Placement.random(problem.grid, problem.n_routers, rng) for _ in range(count)]
 
 
 @pytest.fixture
 def population(tiny_problem, rng):
-    placements = [
-        Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        for _ in range(6)
-    ]
-    return Population.from_placements(placements)
+    return Population.evaluate_all(
+        Evaluator(tiny_problem), random_placements(tiny_problem, rng, 6)
+    )
 
 
-class TestIndividual:
-    def test_unevaluated_state(self, tiny_problem, rng):
-        ind = Individual(
-            Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        )
-        assert not ind.is_evaluated
-        with pytest.raises(ValueError, match="not been evaluated"):
-            _ = ind.fitness
+@pytest.fixture
+def count_from_cells(monkeypatch):
+    """Counts ``Placement.from_cells`` calls; returns the running list."""
+    calls = []
+    original = Placement.__dict__["from_cells"].__func__
 
-    def test_ensure_evaluated_caches(self, tiny_problem, rng):
-        evaluator = Evaluator(tiny_problem)
-        ind = Individual(
-            Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        )
-        first = ind.ensure_evaluated(evaluator)
-        second = ind.ensure_evaluated(evaluator)
-        assert first is second
-        assert evaluator.n_evaluations == 1
-        assert ind.fitness == first.fitness
+    def counted(cls, grid, cells):
+        calls.append(cells)
+        return original(cls, grid, cells)
 
-    def test_copy_shares_state(self, tiny_problem, rng):
-        evaluator = Evaluator(tiny_problem)
-        ind = Individual(
-            Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        )
-        ind.ensure_evaluated(evaluator)
-        clone = ind.copy()
-        assert clone.placement is ind.placement
-        assert clone.evaluation is ind.evaluation
-        assert clone is not ind
+    monkeypatch.setattr(Placement, "from_cells", classmethod(counted))
+    return calls
 
 
 class TestPopulation:
@@ -57,62 +40,82 @@ class TestPopulation:
         with pytest.raises(ValueError):
             Population([])
 
-    def test_evaluate_all(self, population, tiny_problem):
+    def test_evaluate_all(self, tiny_problem, rng):
         evaluator = Evaluator(tiny_problem)
-        population.evaluate_all(evaluator)
-        assert evaluator.n_evaluations == len(population)
-        population.require_evaluated()
+        placements = random_placements(tiny_problem, rng, 6)
+        population = Population.evaluate_all(evaluator, placements)
+        assert evaluator.n_evaluations == len(population) == 6
+        assert all(isinstance(member, Evaluation) for member in population)
+        assert [member.placement for member in population] == placements
 
-    def test_require_evaluated_raises(self, population):
-        with pytest.raises(ValueError, match="not been evaluated"):
-            population.require_evaluated()
-
-    def test_best_and_elites(self, population, tiny_problem):
+    def test_evaluate_all_measures_each_new_member_once(
+        self, tiny_problem, rng, count_from_cells
+    ):
         evaluator = Evaluator(tiny_problem)
-        population.evaluate_all(evaluator)
+        kept = evaluator.evaluate(random_placements(tiny_problem, rng, 1)[0])
+        placement, other = random_placements(tiny_problem, rng, 2)
+        cells = other.cells_array()
+        before, built = evaluator.n_evaluations, len(count_from_cells)
+        population = Population.evaluate_all(evaluator, [placement, kept, cells])
+        # The evaluation is kept, the placement measured as it is and the
+        # cell array built into one placement; two measurements, in order.
+        assert evaluator.n_evaluations - before == 2
+        assert len(count_from_cells) == built + 1
+        assert count_from_cells[-1] is cells
+        assert population[1] is kept
+        assert population[0].placement is placement
+        assert population[2].placement == other
+
+    def test_evaluate_all_of_evaluations_measures_nothing(self, population, tiny_problem):
+        evaluator = Evaluator(tiny_problem)
+        again = Population.evaluate_all(evaluator, list(population))
+        assert evaluator.n_evaluations == 0
+        assert again.members == population.members
+
+    def test_best_and_elites(self, population):
         best = population.best()
-        assert best.fitness == max(ind.fitness for ind in population)
+        assert best.fitness == max(member.fitness for member in population)
         elites = population.elites(3)
         assert len(elites) == 3
         assert elites[0].fitness == best.fitness
         fitness = [e.fitness for e in elites]
         assert fitness == sorted(fitness, reverse=True)
 
-    def test_elites_are_copies(self, population, tiny_problem):
-        population.evaluate_all(Evaluator(tiny_problem))
+    def test_elites_are_the_members(self, population):
+        # Evaluations are immutable snapshots, so elites share them.
         elites = population.elites(2)
-        members = set(map(id, population.individuals))
-        assert all(id(e) not in members for e in elites)
+        assert all(any(e is m for m in population.members) for e in elites)
+        elites.clear()
+        assert len(population) == 6
 
-    def test_elites_validation(self, population, tiny_problem):
-        population.evaluate_all(Evaluator(tiny_problem))
+    def test_elites_validation(self, population):
         with pytest.raises(ValueError):
             population.elites(-1)
         assert population.elites(0) == []
 
-    def test_mean_and_values(self, population, tiny_problem):
-        population.evaluate_all(Evaluator(tiny_problem))
+    def test_mean_and_values(self, population):
         values = population.fitness_values()
         assert values.shape == (len(population),)
         assert population.mean_fitness() == pytest.approx(values.mean())
+        assert population.fitness == tuple(values)
 
     def test_diversity_zero_for_identical(self, tiny_problem, rng):
         placement = Placement.random(
             tiny_problem.grid, tiny_problem.n_routers, rng
         )
-        population = Population.from_placements([placement] * 4)
+        population = Population.evaluate_all(Evaluator(tiny_problem), [placement] * 4)
         assert population.diversity() == 0.0
 
     def test_diversity_positive_for_distinct(self, population):
         assert population.diversity() > 0.0
 
     def test_diversity_single_individual(self, tiny_problem, rng):
-        population = Population.from_placements(
-            [Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)]
+        population = Population.evaluate_all(
+            Evaluator(tiny_problem), random_placements(tiny_problem, rng, 1)
         )
         assert population.diversity() == 0.0
 
     def test_container_protocol(self, population):
         assert len(population) == 6
-        assert population[0] is population.individuals[0]
-        assert list(iter(population)) == population.individuals
+        assert population[0] is population.members[0]
+        assert list(iter(population)) == list(population.members)

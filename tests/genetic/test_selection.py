@@ -21,9 +21,7 @@ def evaluated_population(tiny_problem, rng):
         Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
         for _ in range(8)
     ]
-    population = Population.from_placements(placements)
-    population.evaluate_all(Evaluator(tiny_problem))
-    return population
+    return Population.evaluate_all(Evaluator(tiny_problem), placements)
 
 
 ALL_OPERATORS = [
@@ -38,12 +36,12 @@ class TestCommonBehaviour:
     def test_selects_member_of_population(self, operator, evaluated_population, rng):
         for _ in range(20):
             chosen = operator.select(evaluated_population, rng)
-            assert chosen in evaluated_population.individuals
+            assert chosen in evaluated_population.members
 
     def test_select_pair(self, operator, evaluated_population, rng):
         a, b = operator.select_pair(evaluated_population, rng)
-        assert a in evaluated_population.individuals
-        assert b in evaluated_population.individuals
+        assert a in evaluated_population.members
+        assert b in evaluated_population.members
 
     def test_deterministic_given_seed(self, operator, evaluated_population):
         a = operator.select(evaluated_population, np.random.default_rng(42))
@@ -74,23 +72,22 @@ class TestTournament:
         assert chosen.fitness == evaluated_population.best().fitness
 
     def test_requires_evaluated(self, tiny_problem, rng):
-        population = Population.from_placements(
-            [Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)]
-        )
-        with pytest.raises(ValueError):
-            TournamentSelection().select(population, rng)
+        # Selection reads fitness, so a population holds only evaluations:
+        # an unevaluated placement cannot become a member.
+        placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
+        with pytest.raises(AttributeError, match="fitness"):
+            Population([placement])
 
 
 class TestRoulette:
     def test_degenerate_equal_fitness_uniform(self, tiny_problem, rng):
         placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        population = Population.from_placements([placement] * 4)
-        population.evaluate_all(Evaluator(tiny_problem))
+        population = Population.evaluate_all(Evaluator(tiny_problem), [placement] * 4)
         # All fitness equal -> shifted weights are all zero -> uniform.
         counts = np.zeros(4)
         for _ in range(200):
             chosen = RouletteWheelSelection().select(population, rng)
-            counts[population.individuals.index(chosen)] += 1
+            counts[population.members.index(chosen)] += 1
         assert (counts > 0).all()
 
 
@@ -100,16 +97,15 @@ class TestRank:
             Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
             for _ in range(4)
         ]
-        population = Population.from_placements(placements)
-        population.evaluate_all(Evaluator(tiny_problem))
+        population = Population.evaluate_all(Evaluator(tiny_problem), placements)
         # Rank selection probabilities depend only on the ordering:
         # 1/10, 2/10, 3/10, 4/10 for 4 individuals.
         rng2 = np.random.default_rng(0)
         counts = np.zeros(4)
-        order = np.argsort([ind.fitness for ind in population.individuals])
+        order = np.argsort(population.fitness)
         for _ in range(2000):
             chosen = RankSelection().select(population, rng2)
-            counts[population.individuals.index(chosen)] += 1
+            counts[population.members.index(chosen)] += 1
         best_index = order[-1]
         worst_index = order[0]
         assert counts[best_index] > counts[worst_index]
