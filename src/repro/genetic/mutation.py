@@ -16,12 +16,13 @@ what the cell-by-cell ``Point`` formulation drew.
 from __future__ import annotations
 
 import abc
-import math
+from bisect import bisect_right
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from repro.core.grid import GridArea
+from repro.seeding import selection_cdf
 
 __all__ = [
     "MutationOperator",
@@ -233,12 +234,7 @@ class CompositeMutation(MutationOperator):
             raise ValueError(
                 f"{len(weights)} weights for {len(self.operators)} operators"
             )
-        if not all(math.isfinite(weight) and weight >= 0 for weight in weights) or (
-            sum(weights) <= 0
-        ):
-            raise ValueError("weights must be finite, non-negative and not all zero")
-        total = float(sum(weights))
-        self._probabilities = np.array([weight / total for weight in weights])
+        self._probabilities, self._cdf = selection_cdf(weights)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -248,7 +244,9 @@ class CompositeMutation(MutationOperator):
     def mutate(
         self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        index = int(rng.choice(len(self.operators), p=self._probabilities))
+        # The pick of rng.choice(n, p=probabilities), on the precomputed
+        # cdf (selection_cdf).
+        index = bisect_right(self._cdf, rng.random())
         return self.operators[index].mutate(grid, cells, rng)
 
     def __repr__(self) -> str:

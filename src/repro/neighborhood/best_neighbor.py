@@ -10,7 +10,9 @@ cell), so the sampled variant is the work-horse: the lockstep driver
 (:mod:`repro.neighborhood.multichain`) draws a pre-fixed number of
 candidate moves per phase and keeps the fittest resulting solution.
 :func:`apply_valid_move` decides whether a sampled move yields a
-neighbor.
+neighbor: the scalar reference of the validity rules the driver applies
+on a whole phase's ``MoveBatch`` columns
+(``repro.neighborhood.multichain._Phase.collect``).
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ def apply_valid_move(move: Move, placement: Placement) -> Placement | None:
     The common staleness — a relocation whose target cell is meanwhile
     occupied by another router — is pre-checked against the placement's
     cached occupancy set instead of paying a raised-and-caught
-    ``ValueError`` per candidate in the search hot loops.  Anything the
-    pre-check does not cover (exotic move types, out-of-range ids) falls
-    through to the original try/except semantics.
+    ``ValueError`` per candidate.  Anything the pre-check does not cover
+    (swaps, out-of-range ids) falls through to the ``ValueError`` that
+    :meth:`~repro.neighborhood.moves.Move.apply` raises.
     """
     if type(move) is RelocateMove and move.target in placement.occupied:
         if (

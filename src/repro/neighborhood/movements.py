@@ -18,20 +18,22 @@ Two movement types come from the paper:
 building block for the "full featured local search methods" the paper
 announces as future work.
 
-Each movement defines its proposal once, as a sampler of
+Every movement defines its proposal once, as a sampler of
 :class:`~repro.neighborhood.moves.MoveBatch` rows against an incumbent
-(:meth:`MovementType._proposer`): the RNG-free work (ranked windows,
-per-window router picks, the occupancy bitmap) is done with array
-operations, and the draws are served by
-:class:`~repro.seeding.BulkDraws`, which replays numpy's own algorithms
-on prefetched words.  That Python row sampler is the reference.  On the
-compiled tier, Random and Swap proposals are drawn by one C kernel call
-per phase for every chain (:func:`~repro.core.engine.compiled.propose_rows`),
-through each chain generator's own ``bitgen_t``, with the same draws in
-the same order: the moves and every generator's final state equal the
-row sampler's.  :meth:`MovementType.propose_batch` samples a whole
-phase per chain, and :meth:`MovementType.propose` — what simulated
-annealing uses — is one row of it.
+(:meth:`MovementType._proposer`); a custom movement defines
+``_proposer`` too.  The RNG-free work (ranked windows, per-window
+router picks, the occupancy bitmap) is done with array operations, and
+the draws are served by :class:`~repro.seeding.BulkDraws`, which
+replays numpy's own algorithms on prefetched words.  That Python row
+sampler is the reference.  On the compiled tier, Random and Swap
+proposals are drawn by one C kernel call per phase for every chain
+(:func:`~repro.core.engine.compiled.propose_rows`), through each chain
+generator's own ``bitgen_t``, with the same draws in the same order:
+the moves and every generator's final state equal the row sampler's.
+:meth:`MovementType.propose_batch` samples a whole phase per chain as
+one :class:`~repro.neighborhood.moves.MoveBatch`, the only proposal
+form the search driver reads, and :meth:`MovementType.propose` is one
+row of it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from repro.core.geometry import Rect
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.neighborhood.moves import Move, MoveBatch
-from repro.seeding import BulkDraws
+from repro.seeding import BulkDraws, selection_cdf
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
 
@@ -157,8 +159,8 @@ def _inside(cells: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 #: The proposal sampler's tier while a search runs (see
 #: :func:`proposal_tier`); ``None`` outside a run.  A context variable,
-#: not a parameter: the search rules call the public ``propose`` and
-#: ``propose_batch``, whose signature custom movements override.
+#: not a parameter: the search rules call the public ``propose_batch``,
+#: whose signature stays free of tier plumbing.
 _KERNEL_TIER: "ContextVar[bool | None]" = ContextVar("proposal_kernel", default=None)
 
 
@@ -187,7 +189,11 @@ def _use_kernel() -> bool:
 
 
 class MovementType:
-    """A neighborhood structure: proposes candidate moves."""
+    """A neighborhood structure: proposes candidate moves.
+
+    A subclass defines :meth:`_proposer`, the row sampler that
+    :meth:`propose_batch` and :meth:`propose` draw from.
+    """
 
     #: Registry name of the movement (e.g. ``"swap"``).
     name: ClassVar[str] = "abstract"
@@ -203,9 +209,7 @@ class MovementType:
         ``None`` signals that no move of this type is available (e.g. no
         router in the chosen window); Algorithm 2 simply samples again.
         The move is one row of :meth:`propose_batch` for one chain,
-        which leaves ``rng`` where the row's scalar draws leave it.  A
-        movement without a row sampler (:meth:`_proposer`) overrides
-        this method instead.
+        which leaves ``rng`` where the row's scalar draws leave it.
         """
         return self._sample([current], problem, [rng], 1, _use_kernel())[0][0]
 
@@ -215,8 +219,9 @@ class MovementType:
         problem: ProblemInstance,
         rngs: "Sequence[np.random.Generator]",
         n_candidates: int,
-    ) -> "list[Sequence[Move | None]]":
-        """Candidate moves for ``R`` lockstep chains in one call.
+    ) -> "list[MoveBatch]":
+        """One :class:`~repro.neighborhood.moves.MoveBatch` of
+        ``n_candidates`` rows per lockstep chain.
 
         The multi-chain stream contract: chain ``r``'s proposals are
         exactly what ``n_candidates`` successive :meth:`propose` calls
@@ -226,20 +231,16 @@ class MovementType:
         results are independent of how chains are grouped into batches,
         processes or phases.
 
-        Movements with a row sampler (all built-ins) return one
-        :class:`~repro.neighborhood.moves.MoveBatch` per chain: the
-        RNG-free per-incumbent work is done once, and the candidates are
-        drawn on the chain's generator — Random and Swap on the compiled
-        tier by one kernel call for every chain
+        The RNG-free per-incumbent work is done once, and the candidates
+        are drawn on the chain's generator — Random and Swap on the
+        compiled tier by one kernel call for every chain
         (:func:`~repro.core.engine.compiled.propose_rows`), otherwise
-        (and :class:`CombinedMovement` always) row by row on
-        :class:`~repro.seeding.BulkDraws`.  Other movements (those that
-        override :meth:`propose`) return one list of :meth:`propose`
-        results per chain.  Either way each entry reads as a sequence of
-        ``n_candidates`` moves (``None`` where no move was available);
-        the kernel's agreement with the row sampler is asserted by
-        ``tests/neighborhood/test_propose_kernel.py``, and ``propose``
-        against a frozen copy of the scalar formulation by
+        (and :class:`CombinedMovement` always) row by row from
+        :meth:`_proposer` on :class:`~repro.seeding.BulkDraws`.  A batch
+        reads as a sequence of moves (``None`` where no move was
+        available); the kernel's agreement with the row sampler is
+        asserted by ``tests/neighborhood/test_propose_kernel.py``, and
+        ``propose`` against a frozen copy of the scalar formulation by
         ``tests/neighborhood/test_proposal_stream_parity.py``.
         """
         return self._sample(currents, problem, rngs, n_candidates, _use_kernel())
@@ -251,7 +252,7 @@ class MovementType:
         rngs: "Sequence[np.random.Generator]",
         count: int,
         use_kernel: bool,
-    ) -> "list[Sequence[Move | None]]":
+    ) -> "list[MoveBatch]":
         """:meth:`propose_batch`, Random and Swap on the kernel when
         ``use_kernel``."""
         if len(currents) != len(rngs):
@@ -273,35 +274,26 @@ class MovementType:
                     grid.height,
                 )
                 return [MoveBatch(table) for table in rows]
-        batches: list[Sequence[Move | None]] = []
+        batches = []
         for current, rng in zip(currents, rngs):
             row = self._proposer(current, problem)
-            if row is None:
-                if type(self).propose is MovementType.propose:
-                    raise NotImplementedError(
-                        f"{type(self).__name__} defines neither propose() nor "
-                        "a row sampler (_proposer())"
-                    )
-                batches.append(
-                    [self.propose(current, problem, rng) for _ in range(count)]
-                )
-                continue
             with BulkDraws(rng, words=2 * count) as draws:
                 batches.append(MoveBatch.from_rows([row(draws) for _ in range(count)]))
         return batches
 
     def _proposer(
         self, current: Evaluation, problem: ProblemInstance
-    ) -> "RowSampler | None":
+    ) -> "RowSampler":
         """The sampler of :class:`MoveBatch` rows against ``current``.
 
         It draws one proposal from a :class:`~repro.seeding.BulkDraws`
         as a ``(kind, router, partner, x, y)`` row: the movement's
-        definition and the reference for the kernel.  ``None`` means the
-        movement has none: it must override :meth:`propose`, which
-        :meth:`propose_batch` then calls.
+        definition and the reference for the kernel.  Every movement
+        defines it, custom ones included.
         """
-        return None
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no row sampler (_proposer())"
+        )
 
     def _kernel_input(
         self, current: Evaluation, problem: ProblemInstance
@@ -614,46 +606,21 @@ class CombinedMovement(MovementType):
             raise ValueError(
                 f"{len(weights)} weights for {len(self.movements)} movements"
             )
-        if any(weight < 0 for weight in weights) or sum(weights) <= 0:
-            raise ValueError("weights must be non-negative and not all zero")
-        total = float(sum(weights))
-        self._probabilities = np.array([weight / total for weight in weights])
-        # Cumulative weights for the batch sampler, normalized exactly
-        # the way Generator.choice does (cumsum then divide by the last
-        # entry) so the bisection below rounds identically.
-        cdf = np.cumsum(self._probabilities)
-        cdf /= cdf[-1]
-        self._cdf = cdf.tolist()
+        self._probabilities, self._cdf = selection_cdf(weights)
 
     @property
     def probabilities(self) -> np.ndarray:
         """Normalized selection probabilities, aligned with ``movements``."""
         return self._probabilities
 
-    def propose(
-        self,
-        current: Evaluation,
-        problem: ProblemInstance,
-        rng: np.random.Generator,
-    ) -> Move | None:
-        index = int(rng.choice(len(self.movements), p=self._probabilities))
-        return self.movements[index].propose(current, problem, rng)
-
     def _proposer(self, current, problem):
         rows = [movement._proposer(current, problem) for movement in self.movements]
-        if any(row is None for row in rows):
-            return None
-        # Generator.choice(n, p=...) draws one uniform double and bisects
-        # the normalized cumulative weights; bisecting the same cdf
-        # consumes the identical stream value and returns the identical
-        # index, without choice()'s per-call cumsum and validation.
+        # The pick of Generator.choice(n, p=probabilities), on the
+        # precomputed cdf (selection_cdf).
         cdf = self._cdf
-        last = len(rows) - 1
 
         def row(draws: BulkDraws) -> Row:
-            index = bisect_right(cdf, draws.random())
-            # min() guards the exact-1.0 edge draw.
-            return rows[min(index, last)](draws)
+            return rows[bisect_right(cdf, draws.random())](draws)
 
         return row
 

@@ -112,22 +112,6 @@ class MoveBatch(Sequence):
         return cls(np.array(rows, dtype=np.intp).reshape(-1, 5))
 
     @classmethod
-    def row(cls, move: "Move | None") -> "tuple[int, int, int, int, int] | None":
-        """The row of a relocation, a swap or a ``None`` slot.
-
-        ``None`` for another move type: it has no columns.
-        """
-        kind = type(move)
-        if move is None:
-            return cls.NO_MOVE
-        if kind is RelocateMove:
-            x, y = move.target
-            return (cls.RELOCATE, move.router_id, -1, x, y)
-        if kind is SwapMove:
-            return (cls.SWAP, move.router_a, move.router_b, -1, -1)
-        return None
-
-    @classmethod
     def move(cls, row: "Sequence[int]") -> "Move | None":
         """The move of one ``(kind, router, partner, x, y)`` row."""
         kind, router, partner, x, y = row
@@ -136,17 +120,6 @@ class MoveBatch(Sequence):
         if kind == cls.SWAP:
             return SwapMove(router_a=router, router_b=partner)
         return None
-
-    @classmethod
-    def from_moves(cls, moves: "Sequence[Move | None]") -> "MoveBatch | None":
-        """The array form of relocations, swaps and ``None`` slots.
-
-        ``None`` when another move type appears: it has no columns.
-        """
-        rows = [cls.row(move) for move in moves]
-        if any(row is None for row in rows):
-            return None
-        return cls.from_rows(rows)
 
     def __len__(self) -> int:
         return len(self.table)

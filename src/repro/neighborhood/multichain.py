@@ -86,7 +86,6 @@ from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
 from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
-from repro.neighborhood.best_neighbor import apply_valid_move
 from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import MovementType, proposal_tier
 from repro.neighborhood.trace import SearchResult, SearchTrace
@@ -214,48 +213,38 @@ class _Phase:
     ``table[:, 1:3]`` names the routers it touches (``-1``: none).
     ``movers`` counts each candidate's moved routers, ``spans`` gives
     each chain's candidate range and ``candidates`` feeds the delta
-    engine.  Candidates of moves without columns are built up front
-    (``built``, and no ``movers``); their rows read as no move.
+    engine.
     """
 
-    __slots__ = ("table", "movers", "candidates", "spans", "built")
+    __slots__ = ("table", "movers", "candidates", "spans")
 
-    def __init__(self, table, movers, candidates, spans, built=None) -> None:
+    def __init__(self, table, movers, candidates, spans) -> None:
         self.table = table
         self.movers = movers
         self.candidates = candidates
         self.spans = spans
-        self.built = built
 
     @classmethod
     def collect(
         cls,
         incumbents: Sequence[Placement],
         chains: Sequence[int],
-        proposals,
+        proposals: Sequence[MoveBatch],
         problem: ProblemInstance,
     ) -> "_Phase":
         """Validate the phase's proposals on their columns, in one pass.
 
-        ``proposals[i]`` are the moves proposed off ``incumbents[i]``,
+        ``proposals[i]`` is the batch proposed off ``incumbents[i]``,
         the incumbent of chain ``chains[i]``.  The rules of
         :func:`~repro.neighborhood.best_neighbor.apply_valid_move` on a
         built placement: out-of-range router ids and out-of-grid targets
         are skipped, a relocation onto another router's cell is stale and
         skipped, one onto its own cell (or a swap of a router with
-        itself) is a no-op candidate equal to the incumbent.  When a
-        move outside the relocate/swap vocabulary appears, the phase's
-        candidates are built and diffed instead (:meth:`_by_cell_diff`).
+        itself) is a no-op candidate equal to the incumbent.
         """
-        batches = [
-            moves if isinstance(moves, MoveBatch) else MoveBatch.from_moves(moves)
-            for moves in proposals
-        ]
-        if any(batch is None for batch in batches):
-            return cls._by_cell_diff(incumbents, chains, proposals)
-        lengths = [len(batch) for batch in batches]
-        table = np.concatenate([batch.table for batch in batches])
-        slots = np.repeat(np.arange(len(batches)), lengths)
+        lengths = [len(batch) for batch in proposals]
+        table = np.concatenate([batch.table for batch in proposals])
+        slots = np.repeat(np.arange(len(proposals)), lengths)
         kind, router, partner, xs, ys = table.T
         grid = problem.grid
         n_routers = problem.n_routers
@@ -307,63 +296,13 @@ class _Phase:
             pair_router,
             pair_xy,
         )
-        return cls(table[keep], counts, candidates, _spans(slot_of, len(batches)))
-
-    @classmethod
-    def _by_cell_diff(
-        cls, incumbents: Sequence[Placement], chains: Sequence[int], proposals
-    ) -> "_Phase":
-        """Candidates of moves without columns, built and diffed.
-
-        Each valid candidate is built (:func:`apply_valid_move`), and
-        its movers are the routers whose cells differ from the
-        incumbent's.
-        """
-        built: list[Placement] = []
-        rows: list[tuple] = []
-        slots: list[int] = []
-        pair_candidate = [_NO_ROUTERS]
-        pair_router = [_NO_ROUTERS]
-        pair_xy = [np.zeros((0, 2), dtype=np.intp)]
-        for slot, (incumbent, moves) in enumerate(zip(incumbents, proposals)):
-            cells = incumbent.cells_array()
-            for move in moves:
-                candidate = None if move is None else apply_valid_move(move, incumbent)
-                if candidate is None:
-                    continue
-                new_cells = candidate.cells_array()
-                moved = np.flatnonzero((new_cells != cells).any(axis=1))
-                pair_candidate.append(np.full(moved.size, len(built), dtype=np.intp))
-                pair_router.append(moved)
-                pair_xy.append(new_cells[moved])
-                rows.append(MoveBatch.row(move) or MoveBatch.NO_MOVE)
-                slots.append(slot)
-                built.append(candidate)
-        slot_of = np.array(slots, dtype=np.intp)
-        candidates = PhaseCandidates(
-            np.asarray(chains, dtype=np.intp)[slot_of],
-            np.concatenate(pair_candidate),
-            np.concatenate(pair_router),
-            np.concatenate(pair_xy),
-        )
-        return cls(
-            MoveBatch.from_rows(rows).table,
-            None,
-            candidates,
-            _spans(slot_of, len(proposals)),
-            built,
-        )
+        return cls(table[keep], counts, candidates, _spans(slot_of, len(proposals)))
 
     def placement(self, index: int, incumbent: Placement) -> Placement:
         """Candidate ``index`` built from its move (the only one built)."""
-        if self.built is not None:
-            return self.built[index]
         if self.movers[index] == 0:
             return incumbent
         return MoveBatch(self.table)[index].apply(incumbent)
-
-
-_NO_ROUTERS = np.zeros(0, dtype=np.intp)
 
 
 def _spans(slot_of: np.ndarray, n_slots: int) -> list[tuple[int, int]]:
@@ -460,9 +399,9 @@ class _BestImprovement(_ChoiceRule):
 class _Tabu(_ChoiceRule):
     """Tabu search: the best admissible candidate, even when worsening.
 
-    The routers the chosen move touches (a relocation one, a swap two,
-    another move type none) are tabu for ``tenure`` phases; aspiration
-    admits a tabu move that beats the chain's best.
+    The routers the chosen move touches (a relocation one, a swap two)
+    are tabu for ``tenure`` phases; aspiration admits a tabu move that
+    beats the chain's best.
     """
 
     __slots__ = ("tenure",)

@@ -31,9 +31,18 @@ calls.  It is the Python sampler of the movement proposals and of
 samplers (``repro_propose_rows``/``repro_distinct_cells`` in
 ``_kernels.c``, which draw through the generator's own ``bitgen_t``)
 are tested against.
+
+:func:`selection_cdf` serves the weighted picks
+(:class:`~repro.neighborhood.movements.CombinedMovement`,
+:class:`~repro.genetic.mutation.CompositeMutation`): one validated
+cumulative-weight table, bisected for one uniform draw, the index and
+stream state of ``Generator.choice(n, p=...)``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +50,7 @@ __all__ = [
     "BulkDraws",
     "fresh_sequence",
     "root_sequence",
+    "selection_cdf",
     "spawn_children",
 ]
 
@@ -83,6 +93,31 @@ def spawn_children(
     if n_children < 0:
         raise ValueError(f"n_children must be >= 0, got {n_children}")
     return fresh_sequence(seq).spawn(n_children)
+
+
+def selection_cdf(weights: Sequence[float]) -> "tuple[np.ndarray, list[float]]":
+    """Normalized selection probabilities and their cumulative table.
+
+    ``Generator.choice(n, p=probabilities)`` re-validates ``p`` on every
+    call, takes its cumulative sum, divides by the last entry and bisects
+    the result for one ``random()`` draw.  ``bisect_right(cdf, u)`` on
+    the table returned here, for ``u = rng.random()`` (or
+    :meth:`BulkDraws.random`), is the same index from the same draw.
+    The last entry is exactly ``1.0``, so a draw in ``[0, 1)`` always
+    bisects to a valid index.
+
+    Raises ``ValueError`` unless the weights are finite, non-negative
+    and not all zero: a NaN entry would bisect every draw to the end.
+    """
+    if not all(math.isfinite(weight) and weight >= 0 for weight in weights) or (
+        sum(weights) <= 0
+    ):
+        raise ValueError("weights must be finite, non-negative and not all zero")
+    total = float(sum(weights))
+    probabilities = np.array([weight / total for weight in weights])
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+    return probabilities, cdf.tolist()
 
 
 #: Bounded draws up to this span use numpy's 32-bit Lemire path.

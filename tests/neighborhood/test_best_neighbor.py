@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
 from repro.neighborhood.best_neighbor import apply_valid_move
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch, RelocateMove, SwapMove
 from repro.neighborhood.movements import MovementType, RandomMovement
 from repro.neighborhood.search import NeighborhoodSearch
 
@@ -24,8 +24,8 @@ class NoneMovement(MovementType):
 
     name = "none"
 
-    def propose(self, current, problem, rng):
-        return None
+    def _proposer(self, current, problem):
+        return lambda draws: MoveBatch.NO_MOVE
 
 
 class StaleMovement(MovementType):
@@ -33,8 +33,9 @@ class StaleMovement(MovementType):
 
     name = "stale"
 
-    def propose(self, current, problem, rng):
-        return RelocateMove(0, current.placement[1])
+    def _proposer(self, current, problem):
+        x, y = current.placement[1]
+        return lambda draws: (MoveBatch.RELOCATE, 0, -1, x, y)
 
 
 def one_phase(problem, movement, rng, n_candidates):

@@ -32,13 +32,7 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.moves import Move, RelocateMove, SwapMove
-from repro.neighborhood.movements import (
-    CombinedMovement,
-    MovementType,
-    RandomMovement,
-    SwapMovement,
-)
+from repro.neighborhood.moves import RelocateMove, SwapMove
 from repro.neighborhood.registry import available_movements, make_movement
 from repro.neighborhood.tabu import TabuSearch
 from repro.neighborhood.trace import SearchResult, SearchTrace
@@ -56,41 +50,6 @@ TIERS = [
         ),
     ),
 ]
-
-
-class WrappedMove(Move):
-    """A move type outside the relocate/swap vocabulary."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def apply(self, placement):
-        return self.inner.apply(placement)
-
-    def describe(self):
-        return f"wrapped({self.inner.describe()})"
-
-
-class WrappingMovement(MovementType):
-    """Random relocations and literal swaps in an exotic move type."""
-
-    name = "wrapping"
-
-    def __init__(self):
-        self._inner = CombinedMovement(
-            [SwapMovement(relocate=False), RandomMovement()]
-        )
-
-    def propose(self, current, problem, rng):
-        move = self._inner.propose(current, problem, rng)
-        return None if move is None else WrappedMove(move)
-
-
-MOVEMENTS = [*available_movements(), "wrapped"]
-
-
-def movement_named(name: str) -> MovementType:
-    return WrappingMovement() if name == "wrapped" else make_movement(name)
 
 
 def touched_routers(move) -> tuple[int, ...]:
@@ -277,7 +236,7 @@ def search_cases(draw):
         coverage_rule=draw(st.sampled_from(list(CoverageRule))),
     )
     config = dict(
-        movement=draw(st.sampled_from(MOVEMENTS)),
+        movement=draw(st.sampled_from(available_movements())),
         seed=draw(st.integers(0, 2**32 - 1)),
         max_phases=draw(st.integers(1, 10)),
         per_phase=draw(st.integers(1, 6)),
@@ -298,14 +257,14 @@ def run_annealing(problem, initial, config, tier):
     )
     reference_rng = np.random.default_rng(config["seed"])
     reference = annealing_reference(
-        problem, movement_named(config["movement"]), initial, reference_rng,
+        problem, make_movement(config["movement"]), initial, reference_rng,
         schedule, config["max_phases"], config["per_phase"],
         deadline=stepping_deadline(config["deadline_polls"]),
     )
     rng = np.random.default_rng(config["seed"])
     evaluator = Evaluator(problem, engine=tier)
     result = SimulatedAnnealing(
-        movement_named(config["movement"]),
+        make_movement(config["movement"]),
         schedule=schedule,
         max_phases=config["max_phases"],
         moves_per_phase=config["per_phase"],
@@ -320,14 +279,14 @@ def run_tabu(problem, initial, config, tier):
     """``(result, rng, evaluator)`` and the reference ``(result, rng)``."""
     reference_rng = np.random.default_rng(config["seed"])
     reference = tabu_reference(
-        problem, movement_named(config["movement"]), initial, reference_rng,
+        problem, make_movement(config["movement"]), initial, reference_rng,
         config["tenure"], config["per_phase"], config["max_phases"],
         deadline=stepping_deadline(config["deadline_polls"]),
     )
     rng = np.random.default_rng(config["seed"])
     evaluator = Evaluator(problem, engine=tier)
     result = TabuSearch(
-        movement_named(config["movement"]),
+        make_movement(config["movement"]),
         tenure=config["tenure"],
         n_candidates=config["per_phase"],
         max_phases=config["max_phases"],

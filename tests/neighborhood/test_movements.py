@@ -182,8 +182,11 @@ class TestCombinedMovement:
         current = Evaluator(problem).evaluate(placement)
 
         class Marker(RandomMovement):
-            def propose(self, current, problem, rng):
-                raise AssertionError("zero-weight movement selected")
+            def _proposer(self, current, problem):
+                def row(draws):
+                    raise AssertionError("zero-weight movement selected")
+
+                return row
 
         combined = CombinedMovement(
             [RandomMovement(), Marker()], weights=[1.0, 0.0]
@@ -200,6 +203,18 @@ class TestCombinedMovement:
             CombinedMovement([RandomMovement()], weights=[0.0])
         with pytest.raises(ValueError):
             CombinedMovement([RandomMovement()], weights=[-1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_non_finite_weight_rejected(self, bad, position):
+        # A NaN cdf bisects every draw to the last constituent, so a
+        # non-finite weight must fail at construction, not mid-search.
+        weights = [1.0, 1.0]
+        weights[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CombinedMovement(
+                [RandomMovement(), SwapMovement(relocate=False)], weights=weights
+            )
 
 
 def same_state(a, b) -> bool:
@@ -353,14 +368,14 @@ class TestArrayProposals:
 class TestMoveBatch:
     def test_round_trips_moves(self):
         moves = [RelocateMove(3, Point(4, 5)), None, SwapMove(1, 2)]
-        batch = MoveBatch.from_moves(moves)
+        batch = MoveBatch.from_rows(
+            [
+                (MoveBatch.RELOCATE, 3, -1, 4, 5),
+                MoveBatch.NO_MOVE,
+                (MoveBatch.SWAP, 1, 2, -1, -1),
+            ]
+        )
         assert batch == moves
         assert batch[0] == moves[0] and batch[-1] == moves[-1]
-        assert MoveBatch.from_moves(batch) == batch
+        assert MoveBatch(batch.table.copy()) == batch
         assert batch != moves[:2]
-
-    def test_other_move_types_have_no_array_form(self):
-        class Exotic(RelocateMove):
-            pass
-
-        assert MoveBatch.from_moves([Exotic(0, Point(1, 1))]) is None

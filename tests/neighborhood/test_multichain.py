@@ -35,10 +35,8 @@ from repro.neighborhood import (
     NeighborhoodSearch,
     chain_generators,
 )
-from repro.neighborhood.moves import Move
 from repro.neighborhood.movements import (
     CombinedMovement,
-    MovementType,
     RandomMovement,
     SwapMovement,
 )
@@ -359,35 +357,6 @@ class TestLockstepParity:
             SwapMovement(), n_candidates=5, max_phases=8, engine="sparse"
         ).run(problem, initials, rngs)
         assert_identical(dense, sparse)
-
-    def test_exotic_move_type_falls_back(self, problem):
-        class WrappedRelocate(Move):
-            def __init__(self, inner):
-                self.inner = inner
-
-            def apply(self, placement):
-                return self.inner.apply(placement)
-
-            def describe(self):
-                return f"wrapped({self.inner.describe()})"
-
-        class WrappingMovement(MovementType):
-            name = "wrapping"
-
-            def __init__(self):
-                self._random = RandomMovement()
-
-            def propose(self, current, problem, rng):
-                move = self._random.propose(current, problem, rng)
-                return None if move is None else WrappedRelocate(move)
-
-        serial = run_serial(
-            problem, WrappingMovement, 3, n_candidates=4, max_phases=6
-        )
-        lockstep = run_lockstep(
-            problem, WrappingMovement, 3, n_candidates=4, max_phases=6
-        )
-        assert_identical(serial, lockstep)
 
 
 class TestDeterminismAndWorkers:

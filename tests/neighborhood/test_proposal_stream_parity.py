@@ -285,54 +285,13 @@ def test_literal_swaps_are_drawn():
 # ----------------------------------------------------------------------
 
 
-class _Recording(MovementType):
-    """A custom movement: a fixed relocation, counting its calls."""
-
-    name = "recording"
-
-    def __init__(self):
-        self.calls = 0
-
-    def propose(self, current, problem, rng):
-        self.calls += 1
-        rng.integers(0, 2)
-        return RelocateMove(router_id=0, target=Point(0, 0))
-
-
-def test_combined_with_custom_constituent_delegates():
-    problem = make_problem(12, 12, 6)
-    current = incumbent(problem)
-    custom = _Recording()
-    movement = CombinedMovement([custom, RandomMovement()])
-    rng = np.random.default_rng(23)
-    reference = np.random.default_rng(23)
-    expected_calls = 0
-    for _ in range(16):
-        move = movement.propose(current, problem, rng)
-        index = int(reference.choice(2, p=movement.probabilities))
-        if index == 0:
-            expected_calls += 1
-            reference.integers(0, 2)
-            assert move == RelocateMove(router_id=0, target=Point(0, 0))
-        else:
-            assert move == ref_random_propose(current, problem, reference)
-        assert rng.bit_generator.state == reference.bit_generator.state
-    assert custom.calls == expected_calls > 0
-    # The batch form falls back to the same delegation.
-    batch = movement.propose_batch(
-        [current], problem, [np.random.default_rng(23)], 16
-    )[0]
-    rng = np.random.default_rng(23)
-    assert list(batch) == [movement.propose(current, problem, rng) for _ in range(16)]
-
-
 def test_movement_without_sampler_fails_clearly():
     class Bare(MovementType):
         name = "bare"
 
     problem = make_problem(8, 8, 3)
     current = incumbent(problem)
-    with pytest.raises(NotImplementedError, match="neither propose"):
+    with pytest.raises(NotImplementedError, match="Bare defines no row sampler"):
         Bare().propose(current, problem, np.random.default_rng(0))
-    with pytest.raises(NotImplementedError, match="neither propose"):
+    with pytest.raises(NotImplementedError, match="Bare defines no row sampler"):
         Bare().propose_batch([current], problem, [np.random.default_rng(0)], 4)

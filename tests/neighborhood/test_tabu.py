@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.multichain import _Phase
 from repro.neighborhood.tabu import TabuSearch
@@ -15,23 +15,23 @@ from repro.neighborhood.tabu import TabuSearch
 from tests.conftest import free_cell
 
 
-def touched_routers(problem, placement, move) -> tuple[int, ...]:
-    """The tabu attribute of ``move``: the routers its columns name."""
-    phase = _Phase.collect([placement], [0], [[move]], problem)
+def touched_routers(problem, placement, row) -> tuple[int, ...]:
+    """The tabu attribute of a move row: the routers its columns name."""
+    phase = _Phase.collect([placement], [0], [MoveBatch.from_rows([row])], problem)
     return tuple(int(router) for router in phase.table[0, 1:3] if router >= 0)
 
 
 class TestTouchedRouters:
     def test_swap_touches_both(self, tiny_problem, rng):
         placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        assert touched_routers(tiny_problem, placement, SwapMove(2, 5)) == (2, 5)
+        row = (MoveBatch.SWAP, 2, 5, -1, -1)
+        assert touched_routers(tiny_problem, placement, row) == (2, 5)
 
     def test_relocate_touches_one(self, tiny_problem, rng):
         placement = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        cell = free_cell(tiny_problem.grid, placement.occupied, rng)
-        assert touched_routers(
-            tiny_problem, placement, RelocateMove(3, cell)
-        ) == (3,)
+        x, y = free_cell(tiny_problem.grid, placement.occupied, rng)
+        row = (MoveBatch.RELOCATE, 3, -1, x, y)
+        assert touched_routers(tiny_problem, placement, row) == (3,)
 
 
 class TestTabuSearch:

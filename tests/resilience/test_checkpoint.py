@@ -272,6 +272,20 @@ class TestReplicationResume:
                     == baseline[label][metric].values
                 )
 
+    def test_tampered_movements_row_fails_parity(self, tmp_path):
+        spec = tiny_spec(seed=7)
+        directory = tmp_path / "movements"
+        kwargs = dict(n_seeds=2, n_candidates=4, max_phases=3)
+        replicate_movements(spec, checkpoint=str(directory), **kwargs)
+        # Tamper with the row the resume gate re-verifies (the first
+        # label's first seed).
+        (victim,) = directory.glob("Swap.*-s000.json")
+        payload = json.loads(victim.read_text())
+        payload["values"][0] += 1.0
+        victim.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointParityError, match="does not"):
+            replicate_movements(spec, resume_from=str(directory), **kwargs)
+
 
 class TestRunnerResume:
     def _runner(self):

@@ -1,18 +1,23 @@
-"""Property tests for :class:`repro.seeding.BulkDraws`.
+"""Property tests for :class:`repro.seeding.BulkDraws` and
+:func:`repro.seeding.selection_cdf`.
 
 The bulk draws must be indistinguishable from scalar generator calls:
 the same values in the same order, and afterwards the same full
-``bit_generator.state`` dict — including the buffered 32-bit half.
+``bit_generator.state`` dict — including the buffered 32-bit half.  A
+weighted pick on the selection cdf must equal ``Generator.choice(n,
+p=...)`` the same way.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.seeding import BulkDraws
+from repro.seeding import BulkDraws, selection_cdf
 
 #: Spans that exercise every branch of the 32-bit bounded path: no draw
 #: (1), the raw half (2**32), powers of two, and rejection-heavy spans
@@ -130,3 +135,38 @@ def test_empty_range_raises_like_numpy():
     reference.integers(0, 9)
     assert value == int(reference.integers(0, 9))
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # Zero weights anywhere (leading, inner, trailing) and spreads of
+    # many orders of magnitude; at least one weight is positive.
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-9, 1e6)), min_size=1, max_size=8
+    ).filter(lambda weights: sum(weights) > 0),
+)
+def test_selection_cdf_pick_matches_choice(seed, weights):
+    probabilities, cdf = selection_cdf(weights)
+    rng = np.random.default_rng(seed)
+    reference = np.random.default_rng(seed)
+    for _ in range(200):
+        expected = int(reference.choice(len(weights), p=probabilities))
+        assert bisect_right(cdf, rng.random()) == expected
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [],
+        [0.0, 0.0],
+        [-1.0, 2.0],
+        [float("nan"), 1.0],
+        [1.0, float("inf")],
+        [float("-inf"), 1.0],
+    ],
+)
+def test_selection_cdf_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="finite, non-negative and not all zero"):
+        selection_cdf(weights)
