@@ -25,12 +25,14 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef uint8_t u8;
 
 /* Below this many candidate pairs a filter pass runs on one thread: the
@@ -998,4 +1000,361 @@ void repro_distinct_cells(
             bitmap[index] = 1;
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* One GA generation on the run's generator                            */
+/* ------------------------------------------------------------------ */
+
+/* Mutation operator codes of repro_ga_generation (compiled.py MUTATE_*). */
+#define MUTATE_JIGGLE 0
+#define MUTATE_TOWARD_CENTROID 1
+#define MUTATE_RESET 2
+
+/* Generator.uniform(low, high): low + (high - low) * next_double.
+ * Generator.uniform() and Generator.random() are next_double itself. */
+static double uniform(bitgen_t *bitgen, double low, double high) {
+    return low + (high - low) * bitgen->next_double(bitgen->state);
+}
+
+/* Scratch of one generation.  The bitmap is all clear between
+ * operators: each operator marks the row it works on and clears the
+ * row it leaves, so no call pays for a width*height reset. */
+typedef struct {
+    bitgen_t *bitgen;
+    i64 width, height, n_routers;
+    u8 *bitmap;     /* width*height occupancy */
+    i64 *ring;      /* 8*max(width, height) nudge candidates */
+    u8 *chosen;     /* n_routers, Floyd's set of ResetMutation */
+    i64 *victims;   /* n_routers, ResetMutation's picks */
+} ga_scratch;
+
+static void mark_row(ga_scratch *s, const i32 *row, u8 value) {
+    for (i64 i = 0; i < s->n_routers; i++) {
+        s->bitmap[(i64)row[2 * i + 1] * s->width + row[2 * i]] = value;
+    }
+}
+
+static void set_cell(i32 *row, i64 router, i64 index, i64 width) {
+    row[2 * router] = (i32)(index % width);
+    row[2 * router + 1] = (i32)(index / width);
+}
+
+/* TournamentSelection.select: `size` bounded picks, the first of the
+ * fittest winning ties. */
+static i64 tournament(bitgen_t *bitgen, const double *fitness, i64 n_parents, i64 size) {
+    i64 best = bounded(bitgen, n_parents);
+    for (i64 k = 1; k < size; k++) {
+        const i64 index = bounded(bitgen, n_parents);
+        if (fitness[index] > fitness[best]) {
+            best = index;
+        }
+    }
+    return best;
+}
+
+/* resolve_collisions: the row's cells placed in order, each through
+ * nudge_to_free.  A free cell stays and draws nothing; a taken one moves
+ * to a uniform pick among the free in-grid cells of the nearest
+ * Chebyshev ring holding one, listed as nudge_to_free lists them (per
+ * dx the bottom then the top edge, then per dy the left then the right
+ * edge).  -1 when the grid has no free cell left. */
+static int resolve_row(ga_scratch *s, i32 *row) {
+    const i64 width = s->width, height = s->height;
+    const i64 limit = width > height ? width : height;
+    for (i64 i = 0; i < s->n_routers; i++) {
+        const i64 x = row[2 * i], y = row[2 * i + 1];
+        i64 index = y * width + x;
+        if (s->bitmap[index]) {
+            index = -1;
+            for (i64 r = 1; r <= limit && index < 0; r++) {
+                i64 count = 0;
+#define RING_CELL(cx, cy)                                                   \
+    do {                                                                    \
+        const i64 rx = (cx), ry = (cy);                                     \
+        if (rx >= 0 && rx < width && ry >= 0 && ry < height                 \
+            && !s->bitmap[ry * width + rx]) {                               \
+            s->ring[count++] = ry * width + rx;                             \
+        }                                                                   \
+    } while (0)
+                for (i64 dx = -r; dx <= r; dx++) {
+                    RING_CELL(x + dx, y - r);
+                    RING_CELL(x + dx, y + r);
+                }
+                for (i64 dy = -r + 1; dy < r; dy++) {
+                    RING_CELL(x - r, y + dy);
+                    RING_CELL(x + r, y + dy);
+                }
+#undef RING_CELL
+                if (count) {
+                    index = s->ring[bounded(s->bitgen, count)];
+                }
+            }
+            if (index < 0) {
+                return -1;
+            }
+            set_cell(row, i, index, width);
+        }
+        s->bitmap[index] = 1;
+    }
+    return 0;
+}
+
+/* JiggleMutation: per router a coin against the per-gene rate, then a
+ * free cell within `radius` (or staying put when the window is full).
+ * The bitmap is marked at the first moving router. */
+static void jiggle(ga_scratch *s, i32 *row, i64 radius, double rate) {
+    const i64 width = s->width;
+    int marked = 0;
+    for (i64 i = 0; i < s->n_routers; i++) {
+        if (s->bitgen->next_double(s->bitgen->state) >= rate) {
+            continue;
+        }
+        if (!marked) {
+            mark_row(s, row, 1);
+            marked = 1;
+        }
+        const i64 x = row[2 * i], y = row[2 * i + 1];
+        const i64 current = y * width + x;
+        s->bitmap[current] = 0;
+        i64 target = free_index(
+            s->bitgen, s->bitmap, width, s->height,
+            x - radius, y - radius, x + radius + 1, y + radius + 1
+        );
+        if (target < 0) {
+            target = current;
+        }
+        s->bitmap[target] = 1;
+        set_cell(row, i, target, width);
+    }
+    if (marked) {
+        mark_row(s, row, 0);
+    }
+}
+
+/* TowardCentroidMutation: a router, a step fraction and the x then y
+ * jitter; the rounded (half to even, as Python's round) and clamped
+ * target, or a free cell of the 5x5 window around it when another
+ * router holds it.  The integer coordinate sums are exact in float64,
+ * so the centroid is numpy's mean. */
+static void toward_centroid(ga_scratch *s, i32 *row, i64 jitter, double max_step) {
+    const i64 n = s->n_routers, width = s->width, height = s->height;
+    double sum_x = 0.0, sum_y = 0.0;
+    for (i64 i = 0; i < n; i++) {
+        sum_x += row[2 * i];
+        sum_y += row[2 * i + 1];
+    }
+    const double centroid_x = sum_x / (double)n;
+    const double centroid_y = sum_y / (double)n;
+    const i64 router = bounded(s->bitgen, n);
+    const i64 current_x = row[2 * router], current_y = row[2 * router + 1];
+    const double fraction = uniform(s->bitgen, 0.0, max_step);
+    double target_x = current_x + fraction * (centroid_x - current_x);
+    double target_y = current_y + fraction * (centroid_y - current_y);
+    if (jitter) {
+        target_x += (double)(bounded(s->bitgen, 2 * jitter + 1) - jitter);
+        target_y += (double)(bounded(s->bitgen, 2 * jitter + 1) - jitter);
+    }
+    target_x = rint(target_x);
+    target_y = rint(target_y);
+    i64 x = target_x < 0.0 ? 0 : target_x > (double)(width - 1) ? width - 1 : (i64)target_x;
+    i64 y = target_y < 0.0 ? 0 : target_y > (double)(height - 1) ? height - 1 : (i64)target_y;
+    if (x == current_x && y == current_y) {
+        return;
+    }
+    int taken = 0;
+    for (i64 i = 0; i < n && !taken; i++) {
+        taken = row[2 * i] == x && row[2 * i + 1] == y;
+    }
+    if (taken) {
+        mark_row(s, row, 1);
+        s->bitmap[current_y * width + current_x] = 0;
+        const i64 target = free_index(
+            s->bitgen, s->bitmap, width, height, x - 2, y - 2, x + 3, y + 3
+        );
+        mark_row(s, row, 0);
+        if (target < 0) {
+            return;
+        }
+        x = target % width;
+        y = target / width;
+    }
+    row[2 * router] = (i32)x;
+    row[2 * router + 1] = (i32)y;
+}
+
+/* ResetMutation: Generator.choice(n, min(count, n), replace=False) by
+ * numpy's Floyd algorithm and Fisher-Yates shuffle of the picks (the
+ * caller keeps numpy's tail-shuffle case on the Python path), then per
+ * victim a free cell of the whole grid. */
+static void reset(ga_scratch *s, i32 *row, i64 count) {
+    const i64 n = s->n_routers, width = s->width;
+    const i64 k = count < n ? count : n;
+    for (i64 j = n - k; j < n; j++) {
+        i64 pick = bounded(s->bitgen, j + 1);
+        if (s->chosen[pick]) {
+            pick = j;
+        }
+        s->chosen[pick] = 1;
+        s->victims[j - (n - k)] = pick;
+    }
+    for (i64 i = k - 1; i > 0; i--) {
+        const i64 j = bounded(s->bitgen, i + 1);
+        const i64 swap = s->victims[i];
+        s->victims[i] = s->victims[j];
+        s->victims[j] = swap;
+    }
+    for (i64 i = 0; i < k; i++) {
+        s->chosen[s->victims[i]] = 0;
+    }
+    mark_row(s, row, 1);
+    for (i64 i = 0; i < k; i++) {
+        const i64 victim = s->victims[i];
+        const i64 current = (i64)row[2 * victim + 1] * width + row[2 * victim];
+        s->bitmap[current] = 0;
+        i64 target = free_index(
+            s->bitgen, s->bitmap, width, s->height, 0, 0, width, s->height
+        );
+        if (target < 0) {
+            target = current;  /* unreachable: the victim's cell is free */
+        }
+        s->bitmap[target] = 1;
+        set_cell(row, victim, target, width);
+    }
+    mark_row(s, row, 0);
+}
+
+/* GeneticAlgorithm._next_generation from the parents' cells and
+ * fitness, for the operators TournamentSelection,
+ * RegionExchangeCrossover and Jiggle, TowardCentroid or Reset alone
+ * (op_cdf NULL) or mixed by a CompositeMutation (op_cdf its cumulative
+ * table).  Fills slots n_elites..P-1: source[slot] is the parent copied
+ * unchanged there (its row copied too), or -1 for a new row.  The draws
+ * are the Python operators' draws, in their order, on the run's one
+ * generator:
+ *
+ *   per pair of slots
+ *     select_pair: `tournament_size` bounded picks for parent a, then b
+ *     the crossover coin (one double against crossover_rate)
+ *     on crossover: _random_region's width and height uniforms, then
+ *       its x0 and y0 bounded draws; resolve_collisions' nudges for
+ *       child 1, then for child 2 (both, even when only one slot is
+ *       left)
+ *     per child placed: the mutation coin (one double against
+ *       mutation_rate); on mutation the CompositeMutation pick (one
+ *       double bisected in op_cdf), then the operator's draws:
+ *         Jiggle: per router a coin, per moving router free_index
+ *         TowardCentroid: a router, the step fraction, the x and y
+ *           jitter (none when jitter is 0), free_index on a collision
+ *         Reset: Floyd's picks and their shuffle, then per victim
+ *           free_index
+ *
+ * Returns -2 when a parent cell lies outside the grid (nothing drawn),
+ * -3 when a nudge finds the grid full and -1 when the scratch cannot be
+ * allocated. */
+i64 repro_ga_generation(
+    bitgen_t *bitgen,
+    const i32 *parents,        /* P*N*2 */
+    const double *fitness,     /* P */
+    i64 n_parents, i64 n_routers,
+    i64 width, i64 height,
+    i64 n_elites, i64 tournament_size,
+    double crossover_rate, double mutation_rate,
+    double min_fraction, double max_fraction,
+    i64 n_ops,
+    const i64 *op_kinds,       /* n_ops MUTATE_* */
+    const i64 *op_ints,        /* radius, jitter or count */
+    const double *op_reals,    /* per-gene rate or max step fraction */
+    const double *op_cdf,      /* n_ops, or NULL */
+    i64 *source,               /* P */
+    i32 *children              /* P*N*2 */
+) {
+    const i64 row_size = 2 * n_routers;
+    for (i64 i = 0; i < n_parents * n_routers; i++) {
+        const i64 x = parents[2 * i], y = parents[2 * i + 1];
+        if (x < 0 || x >= width || y < 0 || y >= height) {
+            return -2;
+        }
+    }
+    const i64 limit = width > height ? width : height;
+    ga_scratch s = {bitgen, width, height, n_routers, NULL, NULL, NULL, NULL};
+    s.bitmap = calloc((size_t)(width * height), 1);
+    s.ring = malloc(sizeof(i64) * (size_t)(8 * limit));
+    s.chosen = calloc((size_t)n_routers, 1);
+    s.victims = malloc(sizeof(i64) * (size_t)n_routers);
+    i32 *pair = malloc(sizeof(i32) * (size_t)(2 * row_size));
+    i64 status = 0;
+    if (!s.bitmap || !s.ring || !s.chosen || !s.victims || !pair) {
+        status = -1;
+        goto done;
+    }
+    for (i64 slot = n_elites; slot < n_parents;) {
+        const i64 parent_a = tournament(bitgen, fitness, n_parents, tournament_size);
+        const i64 parent_b = tournament(bitgen, fitness, n_parents, tournament_size);
+        const i32 *row_a = parents + parent_a * row_size;
+        const i32 *row_b = parents + parent_b * row_size;
+        const int crossed = bitgen->next_double(bitgen->state) < crossover_rate;
+        if (crossed) {
+            i64 w = (i64)(uniform(bitgen, min_fraction, max_fraction) * (double)width);
+            i64 h = (i64)(uniform(bitgen, min_fraction, max_fraction) * (double)height);
+            w = w > 1 ? w : 1;
+            h = h > 1 ? h : 1;
+            const i64 x0 = bounded(bitgen, width - w + 1);
+            const i64 y0 = bounded(bitgen, height - h + 1);
+            /* Child 1 keeps a's routers inside the region, child 2 b's. */
+            for (int c = 0; c < 2; c++) {
+                const i32 *keep = c ? row_b : row_a;
+                const i32 *other = c ? row_a : row_b;
+                i32 *child = pair + c * row_size;
+                for (i64 i = 0; i < n_routers; i++) {
+                    const i64 x = keep[2 * i], y = keep[2 * i + 1];
+                    const int inside = x >= x0 && x < x0 + w && y >= y0 && y < y0 + h;
+                    const i32 *from = inside ? keep : other;
+                    child[2 * i] = from[2 * i];
+                    child[2 * i + 1] = from[2 * i + 1];
+                }
+            }
+            for (int c = 0; c < 2; c++) {
+                i32 *child = pair + c * row_size;
+                const int full = resolve_row(&s, child);
+                mark_row(&s, child, 0);
+                if (full) {
+                    status = -3;
+                    goto done;
+                }
+            }
+        }
+        for (int c = 0; c < 2 && slot < n_parents; c++, slot++) {
+            const i64 parent = c ? parent_b : parent_a;
+            i32 *row = children + slot * row_size;
+            memcpy(row, crossed ? pair + c * row_size : parents + parent * row_size,
+                   sizeof(i32) * (size_t)row_size);
+            source[slot] = crossed ? -1 : parent;
+            if (bitgen->next_double(bitgen->state) >= mutation_rate) {
+                continue;
+            }
+            source[slot] = -1;
+            i64 op = 0;
+            if (op_cdf != NULL) {
+                const double u = bitgen->next_double(bitgen->state);
+                while (op < n_ops - 1 && op_cdf[op] <= u) {
+                    op++;
+                }
+            }
+            if (op_kinds[op] == MUTATE_JIGGLE) {
+                jiggle(&s, row, op_ints[op], op_reals[op]);
+            } else if (op_kinds[op] == MUTATE_TOWARD_CENTROID) {
+                toward_centroid(&s, row, op_ints[op], op_reals[op]);
+            } else {
+                reset(&s, row, op_ints[op]);
+            }
+        }
+    }
+done:
+    free(s.bitmap);
+    free(s.ring);
+    free(s.chosen);
+    free(s.victims);
+    free(pair);
+    return status;
 }

@@ -18,6 +18,10 @@ Swap rows for every chain, and :func:`distinct_cells` the picks of
 ``GridArea.sample_distinct_cells``, each through the chain generator's
 own numpy ``bitgen_t``, so the draws, the moves and the generator's
 final state are those of the Python samplers on every bit generator.
+A GA generation of the default operators is one call too,
+:func:`ga_generation`: selection, crossover, collision repair and
+mutation for every offspring slot, with the draws of the Python
+operators on the run's generator.
 
 Availability contract (mirrored by the dispatch layer):
 
@@ -263,6 +267,12 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_distinct_cells.restype = None
     lib.repro_distinct_cells.argtypes = (
         _PV, _PU8, _I64, _I64, _I64, _I64, _I64, _I64, _I64, _PI,
+    )
+    lib.repro_ga_generation.restype = _I64
+    lib.repro_ga_generation.argtypes = (
+        _PV, _PV, _PD, _I64, _I64, _I64, _I64, _I64, _I64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+        _I64, _PI, _PI, _PD, _PD, _PI, _PV,
     )
     return lib
 
@@ -792,6 +802,82 @@ def distinct_cells(
             *region, count, _pi(picks),
         )
     return picks.tolist()
+
+
+#: Mutation operator codes of ``repro_ga_generation`` in ``_kernels.c``.
+MUTATE_JIGGLE, MUTATE_TOWARD_CENTROID, MUTATE_RESET = 0, 1, 2
+
+
+def ga_generation(
+    rng: np.random.Generator,
+    parents: np.ndarray,
+    fitness: "Sequence[float]",
+    n_elites: int,
+    tournament_size: int,
+    rates: "tuple[float, float]",
+    region_fractions: "tuple[float, float]",
+    mutations: "Sequence[tuple[int, int, float]]",
+    cdf: "Sequence[float] | None",
+    width: int,
+    height: int,
+) -> "tuple[list[int], np.ndarray]":
+    """Offspring slots ``n_elites..P-1`` of one GA generation.
+
+    ``parents`` is the int32 ``(P, N, 2)`` cell stack of the population
+    (the storage dtype of :class:`~repro.core.solution.Placement`, so no
+    coordinate wraps on the way in) and ``fitness`` its members'
+    fitness.  The operators are tournament selection of
+    ``tournament_size``, region-exchange crossover with the ``(min,
+    max)`` ``region_fractions`` at the ``(crossover, mutation)``
+    ``rates``, and the ``mutations`` rows ``(MUTATE_*, radius | jitter |
+    count, per-gene rate | max step fraction)``: one operator, or a
+    composite drawn by its cumulative table ``cdf``.  Returns, per slot,
+    the index of the parent copied there unchanged (``-1`` for a new
+    child), and the int32 ``(P, N, 2)`` stack of the slots' cells; rows
+    ``0..n_elites-1`` are left for the caller.  The draws are those of
+    the Python operators on ``rng``, in their order (see
+    ``repro_ga_generation``), through its own ``bitgen_t``.
+    """
+    if parents.dtype != np.int32 or parents.ndim != 3 or parents.shape[2] != 2:
+        raise ValueError("parents must be an int32 (P, N, 2) cell stack")
+    parents = np.ascontiguousarray(parents)
+    n_parents, n_routers = parents.shape[:2]
+    fitness = _f64(fitness)
+    if not n_parents or not n_routers or fitness.shape != (n_parents,):
+        raise ValueError("need one fitness per parent, and at least one router")
+    if not 0 <= n_elites < n_parents or tournament_size < 1:
+        raise ValueError("n_elites must be in [0, P) and the tournament positive")
+    known = (MUTATE_JIGGLE, MUTATE_TOWARD_CENTROID, MUTATE_RESET)
+    if (
+        not mutations
+        or any(row[0] not in known for row in mutations)
+        or (cdf is not None and len(cdf) != len(mutations))
+    ):
+        raise ValueError("need known mutation rows, and a cdf entry per row")
+    kinds = _i64a([row[0] for row in mutations])
+    ints = _i64a([row[1] for row in mutations])
+    reals = _f64([row[2] for row in mutations])
+    cdf_table = None if cdf is None else _f64(cdf)
+    source = np.full(n_parents, -1, dtype=np.int64)
+    children = np.empty_like(parents)
+    bit_generator = rng.bit_generator
+    lib = _kernels()
+    with _held([bit_generator]):
+        status = lib.repro_ga_generation(
+            bit_generator.ctypes.bit_generator, parents.ctypes.data,
+            _pd(fitness), n_parents, n_routers, width, height,
+            n_elites, tournament_size, *rates, *region_fractions,
+            len(kinds), _pi(kinds), _pi(ints), _pd(reals),
+            None if cdf_table is None else _pd(cdf_table),
+            _pi(source), children.ctypes.data,
+        )
+    if status == -2:
+        raise ValueError("a parent cell lies outside the grid")
+    if status == -3:
+        raise ValueError("no free cell available on the grid")
+    if status:
+        raise MemoryError("no scratch for the GA generation kernel")
+    return source.tolist(), children
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,39 @@ class Placement:
         return cls(grid, cells)
 
     @classmethod
+    def from_cell_arrays(
+        cls, grid: GridArea, arrays: "Sequence[np.ndarray]"
+    ) -> "list[Placement]":
+        """One placement per int ``(N, 2)`` cell array, checked together.
+
+        The arrays are stacked and checked in one vectorised pass (every
+        cell inside the grid, no row repeating a cell); the first array
+        that fails raises what :meth:`from_cells` raises for it.  Arrays
+        of differing or malformed shapes are built one by one.
+        """
+        if not arrays:
+            return []
+        shape = arrays[0].shape
+        if (
+            len(shape) != 2
+            or shape[0] == 0
+            or shape[1] != 2
+            or any(array.shape != shape for array in arrays)
+        ):
+            return [cls.from_cells(grid, array) for array in arrays]
+        stack = np.stack(arrays).astype(np.int64, copy=False)
+        inside = (
+            stack.view(np.uint64) < np.array((grid.width, grid.height), dtype=np.uint64)
+        ).all(axis=(1, 2))
+        flat = np.sort(stack[:, :, 1] * grid.width + stack[:, :, 0], axis=1)
+        repeated = (flat[:, 1:] == flat[:, :-1]).any(axis=1)
+        bad = ~inside | repeated
+        if bad.any():
+            # Raises the constructor's error for the first bad array.
+            cls(grid, arrays[int(np.argmax(bad))])
+        return [cls._trusted(grid, row.copy()) for row in stack.astype(_CELL_DTYPE)]
+
+    @classmethod
     def random(
         cls, grid: GridArea, count: int, rng: np.random.Generator
     ) -> "Placement":

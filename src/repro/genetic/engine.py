@@ -17,6 +17,17 @@ crossover or mutation becomes one placement in
 :meth:`~repro.genetic.population.Population.evaluate_all`, and the
 whole offspring generation is measured there as one batch through the
 vectorized engine (see :mod:`repro.core.engine`).
+
+The Python operators are the reference.  When the compiled tier is
+loaded and the operators are exactly the default kinds (tournament
+selection, region-exchange crossover, and Jiggle, TowardCentroid or
+Reset mutation alone or in a :class:`CompositeMutation` of them; a
+subclass keeps its overrides on the Python path), a generation's
+selection, crossover, collision repair and mutation are one kernel
+call, :func:`repro.core.engine.compiled.ga_generation`.  It draws what
+the Python operators draw, in their order, on the run's generator, so
+offspring, kept evaluations, traces and the generator's final state
+are those of the Python path.  The choice is made once per run.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
+from repro.core.engine import compiled
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.genetic.crossover import CrossoverOperator, RegionExchangeCrossover
 from repro.genetic.initializers import PopulationInitializer
@@ -52,6 +64,19 @@ def _cells(member: "Evaluation | np.ndarray") -> np.ndarray:
     if isinstance(member, Evaluation):
         return member.placement.cells_array()
     return member
+
+
+#: Above this many routers numpy's ``choice`` without replacement
+#: shuffles a whole index array once the picks exceed 1/50 of them, a
+#: path the generation kernel does not draw; ResetMutation stays in
+#: Python there.
+_CHOICE_TAIL_SHUFFLE_ABOVE = 10000
+
+#: What the generation kernel runs a mutation as: its operators' rows
+#: ``(MUTATE_*, radius | jitter | count, per-gene rate | max step
+#: fraction)`` and a composite's cumulative table (``None`` for one
+#: operator).
+_KernelPlan = tuple[list[tuple[int, int, float]], list[float] | None]
 
 
 def _default_crossover() -> CrossoverOperator:
@@ -168,10 +193,18 @@ class GeneticAlgorithm:
             evaluator.problem, config.population_size, rng
         )
         population = Population.evaluate_all(evaluator, placements)
+        # Resolved once, after the initial population may have built
+        # the compiled tier.
+        plan = (
+            self._kernel_plan(evaluator.problem.n_routers)
+            if compiled.is_loaded()
+            else None
+        )
+        cells = population.cell_stack()
 
         trace = GATrace()
         best = population.best()
-        self._record(trace, 0, population, best, evaluator, evaluations_before)
+        self._record(trace, 0, population, cells, best, evaluator, evaluations_before)
 
         generation = 0
         stopped_by: str | None = None
@@ -181,12 +214,18 @@ class GeneticAlgorithm:
                 if stopped_by is not None:
                     break
             generation = next_generation
-            population = self._next_generation(population, evaluator, rng)
+            if plan is None:
+                population = self._next_generation(population, evaluator, rng)
+                cells = population.cell_stack()
+            else:
+                population, cells = self._kernel_generation(
+                    population, cells, plan, evaluator, rng
+                )
             generation_best = population.best()
             if generation_best.fitness > best.fitness:
                 best = generation_best
             self._record(
-                trace, generation, population, best, evaluator, evaluations_before
+                trace, generation, population, cells, best, evaluator, evaluations_before
             )
             if fitness_target is not None and best.fitness >= fitness_target:
                 break
@@ -228,11 +267,87 @@ class GeneticAlgorithm:
                     break
         return Population.evaluate_all(evaluator, offspring)
 
+    def _kernel_plan(self, n_routers: int) -> "_KernelPlan | None":
+        """The generation kernel's plan for this run's operators on
+        ``n_routers`` routers, or ``None`` when they are not exactly the
+        kinds it draws."""
+        config = self.config
+        mutation = config.mutation
+        if (
+            type(config.selection) is not TournamentSelection
+            or type(config.crossover) is not RegionExchangeCrossover
+        ):
+            return None
+        composite = type(mutation) is CompositeMutation
+        rows = []
+        for operator in mutation.operators if composite else [mutation]:
+            kind = type(operator)
+            if kind is JiggleMutation:
+                rows.append(
+                    (compiled.MUTATE_JIGGLE, operator.radius, operator.per_gene_rate)
+                )
+            # The kernel's bounded draws span at most 2**32 values.
+            elif kind is TowardCentroidMutation and operator.jitter < 1 << 31:
+                rows.append(
+                    (
+                        compiled.MUTATE_TOWARD_CENTROID,
+                        operator.jitter,
+                        operator.max_step_fraction,
+                    )
+                )
+            elif kind is ResetMutation and not (
+                n_routers > _CHOICE_TAIL_SHUFFLE_ABOVE
+                and min(operator.count, n_routers) > n_routers // 50
+            ):
+                rows.append((compiled.MUTATE_RESET, operator.count, 0.0))
+            else:
+                return None
+        return rows, mutation.cdf if composite else None
+
+    def _kernel_generation(
+        self,
+        population: Population,
+        cells: np.ndarray,
+        plan: _KernelPlan,
+        evaluator: Evaluator,
+        rng: np.random.Generator,
+    ) -> tuple[Population, np.ndarray]:
+        """:meth:`_next_generation` in one kernel call, from the
+        population's ``(P, N, 2)`` cell stack; returns the offspring and
+        theirs."""
+        config = self.config
+        grid = evaluator.problem.grid
+        crossover = config.crossover
+        rows, cdf = plan
+        source, offspring_cells = compiled.ga_generation(
+            rng,
+            cells,
+            population.fitness,
+            config.n_elites,
+            config.selection.size,
+            (config.crossover_rate, config.mutation_rate),
+            (crossover.min_fraction, crossover.max_fraction),
+            rows,
+            cdf,
+            grid.width,
+            grid.height,
+        )
+        elites = population.elite_indices(config.n_elites)
+        offspring_cells[: config.n_elites] = cells[elites]
+        offspring: list[Evaluation | np.ndarray] = [population[i] for i in elites]
+        for slot in range(config.n_elites, config.population_size):
+            parent = source[slot]
+            offspring.append(
+                population[parent] if parent >= 0 else offspring_cells[slot]
+            )
+        return Population.evaluate_all(evaluator, offspring), offspring_cells
+
     @staticmethod
     def _record(
         trace: GATrace,
         generation: int,
         population: Population,
+        cells: np.ndarray,
         best: Evaluation,
         evaluator: Evaluator,
         evaluations_before: int,
@@ -244,7 +359,7 @@ class GeneticAlgorithm:
                 mean_fitness=population.mean_fitness(),
                 best_giant_size=best.giant_size,
                 best_covered_clients=best.covered_clients,
-                diversity=population.diversity(),
+                diversity=population.diversity(cells),
                 n_evaluations=evaluator.n_evaluations - evaluations_before,
             )
         )

@@ -241,6 +241,11 @@ class CompositeMutation(MutationOperator):
         """Normalized operator selection probabilities."""
         return self._probabilities
 
+    @property
+    def cdf(self) -> list[float]:
+        """Cumulative selection table, bisected by one ``random()`` draw."""
+        return self._cdf
+
     def mutate(
         self, grid: GridArea, cells: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:

@@ -215,3 +215,57 @@ class TestArrayBacking:
             assert placement.with_move(1, Point(5, 5)) is placement
             with pytest.raises(ValueError, match="already occupied"):
                 placement.with_move(1, Point(2, 7))
+
+
+def _outcome(build):
+    """A build's placements, or its error as ``(type, message)``."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestFromCellArrays:
+    """The batched build agrees with one ``from_cells`` per array."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        height=st.integers(1, 6),
+        n=st.integers(1, 6),
+        count=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        int32=st.booleans(),
+    )
+    def test_matches_one_by_one_build(self, width, height, n, count, seed, int32):
+        grid = GridArea(width, height)
+        rng = np.random.default_rng(seed)
+        # Coordinates a step beyond each edge, and small grids, so bad
+        # rows (outside, repeated, both) come at any position.
+        arrays = [
+            np.stack(
+                [rng.integers(-1, width + 1, n), rng.integers(-1, height + 1, n)],
+                axis=1,
+            ).astype(np.int32 if int32 else np.int64)
+            for _ in range(count)
+        ]
+        batch = _outcome(lambda: Placement.from_cell_arrays(grid, arrays))
+        single = _outcome(lambda: [Placement.from_cells(grid, a) for a in arrays])
+        assert batch == single
+        if isinstance(batch, list):
+            for placement, array in zip(batch, arrays):
+                stored = placement.cells_array()
+                assert stored.dtype == np.int32 and not stored.flags.writeable
+                assert not np.shares_memory(stored, array)
+
+    def test_irregular_shapes_are_built_one_by_one(self):
+        grid = GridArea(8, 8)
+        arrays = [np.array([[0, 0], [1, 1]]), np.array([[2, 2]])]
+        assert Placement.from_cell_arrays(grid, arrays) == [
+            Placement.from_cells(grid, a) for a in arrays
+        ]
+        with pytest.raises(ValueError, match="at least one router"):
+            Placement.from_cell_arrays(grid, [np.zeros((0, 2), dtype=int)])
+        with pytest.raises(ValueError, match="shape"):
+            Placement.from_cell_arrays(grid, [np.zeros((2, 3), dtype=int)])
+        assert Placement.from_cell_arrays(grid, []) == []

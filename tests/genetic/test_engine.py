@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.adhoc import HotSpotPlacement, NearPlacement, RandomPlacement
+from repro.core.engine import compiled
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
 from repro.genetic.engine import GAConfig, GeneticAlgorithm
@@ -159,23 +160,40 @@ class TestOnePlacementPerChild:
     POPULATION = 10
     ELITES = 2
 
+    MUTATIONS = {
+        "jiggle": JiggleMutation(radius=2, per_gene_rate=0.5),
+        "reset": ResetMutation(count=2),
+        "gene-swap": GeneSwapMutation(),
+        "toward-centroid": TowardCentroidMutation(),
+        "default": None,  # the default composite
+    }
+
     @pytest.mark.parametrize(
-        "mutation",
+        "mutation,kernel",
         [
-            JiggleMutation(radius=2, per_gene_rate=0.5),
-            ResetMutation(count=2),
-            GeneSwapMutation(),
-            TowardCentroidMutation(),
-            None,  # the default composite
+            pytest.param(mutation, False, id=name)
+            for name, mutation in MUTATIONS.items()
+        ]
+        + [
+            # The generation kernel has no gene-swap mutation.
+            pytest.param(
+                mutation,
+                True,
+                id=f"{name}-kernel",
+                marks=pytest.mark.skipif(
+                    not compiled.is_available(), reason="no compiled kernels"
+                ),
+            )
+            for name, mutation in MUTATIONS.items()
+            if name != "gene-swap"
         ],
-        ids=["jiggle", "reset", "gene-swap", "toward-centroid", "default"],
     )
     @pytest.mark.parametrize(
         "crossover_rate,mutation_rate",
         [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],
     )
     def test_one_generation(
-        self, tiny_problem, monkeypatch, mutation, crossover_rate, mutation_rate
+        self, tiny_problem, monkeypatch, mutation, crossover_rate, mutation_rate, kernel
     ):
         config = GAConfig(
             population_size=self.POPULATION,
@@ -192,16 +210,27 @@ class TestOnePlacementPerChild:
             evaluator, RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
         )
 
+        # Every placement a generation builds is wrapped by _trusted once
+        # the batch of new cell arrays has been checked.
         built = []
-        original = Placement.__dict__["from_cells"].__func__
+        original = Placement.__dict__["_trusted"].__func__
 
         def counted(cls, grid, cells):
             built.append(cells)
             return original(cls, grid, cells)
 
-        monkeypatch.setattr(Placement, "from_cells", classmethod(counted))
+        monkeypatch.setattr(Placement, "_trusted", classmethod(counted))
         before = evaluator.n_evaluations
-        offspring = ga._next_generation(population, evaluator, rng)
+        if kernel:
+            offspring, _ = ga._kernel_generation(
+                population,
+                population.cell_stack(),
+                ga._kernel_plan(tiny_problem.n_routers),
+                evaluator,
+                rng,
+            )
+        else:
+            offspring = ga._next_generation(population, evaluator, rng)
 
         # At these rates either every non-elite child went through an
         # operator or none did; each operated child is built once and

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
-from repro.genetic.population import Population
+from repro.genetic.population import Population, stack_diversity
 
 
 def random_placements(problem, rng, count: int) -> list[Placement]:
@@ -22,16 +22,16 @@ def population(tiny_problem, rng):
 
 
 @pytest.fixture
-def count_from_cells(monkeypatch):
-    """Counts ``Placement.from_cells`` calls; returns the running list."""
+def count_built_arrays(monkeypatch):
+    """Records every cell array ``Placement.from_cell_arrays`` builds."""
     calls = []
-    original = Placement.__dict__["from_cells"].__func__
+    original = Placement.__dict__["from_cell_arrays"].__func__
 
-    def counted(cls, grid, cells):
-        calls.append(cells)
-        return original(cls, grid, cells)
+    def counted(cls, grid, arrays):
+        calls.extend(arrays)
+        return original(cls, grid, arrays)
 
-    monkeypatch.setattr(Placement, "from_cells", classmethod(counted))
+    monkeypatch.setattr(Placement, "from_cell_arrays", classmethod(counted))
     return calls
 
 
@@ -49,19 +49,19 @@ class TestPopulation:
         assert [member.placement for member in population] == placements
 
     def test_evaluate_all_measures_each_new_member_once(
-        self, tiny_problem, rng, count_from_cells
+        self, tiny_problem, rng, count_built_arrays
     ):
         evaluator = Evaluator(tiny_problem)
         kept = evaluator.evaluate(random_placements(tiny_problem, rng, 1)[0])
         placement, other = random_placements(tiny_problem, rng, 2)
         cells = other.cells_array()
-        before, built = evaluator.n_evaluations, len(count_from_cells)
+        before, built = evaluator.n_evaluations, len(count_built_arrays)
         population = Population.evaluate_all(evaluator, [placement, kept, cells])
         # The evaluation is kept, the placement measured as it is and the
         # cell array built into one placement; two measurements, in order.
         assert evaluator.n_evaluations - before == 2
-        assert len(count_from_cells) == built + 1
-        assert count_from_cells[-1] is cells
+        assert len(count_built_arrays) == built + 1
+        assert count_built_arrays[-1] is cells
         assert population[1] is kept
         assert population[0].placement is placement
         assert population[2].placement == other
@@ -108,6 +108,14 @@ class TestPopulation:
 
     def test_diversity_positive_for_distinct(self, population):
         assert population.diversity() > 0.0
+
+    def test_diversity_of_a_held_stack(self, population):
+        # The GA hands over the cell stack it already holds, int32 like
+        # the placements' arrays; an int64 stack gives the same value.
+        cells = population.cell_stack()
+        assert cells.shape == (6, population[0].placement.cells_array().shape[0], 2)
+        assert population.diversity(cells) == population.diversity()
+        assert stack_diversity(cells.astype(np.int64)) == population.diversity()
 
     def test_diversity_single_individual(self, tiny_problem, rng):
         population = Population.evaluate_all(
