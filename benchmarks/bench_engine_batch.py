@@ -38,7 +38,6 @@ from repro.core.engine.stacked import PhaseCandidates
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 from repro.instances.generator import InstanceSpec
-from repro.neighborhood.moves import Move, RelocateMove
 
 
 def engine_bench_spec(seed: int = 20090629) -> InstanceSpec:
@@ -59,16 +58,24 @@ def engine_bench_spec(seed: int = 20090629) -> InstanceSpec:
 
 def sample_phase(
     problem, incumbent: Placement, rng: np.random.Generator, n_candidates: int
-) -> list[Move]:
-    """``n_candidates`` random single-router moves off the incumbent."""
+) -> list[tuple[int, tuple[int, int]]]:
+    """``n_candidates`` random single-router relocations off the
+    incumbent, as ``(router, (x, y))`` pairs."""
     grid = problem.grid
     bitmap = grid.occupancy_bitmap(incumbent.cells_array())
-    moves: list[Move] = []
+    moves: list[tuple[int, tuple[int, int]]] = []
     while len(moves) < n_candidates:
         router = int(rng.integers(0, problem.n_routers))
         index = grid.random_free_index(bitmap, rng, 0, 0, grid.width, grid.height)
-        moves.append(RelocateMove(router_id=router, target=grid.cell_at(index)))
+        moves.append((router, tuple(grid.cell_at(index))))
     return moves
+
+
+def relocated(incumbent: Placement, router: int, cell: tuple[int, int]) -> Placement:
+    """``incumbent`` with ``router`` written at ``cell`` (a free cell)."""
+    cells = incumbent.cells_array().copy()
+    cells[router] = cell
+    return Placement.from_cells(incumbent.grid, cells)
 
 
 def check_parity(
@@ -121,7 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     ]
 
     def fresh_placements() -> list[list[Placement]]:
-        return [[move.apply(incumbent) for move in phase] for phase in phases]
+        return [
+            [relocated(incumbent, router, cell) for router, cell in phase]
+            for phase in phases
+        ]
 
     print("=" * 72)
     print(
@@ -157,8 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         candidates = PhaseCandidates(
             np.zeros(len(phase), dtype=np.intp),
             np.arange(len(phase)),
-            [move.router_id for move in phase],
-            [tuple(move.target) for move in phase],
+            [router for router, _ in phase],
+            [cell for _, cell in phase],
         )
         start = time.perf_counter()
         measurement = delta.measure_phase(candidates)

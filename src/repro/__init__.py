@@ -47,7 +47,6 @@ from repro.core import (
     MeshClient,
     MeshRouter,
     NetworkMetrics,
-    ParetoArchive,
     Placement,
     Point,
     ProblemInstance,
@@ -150,7 +149,6 @@ __all__ = [
     "MeshClient",
     "MeshRouter",
     "NetworkMetrics",
-    "ParetoArchive",
     "Placement",
     "Point",
     "ProblemInstance",

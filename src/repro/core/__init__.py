@@ -29,7 +29,6 @@ from repro.core.fitness import (
 from repro.core.geometry import Point, Rect, chebyshev, euclidean, euclidean_squared, manhattan
 from repro.core.grid import GridArea
 from repro.core.network import RouterNetwork, adjacency_matrix, edge_array, link_edges
-from repro.core.pareto import ParetoArchive, ParetoPoint, dominates
 from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.routers import MeshRouter, RouterFleet
@@ -68,9 +67,6 @@ __all__ = [
     "adjacency_matrix",
     "edge_array",
     "link_edges",
-    "ParetoArchive",
-    "ParetoPoint",
-    "dominates",
     "ProblemInstance",
     "check_start_placement",
     "CoverageRule",

@@ -201,19 +201,3 @@ class DensityMap:
                 max(0, x0 - self.window_width + 1) : x0 + self.window_width,
             ] = sentinel
         return selected
-
-    def sampled_extreme_window(
-        self,
-        rng: np.random.Generator,
-        densest: bool = True,
-        pool: int = 8,
-    ) -> Rect:
-        """One window sampled uniformly from the ``pool`` most extreme.
-
-        The neighborhood search uses this to diversify: always picking
-        the single densest/sparsest window makes consecutive swap moves
-        identical, so Algorithm 2's "generate a movement" samples from the
-        top windows instead.
-        """
-        candidates = self.ranked_windows(pool, densest=densest)
-        return candidates[int(rng.integers(0, len(candidates)))]

@@ -27,8 +27,6 @@ then every candidate against that cache — and charge an evaluator for it
 :class:`~repro.neighborhood.tabu.TabuSearch`); they report through
 :meth:`Evaluator.count`.  All paths share this evaluator's counter and
 produce bit-identical results.
-A :class:`~repro.core.pareto.ParetoArchive` is fed by its caller
-(``archive.observe(evaluation)``), not by the evaluator.
 """
 
 from __future__ import annotations

@@ -144,16 +144,6 @@ class GridArea:
             Rect(self.width - width, self.height - height, width, height),
         )
 
-    def window_positions(self, window_width: int, window_height: int) -> Iterator[Rect]:
-        """All positions of a sliding ``window_width x window_height`` window."""
-        if window_width > self.width or window_height > self.height:
-            raise ValueError(
-                f"window {window_width}x{window_height} larger than grid"
-            )
-        for y0 in range(self.height - window_height + 1):
-            for x0 in range(self.width - window_width + 1):
-                yield Rect(x0, y0, window_width, window_height)
-
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------

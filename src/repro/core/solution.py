@@ -2,17 +2,17 @@
 
 A solution to the mesh router placement problem assigns every router of
 the fleet to a distinct grid cell.  :class:`Placement` is that
-assignment.  It is an immutable value object: search operators derive new
-placements via :meth:`with_move` and :meth:`with_swap` instead of
+assignment.  It is an immutable value object: search operators derive a
+new placement by writing into a copy of a parent's cell array instead of
 mutating in place, which keeps traces, populations and tabu lists safe to
 share.
 
 The assignment is stored as a read-only int ``(N, 2)`` array of
-``(x, y)`` cells, which the GA operators and the engines work on
-directly.  The ``occupied`` set and the float ``positions_array()`` are
-built on first use and cached, so code that only handles arrays never
-pays for them; a derived placement starts without them (a swap shares
-its parent's ``occupied`` set).  The
+``(x, y)`` cells, which the GA operators, the search driver and the
+engines work on directly.  The ``occupied`` set and the float
+``positions_array()`` are built on first use and cached, so code that
+only handles arrays never pays for them; a derived placement starts
+without them.  The
 :class:`~repro.core.geometry.Point` tuple ``cells`` is built per call
 and never kept: at city scale it is ~13x the bytes of the cell array,
 and results and traces keep placements alive.  A placement never stores
@@ -220,55 +220,3 @@ class Placement:
     def as_mapping(self) -> Mapping[int, Point]:
         """Router id -> cell dictionary view (a fresh dict)."""
         return dict(enumerate(self.cells))
-
-    # ------------------------------------------------------------------
-    # Derivation (the local moves build on these)
-    # ------------------------------------------------------------------
-
-    def with_move(self, router_id: int, cell: Point) -> "Placement":
-        """A new placement with ``router_id`` relocated to ``cell``.
-
-        Raises ``ValueError`` when ``cell`` is occupied by another router
-        or outside the grid.
-        """
-        self._require_router(router_id)
-        x, y = cell
-        array = self._array
-        if self._occupied is not None:
-            if cell in self._occupied:
-                if self[router_id] == cell:
-                    return self
-                raise ValueError(f"cell {tuple(cell)} is already occupied")
-        else:
-            holders = np.flatnonzero((array[:, 0] == x) & (array[:, 1] == y))
-            if holders.size:
-                if holders[0] == router_id:
-                    return self
-                raise ValueError(f"cell {tuple(cell)} is already occupied")
-        self._grid.require_inside(cell)
-        moved = array.copy()
-        moved[router_id] = (x, y)
-        return Placement._trusted(self._grid, moved)
-
-    def with_swap(self, router_a: int, router_b: int) -> "Placement":
-        """A new placement with the positions of two routers exchanged.
-
-        This is the literal "exchange the placement of two routers" of
-        Algorithm 3: the occupied-cell multiset is unchanged, only the
-        assignment of router hardware to positions changes.
-        """
-        self._require_router(router_a)
-        self._require_router(router_b)
-        if router_a == router_b:
-            return self
-        swapped = self._array.copy()
-        swapped[[router_a, router_b]] = swapped[[router_b, router_a]]
-        derived = Placement._trusted(self._grid, swapped)
-        derived._occupied = self._occupied
-        return derived
-
-    def _require_router(self, router_id: int) -> None:
-        if not 0 <= router_id < len(self._array):
-            raise ValueError(
-                f"router id {router_id} out of range for fleet of {len(self._array)}"
-            )

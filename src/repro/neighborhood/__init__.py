@@ -13,8 +13,7 @@ best-improvement, tabu and Metropolis rules.
 """
 
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.best_neighbor import apply_valid_move
-from repro.neighborhood.moves import Move, MoveBatch, RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.multichain import MultiChainSearch, chain_generators
 from repro.neighborhood.movements import (
     CombinedMovement,
@@ -35,13 +34,9 @@ from repro.neighborhood.trace import PhaseRecord, SearchTrace
 __all__ = [
     "AnnealingSchedule",
     "SimulatedAnnealing",
-    "apply_valid_move",
     "chain_generators",
     "MultiChainSearch",
-    "Move",
     "MoveBatch",
-    "RelocateMove",
-    "SwapMove",
     "CombinedMovement",
     "MovementType",
     "RandomMovement",

@@ -51,7 +51,7 @@ from repro.core.evaluation import Evaluation
 from repro.core.geometry import Rect
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
-from repro.neighborhood.moves import Move, MoveBatch
+from repro.neighborhood.moves import MoveBatch
 from repro.seeding import BulkDraws, selection_cdf
 
 __all__ = ["MovementType", "SwapMovement", "RandomMovement", "CombinedMovement"]
@@ -203,15 +203,17 @@ class MovementType:
         current: Evaluation,
         problem: ProblemInstance,
         rng: np.random.Generator,
-    ) -> Move | None:
+    ) -> MoveBatch:
         """One candidate move from the neighborhood of ``current``.
 
-        ``None`` signals that no move of this type is available (e.g. no
-        router in the chosen window); Algorithm 2 simply samples again.
-        The move is one row of :meth:`propose_batch` for one chain,
-        which leaves ``rng`` where the row's scalar draws leave it.
+        The move is the one-row :class:`MoveBatch` of
+        :meth:`propose_batch` for one chain, which leaves ``rng`` where
+        the row's scalar draws leave it.  The row is
+        :attr:`MoveBatch.NO_MOVE` when no move of this type is available
+        (e.g. no router in the chosen window); Algorithm 2 simply
+        samples again.
         """
-        return self._sample([current], problem, [rng], 1, _use_kernel())[0][0]
+        return self._sample([current], problem, [rng], 1, _use_kernel())[0]
 
     def propose_batch(
         self,
@@ -236,9 +238,9 @@ class MovementType:
         compiled tier by one kernel call for every chain
         (:func:`~repro.core.engine.compiled.propose_rows`), otherwise
         (and :class:`CombinedMovement` always) row by row from
-        :meth:`_proposer` on :class:`~repro.seeding.BulkDraws`.  A batch
-        reads as a sequence of moves (``None`` where no move was
-        available); the kernel's agreement with the row sampler is
+        :meth:`_proposer` on :class:`~repro.seeding.BulkDraws`.  A row
+        is :attr:`MoveBatch.NO_MOVE` where no move was available; the
+        kernel's agreement with the row sampler is
         asserted by ``tests/neighborhood/test_propose_kernel.py``, and
         ``propose`` against a frozen copy of the scalar formulation by
         ``tests/neighborhood/test_proposal_stream_parity.py``.

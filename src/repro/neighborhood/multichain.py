@@ -235,12 +235,11 @@ class _Phase:
         """Validate the phase's proposals on their columns, in one pass.
 
         ``proposals[i]`` is the batch proposed off ``incumbents[i]``,
-        the incumbent of chain ``chains[i]``.  The rules of
-        :func:`~repro.neighborhood.best_neighbor.apply_valid_move` on a
-        built placement: out-of-range router ids and out-of-grid targets
-        are skipped, a relocation onto another router's cell is stale and
-        skipped, one onto its own cell (or a swap of a router with
-        itself) is a no-op candidate equal to the incumbent.
+        the incumbent of chain ``chains[i]``.  Out-of-range router ids
+        and out-of-grid targets are skipped, a relocation onto another
+        router's cell is stale and skipped, and one onto its own cell
+        (or a swap of a router with itself) is a no-op candidate equal
+        to the incumbent.
         """
         lengths = [len(batch) for batch in proposals]
         table = np.concatenate([batch.table for batch in proposals])
@@ -299,10 +298,22 @@ class _Phase:
         return cls(table[keep], counts, candidates, _spans(slot_of, len(proposals)))
 
     def placement(self, index: int, incumbent: Placement) -> Placement:
-        """Candidate ``index`` built from its move (the only one built)."""
+        """Candidate ``index`` built from its row (the only one built).
+
+        The row's movers are written into a copy of the incumbent's
+        cells: a relocation puts ``router`` at ``(x, y)``, a swap
+        exchanges ``router`` and ``partner``.  :meth:`collect` has
+        validated the row, so the result skips re-validation.
+        """
         if self.movers[index] == 0:
             return incumbent
-        return MoveBatch(self.table)[index].apply(incumbent)
+        kind, router, partner, x, y = self.table[index].tolist()
+        cells = incumbent.cells_array().copy()
+        if kind == MoveBatch.SWAP:
+            cells[[router, partner]] = cells[[partner, router]]
+        else:
+            cells[router] = (x, y)
+        return Placement._trusted(incumbent.grid, cells)
 
 
 def _spans(slot_of: np.ndarray, n_slots: int) -> list[tuple[int, int]]:

@@ -13,6 +13,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
+from repro.neighborhood.moves import MoveBatch
 
 
 @pytest.fixture
@@ -92,6 +93,70 @@ def ref_random_free_cell(grid, occupied, rng, within=None):
     if not free:
         raise ValueError("no free cell available in the requested region")
     return free[int(rng.integers(0, len(free)))]
+
+
+# ----------------------------------------------------------------------
+# Frozen reference: one proposal row applied to a placement
+# ----------------------------------------------------------------------
+
+
+def relocate_row(router, cell):
+    """The ``MoveBatch`` row that relocates ``router`` to ``cell``."""
+    x, y = cell
+    return (MoveBatch.RELOCATE, router, -1, x, y)
+
+
+def swap_row(router_a, router_b):
+    """The ``MoveBatch`` row that exchanges the cells of two routers."""
+    return (MoveBatch.SWAP, router_a, router_b, -1, -1)
+
+
+def rows_of(batch):
+    """The rows of a ``MoveBatch`` as ``(kind, router, partner, x, y)``
+    tuples of ints."""
+    return [tuple(row) for row in batch.table.tolist()]
+
+
+def propose_row(movement, current, problem, rng):
+    """One ``movement.propose`` call as its ``(kind, router, partner, x,
+    y)`` row."""
+    (row,) = rows_of(movement.propose(current, problem, rng))
+    return row
+
+
+def ref_apply_row(row, placement):
+    """Frozen reference of one ``(kind, router, partner, x, y)`` row
+    applied to ``placement``.
+
+    Returns the neighbor the row leads to; ``placement`` itself for a
+    no-op (a relocation onto the router's own cell, a swap of a router
+    with itself); or ``None`` when the row does not apply (no move, an
+    out-of-range router id, a target outside the grid or on another
+    router's cell).  The neighbor is built on a ``Point`` list and
+    checked by the ``Placement`` constructor.  The search driver's
+    array path (``_Phase.collect`` then ``_Phase.placement``) and the
+    serial reference loops are held to it; do not "modernise" it.
+    """
+    kind, router, partner, x, y = (int(value) for value in row)
+    cells = list(placement.cells)
+    if not 0 <= router < len(cells):
+        return None
+    if kind == MoveBatch.RELOCATE:
+        target = Point(x, y)
+        if target == cells[router]:
+            return placement
+        if target in cells or not placement.grid.contains(target):
+            return None
+        cells[router] = target
+    elif kind == MoveBatch.SWAP:
+        if not 0 <= partner < len(cells):
+            return None
+        if partner == router:
+            return placement
+        cells[router], cells[partner] = cells[partner], cells[router]
+    else:
+        return None
+    return Placement(placement.grid, cells)
 
 
 # ----------------------------------------------------------------------

@@ -169,21 +169,6 @@ class TestRankedWindows:
         assert len(windows) == 4
 
 
-class TestSampledExtreme:
-    def test_sampled_window_from_pool(self, rng):
-        grid = GridArea(16, 16)
-        dm = DensityMap.build(grid, [Point(8, 8)] * 3, 4, 4)
-        pool = dm.ranked_windows(4, densest=True)
-        for _ in range(20):
-            window = dm.sampled_extreme_window(rng, densest=True, pool=4)
-            assert window in pool
-
-    def test_pool_of_one_is_deterministic(self, rng):
-        grid = GridArea(16, 16)
-        dm = DensityMap.build(grid, [Point(8, 8)] * 3, 4, 4)
-        assert dm.sampled_extreme_window(rng, pool=1) == dm.densest_window()
-
-
 def sort_and_walk_windows(dm: DensityMap, count, densest, min_overlap_free):
     """Frozen copy of the original ``ranked_windows`` (stable sort + walk)."""
     counts = dm.window_counts

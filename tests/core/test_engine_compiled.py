@@ -34,7 +34,12 @@ from repro.core.radio import CoverageRule, LinkRule, RadioProfile
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
 
-from tests.conftest import free_cell, measure_placement
+from tests.conftest import (
+    free_cell,
+    measure_placement,
+    ref_apply_row,
+    relocate_row,
+)
 
 needs_kernels = pytest.mark.skipif(
     not compiled.is_available(),
@@ -167,7 +172,7 @@ class TestDeltaParity:
         for _ in range(20):
             router = int(rng.integers(0, len(incumbent)))
             cell = free_cell(problem.grid, incumbent.occupied, rng)
-            candidate = incumbent.with_move(router, cell)
+            candidate = ref_apply_row(relocate_row(router, cell), incumbent)
             ours = measure_placement(under_test, 0, candidate)
             theirs = measure_placement(reference, 0, candidate)
             assert_same_evaluation(ours, theirs)
@@ -192,7 +197,7 @@ class TestDeltaParity:
         for _ in range(5):
             router = int(rng.integers(0, len(start)))
             cell = free_cell(problem.grid, start.occupied, rng)
-            candidate = start.with_move(router, cell)
+            candidate = ref_apply_row(relocate_row(router, cell), start)
             assert_same_evaluation(
                 measure_placement(under_test, 0, candidate),
                 measure_placement(reference, 0, candidate),

@@ -30,9 +30,15 @@ from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_spec, tiny_spec
 from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement
-from repro.neighborhood.moves import RelocateMove, SwapMove
 
-from tests.conftest import free_cell, measure_placement, phase_of
+from tests.conftest import (
+    free_cell,
+    measure_placement,
+    phase_of,
+    ref_apply_row,
+    relocate_row,
+    swap_row,
+)
 
 LINK_RULES = list(LinkRule)
 COVERAGE_RULES = list(CoverageRule)
@@ -65,8 +71,8 @@ def reset(delta, placement):
 
 
 def propose(delta, current, move):
-    """``current ⊕ move`` measured against the cached incumbent."""
-    return measure_placement(delta, 0, move.apply(current.placement))
+    """``current ⊕ move`` (a move row) measured against the cached incumbent."""
+    return measure_placement(delta, 0, ref_apply_row(move, current.placement))
 
 
 def assert_same_evaluation(scalar, other):
@@ -138,15 +144,15 @@ class TestDeltaParity:
         for step in range(40):
             if step % 5 == 4:
                 a, b = rng.choice(problem.n_routers, size=2, replace=False)
-                move = SwapMove(router_a=int(a), router_b=int(b))
+                move = swap_row(int(a), int(b))
             else:
                 router = int(rng.integers(0, problem.n_routers))
                 cell = free_cell(
                     problem.grid, current.placement.occupied, rng
                 )
-                move = RelocateMove(router_id=router, target=cell)
+                move = relocate_row(router, cell)
             candidate = propose(delta, current, move)
-            expected = reference.evaluate(move.apply(current.placement))
+            expected = reference.evaluate(ref_apply_row(move, current.placement))
             assert_same_evaluation(expected, candidate)
             # Accept roughly half the candidates so the caches advance
             # through commits and later proposes build on them.
@@ -167,10 +173,10 @@ class TestDeltaParity:
         for _ in range(8):
             router = int(rng.integers(0, problem.n_routers))
             cell = free_cell(problem.grid, current.placement.occupied, rng)
-            move = RelocateMove(router_id=router, target=cell)
+            move = relocate_row(router, cell)
             candidate = propose(delta, current, move)
             assert_same_evaluation(
-                reference.evaluate(move.apply(current.placement)), candidate
+                reference.evaluate(ref_apply_row(move, current.placement)), candidate
             )
             candidates.append(candidate)
         chosen = max(candidates, key=lambda e: e.fitness)
@@ -178,11 +184,9 @@ class TestDeltaParity:
         follow_up = propose(
             delta,
             chosen,
-            RelocateMove(
-                router_id=0,
-                target=free_cell(
-                    problem.grid, chosen.placement.occupied, rng
-                ),
+            relocate_row(
+                0,
+                free_cell(problem.grid, chosen.placement.occupied, rng),
             )
         )
         expected = reference.evaluate(follow_up.placement)
@@ -220,15 +224,15 @@ class TestSparseParity:
         for step in range(40):
             if step % 5 == 4:
                 a, b = rng.choice(problem.n_routers, size=2, replace=False)
-                move = SwapMove(router_a=int(a), router_b=int(b))
+                move = swap_row(int(a), int(b))
             else:
                 router = int(rng.integers(0, problem.n_routers))
                 cell = free_cell(
                     problem.grid, current.placement.occupied, rng
                 )
-                move = RelocateMove(router_id=router, target=cell)
+                move = relocate_row(router, cell)
             candidate = propose(delta, current, move)
-            expected = reference.evaluate(move.apply(current.placement))
+            expected = reference.evaluate(ref_apply_row(move, current.placement))
             assert_same_evaluation(expected, candidate)
             if rng.uniform() < 0.5:
                 delta.commit_chain(0, candidate.placement)
@@ -253,7 +257,7 @@ class TestSparseParity:
                 )
                 candidates.append(
                     propose(
-                        delta, current, RelocateMove(router_id=router, target=cell)
+                        delta, current, relocate_row(router, cell)
                     )
                 )
             chosen = candidates[0]  # deliberately not the last measured
@@ -262,11 +266,9 @@ class TestSparseParity:
             follow = propose(
                 delta,
                 current,
-                RelocateMove(
-                    router_id=0,
-                    target=free_cell(
-                        problem.grid, current.placement.occupied, rng
-                    ),
+                relocate_row(
+                    0,
+                    free_cell(problem.grid, current.placement.occupied, rng),
                 )
             )
             assert_same_evaluation(reference.evaluate(follow.placement), follow)

@@ -45,7 +45,13 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, tiny_spec
 
-from tests.conftest import free_cell, measure_placement, phase_of
+from tests.conftest import (
+    free_cell,
+    measure_placement,
+    phase_of,
+    ref_apply_row,
+    relocate_row,
+)
 
 
 @pytest.fixture(scope="module")
@@ -291,7 +297,7 @@ class TestStackedDeltaEngine:
         measurement = engine.measure_phase(
             PhaseCandidates([0], [0], [router], [(cell.x, cell.y)])
         )
-        candidate = incumbent.with_move(router, cell)
+        candidate = ref_apply_row(relocate_row(router, cell), incumbent)
         reference = Evaluator(problem, engine="dense").evaluate(candidate)
         assert float(measurement.fitness[0]) == reference.fitness
         assert int(measurement.covered_clients[0]) == reference.covered_clients
@@ -301,8 +307,9 @@ class TestStackedDeltaEngine:
         incumbent = Placement.random(problem.grid, problem.n_routers, rng)
         engine = StackedDeltaEngine(problem)
         engine.reset_chain(0, incumbent)
-        moved = incumbent.with_move(
-            2, free_cell(problem.grid, incumbent.occupied, rng)
+        moved = ref_apply_row(
+            relocate_row(2, free_cell(problem.grid, incumbent.occupied, rng)),
+            incumbent,
         )
         engine.commit_chain(0, moved)
         fresh = StackedDeltaEngine(problem)

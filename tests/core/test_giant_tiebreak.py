@@ -23,8 +23,7 @@ from repro.core.geometry import Point
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, RadioProfile
 from repro.core.solution import Placement
-from repro.neighborhood.moves import RelocateMove
-from tests.conftest import measure_placement
+from tests.conftest import measure_placement, ref_apply_row, relocate_row
 
 
 def tie_problem() -> ProblemInstance:
@@ -93,17 +92,15 @@ class TestExactGiantTie:
             problem.grid,
             [(10, 10), (20, 20), (0, 0), (0, 1), (0, 2), (10, 11)],
         )
-        move = RelocateMove(router_id=4, target=Point(25, 25))
+        moved = ref_apply_row(relocate_row(4, Point(25, 25)), initial)
         for engine in ("dense", "sparse"):
             delta = StackedDeltaEngine(problem, engine=engine)
             delta.reset_chain(0, initial)
             start = measure_placement(delta, 0, initial)
             assert start.giant_size == 3
             assert start.covered_clients == 1  # client (0, 0) on the giant
-            candidate = measure_placement(delta, 0, move.apply(initial))
-            reference = Evaluator(problem, engine="dense").evaluate(
-                move.apply(initial)
-            )
+            candidate = measure_placement(delta, 0, moved)
+            reference = Evaluator(problem, engine="dense").evaluate(moved)
             assert candidate.metrics == reference.metrics
             assert np.array_equal(candidate.giant_mask, reference.giant_mask)
             assert np.array_equal(candidate.giant_mask, EXPECTED_GIANT)

@@ -99,20 +99,6 @@ class TestSubAreas:
         with pytest.raises(ValueError):
             grid.corner_rects(40, 4)
 
-    def test_window_positions_count(self):
-        g = GridArea(10, 8)
-        windows = list(g.window_positions(3, 2))
-        assert len(windows) == (10 - 3 + 1) * (8 - 2 + 1)
-        assert all(w.width == 3 and w.height == 2 for w in windows)
-        # Every window lies inside the grid.
-        assert all(
-            w.x0 >= 0 and w.y0 >= 0 and w.x1 <= 10 and w.y1 <= 8 for w in windows
-        )
-
-    def test_window_positions_oversized(self, grid):
-        with pytest.raises(ValueError):
-            list(grid.window_positions(33, 2))
-
 
 class TestSampling:
     def test_random_cell_in_rect(self, grid, rng):

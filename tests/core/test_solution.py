@@ -72,88 +72,6 @@ class TestQueries:
         assert p.as_mapping() == {0: Point(0, 0), 1: Point(5, 5)}
 
 
-class TestMoves:
-    def test_with_move(self):
-        p = make_placement((0, 0), (5, 5))
-        q = p.with_move(0, Point(2, 2))
-        assert q[0] == Point(2, 2)
-        assert q[1] == Point(5, 5)
-        # Original untouched.
-        assert p[0] == Point(0, 0)
-
-    def test_with_move_to_same_cell_is_noop(self):
-        p = make_placement((0, 0), (5, 5))
-        assert p.with_move(0, Point(0, 0)) is p
-
-    def test_with_move_occupied_rejected(self):
-        p = make_placement((0, 0), (5, 5))
-        with pytest.raises(ValueError, match="occupied"):
-            p.with_move(0, Point(5, 5))
-
-    def test_with_move_out_of_bounds_rejected(self):
-        p = make_placement((0, 0))
-        with pytest.raises(ValueError):
-            p.with_move(0, Point(99, 0))
-
-    def test_with_move_bad_router_rejected(self):
-        p = make_placement((0, 0))
-        with pytest.raises(ValueError, match="out of range"):
-            p.with_move(5, Point(1, 1))
-
-    def test_with_swap(self):
-        p = make_placement((0, 0), (5, 5))
-        q = p.with_swap(0, 1)
-        assert q[0] == Point(5, 5)
-        assert q[1] == Point(0, 0)
-        assert p[0] == Point(0, 0)
-
-    def test_with_swap_same_router_is_noop(self):
-        p = make_placement((0, 0), (5, 5))
-        assert p.with_swap(1, 1) is p
-
-    def test_with_swap_bad_router_rejected(self):
-        p = make_placement((0, 0), (1, 1))
-        with pytest.raises(ValueError):
-            p.with_swap(0, 7)
-
-
-# ----------------------------------------------------------------------
-# Property tests
-# ----------------------------------------------------------------------
-
-placement_strategy = st.integers(0, 10_000).map(
-    lambda seed: Placement.random(GridArea(12, 12), 10, np.random.default_rng(seed))
-)
-
-
-@settings(max_examples=50)
-@given(placement_strategy, st.integers(0, 9), st.integers(0, 9))
-def test_swap_preserves_occupied_cells(placement, a, b):
-    swapped = placement.with_swap(a, b)
-    assert swapped.occupied == placement.occupied
-    assert len(swapped) == len(placement)
-
-
-@settings(max_examples=50)
-@given(placement_strategy, st.integers(0, 9), st.integers(0, 11), st.integers(0, 11))
-def test_move_changes_exactly_one_router(placement, router, x, y):
-    target = Point(x, y)
-    if target in placement.occupied:
-        return
-    moved = placement.with_move(router, target)
-    differences = [
-        i for i in range(len(placement)) if moved[i] != placement[i]
-    ]
-    assert differences == [router]
-    assert moved[router] == target
-
-
-@settings(max_examples=50)
-@given(placement_strategy, st.integers(0, 9), st.integers(0, 9))
-def test_swap_is_involution(placement, a, b):
-    assert placement.with_swap(a, b).with_swap(a, b).cells == placement.cells
-
-
 class TestArrayBacking:
     def test_array_and_point_inputs_agree(self):
         cells = [(0, 0), (5, 5), (3, 1)]
@@ -199,22 +117,6 @@ class TestArrayBacking:
         assert len(hashes) == 1
         assert not restored.cells_array().flags.writeable
         assert repr(p) == f"Placement(grid={p.grid!r}, cells={p.cells!r})"
-
-    def test_derivation_is_the_same_with_or_without_cached_views(self):
-        bare = make_placement((0, 0), (5, 5), (2, 7))
-        warm = make_placement((0, 0), (5, 5), (2, 7))
-        _ = warm.occupied, warm.positions_array()
-        for placement in (bare, warm):
-            moved = placement.with_move(1, Point(9, 9))
-            assert moved.cells == (Point(0, 0), Point(9, 9), Point(2, 7))
-            assert moved.occupied == set(moved.cells)
-            assert np.array_equal(moved.positions_array(), moved.cells_array())
-            swapped = placement.with_swap(0, 2)
-            assert swapped.cells == (Point(2, 7), Point(5, 5), Point(0, 0))
-            assert swapped.occupied == set(swapped.cells)
-            assert placement.with_move(1, Point(5, 5)) is placement
-            with pytest.raises(ValueError, match="already occupied"):
-                placement.with_move(1, Point(2, 7))
 
 
 def _outcome(build):

@@ -32,12 +32,14 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.registry import available_movements, make_movement
 from repro.neighborhood.tabu import TabuSearch
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.solvers.adapters import AnnealingSolver, TabuSolver
 from repro.solvers.base import solver_streams
+
+from tests.conftest import propose_row, ref_apply_row
 
 TIERS = [
     "dense",
@@ -53,22 +55,13 @@ TIERS = [
 
 
 def touched_routers(move) -> tuple[int, ...]:
-    """The routers a move modifies: tabu search's attribute."""
-    if isinstance(move, SwapMove):
-        return (move.router_a, move.router_b)
-    if isinstance(move, RelocateMove):
-        return (move.router_id,)
+    """The routers a move row modifies: tabu search's attribute."""
+    kind, router, partner = move[:3]
+    if kind == MoveBatch.SWAP:
+        return (router, partner)
+    if kind == MoveBatch.RELOCATE:
+        return (router,)
     return ()
-
-
-def neighbor(move, placement):
-    """``move`` applied to ``placement``, or ``None`` when it does not apply."""
-    if move is None:
-        return None
-    try:
-        return move.apply(placement)
-    except ValueError:
-        return None
 
 
 def annealing_reference(
@@ -92,8 +85,8 @@ def annealing_reference(
         temperature = schedule.temperature_at(phase)
         improved = False
         for _ in range(moves_per_phase):
-            placement = neighbor(
-                movement.propose(current, problem, rng), current.placement
+            placement = ref_apply_row(
+                propose_row(movement, current, problem, rng), current.placement
             )
             if placement is None:
                 continue
@@ -140,8 +133,8 @@ def tabu_reference(
         phases_done = phase
         chosen = chosen_move = None
         for _ in range(n_candidates):
-            move = movement.propose(current, problem, rng)
-            placement = neighbor(move, current.placement)
+            move = propose_row(movement, current, problem, rng)
+            placement = ref_apply_row(move, current.placement)
             if placement is None:
                 continue
             candidate = evaluator.evaluate(placement)

@@ -12,12 +12,14 @@ from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
-from repro.neighborhood.moves import MoveBatch, RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import (
     CombinedMovement,
     RandomMovement,
     SwapMovement,
 )
+
+from tests.conftest import propose_row, ref_apply_row, rows_of
 
 
 @pytest.fixture
@@ -46,10 +48,11 @@ class TestRandomMovement:
         current = Evaluator(problem).evaluate(placement)
         movement = RandomMovement()
         for _ in range(25):
-            move = movement.propose(current, problem, rng)
-            assert isinstance(move, RelocateMove)
+            move = propose_row(movement, current, problem, rng)
+            assert move[0] == MoveBatch.RELOCATE
             # Applies cleanly: target is free and in-grid.
-            moved = move.apply(placement)
+            moved = ref_apply_row(move, placement)
+            assert moved is not None and moved != placement
             assert len(moved.occupied) == len(placement)
 
     def test_explores_all_routers(self, clustered_problem, rng):
@@ -57,8 +60,7 @@ class TestRandomMovement:
         current = Evaluator(problem).evaluate(placement)
         movement = RandomMovement()
         touched = {
-            movement.propose(current, problem, rng).router_id
-            for _ in range(100)
+            propose_row(movement, current, problem, rng)[1] for _ in range(100)
         }
         assert touched == {0, 1, 2, 3}
 
@@ -72,23 +74,23 @@ class TestSwapMovementLiteral:
         movement = SwapMovement(
             relocate=False, window_fraction=0.25, pool=1
         )
-        move = movement.propose(current, problem, rng)
+        move = propose_row(movement, current, problem, rng)
         # The densest 8x8 window holds the client cluster with routers
         # 1 (weakest, radius 2) and 2; the sparsest window holds either
         # router 0 alone or no router at all.
-        if move is not None:
-            assert isinstance(move, SwapMove)
-            assert move.router_a == 1  # weakest in dense area
+        if move != MoveBatch.NO_MOVE:
+            assert move[0] == MoveBatch.SWAP
+            assert move[1] == 1  # weakest in dense area
 
     def test_literal_swap_preserves_occupancy(self, clustered_problem, rng):
         problem, placement = clustered_problem
         current = Evaluator(problem).evaluate(placement)
         movement = SwapMovement(relocate=False, window_fraction=0.25)
         for _ in range(20):
-            move = movement.propose(current, problem, rng)
-            if move is None:
+            move = propose_row(movement, current, problem, rng)
+            if move == MoveBatch.NO_MOVE:
                 continue
-            assert move.apply(placement).occupied == placement.occupied
+            assert ref_apply_row(move, placement).occupied == placement.occupied
 
 
 class TestSwapMovementRelocating:
@@ -98,10 +100,10 @@ class TestSwapMovementRelocating:
         movement = SwapMovement(
             relocate=True, window_fraction=0.25, pool=1, density_source="clients"
         )
-        move = movement.propose(current, problem, rng)
-        assert isinstance(move, RelocateMove)
+        kind, _, _, x, y = propose_row(movement, current, problem, rng)
+        assert kind == MoveBatch.RELOCATE
         # Target lies in the densest client window (bottom-left cluster).
-        assert move.target.x < 16 and move.target.y < 16
+        assert x < 16 and y < 16
 
     def test_mover_is_strong_router(self, clustered_problem, rng):
         problem, placement = clustered_problem
@@ -109,9 +111,9 @@ class TestSwapMovementRelocating:
         movement = SwapMovement(relocate=True, window_fraction=0.25, pool=1)
         movers = set()
         for _ in range(30):
-            move = movement.propose(current, problem, rng)
-            if move is not None:
-                movers.add(move.router_id)
+            move = propose_row(movement, current, problem, rng)
+            if move != MoveBatch.NO_MOVE:
+                movers.add(move[1])
         # The strongest router outside the dense area (router 0) must be
         # among the proposed movers.
         assert 0 in movers
@@ -127,15 +129,15 @@ class TestSwapMovementRelocating:
         placement = Placement.from_cells(grid, list(grid.cells()))
         current = Evaluator(problem).evaluate(placement)
         movement = SwapMovement(relocate=True, window_fraction=1.0, pool=1)
-        assert movement.propose(current, problem, rng) is None
+        assert propose_row(movement, current, problem, rng) == MoveBatch.NO_MOVE
 
     def test_density_sources(self, clustered_problem, rng):
         problem, placement = clustered_problem
         current = Evaluator(problem).evaluate(placement)
         for source in ("clients", "routers", "both"):
             movement = SwapMovement(density_source=source)
-            move = movement.propose(current, problem, rng)
-            assert move is None or isinstance(move, (SwapMove, RelocateMove))
+            kind = propose_row(movement, current, problem, rng)[0]
+            assert kind in (MoveBatch.NONE, MoveBatch.SWAP, MoveBatch.RELOCATE)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -165,10 +167,8 @@ class TestCombinedMovement:
         )
         kinds = set()
         for _ in range(50):
-            move = combined.propose(current, problem, rng)
-            if move is not None:
-                kinds.add(type(move).__name__)
-        assert "RelocateMove" in kinds
+            kinds.add(propose_row(combined, current, problem, rng)[0])
+        assert MoveBatch.RELOCATE in kinds
 
     def test_weights_normalized(self):
         combined = CombinedMovement(
@@ -232,11 +232,11 @@ def assert_batch_matches_scalar(factory, problem, placement, make_rng, n=24):
     batch_rng, scalar_rng = make_rng(), make_rng()
     (batch,) = factory().propose_batch([current], problem, [batch_rng], n)
     scalar_movement = factory()
-    scalar = [scalar_movement.propose(current, problem, scalar_rng) for _ in range(n)]
+    scalar = [propose_row(scalar_movement, current, problem, scalar_rng) for _ in range(n)]
     assert isinstance(batch, MoveBatch)
     assert len(batch) == n
-    assert batch == scalar
-    assert list(batch) == scalar
+    assert batch == MoveBatch.from_rows(scalar)
+    assert rows_of(batch) == scalar
     assert same_state(batch_rng.bit_generator.state, scalar_rng.bit_generator.state)
     return scalar
 
@@ -260,7 +260,7 @@ class TestArrayProposals:
         moves = assert_batch_matches_scalar(
             RandomMovement, problem, placement, lambda: np.random.default_rng(7)
         )
-        assert all(move.target == Point(0, 0) for move in moves)
+        assert all(move[3:] == (0, 0) for move in moves)
 
     def test_full_grid_yields_none(self):
         problem = packed_problem(4, 4, 16)
@@ -269,7 +269,7 @@ class TestArrayProposals:
         moves = assert_batch_matches_scalar(
             RandomMovement, problem, placement, lambda: np.random.default_rng(8)
         )
-        assert moves == [None] * 24
+        assert moves == [MoveBatch.NO_MOVE] * 24
 
     def test_full_dense_window_yields_none(self):
         # A packed 4x4 block is the single dense window; the sparse
@@ -283,7 +283,7 @@ class TestArrayProposals:
             placement,
             lambda: np.random.default_rng(9),
         )
-        assert moves == [None] * 24
+        assert moves == [MoveBatch.NO_MOVE] * 24
 
     def test_nearly_full_dense_window_enumerates(self):
         problem = packed_problem(16, 16, 16)
@@ -295,7 +295,7 @@ class TestArrayProposals:
             placement,
             lambda: np.random.default_rng(10),
         )
-        assert {move.target for move in moves} == {Point(0, 0)}
+        assert {move[3:] for move in moves} == {(0, 0)}
 
     def test_no_mover_when_every_router_is_in_the_dense_window(self):
         problem = packed_problem(16, 16, 4)
@@ -307,7 +307,7 @@ class TestArrayProposals:
             placement,
             lambda: np.random.default_rng(11),
         )
-        assert moves == [None] * 24
+        assert moves == [MoveBatch.NO_MOVE] * 24
 
     def test_literal_swaps(self, tiny_problem):
         # Half-grid windows: the sparse pool's windows hold routers too.
@@ -320,8 +320,8 @@ class TestArrayProposals:
             placement,
             lambda: np.random.default_rng(12),
         )
-        assert any(isinstance(move, SwapMove) for move in moves)
-        assert None in moves
+        assert any(move[0] == MoveBatch.SWAP for move in moves)
+        assert MoveBatch.NO_MOVE in moves
 
     def test_combined_draws_its_doubles_in_stream(self, tiny_problem):
         placement = Placement.random(
@@ -341,7 +341,7 @@ class TestArrayProposals:
             lambda: np.random.default_rng(13),
             n=64,
         )
-        assert {type(move) for move in moves} >= {SwapMove, RelocateMove}
+        assert {move[0] for move in moves} >= {MoveBatch.SWAP, MoveBatch.RELOCATE}
 
     @pytest.mark.parametrize(
         "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
@@ -366,16 +366,19 @@ class TestArrayProposals:
 
 
 class TestMoveBatch:
-    def test_round_trips_moves(self):
-        moves = [RelocateMove(3, Point(4, 5)), None, SwapMove(1, 2)]
-        batch = MoveBatch.from_rows(
-            [
-                (MoveBatch.RELOCATE, 3, -1, 4, 5),
-                MoveBatch.NO_MOVE,
-                (MoveBatch.SWAP, 1, 2, -1, -1),
-            ]
-        )
-        assert batch == moves
-        assert batch[0] == moves[0] and batch[-1] == moves[-1]
+    def test_rows_equality_and_repr(self):
+        rows = [
+            (MoveBatch.RELOCATE, 3, -1, 4, 5),
+            MoveBatch.NO_MOVE,
+            (MoveBatch.SWAP, 1, 2, -1, -1),
+        ]
+        batch = MoveBatch.from_rows(rows)
+        assert len(batch) == 3
+        assert rows_of(batch) == rows
         assert MoveBatch(batch.table.copy()) == batch
-        assert batch != moves[:2]
+        assert batch != MoveBatch.from_rows(rows[:2])
+        # A batch equals batches only, not the rows it holds.
+        assert batch != rows
+        assert repr(batch) == f"MoveBatch({[list(row) for row in rows]!r})"
+        with pytest.raises(TypeError):
+            hash(batch)  # repro-lint: disable=RL001

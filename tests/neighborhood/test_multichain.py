@@ -44,6 +44,8 @@ from repro.neighborhood.registry import available_movements, make_movement
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.solvers import make_solver
 
+from tests.conftest import propose_row, ref_apply_row, rows_of
+
 
 def serial_reference(
     problem,
@@ -82,13 +84,11 @@ def serial_reference(
         phase = next_phase
         neighbors = []
         for _ in range(n_candidates):
-            move = movement.propose(current, problem, rng)
-            if move is None:
-                continue
-            try:
-                neighbors.append(move.apply(current.placement))
-            except ValueError:
-                continue
+            neighbor = ref_apply_row(
+                propose_row(movement, current, problem, rng), current.placement
+            )
+            if neighbor is not None:
+                neighbors.append(neighbor)
         candidate = None
         for neighbor in neighbors:
             evaluation = evaluator.evaluate(neighbor)
@@ -203,12 +203,12 @@ class TestProposeBatchContract:
         )
         scalar = [
             [
-                scalar_movement.propose(currents[chain], problem, rng)
+                propose_row(scalar_movement, currents[chain], problem, rng)
                 for _ in range(n_candidates)
             ]
             for chain, rng in enumerate(scalar_rngs)
         ]
-        assert batch == scalar
+        assert [rows_of(chain_batch) for chain_batch in batch] == scalar
         # The streams must also END in the same state: no hidden draws.
         for fast, reference in zip(batch_rngs, scalar_rngs):
             assert fast.integers(1 << 30) == reference.integers(1 << 30)
@@ -262,12 +262,12 @@ class TestProposeBatchContract:
         scalar_movement = factory()
         scalar = [
             [
-                scalar_movement.propose(currents[chain], problem, rng)
+                propose_row(scalar_movement, currents[chain], problem, rng)
                 for _ in range(n_candidates)
             ]
             for chain, rng in enumerate(scalar_rngs)
         ]
-        assert batch == scalar
+        assert [rows_of(chain_batch) for chain_batch in batch] == scalar
         for fast, reference in zip(batch_rngs, scalar_rngs):
             assert fast.bit_generator.state == reference.bit_generator.state
 

@@ -27,7 +27,7 @@ from repro.core.evaluation import Evaluator
 from repro.core.geometry import Point
 from repro.core.solution import Placement
 from repro.instances.generator import InstanceSpec
-from repro.neighborhood.moves import RelocateMove, SwapMove
+from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import (
     CombinedMovement,
     MovementType,
@@ -35,7 +35,12 @@ from repro.neighborhood.movements import (
     SwapMovement,
 )
 
-from tests.conftest import ref_random_free_cell
+from tests.conftest import (
+    propose_row,
+    ref_random_free_cell,
+    relocate_row,
+    swap_row,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -62,8 +67,8 @@ def ref_random_propose(current, problem, rng):
     try:
         target = ref_random_free_cell(problem.grid, placement.occupied, rng)
     except ValueError:
-        return None
-    return RelocateMove(router_id=router_id, target=target)
+        return MoveBatch.NO_MOVE
+    return relocate_row(router_id, target)
 
 
 def ref_window_pools(movement, current, problem):
@@ -95,12 +100,12 @@ def ref_swap_propose(movement, current, problem, rng):
     fleet = problem.fleet
     if not movement.relocate:
         if not dense_routers or not sparse_routers:
-            return None
+            return MoveBatch.NO_MOVE
         weak_dense = ref_weakest_among(fleet, dense_routers)
         strong_sparse = ref_strongest_among(fleet, sparse_routers)
         if weak_dense == strong_sparse:
-            return None
-        return SwapMove(router_a=weak_dense, router_b=strong_sparse)
+            return MoveBatch.NO_MOVE
+        return swap_row(weak_dense, strong_sparse)
     if sparse_routers:
         mover = ref_strongest_among(fleet, sparse_routers)
     else:
@@ -108,15 +113,15 @@ def ref_swap_propose(movement, current, problem, rng):
             i for i, cell in enumerate(placement.cells) if not dense.contains(cell)
         ]
         if not outside:
-            return None
+            return MoveBatch.NO_MOVE
         mover = ref_strongest_among(fleet, outside)
     try:
         target = ref_random_free_cell(
             problem.grid, placement.occupied, rng, within=dense
         )
     except ValueError:
-        return None
-    return RelocateMove(router_id=mover, target=target)
+        return MoveBatch.NO_MOVE
+    return relocate_row(mover, target)
 
 
 def ref_propose(movement, current, problem, rng):
@@ -151,12 +156,12 @@ def incumbent(problem, cells=None, seed=5):
 
 
 def assert_stream_parity(movement, current, problem, seed, calls):
-    """``calls`` proposals: equal moves and states after each; the moves."""
+    """``calls`` proposals: equal rows and states after each; the rows."""
     rng = np.random.default_rng(seed)
     reference = np.random.default_rng(seed)
     moves = []
     for _ in range(calls):
-        move = movement.propose(current, problem, rng)
+        move = propose_row(movement, current, problem, rng)
         assert move == ref_propose(movement, current, problem, reference)
         assert rng.bit_generator.state == reference.bit_generator.state
         moves.append(move)
@@ -239,7 +244,7 @@ def test_full_grid_random_finds_no_cell():
     problem = make_problem(4, 3, 12)
     current = incumbent(problem)
     moves = assert_stream_parity(RandomMovement(), current, problem, 7, calls=8)
-    assert moves == [None] * 8
+    assert moves == [MoveBatch.NO_MOVE] * 8
 
 
 def test_full_dense_window():
@@ -249,7 +254,7 @@ def test_full_dense_window():
     current = incumbent(problem)
     movement = SwapMovement(window_width=1, window_height=1, pool=3)
     moves = assert_stream_parity(movement, current, problem, 11, calls=16)
-    assert moves == [None] * 16
+    assert moves == [MoveBatch.NO_MOVE] * 16
 
 
 def test_empty_sparse_window_uses_fallback_mover():
@@ -259,7 +264,7 @@ def test_empty_sparse_window_uses_fallback_mover():
     current = incumbent(problem, cells=[(0, y) for y in range(6)])
     movement = SwapMovement(window_width=2, window_height=2, pool=4)
     moves = assert_stream_parity(movement, current, problem, 13, calls=24)
-    assert any(isinstance(move, RelocateMove) for move in moves)
+    assert any(move[0] == MoveBatch.RELOCATE for move in moves)
 
 
 def test_literal_weak_equals_strong():
@@ -269,7 +274,7 @@ def test_literal_weak_equals_strong():
     current = incumbent(problem)
     movement = SwapMovement(window_fraction=1.0, relocate=False, pool=1)
     moves = assert_stream_parity(movement, current, problem, 17, calls=8)
-    assert moves == [None] * 8
+    assert moves == [MoveBatch.NO_MOVE] * 8
 
 
 def test_literal_swaps_are_drawn():
@@ -277,7 +282,7 @@ def test_literal_swaps_are_drawn():
     current = incumbent(problem)
     movement = SwapMovement(relocate=False, window_fraction=0.5)
     moves = assert_stream_parity(movement, current, problem, 19, calls=24)
-    assert any(isinstance(move, SwapMove) for move in moves)
+    assert any(move[0] == MoveBatch.SWAP for move in moves)
 
 
 # ----------------------------------------------------------------------
