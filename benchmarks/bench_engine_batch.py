@@ -112,10 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     problem = engine_bench_spec(args.seed).generate()
     rng = np.random.default_rng(args.seed)
     incumbent = Placement.random(problem.grid, problem.n_routers, rng)
-    # A search loop always evaluates the incumbent before deriving
-    # neighbors, so its positions cache is warm; derived placements then
-    # seed theirs from it (for every engine alike).
-    incumbent.positions_array()
 
     # Pre-sample every phase's moves so all engines time the identical
     # workload and no RNG cost lands inside a measured section.  Each
@@ -158,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         check_parity(scalar_results[index], results, "batch")
 
     delta_times: list[float] = []
-    delta = StackedDeltaEngine(problem, engine=Evaluator(problem).engine)
+    delta = StackedDeltaEngine(problem, engine="auto")
     delta.reset_chain(0, incumbent)
     for index, (phase, phase_placements) in enumerate(
         zip(phases, fresh_placements())

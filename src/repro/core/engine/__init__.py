@@ -7,7 +7,8 @@ giant-component masks for the same placement:
 
 * **One dispatch** — :class:`StackedEngine`.  The only code that
   resolves an ``engine`` argument to a tier and builds the per-tier
-  sub-engines.  Its one stack entry, ``measure_placements``, measures a
+  sub-engines, for the counting adapter and the delta cache alike.
+  Its one stack entry, ``measure_placements``, measures a
   whole candidate stack into metric *arrays*
   (:class:`StackedMeasurement`); callers materialize only the rows they
   keep.
@@ -21,15 +22,17 @@ giant-component masks for the same placement:
 * **One incremental cache** —
   :class:`~repro.core.engine.stacked.StackedDeltaEngine`.  Per-chain
   incumbent caches: ``reset_chain`` builds one and measures the chain
-  start from it, then a candidate is measured from only what its moved
-  routers touch.  ``measure_phase`` measures a whole phase of
+  start in full (by ``measure_placements`` on the dense layout, from
+  the cached edge and hit arrays on the sparse one), then a candidate
+  is measured from only what its moved routers touch.  ``measure_phase`` measures a whole phase of
   candidates for every search rule of
   :mod:`repro.neighborhood.multichain` (best improvement, tabu, and
   the one-candidate sub-steps of simulated annealing), and
-  ``commit_chain`` advances a chain that accepts one.  It takes the tier its
-  :class:`StackedEngine` resolved and caches matrices on the dense
-  layout, or edge arrays, coverage hits and a router index on the
-  sparse (city-scale) layout.
+  ``commit_chain`` advances a chain that accepts one.  It builds its
+  :class:`StackedEngine` and takes from it the tier, the layout, the
+  non-finite gate and the sparse layout's client index; it caches
+  matrices on the dense layout, or edge arrays, coverage hits and a
+  router index on the sparse (city-scale) layout.
 
 The tiers (see :mod:`repro.core.engine.dispatch`):
 

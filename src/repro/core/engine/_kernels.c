@@ -439,51 +439,6 @@ void repro_measure_stack_sparse(
 /* Incremental (delta) kernels                                         */
 /* ------------------------------------------------------------------ */
 
-/* Metrics from an incumbent's dense boolean matrices — the dense-layout
- * chain-start measurement (StackedDeltaEngine.reset_chain) with the
- * edge extraction, labeling and masked coverage count fused into one
- * pass.  out receives giant size, covered, components, links. */
-void repro_measure_dense_matrices(
-    const u8 *adjacency,  /* N*N, symmetric, zero diagonal */
-    const u8 *coverage,   /* M*N */
-    i64 n_routers, i64 n_clients, i64 giant_only,
-    i64 *out,             /* 4 */
-    u8 *giant_mask        /* N */
-) {
-    const i64 n = n_routers;
-    const i64 m = n_clients;
-    i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    i64 *counts = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-    for (i64 i = 0; i < n; i++) {
-        parent[i] = i;
-    }
-    i64 links = 0;
-    for (i64 i = 0; i < n; i++) {
-        const u8 *row = adjacency + i * n;
-        for (i64 j = i + 1; j < n; j++) {
-            if (row[j]) {
-                links++;
-                uf_union(parent, i, j);
-            }
-        }
-    }
-    finish_components(parent, counts, n, &out[0], &out[2], giant_mask);
-    out[3] = links;
-    i64 cov = 0;
-    for (i64 c = 0; c < m; c++) {
-        const u8 *row = coverage + c * n;
-        for (i64 j = 0; j < n; j++) {
-            if (row[j] && (!giant_only || giant_mask[j])) {
-                cov++;
-                break;
-            }
-        }
-    }
-    out[1] = cov;
-    free(parent);
-    free(counts);
-}
-
 /* One dense chain incumbent as the phase kernel reads it.  The Python
  * side packs one row of eight 64-bit words per chain (addresses, plus
  * the edge count); the aid the coverage rule does not use is NULL. */

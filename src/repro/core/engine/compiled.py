@@ -6,8 +6,10 @@ covered-count reductions.  This module replaces them with C kernels
 (:mod:`_kernels.c <repro.core.engine>`), compiled on demand by the
 system toolchain into a content-hashed shared library and bound via
 :mod:`ctypes` — no third-party dependency, so tier-1 environments
-without a C compiler simply fall back to the numpy paths.  A dense
-lockstep phase of the
+without a C compiler simply fall back to the numpy paths.  Every full
+measurement, a dense-layout delta chain start included, is one fused
+stack call (:meth:`CompiledEngine.measure_stack`).  A dense lockstep
+phase of the
 :class:`~repro.core.engine.stacked.StackedDeltaEngine` is one call,
 :func:`measure_phase_dense`: per candidate, the movers' new links, one
 union-find over the kept incumbent edges plus those links, and the
@@ -241,10 +243,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double, _I64, _I64,
         _I64, _PI, _PI, _PI, _PI, _PU8,
     )
-    lib.repro_measure_dense_matrices.restype = None
-    lib.repro_measure_dense_matrices.argtypes = (
-        _PU8, _PU8, _I64, _I64, _I64, _PI, _PU8,
-    )
     lib.repro_measure_phase_dense.restype = None
     lib.repro_measure_phase_dense.argtypes = (
         _PI, _I64, _PI, _PI, _PI, _PD, _I64,
@@ -458,30 +456,6 @@ def link_hits_compiled(
     )
     mask = keep.view(bool)
     return rows[mask], cols[mask]
-
-
-def measure_dense_matrices(
-    adjacency: np.ndarray,
-    coverage: np.ndarray,
-    giant_only: bool,
-) -> tuple[int, int, int, int, np.ndarray]:
-    """Fused metrics from an incumbent's dense boolean matrices.
-
-    Returns ``(giant_size, covered, n_components, n_links, giant_mask)``
-    with the shared smallest-canonical-label giant tie-break — the
-    dense-layout chain-start measurement of
-    :meth:`~repro.core.engine.stacked.StackedDeltaEngine.reset_chain` in
-    one pass.  The four counts come back through one ``int64[4]``.
-    """
-    n = adjacency.shape[0]
-    out = np.empty(4, dtype=np.int64)
-    giant_mask = np.empty(n, dtype=bool)
-    _kernels().repro_measure_dense_matrices(
-        _pu8(_u8(adjacency)), _pu8(_u8(coverage)), n, coverage.shape[0],
-        int(giant_only), _pi(out), _pu8(giant_mask.view(np.uint8)),
-    )
-    giant_size, covered, n_components, n_links = out.tolist()
-    return giant_size, covered, n_components, n_links, giant_mask
 
 
 #: ``(field, dtype)`` of ``chain_state`` in ``_kernels.c``, in order:

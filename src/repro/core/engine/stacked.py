@@ -23,10 +23,14 @@ as the tier allows —
 
 Every tier produces bit-identical metric rows, so no caller needs to
 know which tier it runs on.  :class:`StackedDeltaEngine` is the
-engine's one incremental (delta) cache, on the tier a
-:class:`StackedEngine` resolved: :meth:`StackedDeltaEngine.reset_chain`
-builds a chain's cache and measures the chain start from it (the
-lockstep search's phase 0), and :meth:`StackedDeltaEngine.measure_phase`
+engine's one incremental (delta) cache.  It builds a
+:class:`StackedEngine` and stands on it for the tier, the layout, the
+non-finite gate and the sparse client index:
+:meth:`StackedDeltaEngine.reset_chain` builds a chain's cache and
+measures the chain start in full (the lockstep search's phase 0) —
+through :meth:`StackedEngine.measure_placements` on the dense layout,
+from the cache's edge and hit arrays on the sparse one — and
+:meth:`StackedDeltaEngine.measure_phase`
 then measures every phase of every search rule off that cache —
 best improvement, tabu, and the one-candidate sub-steps of simulated
 annealing — on both cache layouts.
@@ -50,7 +54,7 @@ from repro.core.engine.sparse import (
     sparse_edges,
 )
 from repro.core.evaluation import Evaluation
-from repro.core.fitness import FitnessFunction, NetworkMetrics, WeightedSumFitness
+from repro.core.fitness import FitnessFunction, WeightedSumFitness
 from repro.core.network import adjacency_matrix
 from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule
@@ -378,8 +382,10 @@ class StackedDeltaEngine:
     whole phase in one connected-components pass; covered-client counts
     from the cached coverage state, corrected per moved router.
 
-    Two cache layouts: the ``"dense"`` tier uses the dense layout,
-    ``"sparse"`` the sparse one and ``"compiled"`` whichever
+    ``engine`` is resolved by the :class:`StackedEngine` this engine
+    builds (``"auto"`` included), which also rejects non-finite inputs
+    and supplies the layout: the ``"dense"`` tier uses the dense
+    layout, ``"sparse"`` the sparse one and ``"compiled"`` whichever
     :func:`~repro.core.engine.dispatch.select_engine` names.
 
     * **dense** — incumbent adjacency and coverage matrices.  A phase
@@ -409,8 +415,9 @@ class StackedDeltaEngine:
     smallest-member ids, and the integer count arithmetic is exact.
 
     Protocol: :meth:`reset_chain` once per chain (it returns the
-    chain start's evaluation), then :meth:`measure_phase` with the
-    candidates as :class:`PhaseCandidates` arrays, and
+    chain start's evaluation, measured in full), then
+    :meth:`measure_phase` with the candidates as
+    :class:`PhaseCandidates` arrays, and
     :meth:`commit_chain` whenever a chain accepts a candidate.  Pure
     measurement — counters live in the search layer.
     """
@@ -421,44 +428,35 @@ class StackedDeltaEngine:
         fitness: FitnessFunction | None = None,
         engine: str = "dense",
     ) -> None:
+        # The tier, the layout, the non-finite gate and the sparse
+        # layout's client index all come from the one dispatch; the
+        # dense chain start is measured through it too.
+        self._stacked = StackedEngine(problem, fitness, engine=engine)
         self._problem = problem
-        self._fitness = fitness if fitness is not None else WeightedSumFitness()
+        self._fitness = self._stacked.fitness_function
         radii = problem.fleet.radii
         self._radii = radii
         self._radii_squared = radii * radii
         self._clients = problem.clients.positions
         self._giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
         self._caches: dict[int, _ChainCache] = {}
-        # ``engine`` is the tier a StackedEngine already resolved; on
-        # the compiled tier the C kernels crunch the layout the size
-        # heuristic picks.
-        if engine == "compiled":
+        if self._stacked.engine == "compiled":
             from repro.core.engine import compiled
-            from repro.core.engine.dispatch import select_engine
 
-            compiled.require()
             self._compiled = compiled
-            self._layout = select_engine(problem)
             self._label = compiled.label_components
             self._link_filter = compiled.link_hits_compiled
-        elif engine in ("dense", "sparse"):
+        else:
             self._compiled = None
-            self._layout = engine
             self._label = labels_from_edge_stack
             self._link_filter = link_hits
-        else:
-            raise ValueError(
-                "StackedDeltaEngine engine must be a resolved tier, "
-                f"'dense', 'sparse' or 'compiled', got {engine!r}"
-            )
-        self._engine = engine
-        if self._layout == "dense":
+        if self._stacked.layout == "dense":
             link_range = problem.link_rule.range_matrix(radii)
             self._range_squared = link_range * link_range
             self._sparse = None
         else:
             # One client index, shared by every chain.
-            self._sparse = SparseEngine(problem)
+            self._sparse = self._stacked._sparse_engine()
 
     @property
     def problem(self) -> ProblemInstance:
@@ -473,35 +471,34 @@ class StackedDeltaEngine:
     @property
     def engine(self) -> str:
         """The resolved tier: ``"dense"``, ``"sparse"`` or ``"compiled"``."""
-        return self._engine
+        return self._stacked.engine
 
     @property
     def layout(self) -> str:
         """The chain-cache layout in use: ``"dense"`` or ``"sparse"``."""
-        return self._layout
+        return "dense" if self._sparse is None else "sparse"
 
     def reset_chain(self, chain: int, placement: Placement) -> Evaluation:
         """(Re)build chain ``chain``'s incumbent cache from scratch.
 
-        Returns the placement's evaluation, measured from the arrays
-        just built — the chain start's one full measurement.  Raises
-        ``ValueError`` for a placement whose router count is not the
-        fleet's.
+        Returns the placement's evaluation, the chain start's one full
+        measurement: on the dense layout by
+        :meth:`StackedEngine.measure_placements`, on the sparse layout
+        from the edge and hit arrays just built.  Raises ``ValueError``
+        for a placement whose router count is not the fleet's.
         """
         _check_router_count(self._problem, placement)
         if self._sparse is None:
             cache = _ChainCache.dense(self._problem, placement)
-            evaluation = self._measure_matrices(
-                placement, cache.adjacency, cache.coverage
-            )
             self._build_aids(cache)
+            measurement = self._stacked.measure_placements([placement])
         else:
             cache = _ChainCache.sparse(self._sparse, placement, self._link_filter)
-            evaluation = self._measure_edges_and_hits(
-                placement, cache.edge_rows, cache.edge_cols, *cache.hit_pairs()
+            measurement = self._measure_edges_and_hits(
+                cache.edge_rows, cache.edge_cols, *cache.hit_pairs()
             )
         self._caches[chain] = cache
-        return evaluation
+        return measurement.evaluation(0, placement)
 
     def _build_aids(self, cache: _ChainCache) -> None:
         """A fresh dense cache's phase aids: the one-way edge arrays and
@@ -642,94 +639,28 @@ class StackedDeltaEngine:
         # city scale, once per accepted candidate.
         cache.index = SpatialGridIndex(cache.positions, self._sparse.link_cell)
 
-    # ------------------------------------------------------------------
-    # Full measurement of a chain start
-    # ------------------------------------------------------------------
-
-    def _measure_matrices(
-        self, placement: Placement, adjacency: np.ndarray, coverage: np.ndarray
-    ) -> Evaluation:
-        """Full measurement of dense adjacency and coverage matrices."""
-        if self._compiled is not None:
-            giant_size, covered, n_components, n_links, giant_mask = (
-                self._compiled.measure_dense_matrices(
-                    adjacency, coverage, self._giant_only
-                )
-            )
-            return self._evaluation(
-                placement, giant_size, covered, n_components, n_links, giant_mask
-            )
-        n = self._problem.n_routers
-        # One flat nonzero pass: the directed endpoint count is twice
-        # the link count, and one direction per edge suffices for the
-        # labeling.
-        flat = np.flatnonzero(adjacency.ravel())
-        rows = flat // n
-        cols = flat % n
-        one_way = rows < cols
-        counts, giant_label, giant_mask = _label_giant(
-            self._label, n, rows[one_way], cols[one_way]
-        )
-        if self._giant_only:
-            coverage = coverage[:, giant_mask]
-        covered = int(coverage.any(axis=1).sum()) if coverage.size else 0
-        return self._evaluation(
-            placement,
-            int(counts[giant_label]),
-            covered,
-            int(np.count_nonzero(counts)),
-            int(flat.shape[0]) // 2,
-            giant_mask,
-        )
-
     def _measure_edges_and_hits(
         self,
-        placement: Placement,
         rows: np.ndarray,
         cols: np.ndarray,
         hit_router: np.ndarray,
         hit_client: np.ndarray,
-    ) -> Evaluation:
-        """Full measurement of one-way edge and coverage-hit arrays."""
+    ) -> StackedMeasurement:
+        """One-row measurement of one-way edge and coverage-hit arrays
+        (the sparse layout's chain start)."""
         counts, giant_label, giant_mask = _label_giant(
             self._label, self._problem.n_routers, rows, cols
         )
         if self._giant_only:
             hit_client = hit_client[giant_mask[hit_router]]
-        return self._evaluation(
-            placement,
-            int(counts[giant_label]),
-            _count_covered(self._problem.n_clients, hit_client),
-            int(np.count_nonzero(counts)),
-            int(rows.size),
-            giant_mask,
-        )
-
-    def _evaluation(
-        self,
-        placement: Placement,
-        giant_size: int,
-        covered: int,
-        n_components: int,
-        n_links: int,
-        giant_mask: np.ndarray,
-    ) -> Evaluation:
-        n = self._problem.n_routers
-        metrics = NetworkMetrics(
-            giant_size=giant_size,
-            n_routers=n,
-            covered_clients=covered,
-            n_clients=self._problem.n_clients,
-            n_components=n_components,
-            n_links=n_links,
-            # Identical to degrees().mean(): an exact integer over N.
-            mean_degree=2 * n_links / n,
-        )
-        return Evaluation(
-            placement=placement,
-            metrics=metrics,
-            fitness=self._fitness.score(metrics),
-            giant_mask=giant_mask,
+        return StackedMeasurement.scored(
+            self._problem,
+            self._fitness,
+            counts[giant_label : giant_label + 1],
+            np.array([_count_covered(self._problem.n_clients, hit_client)]),
+            np.array([np.count_nonzero(counts)]),
+            np.array([rows.size]),
+            giant_mask[np.newaxis, :],
         )
 
     # ------------------------------------------------------------------
@@ -1146,7 +1077,7 @@ class StackedDeltaEngine:
     def __repr__(self) -> str:
         return (
             f"StackedDeltaEngine(n_routers={self._problem.n_routers}, "
-            f"layout={self._layout!r}, chains={len(self._caches)})"
+            f"layout={self.layout!r}, chains={len(self._caches)})"
         )
 
 

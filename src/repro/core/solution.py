@@ -200,10 +200,6 @@ class Placement:
             self._occupied = frozenset(self.cells)
         return self._occupied
 
-    def is_free(self, cell: Point) -> bool:
-        """Whether ``cell`` is inside the grid and not occupied."""
-        return self._grid.contains(cell) and cell not in self.occupied
-
     def positions_array(self) -> np.ndarray:
         """``(N, 2)`` float array of router coordinates (id order).
 

@@ -77,11 +77,7 @@ import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.engine import compiled
-from repro.core.engine.stacked import (
-    PhaseCandidates,
-    StackedDeltaEngine,
-    StackedEngine,
-)
+from repro.core.engine.stacked import PhaseCandidates, StackedDeltaEngine
 from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
 from repro.core.problem import ProblemInstance, check_start_placement
@@ -633,15 +629,13 @@ class MultiChainSearch:
             )
         started = DEFAULT_CLOCK.now()
         movement = self._resolve_movement()
-        # StackedEngine resolves the tier and gates non-finite inputs.
-        # Each chain start is measured once, as its cache is built, and
-        # every phase incrementally against those per-chain incumbent
-        # caches, on the layout the resolved tier calls for: matrices at
-        # paper scale, edge and hit arrays at city scale.
-        engine = StackedEngine(problem, fitness, engine=self.engine)
-        delta = StackedDeltaEngine(
-            problem, engine.fitness_function, engine=engine.engine
-        )
+        # The delta engine's StackedEngine resolves the tier and gates
+        # non-finite inputs.  Each chain start is measured once, as its
+        # cache is built, and every phase incrementally against those
+        # per-chain incumbent caches, on the layout the resolved tier
+        # calls for: matrices at paper scale, edge and hit arrays at
+        # city scale.
+        delta = StackedDeltaEngine(problem, fitness, engine=self.engine)
         states = self._initial_states(delta, initials, rngs)
         for state in states:
             self._rule.start(state, problem)

@@ -38,7 +38,11 @@ from repro.core.solution import Placement
 from repro.genetic.engine import GAConfig, GeneticAlgorithm
 from repro.genetic.initializers import AdHocInitializer, PopulationInitializer
 from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
-from repro.neighborhood.multichain import MultiChainSearch, chain_generators
+from repro.neighborhood.multichain import (
+    MultiChainSearch,
+    chain_generators,
+    check_search_parameters,
+)
 from repro.neighborhood.registry import make_movement
 from repro.neighborhood.tabu import TabuSearch
 from repro.solvers.base import SolveResult, Solver, _check_batch, solver_streams
@@ -159,7 +163,8 @@ class _LocalSearchSolver(_InitializedSolver):
     :class:`~repro.neighborhood.multichain.MultiChainSearch` portfolio
     on the family's acceptance rule, and :meth:`solve` is its one-seed
     batch.  A subclass names its registry ``family`` and its driver
-    (:meth:`_chains`).
+    (:meth:`_chains`) and sets its knobs before calling this
+    constructor.
     """
 
     family: str
@@ -168,6 +173,9 @@ class _LocalSearchSolver(_InitializedSolver):
         super().__init__(init)
         self._movement_name = movement
         self._movement = make_movement(movement, **movement_params)
+        # The family's driver checks its knobs as it is built; building
+        # one here makes a bad knob fail now, not in the first solve.
+        self._chains(self.max_phases, "auto")
 
     @property
     def name(self) -> str:
@@ -268,11 +276,11 @@ class NeighborhoodSolver(_LocalSearchSolver):
         accept_equal: bool = False,
         **movement_params,
     ) -> None:
-        super().__init__(movement, init, **movement_params)
         self.n_candidates = n_candidates
         self.max_phases = max_phases
         self.stall_phases = stall_phases
         self.accept_equal = accept_equal
+        super().__init__(movement, init, **movement_params)
 
     def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
         return MultiChainSearch(
@@ -299,10 +307,10 @@ class AnnealingSolver(_LocalSearchSolver):
         moves_per_phase: int = 16,
         **movement_params,
     ) -> None:
-        super().__init__(movement, init, **movement_params)
         self.schedule = schedule
         self.max_phases = max_phases
         self.moves_per_phase = moves_per_phase
+        super().__init__(movement, init, **movement_params)
 
     def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
         return SimulatedAnnealing(
@@ -327,10 +335,10 @@ class TabuSolver(_LocalSearchSolver):
         max_phases: int = 64,
         **movement_params,
     ) -> None:
-        super().__init__(movement, init, **movement_params)
         self.tenure = tenure
         self.n_candidates = n_candidates
         self.max_phases = max_phases
+        super().__init__(movement, init, **movement_params)
 
     def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
         return TabuSearch(
@@ -363,6 +371,7 @@ class MultiStartSolver(Solver):
     ) -> None:
         if n_restarts <= 0:
             raise ValueError(f"n_restarts must be positive, got {n_restarts}")
+        check_search_parameters(n_candidates, max_phases, stall_phases)
         self._movement_name = movement
         self._movement = make_movement(movement, **movement_params)
         self.n_restarts = n_restarts

@@ -8,10 +8,11 @@ inputs with a clear ``ValueError``:
 * :class:`ProblemInstance` construction — the choke point every
   instance passes through, naming the offending ids.
 * :class:`~repro.core.engine.stacked.StackedEngine` construction — the
-  one tier dispatch every :class:`Evaluator` and every lockstep search
-  driver builds, re-checked per engine tier, which also catches arrays
-  mutated *after* instance validation (the frozen dataclasses hold
-  numpy arrays; ``object.__setattr__`` can swap them).
+  one tier dispatch every :class:`Evaluator`, every lockstep search
+  driver and every :class:`StackedDeltaEngine` builds, re-checked per
+  engine tier, which also catches arrays mutated *after* instance
+  validation (the frozen dataclasses hold numpy arrays;
+  ``object.__setattr__`` can swap them).
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.engine import compiled
+from repro.core.engine import StackedDeltaEngine, StackedEngine, compiled
 from repro.core.evaluation import Evaluator
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement
+from repro.instances.catalog import city_spec, paper_normal
 from repro.neighborhood.movements import SwapMovement
 from repro.neighborhood.multichain import MultiChainSearch
 from repro.solvers import make_solver
@@ -110,6 +112,36 @@ class TestEvaluatorGate:
             tiny_problem.grid, tiny_problem.n_routers, rng
         )
         assert np.isfinite(evaluator.evaluate(placement).fitness)
+
+
+class TestDeltaEngineGate:
+    """A directly built delta engine takes its gate and its tier from
+    the ``StackedEngine`` it builds."""
+
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (with_nan_radius, "radii must be finite"),
+            (with_inf_position, "positions must be finite"),
+        ],
+    )
+    def test_rejects_per_tier(self, tiny_problem, engine, mutate, message):
+        problem = mutate(tiny_problem)
+        with pytest.raises(ValueError, match=message):
+            StackedDeltaEngine(problem, engine=engine)
+
+    @pytest.mark.parametrize(
+        "spec, layout",
+        [(paper_normal(), "dense"), (city_spec(1024, 4_000, seed=3), "sparse")],
+        ids=["paper-frame", "city"],
+    )
+    def test_auto_resolves_like_stacked_engine(self, spec, layout):
+        problem = spec.generate()
+        delta = StackedDeltaEngine(problem, engine="auto")
+        stacked = StackedEngine(problem)
+        assert delta.layout == stacked.layout == layout
+        assert delta.engine == stacked.engine
 
 
 class TestSearchGate:

@@ -38,12 +38,6 @@ class TestInvariants:
         p = make_placement((0, 0), (5, 5))
         assert p.occupied == {Point(0, 0), Point(5, 5)}
 
-    def test_is_free(self):
-        p = make_placement((0, 0))
-        assert p.is_free(Point(1, 1))
-        assert not p.is_free(Point(0, 0))
-        assert not p.is_free(Point(99, 99))
-
 
 class TestRandom:
     def test_random_valid(self, rng):

@@ -166,7 +166,9 @@ class TestPhaseRows:
 
     def test_relocation_to_free_cell(self, tiny_problem, placement):
         target = next(
-            cell for cell in tiny_problem.grid.cells() if placement.is_free(cell)
+            cell
+            for cell in tiny_problem.grid.cells()
+            if cell not in placement.occupied
         )
         kept, ((moved,),) = built_phase(
             tiny_problem, [placement], [[relocate_row(0, target)]]
@@ -196,7 +198,9 @@ class TestPhaseRows:
 
     def test_out_of_range_ids_and_targets_are_dropped(self, tiny_problem, placement):
         free = next(
-            cell for cell in tiny_problem.grid.cells() if placement.is_free(cell)
+            cell
+            for cell in tiny_problem.grid.cells()
+            if cell not in placement.occupied
         )
         n = tiny_problem.n_routers
         width = tiny_problem.grid.width

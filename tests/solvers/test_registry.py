@@ -95,3 +95,21 @@ class TestMakeSolver:
     def test_every_listed_spec_instantiates(self):
         for spec in available_solvers():
             assert make_solver(spec).name == spec
+
+    @pytest.mark.parametrize(
+        "spec, kwargs, message",
+        [
+            ("search:swap", {"n_candidates": 0}, "n_candidates must be positive"),
+            ("search:swap", {"stall_phases": 0}, "stall_phases must be positive"),
+            (
+                "annealing:swap",
+                {"moves_per_phase": 0},
+                "moves_per_phase must be positive",
+            ),
+            ("tabu:swap", {"tenure": -1}, "tenure must be non-negative"),
+            ("multistart:swap", {"max_phases": 0}, "max_phases must be positive"),
+        ],
+    )
+    def test_invalid_knobs_rejected_at_construction(self, spec, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_solver(spec, **kwargs)
