@@ -16,6 +16,15 @@
  * set is always its minimum member, so the final find() pass *is* the
  * canonical labeling shared by the scalar, batch and sparse engines.
  *
+ * Besides measurement, the kernels run the per-move work of a search
+ * in one call each: a phase's proposals for every chain
+ * (repro_propose_rows), a new Swap incumbent's window pick table
+ * (repro_swap_window_table), the in-place commit of an accepted move
+ * to a dense chain cache (repro_commit_dense), free-cell picks
+ * (repro_distinct_cells) and a GA generation (repro_ga_generation).
+ * Each keeps its Python twin's results exactly; the Python code stays
+ * the reference.
+ *
  * Candidate-stack kernels parallelize over candidates with OpenMP when
  * the toolchain supports it (each candidate writes disjoint output
  * rows, so the results are deterministic regardless of thread count);
@@ -638,8 +647,7 @@ void repro_filter_pairs(
 }
 
 /* Upper-triangle one-way edge extraction from a dense u8 adjacency
- * matrix — the incumbent-commit refresh of a chain cache's edge
- * arrays.  The caller sizes rows/cols from the matrix popcount (each
+ * matrix — the edge arrays of a fresh dense chain cache.  The caller sizes rows/cols from the matrix popcount (each
  * undirected link appears twice), so the fill is a single serial
  * byte scan in the same (row-major, i < j) order np.nonzero emits. */
 void repro_dense_edges(
@@ -660,41 +668,167 @@ void repro_dense_edges(
     }
 }
 
-/* Incremental client-major CSR rewrite for one moved router: every
- * occurrence of `router` is dropped and re-inserted (in ascending
- * position) wherever newcol says the moved router now covers the
- * client.  O(nnz) instead of the O(M*N) full-matrix rebuild, and the
- * output is bit-identical to rebuilding from the patched matrix.  The
- * caller sizes new_hit for the worst case (old nnz + one insert per
- * client) and trims to new_ptr[M]. */
-void repro_csr_update_column(
-    const i64 *ptr, const i64 *hit,  /* M+1 / ptr[M] incumbent lists */
+/* Advance one dense chain incumbent to an accepted placement, in place
+ * (the numpy dense tier's StackedDeltaEngine._commit_dense is the
+ * reference).  The movers are the routers whose cell differs from the
+ * cached position.  Each mover, in ascending id order, takes its new
+ * position, then rewrites its adjacency row and column against every
+ * router's final position (a later mover's column write wins on a
+ * mover-mover cell, as in the reference) and its coverage column, with
+ * the per-client counts (ANY_ROUTER) following the column.  Then the
+ * client-major CSR (GIANT_ONLY) is rebuilt in one pass over a copy of
+ * its lists, each client's list being its kept routers merged with the
+ * movers that now cover it, in ascending order (what
+ * repro_client_csr_fill emits for the patched matrix); and the one-way
+ * edge arrays keep, in order, every edge without a mover and then
+ * append each mover's links from its final adjacency row, a mover-mover
+ * link once.  The edge count in the state row follows.
+ *
+ * The edge and CSR arrays are buffers with room for edge_capacity and
+ * hit_capacity entries.  Before anything is written the commit checks
+ * the worst case (each mover linking every other router, covering every
+ * client) against them and returns -2 when it could overflow, so the
+ * caller grows the buffers and calls again.  Returns the number of
+ * movers, or -1 when the scratch cannot be allocated (nothing written). */
+i64 repro_commit_dense(
+    i64 *state,              /* one chain_state row; its edge count is updated */
+    u8 *adjacency,           /* N*N */
+    i64 n_routers,
+    const double *range2,    /* N*N squared link ranges */
     i64 n_clients,
-    i64 router,
-    const u8 *newcol,                /* M: does `router` now cover c? */
-    i64 *new_ptr, i64 *new_hit
+    const double *clients,   /* M*2 */
+    const double *radii2,    /* N squared coverage radii */
+    i64 edge_capacity,
+    i64 hit_capacity,
+    const i32 *cells         /* N*2 accepted placement cells */
 ) {
-    i64 w = 0;
-    new_ptr[0] = 0;
-    for (i64 c = 0; c < n_clients; c++) {
-        const int want = (int)newcol[c];
-        int placed = 0;
-        for (i64 s = ptr[c]; s < ptr[c + 1]; s++) {
-            const i64 j = hit[s];
-            if (j == router) {
-                continue;
-            }
-            if (want && !placed && j > router) {
-                new_hit[w++] = router;
-                placed = 1;
-            }
-            new_hit[w++] = j;
-        }
-        if (want && !placed) {
-            new_hit[w++] = router;
-        }
-        new_ptr[c + 1] = w;
+    chain_state *st = (chain_state *)state;
+    /* The state row's buffers are the caller's writable arrays. */
+    double *pos = (double *)st->positions;
+    u8 *coverage = (u8 *)st->coverage;
+    i64 *edge_rows = (i64 *)st->edge_rows;
+    i64 *edge_cols = (i64 *)st->edge_cols;
+    i64 *client_ptr = (i64 *)st->client_ptr;
+    i64 *client_hit = (i64 *)st->client_hit;
+    int32_t *counts = (int32_t *)st->coverage_counts;
+    const i64 n = n_routers;
+    const i64 m = n_clients;
+    i64 *movers = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
+    u8 *moved = (u8 *)calloc((size_t)(n > 0 ? n : 1), 1);
+    if (movers == NULL || moved == NULL) {
+        free(movers);
+        free(moved);
+        return -1;
     }
+    i64 k = 0;
+    for (i64 i = 0; i < n; i++) {
+        if ((double)cells[2 * i] != pos[2 * i]
+            || (double)cells[2 * i + 1] != pos[2 * i + 1]) {
+            movers[k++] = i;
+            moved[i] = 1;
+        }
+    }
+    const int rebuild_csr = client_ptr != NULL && m > 0;
+    i64 *old_ptr = NULL;
+    i64 *old_hit = NULL;
+    i64 status = k;
+    if (k == 0) {
+        goto done;
+    }
+    if (st->n_edges + k * (n - 1) > edge_capacity
+        || (rebuild_csr && client_ptr[m] + k * m > hit_capacity)) {
+        status = -2;
+        goto done;
+    }
+    if (rebuild_csr) {
+        old_ptr = (i64 *)malloc((size_t)(m + 1) * sizeof(i64));
+        old_hit = (i64 *)malloc((size_t)(client_ptr[m] > 0 ? client_ptr[m] : 1) * sizeof(i64));
+        if (old_ptr == NULL || old_hit == NULL) {
+            status = -1;
+            goto done;
+        }
+        memcpy(old_ptr, client_ptr, (size_t)(m + 1) * sizeof(i64));
+        memcpy(old_hit, client_hit, (size_t)client_ptr[m] * sizeof(i64));
+    }
+    for (i64 t = 0; t < k; t++) {
+        const i64 r = movers[t];
+        pos[2 * r] = (double)cells[2 * r];
+        pos[2 * r + 1] = (double)cells[2 * r + 1];
+    }
+    for (i64 t = 0; t < k; t++) {
+        const i64 r = movers[t];
+        const double x = pos[2 * r];
+        const double y = pos[2 * r + 1];
+        const double *row2 = range2 + r * n;
+        for (i64 j = 0; j < n; j++) {
+            const double dx = x - pos[2 * j];
+            const double dy = y - pos[2 * j + 1];
+            const u8 linked = (u8)(j != r && dx * dx + dy * dy <= row2[j]);
+            adjacency[r * n + j] = linked;
+            adjacency[j * n + r] = linked;
+        }
+        for (i64 i = 0; i < m; i++) {
+            const double dx = clients[2 * i] - x;
+            const double dy = clients[2 * i + 1] - y;
+            const u8 hit = (u8)(dx * dx + dy * dy <= radii2[r]);
+            if (counts != NULL) {
+                counts[i] += (int32_t)hit - (int32_t)coverage[i * n + r];
+            }
+            coverage[i * n + r] = hit;
+        }
+    }
+    if (rebuild_csr) {
+        i64 w = 0;
+        for (i64 c = 0; c < m; c++) {
+            const u8 *row = coverage + c * n;
+            i64 t = 0;
+            client_ptr[c] = w;
+            for (i64 s = old_ptr[c]; s < old_ptr[c + 1]; s++) {
+                const i64 j = old_hit[s];
+                if (moved[j]) {
+                    continue;
+                }
+                for (; t < k && movers[t] < j; t++) {
+                    if (row[movers[t]]) {
+                        client_hit[w++] = movers[t];
+                    }
+                }
+                client_hit[w++] = j;
+            }
+            for (; t < k; t++) {
+                if (row[movers[t]]) {
+                    client_hit[w++] = movers[t];
+                }
+            }
+        }
+        client_ptr[m] = w;
+    }
+    i64 e = 0;
+    for (i64 s = 0; s < st->n_edges; s++) {
+        if (!moved[edge_rows[s]] && !moved[edge_cols[s]]) {
+            edge_rows[e] = edge_rows[s];
+            edge_cols[e] = edge_cols[s];
+            e++;
+        }
+    }
+    for (i64 t = 0; t < k; t++) {
+        const i64 r = movers[t];
+        const u8 *row = adjacency + r * n;
+        for (i64 j = 0; j < n; j++) {
+            if (row[j] && (!moved[j] || j > r)) {
+                edge_rows[e] = j < r ? j : r;
+                edge_cols[e] = j < r ? r : j;
+                e++;
+            }
+        }
+    }
+    st->n_edges = e;
+done:
+    free(old_ptr);
+    free(old_hit);
+    free(movers);
+    free(moved);
+    return status;
 }
 
 /* Client-major CSR fill from a dense u8 coverage matrix.  ptr already
@@ -719,6 +853,237 @@ void repro_client_csr_fill(
             }
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Swap window pick table                                              */
+/* ------------------------------------------------------------------ */
+
+/* One pool's working copy of the window counts, blocked anchors set to
+ * its sentinel (-1 densest, INT32_MAX sparsest: no count reaches it),
+ * with the row-major first extreme of each row: its value (the
+ * sentinel when the whole row is blocked) and column. */
+typedef struct {
+    int densest;
+    int32_t sentinel;
+    int32_t *work;     /* n_rows * n_cols */
+    int32_t *value;    /* n_rows */
+    i64 *column;       /* n_rows */
+} window_pool;
+
+static void rescan_row(const window_pool *pool, i64 n_cols, i64 r) {
+    const int32_t *row = pool->work + r * n_cols;
+    int32_t best = pool->sentinel;
+    /* Branch-free reductions, then the first column holding the
+     * extreme. */
+    if (pool->densest) {
+        for (i64 c = 0; c < n_cols; c++) {
+            best = row[c] > best ? row[c] : best;
+        }
+    } else {
+        for (i64 c = 0; c < n_cols; c++) {
+            best = row[c] < best ? row[c] : best;
+        }
+    }
+    i64 at = 0;
+    while (row[at] != best) {
+        at++;
+    }
+    pool->value[r] = best;
+    pool->column[r] = at;
+}
+
+/* DensityMap.ranked_windows(pool, densest): greedy non-maximum
+ * suppression over the pool's copy of the window counts.  Each pass
+ * takes the row-major first extreme, then sets every anchor whose
+ * window would overlap the pick to the sentinel, and the passes stop
+ * early when the extreme is the sentinel (every anchor blocked).
+ * Blocking only worsens a row, so a pass rescans only the rows whose
+ * extreme it blocked.  Writes the (x0, y0) anchors and returns their
+ * count. */
+static i64 suppressed_pool(
+    const window_pool *pool, i64 n_rows, i64 n_cols,
+    i64 window_width, i64 window_height, i64 count, i64 *anchors
+) {
+    const int32_t *value = pool->value;
+    i64 taken = 0;
+    while (taken < count) {
+        i64 y0 = 0;
+        for (i64 r = 1; r < n_rows; r++) {
+            if (pool->densest ? value[r] > value[y0] : value[r] < value[y0]) {
+                y0 = r;
+            }
+        }
+        if (value[y0] == pool->sentinel) {
+            break;
+        }
+        const i64 x0 = pool->column[y0];
+        anchors[2 * taken] = x0;
+        anchors[2 * taken + 1] = y0;
+        taken++;
+        const i64 r0 = y0 - window_height + 1 > 0 ? y0 - window_height + 1 : 0;
+        const i64 r1 = y0 + window_height < n_rows ? y0 + window_height : n_rows;
+        const i64 c0 = x0 - window_width + 1 > 0 ? x0 - window_width + 1 : 0;
+        const i64 c1 = x0 + window_width < n_cols ? x0 + window_width : n_cols;
+        for (i64 r = r0; r < r1; r++) {
+            int32_t *row = pool->work + r * n_cols;
+            for (i64 c = c0; c < c1; c++) {
+                row[c] = pool->sentinel;
+            }
+            if (pool->column[r] >= c0 && pool->column[r] < c1) {
+                rescan_row(pool, n_cols, r);
+            }
+        }
+    }
+    return taken;
+}
+
+/* The strongest (max radius, then lowest id) or weakest (min radius,
+ * then lowest id) router inside or outside the window; -1 for none. */
+static i64 window_pick(
+    const i32 *cells, i64 n_routers, const double *radii,
+    const i64 *window, int inside, int strongest
+) {
+    i64 pick = -1;
+    for (i64 i = 0; i < n_routers; i++) {
+        const i64 x = cells[2 * i];
+        const i64 y = cells[2 * i + 1];
+        const int in = x >= window[0] && x < window[1] && y >= window[2] && y < window[3];
+        if (in != inside) {
+            continue;
+        }
+        if (pick < 0 || (strongest ? radii[i] > radii[pick] : radii[i] < radii[pick])) {
+            pick = i;
+        }
+    }
+    return pick;
+}
+
+/* One Swap incumbent's whole pick table (movements._SwapWindowState
+ * .prepare on the DensityMap pools is the reference), the layout
+ * repro_propose_rows reads.  The histogram of the density points
+ * (`points`, then the router cells when `routers_dense`) becomes the
+ * window counts by two sliding sums, down the columns and then along
+ * each row (integer sums: the integral image's counts exactly), and the
+ * dense and sparse pools are suppressed_pool passes over them.  Then,
+ * per sparse window, its strongest router, and per dense window the
+ * strongest router outside it (`relocate`) or its weakest router
+ * (literal).  The table is n_dense, n_sparse, those picks and each
+ * dense window's x0, x1, y0, y1: at most 2 + 6 * pool entries.  The
+ * caller keeps the point count below INT32_MAX.  Returns the table's
+ * length, -1 when the scratch cannot be allocated, or -(2 + i) when
+ * density point i (the router cells counting after `points`) lies
+ * outside the grid; nothing is written then. */
+i64 repro_swap_window_table(
+    i64 width, i64 height,
+    i64 window_width, i64 window_height,
+    const i64 *points, i64 n_points,   /* extra density points (x, y) */
+    const i32 *cells, i64 n_routers,   /* incumbent router cells */
+    i64 routers_dense,
+    const double *radii,               /* N */
+    i64 pool, i64 relocate,
+    i64 *table                         /* 2 + 6 * pool */
+) {
+    const i64 n_cols = width - window_width + 1;
+    const i64 n_rows = height - window_height + 1;
+    const i64 n_anchors = n_rows * n_cols;
+    for (i64 p = 0; p < n_points + (routers_dense ? n_routers : 0); p++) {
+        const i64 x = p < n_points ? points[2 * p] : cells[2 * (p - n_points)];
+        const i64 y = p < n_points ? points[2 * p + 1] : cells[2 * (p - n_points) + 1];
+        if (x < 0 || x >= width || y < 0 || y >= height) {
+            return -(2 + p);
+        }
+    }
+    int32_t *histogram = (int32_t *)calloc((size_t)(width * height), sizeof(int32_t));
+    int32_t *column_sums = (int32_t *)malloc((size_t)width * sizeof(int32_t));
+    int32_t *work = (int32_t *)malloc((size_t)(2 * n_anchors) * sizeof(int32_t));
+    int32_t *values = (int32_t *)malloc((size_t)(2 * n_rows) * sizeof(int32_t));
+    i64 *columns = (i64 *)malloc((size_t)(2 * n_rows) * sizeof(i64));
+    i64 *anchors = (i64 *)malloc((size_t)(4 * pool) * sizeof(i64));
+    i64 status = 0;
+    if (histogram == NULL || column_sums == NULL || work == NULL
+        || values == NULL || columns == NULL || anchors == NULL) {
+        status = -1;
+        goto done;
+    }
+    for (i64 p = 0; p < n_points; p++) {
+        histogram[points[2 * p + 1] * width + points[2 * p]]++;
+    }
+    for (i64 i = 0; routers_dense && i < n_routers; i++) {
+        histogram[(i64)cells[2 * i + 1] * width + cells[2 * i]]++;
+    }
+    const window_pool pools[2] = {
+        {1, -1, work, values, columns},
+        {0, INT32_MAX, work + n_anchors, values + n_rows, columns + n_rows},
+    };
+    memset(column_sums, 0, (size_t)width * sizeof(int32_t));
+    for (i64 y = 0; y < window_height; y++) {
+        const int32_t *row = histogram + y * width;
+        for (i64 x = 0; x < width; x++) {
+            column_sums[x] += row[x];
+        }
+    }
+    for (i64 r = 0; r < n_rows; r++) {
+        if (r > 0) {
+            const int32_t *leaving = histogram + (r - 1) * width;
+            const int32_t *entering = histogram + (r - 1 + window_height) * width;
+            for (i64 x = 0; x < width; x++) {
+                column_sums[x] += entering[x] - leaving[x];
+            }
+        }
+        int32_t *row = work + r * n_cols;
+        int32_t sum = 0;
+        for (i64 x = 0; x < window_width; x++) {
+            sum += column_sums[x];
+        }
+        row[0] = sum;
+        for (i64 c = 1; c < n_cols; c++) {
+            sum += column_sums[c - 1 + window_width] - column_sums[c - 1];
+            row[c] = sum;
+        }
+        memcpy(pools[1].work + r * n_cols, row, (size_t)n_cols * sizeof(int32_t));
+        rescan_row(&pools[0], n_cols, r);
+        rescan_row(&pools[1], n_cols, r);
+    }
+    i64 n_pool[2];
+    for (int s = 0; s < 2; s++) {
+        n_pool[s] = suppressed_pool(
+            &pools[s], n_rows, n_cols, window_width, window_height,
+            pool, anchors + 2 * pool * s
+        );
+    }
+    const i64 n_dense = n_pool[0];
+    const i64 n_sparse = n_pool[1];
+    table[0] = n_dense;
+    table[1] = n_sparse;
+    i64 *strong_sparse = table + 2;
+    i64 *dense_picks = strong_sparse + n_sparse;
+    i64 *bounds = dense_picks + n_dense;
+    for (i64 w = 0; w < n_dense + n_sparse; w++) {
+        const i64 *anchor = w < n_dense ? anchors + 2 * w : anchors + 2 * (pool + w - n_dense);
+        const i64 window[4] = {
+            anchor[0], anchor[0] + window_width, anchor[1], anchor[1] + window_height,
+        };
+        if (w < n_dense) {
+            memcpy(bounds + 4 * w, window, sizeof(window));
+            dense_picks[w] = window_pick(
+                cells, n_routers, radii, window, !relocate, (int)relocate
+            );
+        } else {
+            strong_sparse[w - n_dense] = window_pick(
+                cells, n_routers, radii, window, 1, 1
+            );
+        }
+    }
+    status = 2 + n_sparse + 5 * n_dense;
+done:
+    free(histogram);
+    free(column_sums);
+    free(work);
+    free(values);
+    free(columns);
+    free(anchors);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

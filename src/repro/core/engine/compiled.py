@@ -14,9 +14,12 @@ phase of the
 :func:`measure_phase_dense`: per candidate, the movers' new links, one
 union-find over the kept incumbent edges plus those links, and the
 covered count with each mover's coverage column exchanged, over a table
-of each chain's incumbent buffers (:func:`chain_state`).  Movement
-proposals draw in C too: :func:`propose_rows` draws a phase's Random or
-Swap rows for every chain, and :func:`distinct_cells` the picks of
+of each chain's incumbent buffers (:func:`chain_state`), and a chain
+that accepts a move commits it to those buffers in place in one call,
+:func:`commit_dense`.  Movement proposals draw in C too:
+:func:`propose_rows` draws a phase's Random or Swap rows for every
+chain, :func:`swap_window_table` builds a new Swap incumbent's window
+pick table, and :func:`distinct_cells` the picks of
 ``GridArea.sample_distinct_cells``, each through the chain generator's
 own numpy ``bitgen_t``, so the draws, the moves and the generator's
 final state are those of the Python samplers on every bit generator.
@@ -254,13 +257,17 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_dense_edges.argtypes = (_PU8, _I64, _PI, _PI)
     lib.repro_client_csr_fill.restype = None
     lib.repro_client_csr_fill.argtypes = (_PU8, _I64, _I64, _PI, _PI)
-    lib.repro_csr_update_column.restype = None
-    lib.repro_csr_update_column.argtypes = (
-        _PI, _PI, _I64, _I64, _PU8, _PI, _PI,
+    lib.repro_commit_dense.restype = _I64
+    lib.repro_commit_dense.argtypes = (
+        _PV, _PV, _I64, _PV, _I64, _PV, _PV, _I64, _I64, _PV,
     )
     lib.repro_propose_rows.restype = _I64
     lib.repro_propose_rows.argtypes = (
         _PI, _I64, _I64, _I64, _PV, _I64, _PV, _PI, _I64, _I64, _PI,
+    )
+    lib.repro_swap_window_table.restype = _I64
+    lib.repro_swap_window_table.argtypes = (
+        _I64, _I64, _I64, _I64, _PV, _I64, _PV, _I64, _I64, _PV, _I64, _I64, _PV,
     )
     lib.repro_distinct_cells.restype = None
     lib.repro_distinct_cells.argtypes = (
@@ -593,9 +600,9 @@ def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Client-major CSR of a boolean ``(M, N)`` coverage matrix.
 
     Offsets come from one row-sum cumsum, and the kernel fills the hit
-    lists (``np.nonzero`` over the full matrix is the commit-path hot
-    spot at city scale) in ascending router order per client, the
-    row-major order ``np.nonzero`` emits.
+    lists in ascending router order per client, the row-major order
+    ``np.nonzero`` emits.  A dense chain cache builds its lists with it;
+    each commit then rewrites them in place (:func:`commit_dense`).
     """
     lib = _kernels()
     matrix = _u8(coverage)
@@ -609,42 +616,11 @@ def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ptr, hit
 
 
-def csr_update_column(
-    ptr: np.ndarray,
-    hit: np.ndarray,
-    router: int,
-    newcol: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rewrite a client-major CSR for one moved router's new column.
-
-    O(nnz) — the incumbent-commit path at city scale, where rebuilding
-    from the full ``(M, N)`` matrix would rescan mostly-unchanged
-    cells.  Bit-identical to :func:`client_csr` on the patched matrix.
-    """
-    lib = _kernels()
-    ptr = _i64a(ptr)
-    hit = _i64a(hit)
-    newcol = _u8(newcol)
-    m = newcol.shape[0]
-    if ptr.shape[0] != m + 1:
-        raise ValueError(
-            f"ptr has {ptr.shape[0]} offsets for {m} clients"
-        )
-    new_ptr = np.empty(m + 1, dtype=np.int64)
-    # Worst case: every client gains the moved router.
-    new_hit = np.empty(hit.shape[0] + m, dtype=np.int64)
-    lib.repro_csr_update_column(
-        _pi(ptr), _pi(hit), m, int(router), _pu8(newcol),
-        _pi(new_ptr), _pi(new_hit),
-    )
-    return new_ptr, new_hit[: int(new_ptr[m])]
-
-
 def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-way ``(rows, cols)`` edge arrays of a dense adjacency matrix.
 
-    The upper-triangle scan that refreshes a chain cache's edge arrays
-    on commit; same ``(i < j)`` row-major order as the ``np.nonzero``
+    The upper-triangle scan that builds a dense chain cache's edge
+    arrays; same ``(i < j)`` row-major order as the ``np.nonzero``
     path it replaces.
     """
     lib = _kernels()
@@ -657,6 +633,74 @@ def dense_edges(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n_links:
         lib.repro_dense_edges(_pu8(matrix), n, _pi(rows), _pi(cols))
     return rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+
+
+#: :func:`commit_dense` status: a buffer could overflow, nothing written.
+COMMIT_GROW = -2
+
+
+def commit_args(
+    state: np.ndarray,
+    adjacency: np.ndarray,
+    range_squared: np.ndarray,
+    clients: np.ndarray,
+    radii_squared: np.ndarray,
+    edge_capacity: int,
+    hit_capacity: int,
+) -> "tuple[int, ...]":
+    """The fixed arguments of :func:`commit_dense` for one dense chain.
+
+    ``state`` is the chain's :func:`chain_state` row as a writable int64
+    array.  Its edge arrays are buffers of ``edge_capacity`` entries and
+    its client-hit list (``GIANT_ONLY``) one of ``hit_capacity``;
+    ``adjacency`` is the chain's C-contiguous boolean ``(N, N)`` matrix,
+    and the float64 ``range_squared``, ``clients`` and
+    ``radii_squared`` are the instance's.  Like the row, the tuple holds
+    addresses: build it when the buffers are (re)allocated, and keep
+    every array alive and unmoved while it is in use.
+    """
+    n = adjacency.shape[0]
+    if (
+        state.dtype != np.int64
+        or state.shape != (len(_CHAIN_STATE) + 1,)
+        or not state.flags.c_contiguous
+        or adjacency.dtype != np.bool_
+        or adjacency.shape != (n, n)
+        or not adjacency.flags.c_contiguous
+    ):
+        raise ValueError("a commit needs a chain state row and its (N, N) adjacency")
+    tables = (range_squared, clients, radii_squared)
+    for array, shape in zip(tables, ((n, n), (clients.shape[0], 2), (n,))):
+        if array.dtype != np.float64 or array.shape != shape or not array.flags.c_contiguous:
+            raise ValueError("the commit's ranges, clients and radii must be float64")
+    return (
+        state.ctypes.data, adjacency.ctypes.data, n,
+        range_squared.ctypes.data, clients.shape[0], clients.ctypes.data,
+        radii_squared.ctypes.data, edge_capacity, hit_capacity,
+    )
+
+
+def commit_dense(args: "tuple[int, ...]", cells: np.ndarray) -> int:
+    """Advance a dense chain incumbent to the placement of ``cells``, in
+    place, in one ``repro_commit_dense`` call (``args`` from
+    :func:`commit_args`).
+
+    The movers (routers whose cell differs from the cached position)
+    take their new positions, adjacency rows and columns, coverage
+    columns and coverage aid, then the edge arrays and the row's edge
+    count follow: the buffers then hold what a fresh build of the
+    placement holds.  Returns the number of movers, or
+    :data:`COMMIT_GROW`, with nothing written, when a buffer could
+    overflow; the caller then grows the buffers, builds new arguments
+    and commits again.
+    """
+    cells = np.ascontiguousarray(cells, dtype=np.int32)
+    if cells.shape != (args[2], 2):
+        raise ValueError(f"a commit needs ({args[2]}, 2) cells, got {cells.shape}")
+    status = _kernels().repro_commit_dense(*args, cells.ctypes.data)
+    if status == -1:
+        raise MemoryError("no scratch for the dense commit kernel")
+    return status
 
 
 #: Movement codes of ``repro_propose_rows`` in ``_kernels.c``.
@@ -749,6 +793,68 @@ def propose_rows(
         raise MemoryError("no scratch bitmap for the proposal kernel")
     table = np.frombuffer(rows, dtype=np.int64).reshape(n_chains, count, 5)
     return table.astype(np.intp, copy=False)
+
+
+_INT32_MAX = 2**31 - 1
+
+
+def swap_window_table(
+    width: int,
+    height: int,
+    window: "tuple[int, int]",
+    points: "np.ndarray | None",
+    cells: np.ndarray,
+    routers_dense: bool,
+    radii: np.ndarray,
+    pool: int,
+    relocate: bool,
+) -> np.ndarray:
+    """One Swap incumbent's pick table, in one ``repro_swap_window_table``
+    call.
+
+    The density points are the int ``(P, 2)`` ``points`` (``None`` for
+    none), then the incumbent's ``(N, 2)`` router ``cells`` when
+    ``routers_dense``; ``window`` is ``(Wg, Hg)``.  The table is the
+    int64 layout of ``repro_propose_rows``, equal to
+    :meth:`repro.neighborhood.movements._SwapWindowState.prepare` on the
+    ``pool`` densest and sparsest non-overlapping windows of
+    :meth:`~repro.core.density.DensityMap.ranked_windows`.  Raises
+    ``ValueError`` for a density point outside the grid, as
+    :meth:`~repro.core.density.DensityMap.build` does.
+    """
+    window_width, window_height = window
+    if not (0 < window_width <= width and 0 < window_height <= height) or pool < 1:
+        raise ValueError(
+            f"window {window_width}x{window_height} must fit the grid "
+            f"{width}x{height}, and the pool ({pool}) be positive"
+        )
+    # No pass can take more windows than fit.
+    pool = min(pool, (width - window_width + 1) * (height - window_height + 1))
+    cells = np.ascontiguousarray(cells, dtype=np.int32)
+    radii = _f64(radii)
+    if cells.ndim != 2 or cells.shape[1] != 2 or radii.shape != (cells.shape[0],):
+        raise ValueError("need (N, 2) router cells and one radius per router")
+    n_points = 0
+    if points is not None:
+        points = _i64a(points).reshape(-1, 2)
+        n_points = points.shape[0]
+    if n_points + cells.shape[0] >= _INT32_MAX:
+        # The kernel counts in int32, below its sparse sentinel.
+        raise ValueError("too many density points for the Swap window kernel")
+    table = np.empty(2 + 6 * pool, dtype=np.int64)
+    status = _kernels().repro_swap_window_table(
+        width, height, window_width, window_height,
+        None if points is None else points.ctypes.data, n_points,
+        cells.ctypes.data, cells.shape[0], int(routers_dense),
+        radii.ctypes.data, pool, int(relocate), table.ctypes.data,
+    )
+    if status == -1:
+        raise MemoryError("no scratch for the Swap window kernel")
+    if status < 0:
+        index = -status - 2
+        x, y = points[index] if index < n_points else cells[index - n_points]
+        raise ValueError(f"point ({x}, {y}) outside the grid")
+    return table[:status]
 
 
 def distinct_cells(

@@ -74,6 +74,10 @@ DEFAULT_MAX_CHUNK = 256
 
 _NO_PAIRS = np.zeros(0, dtype=np.intp)
 
+#: Movers a compiled dense cache's buffers make room for (see
+#: :meth:`StackedDeltaEngine._reserve`): a swap moves two routers.
+_COMMIT_MOVERS = 2
+
 
 class StackedEngine:
     """Tier dispatch and array-level measurement of candidate stacks.
@@ -284,7 +288,10 @@ class _ChainCache:
     The dense *phase aids* — the edge arrays and the coverage rule's
     aid — are built once with the cache
     (:meth:`StackedDeltaEngine._build_aids`) and kept in step by every
-    commit.
+    commit.  On the compiled tier the edge arrays and the client-hit
+    list are buffers with spare room, whose used lengths are the edge
+    count of the chain's ``chain_state`` row (``state``) and
+    ``client_ptr[-1]`` (see :meth:`edges`).
     """
 
     __slots__ = (
@@ -299,6 +306,10 @@ class _ChainCache:
         "coverage_counts",
         "client_ptr",
         "client_hit",
+        # Dense layout, compiled tier: the chain_state row and the
+        # commit kernel's fixed arguments.
+        "state",
+        "commit_args",
         # Sparse layout.
         "index",
         "hit_ptr",
@@ -348,6 +359,13 @@ class _ChainCache:
         one_way = rows < cols
         self.edge_rows = rows[one_way].astype(np.intp)
         self.edge_cols = cols[one_way].astype(np.intp)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-way edge arrays, trimmed to the edge count."""
+        if self.state is None:
+            return self.edge_rows, self.edge_cols
+        count = int(self.state[4])  # the row's edge count
+        return self.edge_rows[:count], self.edge_cols[:count]
 
     def set_hits(self, hit_router: np.ndarray, hit_client: np.ndarray) -> None:
         """Store router-sorted ``(router, client)`` hits as the CSR."""
@@ -504,36 +522,71 @@ class StackedDeltaEngine:
         """A fresh dense cache's phase aids: the one-way edge arrays and
         the coverage rule's aid.
 
-        Every commit keeps them in step (:meth:`_commit_dense`), and each
-        is an exact function of the incumbent matrices.
+        Every commit keeps them in step (:meth:`_commit_dense`, or the
+        compiled commit kernel), and each is an exact function of the
+        incumbent matrices.
         """
-        if self._compiled is not None:
-            # Byte-scan edge extraction, same (i < j) row-major order as
-            # the np.nonzero path.
-            cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(
-                cache.adjacency
-            )
-        else:
-            cache.refresh_edges()
         if not self._giant_only:
             cache.coverage_counts = cache.coverage.sum(axis=1, dtype=np.int32)
-        elif self._compiled is not None:
-            # Client-major hit lists for the compiled phase kernel's
-            # giant-only count (exact integers end to end).
+        if self._compiled is None:
+            cache.refresh_edges()
+            if self._giant_only:
+                # float32 copy for the per-phase sgemm: counts stay exact
+                # (at most N ones per client, far below 2**24).
+                cache.coverage32 = cache.coverage.astype(np.float32)
+            return
+        # Byte-scan edge extraction, same (i < j) row-major order as the
+        # np.nonzero path, and client-major hit lists for the phase
+        # kernel's giant-only count (exact integers end to end).
+        cache.edge_rows, cache.edge_cols = self._compiled.dense_edges(cache.adjacency)
+        if self._giant_only:
             cache.client_ptr, cache.client_hit = self._compiled.client_csr(
                 cache.coverage
             )
-        else:
-            # float32 copy for the per-phase sgemm: counts stay exact (at
-            # most N ones per client, far below 2**24).
-            cache.coverage32 = cache.coverage.astype(np.float32)
+        self._reserve(cache, cache.edge_rows.size, _COMMIT_MOVERS)
+
+    def _reserve(self, cache: _ChainCache, n_edges: int, movers: int) -> None:
+        """(Re)allocate a compiled dense cache's edge and client-hit
+        buffers, then build its ``chain_state`` row and commit arguments.
+
+        Each buffer gets twice the room a commit of ``movers`` routers
+        could need (each linking every other router, covering every
+        client), so the commit kernel grows them only when the incumbent
+        has grown far past its size at the last allocation.
+        """
+        n = self._problem.n_routers
+        edge_room = 2 * (n_edges + movers * (n - 1))
+        cache.edge_rows = _grown(cache.edge_rows, n_edges, edge_room)
+        cache.edge_cols = _grown(cache.edge_cols, n_edges, edge_room)
+        hits = None
+        if cache.client_ptr is not None:
+            n_hits = int(cache.client_ptr[-1])
+            hit_room = 2 * (n_hits + movers * self._problem.n_clients)
+            cache.client_hit = _grown(cache.client_hit, n_hits, hit_room)
+            hits = cache.client_hit[:n_hits]
+        # Trimmed views: the row's addresses are the buffers' own.
+        cache.state = np.array(
+            self._compiled.chain_state(
+                cache.positions, cache.coverage,
+                cache.edge_rows[:n_edges], cache.edge_cols[:n_edges],
+                cache.client_ptr, hits, cache.coverage_counts,
+            ),
+            dtype=np.int64,
+        )
+        cache.commit_args = self._compiled.commit_args(
+            cache.state, cache.adjacency,
+            self._range_squared, self._clients, self._radii_squared,
+            edge_room, 0 if hits is None else cache.client_hit.size,
+        )
 
     def commit_chain(self, chain: int, placement: Placement) -> None:
         """Advance chain ``chain``'s incumbent to an accepted placement.
 
         Only the moved routers' state is rewritten.  Dense layout: their
         adjacency rows/columns and coverage columns, in place, then the
-        phase aids.  Sparse layout: the shared
+        phase aids — on the compiled tier all of it in one
+        ``repro_commit_dense`` call (:meth:`_commit_kernel`).  Sparse
+        layout: the shared
         :meth:`~repro.core.engine.sparse.SparseEngine.apply_moves` rule,
         then a rebuilt router index.
         """
@@ -545,22 +598,37 @@ class StackedDeltaEngine:
         # The cell array, not positions_array(): an accepted placement
         # carries no float copy of its cells (results keep placements).
         new_cells = placement.cells_array()
-        moved = np.flatnonzero((new_cells != cache.positions).any(axis=1))
-        if moved.size:
-            new_positions = cache.positions.copy()
-            new_positions[moved] = new_cells[moved]
-            if self._sparse is None:
-                self._commit_dense(cache, new_positions, moved)
-            else:
-                self._commit_sparse(cache, new_positions, moved)
+        if cache.state is not None:
+            self._commit_kernel(cache, new_cells)
+        else:
+            moved = np.flatnonzero((new_cells != cache.positions).any(axis=1))
+            if moved.size:
+                new_positions = cache.positions.copy()
+                new_positions[moved] = new_cells[moved]
+                if self._sparse is None:
+                    self._commit_dense(cache, new_positions, moved)
+                else:
+                    self._commit_sparse(cache, new_positions, moved)
         cache.placement = placement
+
+    def _commit_kernel(self, cache: _ChainCache, new_cells: np.ndarray) -> None:
+        """The compiled dense commit: one kernel call in place, after a
+        regrowth of the buffers when they could overflow."""
+        while True:
+            status = self._compiled.commit_dense(cache.commit_args, new_cells)
+            if status != self._compiled.COMMIT_GROW:
+                return
+            movers = np.count_nonzero((new_cells != cache.positions).any(axis=1))
+            self._reserve(cache, cache.edges()[0].size, int(movers))
 
     def _commit_dense(
         self, cache: _ChainCache, new_positions: np.ndarray, moved: np.ndarray
     ) -> None:
-        """Rewrite every moved router's adjacency row/column and coverage
-        column in place, against ``new_positions``, with the coverage aid
-        following each column; then the edge arrays."""
+        """The numpy dense tier's commit, and the reference of the
+        compiled one (``repro_commit_dense``): rewrite every moved
+        router's adjacency row/column and coverage column in place,
+        against ``new_positions``, with the coverage aid following each
+        column; then the edge arrays."""
         adjacency = cache.adjacency
         coverage = cache.coverage
         x = new_positions[:, 0]
@@ -586,36 +654,7 @@ class StackedDeltaEngine:
             coverage[:, router] = column
             if cache.coverage32 is not None:
                 cache.coverage32[:, router] = column
-            if cache.client_ptr is not None:
-                # O(nnz) CSR rewrite for this column; rebuilding from
-                # the full matrix rescans mostly-unchanged cells (the
-                # commit hot spot at city scale).
-                cache.client_ptr, cache.client_hit = self._compiled.csr_update_column(
-                    cache.client_ptr, cache.client_hit, router, column
-                )
-        if self._compiled is None:
-            cache.refresh_edges()
-        else:
-            # Incremental edge refresh: drop edges touching a mover,
-            # re-add each mover's links from its patched adjacency row
-            # (final positions — the rows above already use them).
-            # Edge order changes vs. np.nonzero, but every consumer
-            # masks or union-finds, so the labels stay canonical.
-            mover_mask = np.zeros(self._problem.n_routers, dtype=bool)
-            mover_mask[moved] = True
-            keep = ~(mover_mask[cache.edge_rows] | mover_mask[cache.edge_cols])
-            row_parts = [cache.edge_rows[keep]]
-            col_parts = [cache.edge_cols[keep]]
-            for router in moved.tolist():
-                partners = np.flatnonzero(adjacency[router])
-                # A mover-mover link appears in both rows; keep it once.
-                partners = partners[
-                    ~mover_mask[partners] | (partners > router)
-                ]
-                row_parts.append(np.minimum(partners, router))
-                col_parts.append(np.maximum(partners, router))
-            cache.edge_rows = np.concatenate(row_parts)
-            cache.edge_cols = np.concatenate(col_parts)
+        cache.refresh_edges()
         cache.positions[moved] = new_positions[moved]
 
     def _commit_sparse(
@@ -746,24 +785,13 @@ class StackedDeltaEngine:
     ) -> StackedMeasurement:
         """The dense layout on the compiled tier: one kernel call over
         every chain's incumbent buffers."""
-        chain_state = self._compiled.chain_state
-        states = []
-        for chain, _, _, _ in segments:
-            cache = self._cache(chain)
-            # Buffer addresses: built each phase, so no row outlives a
-            # commit that replaces one of the arrays (the edge arrays,
-            # the client CSR).
-            states.append(
-                chain_state(
-                    cache.positions, cache.coverage,
-                    cache.edge_rows, cache.edge_cols,
-                    cache.client_ptr, cache.client_hit, cache.coverage_counts,
-                )
-            )
+        # Each row was built when its chain's buffers were allocated; a
+        # commit updates its edge count in place.
+        states = np.stack([self._cache(chain).state for chain, _, _, _ in segments])
         starts = [start for _, start, _, _ in segments]
         starts.append(len(candidates))
         rows = self._compiled.measure_phase_dense(
-            np.array(states, dtype=np.int64),
+            states,
             np.array(starts, dtype=np.int64),
             candidates.pair_candidate,
             candidates.pair_router,
@@ -1101,6 +1129,13 @@ def _chain_segments(
         (chain, start, end, slice(pair_bounds[index], pair_bounds[index + 1]))
         for index, (chain, start, end) in enumerate(zip(run_chains, starts, ends))
     ]
+
+
+def _grown(array: np.ndarray, used: int, size: int) -> np.ndarray:
+    """An int64 buffer of ``size`` entries starting with ``array[:used]``."""
+    grown = np.empty(size, dtype=np.int64)
+    grown[:used] = array[:used]
+    return grown
 
 
 def _check_router_count(problem: ProblemInstance, placement: Placement) -> None:

@@ -90,32 +90,31 @@ def _router_picks(
 
 
 class _SwapWindowState:
-    """Per-incumbent proposal state of :class:`SwapMovement`.
+    """One incumbent's Swap window pools and its pick table, in Python.
 
-    The ranked window pools, plus — built on the first proposal against
-    the incumbent — the per-window router picks the movement's reading
-    needs, packed in one int64 table (``picks``, the layout documented
-    on ``repro_propose_rows`` in ``_kernels.c``): ``n_dense``, ``n_sparse``, the strongest
-    router of each sparse window, per dense window the strongest router
-    outside it (relocating) or its weakest router (literal), then each
-    dense window's ``x0, x1, y0, y1``; ``-1`` marks no router.  All of
-    it is an RNG-free function of the incumbent, so sharing it across
-    proposals never touches a chain's stream.  (The occupancy bitmap is
-    rebuilt per call instead: one grid-sized buffer per cached incumbent
-    would dominate the cache's memory.)
+    The pick table packs, in int64 (the layout documented on
+    ``repro_propose_rows`` in ``_kernels.c``): ``n_dense``,
+    ``n_sparse``, the strongest router of each sparse window, per dense
+    window the strongest router outside it (relocating) or its weakest
+    router (literal), then each dense window's ``x0, x1, y0, y1``; ``-1``
+    marks no router.  It is an RNG-free function of the incumbent, so
+    sharing it across proposals never touches a chain's stream.  On the
+    compiled tier one ``repro_swap_window_table`` call builds the same
+    table, density pools included
+    (:func:`~repro.core.engine.compiled.swap_window_table`); this class
+    is the reference, and the table for ``REPRO_COMPILED=0``.  (The
+    occupancy bitmap is rebuilt per call instead: one grid-sized buffer
+    per cached incumbent would dominate the cache's memory.)
     """
 
-    __slots__ = ("placement", "pools", "picks")
+    __slots__ = ("placement", "pools")
 
     def __init__(self, placement, pools) -> None:
         self.placement = placement
         self.pools = pools
-        self.picks = None
 
     def prepare(self, radii: np.ndarray, relocate: bool) -> np.ndarray:
         """The pick table, every pooled window resolved in one array pass."""
-        if self.picks is not None:
-            return self.picks
         dense_pool, sparse_pool = self.pools
         n_dense = len(dense_pool)
         bounds = _window_bounds(dense_pool + sparse_pool)
@@ -132,10 +131,9 @@ class _SwapWindowState:
                 _router_picks(radii, inside[n_dense:], strongest=True),
                 _router_picks(radii, dense_inside, strongest=False),
             ))
-        self.picks = np.concatenate(
+        return np.concatenate(
             ([n_dense, len(sparse_pool)], picks, bounds[:n_dense].ravel())
         ).astype(np.int64)
-        return self.picks
 
 
 def _window_bounds(windows: "list[Rect]") -> np.ndarray:
@@ -406,14 +404,16 @@ class SwapMovement(MovementType):
         self.pool = pool
         # Best-neighbor selection proposes many moves from the same
         # current solution, and a lockstep portfolio holds one incumbent
-        # per chain; the ranked windows and the per-window router picks
-        # only depend on that solution, so an identity-keyed cache (one
-        # entry per live placement, placements are immutable) removes
-        # the repeated density and window-scan work.
-        self._window_cache: dict[int, _SwapWindowState] = {}
-        # One-slot pools cache for placement-independent density (see
-        # _ranked_pools).
+        # per chain; the pick table only depends on that solution, so an
+        # identity-keyed cache of ``(placement, table)`` (one entry per
+        # live placement, placements are immutable) removes the repeated
+        # density and window-scan work.
+        self._window_cache: "dict[int, tuple[object, np.ndarray]]" = {}
+        # One-slot problem-keyed caches of placement-independent inputs:
+        # the Python path's client-density pools (see _ranked_pools) and
+        # the kernel's int client cells (see _client_cells).
         self._static_pools = None
+        self._static_cells = None
 
     def __getstate__(self):
         # Worker processes rebuild their own caches; shipping cached
@@ -421,6 +421,7 @@ class SwapMovement(MovementType):
         state = self.__dict__.copy()
         state["_window_cache"] = {}
         state["_static_pools"] = None
+        state["_static_cells"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -452,21 +453,6 @@ class SwapMovement(MovementType):
             return router_points
         return np.vstack([client_points, router_points])
 
-    def _window_state(
-        self, current: Evaluation, problem: ProblemInstance
-    ) -> "_SwapWindowState":
-        """The cached window pools + memo slots for ``current``."""
-        placement = current.placement
-        key = id(placement)
-        state = self._window_cache.get(key)
-        if state is not None and state.placement is placement:
-            return state
-        if len(self._window_cache) >= _CACHE_LIMIT:
-            self._window_cache.clear()
-        state = _SwapWindowState(placement, self._ranked_pools(current, problem))
-        self._window_cache[key] = state
-        return state
-
     def _ranked_pools(
         self, current: Evaluation, problem: ProblemInstance
     ) -> tuple[list[Rect], list[Rect]]:
@@ -474,8 +460,8 @@ class SwapMovement(MovementType):
 
         Client-only density does not depend on router positions, so its
         pools are computed once per problem instance and shared by every
-        incumbent (the per-placement window *state* still memoizes the
-        router picks, which do depend on the placement).
+        incumbent (the router picks, which do depend on the placement,
+        are resolved per incumbent by :class:`_SwapWindowState`).
         """
         static = self.density_source == "clients"
         if static and self._static_pools is not None:
@@ -495,8 +481,8 @@ class SwapMovement(MovementType):
         return pools
 
     def release_proposal_caches(self) -> None:
-        # The static client-density pools stay (one tiny problem-keyed
-        # slot); only the per-placement window states pin solutions.
+        # The problem-keyed static slots stay (one tiny entry each);
+        # only the per-placement pick tables pin solutions.
         self._window_cache.clear()
 
     # ------------------------------------------------------------------
@@ -513,7 +499,7 @@ class SwapMovement(MovementType):
         the strongest router of the sparse window — or, when it holds
         none, the strongest outside the dense window — moves to a free
         cell of the dense window.  Every pooled window's picks are
-        resolved once per incumbent (:class:`_SwapWindowState`), so a
+        resolved once per incumbent (:meth:`_picks`), so a
         proposal costs its two window draws, a table lookup and — when
         relocating — the free-cell draws.
         """
@@ -569,10 +555,48 @@ class SwapMovement(MovementType):
         )
 
     def _picks(self, current, problem) -> np.ndarray:
-        """The incumbent's window pick table (:class:`_SwapWindowState`)."""
-        return self._window_state(current, problem).prepare(
-            problem.fleet.radii, self.relocate
-        )
+        """The incumbent's window pick table, built once per incumbent.
+
+        On the kernel tier one
+        :func:`~repro.core.engine.compiled.swap_window_table` call builds
+        it, density and pools included; otherwise
+        :class:`_SwapWindowState` does, the reference.  Both build the
+        same table.
+        """
+        placement = current.placement
+        key = id(placement)
+        entry = self._window_cache.get(key)
+        if entry is not None and entry[0] is placement:
+            return entry[1]
+        if len(self._window_cache) >= _CACHE_LIMIT:
+            self._window_cache.clear()
+        radii = problem.fleet.radii
+        if _use_kernel():
+            grid = problem.grid
+            picks = compiled.swap_window_table(
+                grid.width,
+                grid.height,
+                self.window_size(grid),
+                None if self.density_source == "routers" else self._client_cells(problem),
+                placement.cells_array(),
+                self.density_source != "clients",
+                radii,
+                self.pool,
+                self.relocate,
+            )
+        else:
+            pools = self._ranked_pools(current, problem)
+            picks = _SwapWindowState(placement, pools).prepare(radii, self.relocate)
+        self._window_cache[key] = (placement, picks)
+        return picks
+
+    def _client_cells(self, problem: ProblemInstance) -> np.ndarray:
+        """The clients as int density points (``DensityMap.build``'s
+        conversion), computed once per problem instance."""
+        if self._static_cells is None or self._static_cells[0] is not problem:
+            cells = np.asarray(problem.clients.positions, dtype=int).reshape(-1, 2)
+            self._static_cells = (problem, cells)
+        return self._static_cells[1]
 
     def __repr__(self) -> str:
         return (

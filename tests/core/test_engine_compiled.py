@@ -320,31 +320,6 @@ class TestKernelUnits:
             [2], [2], [1]
         )
 
-    def test_csr_update_column_matches_full_rebuild(self):
-        rng = np.random.default_rng(37)
-        coverage = rng.random((40, 12)) < 0.3
-        ptr, hit = compiled.client_csr(coverage)
-        for router in (0, 5, 11):
-            newcol = rng.random(40) < 0.4
-            patched = coverage.copy()
-            patched[:, router] = newcol
-            got_ptr, got_hit = compiled.csr_update_column(
-                ptr, hit, router, newcol
-            )
-            want_ptr, want_hit = compiled.client_csr(patched)
-            assert np.array_equal(got_ptr, want_ptr)
-            assert np.array_equal(got_hit, want_hit)
-            coverage, ptr, hit = patched, got_ptr, got_hit
-
-    def test_csr_update_column_validates_offsets(self):
-        with pytest.raises(ValueError):
-            compiled.csr_update_column(
-                np.zeros(3, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                0,
-                np.zeros(5, dtype=bool),
-            )
-
     def test_dense_edges_matches_nonzero(self):
         rng = np.random.default_rng(41)
         half = rng.random((30, 30)) < 0.2

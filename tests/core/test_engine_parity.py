@@ -20,7 +20,6 @@ from repro.core.engine import (
     StackedDeltaEngine,
     StackedEngine,
     compiled_available,
-    resolve_engine,
 )
 from repro.core.engine import stacked
 from repro.core.evaluation import Evaluator
@@ -61,7 +60,7 @@ def random_placements(problem, rng, count: int) -> list[Placement]:
 
 def delta_engine(problem, engine="auto"):
     """A one-chain delta engine on the tier ``engine`` resolves to."""
-    return StackedDeltaEngine(problem, engine=resolve_engine(problem, engine))
+    return StackedDeltaEngine(problem, engine=engine)
 
 
 def reset(delta, placement):

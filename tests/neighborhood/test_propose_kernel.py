@@ -463,7 +463,11 @@ def test_proposals_outside_a_run_never_start_a_build(name, monkeypatch):
     on = MOVEMENTS[name]().propose_batch(
         currents, problem, [np.random.default_rng(seed) for seed in (1, 2)], 8
     )
-    assert library.calls == {"repro_propose_rows": 1}
+    # One draw call, and one pick-table call per Swap incumbent.
+    expected = {"repro_propose_rows": 1}
+    if name != "random":
+        expected["repro_swap_window_table"] = len(currents)
+    assert library.calls == expected
     monkeypatch.setattr(compiled, "_lib", None)
     monkeypatch.setattr(
         compiled, "_load", lambda: pytest.fail("proposing started a build")
