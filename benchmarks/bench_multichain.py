@@ -25,8 +25,7 @@ phase trace — before reporting wall-clock.  Run standalone::
 
 ``--smoke`` trims seeds/phases for CI crash checks; ``--min-speedup X``
 turns the printed portfolio speedup into a hard exit-code assertion for
-acceptance runs; ``--workers N`` adds a third stage composing lockstep
-chains with a process pool.  A machine-readable record lands in
+acceptance runs.  A machine-readable record lands in
 ``BENCH_multichain.json`` (repo root by default).
 """
 
@@ -100,15 +99,13 @@ def run_serial(problem, factory, label, seed_base, n_seeds, candidates, phases):
     return results
 
 
-def run_multichain(
-    problem, factory, label, seed_base, n_seeds, candidates, phases, workers=None
-):
+def run_multichain(problem, factory, label, seed_base, n_seeds, candidates, phases):
     """The lockstep portfolio (all seeds of one movement at once)."""
     initials, rngs = chain_inputs(problem, label, seed_base, n_seeds)
     search = MultiChainSearch(
         factory, n_candidates=candidates, max_phases=phases, stall_phases=None
     )
-    return search.run(problem, initials, rngs, workers=workers)
+    return search.run(problem, initials, rngs)
 
 
 def check_parity(serial, multi, label: str) -> None:
@@ -151,8 +148,6 @@ def main(argv: list[str] | None = None) -> int:
                         "no perf assertion")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="fail unless the portfolio speedup >= X")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="also time lockstep x process-pool composition")
     parser.add_argument("--seed", type=int, default=20090629)
     add_json_argument(parser)
     args = parser.parse_args(argv)
@@ -216,20 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     print("parity: per-chain results and traces bit-identical on every chain")
 
-    workers_seconds = None
-    if args.workers is not None and args.workers > 1:
-        start = time.perf_counter()
-        for label, factory in PORTFOLIO:
-            run_multichain(
-                problem, factory, label, args.seed, n_seeds,
-                args.candidates, phases, workers=args.workers,
-            )
-        workers_seconds = time.perf_counter() - start
-        print(
-            f"lockstep x {args.workers} workers: {workers_seconds:.2f}s "
-            f"({total_serial / workers_seconds:.1f}x vs serial)"
-        )
-
     payload = {
         "n_routers": problem.n_routers,
         "n_clients": problem.n_clients,
@@ -244,9 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         "portfolio_speedup": portfolio_speedup,
         "per_movement": per_movement,
     }
-    if workers_seconds is not None:
-        payload["workers"] = args.workers
-        payload["workers_seconds"] = workers_seconds
     write_bench_json("multichain", payload, args.json, reduced=args.smoke)
 
     if args.min_speedup is not None and not args.smoke:

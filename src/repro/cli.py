@@ -892,22 +892,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         replicate_standalone,
     )
 
-    # Replication needs a generation recipe; rebuild one matching the
-    # instance's frame (the radio interval is taken from the actual
-    # fleet, the client law defaults to Normal).
     problem = load_instance(args.instance)
-    radii = problem.fleet.radii
-    spec = InstanceSpec(
-        name="cli-replication",
-        width=problem.grid.width,
-        height=problem.grid.height,
-        n_routers=problem.n_routers,
-        n_clients=problem.n_clients,
-        min_radius=float(radii.min()),
-        max_radius=float(radii.max()),
-        link_rule=problem.link_rule,
-        coverage_rule=problem.coverage_rule,
-    )
     from repro.resilience import SupervisionReport
 
     import os
@@ -934,7 +919,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     supervision = SupervisionReport()
     checkpoint, resume = _study_dirs("standalone")
     standalone = replicate_standalone(
-        spec,
+        problem,
         n_seeds=args.seeds,
         workers=args.workers,
         engine=args.engine,
@@ -946,7 +931,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
     print(format_replication(standalone, "stand-alone ad hoc methods"))
     checkpoint, resume = _study_dirs("movements")
     movements = replicate_movements(
-        spec,
+        problem,
         n_seeds=args.seeds,
         n_candidates=args.candidates,
         max_phases=args.phases,

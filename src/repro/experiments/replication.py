@@ -17,25 +17,32 @@ Per-chain RNG contract
 ----------------------
 
 Every (method/movement, seed) run owns one ``numpy`` Generator seeded in
-the parent from the stable key ``(spec.seed, crc32(label), seed)``
+the parent from the stable key ``(instance_seed, crc32(label), seed)``
 (:func:`label_key`; CRC32 because the builtin ``hash`` is salted per
-process).  A movement chain consumes its generator in a fixed order —
-the initial random placement first, then the per-phase candidate
-proposals — and **only** that chain touches it, so the per-seed values
-are bit-identical however the chains are grouped: the lockstep engine,
+process).  ``instance_seed`` is the spec's seed when the harness is
+given an :class:`~repro.instances.generator.InstanceSpec` and 0 when it
+is given a :class:`~repro.core.problem.ProblemInstance`, so a spec of
+seed 0 and the instance it generates replicate identically.  A movement
+chain consumes its generator in a fixed order — the initial random
+placement first, then the per-phase candidate proposals — and **only**
+that chain touches it, so the per-seed values are bit-identical however
+the chains are grouped: the lockstep engine,
 the serial per-chain loop and every ``workers=`` sharding all report the
 same numbers (asserted by ``tests/experiments/test_replication_parallel``
 and ``tests/neighborhood/test_multichain.py``).
 
 ``workers=`` composes both parallelism axes: chains run in lockstep
-*within* a process while contiguous seed shards fan out over a
-``ProcessPoolExecutor`` *across* cores.  Serial remains the default;
+*within* a process while contiguous seed shards fan out over the warm
+pool *across* cores, through the one sharded grid walk
+(:func:`repro.parallel.run_sharded`).  Serial remains the default;
 with ``workers > 1`` the method/movement inputs must be picklable (the
 built-in registries and movements all are).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 import zlib
 from dataclasses import dataclass
@@ -45,15 +52,17 @@ import numpy as np
 from repro.adhoc.registry import PAPER_METHOD_ORDER, make_method
 from repro.core.evaluation import Evaluator
 from repro.core.fitness import FitnessFunction
+from repro.core.problem import ProblemInstance
 from repro.instances.generator import InstanceSpec
+from repro.instances.serializer import instance_to_dict
 from repro.instances.shm import ProblemRef
 from repro.neighborhood.movements import MovementType
 from repro.neighborhood.multichain import MultiChainSearch
 from repro.parallel import (
+    check_grid,
     get_runtime,
     resolve_task_problem,
-    run_tasks,
-    seed_shards,
+    run_sharded,
 )
 from repro.resilience.checkpoint import open_store
 from repro.resilience.supervisor import RetryPolicy, SupervisionReport
@@ -77,10 +86,10 @@ def _cached_problem(source):
     """The instance behind a task's problem payload.
 
     ``source`` is an :class:`InstanceSpec` (regenerate once per process,
-    the pickle path) or what the runtime's broadcast returned: a
-    :class:`~repro.instances.shm.ProblemRef` (attach the shared-memory
-    payload, cached per process by content hash) or, after a lost
-    broadcast was re-shipped by pickle, the instance itself.
+    the pickle path), a :class:`~repro.instances.shm.ProblemRef` from
+    the runtime's broadcast (attach the shared-memory payload, cached
+    per process by content hash) or the instance itself (given so, or a
+    lost broadcast re-shipped by pickle).
     """
     if not isinstance(source, InstanceSpec):
         return resolve_task_problem(source)
@@ -92,16 +101,26 @@ def _cached_problem(source):
     return problem
 
 
-def _problem_source(spec: InstanceSpec, workers: "int | None"):
-    """What shard tasks carry for ``spec``: a broadcast handle when the
-    fan-out is real and the instance is big enough, the spec otherwise
-    (a spec pickles smaller than any instance, so below the broadcast
-    threshold workers get the recipe and regenerate once each).
+def _problem_source(problem, workers: "int | None"):
+    """What shard tasks carry for ``problem`` (a spec or an instance).
+
+    A broadcast handle when the fan-out is real and the instance is big
+    enough, ``problem`` itself otherwise: a spec pickles smaller than
+    any instance, so below the broadcast threshold workers get the
+    recipe and regenerate once each.
     """
     if workers is None or workers <= 1:
-        return spec
-    payload = get_runtime().broadcast(_cached_problem(spec))
-    return payload if isinstance(payload, ProblemRef) else spec
+        return problem
+    payload = get_runtime().broadcast(_cached_problem(problem))
+    return payload if isinstance(payload, ProblemRef) else problem
+
+
+def _problem_identity(problem) -> dict:
+    """The manifest fields pinning which instance a checkpoint replicates."""
+    if isinstance(problem, InstanceSpec):
+        return {"spec": repr(problem)}
+    blob = json.dumps(instance_to_dict(problem), sort_keys=True)
+    return {"instance": hashlib.sha256(blob.encode()).hexdigest()}
 
 
 def label_key(name: str) -> int:
@@ -124,8 +143,8 @@ def _standalone_run(task) -> list[tuple[float, float, float]]:
     values to per-seed scalar evaluation (engine parity), one stacked
     pass instead of ``len(shard)``.
     """
-    spec, method_name, fitness, engine, rng_keys = task
-    problem = _cached_problem(spec)
+    source, method_name, fitness, engine, rng_keys = task
+    problem = _cached_problem(source)
     placements = []
     for key in rng_keys:
         rng = np.random.default_rng(key)
@@ -148,8 +167,8 @@ def _movement_run(task) -> list[tuple[float, float]]:
     """
     from repro.core.solution import Placement
 
-    spec, factory, n_candidates, max_phases, fitness, engine, rng_keys = task
-    problem = _cached_problem(spec)
+    source, factory, n_candidates, max_phases, fitness, engine, rng_keys = task
+    problem = _cached_problem(source)
     rngs = [np.random.default_rng(key) for key in rng_keys]
     initials = [
         Placement.random(problem.grid, problem.n_routers, rng) for rng in rngs
@@ -193,74 +212,68 @@ def _row_doc(label: str, seed: int, row) -> dict:
     }
 
 
-def _run_replication(
-    run_fn,
-    labels,
-    make_task,
+def _row_values(document: dict) -> tuple:
+    return tuple(document["values"])
+
+
+def _shard_label(label: str, seeds: range) -> str:
+    return f"{label} seeds {seeds.start}..{seeds.stop - 1}"
+
+
+def _replicate(
+    runner,
+    metrics: tuple[str, ...],
+    problem: "InstanceSpec | ProblemInstance",
+    settings: dict,
+    manifest: dict,
     n_seeds: int,
     workers: "int | None",
     policy: "RetryPolicy | None",
-    store,
+    checkpoint: "str | None",
+    resume_from: "str | None",
     report: "SupervisionReport | None",
-) -> dict[str, list[tuple]]:
-    """Shared supervised/checkpointed grid walk of both harnesses.
+) -> dict[str, dict[str, "ReplicatedMetric"]]:
+    """Both harnesses' grid: ``{label: {metric: ReplicatedMetric}}``.
 
-    ``make_task(label, seeds)`` builds the picklable shard task for any
-    contiguous seed range — the same builder serves normal execution and
-    the single-seed parity re-verification on resume.  Returns
-    ``{label: rows-ordered-by-seed}``.
+    ``settings`` maps each label to the task fields between the problem
+    payload and the RNG keys, so one task builder serves normal
+    execution and the resume check of :func:`repro.parallel.run_sharded`;
+    ``metrics`` names the columns of ``runner``'s rows.
     """
-    shards = seed_shards(n_seeds, workers)
-    entries = [
-        (label, shard, [_rep_key(label, seed) for seed in shard])
-        for label in labels
-        for shard in shards
-    ]
-    restored = [
-        index
-        for index, (_, _, keys) in enumerate(entries)
-        if store is not None and all(store.has(key) for key in keys)
-    ]
-    if restored:
-        # Trust-but-verify: recompute one checkpointed row and assert it
-        # matches its stored document exactly.
-        label, shard, keys = entries[restored[0]]
-        seed = shard.start
-        row = run_fn(make_task(label, range(seed, seed + 1)))[0]
-        store.verify_cell(keys[0], _row_doc(label, seed, row))
-    pending = [i for i in range(len(entries)) if i not in set(restored)]
+    check_grid(n_seeds, workers)
+    store = open_store(
+        {**manifest, **_problem_identity(problem), "n_seeds": n_seeds},
+        checkpoint=checkpoint,
+        resume_from=resume_from,
+    )
+    source = _problem_source(problem, workers)
+    instance_seed = problem.seed if isinstance(problem, InstanceSpec) else 0
 
-    def persist(position: int, rows) -> None:
-        label, shard, keys = entries[pending[position]]
-        for seed, key, row in zip(shard, keys, rows):
-            store.save(key, _row_doc(label, seed, row))
+    def make_task(label: str, seeds: range) -> tuple:
+        keys = [(instance_seed, label_key(label), seed) for seed in seeds]
+        return (source, *settings[label], keys)
 
-    flat = run_tasks(
-        run_fn,
-        [make_task(entries[i][0], entries[i][1]) for i in pending],
+    rows = run_sharded(
+        runner,
+        list(settings),
+        n_seeds,
         workers,
+        make_task,
+        key=_rep_key,
+        encode=_row_doc,
+        decode=_row_values,
+        label=_shard_label,
+        store=store,
         policy=policy,
-        labels=[
-            f"{label} seeds {shard.start}..{shard.stop - 1}"
-            for label, shard, _ in (entries[i] for i in pending)
-        ],
-        on_shard=persist if store is not None else None,
         report=report,
     )
-    rows_by_entry: dict[int, list] = {}
-    offset = 0
-    for position, index in enumerate(pending):
-        shard = entries[index][1]
-        rows_by_entry[index] = flat[offset : offset + len(shard)]
-        offset += len(shard)
-    for index in restored:
-        rows_by_entry[index] = [
-            tuple(store.load(key)["values"]) for key in entries[index][2]
-        ]
-    results: dict[str, list[tuple]] = {label: [] for label in labels}
-    for index, (label, _, _) in enumerate(entries):
-        results[label].extend(tuple(row) for row in rows_by_entry[index])
-    return results
+    return {
+        label: {
+            metric: ReplicatedMetric(tuple(row[column] for row in label_rows))
+            for column, metric in enumerate(metrics)
+        }
+        for label, label_rows in zip(settings, rows)
+    }
 
 
 @dataclass(frozen=True)
@@ -305,7 +318,7 @@ class ReplicatedMetric:
 
 
 def replicate_standalone(
-    spec: InstanceSpec,
+    spec: "InstanceSpec | ProblemInstance",
     n_seeds: int = 10,
     methods: tuple[str, ...] = PAPER_METHOD_ORDER,
     fitness: FitnessFunction | None = None,
@@ -319,7 +332,8 @@ def replicate_standalone(
     """Stand-alone ad hoc results across seeds.
 
     Returns ``{method: {"giant": ..., "coverage": ..., "fitness": ...}}``.
-    The instance is fixed (the spec's seed); only the methods' randomness
+    The instance is fixed (``spec`` is its recipe, generated at the
+    spec's seed, or the instance itself); only the methods' randomness
     varies, exactly like repeated planning runs on one deployment area.
     Every method's seed batch is evaluated in one stacked engine pass;
     with ``workers``, contiguous seed shards fan out over a process pool.
@@ -332,54 +346,28 @@ def replicate_standalone(
     after re-verifying one of them — semantics as on
     :meth:`repro.scenario.fleet.ScenarioFleet.run`.
     """
-    if n_seeds <= 0:
-        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    store = open_store(
+    return _replicate(
+        _standalone_run,
+        ("giant", "coverage", "fitness"),
+        spec,
+        {name: (name, fitness, engine) for name in methods},
         {
             "kind": "replicate-standalone",
-            "spec": repr(spec),
-            "n_seeds": n_seeds,
             "methods": list(methods),
             "fitness": repr(fitness) if fitness is not None else None,
             "engine": engine,
         },
-        checkpoint=checkpoint,
-        resume_from=resume_from,
-    )
-
-    source = _problem_source(spec, workers)
-
-    def make_task(name, seeds):
-        return (
-            source,
-            name,
-            fitness,
-            engine,
-            [(spec.seed, label_key(name), seed) for seed in seeds],
-        )
-
-    by_label = _run_replication(
-        _standalone_run,
-        list(methods),
-        make_task,
         n_seeds,
         workers,
         policy,
-        store,
+        checkpoint,
+        resume_from,
         report,
     )
-    return {
-        name: {
-            "giant": ReplicatedMetric(tuple(row[0] for row in rows)),
-            "coverage": ReplicatedMetric(tuple(row[1] for row in rows)),
-            "fitness": ReplicatedMetric(tuple(row[2] for row in rows)),
-        }
-        for name, rows in by_label.items()
-    }
 
 
 def replicate_movements(
-    spec: InstanceSpec,
+    spec: "InstanceSpec | ProblemInstance",
     movements: dict[str, "type[MovementType] | None"] = None,
     n_seeds: int = 5,
     n_candidates: int = 16,
@@ -411,56 +399,31 @@ def replicate_movements(
     """
     from repro.neighborhood.movements import RandomMovement, SwapMovement
 
-    if n_seeds <= 0:
-        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     if movements is None:
         movements = {"Swap": SwapMovement, "Random": RandomMovement}
-    labels = list(movements)
-    store = open_store(
+    return _replicate(
+        _movement_run,
+        ("giant", "coverage"),
+        spec,
+        {
+            label: (factory, n_candidates, max_phases, fitness, engine)
+            for label, factory in movements.items()
+        },
         {
             "kind": "replicate-movements",
-            "spec": repr(spec),
-            "n_seeds": n_seeds,
-            "movements": labels,
+            "movements": list(movements),
             "n_candidates": n_candidates,
             "max_phases": max_phases,
             "fitness": repr(fitness) if fitness is not None else None,
             "engine": engine,
         },
-        checkpoint=checkpoint,
-        resume_from=resume_from,
-    )
-
-    source = _problem_source(spec, workers)
-
-    def make_task(label, seeds):
-        return (
-            source,
-            movements[label],
-            n_candidates,
-            max_phases,
-            fitness,
-            engine,
-            [(spec.seed, label_key(label), seed) for seed in seeds],
-        )
-
-    by_label = _run_replication(
-        _movement_run,
-        labels,
-        make_task,
         n_seeds,
         workers,
         policy,
-        store,
+        checkpoint,
+        resume_from,
         report,
     )
-    return {
-        label: {
-            "giant": ReplicatedMetric(tuple(row[0] for row in rows)),
-            "coverage": ReplicatedMetric(tuple(row[1] for row in rows)),
-        }
-        for label, rows in by_label.items()
-    }
 
 
 def format_replication(

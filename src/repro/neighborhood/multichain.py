@@ -58,13 +58,15 @@ parent-derived:
   one-chain run (initial placement first if the caller drew it there,
   then each phase's proposals and, under the Metropolis rule, its
   acceptance draws).  Results are therefore invariant to
-  chain grouping: batching, ``workers=`` sharding and phase masking never
-  change a chain's stream.
+  chain grouping: batching, seed sharding one layer up and phase
+  masking never change a chain's stream.
 
-``run(..., workers=W)`` composes both parallelism axes: chains batch
-*within* a process, contiguous chain shards fan out *across* processes,
-and because of the stream contract the results are identical to
-``workers=1``.
+A portfolio runs in one process.  Fanning chains out across processes
+is the seed-sharded harnesses' job
+(:func:`~repro.experiments.replication.replicate_movements` and
+:class:`~repro.scenario.fleet.ScenarioFleet` with ``workers=``): each
+shard task runs one such portfolio, and because of the stream contract
+its chains' results equal those of one all-chain run.
 """
 
 from __future__ import annotations
@@ -85,12 +87,6 @@ from repro.core.solution import Placement
 from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import MovementType, proposal_tier
 from repro.neighborhood.trace import SearchResult, SearchTrace
-from repro.parallel import (
-    get_runtime,
-    resolve_task_problem,
-    run_tasks,
-    shard_slices,
-)
 from repro.seeding import root_sequence, spawn_children
 
 if TYPE_CHECKING:
@@ -98,7 +94,6 @@ if TYPE_CHECKING:
     from repro.core.evaluation import Evaluator
     from repro.core.grid import GridArea
     from repro.neighborhood.annealing import AnnealingSchedule
-    from repro.resilience.supervisor import RetryPolicy, SupervisionReport
 
 __all__ = [
     "chain_generators",
@@ -504,19 +499,6 @@ class _OneChainSearch:
         return result
 
 
-def _run_shard(task) -> list[SearchResult]:
-    """One contiguous chain shard in a worker process (top-level: pickling).
-
-    The task ships the search itself, so the shard runs the caller's
-    rule.  The problem payload is either the instance itself (pickle
-    path) or a broadcast handle resolved against this process's
-    attached shared memory (see :mod:`repro.parallel.runtime`).
-    """
-    (search, problem, initials, rngs, fitness, target) = task
-    problem = resolve_task_problem(problem)
-    return search.run(problem, initials, rngs, fitness=fitness, fitness_target=target)
-
-
 class MultiChainSearch:
     """``R`` independent local-search chains advanced in lockstep.
 
@@ -530,10 +512,8 @@ class MultiChainSearch:
     docstring), with ``n_candidates`` as their moves per phase.
 
     ``movement`` is a :class:`MovementType` shared by all chains or a
-    zero-argument factory (one instance per run / worker shard).  Either
-    way results are identical — movements are stateless with respect to
-    outcomes — but a factory keeps instances process-local under
-    ``workers=``.
+    zero-argument factory (one instance per run).  Either way results
+    are identical — movements are stateless with respect to outcomes.
     """
 
     def __init__(
@@ -574,32 +554,18 @@ class MultiChainSearch:
         rngs: Sequence[np.random.Generator],
         fitness: FitnessFunction | None = None,
         fitness_target: float | None = None,
-        workers: int | None = None,
         deadline: "Deadline | None" = None,
-        policy: "RetryPolicy | None" = None,
-        report: "SupervisionReport | None" = None,
     ) -> list[SearchResult]:
         """Search all chains; one :class:`SearchResult` per chain, in order.
 
         ``initials[r]`` and ``rngs[r]`` define chain ``r`` (see the
-        module docstring for the stream contract).  With ``workers > 1``
-        contiguous chain shards run in a process pool — bit-identical
-        results, less wall-clock; the problem, movement, placements and
-        generators must then be picklable (all built-ins are).  Shard
-        execution is supervised exactly like the fleet path: ``policy``
-        governs retry/backoff/degradation, ``report`` collects recovery
-        activity, and every shard task carries a label naming its chain
-        range so a :class:`~repro.resilience.supervisor.RetryExhaustedError`
-        says which chains were lost.
+        module docstring for the stream contract).
 
         ``deadline`` is polled once per lockstep phase (cooperative
         cancellation): when it fires, every still-active chain is
         masked out with ``stopped_by`` set and its best-so-far kept —
         chains that already converged keep their own results and traces
-        untouched (mask-out-and-finish).  A deadline forces the
-        in-process lockstep path (``workers`` is ignored — results are
-        identical by the stream contract; cancel tokens cannot cross
-        processes).
+        untouched (mask-out-and-finish).
         """
         if not initials:
             raise ValueError("a portfolio needs at least one chain")
@@ -607,26 +573,8 @@ class MultiChainSearch:
             raise ValueError(
                 f"{len(initials)} initial placements for {len(rngs)} generators"
             )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be a positive int or None, got {workers}")
         for index, initial in enumerate(initials):
             check_start_placement(problem, initial, label=f"chain {index} start")
-        if (
-            workers is not None
-            and workers > 1
-            and len(initials) > 1
-            and deadline is None
-        ):
-            return self._run_parallel(
-                problem,
-                initials,
-                rngs,
-                fitness,
-                fitness_target,
-                workers,
-                policy=policy,
-                report=report,
-            )
         started = DEFAULT_CLOCK.now()
         movement = self._resolve_movement()
         # The delta engine's StackedEngine resolves the tier and gates
@@ -747,55 +695,6 @@ class MultiChainSearch:
                 and state.stall >= self.stall_phases
             ):
                 state.active = False
-
-    # ------------------------------------------------------------------
-    # Process fan-out
-    # ------------------------------------------------------------------
-
-    def _run_parallel(
-        self,
-        problem: ProblemInstance,
-        initials: Sequence[Placement],
-        rngs: Sequence[np.random.Generator],
-        fitness: FitnessFunction | None,
-        fitness_target: float | None,
-        workers: int,
-        policy: "RetryPolicy | None" = None,
-        report: "SupervisionReport | None" = None,
-    ) -> list[SearchResult]:
-        # Publish the instance once; every shard task carries the small
-        # broadcast handle (or the instance itself when it is below the
-        # broadcast threshold).
-        payload = get_runtime().broadcast(problem)
-        parts = shard_slices(len(initials), workers)
-        tasks = [
-            (
-                self,
-                payload,
-                list(initials[part]),
-                list(rngs[part]),
-                fitness,
-                fitness_target,
-            )
-            for part in parts
-        ]
-        labels = [
-            f"chain {part.start}"
-            if part.stop - part.start == 1
-            else f"chains {part.start}..{part.stop - 1}"
-            for part in parts
-        ]
-        # The shared supervised pool pins worker threads (OMP) and
-        # retries crashed shards; a raw ProcessPoolExecutor here used to
-        # skip both.
-        return run_tasks(
-            _run_shard,
-            tasks,
-            workers,
-            policy=policy,
-            labels=labels,
-            report=report,
-        )
 
     def __repr__(self) -> str:
         return (

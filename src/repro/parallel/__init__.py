@@ -1,14 +1,15 @@
 """Process fan-out shared by every ``workers=`` harness.
 
-Three layers run portfolios over a process pool: the lockstep
-multi-chain engine (:mod:`repro.neighborhood.multichain`), the
+Two harnesses run seeded portfolios over a process pool: the
 replication harness (:mod:`repro.experiments.replication`) and the
-scenario fleet (:mod:`repro.scenario.fleet`).  They all shard the same
-way — contiguous, order-preserving splits, executed serially when
-``workers`` is ``None``/1 and flattened back in submission order — so
-the split and the pool plumbing live here once.  One implementation also
-means one determinism argument: a shard boundary can never change which
-seed owns which stream, only which process advances it.
+scenario fleet (:mod:`repro.scenario.fleet`).  Both walk the same kind
+of grid — entries (a method, a movement, a scenario cell's arm) times
+``n_seeds`` — and both walk it through :func:`run_sharded`: contiguous,
+order-preserving seed shards (:func:`seed_shards`), executed serially
+when ``workers`` is ``None``/1, with optional checkpointing per seed.
+One walk also means one determinism argument: a shard boundary can
+never change which seed owns which stream, only which process advances
+it, so a checkpoint written at one worker count resumes at any other.
 
 Execution itself is delegated to the supervised pool
 (:mod:`repro.resilience.supervisor`): worker crashes, hung kernels and
@@ -38,9 +39,10 @@ from repro.resilience.supervisor import (
 )
 
 __all__ = [
-    "shard_slices",
+    "check_grid",
     "seed_shards",
     "run_tasks",
+    "run_sharded",
     "ParallelRuntime",
     "effective_pool_size",
     "get_runtime",
@@ -49,39 +51,34 @@ __all__ = [
 ]
 
 
-def shard_slices(count: int, shards: int) -> list[slice]:
-    """Contiguous, order-preserving split of ``count`` items.
-
-    Layout depends on ``shards`` (the caller's ``workers=`` request)
-    alone — never on the machine — so which seed lands in which shard is
-    reproducible everywhere.  How many *processes* actually serve those
-    shards is a separate, runtime-aware decision:
-    :func:`repro.parallel.runtime.effective_pool_size` caps the pool at
-    ``min(workers, n_tasks, cpu count)`` so a request larger than the
-    shard count (or the machine) never holds idle workers alive.
-    """
-    shards = min(shards, count)
-    bounds = np.linspace(0, count, shards + 1).astype(int)
-    return [
-        slice(int(bounds[i]), int(bounds[i + 1]))
-        for i in range(shards)
-        if bounds[i] < bounds[i + 1]
-    ]
+def check_grid(n_seeds: int, workers: "int | None") -> None:
+    """Refuse a seed grid's shape before anything runs or touches disk."""
+    if n_seeds <= 0:
+        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
+    if workers is not None and workers < 1:
+        raise ValueError(
+            f"workers must be a positive int or None, got {workers}"
+        )
 
 
 def seed_shards(n_seeds: int, workers: "int | None") -> list[range]:
     """Contiguous seed ranges: one per worker slot (one total when serial).
 
-    Like :func:`shard_slices`, the *layout* uses the requested
-    ``workers`` so seed ownership is machine-independent; the persistent
-    pool then sizes itself to ``min(workers, n_shards, cpu count)``
-    (:func:`repro.parallel.runtime.effective_pool_size`), so asking for
-    more workers than seeds or cores costs nothing but the request.
+    The layout depends on ``workers`` (the caller's request) alone —
+    never on the machine — so which seed lands in which shard is
+    reproducible everywhere.  How many *processes* actually serve those
+    shards is a separate, runtime-aware decision:
+    :func:`repro.parallel.runtime.effective_pool_size` caps the pool at
+    ``min(workers, n_tasks, cpu count)``, so asking for more workers
+    than seeds or cores costs nothing but the request.
     """
     if workers is None or workers <= 1 or n_seeds <= 1:
         return [range(n_seeds)]
+    bounds = np.linspace(0, n_seeds, min(workers, n_seeds) + 1).astype(int)
     return [
-        range(part.start, part.stop) for part in shard_slices(n_seeds, workers)
+        range(int(start), int(stop))
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        if start < stop
     ]
 
 
@@ -95,12 +92,11 @@ def run_tasks(
     on_shard: "Callable[[int, Sequence], None] | None" = None,
     report: "SupervisionReport | None" = None,
 ) -> list:
-    """Run shard tasks serially or over a supervised pool, flat, in order.
+    """Run shard tasks serially or over a supervised pool, in task order.
 
     ``runner`` must be a top-level function and every task picklable when
-    ``workers > 1``.  Results come back in task-submission order whatever
-    the pool's scheduling, so callers can slice the flat list by shard
-    arithmetic alone.
+    ``workers > 1``.  Each task's rows come back as one list, in
+    task-submission order whatever the pool's scheduling.
 
     Supervision kwargs are all optional and default to the standard
     :class:`RetryPolicy` (bounded retry, crash degradation).  ``labels``
@@ -117,7 +113,7 @@ def run_tasks(
     broadcast by pickle on retry
     (:meth:`~repro.parallel.runtime.ParallelRuntime.task_fallback`).
     """
-    shards = run_supervised(
+    return run_supervised(
         runner,
         tasks,
         workers=workers,
@@ -126,4 +122,78 @@ def run_tasks(
         on_result=on_shard,
         report=report,
     )
-    return [row for shard in shards for row in shard]
+
+
+def run_sharded(
+    runner: Callable[[object], Sequence],
+    entries: Sequence,
+    n_seeds: int,
+    workers: "int | None",
+    make_task: Callable[[object, range], object],
+    *,
+    key: Callable[[object, int], str],
+    encode: Callable[[object, int, object], dict],
+    decode: Callable[[dict], object],
+    label: Callable[[object, range], str],
+    store=None,
+    policy: "RetryPolicy | None" = None,
+    report: "SupervisionReport | None" = None,
+) -> list[list]:
+    """Walk an ``entries x n_seeds`` grid; each entry's rows in seed order.
+
+    Every entry's seeds split into :func:`seed_shards`, and
+    ``make_task(entry, seeds)`` builds the picklable task ``runner``
+    turns into one row per seed.  ``key(entry, seed)`` names a row in
+    the checkpoint ``store`` (seed-granular, never shard-granular), and
+    ``encode(entry, seed, row)`` / ``decode(document)`` convert between
+    a row and its stored document.  ``label(entry, seeds)`` names a
+    shard task in supervision failures.
+
+    With a store, a shard whose keys are all stored is restored from
+    disk rather than re-run (a partially stored shard re-runs whole —
+    deterministic, so merely redundant).  Restored cells are trusted
+    but verified: the first restored shard's first seed is recomputed
+    in-process and must match its document exactly
+    (:meth:`~repro.resilience.checkpoint.CheckpointStore.verify_cell`).
+    Every other shard runs through one :func:`run_tasks` call, which
+    persists each shard's rows as it completes.
+    """
+    shards = seed_shards(n_seeds, workers)
+    cells = [(entry, shard) for entry in entries for shard in shards]
+    restored = {
+        index
+        for index, (entry, shard) in enumerate(cells)
+        if store is not None
+        and all(store.has(key(entry, seed)) for seed in shard)
+    }
+    if restored:
+        entry, shard = cells[min(restored)]
+        seed = shard.start
+        [row] = runner(make_task(entry, range(seed, seed + 1)))
+        store.verify_cell(key(entry, seed), encode(entry, seed, row))
+    pending = [cell for index, cell in enumerate(cells) if index not in restored]
+
+    def persist(position: int, rows: Sequence) -> None:
+        entry, shard = pending[position]
+        for seed, row in zip(shard, rows):
+            store.save(key(entry, seed), encode(entry, seed, row))
+
+    fresh = iter(
+        run_tasks(
+            runner,
+            [make_task(entry, shard) for entry, shard in pending],
+            workers,
+            policy=policy,
+            labels=[label(entry, shard) for entry, shard in pending],
+            on_shard=persist if store is not None else None,
+            report=report,
+        )
+    )
+    rows: list[list] = [[] for _ in entries]
+    for index, (entry, shard) in enumerate(cells):
+        rows[index // len(shards)].extend(
+            [decode(store.load(key(entry, seed))) for seed in shard]
+            if index in restored
+            else next(fresh)
+        )
+    return rows

@@ -154,7 +154,7 @@ class ParallelRuntime:
     process.  Usable as a context manager::
 
         with ParallelRuntime() as runtime:
-            run_tasks(fn, tasks, workers=4, pool_provider=runtime)
+            run_supervised(fn, tasks, workers=4, pool_provider=runtime)
 
     The pool-provider protocol consumed by
     :func:`repro.resilience.supervisor.run_supervised` is

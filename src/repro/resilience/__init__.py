@@ -1,7 +1,7 @@
 """Fault-tolerant execution: supervision, retry, checkpoint, fault injection.
 
-The ``workers=`` harnesses (multi-chain portfolios, replication, the
-scenario fleet) fan deterministic shard tasks over a process pool.  The
+The ``workers=`` harnesses (replication and the scenario fleet) fan
+deterministic shard tasks over a process pool.  The
 pool alone is brittle: one segfaulting kernel raises
 ``BrokenProcessPool`` and loses the whole grid, a hung worker stalls it
 forever, and an interrupted long run restarts from zero.  This package

@@ -23,7 +23,9 @@ grid instead:
   replicate (the search family measures all chains' candidates in one
   stacked engine pass), with the runner's per-step warm-start carry.
 * **Process fan-out** — ``workers=`` shards each cell's replicates over
-  a pool through the shared :mod:`repro.parallel` machinery.
+  a pool through the shared sharded grid walk
+  (:func:`repro.parallel.run_sharded`), which also restores, verifies
+  and persists checkpointed triples.
 
 Because every replicate's streams are parent-derived and consumed only
 by that replicate, the per-triple results are **bit-identical** to
@@ -39,16 +41,17 @@ the aggregation layer the CLI ``scenario-fleet`` subcommand and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.parallel import (
+    check_grid,
     get_runtime,
     resolve_task_problem,
-    run_tasks,
-    seed_shards,
+    run_sharded,
 )
 from repro.resilience.checkpoint import (
     RestoredStep,
@@ -362,27 +365,41 @@ def _unique(values) -> list:
 # ----------------------------------------------------------------------
 
 
-def _fleet_key(cell: int, warm: bool, replicate: int) -> str:
-    """Grid-stable checkpoint key of one triple.
+@dataclass(frozen=True)
+class _Entry:
+    """One (cell, arm) row of the grid: its labels and shard-task parts."""
 
-    Keyed by (cell index, arm, replicate) — never by shard/worker
-    layout, so a run checkpointed at one worker count resumes at any
-    other.
-    """
-    arm = "warm" if warm else "cold"
-    return f"c{cell:03d}-{arm}-r{replicate:03d}"
+    cell: int
+    scenario: str
+    solver: str
+    warm: bool
+    #: The shard task without its replicate streams (see
+    #: :func:`_run_fleet_shard`).
+    task: tuple
+    rep_seqs: list
 
+    def make_task(self, replicates: range) -> tuple:
+        return (*self.task, [self.rep_seqs[r] for r in replicates])
 
-def _shard_label(entry) -> str:
-    """The supervision label naming one shard task's grid identity."""
-    scenario_label, solver_label, warm, shard, _ = entry
-    arm = "warm" if warm else "cold"
-    seeds = (
-        f"replicate {shard.start}"
-        if len(shard) == 1
-        else f"replicates {shard.start}..{shard.stop - 1}"
-    )
-    return f"{scenario_label}/{solver_label} ({arm}) {seeds}"
+    def key(self, replicate: int) -> str:
+        """Grid-stable checkpoint key of one triple.
+
+        Keyed by (cell index, arm, replicate) — never by shard/worker
+        layout, so a run checkpointed at one worker count resumes at any
+        other.
+        """
+        arm = "warm" if self.warm else "cold"
+        return f"c{self.cell:03d}-{arm}-r{replicate:03d}"
+
+    def label(self, replicates: range) -> str:
+        """The supervision label naming one shard task's grid identity."""
+        arm = "warm" if self.warm else "cold"
+        seeds = (
+            f"replicate {replicates.start}"
+            if len(replicates) == 1
+            else f"replicates {replicates.start}..{replicates.stop - 1}"
+        )
+        return f"{self.scenario}/{self.solver} ({arm}) {seeds}"
 
 
 def _compact_results(results: list[ScenarioResult]) -> list[ScenarioResult]:
@@ -496,12 +513,7 @@ class ScenarioFleet:
     ) -> None:
         self._scenarios = _label_scenarios(scenarios)
         self._solvers = _label_solvers(solvers)
-        if n_seeds <= 0:
-            raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-        if workers is not None and workers < 1:
-            raise ValueError(
-                f"workers must be a positive int or None, got {workers}"
-            )
+        check_grid(n_seeds, workers)
         self._arms = _resolve_arms(warm)
         ScenarioRunner.check_budgets(budget, warm_budget, True in self._arms)
         self.n_seeds = n_seeds
@@ -551,7 +563,6 @@ class ScenarioFleet:
         """
         root = root_sequence(seed)
         grid = fleet_seed_grid(root, self.n_cells, self.n_seeds)
-        shards = seed_shards(self.n_seeds, self.workers)
         store = open_store(
             self._manifest(root), checkpoint=checkpoint, resume_from=resume_from
         )
@@ -568,102 +579,68 @@ class ScenarioFleet:
             for warm in self._arms
         }
         serial = self.workers is None or self.workers == 1
-        tasks = []
-        order: list[tuple[str, str, bool, range, list[str]]] = []
-        cell = 0
-        for scenario_label, scenario in self._scenarios:
-            for solver_label, payload in self._solvers:
-                unfold_seq, rep_seqs = grid[cell]
-                # In-process execution unfolds each cell once and shares
-                # the steps across its arm/shard tasks; worker processes
-                # re-unfold from the seed instead (see _run_fleet_shard),
-                # attaching the broadcast base rather than unpickling it
-                # when it is above the runtime's threshold.
-                steps = scenario.unfold(unfold_seq) if serial else None
-                base = (
-                    scenario.base
-                    if serial
-                    else get_runtime().broadcast(scenario.base)
+        entries: list[_Entry] = []
+        cells = itertools.product(self._scenarios, self._solvers)
+        for cell, ((scenario_label, scenario), (solver_label, payload)) in (
+            enumerate(cells)
+        ):
+            unfold_seq, rep_seqs = grid[cell]
+            # In-process execution unfolds each cell once and shares
+            # the steps across its arm/shard tasks; worker processes
+            # re-unfold from the seed instead (see _run_fleet_shard),
+            # attaching the broadcast base rather than unpickling it
+            # when it is above the runtime's threshold.
+            steps = scenario.unfold(unfold_seq) if serial else None
+            base = (
+                scenario.base
+                if serial
+                else get_runtime().broadcast(scenario.base)
+            )
+            for warm in self._arms:
+                task = (
+                    scenario.name,
+                    base,
+                    scenario.perturbations,
+                    payload,
+                    configs[warm],
+                    unfold_seq,
+                    steps,
                 )
-                for warm in self._arms:
-                    for shard in shards:
-                        keys = [
-                            _fleet_key(cell, warm, replicate)
-                            for replicate in shard
-                        ]
-                        tasks.append(
-                            (
-                                scenario.name,
-                                base,
-                                scenario.perturbations,
-                                payload,
-                                configs[warm],
-                                unfold_seq,
-                                steps,
-                                [rep_seqs[r] for r in shard],
-                            )
-                        )
-                        order.append(
-                            (scenario_label, solver_label, warm, shard, keys)
-                        )
-                cell += 1
+                entries.append(
+                    _Entry(cell, scenario_label, solver_label, warm, task, rep_seqs)
+                )
 
-        # A shard task is skipped only when *all* its replicates are
-        # checkpointed; a partially persisted shard recomputes whole
-        # (deterministic, so recomputation is merely redundant work).
-        restored = [
-            index
-            for index in range(len(tasks))
-            if store is not None and all(store.has(k) for k in order[index][4])
-        ]
-        if restored:
-            self._verify_restored(store, tasks[restored[0]], order[restored[0]])
-        pending = [i for i in range(len(tasks)) if i not in set(restored)]
-
-        def persist(position: int, rows) -> None:
-            keys = order[pending[position]][4]
-            for key, result in zip(keys, rows):
-                store.save(key, scenario_result_to_dict(result))
-
-        flat = run_tasks(
+        rows = run_sharded(
             _run_fleet_shard,
-            [tasks[i] for i in pending],
+            entries,
+            self.n_seeds,
             self.workers,
+            _Entry.make_task,
+            key=_Entry.key,
+            encode=lambda entry, replicate, result: scenario_result_to_dict(
+                result
+            ),
+            decode=scenario_result_from_dict,
+            label=_Entry.label,
+            store=store,
             policy=self.policy,
-            labels=[_shard_label(order[i]) for i in pending],
-            on_shard=persist if store is not None else None,
             report=report,
         )
-        results: dict[int, list[ScenarioResult]] = {}
-        offset = 0
-        for position, index in enumerate(pending):
-            shard = order[index][3]
-            results[index] = flat[offset : offset + len(shard)]
-            offset += len(shard)
-        for index in restored:
-            results[index] = [
-                scenario_result_from_dict(store.load(key))
-                for key in order[index][4]
-            ]
-
-        runs: list[FleetRun] = []
-        for index, (scenario_label, solver_label, warm, shard, _) in enumerate(
-            order
-        ):
-            for replicate, result in zip(shard, results[index]):
-                # Key the run by its *arm* (what the grid asked for), not
-                # by ``result.warm`` — a warm-incapable solver still
-                # belongs to the warm arm it ran in, or a "both" grid
-                # would collapse its two arms into one cell.
-                runs.append(
-                    FleetRun(
-                        scenario=scenario_label,
-                        solver=solver_label,
-                        warm=warm,
-                        replicate=replicate,
-                        result=result,
-                    )
-                )
+        # Key each run by its *arm* (what the grid asked for), not by
+        # ``result.warm`` — a warm-incapable solver still belongs to the
+        # warm arm it ran in, or a "both" grid would collapse its two
+        # arms into one cell.
+        runs = [
+            FleetRun(
+                scenario=entry.scenario,
+                solver=entry.solver,
+                warm=entry.warm,
+                replicate=replicate,
+                result=result,
+            )
+            for entry, results in zip(entries, rows)
+            for replicate, result in enumerate(results)
+        ]
         return FleetReport(runs=tuple(runs), n_seeds=self.n_seeds)
 
     def _manifest(self, root: np.random.SeedSequence) -> dict:
@@ -680,25 +657,6 @@ class ScenarioFleet:
             "engine": self.engine,
             "fitness": repr(self.fitness) if self.fitness is not None else None,
         }
-
-    def _verify_restored(self, store, task, entry) -> None:
-        """Recompute one checkpointed triple and assert stored parity.
-
-        The resume gate: one replicate of the first restored shard is
-        re-run in-process (identical streams by the determinism
-        contract) and compared field-for-field against its stored
-        document, wall-clock excluded.  Catches stale directories and
-        code drift that the manifest alone cannot.
-        """
-        payload, config, unfold_seq, steps, rep_seqs = task[3:]
-        scenario = _task_scenario(task)
-        if steps is None:
-            steps = scenario.unfold(unfold_seq)
-        solver, kwargs = payload
-        [fresh] = ScenarioRunner(solver, **config, **kwargs).run_replicates(
-            steps, rep_seqs[:1], scenario_name=scenario.name
-        )
-        store.verify_cell(entry[4][0], scenario_result_to_dict(fresh))
 
     def __repr__(self) -> str:
         scenarios = [label for label, _ in self._scenarios]

@@ -11,6 +11,7 @@ from repro.experiments.replication import (
     replicate_standalone,
 )
 from repro.instances.catalog import tiny_spec
+from repro.resilience.checkpoint import CheckpointError
 
 
 class TestReplicatedMetric:
@@ -80,3 +81,46 @@ class TestReplicateMovements:
     def test_invalid_seed_count(self):
         with pytest.raises(ValueError):
             replicate_movements(tiny_spec(), n_seeds=-1)
+
+
+def values(results):
+    return {
+        name: {metric: replicated.values for metric, replicated in metrics.items()}
+        for name, metrics in results.items()
+    }
+
+
+class TestReplicateOnAnInstance:
+    def test_spec_and_its_instance_agree_at_seed_zero(self):
+        spec = tiny_spec(seed=0)
+        problem = spec.generate()
+        movements = dict(n_seeds=3, n_candidates=4, max_phases=3)
+        assert values(replicate_movements(spec, **movements)) == values(
+            replicate_movements(problem, **movements)
+        )
+        standalone = dict(n_seeds=3, methods=("random", "hotspot"))
+        assert values(replicate_standalone(spec, **standalone)) == values(
+            replicate_standalone(problem, **standalone)
+        )
+
+    def test_resume_refuses_another_instance(self, tmp_path):
+        directory = str(tmp_path / "ck")
+        kwargs = dict(n_seeds=2, methods=("random",))
+        replicate_standalone(
+            tiny_spec(seed=1).generate(), checkpoint=directory, **kwargs
+        )
+        with pytest.raises(CheckpointError, match="instance"):
+            replicate_standalone(
+                tiny_spec(seed=2).generate(), resume_from=directory, **kwargs
+            )
+
+
+@pytest.mark.parametrize(
+    "harness", [replicate_standalone, replicate_movements]
+)
+@pytest.mark.parametrize("refused", [dict(workers=0), dict(n_seeds=0)])
+def test_a_refused_call_creates_nothing_on_disk(harness, refused, tmp_path):
+    directory = tmp_path / "ck"
+    with pytest.raises(ValueError):
+        harness(tiny_spec(), checkpoint=str(directory), **refused)
+    assert not directory.exists()

@@ -3,8 +3,8 @@
 The contract under test: per-chain results (best solution, trace, phase
 and evaluation counts, final generator state) are **bit-identical** to
 running each chain alone through the paper's serial phase loop, for
-every movement type, stopping condition, engine path and ``workers=``
-sharding — because the per-chain RNG streams are consumed identically
+every movement type, stopping condition, engine path and chain
+grouping — because the per-chain RNG streams are consumed identically
 everywhere.  The serial loop is kept here as a frozen reference
 (:func:`serial_reference`): it measures every candidate with the dense
 reference ``Evaluator`` and shares no code with the lockstep driver
@@ -42,6 +42,7 @@ from repro.neighborhood.movements import (
 )
 from repro.neighborhood.registry import available_movements, make_movement
 from repro.neighborhood.trace import SearchResult, SearchTrace
+from repro.parallel import seed_shards
 from repro.solvers import make_solver
 
 from tests.conftest import propose_row, ref_apply_row, rows_of
@@ -162,11 +163,11 @@ def run_serial(problem, factory, n_chains, base=42, **kwargs):
     return results
 
 
-def run_lockstep(problem, factory, n_chains, base=42, workers=None, **kwargs):
+def run_lockstep(problem, factory, n_chains, base=42, **kwargs):
     rngs = chain_rngs(n_chains, base)
     initials = chain_starts(problem, rngs)
     search = MultiChainSearch(factory(), **kwargs)
-    return search.run(problem, initials, rngs, workers=workers)
+    return search.run(problem, initials, rngs)
 
 
 def assert_identical(serial, lockstep):
@@ -369,13 +370,29 @@ class TestDeterminismAndWorkers:
         )
         assert_identical(first, second)
 
-    def test_workers_match_serial_lockstep(self, problem):
+    def test_seed_shards_match_one_portfolio(self, problem):
+        """Each ``seed_shards`` slice run as its own portfolio (what one
+        shard task of ``replicate_movements(workers=3)`` runs) equals the
+        same chains of one all-chain portfolio, traces included, with
+        chains stalling out of the lockstep at different phases."""
         single = run_lockstep(
-            problem, SwapMovement, 6, n_candidates=4, max_phases=6
+            problem, SwapMovement, 6, n_candidates=4, max_phases=6,
+            stall_phases=2,
         )
-        sharded = run_lockstep(
-            problem, SwapMovement, 6, n_candidates=4, max_phases=6, workers=3
+        rngs = chain_rngs(6)
+        initials = chain_starts(problem, rngs)
+        search = MultiChainSearch(
+            SwapMovement(), n_candidates=4, max_phases=6, stall_phases=2
         )
+        sharded = []
+        for shard in seed_shards(6, 3):
+            sharded.extend(
+                search.run(
+                    problem,
+                    initials[shard.start : shard.stop],
+                    rngs[shard.start : shard.stop],
+                )
+            )
         assert_identical(single, sharded)
 
     def test_invalid_inputs(self, problem):
@@ -386,8 +403,6 @@ class TestDeterminismAndWorkers:
             search.run(problem, [], [])
         with pytest.raises(ValueError):
             search.run(problem, initials, rngs[:1])
-        with pytest.raises(ValueError):
-            search.run(problem, initials, rngs, workers=0)
         with pytest.raises(ValueError):
             MultiChainSearch(RandomMovement(), n_candidates=0)
         with pytest.raises(ValueError):

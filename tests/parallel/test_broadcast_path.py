@@ -3,8 +3,8 @@
 Paper-frame instances sit far below the runtime's default broadcast
 threshold, so the harness suites elsewhere ship their instances by
 pickle.  Here the process runtime is a ``ParallelRuntime(shm_min_bytes=0)``,
-so ``ScenarioFleet``, ``replicate_movements`` and ``MultiChainSearch``
-fan out with shared-memory handles.  Each must equal its serial run and
+so ``ScenarioFleet`` and ``replicate_movements`` (on a spec and on an
+instance) fan out with shared-memory handles.  Each must equal its serial run and
 publish its instance exactly once.  The fallback cases pin the one rule
 that turns a lost handle back into its instance for every harness's
 task shape.
@@ -12,16 +12,13 @@ task shape.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro.parallel.runtime as runtime_mod
-from repro.core.solution import Placement
 from repro.experiments.replication import _movement_run, replicate_movements
 from repro.instances.catalog import tiny_spec
 from repro.instances.shm import ProblemRef
-from repro.neighborhood.movements import RandomMovement, SwapMovement
-from repro.neighborhood.multichain import MultiChainSearch
+from repro.neighborhood.movements import RandomMovement
 from repro.parallel import ParallelRuntime, get_runtime
 from repro.resilience.faults import FAULT_ENV
 from repro.scenario import Scenario, ScenarioFleet
@@ -71,13 +68,6 @@ def shard_signature(results):
     ]
 
 
-def chain_signature(results):
-    return [
-        (r.best.fitness, r.best.placement.cells, r.n_evaluations)
-        for r in results
-    ]
-
-
 class TestHarnessesOnTheBroadcastPath:
     def test_scenario_fleet_matches_serial(self, broadcast_all):
         problem = tiny_spec(seed=7).generate()
@@ -116,22 +106,17 @@ class TestHarnessesOnTheBroadcastPath:
                 )
         assert broadcast_all.stats.publishes == 1
 
-    def test_multichain_matches_serial(self, broadcast_all):
-        problem = tiny_spec(seed=3).generate()
-
-        def run(workers):
-            rngs = [np.random.default_rng((42, chain)) for chain in range(4)]
-            initials = [
-                Placement.random(problem.grid, problem.n_routers, rng)
-                for rng in rngs
-            ]
-            search = MultiChainSearch(
-                SwapMovement(), n_candidates=4, max_phases=5
-            )
-            return search.run(problem, initials, rngs, workers=workers)
-
-        serial = run(None)
-        assert chain_signature(run(2)) == chain_signature(serial)
+    def test_replicate_on_an_instance_broadcasts_it(self, broadcast_all):
+        problem = tiny_spec(seed=8).generate()
+        kwargs = dict(n_seeds=2, n_candidates=4, max_phases=4)
+        serial = replicate_movements(problem, **kwargs)
+        parallel = replicate_movements(problem, workers=2, **kwargs)
+        for name in serial:
+            for metric in serial[name]:
+                assert (
+                    serial[name][metric].values
+                    == parallel[name][metric].values
+                )
         assert broadcast_all.stats.publishes == 1
 
 

@@ -109,9 +109,9 @@ class TestGlobalRuntime:
         self, global_runtime, tiny_problem, expected
     ):
         tasks = [(tiny_problem, seeds) for seeds in SEED_SHARDS]
-        flat = [row for shard in expected for row in shard]
-        assert run_tasks(_probe_shard, tasks, 2) == flat
-        assert run_tasks(_probe_shard, tasks, 2) == flat
+        # One row list per task, in task order — never flattened.
+        assert run_tasks(_probe_shard, tasks, 2) == expected
+        assert run_tasks(_probe_shard, tasks, 2) == expected
         assert global_runtime.stats.pool_creates == 1
         assert global_runtime.stats.pool_reuses >= 1
 

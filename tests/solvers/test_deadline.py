@@ -234,26 +234,3 @@ class TestMultiChainMasking:
         assert [fingerprint(r) for r in bare] == [
             fingerprint(r) for r in results
         ]
-
-    def test_deadline_forces_serial_lockstep(self, tiny_problem):
-        """``workers`` is ignored under a deadline (tokens cannot cross
-        processes) — results still match the serial run bit-for-bit."""
-        def portfolio(**kwargs):
-            search = MultiChainSearch(SwapMovement(), n_candidates=4,
-                                      max_phases=6)
-            rngs = chain_generators(4, 2)
-            initials = [
-                Placement.random(
-                    tiny_problem.grid, tiny_problem.n_routers, rng
-                )
-                for rng in rngs
-            ]
-            return search.run(tiny_problem, initials, rngs, **kwargs)
-
-        serial = portfolio()
-        with_deadline = portfolio(
-            workers=2, deadline=Deadline.after(1e9)
-        )
-        assert [fingerprint(r) for r in serial] == [
-            fingerprint(r) for r in with_deadline
-        ]

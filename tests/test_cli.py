@@ -193,6 +193,48 @@ class TestReplicate:
         assert "neighborhood search movements" in out
         assert "+/-" in out
 
+    def test_replicate_runs_on_the_loaded_instance(self, tmp_path, capsys):
+        """A weibull instance's own clients and radii are replicated, not
+        a Normal-law stand-in drawn for its frame."""
+        from repro.experiments.replication import (
+            format_replication,
+            replicate_movements,
+            replicate_standalone,
+        )
+        from repro.instances.serializer import load_instance
+
+        path = tmp_path / "weibull.json"
+        assert main(
+            [
+                "generate", str(path), "--distribution", "weibull",
+                "--width", "24", "--height", "24", "--routers", "8",
+                "--clients", "20", "--seed", "7",
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            [
+                "replicate", str(path), "--seeds", "2", "--phases", "2",
+                "--candidates", "2",
+            ]
+        ) == 0
+        problem = load_instance(path)
+        expected = (
+            format_replication(
+                replicate_standalone(problem, n_seeds=2),
+                "stand-alone ad hoc methods",
+            )
+            + "\n"
+            + format_replication(
+                replicate_movements(
+                    problem, n_seeds=2, n_candidates=2, max_phases=2
+                ),
+                "neighborhood search movements",
+            )
+            + "\n"
+        )
+        assert capsys.readouterr().out == expected
+
 
 class TestSolve:
     def test_list_solvers(self, capsys):
