@@ -9,9 +9,9 @@ giant-component masks for the same placement:
   resolves an ``engine`` argument to a tier and builds the per-tier
   sub-engines, for the counting adapter and the delta cache alike.
   Its one stack entry, ``measure_placements``, measures a
-  whole candidate stack into metric *arrays*
-  (:class:`StackedMeasurement`); callers materialize only the rows they
-  keep.
+  whole candidate stack (placements, or a checked int ``(K, N, 2)``
+  cell stack) into metric *arrays* (:class:`StackedMeasurement`);
+  callers materialize only the rows they keep.
 * **One counting adapter** — :class:`~repro.core.evaluation.Evaluator`.
   ``evaluate_many`` is one ``measure_placements`` call plus row
   materialization, ``evaluate`` the same for one placement; both count

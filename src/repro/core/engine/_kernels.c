@@ -21,7 +21,8 @@
  * (repro_propose_rows), a new Swap incumbent's window pick table
  * (repro_swap_window_table), the in-place commit of an accepted move
  * to a dense chain cache (repro_commit_dense), free-cell picks
- * (repro_distinct_cells) and a GA generation (repro_ga_generation).
+ * (repro_distinct_cells), a GA generation (repro_ga_generation) and
+ * the GA population's diversity (repro_stack_diversity).
  * Each keeps its Python twin's results exactly; the Python code stays
  * the reference.
  *
@@ -49,6 +50,14 @@ typedef uint8_t u8;
  * thread team costs more than the work and stalls whenever a sibling
  * core is busy. */
 #define PARALLEL_MIN_PAIRS 16384
+
+/* Below this many candidates x routers a stack measurement runs on one
+ * thread.  A GA generation measures a few dozen paper-frame rows per
+ * call: there two threads lose wall time whenever the sibling core is
+ * busy (up to 128 rows of 64 routers; from 4 rows of 1024 routers the
+ * sparse form wins), and on an idle host they save at most a third of
+ * the wall time for twice the CPU time. */
+#define STACK_PARALLEL_MIN_WORK 8192
 
 /* ------------------------------------------------------------------ */
 /* Runtime introspection                                               */
@@ -191,7 +200,7 @@ void repro_measure_stack_dense(
     const i64 n = n_routers;
     const i64 m = n_clients;
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel if(n_candidates * n_routers >= STACK_PARALLEL_MIN_WORK)
 #endif
     {
         i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
@@ -331,7 +340,7 @@ void repro_measure_stack_sparse(
     const i64 cov_bins = cov_nbx * cov_nby;
     const i64 scratch_bins = (link_bins > cov_bins ? link_bins : cov_bins) + 1;
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel if(n_candidates * n_routers >= STACK_PARALLEL_MIN_WORK)
 #endif
     {
         i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
@@ -1677,4 +1686,90 @@ done:
     free(s.victims);
     free(pair);
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* GA population diversity                                             */
+/* ------------------------------------------------------------------ */
+
+/* numpy's pairwise float64 sum (what add.reduce runs along a contiguous
+ * axis): a plain loop below 8 items, eight interleaved accumulators up
+ * to 128, and above that two halves split at a multiple of 8. */
+static double pairwise_sum(const double *a, i64 n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (i64 i = 0; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++) {
+            r[j] = a[j];
+        }
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) {
+                r[j] += a[i + j];
+            }
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) {
+            res += a[i];
+        }
+        return res;
+    }
+    i64 half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* stack_diversity of repro/genetic/population.py for a (P, N, 2) cell
+ * stack, in its summation order: per pair (i, j > i) the pairwise sum
+ * of the N router distances divided by N, per first index i the
+ * pairwise sum of its pairs' means, those row sums added in order, and
+ * the total divided by the pair count.  Squared distances are int32
+ * while no coordinate exceeds 32767 and int64 above, wrapping as
+ * numpy's do, then converted to float64.  Returns -1 when the scratch
+ * cannot be allocated. */
+double repro_stack_diversity(const i32 *cells, i64 n_members, i64 n_routers) {
+    if (n_members < 2) {
+        return 0.0;
+    }
+    const i64 row_size = 2 * n_routers;
+    i32 top = cells[0];
+    for (i64 i = 1; i < n_members * row_size; i++) {
+        top = cells[i] > top ? cells[i] : top;
+    }
+    const int wide = top > 32767;
+    double *distances = malloc(sizeof(double) * (size_t)(n_routers + n_members));
+    if (!distances) {
+        return -1.0;
+    }
+    double *means = distances + n_routers;
+    double total = 0.0;
+    for (i64 i = 0; i < n_members - 1; i++) {
+        const i32 *a = cells + i * row_size;
+        for (i64 j = i + 1; j < n_members; j++) {
+            const i32 *b = cells + j * row_size;
+            for (i64 r = 0; r < n_routers; r++) {
+                double squared;
+                if (wide) {
+                    const uint64_t dx = (uint64_t)(i64)b[2 * r] - (uint64_t)(i64)a[2 * r];
+                    const uint64_t dy = (uint64_t)(i64)b[2 * r + 1] - (uint64_t)(i64)a[2 * r + 1];
+                    squared = (double)(i64)(dx * dx + dy * dy);
+                } else {
+                    const uint32_t dx = (uint32_t)b[2 * r] - (uint32_t)a[2 * r];
+                    const uint32_t dy = (uint32_t)b[2 * r + 1] - (uint32_t)a[2 * r + 1];
+                    squared = (double)(i32)(dx * dx + dy * dy);
+                }
+                distances[r] = sqrt(squared);
+            }
+            means[j - i - 1] = pairwise_sum(distances, n_routers) / (double)n_routers;
+        }
+        total += pairwise_sum(means, n_members - 1 - i);
+    }
+    free(distances);
+    return total / (double)(n_members * (n_members - 1) / 2);
 }

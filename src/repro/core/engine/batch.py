@@ -268,6 +268,21 @@ class StackedMeasurement:
         measurement.fitness = fitness_function.score_rows(measurement)
         return measurement
 
+    def take(self, rows: np.ndarray) -> "StackedMeasurement":
+        """The measurement of ``rows`` (row indices, repeats allowed), in
+        their order."""
+        return StackedMeasurement(
+            problem=self.problem,
+            fitness_function=self.fitness_function,
+            giant_sizes=self.giant_sizes[rows],
+            covered_clients=self.covered_clients[rows],
+            n_components=self.n_components[rows],
+            n_links=self.n_links[rows],
+            mean_degrees=self.mean_degrees[rows],
+            giant_masks=self.giant_masks[rows],
+            fitness=self.fitness[rows],
+        )
+
     @classmethod
     def concatenate(
         cls, parts: "Sequence[StackedMeasurement]"

@@ -26,7 +26,9 @@ final state are those of the Python samplers on every bit generator.
 A GA generation of the default operators is one call too,
 :func:`ga_generation`: selection, crossover, collision repair and
 mutation for every offspring slot, with the draws of the Python
-operators on the run's generator.
+operators on the run's generator, and so is the population's
+diversity, :func:`stack_diversity`, summed in numpy's order so the
+trace keeps the bits of the numpy reference.
 
 Availability contract (mirrored by the dispatch layer):
 
@@ -56,7 +58,9 @@ The build is cached under ``_build/`` next to this module (override with
 the package tree is read-only), keyed by the source hash, so recompiles
 happen only when ``_kernels.c`` changes.  OpenMP is used when the
 toolchain supports it — kernels parallelize over candidates, which write
-disjoint output rows, so thread count never changes results.
+disjoint output rows, so thread count never changes results.  A stack
+measurement too small to pay for a thread team (a GA generation's few
+dozen rows) runs on one thread.
 :func:`set_num_threads` pins the pool; :mod:`repro.parallel` workers pin
 it to one thread each to avoid oversubscription under ``workers=``.
 """
@@ -90,6 +94,7 @@ __all__ = [
     "set_num_threads",
     "label_components",
     "link_hits_compiled",
+    "stack_diversity",
     "CompiledEngine",
 ]
 
@@ -279,6 +284,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
         _I64, _PI, _PI, _PD, _PD, _PI, _PV,
     )
+    lib.repro_stack_diversity.restype = ctypes.c_double
+    lib.repro_stack_diversity.argtypes = (_PV, _I64, _I64)
     return lib
 
 
@@ -911,10 +918,10 @@ def ga_generation(
     max)`` ``region_fractions`` at the ``(crossover, mutation)``
     ``rates``, and the ``mutations`` rows ``(MUTATE_*, radius | jitter |
     count, per-gene rate | max step fraction)``: one operator, or a
-    composite drawn by its cumulative table ``cdf``.  Returns, per slot,
-    the index of the parent copied there unchanged (``-1`` for a new
-    child), and the int32 ``(P, N, 2)`` stack of the slots' cells; rows
-    ``0..n_elites-1`` are left for the caller.  The draws are those of
+    composite drawn by its cumulative table ``cdf``.  Returns the int64
+    array of, per slot, the index of the parent copied there unchanged
+    (``-1`` for a new child), and the int32 ``(P, N, 2)`` stack of the
+    slots' cells; rows ``0..n_elites-1`` are left for the caller.  The draws are those of
     the Python operators on ``rng``, in their order (see
     ``repro_ga_generation``), through its own ``bitgen_t``.
     """
@@ -957,7 +964,32 @@ def ga_generation(
         raise ValueError("no free cell available on the grid")
     if status:
         raise MemoryError("no scratch for the GA generation kernel")
-    return source.tolist(), children
+    return source, children
+
+
+def stack_diversity(cells: np.ndarray) -> float:
+    """:func:`repro.genetic.population.stack_diversity` of an int32
+    ``(P, N, 2)`` cell stack in one call, bit for bit.
+
+    The kernel sums in numpy's order: each pair's router distances by
+    numpy's pairwise sum (its 8-way unroll and 128-item blocks) divided
+    by ``N``, each first index's pair means by one pairwise sum, and
+    those row sums in order, divided by the pair count.
+    """
+    if cells.dtype != np.int32 or cells.ndim != 3 or cells.shape[2] != 2:
+        raise ValueError("cells must be an int32 (P, N, 2) cell stack")
+    cells = np.ascontiguousarray(cells)
+    n_members, n_routers = cells.shape[:2]
+    if n_members < 2:
+        return 0.0
+    if not n_routers:
+        raise ValueError("a cell stack needs at least one router")
+    diversity = _kernels().repro_stack_diversity(
+        cells.ctypes.data, n_members, n_routers
+    )
+    if diversity < 0.0:
+        raise MemoryError("no scratch for the diversity kernel")
+    return diversity
 
 
 # ----------------------------------------------------------------------

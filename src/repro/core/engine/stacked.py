@@ -4,9 +4,9 @@
 argument to a tier and builds the per-tier sub-engines, and
 :meth:`StackedEngine.measure_placements` is its one stack entry.  Every
 counted measurement (:class:`~repro.core.evaluation.Evaluator` on the
-compiled and sparse tiers, and its ``evaluate_many`` on every tier)
-goes through it.  It measures a whole candidate stack in as few passes
-as the tier allows —
+compiled and sparse tiers, its ``evaluate_many`` on every tier, and the
+GA's checked cell stacks) goes through it.  It measures a whole
+candidate stack in as few passes as the tier allows —
 
 * **dense** — the ``(K, N, 2)`` position tensor goes straight into
   :func:`repro.core.engine.batch.measure_stack` in chunks of
@@ -159,23 +159,38 @@ class StackedEngine:
         return self._compiled
 
     def measure_placements(
-        self, placements: Sequence[Placement]
+        self, placements: "Sequence[Placement] | np.ndarray"
     ) -> StackedMeasurement:
-        """Measure a candidate set of placements on the dispatched path.
+        """Measure a candidate set on the dispatched path.
 
-        Dense and compiled: one ``(K, N, 2)`` stack of the (cached)
-        position arrays.  Sparse: each placement's edges, labels and
-        coverage hits, straight into the metric arrays.  Every tier
-        raises ``ValueError`` for a placement whose router count is not
-        the fleet's.
+        ``placements`` is a sequence of placements, or an int ``(K, N,
+        2)`` cell stack whose rows the caller has checked
+        (:meth:`~repro.core.solution.Placement.check_stack`), such as a
+        GA generation's new children; a stack builds no placement.
+        Dense and compiled: one ``(K, N, 2)`` stack of positions.
+        Sparse: each candidate's edges, labels and coverage hits,
+        straight into the metric arrays.  Every tier raises
+        ``ValueError`` for a candidate whose router count is not the
+        fleet's.
         """
-        for placement in placements:
-            _check_router_count(self._problem, placement)
-        if not placements:
+        if isinstance(placements, np.ndarray):
+            if placements.ndim != 3 or placements.shape[2] != 2:
+                raise ValueError(
+                    f"a cell stack must be (K, N, 2), got {placements.shape}"
+                )
+            if len(placements):
+                _check_router_count(self._problem, placements[0])
+            positions = placements.astype(np.float64)
+        else:
+            for placement in placements:
+                _check_router_count(self._problem, placement)
+            positions = [p.positions_array() for p in placements]
+            if positions and self._engine != "sparse":
+                positions = np.stack(positions)
+        if not len(positions):
             return self._empty_measurement()
         if self._engine == "sparse":
-            return self._measure_sparse(placements)
-        positions = np.stack([p.positions_array() for p in placements])
+            return self._measure_sparse(positions)
         if self._engine == "compiled":
             # The fused kernels never materialize per-candidate tensors,
             # so no memory-bounding chunking is needed.
@@ -192,8 +207,11 @@ class StackedEngine:
             ]
         )
 
-    def _measure_sparse(self, placements: Sequence[Placement]) -> StackedMeasurement:
-        """The numpy sparse tier: one placement at a time, ``O(N k + M k)``.
+    def _measure_sparse(
+        self, positions: "Sequence[np.ndarray]"
+    ) -> StackedMeasurement:
+        """The numpy sparse tier: one candidate's ``(N, 2)`` positions at
+        a time, ``O(N k + M k)``.
 
         Under ``GIANT_ONLY`` only the giant's routers query the client
         index.
@@ -201,17 +219,16 @@ class StackedEngine:
         problem = self._problem
         sparse = self._sparse_engine()
         n = problem.n_routers
-        k = len(placements)
+        k = len(positions)
         giant_sizes = np.empty(k, dtype=np.intp)
         covered = np.empty(k, dtype=np.intp)
         n_components = np.empty(k, dtype=np.intp)
         n_links = np.empty(k, dtype=np.intp)
         giant_masks = np.empty((k, n), dtype=bool)
         giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
-        for row, placement in enumerate(placements):
-            positions = placement.positions_array()
+        for row, candidate in enumerate(positions):
             rows, cols = sparse_edges(
-                positions, problem.fleet.radii, problem.link_rule
+                candidate, problem.fleet.radii, problem.link_rule
             )
             counts, giant_label, giant_mask = _label_giant(
                 labels_from_edges, n, rows, cols
@@ -225,7 +242,7 @@ class StackedEngine:
                 if giant_only
                 else np.arange(n, dtype=np.intp)
             )
-            _, hit_client = sparse.coverage_hits(positions, routers)
+            _, hit_client = sparse.coverage_hits(candidate, routers)
             covered[row] = _count_covered(problem.n_clients, hit_client)
         return StackedMeasurement.scored(
             problem, self._fitness, giant_sizes, covered, n_components,
@@ -1138,8 +1155,11 @@ def _grown(array: np.ndarray, used: int, size: int) -> np.ndarray:
     return grown
 
 
-def _check_router_count(problem: ProblemInstance, placement: Placement) -> None:
-    """The one router-count check of every placement the engines take."""
+def _check_router_count(
+    problem: ProblemInstance, placement: "Placement | np.ndarray"
+) -> None:
+    """The one router-count check of every placement (or cell array)
+    the engines take."""
     if len(placement) != problem.n_routers:
         raise ValueError(
             f"placement positions {len(placement)} routers but the fleet "

@@ -25,7 +25,9 @@ then every candidate against that cache — and charge an evaluator for it
 (:class:`~repro.neighborhood.search.NeighborhoodSearch`,
 :class:`~repro.neighborhood.annealing.SimulatedAnnealing`,
 :class:`~repro.neighborhood.tabu.TabuSearch`); they report through
-:meth:`Evaluator.count`.  All paths share this evaluator's counter and
+:meth:`Evaluator.count`, as does the GA's arrays path, which measures a
+generation's new children as one cell stack through
+:attr:`Evaluator.stacked`.  All paths share this evaluator's counter and
 produce bit-identical results.
 """
 
@@ -119,6 +121,16 @@ class Evaluator:
     def engine(self) -> str:
         """The resolved path: ``"dense"``, ``"sparse"`` or ``"compiled"``."""
         return self._stacked.engine
+
+    @property
+    def stacked(self):
+        """The :class:`~repro.core.engine.stacked.StackedEngine` this
+        evaluator measures through.
+
+        For callers that measure a candidate stack and keep its metric
+        rows (the GA's arrays path); they report through :meth:`count`.
+        """
+        return self._stacked
 
     @property
     def problem(self) -> ProblemInstance:

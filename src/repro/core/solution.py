@@ -102,10 +102,9 @@ class Placement:
     ) -> "list[Placement]":
         """One placement per int ``(N, 2)`` cell array, checked together.
 
-        The arrays are stacked and checked in one vectorised pass (every
-        cell inside the grid, no row repeating a cell); the first array
-        that fails raises what :meth:`from_cells` raises for it.  Arrays
-        of differing or malformed shapes are built one by one.
+        The arrays are stacked and checked in one :meth:`check_stack`
+        pass.  Arrays of differing or malformed shapes are built one by
+        one.
         """
         if not arrays:
             return []
@@ -117,17 +116,29 @@ class Placement:
             or any(array.shape != shape for array in arrays)
         ):
             return [cls.from_cells(grid, array) for array in arrays]
-        stack = np.stack(arrays).astype(np.int64, copy=False)
+        stack = np.stack(arrays)
+        cls.check_stack(grid, stack)
+        return [cls._trusted(grid, row.copy()) for row in stack.astype(_CELL_DTYPE)]
+
+    @classmethod
+    def check_stack(cls, grid: GridArea, stack: np.ndarray) -> None:
+        """Check the rows of an int ``(K, N, 2)`` cell stack, ``N >= 1``,
+        in one vectorised pass and without building a placement.
+
+        Every cell must lie inside the grid and no row may repeat a
+        cell; the first row that fails raises what :meth:`from_cells`
+        raises for it.
+        """
+        wide = stack.astype(np.int64, copy=False)
         inside = (
-            stack.view(np.uint64) < np.array((grid.width, grid.height), dtype=np.uint64)
+            wide.view(np.uint64) < np.array((grid.width, grid.height), dtype=np.uint64)
         ).all(axis=(1, 2))
-        flat = np.sort(stack[:, :, 1] * grid.width + stack[:, :, 0], axis=1)
+        flat = np.sort(wide[:, :, 1] * grid.width + wide[:, :, 0], axis=1)
         repeated = (flat[:, 1:] == flat[:, :-1]).any(axis=1)
         bad = ~inside | repeated
         if bad.any():
-            # Raises the constructor's error for the first bad array.
-            cls(grid, arrays[int(np.argmax(bad))])
-        return [cls._trusted(grid, row.copy()) for row in stack.astype(_CELL_DTYPE)]
+            # Raises the constructor's error for the first bad row.
+            cls(grid, stack[int(np.argmax(bad))])
 
     @classmethod
     def random(

@@ -9,37 +9,51 @@ default, all operators pluggable.
 The engine reports a :class:`~repro.genetic.trace.GATrace` whose
 ``best_giant_size`` series is exactly what Figures 1-3 plot.
 
-A chromosome is an int ``(N, 2)`` cell array: the operators map arrays
-to arrays, and a population member is the chromosome's
-:class:`~repro.core.evaluation.Evaluation`.  Elites and parents copied
-unchanged keep their evaluations.  Every child that went through
+A chromosome is an int ``(N, 2)`` cell array, and the operators map
+arrays to arrays.  A run takes one of two paths, chosen once per run.
+
+The Python operators are the reference, and their path keeps a
+:class:`~repro.genetic.population.Population` of
+:class:`~repro.core.evaluation.Evaluation` members.  Elites and parents
+copied unchanged keep their evaluations.  Every child that went through
 crossover or mutation becomes one placement in
 :meth:`~repro.genetic.population.Population.evaluate_all`, and the
 whole offspring generation is measured there as one batch through the
 vectorized engine (see :mod:`repro.core.engine`).
 
-The Python operators are the reference.  When the compiled tier is
-loaded and the operators are exactly the default kinds (tournament
-selection, region-exchange crossover, and Jiggle, TowardCentroid or
-Reset mutation alone or in a :class:`CompositeMutation` of them; a
-subclass keeps its overrides on the Python path), a generation's
+When the compiled tier is loaded and the operators are exactly the
+default kinds (tournament selection, region-exchange crossover, and
+Jiggle, TowardCentroid or Reset mutation alone or in a
+:class:`CompositeMutation` of them; a subclass keeps its overrides on
+the Python path), a run works on arrays from the initial measurement to
+the result.  The population is the int32 ``(P, N, 2)`` cell stack plus
+its rows of one
+:class:`~repro.core.engine.batch.StackedMeasurement`.  A generation's
 selection, crossover, collision repair and mutation are one kernel
-call, :func:`repro.core.engine.compiled.ga_generation`.  It draws what
-the Python operators draw, in their order, on the run's generator, so
-offspring, kept evaluations, traces and the generator's final state
-are those of the Python path.  The choice is made once per run.
+call, :func:`repro.core.engine.compiled.ga_generation`, which draws what
+the Python operators draw, in their order, on the run's generator.  The
+kept slots copy their rows; the new children are checked in one pass
+(:meth:`~repro.core.solution.Placement.check_stack`) and measured as
+one cell stack, and the trace's diversity is one C call
+(:func:`repro.core.engine.compiled.stack_diversity`).  A
+:class:`~repro.core.solution.Placement` and its ``Evaluation`` are
+built only for a new best, which is what the result returns.  Traces,
+the best member, evaluation counts and the generator's final state are
+those of the Python path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.engine import compiled
+from repro.core.engine.batch import StackedMeasurement
 from repro.core.evaluation import Evaluation, Evaluator
+from repro.core.solution import Placement
 from repro.genetic.crossover import CrossoverOperator, RegionExchangeCrossover
 from repro.genetic.initializers import PopulationInitializer
 from repro.genetic.mutation import (
@@ -55,6 +69,7 @@ from repro.genetic.trace import GATrace, GenerationRecord
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
+    from repro.core.grid import GridArea
 
 __all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
 
@@ -192,19 +207,22 @@ class GeneticAlgorithm:
         placements = initializer.generate(
             evaluator.problem, config.population_size, rng
         )
-        population = Population.evaluate_all(evaluator, placements)
-        # Resolved once, after the initial population may have built
-        # the compiled tier.
+        # Building the evaluator loaded the compiled tier, if it loads.
         plan = (
             self._kernel_plan(evaluator.problem.n_routers)
             if compiled.is_loaded()
             else None
         )
-        cells = population.cell_stack()
+        if plan is None:
+            population = Population.evaluate_all(evaluator, placements)
+        else:
+            population = _Members.measured(
+                evaluator, np.stack([p.cells_array() for p in placements])
+            )
 
         trace = GATrace()
-        best = population.best()
-        self._record(trace, 0, population, cells, best, evaluator, evaluations_before)
+        best = population[int(np.argmax(population.fitness))]
+        self._record(trace, 0, population, best, evaluator, evaluations_before)
 
         generation = 0
         stopped_by: str | None = None
@@ -216,16 +234,14 @@ class GeneticAlgorithm:
             generation = next_generation
             if plan is None:
                 population = self._next_generation(population, evaluator, rng)
-                cells = population.cell_stack()
             else:
-                population, cells = self._kernel_generation(
-                    population, cells, plan, evaluator, rng
-                )
-            generation_best = population.best()
-            if generation_best.fitness > best.fitness:
-                best = generation_best
+                population = self._array_generation(population, plan, evaluator, rng)
+            # The first fittest member, built only when it beats the best.
+            index = int(np.argmax(population.fitness))
+            if population.fitness[index] > best.fitness:
+                best = population[index]
             self._record(
-                trace, generation, population, cells, best, evaluator, evaluations_before
+                trace, generation, population, best, evaluator, evaluations_before
             )
             if fitness_target is not None and best.fitness >= fitness_target:
                 break
@@ -304,25 +320,25 @@ class GeneticAlgorithm:
                 return None
         return rows, mutation.cdf if composite else None
 
-    def _kernel_generation(
+    def _kernel_offspring(
         self,
-        population: Population,
         cells: np.ndarray,
+        fitness: "Sequence[float]",
         plan: _KernelPlan,
-        evaluator: Evaluator,
+        grid: GridArea,
         rng: np.random.Generator,
-    ) -> tuple[Population, np.ndarray]:
-        """:meth:`_next_generation` in one kernel call, from the
-        population's ``(P, N, 2)`` cell stack; returns the offspring and
-        theirs."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One generation kernel call from a population's int32 ``(P, N,
+        2)`` cell stack and fitness: per slot the index of the member
+        kept there (the elites, fittest first, then the parents copied
+        unchanged) or ``-1`` for a new child, and the slots' cells."""
         config = self.config
-        grid = evaluator.problem.grid
         crossover = config.crossover
         rows, cdf = plan
-        source, offspring_cells = compiled.ga_generation(
+        source, offspring = compiled.ga_generation(
             rng,
             cells,
-            population.fitness,
+            fitness,
             config.n_elites,
             config.selection.size,
             (config.crossover_rate, config.mutation_rate),
@@ -332,22 +348,67 @@ class GeneticAlgorithm:
             grid.width,
             grid.height,
         )
-        elites = population.elite_indices(config.n_elites)
-        offspring_cells[: config.n_elites] = cells[elites]
-        offspring: list[Evaluation | np.ndarray] = [population[i] for i in elites]
-        for slot in range(config.n_elites, config.population_size):
-            parent = source[slot]
-            offspring.append(
-                population[parent] if parent >= 0 else offspring_cells[slot]
-            )
+        # A stable descending rank keeps equal-fitness members in
+        # population order, as Population.elite_indices does.
+        elites = np.argsort(-np.asarray(fitness), kind="stable")[: config.n_elites]
+        source[: config.n_elites] = elites
+        offspring[: config.n_elites] = cells[elites]
+        return source, offspring
+
+    def _array_generation(
+        self,
+        members: "_Members",
+        plan: _KernelPlan,
+        evaluator: Evaluator,
+        rng: np.random.Generator,
+    ) -> "_Members":
+        """:meth:`_next_generation` on the arrays path: the kept slots
+        copy their rows, and only the new children are checked,
+        measured and counted."""
+        grid = evaluator.problem.grid
+        source, cells = self._kernel_offspring(
+            members.cells, members.fitness, plan, grid, rng
+        )
+        rows = members.rows
+        new = np.flatnonzero(source < 0)
+        if new.size:
+            children = cells[new]
+            Placement.check_stack(grid, children)
+            measured = evaluator.stacked.measure_placements(children)
+            evaluator.count(new.size)
+            rows = StackedMeasurement.concatenate([rows, measured])
+            source[new] = len(cells) + np.arange(new.size)
+        return _Members(cells, rows.take(source))
+
+    def _kernel_generation(
+        self,
+        population: Population,
+        cells: np.ndarray,
+        plan: _KernelPlan,
+        evaluator: Evaluator,
+        rng: np.random.Generator,
+    ) -> tuple[Population, np.ndarray]:
+        """The kernel generation on a :class:`Population` and its ``(P,
+        N, 2)`` cell stack; returns the offspring and theirs.
+
+        The form that lines one kernel generation up against
+        :meth:`_next_generation` member by member; a run takes
+        :meth:`_array_generation`.
+        """
+        source, offspring_cells = self._kernel_offspring(
+            cells, population.fitness, plan, evaluator.problem.grid, rng
+        )
+        offspring: list[Evaluation | np.ndarray] = [
+            population[parent] if parent >= 0 else offspring_cells[slot]
+            for slot, parent in enumerate(source)
+        ]
         return Population.evaluate_all(evaluator, offspring), offspring_cells
 
     @staticmethod
     def _record(
         trace: GATrace,
         generation: int,
-        population: Population,
-        cells: np.ndarray,
+        population: "Population | _Members",
         best: Evaluation,
         evaluator: Evaluator,
         evaluations_before: int,
@@ -359,10 +420,49 @@ class GeneticAlgorithm:
                 mean_fitness=population.mean_fitness(),
                 best_giant_size=best.giant_size,
                 best_covered_clients=best.covered_clients,
-                diversity=population.diversity(cells),
+                diversity=population.diversity(),
                 n_evaluations=evaluator.n_evaluations - evaluations_before,
             )
         )
 
     def __repr__(self) -> str:
         return f"GeneticAlgorithm(config={self.config!r})"
+
+
+class _Members:
+    """A population on the arrays path.
+
+    The int32 ``(P, N, 2)`` cell stack and its measurement rows (fitness,
+    giant sizes, covered clients, components, links and giant masks).
+    The run reads it as it reads a
+    :class:`~repro.genetic.population.Population`; indexing builds the
+    member's placement and evaluation.
+    """
+
+    __slots__ = ("cells", "rows", "fitness")
+
+    def __init__(self, cells: np.ndarray, rows: StackedMeasurement) -> None:
+        self.cells = cells
+        self.rows = rows
+        self.fitness = rows.fitness
+
+    @classmethod
+    def measured(cls, evaluator: Evaluator, cells: np.ndarray) -> "_Members":
+        """The members of valid ``cells``, measured and counted."""
+        rows = evaluator.stacked.measure_placements(cells)
+        evaluator.count(len(cells))
+        return cls(cells, rows)
+
+    def __getitem__(self, index: int) -> Evaluation:
+        grid = self.rows.problem.grid
+        return self.rows.evaluation(
+            index, Placement._trusted(grid, self.cells[index].copy())
+        )
+
+    def mean_fitness(self) -> float:
+        """Average fitness over the population."""
+        return float(np.mean(self.fitness))
+
+    def diversity(self) -> float:
+        """:meth:`Population.diversity` of the cell stack, in one C call."""
+        return compiled.stack_diversity(self.cells)

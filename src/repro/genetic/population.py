@@ -5,7 +5,11 @@ members, so it is always measured: an evaluation carries its placement,
 whose int ``(N, 2)`` cell array is the member's chromosome.  The
 container adds the aggregate queries the engine and the diversity
 analysis need (best member, elites, mean fitness, spatial diversity of
-the gene pool).
+the gene pool).  The Python operator path of
+:class:`~repro.genetic.engine.GeneticAlgorithm` holds one; a run on the
+compiled tier holds a cell stack and measurement rows instead, and
+:func:`stack_diversity` is the reference its C diversity
+(:func:`repro.core.engine.compiled.stack_diversity`) is tested against.
 """
 
 from __future__ import annotations

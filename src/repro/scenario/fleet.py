@@ -443,12 +443,30 @@ def _task_scenario(task) -> Scenario:
     )
 
 
+class _CellSteps:
+    """A cell's unfolded steps, unfolded on first use and then shared by
+    the cell's arm and shard tasks (in-process runs)."""
+
+    __slots__ = ("_scenario", "_unfold_seq", "_steps")
+
+    def __init__(self, scenario: Scenario, unfold_seq) -> None:
+        self._scenario = scenario
+        self._unfold_seq = unfold_seq
+        self._steps = None
+
+    def __call__(self) -> list:
+        if self._steps is None:
+            self._steps = self._scenario.unfold(self._unfold_seq)
+        return self._steps
+
+
 def _run_fleet_shard(task) -> list[ScenarioResult]:
     """One (cell, arm, replicate-shard) task (top-level: pickling).
 
-    ``steps`` is the cell's pre-unfolded sequence when the fleet runs
-    in-process (unfolded once per cell, shared by its arm/shard tasks)
-    and ``None`` under ``workers=`` fan-out — there each worker
+    ``steps`` is the cell's :class:`_CellSteps` when the fleet runs
+    in-process (so a cell is unfolded at most once, and only when one of
+    its tasks runs: a resume whose shards are all restored unfolds
+    none), and ``None`` under ``workers=`` fan-out — there each worker
     re-unfolds from the deterministic unfold stream, which beats
     pickling every step's problem across the process boundary, and the
     returned rows carry step stand-ins instead of the instances
@@ -457,8 +475,7 @@ def _run_fleet_shard(task) -> list[ScenarioResult]:
     solver_payload, config, unfold_seq, steps, rep_seqs = task[3:]
     scenario = _task_scenario(task)
     fanned_out = steps is None
-    if fanned_out:
-        steps = scenario.unfold(unfold_seq)
+    steps = scenario.unfold(unfold_seq) if fanned_out else steps()
     solver, kwargs = solver_payload
     results = ScenarioRunner(solver, **config, **kwargs).run_replicates(
         steps, rep_seqs, scenario_name=scenario.name
@@ -585,12 +602,13 @@ class ScenarioFleet:
             enumerate(cells)
         ):
             unfold_seq, rep_seqs = grid[cell]
-            # In-process execution unfolds each cell once and shares
-            # the steps across its arm/shard tasks; worker processes
-            # re-unfold from the seed instead (see _run_fleet_shard),
-            # attaching the broadcast base rather than unpickling it
-            # when it is above the runtime's threshold.
-            steps = scenario.unfold(unfold_seq) if serial else None
+            # In-process execution unfolds each cell at most once, on
+            # first use, and shares the steps across its arm/shard
+            # tasks; worker processes re-unfold from the seed instead
+            # (see _run_fleet_shard), attaching the broadcast base
+            # rather than unpickling it when it is above the runtime's
+            # threshold.
+            steps = _CellSteps(scenario, unfold_seq) if serial else None
             base = (
                 scenario.base
                 if serial

@@ -12,6 +12,7 @@ kernel call, and no read of the ``REPRO_COMPILED`` gate.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
-from repro.instances.catalog import tiny_spec
+from repro.instances.catalog import city_spec, paper_normal, tiny_spec
 from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement, SwapMovement
 from repro.neighborhood.multichain import MultiChainSearch
@@ -269,6 +270,49 @@ class TestCommitsAndThreads:
             )
         for one, two in zip(*runs):
             assert_rows_equal(one, two)
+
+
+#: The candidates x routers below which a compiled stack measurement
+#: runs on one thread (``STACK_PARALLEL_MIN_WORK`` in ``_kernels.c``).
+STACK_PARALLEL_MIN_WORK = int(
+    re.search(
+        r"#define STACK_PARALLEL_MIN_WORK (\d+)", compiled._SOURCE.read_text()
+    ).group(1)
+)
+
+
+class TestStackThreads:
+    """``repro_measure_stack_dense`` and ``_sparse`` at one and two
+    kernel threads, on both sides of their one-thread work bound."""
+
+    @pytest.mark.skipif(
+        not (compiled.is_available() and compiled.has_openmp()),
+        reason="kernels built without OpenMP",
+    )
+    @pytest.mark.parametrize(
+        "spec,form",
+        [(paper_normal(), "dense"), (city_spec(2100, 0), "sparse")],
+        ids=["dense", "sparse"],
+    )
+    def test_one_and_two_threads_are_bit_equal(self, kernel_threads, spec, form):
+        problem = spec.generate()
+        engine = StackedEngine(problem, engine="compiled")
+        assert engine._compiled_engine().form == form
+        n = problem.n_routers
+        bound = -(-STACK_PARALLEL_MIN_WORK // n)
+        rng = np.random.default_rng(5)
+        cells = np.stack(
+            [
+                Placement.random(problem.grid, n, rng).cells_array()
+                for _ in range(bound)
+            ]
+        )
+        for stack in (cells[: bound - 1], cells):
+            rows = []
+            for threads in (1, 2):
+                kernel_threads(threads)
+                rows.append(engine.measure_placements(stack))
+            assert_rows_equal(*rows)
 
 
 class CountingLibrary:

@@ -123,6 +123,42 @@ class TestStackedEngine:
         measurement = StackedEngine(problem).measure_placements([])
         assert len(measurement) == 0
 
+    @pytest.mark.parametrize("tier", ["dense", "sparse", "compiled"])
+    def test_cell_stack_matches_placements(self, problem, tier):
+        if tier == "compiled" and not compiled.is_available():
+            pytest.skip("compiled kernels not available")
+        placements = random_placements(problem, 5, seed=9)
+        engine = StackedEngine(problem, engine=tier)
+        expected = engine.measure_placements(placements)
+        cells = np.stack([placement.cells_array() for placement in placements])
+        for name in ROW_FIELDS:
+            assert np.array_equal(
+                getattr(engine.measure_placements(cells), name),
+                getattr(expected, name),
+            ), name
+        assert len(engine.measure_placements(cells[:0])) == 0
+
+    def test_malformed_cell_stacks_are_refused(self, problem):
+        engine = StackedEngine(problem, engine="dense")
+        n = problem.n_routers
+        with pytest.raises(ValueError, match="must be"):
+            engine.measure_placements(np.zeros((2, n), dtype=np.int32))
+        with pytest.raises(ValueError, match="must be"):
+            engine.measure_placements(np.zeros((2, n, 3), dtype=np.int32))
+        with pytest.raises(ValueError, match="routers but the fleet"):
+            engine.measure_placements(np.zeros((2, n + 1, 2), dtype=np.int32))
+
+    def test_take_gathers_rows(self, problem):
+        measurement = StackedEngine(problem).measure_placements(
+            random_placements(problem, 4, seed=10)
+        )
+        rows = np.array([3, 0, 3])
+        taken = measurement.take(rows)
+        for name in ROW_FIELDS:
+            assert np.array_equal(
+                getattr(taken, name), getattr(measurement, name)[rows]
+            ), name
+
     def test_sparse_engine_rows_match(self, problem):
         placements = random_placements(problem, 4, seed=8)
         references = dense_references(problem, placements)
@@ -812,14 +848,20 @@ class TestGeneratedInstances:
         for tier, layout in TIER_LAYOUTS:
             with pytest.MonkeyPatch.context() as monkeypatch:
                 force_layout(monkeypatch, layout)
-                measurement = StackedEngine(problem, engine=tier).measure_placements(
-                    placements
+                engine = StackedEngine(problem, engine=tier)
+                measurement = engine.measure_placements(placements)
+                # A GA generation's entry: the checked cell stack.
+                stack = engine.measure_placements(
+                    np.stack([placement.cells_array() for placement in placements])
                 )
                 delta = StackedDeltaEngine(problem, engine=tier)
                 assert delta.layout == layout
                 for chain, placement in enumerate(placements):
                     assert_same_evaluation(
                         measurement.evaluation(chain, placement), expected[chain]
+                    )
+                    assert_same_evaluation(
+                        stack.evaluation(chain, placement), expected[chain]
                     )
                     assert_same_evaluation(
                         delta.reset_chain(chain, placement), expected[chain]

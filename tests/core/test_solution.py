@@ -154,6 +154,30 @@ class TestFromCellArrays:
                 assert stored.dtype == np.int32 and not stored.flags.writeable
                 assert not np.shares_memory(stored, array)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 6),
+        height=st.integers(1, 6),
+        n=st.integers(1, 6),
+        count=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_check_stack_raises_what_from_cells_raises(self, width, height, n, count, seed):
+        # The GA's check of a generation's int32 cell stack, with no
+        # placement built for a good row.
+        grid = GridArea(width, height)
+        rng = np.random.default_rng(seed)
+        stack = np.stack(
+            [rng.integers(-1, width + 1, (count, n)), rng.integers(-1, height + 1, (count, n))],
+            axis=2,
+        ).astype(np.int32)
+        checked = _outcome(lambda: Placement.check_stack(grid, stack))
+        single = _outcome(lambda: [Placement.from_cells(grid, row) for row in stack])
+        if isinstance(single, list):
+            assert checked is None
+        else:
+            assert checked == single
+
     def test_irregular_shapes_are_built_one_by_one(self):
         grid = GridArea(8, 8)
         arrays = [np.array([[0, 0], [1, 1]]), np.array([[2, 2]])]

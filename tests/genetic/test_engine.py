@@ -7,9 +7,10 @@ import pytest
 
 from repro.adhoc import HotSpotPlacement, NearPlacement, RandomPlacement
 from repro.core.engine import compiled
+from repro.core.engine.stacked import StackedEngine
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
-from repro.genetic.engine import GAConfig, GeneticAlgorithm
+from repro.genetic.engine import GAConfig, GeneticAlgorithm, _Members
 from repro.genetic.initializers import (
     AdHocInitializer,
     MixedInitializer,
@@ -24,6 +25,25 @@ from repro.genetic.mutation import (
 )
 from repro.genetic.population import Population
 from repro.genetic.trace import GATrace, GenerationRecord
+
+
+kernel_only = pytest.mark.skipif(
+    not compiled.is_available(), reason="no compiled kernels"
+)
+
+
+@pytest.fixture
+def placements_built(monkeypatch):
+    """Records every cell array ``Placement._trusted`` wraps."""
+    built = []
+    original = Placement.__dict__["_trusted"].__func__
+
+    def counted(cls, grid, cells):
+        built.append(cells)
+        return original(cls, grid, cells)
+
+    monkeypatch.setattr(Placement, "_trusted", classmethod(counted))
+    return built
 
 
 class TestInitializers:
@@ -155,7 +175,8 @@ class TestGeneticAlgorithm:
 
 
 class TestOnePlacementPerChild:
-    """A child that went through an operator becomes one placement."""
+    """A child that went through an operator becomes one placement on the
+    Python path, and one measured row on the arrays path."""
 
     POPULATION = 10
     ELITES = 2
@@ -167,80 +188,134 @@ class TestOnePlacementPerChild:
         "toward-centroid": TowardCentroidMutation(),
         "default": None,  # the default composite
     }
+    # The generation kernel has no gene-swap mutation.
+    KERNEL_MUTATIONS = [name for name in MUTATIONS if name != "gene-swap"]
 
-    @pytest.mark.parametrize(
-        "mutation,kernel",
-        [
-            pytest.param(mutation, False, id=name)
-            for name, mutation in MUTATIONS.items()
-        ]
-        + [
-            # The generation kernel has no gene-swap mutation.
-            pytest.param(
-                mutation,
-                True,
-                id=f"{name}-kernel",
-                marks=pytest.mark.skipif(
-                    not compiled.is_available(), reason="no compiled kernels"
-                ),
-            )
-            for name, mutation in MUTATIONS.items()
-            if name != "gene-swap"
-        ],
-    )
-    @pytest.mark.parametrize(
+    RATES = pytest.mark.parametrize(
         "crossover_rate,mutation_rate",
         [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)],
     )
-    def test_one_generation(
-        self, tiny_problem, monkeypatch, mutation, crossover_rate, mutation_rate, kernel
-    ):
+
+    def config(self, name, crossover_rate, mutation_rate, **overrides):
         config = GAConfig(
             population_size=self.POPULATION,
             n_elites=self.ELITES,
             crossover_rate=crossover_rate,
             mutation_rate=mutation_rate,
+            **overrides,
         )
-        if mutation is not None:
-            config.mutation = mutation
-        ga = GeneticAlgorithm(config)
+        if self.MUTATIONS[name] is not None:
+            config.mutation = self.MUTATIONS[name]
+        return config
+
+    def operated(self, crossover_rate, mutation_rate):
+        # At these rates either every non-elite child went through an
+        # operator or none did; each operated child is built (Python
+        # path) and measured once, even when its cells came out
+        # unchanged.
+        return self.POPULATION - self.ELITES if crossover_rate or mutation_rate else 0
+
+    @pytest.mark.parametrize("name", list(MUTATIONS))
+    @RATES
+    def test_one_generation(
+        self, tiny_problem, placements_built, name, crossover_rate, mutation_rate
+    ):
+        ga = GeneticAlgorithm(self.config(name, crossover_rate, mutation_rate))
         evaluator = Evaluator(tiny_problem)
         rng = np.random.default_rng(4)
         population = Population.evaluate_all(
             evaluator, RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
         )
-
         # Every placement a generation builds is wrapped by _trusted once
         # the batch of new cell arrays has been checked.
-        built = []
-        original = Placement.__dict__["_trusted"].__func__
-
-        def counted(cls, grid, cells):
-            built.append(cells)
-            return original(cls, grid, cells)
-
-        monkeypatch.setattr(Placement, "_trusted", classmethod(counted))
+        placements_built.clear()
         before = evaluator.n_evaluations
-        if kernel:
-            offspring, _ = ga._kernel_generation(
-                population,
-                population.cell_stack(),
-                ga._kernel_plan(tiny_problem.n_routers),
-                evaluator,
-                rng,
-            )
-        else:
-            offspring = ga._next_generation(population, evaluator, rng)
+        offspring = ga._next_generation(population, evaluator, rng)
 
-        # At these rates either every non-elite child went through an
-        # operator or none did; each operated child is built once and
-        # measured once, even when its cells came out unchanged.
-        operated = self.POPULATION - self.ELITES if crossover_rate or mutation_rate else 0
-        assert len(built) == operated
+        operated = self.operated(crossover_rate, mutation_rate)
+        assert len(placements_built) == operated
         assert evaluator.n_evaluations - before == operated
         assert len(offspring) == self.POPULATION
         kept = [m for m in offspring if any(m is p for p in population)]
         assert len(kept) == self.POPULATION - operated
+
+    @kernel_only
+    @pytest.mark.parametrize("name", KERNEL_MUTATIONS)
+    @RATES
+    def test_one_array_generation(
+        self, tiny_problem, placements_built, monkeypatch, name, crossover_rate,
+        mutation_rate,
+    ):
+        ga = GeneticAlgorithm(self.config(name, crossover_rate, mutation_rate))
+        evaluator = Evaluator(tiny_problem)
+        rng = np.random.default_rng(4)
+        placements = RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
+        members = _Members.measured(
+            evaluator, np.stack([p.cells_array() for p in placements])
+        )
+        sources, measured = [], []
+        kernel_offspring = GeneticAlgorithm._kernel_offspring
+        measure_placements = StackedEngine.measure_placements
+
+        def kept_sources(self, *args):
+            source, cells = kernel_offspring(self, *args)
+            sources.append(source.copy())
+            return source, cells
+
+        def measured_rows(self, candidates):
+            measured.append(len(candidates))
+            return measure_placements(self, candidates)
+
+        monkeypatch.setattr(GeneticAlgorithm, "_kernel_offspring", kept_sources)
+        monkeypatch.setattr(StackedEngine, "measure_placements", measured_rows)
+        before = evaluator.n_evaluations
+        offspring = ga._array_generation(
+            members, ga._kernel_plan(tiny_problem.n_routers), evaluator, rng
+        )
+
+        # The new children are measured as one stack; no placement is
+        # built (the run builds one only for a new best).
+        operated = self.operated(crossover_rate, mutation_rate)
+        assert placements_built == []
+        assert measured == ([operated] if operated else [])
+        assert evaluator.n_evaluations - before == operated
+        assert len(offspring.fitness) == len(offspring.cells) == self.POPULATION
+        [source] = sources
+        kept = np.flatnonzero(source >= 0)
+        assert len(kept) == self.POPULATION - operated
+        # A kept member keeps its cells and its measured rows.
+        for slot in kept:
+            parent = source[slot]
+            assert np.array_equal(offspring.cells[slot], members.cells[parent])
+            assert offspring[slot].metrics == members[parent].metrics
+            assert offspring.fitness[slot] == members.fitness[parent]
+            assert np.array_equal(
+                offspring.rows.giant_masks[slot], members.rows.giant_masks[parent]
+            )
+
+    @kernel_only
+    @pytest.mark.parametrize("name", KERNEL_MUTATIONS)
+    def test_an_array_run_builds_a_placement_only_for_a_new_best(
+        self, tiny_problem, placements_built, monkeypatch, name
+    ):
+        ga = GeneticAlgorithm(self.config(name, 0.8, 0.3, n_generations=25))
+        built_by_generation = []
+        record = GeneticAlgorithm._record
+
+        def counted(trace, generation, *args):
+            built_by_generation.append(len(placements_built))
+            return record(trace, generation, *args)
+
+        monkeypatch.setattr(GeneticAlgorithm, "_record", staticmethod(counted))
+        result = ga.run(
+            Evaluator(tiny_problem), RandomInitializer(), np.random.default_rng(3)
+        )
+        best = [record.best_fitness for record in result.trace.records]
+        built = np.diff([0, *built_by_generation]).tolist()
+        # At most one placement per generation: one for the initial
+        # best, then one for each generation whose best beats the run's.
+        assert built == [1] + [int(now > then) for then, now in zip(best, best[1:])]
+        assert result.best.placement.cells_array() is placements_built[-1]
 
 
 class TestGATrace:

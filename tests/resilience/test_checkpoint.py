@@ -194,6 +194,37 @@ class TestFleetResume:
         resumed = _fleet(problem, workers=2).run(seed=5, resume_from=directory)
         assert _stable_report(resumed) == _stable_report(baseline)
 
+    def test_full_resume_unfolds_only_the_verified_cell(
+        self, problem, tmp_path, monkeypatch
+    ):
+        # A 2 x 2 grid: two scenarios, two solvers.
+        def fleet():
+            return ScenarioFleet(
+                [
+                    Scenario.client_drift(problem, 2),
+                    Scenario.router_outages(problem, 2, count=1),
+                ],
+                [("search:swap", {"n_candidates": 4}), ("tabu:swap", {"n_candidates": 4})],
+                n_seeds=2,
+                budget=3,
+                warm="both",
+            )
+
+        directory = str(tmp_path / "fleet")
+        baseline = fleet().run(seed=5, checkpoint=directory)
+        calls = []
+        unfold = Scenario.unfold
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.name)
+            return unfold(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "unfold", counted)
+        resumed = fleet().run(seed=5, resume_from=directory)
+        # Only the cell of the re-verified shard is unfolded.
+        assert len(calls) == 1
+        assert _stable_report(resumed) == _stable_report(baseline)
+
     def test_resume_rejects_different_grid(self, problem, tmp_path):
         directory = str(tmp_path / "fleet")
         _fleet(problem).run(seed=5, checkpoint=directory)
