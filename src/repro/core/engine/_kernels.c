@@ -26,10 +26,11 @@
  * Each keeps its Python twin's results exactly; the Python code stays
  * the reference.
  *
- * Candidate-stack kernels parallelize over candidates with OpenMP when
- * the toolchain supports it (each candidate writes disjoint output
- * rows, so the results are deterministic regardless of thread count);
- * without OpenMP they degrade to plain serial loops.
+ * Candidate-stack kernels parallelize over candidates (the dense phase
+ * kernel over its (chain, mover set) groups) with OpenMP when the
+ * toolchain supports it (each candidate writes disjoint output rows, so
+ * the results are deterministic regardless of thread count); without
+ * OpenMP they degrade to plain serial loops.
  */
 
 #include <math.h>
@@ -51,12 +52,15 @@ typedef uint8_t u8;
  * core is busy. */
 #define PARALLEL_MIN_PAIRS 16384
 
-/* Below this many candidates x routers a stack measurement runs on one
- * thread.  A GA generation measures a few dozen paper-frame rows per
- * call: there two threads lose wall time whenever the sibling core is
- * busy (up to 128 rows of 64 routers; from 4 rows of 1024 routers the
- * sparse form wins), and on an idle host they save at most a third of
- * the wall time for twice the CPU time. */
+/* Below this many candidates x routers a stack measurement, or a dense
+ * phase, runs on one thread.  A GA generation measures a few dozen
+ * paper-frame rows per call: there two threads lose wall time whenever
+ * the sibling core is busy (up to 128 rows of 64 routers; from 4 rows
+ * of 1024 routers the sparse form wins), and on an idle host they save
+ * at most a third of the wall time for twice the CPU time.  A
+ * paper-frame phase is alike: two threads tie or lose below 64
+ * candidates on an idle host, save 8-10% at 128, and lose at every
+ * size while the sibling core is busy. */
 #define STACK_PARALLEL_MIN_WORK 8192
 
 /* ------------------------------------------------------------------ */
@@ -471,30 +475,243 @@ typedef struct {
     const int32_t *coverage_counts;  /* M covering routers (ANY_ROUTER) */
 } chain_state;
 
-/* First index in sorted values[0..count) holding at least key. */
-static i64 lower_bound(const i64 *values, i64 count, i64 key) {
-    i64 low = 0;
-    i64 high = count;
-    while (low < high) {
-        const i64 mid = low + (high - low) / 2;
-        if (values[mid] < key) {
-            low = mid + 1;
-        } else {
-            high = mid;
+/* One candidate of a phase as the grouping pass sorts it: its chain
+ * segment, its movers in ascending order, and its index. */
+typedef struct {
+    i64 segment;
+    i64 n_movers;
+    const i64 *movers;
+    i64 candidate;
+} phase_key;
+
+/* Segment, then mover count, then movers: zero for one (chain, mover
+ * set) group. */
+static int compare_mover_sets(const phase_key *x, const phase_key *y) {
+    if (x->segment != y->segment) {
+        return x->segment < y->segment ? -1 : 1;
+    }
+    if (x->n_movers != y->n_movers) {
+        return x->n_movers < y->n_movers ? -1 : 1;
+    }
+    for (i64 i = 0; i < x->n_movers; i++) {
+        if (x->movers[i] != y->movers[i]) {
+            return x->movers[i] < y->movers[i] ? -1 : 1;
         }
     }
-    return low;
+    return 0;
+}
+
+/* Groups in order, each in candidate order. */
+static int compare_phase_keys(const void *a, const void *b) {
+    const phase_key *x = (const phase_key *)a;
+    const phase_key *y = (const phase_key *)b;
+    const int order = compare_mover_sets(x, y);
+    if (order) {
+        return order;
+    }
+    return (x->candidate > y->candidate) - (x->candidate < y->candidate);
+}
+
+/* A chain incumbent without one mover set: the base every candidate of
+ * a (chain, mover set) group is measured from.  Scratch of one thread,
+ * rebuilt per group. */
+typedef struct {
+    u8 *moved;             /* N */
+    i64 *label;            /* N smallest-member labels; a mover keeps its id */
+    i64 *size;             /* N component size by label (unmoved routers) */
+    i64 *slot;             /* N a component's index, by label */
+    i64 n_components;
+    i64 n_links;           /* kept incumbent edges */
+    /* The largest component, the smallest label on a tie (-1: none).
+     * It is the only one that can be an untouched giant: a candidate
+     * that touches it merges it into a larger group. */
+    i64 largest;
+    /* GIANT_ONLY: a W-word client bitmask per component, by slot, and
+     * the largest component's popcount once read (-1 before). */
+    uint64_t *masks;
+    i64 largest_covered;
+    /* ANY_ROUTER: the clients no unmoved router covers. */
+    i64 covered;
+    i64 *uncovered;
+    i64 n_uncovered;
+} phase_base;
+
+/* Bits set in x; the builtin would be a library call without -mpopcnt. */
+static inline i64 popcount64(uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return (i64)((x * 0x0101010101010101ULL) >> 56);
+}
+
+static i64 popcount_words(const uint64_t *words, i64 count) {
+    i64 total = 0;
+    for (i64 w = 0; w < count; w++) {
+        total += popcount64(words[w]);
+    }
+    return total;
+}
+
+static void *phase_alloc(i64 count, size_t item) {
+    return malloc((size_t)(count > 0 ? count : 1) * item);
+}
+
+/* Router i's W-word bitmask of the clients it covers in the incumbent
+ * (GIANT_ONLY), from the client CSR. */
+static void fill_router_masks(
+    const chain_state *st, i64 n, i64 m, i64 words, uint64_t *router_masks
+) {
+    memset(router_masks, 0, (size_t)(n * words) * sizeof(uint64_t));
+    for (i64 c = 0; c < m; c++) {
+        const uint64_t bit = (uint64_t)1 << (c & 63);
+        for (i64 h = st->client_ptr[c]; h < st->client_ptr[c + 1]; h++) {
+            router_masks[st->client_hit[h] * words + (c >> 6)] |= bit;
+        }
+    }
+}
+
+static void build_phase_base(
+    const chain_state *st, const uint64_t *router_masks,
+    const i64 *movers, i64 n_movers,
+    i64 n, i64 m, i64 words, i64 giant_only, phase_base *b
+) {
+    for (i64 i = 0; i < n; i++) {
+        b->moved[i] = 0;
+        b->label[i] = i;
+        b->size[i] = 0;
+    }
+    for (i64 v = 0; v < n_movers; v++) {
+        b->moved[movers[v]] = 1;
+    }
+    i64 links = 0;
+    for (i64 e = 0; e < st->n_edges; e++) {
+        const i64 x = st->edge_rows[e];
+        const i64 y = st->edge_cols[e];
+        if (!b->moved[x] && !b->moved[y]) {
+            links++;
+            uf_union(b->label, x, y);
+        }
+    }
+    b->n_links = links;
+    /* A root is its component's smallest member, so it is met first. */
+    i64 n_components = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (!b->moved[i]) {
+            const i64 root = uf_find(b->label, i);
+            b->label[i] = root;
+            if (root == i) {
+                b->slot[i] = n_components++;
+            }
+            b->size[root]++;
+        }
+    }
+    b->n_components = n_components;
+    b->largest = -1;
+    i64 best = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (b->size[i] > best) {
+            best = b->size[i];
+            b->largest = i;
+        }
+    }
+    b->largest_covered = -1;
+    if (m == 0) {
+        b->covered = 0;
+        b->n_uncovered = 0;
+        return;
+    }
+    if (giant_only) {
+        memset(b->masks, 0, (size_t)(n_components * words) * sizeof(uint64_t));
+        for (i64 i = 0; i < n; i++) {
+            if (!b->moved[i]) {
+                uint64_t *row = b->masks + b->slot[b->label[i]] * words;
+                const uint64_t *own = router_masks + i * words;
+                for (i64 w = 0; w < words; w++) {
+                    row[w] |= own[w];
+                }
+            }
+        }
+    } else {
+        i64 covered = 0;
+        i64 n_uncovered = 0;
+        for (i64 c = 0; c < m; c++) {
+            int32_t hits = st->coverage_counts[c];
+            for (i64 v = 0; v < n_movers; v++) {
+                hits -= (int32_t)st->coverage[c * n + movers[v]];
+            }
+            if (hits > 0) {
+                covered++;
+            } else {
+                b->uncovered[n_uncovered++] = c;
+            }
+        }
+        b->covered = covered;
+        b->n_uncovered = n_uncovered;
+    }
+}
+
+/* Whether any of the movers of pairs first..last-1 covers client c from
+ * its new cell; with only_root >= 0, only the movers whose flattened
+ * group (group[r]) is only_root count. */
+static int movers_cover(
+    i64 c, const double *clients, const i64 *pair_router,
+    const double *pair_xy, i64 first, i64 last, const double *radii2,
+    const i64 *group, i64 only_root
+) {
+    const double cx = clients[2 * c];
+    const double cy = clients[2 * c + 1];
+    for (i64 p = first; p < last; p++) {
+        const i64 r = pair_router[p];
+        if (only_root >= 0 && group[r] != only_root) {
+            continue;
+        }
+        const double dx = pair_xy[2 * p] - cx;
+        const double dy = pair_xy[2 * p + 1] - cy;
+        if (dx * dx + dy * dy <= radii2[r]) {
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* Join the groups of touched labels a and b; the smaller root wins and
+ * carries the summed size. */
+static void join_groups(i64 *parent, i64 *total, i64 a, i64 b) {
+    const i64 ra = uf_find(parent, a);
+    const i64 rb = uf_find(parent, b);
+    if (ra == rb) {
+        return;
+    }
+    if (ra < rb) {
+        parent[rb] = ra;
+        total[ra] += total[rb];
+    } else {
+        parent[ra] = rb;
+        total[rb] += total[ra];
+    }
 }
 
 /* A whole dense-layout phase in one call: every candidate is its
- * chain's incumbent with the routers of its pairs moved.  Per
- * candidate, one union-find over the kept incumbent edges (neither
- * endpoint moved), each mover's links to the unmoved routers from its
- * new cell and the co-mover links between new cells; then the covered
- * clients from the incumbent's per-client counts with each mover's old
- * coverage column exchanged for its new one (under GIANT_ONLY the
- * counts are of giant routers, and only giant movers exchange).  The
- * predicates are the numpy dense delta path's, operand for operand. */
+ * chain's incumbent with the routers of its pairs moved.  A grouping
+ * pass sorts each chain segment's candidates by mover set, and each
+ * (chain, mover set) group builds one base: the incumbent without its
+ * movers, as smallest-member labels over the kept edges, the count of
+ * those edges, its largest component, and the coverage aid
+ * (GIANT_ONLY: a client bitmask per component, ORed from per-router
+ * masks of the client CSR; ANY_ROUTER: the clients no unmoved router
+ * covers).  Per candidate there is no edge pass and no pass over every
+ * client: only each mover's links to the unmoved routers and the
+ * co-mover links are tested, and a smallest-root union-find over the
+ * touched base labels merges them.  The giant is the largest merged
+ * group or the base's largest component if untouched, the smaller
+ * label on a tie.  Its covered clients are its components' bitmasks
+ * ORed (an untouched giant's popcount is cached), plus the clients
+ * left out that its movers cover from their new cells; under
+ * ANY_ROUTER, the base count plus the uncovered clients any mover
+ * covers.  The predicates are the numpy dense delta path's, operand
+ * for operand, so every output equals a full measurement of the
+ * candidate.  Groups run in parallel; a candidate's outputs depend on
+ * nothing else, so thread count never changes them. */
 void repro_measure_phase_dense(
     const chain_state *states,   /* S, one per chain segment */
     i64 n_segments,
@@ -514,122 +731,254 @@ void repro_measure_phase_dense(
 ) {
     const i64 n = n_routers;
     const i64 m = n_clients;
+    const i64 words = (m + 63) >> 6;
     const i64 k_total = segment_starts[n_segments];
     i64 *giant_sizes = out;
     i64 *covered = out + k_total;
     i64 *n_components = out + 2 * k_total;
     i64 *n_links = out + 3 * k_total;
+    /* Candidate k's pairs are pair_first[k]..pair_first[k + 1] - 1. */
+    i64 *pair_first = (i64 *)phase_alloc(k_total + 1, sizeof(i64));
+    i64 *sorted_movers = (i64 *)phase_alloc(n_pairs, sizeof(i64));
+    phase_key *keys = (phase_key *)phase_alloc(k_total, sizeof(phase_key));
+    i64 *group_first = (i64 *)phase_alloc(k_total + 1, sizeof(i64));
+    for (i64 k = 0; k <= k_total; k++) {
+        pair_first[k] = 0;
+    }
+    for (i64 p = 0; p < n_pairs; p++) {
+        pair_first[pair_candidate[p] + 1]++;
+    }
+    for (i64 k = 0; k < k_total; k++) {
+        pair_first[k + 1] += pair_first[k];
+    }
+    for (i64 p = 0; p < n_pairs; p++) {
+        /* Insertion sort of each candidate's movers. */
+        const i64 r = pair_router[p];
+        i64 q = p;
+        while (q > pair_first[pair_candidate[p]] && sorted_movers[q - 1] > r) {
+            sorted_movers[q] = sorted_movers[q - 1];
+            q--;
+        }
+        sorted_movers[q] = r;
+    }
+    for (i64 s = 0; s < n_segments; s++) {
+        for (i64 k = segment_starts[s]; k < segment_starts[s + 1]; k++) {
+            keys[k].segment = s;
+            keys[k].n_movers = pair_first[k + 1] - pair_first[k];
+            keys[k].movers = sorted_movers + pair_first[k];
+            keys[k].candidate = k;
+        }
+    }
+    qsort(keys, (size_t)k_total, sizeof(phase_key), compare_phase_keys);
+    i64 n_groups = 0;
+    for (i64 g = 0; g < k_total; g++) {
+        if (g == 0 || compare_mover_sets(&keys[g - 1], &keys[g])) {
+            group_first[n_groups++] = g;
+        }
+    }
+    group_first[n_groups] = k_total;
 #ifdef _OPENMP
-#pragma omp parallel
+#pragma omp parallel if(k_total * n_routers >= STACK_PARALLEL_MIN_WORK)
 #endif
     {
-        i64 *parent = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-        i64 *counts = (i64 *)malloc((size_t)(n > 0 ? n : 1) * sizeof(i64));
-        u8 *moved = (u8 *)calloc((size_t)(n > 0 ? n : 1), 1);
-        int32_t *cnt = (int32_t *)malloc(
-            (size_t)(m > 0 ? m : 1) * sizeof(int32_t)
-        );
+        phase_base base;
+        base.moved = (u8 *)phase_alloc(n, 1);
+        base.label = (i64 *)phase_alloc(n, sizeof(i64));
+        base.size = (i64 *)phase_alloc(n, sizeof(i64));
+        base.slot = (i64 *)phase_alloc(n, sizeof(i64));
+        base.masks = NULL;
+        /* GIANT_ONLY: the router masks of the last segment this thread
+         * measured; groups come segment by segment. */
+        uint64_t *router_masks = NULL;
+        i64 masked_segment = -1;
+        base.uncovered = NULL;
+        base.covered = 0;
+        base.n_uncovered = 0;
+        if (giant_only) {
+            base.masks = (uint64_t *)phase_alloc(n * words, sizeof(uint64_t));
+            router_masks = (uint64_t *)phase_alloc(n * words, sizeof(uint64_t));
+        } else {
+            base.uncovered = (i64 *)phase_alloc(m, sizeof(i64));
+        }
+        /* Per candidate: the touched labels' union-find (indexed by
+         * label; a mover is its own label), their group sizes, and a
+         * stamp marking which labels this candidate touched. */
+        i64 *group = (i64 *)phase_alloc(n, sizeof(i64));
+        i64 *total = (i64 *)phase_alloc(n, sizeof(i64));
+        i64 *stamp = (i64 *)phase_alloc(n, sizeof(i64));
+        i64 *touched = (i64 *)phase_alloc(n, sizeof(i64));
+        uint64_t *acc = (uint64_t *)phase_alloc(words, sizeof(uint64_t));
+        for (i64 i = 0; i < n; i++) {
+            stamp[i] = -1;
+        }
 #ifdef _OPENMP
-#pragma omp for schedule(dynamic, 8)
+#pragma omp for schedule(dynamic)
 #endif
-        for (i64 k = 0; k < k_total; k++) {
-            /* The segment holding k: the last start at or below it. */
-            const i64 s = lower_bound(segment_starts, n_segments + 1, k + 1) - 1;
-            const chain_state *st = &states[s];
+        for (i64 g = 0; g < n_groups; g++) {
+            const phase_key *head = &keys[group_first[g]];
+            const chain_state *st = &states[head->segment];
             const double *pos = st->positions;
-            const i64 first = lower_bound(pair_candidate, n_pairs, k);
-            const i64 last = lower_bound(pair_candidate, n_pairs, k + 1);
-            u8 *gmask = giant_masks + k * n;
-            for (i64 p = first; p < last; p++) {
-                moved[pair_router[p]] = 1;
+            if (giant_only && m > 0 && masked_segment != head->segment) {
+                fill_router_masks(st, n, m, words, router_masks);
+                masked_segment = head->segment;
             }
-            for (i64 i = 0; i < n; i++) {
-                parent[i] = i;
-            }
-            i64 links = 0;
-            for (i64 e = 0; e < st->n_edges; e++) {
-                const i64 a = st->edge_rows[e];
-                const i64 b = st->edge_cols[e];
-                if (!moved[a] && !moved[b]) {
-                    links++;
-                    uf_union(parent, a, b);
-                }
-            }
-            for (i64 p = first; p < last; p++) {
-                const i64 r = pair_router[p];
-                const double nx = pair_xy[2 * p];
-                const double ny = pair_xy[2 * p + 1];
-                const double *row2 = range2 + r * n;
-                for (i64 j = 0; j < n; j++) {
-                    if (moved[j]) {
-                        continue;
-                    }
-                    const double dx = nx - pos[2 * j];
-                    const double dy = ny - pos[2 * j + 1];
-                    if (dx * dx + dy * dy <= row2[j]) {
-                        links++;
-                        uf_union(parent, r, j);
-                    }
-                }
-                for (i64 q = p + 1; q < last; q++) {
-                    const double dx = nx - pair_xy[2 * q];
-                    const double dy = ny - pair_xy[2 * q + 1];
-                    if (dx * dx + dy * dy <= row2[pair_router[q]]) {
-                        links++;
-                        uf_union(parent, r, pair_router[q]);
-                    }
-                }
-            }
-            finish_components(
-                parent, counts, n,
-                &giant_sizes[k], &n_components[k], gmask
+            build_phase_base(
+                st, router_masks, head->movers, head->n_movers,
+                n, m, words, giant_only, &base
             );
-            n_links[k] = links;
-            i64 cov = 0;
-            if (m > 0) {
-                if (giant_only) {
-                    for (i64 i = 0; i < m; i++) {
-                        int32_t hits = 0;
-                        for (i64 h = st->client_ptr[i]; h < st->client_ptr[i + 1]; h++) {
-                            hits += (int32_t)gmask[st->client_hit[h]];
-                        }
-                        cnt[i] = hits;
-                    }
-                } else {
-                    for (i64 i = 0; i < m; i++) {
-                        cnt[i] = st->coverage_counts[i];
-                    }
-                }
+            for (i64 t = group_first[g]; t < group_first[g + 1]; t++) {
+                const i64 k = keys[t].candidate;
+                const i64 first = pair_first[k];
+                const i64 last = pair_first[k + 1];
+                /* The movers come first in touched; a router listed
+                 * twice is entered once, so touched holds at most N. */
+                i64 n_touched = 0;
                 for (i64 p = first; p < last; p++) {
                     const i64 r = pair_router[p];
-                    if (giant_only && !gmask[r]) {
-                        continue;
+                    if (stamp[r] != k) {
+                        stamp[r] = k;
+                        group[r] = r;
+                        total[r] = 1;
+                        touched[n_touched++] = r;
                     }
+                }
+                const i64 n_movers = n_touched;
+                i64 links = base.n_links;
+                for (i64 p = first; p < last; p++) {
+                    const i64 r = pair_router[p];
                     const double nx = pair_xy[2 * p];
                     const double ny = pair_xy[2 * p + 1];
-                    const double rr2 = radii2[r];
-                    const u8 *oldcol = st->coverage + r;
-                    for (i64 i = 0; i < m; i++) {
-                        const double dx = nx - clients[2 * i];
-                        const double dy = ny - clients[2 * i + 1];
-                        cnt[i] += (int32_t)(dx * dx + dy * dy <= rr2)
-                            - (int32_t)oldcol[i * n];
+                    const double *row2 = range2 + r * n;
+                    for (i64 j = 0; j < n; j++) {
+                        if (base.moved[j]) {
+                            continue;
+                        }
+                        const double dx = nx - pos[2 * j];
+                        const double dy = ny - pos[2 * j + 1];
+                        if (dx * dx + dy * dy <= row2[j]) {
+                            links++;
+                            const i64 label = base.label[j];
+                            if (stamp[label] != k) {
+                                stamp[label] = k;
+                                group[label] = label;
+                                total[label] = base.size[label];
+                                touched[n_touched++] = label;
+                            }
+                            join_groups(group, total, r, label);
+                        }
+                    }
+                    for (i64 q = p + 1; q < last; q++) {
+                        const double dx = nx - pair_xy[2 * q];
+                        const double dy = ny - pair_xy[2 * q + 1];
+                        if (dx * dx + dy * dy <= row2[pair_router[q]]) {
+                            links++;
+                            join_groups(group, total, r, pair_router[q]);
+                        }
                     }
                 }
-                for (i64 i = 0; i < m; i++) {
-                    cov += (cnt[i] > 0);
+                n_links[k] = links;
+                /* Flatten, then the giant: the base's largest component
+                 * if untouched against every merged group, the larger
+                 * size winning and the smaller label on a tie. */
+                i64 giant = -1;
+                i64 best = 0;
+                if (base.largest >= 0 && stamp[base.largest] != k) {
+                    giant = base.largest;
+                    best = base.size[giant];
                 }
-            }
-            covered[k] = cov;
-            for (i64 p = first; p < last; p++) {
-                moved[pair_router[p]] = 0;
+                i64 n_groups_k = 0;
+                for (i64 u = 0; u < n_touched; u++) {
+                    const i64 label = touched[u];
+                    group[label] = uf_find(group, label);
+                    if (group[label] == label) {
+                        n_groups_k++;
+                        if (total[label] > best
+                            || (total[label] == best && label < giant)) {
+                            giant = label;
+                            best = total[label];
+                        }
+                    }
+                }
+                giant_sizes[k] = best;
+                n_components[k] =
+                    base.n_components - (n_touched - n_movers) + n_groups_k;
+                const int merged = giant >= 0 && stamp[giant] == k;
+                u8 *gmask = giant_masks + k * n;
+                for (i64 i = 0; i < n; i++) {
+                    i64 label = base.label[i];
+                    if (stamp[label] == k) {
+                        label = group[label];
+                    }
+                    gmask[i] = (u8)(label == giant);
+                }
+                i64 cov = 0;
+                if (m > 0 && giant_only && giant >= 0) {
+                    if (!merged) {
+                        if (base.largest_covered < 0) {
+                            base.largest_covered = popcount_words(
+                                base.masks + base.slot[giant] * words, words
+                            );
+                        }
+                        cov = base.largest_covered;
+                    } else {
+                        for (i64 w = 0; w < words; w++) {
+                            acc[w] = 0;
+                        }
+                        for (i64 u = n_movers; u < n_touched; u++) {
+                            const i64 label = touched[u];
+                            if (group[label] == giant) {
+                                const uint64_t *row =
+                                    base.masks + base.slot[label] * words;
+                                for (i64 w = 0; w < words; w++) {
+                                    acc[w] |= row[w];
+                                }
+                            }
+                        }
+                        for (i64 w = 0; w < words; w++) {
+                            cov += popcount64(acc[w]);
+                            uint64_t rest = ~acc[w];
+                            if (w == words - 1 && (m & 63)) {
+                                rest &= ((uint64_t)1 << (m & 63)) - 1;
+                            }
+                            while (rest) {
+                                const i64 c = (w << 6) + __builtin_ctzll(rest);
+                                cov += movers_cover(
+                                    c, clients, pair_router, pair_xy,
+                                    first, last, radii2, group, giant
+                                );
+                                rest &= rest - 1;
+                            }
+                        }
+                    }
+                } else if (m > 0 && !giant_only) {
+                    cov = base.covered;
+                    for (i64 u = 0; u < base.n_uncovered; u++) {
+                        cov += movers_cover(
+                            base.uncovered[u], clients, pair_router, pair_xy,
+                            first, last, radii2, group, -1
+                        );
+                    }
+                }
+                covered[k] = cov;
             }
         }
-        free(parent);
-        free(counts);
-        free(moved);
-        free(cnt);
+        free(base.moved);
+        free(base.label);
+        free(base.size);
+        free(base.slot);
+        free(base.masks);
+        free(router_masks);
+        free(base.uncovered);
+        free(group);
+        free(total);
+        free(stamp);
+        free(touched);
+        free(acc);
     }
+    free(pair_first);
+    free(sorted_movers);
+    free(keys);
+    free(group_first);
 }
 
 /* Bin-pair candidate form of the fused link test: filter explicit

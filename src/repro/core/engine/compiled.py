@@ -11,12 +11,13 @@ measurement, a dense-layout delta chain start included, is one fused
 stack call (:meth:`CompiledEngine.measure_stack`).  A dense lockstep
 phase of the
 :class:`~repro.core.engine.stacked.StackedDeltaEngine` is one call,
-:func:`measure_phase_dense`: per candidate, the movers' new links, one
-union-find over the kept incumbent edges plus those links, and the
-covered count with each mover's coverage column exchanged, over a table
-of each chain's incumbent buffers (:func:`chain_state`), and a chain
-that accepts a move commits it to those buffers in place in one call,
-:func:`commit_dense`.  Movement proposals draw in C too:
+:func:`measure_phase_dense`, over a table of each chain's incumbent
+buffers (:func:`chain_state`): the candidates of a chain that move the
+same routers share one base, the incumbent without those routers (its
+component labels and sizes, and per-component client bitmasks or its
+uncovered clients), and each candidate adds only its movers' links and
+their new coverage to it.  A chain that accepts a move commits it to those buffers in place
+in one call, :func:`commit_dense`.  Movement proposals draw in C too:
 :func:`propose_rows` draws a phase's Random or Swap rows for every
 chain, :func:`swap_window_table` builds a new Swap incumbent's window
 pick table, and :func:`distinct_cells` the picks of
@@ -59,8 +60,8 @@ the package tree is read-only), keyed by the source hash, so recompiles
 happen only when ``_kernels.c`` changes.  OpenMP is used when the
 toolchain supports it — kernels parallelize over candidates, which write
 disjoint output rows, so thread count never changes results.  A stack
-measurement too small to pay for a thread team (a GA generation's few
-dozen rows) runs on one thread.
+measurement or a dense phase too small to pay for a thread team (a GA
+generation's few dozen rows) runs on one thread.
 :func:`set_num_threads` pins the pool; :mod:`repro.parallel` workers pin
 it to one thread each to avoid oversubscription under ``workers=``.
 """
@@ -240,16 +241,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_label_components.argtypes = (_I64, _I64, _PI, _PI, _PI)
     lib.repro_measure_stack_dense.restype = None
     lib.repro_measure_stack_dense.argtypes = (
-        _PD, _I64, _I64, _PD, _PD, _I64, _PD, _I64,
-        _PI, _PI, _PI, _PI, _PU8,
+        _PV, _I64, _I64, _PV, _PV, _I64, _PV, _I64,
+        _PV, _PV, _PV, _PV, _PV,
     )
     lib.repro_measure_stack_sparse.restype = None
     lib.repro_measure_stack_sparse.argtypes = (
-        _PD, _I64, _I64, _PD, _I64,
+        _PV, _I64, _I64, _PV, _I64,
         ctypes.c_double, _I64, _I64,
-        _PD, _I64, _PD,
+        _PV, _I64, _PV,
         ctypes.c_double, _I64, _I64,
-        _I64, _PI, _PI, _PI, _PI, _PU8,
+        _I64, _PV, _PV, _PV, _PV, _PV,
     )
     lib.repro_measure_phase_dense.restype = None
     lib.repro_measure_phase_dense.argtypes = (
@@ -556,7 +557,8 @@ def measure_phase_dense(
     (``pair_candidate`` sorted, routers distinct within a candidate).
     Returns ``(giant_sizes, covered, n_components, n_links,
     giant_masks)`` per candidate, bit-identical to the numpy dense
-    delta path.
+    delta path.  The kernel measures the candidates of a segment that
+    move the same routers off one shared base (``_kernels.c``).
     """
     n = range_squared.shape[0]
     segment_starts = _i64a(segment_starts)
@@ -1031,24 +1033,34 @@ class CompiledEngine:
         self._radii = radii
         self._radii_squared = _f64(radii * radii)
         self._clients = _f64(problem.clients.positions)
-        self._giant_only = problem.coverage_rule is not CoverageRule.ANY_ROUTER
-        self._rule_code = _RULE_CODES[problem.link_rule]
+        giant_only = int(problem.coverage_rule is not CoverageRule.ANY_ROUTER)
+        m = self._clients.shape[0]
+        lib = _kernels()
+        # The kernel arguments between (K, N) and the outputs, the
+        # constant buffers as addresses: the arrays live as long as the
+        # engine, so a call casts only its own.
         if self.form == "dense":
             link_range = problem.link_rule.range_matrix(radii)
             self._range_squared = _f64(link_range * link_range)
+            self._kernel = lib.repro_measure_stack_dense
+            self._fixed = (
+                self._range_squared.ctypes.data, self._clients.ctypes.data, m,
+                self._radii_squared.ctypes.data, giant_only,
+            )
         else:
-            self._link_cell = link_cell_size(radii, problem.link_rule)
-            self._cover_cell = coverage_cell_size(radii)
+            link_cell = link_cell_size(radii, problem.link_rule)
+            cover_cell = coverage_cell_size(radii)
             # In-grid coordinates span [0, width-1] x [0, height-1], so
             # these bin-grid dimensions are exact — no position of a
             # valid placement or client ever clamps.
-            self._link_bins = (
-                _bin_count(problem.grid.width, self._link_cell),
-                _bin_count(problem.grid.height, self._link_cell),
-            )
-            self._cover_bins = (
-                _bin_count(problem.grid.width, self._cover_cell),
-                _bin_count(problem.grid.height, self._cover_cell),
+            width, height = problem.grid.width, problem.grid.height
+            self._kernel = lib.repro_measure_stack_sparse
+            self._fixed = (
+                radii.ctypes.data, _RULE_CODES[problem.link_rule],
+                link_cell, _bin_count(width, link_cell), _bin_count(height, link_cell),
+                self._clients.ctypes.data, m, self._radii_squared.ctypes.data,
+                cover_cell, _bin_count(width, cover_cell), _bin_count(height, cover_cell),
+                giant_only,
             )
 
     @property
@@ -1077,46 +1089,18 @@ class CompiledEngine:
                 f"fleet has {n}"
             )
         k = positions.shape[0]
-        giant_sizes = np.zeros(k, dtype=np.int64)
-        covered = np.zeros(k, dtype=np.int64)
-        n_components = np.zeros(k, dtype=np.int64)
-        n_links = np.zeros(k, dtype=np.int64)
-        giant_masks = np.zeros((k, n), dtype=np.uint8)
+        # Giants, covered, components and links, one row each.
+        out = np.empty((4, k), dtype=np.int64)
+        giant_masks = np.empty((k, n), dtype=bool)
         if k:
-            lib = _kernels()
-            m = self._clients.shape[0]
-            if self.form == "dense":
-                lib.repro_measure_stack_dense(
-                    _pd(positions), k, n,
-                    _pd(self._range_squared),
-                    _pd(self._clients), m,
-                    _pd(self._radii_squared),
-                    int(self._giant_only),
-                    _pi(giant_sizes), _pi(covered),
-                    _pi(n_components), _pi(n_links),
-                    _pu8(giant_masks),
-                )
-            else:
-                lib.repro_measure_stack_sparse(
-                    _pd(positions), k, n,
-                    _pd(self._radii), self._rule_code,
-                    self._link_cell, *self._link_bins,
-                    _pd(self._clients), m,
-                    _pd(self._radii_squared),
-                    self._cover_cell, *self._cover_bins,
-                    int(self._giant_only),
-                    _pi(giant_sizes), _pi(covered),
-                    _pi(n_components), _pi(n_links),
-                    _pu8(giant_masks),
-                )
+            rows = out.ctypes.data
+            self._kernel(
+                positions.ctypes.data, k, n, *self._fixed,
+                rows, rows + 8 * k, rows + 16 * k, rows + 24 * k,
+                giant_masks.ctypes.data,
+            )
         return StackedMeasurement.scored(
-            self._problem,
-            self._fitness,
-            giant_sizes.astype(np.intp, copy=False),
-            covered.astype(np.intp, copy=False),
-            n_components.astype(np.intp, copy=False),
-            n_links.astype(np.intp, copy=False),
-            giant_masks.view(bool),
+            self._problem, self._fitness, *out.astype(np.intp, copy=False), giant_masks
         )
 
     def __repr__(self) -> str:

@@ -429,9 +429,11 @@ class StackedDeltaEngine:
       ``GIANT_ONLY`` coverage with one exact ``float32`` matmul of the
       cached hits against the candidate giant masks (``ANY_ROUTER``:
       cached per-client hit counts).  On the compiled tier a phase is
-      one C kernel call over the same caches: per candidate, the
-      movers' links, one union-find and the exchanged coverage
-      columns, with no ``(P, N)`` or ``(P, M)`` array.
+      one C kernel call over the same caches, with no ``(P, N)`` or
+      ``(P, M)`` array: the candidates of a chain that move the same
+      routers share one base, the incumbent without them, and each
+      candidate tests only its movers' links and new coverage against
+      it.
     * **sparse** (city scale) — a router index, edge arrays and
       router-major coverage hits; no ``(M, N)`` or ``(N, N)`` array
       exists.  A mover's links to unmoved routers come from one query
