@@ -2,8 +2,10 @@
 
 Every bench regenerates one table or figure of the paper (or one
 ablation of a modelling choice the paper leaves open) and prints the resulting rows/series, so a
-``pytest benchmarks/ --benchmark-only -s`` run reproduces the paper's
-evaluation section.  Scale is selected by ``REPRO_SCALE`` (``quick`` by
+``pytest benchmarks/bench_*.py --benchmark-only -s`` run reproduces the
+paper's evaluation section (the files are named explicitly: ``bench_*.py``
+is not pytest's default ``test_*.py`` pattern, so ``pytest benchmarks/``
+collects nothing).  Scale is selected by ``REPRO_SCALE`` (``quick`` by
 default; ``paper`` for full-size runs — see the README's Quickstart).
 
 Heavy experiments run exactly once per bench via ``benchmark.pedantic``

@@ -4,6 +4,8 @@ search methods".
 Runs the paper's neighborhood search, simulated annealing and tabu
 search (the authors' own follow-up WMN-SA / WMN-TS directions) on the
 Fig. 4 instance under an equal evaluation budget and compares outcomes.
+All three are one chain of the lockstep driver, ``MultiChainSearch``, on
+its best-improvement, Metropolis and tabu rules.
 """
 
 from __future__ import annotations
@@ -12,30 +14,27 @@ import numpy as np
 from _common import bench_scale, print_header, run_once
 
 from repro.adhoc import RandomPlacement
-from repro.core.evaluation import Evaluator
 from repro.instances.catalog import paper_normal
-from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import SwapMovement
-from repro.neighborhood.search import NeighborhoodSearch
-from repro.neighborhood.tabu import TabuSearch
+from repro.neighborhood.multichain import MultiChainSearch
 
 
 def _compare(scale):
     problem = paper_normal().generate()
     initial = RandomPlacement().place(problem, np.random.default_rng(4))
     algorithms = {
-        "neighborhood-search": NeighborhoodSearch(
+        "neighborhood-search": MultiChainSearch(
             SwapMovement(),
             n_candidates=scale.ns_candidates,
             max_phases=scale.ns_phases,
             stall_phases=None,
         ),
-        "simulated-annealing": SimulatedAnnealing(
+        "simulated-annealing": MultiChainSearch.annealing(
             SwapMovement(),
             max_phases=scale.ns_phases,
             moves_per_phase=scale.ns_candidates,
         ),
-        "tabu-search": TabuSearch(
+        "tabu-search": MultiChainSearch.tabu(
             SwapMovement(),
             tenure=8,
             n_candidates=scale.ns_candidates,
@@ -44,10 +43,9 @@ def _compare(scale):
     }
     outcomes = {}
     for label, algorithm in algorithms.items():
-        result = algorithm.run(
-            Evaluator(problem), initial, np.random.default_rng(6)
+        (outcomes[label],) = algorithm.run(
+            problem, [initial], [np.random.default_rng(6)]
         )
-        outcomes[label] = result
     return outcomes
 
 

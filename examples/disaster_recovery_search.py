@@ -25,11 +25,10 @@ SMOKE = envgates.examples_smoke()
 from repro import (
     Evaluator,
     HotSpotPlacement,
+    MultiChainSearch,
     NeighborhoodSearch,
     ProblemInstance,
-    SimulatedAnnealing,
     SwapMovement,
-    TabuSearch,
     paper_normal,
 )
 from repro.core.clients import ClientSet
@@ -88,21 +87,23 @@ def main() -> None:
     print()
 
     # 3. Re-plan the survivors: the paper's search vs its future-work
-    #    extensions, equal budgets.
+    #    extensions, equal budgets.  All three are the one lockstep
+    #    driver, here with a single chain, on its best-improvement, tabu
+    #    and Metropolis rules.
     budget_phases, budget_moves = (6, 8) if SMOKE else (30, 32)
     contenders = {
-        "swap neighborhood search": NeighborhoodSearch(
+        "swap neighborhood search": MultiChainSearch(
             SwapMovement(),
             n_candidates=budget_moves,
             max_phases=budget_phases,
             stall_phases=None,
         ),
-        "simulated annealing": SimulatedAnnealing(
+        "simulated annealing": MultiChainSearch.annealing(
             SwapMovement(),
             max_phases=budget_phases,
             moves_per_phase=budget_moves,
         ),
-        "tabu search": TabuSearch(
+        "tabu search": MultiChainSearch.tabu(
             SwapMovement(),
             tenure=6,
             n_candidates=budget_moves,
@@ -111,8 +112,8 @@ def main() -> None:
     }
     print(f"{'re-planner':26s} {'giant':>7s} {'coverage':>9s} {'fitness':>9s}")
     for label, algorithm in contenders.items():
-        outcome = algorithm.run(
-            Evaluator(reduced_problem), surviving, np.random.default_rng(5)
+        (outcome,) = algorithm.run(
+            reduced_problem, [surviving], [np.random.default_rng(5)]
         )
         best = outcome.best
         print(

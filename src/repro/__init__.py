@@ -91,12 +91,11 @@ from repro.instances import (
 )
 from repro.neighborhood import (
     CombinedMovement,
+    MultiChainSearch,
     NeighborhoodSearch,
     RandomMovement,
     SearchResult,
-    SimulatedAnnealing,
     SwapMovement,
-    TabuSearch,
 )
 from repro.scenario import (
     ClientChurn,
@@ -188,12 +187,11 @@ __all__ = [
     "tiny_spec",
     # neighborhood
     "CombinedMovement",
+    "MultiChainSearch",
     "NeighborhoodSearch",
     "RandomMovement",
     "SearchResult",
-    "SimulatedAnnealing",
     "SwapMovement",
-    "TabuSearch",
     # scenario
     "ClientChurn",
     "ClientDrift",

@@ -63,6 +63,13 @@ typedef uint8_t u8;
  * size while the sibling core is busy. */
 #define STACK_PARALLEL_MIN_WORK 8192
 
+/* Below this many clients x routers a client-major CSR fill runs on one
+ * thread.  Timed alone in separate processes on a 2-CPU host: with the
+ * sibling core busy, two threads lose 26% at the paper frame (192 x 64)
+ * and 7% at 384 x 64, and tie or win from 512 x 64 up; on an idle host
+ * they halve the fill from there on. */
+#define CSR_PARALLEL_MIN_WORK 32768
+
 /* ------------------------------------------------------------------ */
 /* Runtime introspection                                               */
 /* ------------------------------------------------------------------ */
@@ -1200,7 +1207,8 @@ void repro_client_csr_fill(
     i64 *hit             /* ptr[M] */
 ) {
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) \
+    if(n_clients * n_routers >= CSR_PARALLEL_MIN_WORK)
 #endif
     for (i64 c = 0; c < n_clients; c++) {
         i64 w = ptr[c];

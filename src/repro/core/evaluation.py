@@ -21,12 +21,13 @@ plus ``coverage_mask``), the ground truth every other path is tested
 against.  The local searches measure through the engine's incremental
 cache, :class:`~repro.core.engine.stacked.StackedDeltaEngine`, inside
 their one lockstep driver — a chain start once, as its cache is built,
-then every candidate against that cache — and charge an evaluator for it
-(:class:`~repro.neighborhood.search.NeighborhoodSearch`,
-:class:`~repro.neighborhood.annealing.SimulatedAnnealing`,
-:class:`~repro.neighborhood.tabu.TabuSearch`); they report through
-:meth:`Evaluator.count`, as does the GA's arrays path, which measures a
-generation's new children as one cell stack through
+then every candidate against that cache.  A
+:class:`~repro.neighborhood.multichain.MultiChainSearch` portfolio
+(best improvement, tabu or annealing) reports each chain's
+``n_evaluations``, and its callers charge them through
+:meth:`Evaluator.count` (:class:`~repro.neighborhood.search.NeighborhoodSearch`
+charges the evaluator it runs on), as does the GA's arrays path, which
+measures a generation's new children as one cell stack through
 :attr:`Evaluator.stacked`.  All paths share this evaluator's counter and
 produce bit-identical results.
 """

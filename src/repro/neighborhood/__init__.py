@@ -6,13 +6,15 @@ movement), the purely-random movement baseline, plus the "full featured
 local search methods" announced as future work: simulated annealing and
 tabu search.  Every local search runs on the lockstep multi-chain
 driver (:mod:`repro.neighborhood.multichain`), which executes whole
-replication portfolios through one stacked evaluation per phase;
-:class:`NeighborhoodSearch`, :class:`TabuSearch` and
-:class:`SimulatedAnnealing` are its one-chain cases on the
-best-improvement, tabu and Metropolis rules.
+replication portfolios through one stacked evaluation per phase.  Its
+chains step by one of three rules: best improvement (the default;
+:class:`NeighborhoodSearch` is its one-chain case), tabu
+(:meth:`MultiChainSearch.tabu`) and Metropolis
+(:meth:`MultiChainSearch.annealing`, cooled by an
+:class:`AnnealingSchedule`).
 """
 
-from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
+from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.multichain import MultiChainSearch, chain_generators
 from repro.neighborhood.movements import (
@@ -28,12 +30,10 @@ from repro.neighborhood.registry import (
     register_movement,
 )
 from repro.neighborhood.search import NeighborhoodSearch, SearchResult
-from repro.neighborhood.tabu import TabuSearch
 from repro.neighborhood.trace import PhaseRecord, SearchTrace
 
 __all__ = [
     "AnnealingSchedule",
-    "SimulatedAnnealing",
     "chain_generators",
     "MultiChainSearch",
     "MoveBatch",
@@ -47,7 +47,6 @@ __all__ = [
     "register_movement",
     "NeighborhoodSearch",
     "SearchResult",
-    "TabuSearch",
     "PhaseRecord",
     "SearchTrace",
 ]

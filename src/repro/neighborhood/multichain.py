@@ -31,9 +31,11 @@ This is the repository's one local-search loop; only the rule a chain
 chooses its next incumbent by varies.  Best improvement (paper
 Algorithm 1) is the default, and
 :class:`~repro.neighborhood.search.NeighborhoodSearch` is its one-chain
-case; :class:`~repro.neighborhood.tabu.TabuSearch` and
-:class:`~repro.neighborhood.annealing.SimulatedAnnealing` are one chain
-on the tabu and Metropolis rules.  Per-chain results — trace, best
+case.  Tabu search and simulated annealing (the authors' WMN-TS and
+WMN-SA follow-up line) are the same driver on the tabu and Metropolis
+rules, built by :meth:`MultiChainSearch.tabu` and
+:meth:`MultiChainSearch.annealing`: Metropolis acceptance is one rule a
+chain steps by, not a second search loop.  Per-chain results — trace, best
 solution, phase and evaluation counts — are **bit-identical** to
 running each chain alone through a serial phase loop that measures
 every candidate with the dense reference evaluator (asserted against
@@ -84,6 +86,7 @@ from repro.core.evaluation import Evaluation
 from repro.core.fitness import FitnessFunction
 from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
+from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.moves import MoveBatch
 from repro.neighborhood.movements import MovementType, proposal_tier
 from repro.neighborhood.trace import SearchResult, SearchTrace
@@ -91,9 +94,7 @@ from repro.seeding import root_sequence, spawn_children
 
 if TYPE_CHECKING:
     from repro.anytime.deadline import Deadline
-    from repro.core.evaluation import Evaluator
     from repro.core.grid import GridArea
-    from repro.neighborhood.annealing import AnnealingSchedule
 
 __all__ = [
     "chain_generators",
@@ -397,6 +398,9 @@ class _BestImprovement(_ChoiceRule):
             return winner
         return None
 
+    def __repr__(self) -> str:
+        return f"_BestImprovement(accept_equal={self.accept_equal})"
+
 
 class _Tabu(_ChoiceRule):
     """Tabu search: the best admissible candidate, even when worsening.
@@ -428,6 +432,9 @@ class _Tabu(_ChoiceRule):
             state.tabu_until[routers[routers >= 0]] = phase + self.tenure
         return chosen
 
+    def __repr__(self) -> str:
+        return f"_Tabu(tenure={self.tenure})"
+
 
 class _Metropolis(_ChoiceRule):
     """Simulated annealing: each move accepted or rejected on its own.
@@ -443,7 +450,7 @@ class _Metropolis(_ChoiceRule):
 
     __slots__ = ("schedule",)
 
-    def __init__(self, schedule: "AnnealingSchedule") -> None:
+    def __init__(self, schedule: AnnealingSchedule) -> None:
         self.schedule = schedule
 
     def step(self, phase, chains, states, movement, problem, delta, n_moves):
@@ -461,42 +468,8 @@ class _Metropolis(_ChoiceRule):
             return 0
         return None
 
-
-class _OneChainSearch:
-    """A search that runs as one chain of its lockstep driver (internal).
-
-    Subclasses name the driver (:meth:`_chains`); :meth:`run` runs it on
-    the evaluator's problem, fitness and tier.
-    """
-
-    def _chains(self, engine: str) -> "MultiChainSearch":
-        """This search's lockstep driver on the ``engine`` tier."""
-        raise NotImplementedError
-
-    def run(
-        self,
-        evaluator: "Evaluator",
-        initial: Placement,
-        rng: np.random.Generator,
-        deadline: "Deadline | None" = None,
-    ) -> SearchResult:
-        """Search from ``initial``; returns the best solution and trace.
-
-        ``deadline`` is polled once per phase boundary (cooperative
-        cancellation, never mid-phase): when it fires the run stops and
-        returns the tracked best with ``stopped_by`` set — always a
-        valid evaluated incumbent, even for an already-expired deadline.
-        The run's evaluations are charged to ``evaluator``.
-        """
-        (result,) = self._chains(evaluator.engine).run(
-            evaluator.problem,
-            [initial],
-            [rng],
-            fitness=evaluator.fitness_function,
-            deadline=deadline,
-        )
-        evaluator.count(result.n_evaluations)
-        return result
+    def __repr__(self) -> str:
+        return f"_Metropolis(schedule={self.schedule!r})"
 
 
 class MultiChainSearch:
@@ -505,11 +478,9 @@ class MultiChainSearch:
     Parameters mirror :class:`~repro.neighborhood.search.NeighborhoodSearch`
     (movement, candidates per phase, phase budget, patience, sideways
     acceptance) plus the ``engine`` tier of the stacked evaluation path.
-    The chains follow the best-improvement rule;
-    :class:`~repro.neighborhood.tabu.TabuSearch` and
-    :class:`~repro.neighborhood.annealing.SimulatedAnnealing` build their
-    drivers on the tabu and Metropolis rules instead (see the module
-    docstring), with ``n_candidates`` as their moves per phase.
+    The chains follow the best-improvement rule; :meth:`tabu` and
+    :meth:`annealing` build the driver on the tabu and Metropolis rules
+    instead (see the module docstring).
 
     ``movement`` is a :class:`MovementType` shared by all chains or a
     zero-argument factory (one instance per run).  Either way results
@@ -530,17 +501,66 @@ class MultiChainSearch:
         self.n_candidates = n_candidates
         self.max_phases = max_phases
         self.stall_phases = stall_phases
-        self.accept_equal = accept_equal
         self.engine = engine
         self._rule: _ChoiceRule = _BestImprovement(accept_equal)
 
     @classmethod
-    def _with_rule(
-        cls, rule: _ChoiceRule, movement: MovementType, **parameters
+    def annealing(
+        cls,
+        movement: "MovementType | Callable[[], MovementType]",
+        schedule: AnnealingSchedule | None = None,
+        max_phases: int = 64,
+        moves_per_phase: int = 16,
+        engine: str = "auto",
     ) -> "MultiChainSearch":
-        """A driver whose chains step by ``rule`` (the tabu/SA seam)."""
-        search = cls(movement, **parameters)
-        search._rule = rule
+        """Simulated annealing: chains on the Metropolis rule.
+
+        Per phase, ``moves_per_phase`` single moves are proposed, each
+        accepted or rejected before the next is drawn: improving moves
+        always, worsening ones with probability ``exp(delta / T)`` at
+        the ``schedule``'s phase temperature (default
+        :class:`~repro.neighborhood.annealing.AnnealingSchedule`).
+        """
+        if moves_per_phase <= 0:
+            raise ValueError(
+                f"moves_per_phase must be positive, got {moves_per_phase}"
+            )
+        search = cls(
+            movement,
+            n_candidates=moves_per_phase,
+            max_phases=max_phases,
+            engine=engine,
+        )
+        search._rule = _Metropolis(
+            schedule if schedule is not None else AnnealingSchedule()
+        )
+        return search
+
+    @classmethod
+    def tabu(
+        cls,
+        movement: "MovementType | Callable[[], MovementType]",
+        tenure: int = 8,
+        n_candidates: int = 16,
+        max_phases: int = 64,
+        engine: str = "auto",
+    ) -> "MultiChainSearch":
+        """Tabu search: chains on the best-of-sample tabu rule.
+
+        Each phase moves to the best of ``n_candidates`` sampled
+        neighbors, even when worsening; the routers a move touches are
+        tabu for ``tenure`` phases, and aspiration admits a tabu move
+        that beats the chain's best.
+        """
+        if tenure < 0:
+            raise ValueError(f"tenure must be non-negative, got {tenure}")
+        search = cls(
+            movement,
+            n_candidates=n_candidates,
+            max_phases=max_phases,
+            engine=engine,
+        )
+        search._rule = _Tabu(tenure)
         return search
 
     # ------------------------------------------------------------------
@@ -700,6 +720,6 @@ class MultiChainSearch:
         return (
             f"MultiChainSearch(movement={self.movement!r}, "
             f"n_candidates={self.n_candidates}, max_phases={self.max_phases}, "
-            f"stall_phases={self.stall_phases}, accept_equal={self.accept_equal}, "
+            f"stall_phases={self.stall_phases}, rule={self._rule!r}, "
             f"engine={self.engine!r})"
         )

@@ -37,14 +37,13 @@ from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement
 from repro.genetic.engine import GAConfig, GeneticAlgorithm
 from repro.genetic.initializers import AdHocInitializer, PopulationInitializer
-from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
+from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.multichain import (
     MultiChainSearch,
     chain_generators,
     check_search_parameters,
 )
 from repro.neighborhood.registry import make_movement
-from repro.neighborhood.tabu import TabuSearch
 from repro.solvers.base import SolveResult, Solver, _check_batch, solver_streams
 
 if TYPE_CHECKING:
@@ -313,12 +312,13 @@ class AnnealingSolver(_LocalSearchSolver):
         super().__init__(movement, init, **movement_params)
 
     def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
-        return SimulatedAnnealing(
+        return MultiChainSearch.annealing(
             self._movement,
             schedule=self.schedule,
             max_phases=max_phases,
             moves_per_phase=self.moves_per_phase,
-        )._chains(engine)
+            engine=engine,
+        )
 
 
 class TabuSolver(_LocalSearchSolver):
@@ -341,12 +341,13 @@ class TabuSolver(_LocalSearchSolver):
         super().__init__(movement, init, **movement_params)
 
     def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
-        return TabuSearch(
+        return MultiChainSearch.tabu(
             self._movement,
             tenure=self.tenure,
             n_candidates=self.n_candidates,
             max_phases=max_phases,
-        )._chains(engine)
+            engine=engine,
+        )
 
 
 class MultiStartSolver(Solver):

@@ -192,3 +192,9 @@ def measure_placement(delta, chain, placement):
     movers = np.flatnonzero((cells != incumbent.cells_array()).any(axis=1))
     phase, _ = phase_of([(chain, incumbent, movers, cells[movers])])
     return delta.measure_phase(phase).evaluation(0, placement)
+
+
+def run_one_chain(search, problem, initial, rng):
+    """The result of a one-chain run of the lockstep driver ``search``."""
+    (result,) = search.run(problem, [initial], [rng])
+    return result

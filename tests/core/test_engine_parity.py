@@ -27,8 +27,8 @@ from repro.core.fitness import LexicographicFitness
 from repro.core.radio import CoverageRule, LinkRule
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_spec, tiny_spec
-from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement
+from repro.neighborhood.search import NeighborhoodSearch
 
 from tests.conftest import (
     free_cell,
@@ -357,8 +357,8 @@ class TestCounterSemantics:
         problem = make_problem(LinkRule.UNIDIRECTIONAL, CoverageRule.GIANT_ONLY)
         rng = np.random.default_rng(3)
         evaluator = Evaluator(problem)
-        SimulatedAnnealing(
-            RandomMovement(), max_phases=1, moves_per_phase=1
+        NeighborhoodSearch(
+            RandomMovement(), n_candidates=1, max_phases=1
         ).run(
             evaluator, Placement.random(problem.grid, problem.n_routers, rng), rng
         )

@@ -34,10 +34,8 @@ from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec, paper_normal, tiny_spec
-from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement, SwapMovement
 from repro.neighborhood.multichain import MultiChainSearch
-from repro.neighborhood.tabu import TabuSearch
 from tests.conftest import phase_of
 
 pytestmark = pytest.mark.skipif(
@@ -315,6 +313,40 @@ class TestStackThreads:
             assert_rows_equal(*rows)
 
 
+#: The clients x routers below which a client-major CSR fill runs on one
+#: thread (``CSR_PARALLEL_MIN_WORK`` in ``_kernels.c``).
+CSR_PARALLEL_MIN_WORK = int(
+    re.search(
+        r"#define CSR_PARALLEL_MIN_WORK (\d+)", compiled._SOURCE.read_text()
+    ).group(1)
+)
+
+
+class TestClientCsrThreads:
+    """``repro_client_csr_fill`` at one and two kernel threads, on both
+    sides of its one-thread work bound: the lists are ``np.nonzero``'s
+    row-major order either way."""
+
+    @pytest.mark.parametrize("n_routers", (64, 100))
+    def test_one_and_two_threads_match_nonzero_order(
+        self, kernel_threads, n_routers
+    ):
+        rng = np.random.default_rng(n_routers)
+        bound = -(-CSR_PARALLEL_MIN_WORK // n_routers)
+        for n_clients in (bound - 1, bound, 3 * bound):
+            coverage = rng.random((n_clients, n_routers)) < 0.05
+            coverage[::7] = False  # clients no router covers
+            want_ptr = np.concatenate(
+                [[0], np.cumsum(coverage.sum(axis=1))]
+            )
+            want_hit = np.nonzero(coverage)[1]
+            for threads in (1, 2):
+                kernel_threads(threads)
+                ptr, hit = compiled.client_csr(coverage)
+                assert np.array_equal(ptr, want_ptr)
+                assert np.array_equal(hit, want_hit)
+
+
 class CountingLibrary:
     """The bound kernel library, counting calls per kernel entry."""
 
@@ -401,15 +433,17 @@ class TestCrossings:
                 id="random",
             ),
             pytest.param(
-                lambda phases: TabuSearch(
-                    SwapMovement(relocate=False), n_candidates=4, max_phases=phases
-                )._chains("compiled"),
+                lambda phases: MultiChainSearch.tabu(
+                    SwapMovement(relocate=False), n_candidates=4,
+                    max_phases=phases, engine="compiled",
+                ),
                 id="tabu",
             ),
             pytest.param(
-                lambda phases: SimulatedAnnealing(
-                    RandomMovement(), max_phases=phases, moves_per_phase=4
-                )._chains("compiled"),
+                lambda phases: MultiChainSearch.annealing(
+                    RandomMovement(), max_phases=phases, moves_per_phase=4,
+                    engine="compiled",
+                ),
                 id="annealing",
             ),
         ],

@@ -8,8 +8,11 @@ import pytest
 from repro.core.engine.stacked import StackedDeltaEngine
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
-from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
+from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.movements import RandomMovement, SwapMovement
+from repro.neighborhood.multichain import MultiChainSearch
+
+from tests.conftest import run_one_chain
 
 
 class TestAnnealingSchedule:
@@ -46,70 +49,72 @@ class TestAnnealingSchedule:
             AnnealingSchedule().temperature_at(0)
 
 
-class TestSimulatedAnnealing:
+class TestAnnealing:
     def test_runs_and_traces(self, tiny_problem, rng):
-        evaluator = Evaluator(tiny_problem)
         initial = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        sa = SimulatedAnnealing(
+        sa = MultiChainSearch.annealing(
             RandomMovement(), max_phases=8, moves_per_phase=4
         )
-        result = sa.run(evaluator, initial, rng)
+        result = run_one_chain(sa, tiny_problem, initial, rng)
         assert result.n_phases == 8
         assert len(result.trace) == 9
 
     def test_best_never_below_initial(self, tiny_problem, rng):
-        evaluator = Evaluator(tiny_problem)
         initial = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        start_fitness = evaluator.evaluate(initial).fitness
-        sa = SimulatedAnnealing(RandomMovement(), max_phases=10, moves_per_phase=4)
-        result = sa.run(evaluator, initial, rng)
+        start_fitness = Evaluator(tiny_problem).evaluate(initial).fitness
+        sa = MultiChainSearch.annealing(
+            RandomMovement(), max_phases=10, moves_per_phase=4
+        )
+        result = run_one_chain(sa, tiny_problem, initial, rng)
         assert result.best.fitness >= start_fitness
 
     def test_best_tracks_max_of_trace(self, tiny_problem, rng):
-        evaluator = Evaluator(tiny_problem)
         initial = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        sa = SimulatedAnnealing(RandomMovement(), max_phases=10, moves_per_phase=4)
-        result = sa.run(evaluator, initial, rng)
+        sa = MultiChainSearch.annealing(
+            RandomMovement(), max_phases=10, moves_per_phase=4
+        )
+        result = run_one_chain(sa, tiny_problem, initial, rng)
         # The incumbent can move downhill, but best dominates the trace.
         assert result.best.fitness >= max(result.trace.fitness_values) - 1e-12
 
     def test_hot_chain_accepts_worse_moves(self, tiny_problem):
-        evaluator = Evaluator(tiny_problem)
         rng = np.random.default_rng(0)
         initial = Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
-        hot = SimulatedAnnealing(
+        hot = MultiChainSearch.annealing(
             RandomMovement(),
             schedule=AnnealingSchedule(initial_temperature=10.0, cooling_rate=1.0),
             max_phases=10,
             moves_per_phase=4,
         )
-        result = hot.run(evaluator, initial, rng)
+        result = run_one_chain(hot, tiny_problem, initial, rng)
         fitness = result.trace.fitness_values
         # At such temperatures essentially every move is accepted, so the
         # incumbent fitness must fluctuate downward at least once.
         assert any(b < a for a, b in zip(fitness, fitness[1:]))
 
     def test_deterministic_with_seed(self, tiny_problem):
-        evaluator = Evaluator(tiny_problem)
         initial = Placement.random(
             tiny_problem.grid, tiny_problem.n_routers, np.random.default_rng(5)
         )
         runs = []
         for _ in range(2):
-            sa = SimulatedAnnealing(
+            sa = MultiChainSearch.annealing(
                 RandomMovement(), max_phases=6, moves_per_phase=4
             )
-            result = sa.run(
-                Evaluator(tiny_problem), initial, np.random.default_rng(17)
+            result = run_one_chain(
+                sa, tiny_problem, initial, np.random.default_rng(17)
             )
             runs.append(result.best.fitness)
         assert runs[0] == runs[1]
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(RandomMovement(), max_phases=0)
-        with pytest.raises(ValueError):
-            SimulatedAnnealing(RandomMovement(), moves_per_phase=0)
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("max_phases", 0), ("moves_per_phase", 0), ("moves_per_phase", -3)],
+    )
+    def test_parameter_validation(self, knob, value):
+        # The error names the caller's knob, not the driver's own.
+        with pytest.raises(ValueError, match=rf"^{knob} must be positive"):
+            MultiChainSearch.annealing(RandomMovement(), **{knob: value})
 
 
 class TestLockstepSubSteps:
@@ -141,8 +146,10 @@ class TestLockstepSubSteps:
             Placement.random(tiny_problem.grid, tiny_problem.n_routers, rng)
             for _ in range(n_chains)
         ]
-        search = SimulatedAnnealing(movement(), max_phases=5, moves_per_phase=3)
-        results = search._chains(engine).run(
+        search = MultiChainSearch.annealing(
+            movement(), max_phases=5, moves_per_phase=3, engine=engine
+        )
+        results = search.run(
             tiny_problem,
             starts,
             [np.random.default_rng([n_chains, chain]) for chain in range(n_chains)],

@@ -1,7 +1,8 @@
 """Simulated annealing and tabu search against frozen reference loops.
 
-The contract under test: a :class:`SimulatedAnnealing` or
-:class:`TabuSearch` run — best solution, per-phase trace, phase and
+The contract under test: a one-chain run of the lockstep driver on the
+Metropolis or tabu rule (``MultiChainSearch.annealing`` or
+``MultiChainSearch.tabu``) — best solution, per-phase trace, phase and
 evaluation counts, ``stopped_by`` and the generator's end state — is
 **bit-identical** to the plain loop that measures every candidate with
 the dense reference ``Evaluator``, on every engine tier and cache
@@ -31,10 +32,10 @@ from repro.core.radio import CoverageRule, LinkRule
 from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import city_spec
-from repro.neighborhood.annealing import AnnealingSchedule, SimulatedAnnealing
+from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.moves import MoveBatch
+from repro.neighborhood.multichain import MultiChainSearch
 from repro.neighborhood.registry import available_movements, make_movement
-from repro.neighborhood.tabu import TabuSearch
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.solvers.adapters import AnnealingSolver, TabuSolver
 from repro.solvers.base import solver_streams
@@ -243,7 +244,7 @@ def search_cases(draw):
 
 
 def run_annealing(problem, initial, config, tier):
-    """``(result, rng, evaluator)`` and the reference ``(result, rng)``."""
+    """``(result, rng)`` and the reference ``(result, rng)``."""
     schedule = AnnealingSchedule(
         initial_temperature=config["temperature"],
         cooling_rate=config["cooling_rate"],
@@ -255,21 +256,21 @@ def run_annealing(problem, initial, config, tier):
         deadline=stepping_deadline(config["deadline_polls"]),
     )
     rng = np.random.default_rng(config["seed"])
-    evaluator = Evaluator(problem, engine=tier)
-    result = SimulatedAnnealing(
+    (result,) = MultiChainSearch.annealing(
         make_movement(config["movement"]),
         schedule=schedule,
         max_phases=config["max_phases"],
         moves_per_phase=config["per_phase"],
+        engine=tier,
     ).run(
-        evaluator, initial, rng,
+        problem, [initial], [rng],
         deadline=stepping_deadline(config["deadline_polls"]),
     )
-    return (result, rng, evaluator), (reference, reference_rng)
+    return (result, rng), (reference, reference_rng)
 
 
 def run_tabu(problem, initial, config, tier):
-    """``(result, rng, evaluator)`` and the reference ``(result, rng)``."""
+    """``(result, rng)`` and the reference ``(result, rng)``."""
     reference_rng = np.random.default_rng(config["seed"])
     reference = tabu_reference(
         problem, make_movement(config["movement"]), initial, reference_rng,
@@ -277,17 +278,17 @@ def run_tabu(problem, initial, config, tier):
         deadline=stepping_deadline(config["deadline_polls"]),
     )
     rng = np.random.default_rng(config["seed"])
-    evaluator = Evaluator(problem, engine=tier)
-    result = TabuSearch(
+    (result,) = MultiChainSearch.tabu(
         make_movement(config["movement"]),
         tenure=config["tenure"],
         n_candidates=config["per_phase"],
         max_phases=config["max_phases"],
+        engine=tier,
     ).run(
-        evaluator, initial, rng,
+        problem, [initial], [rng],
         deadline=stepping_deadline(config["deadline_polls"]),
     )
-    return (result, rng, evaluator), (reference, reference_rng)
+    return (result, rng), (reference, reference_rng)
 
 
 SEARCHES = [
@@ -306,11 +307,10 @@ SEARCHES = [
 @given(case=search_cases())
 def test_search_matches_frozen_reference_loop(search, tier, case):
     problem, initial, config = case
-    (result, rng, evaluator), (reference, reference_rng) = search(
+    (result, rng), (reference, reference_rng) = search(
         problem, initial, config, tier
     )
     assert_same_run(result, reference, rng, reference_rng)
-    assert evaluator.n_evaluations == reference.n_evaluations
 
 
 @pytest.mark.skipif(
@@ -329,7 +329,7 @@ def test_compiled_sparse_layout_matches_reference(search, movement):
         movement=movement, seed=6, max_phases=2, per_phase=4, tenure=2,
         temperature=0.05, cooling_rate=0.95, deadline_polls=None,
     )
-    (result, rng, _), (reference, reference_rng) = search(
+    (result, rng), (reference, reference_rng) = search(
         problem, initial, config, "compiled"
     )
     assert_same_run(result, reference, rng, reference_rng)

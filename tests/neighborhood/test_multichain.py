@@ -31,6 +31,7 @@ from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
 from repro.instances.generator import InstanceSpec
 from repro.neighborhood import (
+    AnnealingSchedule,
     MultiChainSearch,
     NeighborhoodSearch,
     chain_generators,
@@ -300,6 +301,27 @@ class TestChainGenerators:
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
             chain_generators(1, 0)
+
+
+class TestRuleRepr:
+    def test_each_constructor_names_its_rule(self):
+        best = repr(MultiChainSearch(SwapMovement(), accept_equal=True))
+        tabu = repr(MultiChainSearch.tabu(SwapMovement(), tenure=5))
+        annealing = repr(
+            MultiChainSearch.annealing(
+                SwapMovement(),
+                schedule=AnnealingSchedule(initial_temperature=0.2),
+            )
+        )
+        assert len({best, tabu, annealing}) == 3
+        assert "rule=_BestImprovement(accept_equal=True)" in best
+        assert "rule=_Tabu(tenure=5)" in tabu
+        assert "rule=_Metropolis(schedule=AnnealingSchedule(" in annealing
+        assert "initial_temperature=0.2" in annealing
+        # The default schedule is spelled out too.
+        assert "schedule=AnnealingSchedule(" in repr(
+            MultiChainSearch.annealing(SwapMovement())
+        )
 
 
 class TestLockstepParity:

@@ -14,11 +14,9 @@ import pytest
 from repro.core.evaluation import Evaluator
 from repro.core.grid import GridArea
 from repro.core.solution import Placement
-from repro.neighborhood.annealing import SimulatedAnnealing
 from repro.neighborhood.movements import RandomMovement
 from repro.neighborhood.multichain import MultiChainSearch
 from repro.neighborhood.search import NeighborhoodSearch
-from repro.neighborhood.tabu import TabuSearch
 
 
 def run_search(problem, start):
@@ -35,13 +33,15 @@ def run_multichain(problem, start):
 
 
 def run_annealing(problem, start):
-    annealing = SimulatedAnnealing(RandomMovement(), max_phases=2, moves_per_phase=4)
-    return annealing.run(Evaluator(problem), start, np.random.default_rng(1))
+    annealing = MultiChainSearch.annealing(
+        RandomMovement(), max_phases=2, moves_per_phase=4
+    )
+    return annealing.run(problem, [start], [np.random.default_rng(1)])
 
 
 def run_tabu(problem, start):
-    tabu = TabuSearch(RandomMovement(), n_candidates=4, max_phases=2)
-    return tabu.run(Evaluator(problem), start, np.random.default_rng(1))
+    tabu = MultiChainSearch.tabu(RandomMovement(), n_candidates=4, max_phases=2)
+    return tabu.run(problem, [start], [np.random.default_rng(1)])
 
 
 DRIVERS = [
