@@ -51,8 +51,9 @@ def main() -> None:
         evaluator = Evaluator(problem)
 
         # Initial population statistics.
+        placements = initializer.generate(problem, population_size, rng)
         population = Population.evaluate_all(
-            evaluator, initializer.generate(problem, population_size, rng)
+            evaluator, np.stack([p.cells_array() for p in placements])
         )
         quality = population.mean_fitness()
         diversity = population.diversity()

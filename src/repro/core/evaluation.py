@@ -26,7 +26,7 @@ then every candidate against that cache.  A
 (best improvement, tabu or annealing) reports each chain's
 ``n_evaluations``, and its callers charge them through
 :meth:`Evaluator.count` (:class:`~repro.neighborhood.search.NeighborhoodSearch`
-charges the evaluator it runs on), as does the GA's arrays path, which
+charges the evaluator it runs on), as does the GA's population, which
 measures a generation's new children as one cell stack through
 :attr:`Evaluator.stacked`.  All paths share this evaluator's counter and
 produce bit-identical results.
@@ -129,7 +129,7 @@ class Evaluator:
         evaluator measures through.
 
         For callers that measure a candidate stack and keep its metric
-        rows (the GA's arrays path); they report through :meth:`count`.
+        rows (the GA's population); they report through :meth:`count`.
         """
         return self._stacked
 

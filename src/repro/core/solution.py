@@ -97,30 +97,6 @@ class Placement:
         return cls(grid, cells)
 
     @classmethod
-    def from_cell_arrays(
-        cls, grid: GridArea, arrays: "Sequence[np.ndarray]"
-    ) -> "list[Placement]":
-        """One placement per int ``(N, 2)`` cell array, checked together.
-
-        The arrays are stacked and checked in one :meth:`check_stack`
-        pass.  Arrays of differing or malformed shapes are built one by
-        one.
-        """
-        if not arrays:
-            return []
-        shape = arrays[0].shape
-        if (
-            len(shape) != 2
-            or shape[0] == 0
-            or shape[1] != 2
-            or any(array.shape != shape for array in arrays)
-        ):
-            return [cls.from_cells(grid, array) for array in arrays]
-        stack = np.stack(arrays)
-        cls.check_stack(grid, stack)
-        return [cls._trusted(grid, row.copy()) for row in stack.astype(_CELL_DTYPE)]
-
-    @classmethod
     def check_stack(cls, grid: GridArea, stack: np.ndarray) -> None:
         """Check the rows of an int ``(K, N, 2)`` cell stack, ``N >= 1``,
         in one vectorised pass and without building a placement.

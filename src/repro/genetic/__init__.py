@@ -1,10 +1,10 @@
 """Genetic algorithm substrate (paper Section 5, scenario 2).
 
 The GA the paper uses to evaluate ad hoc methods as population
-initializers: populations of evaluated members, selection / crossover /
-mutation operators on int cell arrays, initializers wrapping the ad hoc
-methods, the generational engine with elitism and the per-generation
-trace behind Figures 1-3.
+initializers: measured populations (a cell stack plus its measurement
+rows), selection / crossover / mutation operators on int cell arrays,
+initializers wrapping the ad hoc methods, the generational engine with
+elitism and the per-generation trace behind Figures 1-3.
 """
 
 from repro.genetic.crossover import (

@@ -10,36 +10,37 @@ The engine reports a :class:`~repro.genetic.trace.GATrace` whose
 ``best_giant_size`` series is exactly what Figures 1-3 plot.
 
 A chromosome is an int ``(N, 2)`` cell array, and the operators map
-arrays to arrays.  A run takes one of two paths, chosen once per run.
+arrays to arrays.  The population is one
+:class:`~repro.genetic.population.Population` on every path: the int32
+``(P, N, 2)`` cell stack plus its rows of one
+:class:`~repro.core.engine.batch.StackedMeasurement`.  A generation has
+two producers, chosen once per run, and one tail.
 
-The Python operators are the reference, and their path keeps a
-:class:`~repro.genetic.population.Population` of
-:class:`~repro.core.evaluation.Evaluation` members.  Elites and parents
-copied unchanged keep their evaluations.  Every child that went through
-crossover or mutation becomes one placement in
-:meth:`~repro.genetic.population.Population.evaluate_all`, and the
-whole offspring generation is measured there as one batch through the
-vectorized engine (see :mod:`repro.core.engine`).
-
-When the compiled tier is loaded and the operators are exactly the
-default kinds (tournament selection, region-exchange crossover, and
-Jiggle, TowardCentroid or Reset mutation alone or in a
+A producer returns ``(source, cells)``: per slot the index of the
+member kept there (the elites, fittest first, then the parents copied
+unchanged) or ``-1`` for a new child, and the slots' cells.  The Python
+operators are the reference producer
+(:meth:`GeneticAlgorithm._next_generation`): selection returns member
+indices, and crossover and mutation run on the members' rows of the
+cell stack.  When the compiled tier is loaded and the operators are
+exactly the default kinds (tournament selection, region-exchange
+crossover, and Jiggle, TowardCentroid or Reset mutation alone or in a
 :class:`CompositeMutation` of them; a subclass keeps its overrides on
-the Python path), a run works on arrays from the initial measurement to
-the result.  The population is the int32 ``(P, N, 2)`` cell stack plus
-its rows of one
-:class:`~repro.core.engine.batch.StackedMeasurement`.  A generation's
-selection, crossover, collision repair and mutation are one kernel
-call, :func:`repro.core.engine.compiled.ga_generation`, which draws what
-the Python operators draw, in their order, on the run's generator.  The
-kept slots copy their rows; the new children are checked in one pass
+the Python path), a generation's selection, crossover, collision repair
+and mutation are one kernel call instead,
+:func:`repro.core.engine.compiled.ga_generation`, which draws what the
+Python operators draw, in their order, on the run's generator.
+
+The tail is :meth:`~repro.genetic.population.Population.successor`: a
+kept slot holds its member's cells and copies its rows, and the new
+children are checked in one pass
 (:meth:`~repro.core.solution.Placement.check_stack`) and measured as
-one cell stack, and the trace's diversity is one C call
-(:func:`repro.core.engine.compiled.stack_diversity`).  A
+one cell stack in
+:meth:`~repro.genetic.population.Population.evaluate_all`.  A
 :class:`~repro.core.solution.Placement` and its ``Evaluation`` are
 built only for a new best, which is what the result returns.  Traces,
 the best member, evaluation counts and the generator's final state are
-those of the Python path.
+the same on both producers.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ import numpy as np
 
 from repro.anytime.deadline import DEFAULT_CLOCK
 from repro.core.engine import compiled
-from repro.core.engine.batch import StackedMeasurement
 from repro.core.evaluation import Evaluation, Evaluator
-from repro.core.solution import Placement
 from repro.genetic.crossover import CrossoverOperator, RegionExchangeCrossover
 from repro.genetic.initializers import PopulationInitializer
 from repro.genetic.mutation import (
@@ -74,13 +73,6 @@ if TYPE_CHECKING:
 __all__ = ["GAConfig", "GAResult", "GeneticAlgorithm"]
 
 
-def _cells(member: "Evaluation | np.ndarray") -> np.ndarray:
-    """A member's chromosome: its int ``(N, 2)`` cell array."""
-    if isinstance(member, Evaluation):
-        return member.placement.cells_array()
-    return member
-
-
 #: Above this many routers numpy's ``choice`` without replacement
 #: shuffles a whole index array once the picks exceed 1/50 of them, a
 #: path the generation kernel does not draw; ResetMutation stays in
@@ -92,6 +84,15 @@ _CHOICE_TAIL_SHUFFLE_ABOVE = 10000
 #: fraction)`` and a composite's cumulative table (``None`` for one
 #: operator).
 _KernelPlan = tuple[list[tuple[int, int, float]], list[float] | None]
+
+
+def _elites(fitness: "Sequence[float]", count: int) -> np.ndarray:
+    """Indices of the ``count`` fittest members, fittest first.
+
+    A stable descending rank keeps equal-fitness members in population
+    order.
+    """
+    return np.argsort(-np.asarray(fitness), kind="stable")[:count]
 
 
 def _default_crossover() -> CrossoverOperator:
@@ -213,12 +214,10 @@ class GeneticAlgorithm:
             if compiled.is_loaded()
             else None
         )
-        if plan is None:
-            population = Population.evaluate_all(evaluator, placements)
-        else:
-            population = _Members.measured(
-                evaluator, np.stack([p.cells_array() for p in placements])
-            )
+        grid = evaluator.problem.grid
+        population = Population.evaluate_all(
+            evaluator, [placement.cells_array() for placement in placements]
+        )
 
         trace = GATrace()
         best = population[int(np.argmax(population.fitness))]
@@ -233,9 +232,12 @@ class GeneticAlgorithm:
                     break
             generation = next_generation
             if plan is None:
-                population = self._next_generation(population, evaluator, rng)
+                source, cells = self._next_generation(population, grid, rng)
             else:
-                population = self._array_generation(population, plan, evaluator, rng)
+                source, cells = self._kernel_offspring(
+                    population.cells, population.fitness, plan, grid, rng
+                )
+            population = population.successor(evaluator, source, cells)
             # The first fittest member, built only when it beats the best.
             index = int(np.argmax(population.fitness))
             if population.fitness[index] > best.fitness:
@@ -261,27 +263,33 @@ class GeneticAlgorithm:
     def _next_generation(
         self,
         population: Population,
-        evaluator: Evaluator,
+        grid: GridArea,
         rng: np.random.Generator,
-    ) -> Population:
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """One generation of the Python operators from ``population``:
+        per slot the index of the member kept there (the elites, fittest
+        first, then the parents copied unchanged) or ``-1`` for a child
+        that went through crossover or mutation, and the slots' cells."""
         config = self.config
-        grid = evaluator.problem.grid
-        # Members are kept Evaluations or the cell arrays of new children.
-        offspring: list[Evaluation | np.ndarray] = population.elites(config.n_elites)
-        while len(offspring) < config.population_size:
-            parent_a, parent_b = config.selection.select_pair(population, rng)
-            children: tuple[Evaluation | np.ndarray, ...] = (parent_a, parent_b)
+        elites = _elites(population.fitness, config.n_elites)
+        source = elites.tolist()
+        cells = list(population.cells[elites])
+        while len(cells) < config.population_size:
+            a, b = config.selection.select_pair(population, rng)
+            children = [(a, population.cells[a]), (b, population.cells[b])]
             if rng.uniform() < config.crossover_rate:
-                children = config.crossover.crossover(
-                    grid, _cells(parent_a), _cells(parent_b), rng
+                offspring = config.crossover.crossover(
+                    grid, population.cells[a], population.cells[b], rng
                 )
-            for child in children:
+                children = [(-1, child) for child in offspring]
+            for parent, child in children:
                 if rng.uniform() < config.mutation_rate:
-                    child = config.mutation.mutate(grid, _cells(child), rng)
-                offspring.append(child)
-                if len(offspring) == config.population_size:
+                    parent, child = -1, config.mutation.mutate(grid, child, rng)
+                source.append(parent)
+                cells.append(child)
+                if len(cells) == config.population_size:
                     break
-        return Population.evaluate_all(evaluator, offspring)
+        return np.array(source, dtype=np.int64), cells
 
     def _kernel_plan(self, n_routers: int) -> "_KernelPlan | None":
         """The generation kernel's plan for this run's operators on
@@ -348,67 +356,16 @@ class GeneticAlgorithm:
             grid.width,
             grid.height,
         )
-        # A stable descending rank keeps equal-fitness members in
-        # population order, as Population.elite_indices does.
-        elites = np.argsort(-np.asarray(fitness), kind="stable")[: config.n_elites]
+        elites = _elites(fitness, config.n_elites)
         source[: config.n_elites] = elites
         offspring[: config.n_elites] = cells[elites]
         return source, offspring
-
-    def _array_generation(
-        self,
-        members: "_Members",
-        plan: _KernelPlan,
-        evaluator: Evaluator,
-        rng: np.random.Generator,
-    ) -> "_Members":
-        """:meth:`_next_generation` on the arrays path: the kept slots
-        copy their rows, and only the new children are checked,
-        measured and counted."""
-        grid = evaluator.problem.grid
-        source, cells = self._kernel_offspring(
-            members.cells, members.fitness, plan, grid, rng
-        )
-        rows = members.rows
-        new = np.flatnonzero(source < 0)
-        if new.size:
-            children = cells[new]
-            Placement.check_stack(grid, children)
-            measured = evaluator.stacked.measure_placements(children)
-            evaluator.count(new.size)
-            rows = StackedMeasurement.concatenate([rows, measured])
-            source[new] = len(cells) + np.arange(new.size)
-        return _Members(cells, rows.take(source))
-
-    def _kernel_generation(
-        self,
-        population: Population,
-        cells: np.ndarray,
-        plan: _KernelPlan,
-        evaluator: Evaluator,
-        rng: np.random.Generator,
-    ) -> tuple[Population, np.ndarray]:
-        """The kernel generation on a :class:`Population` and its ``(P,
-        N, 2)`` cell stack; returns the offspring and theirs.
-
-        The form that lines one kernel generation up against
-        :meth:`_next_generation` member by member; a run takes
-        :meth:`_array_generation`.
-        """
-        source, offspring_cells = self._kernel_offspring(
-            cells, population.fitness, plan, evaluator.problem.grid, rng
-        )
-        offspring: list[Evaluation | np.ndarray] = [
-            population[parent] if parent >= 0 else offspring_cells[slot]
-            for slot, parent in enumerate(source)
-        ]
-        return Population.evaluate_all(evaluator, offspring), offspring_cells
 
     @staticmethod
     def _record(
         trace: GATrace,
         generation: int,
-        population: "Population | _Members",
+        population: Population,
         best: Evaluation,
         evaluator: Evaluator,
         evaluations_before: int,
@@ -427,42 +384,3 @@ class GeneticAlgorithm:
 
     def __repr__(self) -> str:
         return f"GeneticAlgorithm(config={self.config!r})"
-
-
-class _Members:
-    """A population on the arrays path.
-
-    The int32 ``(P, N, 2)`` cell stack and its measurement rows (fitness,
-    giant sizes, covered clients, components, links and giant masks).
-    The run reads it as it reads a
-    :class:`~repro.genetic.population.Population`; indexing builds the
-    member's placement and evaluation.
-    """
-
-    __slots__ = ("cells", "rows", "fitness")
-
-    def __init__(self, cells: np.ndarray, rows: StackedMeasurement) -> None:
-        self.cells = cells
-        self.rows = rows
-        self.fitness = rows.fitness
-
-    @classmethod
-    def measured(cls, evaluator: Evaluator, cells: np.ndarray) -> "_Members":
-        """The members of valid ``cells``, measured and counted."""
-        rows = evaluator.stacked.measure_placements(cells)
-        evaluator.count(len(cells))
-        return cls(cells, rows)
-
-    def __getitem__(self, index: int) -> Evaluation:
-        grid = self.rows.problem.grid
-        return self.rows.evaluation(
-            index, Placement._trusted(grid, self.cells[index].copy())
-        )
-
-    def mean_fitness(self) -> float:
-        """Average fitness over the population."""
-        return float(np.mean(self.fitness))
-
-    def diversity(self) -> float:
-        """:meth:`Population.diversity` of the cell stack, in one C call."""
-        return compiled.stack_diversity(self.cells)

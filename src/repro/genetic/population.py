@@ -1,24 +1,32 @@
 """GA populations.
 
-A population is an ordered tuple of :class:`~repro.core.evaluation.Evaluation`
-members, so it is always measured: an evaluation carries its placement,
-whose int ``(N, 2)`` cell array is the member's chromosome.  The
-container adds the aggregate queries the engine and the diversity
-analysis need (best member, elites, mean fitness, spatial diversity of
-the gene pool).  The Python operator path of
-:class:`~repro.genetic.engine.GeneticAlgorithm` holds one; a run on the
-compiled tier holds a cell stack and measurement rows instead, and
-:func:`stack_diversity` is the reference its C diversity
-(:func:`repro.core.engine.compiled.stack_diversity`) is tested against.
+A population is the int32 ``(P, N, 2)`` cell stack of its members'
+chromosomes plus their rows of one
+:class:`~repro.core.engine.batch.StackedMeasurement` (fitness, giant
+sizes, covered clients, components, links and giant masks), so it is
+always measured.  Both generation producers of
+:class:`~repro.genetic.engine.GeneticAlgorithm`, the compiled generation
+kernel and the Python operators, hand the next generation over as
+``(source, cells)``, and :meth:`Population.successor` builds it: a kept
+slot holds its member's cells and copies its rows, and the new children
+are checked, measured as one stack and counted in :meth:`evaluate_all`.
+Indexing builds a member's :class:`~repro.core.solution.Placement` and
+:class:`~repro.core.evaluation.Evaluation` only when asked.  The
+diversity of the gene pool is one C call
+(:func:`repro.core.engine.compiled.stack_diversity`) when the compiled
+library is loaded and :func:`stack_diversity`, the numpy reference it
+is tested against bit for bit, otherwise.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.engine import compiled
+from repro.core.engine.batch import StackedMeasurement
 from repro.core.evaluation import Evaluation, Evaluator
 from repro.core.solution import Placement
 
@@ -38,107 +46,121 @@ def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Population:
-    """An ordered, evaluated collection of GA members."""
+    """An ordered, measured collection of GA members.
 
-    __slots__ = ("members", "fitness")
+    ``cells`` is the members' int32 ``(P, N, 2)`` cell stack (the
+    population takes it over, read-only), ``rows`` their measurement and
+    ``fitness`` its fitness row.
+    """
 
-    def __init__(self, members: Sequence[Evaluation]) -> None:
-        if not members:
+    __slots__ = ("cells", "rows", "fitness")
+
+    def __init__(self, cells: np.ndarray, rows: StackedMeasurement) -> None:
+        if not len(cells):
             raise ValueError("a population must contain at least one member")
-        self.members: tuple[Evaluation, ...] = tuple(members)
+        cells.setflags(write=False)
+        self.cells = cells
+        self.rows = rows
         #: Fitness of every member, in population order.
-        self.fitness: tuple[float, ...] = tuple(
-            member.fitness for member in self.members
-        )
+        self.fitness: np.ndarray = rows.fitness
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Evaluation]:
-        return iter(self.members)
+        return len(self.cells)
 
     def __getitem__(self, index: int) -> Evaluation:
-        return self.members[index]
+        """Member ``index``, its placement built from a copy of its cells."""
+        grid = self.rows.problem.grid
+        return self.rows.evaluation(
+            index, Placement._trusted(grid, self.cells[index].copy())
+        )
 
     @classmethod
     def evaluate_all(
-        cls,
-        evaluator: Evaluator,
-        members: "Sequence[Evaluation | Placement | np.ndarray]",
+        cls, evaluator: Evaluator, cells: "np.ndarray | Sequence[np.ndarray]"
     ) -> "Population":
-        """The population of ``members``, each measured at most once.
+        """The population of the chromosomes ``cells``, measured as one
+        stack and counted on ``evaluator``.
 
-        An :class:`Evaluation` (an elite, or a parent copied unchanged)
-        is kept.  The cell arrays are built into placements here, the
-        one place a new chromosome becomes a placement: they are checked
-        together (:meth:`Placement.from_cell_arrays`), so the invariants
-        hold for every child.  Every placement is then measured in one
-        ``evaluate_many`` batch, in member order.
+        ``cells`` is an int ``(K, N, 2)`` cell stack or ``K`` int ``(N,
+        2)`` cell arrays, of any integer dtype.  They are checked in that
+        dtype (:meth:`Placement.check_stack`: every cell inside the grid,
+        no chromosome repeating a cell) before they are narrowed to
+        int32, so no coordinate wraps into the grid.  The first bad
+        chromosome raises what :meth:`Placement.from_cells` raises for
+        it, and one whose router count is not the fleet's what the
+        engine raises.
         """
-        members = list(members)
-        pending = [
-            index
-            for index, member in enumerate(members)
-            if not isinstance(member, Evaluation)
-        ]
-        if pending:
-            arrays = [
-                index for index in pending if isinstance(members[index], np.ndarray)
-            ]
-            built = Placement.from_cell_arrays(
-                evaluator.problem.grid, [members[index] for index in arrays]
+        if not len(cells):
+            raise ValueError("a population must contain at least one member")
+        grid = evaluator.problem.grid
+        if not isinstance(cells, np.ndarray) and len({np.shape(row) for row in cells}) == 1:
+            cells = np.stack(cells)
+        if (
+            not isinstance(cells, np.ndarray)
+            or cells.ndim != 3
+            or not cells.shape[1]
+            or cells.shape[2] != 2
+        ):
+            # Built one by one, the first malformed array raises; arrays
+            # of differing router counts then fail the engine's check.
+            evaluator.stacked.measure_placements(
+                [Placement.from_cells(grid, row) for row in cells]
             )
-            for index, placement in zip(arrays, built):
-                members[index] = placement
-            placements = [members[index] for index in pending]
-            for index, evaluation in zip(pending, evaluator.evaluate_many(placements)):
-                members[index] = evaluation
-        return cls(members)
+        Placement.check_stack(grid, cells)
+        stack = cells.astype(np.int32)
+        rows = evaluator.stacked.measure_placements(stack)
+        evaluator.count(len(stack))
+        return cls(stack, rows)
+
+    def successor(
+        self,
+        evaluator: Evaluator,
+        source: np.ndarray,
+        cells: "np.ndarray | Sequence[np.ndarray]",
+    ) -> "Population":
+        """The next generation of a producer's ``(source, cells)``.
+
+        Slot ``i`` holds ``cells[i]``: the cells of the kept member
+        ``source[i]``, whose rows it copies, or, where ``source[i] < 0``,
+        a new child.  The new children are checked and measured together
+        in one :meth:`evaluate_all`, in slot order, before the slots are
+        narrowed to one int32 stack (the population takes over an int32
+        ``cells`` stack).
+        """
+        index = np.array(source, dtype=np.intp)
+        new = np.flatnonzero(index < 0)
+        rows = self.rows
+        if new.size:
+            fresh = (
+                cells[new]
+                if isinstance(cells, np.ndarray)
+                else [cells[slot] for slot in new]
+            )
+            children = self.evaluate_all(evaluator, fresh)
+            rows = StackedMeasurement.concatenate([rows, children.rows])
+            index[new] = len(self) + np.arange(new.size)
+        return Population(np.asarray(cells, dtype=np.int32), rows.take(index))
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
 
-    def best(self) -> Evaluation:
-        """The fittest member (first on ties, deterministic)."""
-        fitness = self.fitness
-        return self.members[max(range(len(fitness)), key=fitness.__getitem__)]
-
-    def elite_indices(self, count: int) -> list[int]:
-        """Indices of the ``count`` fittest members, fittest first."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        fitness = self.fitness
-        # A stable sort keeps equal-fitness members in population order.
-        ranked = sorted(range(len(fitness)), key=fitness.__getitem__, reverse=True)
-        return ranked[:count]
-
-    def elites(self, count: int) -> list[Evaluation]:
-        """The ``count`` fittest members, fittest first."""
-        return [self.members[index] for index in self.elite_indices(count)]
-
     def mean_fitness(self) -> float:
         """Average fitness over the population."""
         return float(np.mean(self.fitness))
 
-    def fitness_values(self) -> np.ndarray:
-        """Fitness of every member, in population order."""
-        return np.array(self.fitness)
-
-    def cell_stack(self) -> np.ndarray:
-        """The members' chromosomes as one ``(P, N, 2)`` cell stack."""
-        return np.stack([member.placement.cells_array() for member in self.members])
-
-    def diversity(self, cells: "np.ndarray | None" = None) -> float:
+    def diversity(self) -> float:
         """Mean pairwise distance between chromosomes (gene-averaged).
 
         "The diversity of the population ... is a crucial factor to avoid
         premature convergence" (Section 5): this metric lets experiments
-        quantify what the different ad hoc initializers contribute.
-        ``cells`` is the population's :meth:`cell_stack` when the caller
-        already holds it; see :func:`stack_diversity`.
+        quantify what the different ad hoc initializers contribute.  See
+        :func:`stack_diversity`; the compiled kernel, when loaded, gives
+        the same value bit for bit.
         """
-        return stack_diversity(self.cell_stack() if cells is None else cells)
+        if compiled.is_loaded():
+            return compiled.stack_diversity(self.cells)
+        return stack_diversity(self.cells)
 
 
 def stack_diversity(cells: np.ndarray) -> float:

@@ -1,8 +1,11 @@
 """Parent selection operators.
 
-Standard GA selection schemes over evaluated populations.  All operators
-are maximizing and deterministic given the RNG, so experiment runs
-reproduce exactly from a seed.
+Standard GA selection schemes over measured populations: an operator
+reads the population's fitness row and returns the *index* of the
+chosen member, whose cells the crossover and mutation operators then
+read from the population's cell stack.  All operators are maximizing
+and deterministic given the RNG, so experiment runs reproduce exactly
+from a seed.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.evaluation import Evaluation
 from repro.genetic.population import Population
 
 __all__ = [
@@ -24,18 +26,18 @@ __all__ = [
 
 
 class SelectionOperator(abc.ABC):
-    """Chooses one parent from an evaluated population."""
+    """Chooses one parent of a measured population, by index."""
 
     name: ClassVar[str] = "abstract"
 
     @abc.abstractmethod
-    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
-        """One parent."""
+    def select(self, population: Population, rng: np.random.Generator) -> int:
+        """The index of one parent."""
 
     def select_pair(
         self, population: Population, rng: np.random.Generator
-    ) -> tuple[Evaluation, Evaluation]:
-        """Two independently selected parents (may coincide)."""
+    ) -> tuple[int, int]:
+        """The indices of two independently selected parents (may coincide)."""
         return self.select(population, rng), self.select(population, rng)
 
     def __repr__(self) -> str:
@@ -52,10 +54,10 @@ class TournamentSelection(SelectionOperator):
             raise ValueError(f"tournament size must be positive, got {size}")
         self.size = size
 
-    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
-        fitness = population.fitness
-        indices = rng.integers(0, len(population), size=self.size).tolist()
-        return population[max(indices, key=fitness.__getitem__)]
+    def select(self, population: Population, rng: np.random.Generator) -> int:
+        indices = rng.integers(0, len(population), size=self.size)
+        # The first drawn contestant of the highest fitness wins.
+        return int(indices[np.argmax(population.fitness[indices])])
 
     def __repr__(self) -> str:
         return f"TournamentSelection(size={self.size})"
@@ -72,15 +74,13 @@ class RouletteWheelSelection(SelectionOperator):
 
     name: ClassVar[str] = "roulette"
 
-    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
-        values = population.fitness_values()
+    def select(self, population: Population, rng: np.random.Generator) -> int:
+        values = population.fitness
         shifted = values - values.min()
         total = shifted.sum()
         if total <= 0:
-            index = int(rng.integers(0, len(population)))
-        else:
-            index = int(rng.choice(len(population), p=shifted / total))
-        return population[index]
+            return int(rng.integers(0, len(population)))
+        return int(rng.choice(len(population), p=shifted / total))
 
 
 class RankSelection(SelectionOperator):
@@ -92,10 +92,9 @@ class RankSelection(SelectionOperator):
 
     name: ClassVar[str] = "rank"
 
-    def select(self, population: Population, rng: np.random.Generator) -> Evaluation:
-        values = population.fitness_values()
+    def select(self, population: Population, rng: np.random.Generator) -> int:
+        values = population.fitness
         # ranks: worst member gets 1, best gets len(population)
         order = np.argsort(np.argsort(values, kind="stable"), kind="stable") + 1
         probabilities = order / order.sum()
-        index = int(rng.choice(len(population), p=probabilities))
-        return population[index]
+        return int(rng.choice(len(population), p=probabilities))

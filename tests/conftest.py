@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.clients import ClientSet
-from repro.core.engine.stacked import PhaseCandidates
+from repro.core.engine.stacked import PhaseCandidates, StackedEngine
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
 from repro.core.problem import ProblemInstance
@@ -32,6 +32,20 @@ def grid() -> GridArea:
 def tiny_problem() -> ProblemInstance:
     """The catalog's tiny instance (16 routers, 32x32, 48 normal clients)."""
     return tiny_spec().generate()
+
+
+@pytest.fixture
+def measured(monkeypatch):
+    """The size of every stack ``StackedEngine.measure_placements`` measures."""
+    sizes = []
+    original = StackedEngine.measure_placements
+
+    def counted(self, candidates):
+        sizes.append(len(candidates))
+        return original(self, candidates)
+
+    monkeypatch.setattr(StackedEngine, "measure_placements", counted)
+    return sizes
 
 
 @pytest.fixture

@@ -121,38 +121,12 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-class TestFromCellArrays:
-    """The batched build agrees with one ``from_cells`` per array."""
+class TestCheckStack:
+    """The one-pass stack check agrees with one ``from_cells`` per row.
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        width=st.integers(1, 6),
-        height=st.integers(1, 6),
-        n=st.integers(1, 6),
-        count=st.integers(1, 5),
-        seed=st.integers(0, 2**32 - 1),
-        int32=st.booleans(),
-    )
-    def test_matches_one_by_one_build(self, width, height, n, count, seed, int32):
-        grid = GridArea(width, height)
-        rng = np.random.default_rng(seed)
-        # Coordinates a step beyond each edge, and small grids, so bad
-        # rows (outside, repeated, both) come at any position.
-        arrays = [
-            np.stack(
-                [rng.integers(-1, width + 1, n), rng.integers(-1, height + 1, n)],
-                axis=1,
-            ).astype(np.int32 if int32 else np.int64)
-            for _ in range(count)
-        ]
-        batch = _outcome(lambda: Placement.from_cell_arrays(grid, arrays))
-        single = _outcome(lambda: [Placement.from_cells(grid, a) for a in arrays])
-        assert batch == single
-        if isinstance(batch, list):
-            for placement, array in zip(batch, arrays):
-                stored = placement.cells_array()
-                assert stored.dtype == np.int32 and not stored.flags.writeable
-                assert not np.shares_memory(stored, array)
+    The GA's child check built on it (``Population.evaluate_all``) is
+    tested in ``tests/genetic/test_population.py``.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -161,31 +135,26 @@ class TestFromCellArrays:
         n=st.integers(1, 6),
         count=st.integers(0, 5),
         seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from(["int32", "int64", "int64-beyond-int32"]),
     )
-    def test_check_stack_raises_what_from_cells_raises(self, width, height, n, count, seed):
-        # The GA's check of a generation's int32 cell stack, with no
-        # placement built for a good row.
+    def test_check_stack_raises_what_from_cells_raises(
+        self, width, height, n, count, seed, dtype
+    ):
+        # The GA's check of a generation's cell stack, in the stack's own
+        # dtype, with no placement built for a good row.
         grid = GridArea(width, height)
         rng = np.random.default_rng(seed)
         stack = np.stack(
             [rng.integers(-1, width + 1, (count, n)), rng.integers(-1, height + 1, (count, n))],
             axis=2,
-        ).astype(np.int32)
+        ).astype(np.int32 if dtype == "int32" else np.int64)
+        if dtype == "int64-beyond-int32":
+            # Cells 2**32 past a grid cell, which narrowing to int32
+            # would wrap back into the grid.
+            stack += np.int64(1 << 32) * rng.integers(0, 2, stack.shape)
         checked = _outcome(lambda: Placement.check_stack(grid, stack))
         single = _outcome(lambda: [Placement.from_cells(grid, row) for row in stack])
         if isinstance(single, list):
             assert checked is None
         else:
             assert checked == single
-
-    def test_irregular_shapes_are_built_one_by_one(self):
-        grid = GridArea(8, 8)
-        arrays = [np.array([[0, 0], [1, 1]]), np.array([[2, 2]])]
-        assert Placement.from_cell_arrays(grid, arrays) == [
-            Placement.from_cells(grid, a) for a in arrays
-        ]
-        with pytest.raises(ValueError, match="at least one router"):
-            Placement.from_cell_arrays(grid, [np.zeros((0, 2), dtype=int)])
-        with pytest.raises(ValueError, match="shape"):
-            Placement.from_cell_arrays(grid, [np.zeros((2, 3), dtype=int)])
-        assert Placement.from_cell_arrays(grid, []) == []

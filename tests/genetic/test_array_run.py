@@ -1,10 +1,9 @@
-"""A whole GA run on the arrays path against the ``REPRO_COMPILED=0`` run.
+"""A whole GA run on the generation kernel against the ``REPRO_COMPILED=0`` run.
 
-On the compiled tier a run of the default operator kinds holds its
-population as a cell stack plus measurement rows, and builds a
-placement and its evaluation only for a new best.  The Python path,
-with its ``Population`` of evaluations, is the reference: the trace
-records, the best member (placement, metrics, fitness and giant mask),
+On the compiled tier a run of the default operator kinds produces every
+generation in one kernel call; its population, a cell stack plus
+measurement rows, is the one the Python operators work on.  The Python
+operators' run is the reference: the trace records, the best member (placement, metrics, fitness and giant mask),
 the evaluation count, the stop and the generator's final state must be
 the same.  Generated instances and operator mixes first, then the
 degenerate inputs: one router, no clients, two members, no or
@@ -39,17 +38,17 @@ pytestmark = pytest.mark.skipif(
 def run(problem, config, compiled_tier, engine="auto", kind="pcg64", seed=9,
         fitness_target=None, deadline=None):
     """One whole run on the chosen tier: the result, the generator and
-    the number of arrays-path generations it made."""
+    the number of generations the kernel produced."""
     steps = []
-    array_generation = GeneticAlgorithm._array_generation
+    kernel_offspring = GeneticAlgorithm._kernel_offspring
 
     def counted(self, *args):
         steps.append(1)
-        return array_generation(self, *args)
+        return kernel_offspring(self, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_COMPILED", "1" if compiled_tier else "0")
-        patch.setattr(GeneticAlgorithm, "_array_generation", counted)
+        patch.setattr(GeneticAlgorithm, "_kernel_offspring", counted)
         rng = np.random.Generator(BIT_GENERATORS[kind](seed))
         evaluator = Evaluator(problem, engine=engine if compiled_tier else "auto")
         result = GeneticAlgorithm(config).run(

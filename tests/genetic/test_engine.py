@@ -7,10 +7,9 @@ import pytest
 
 from repro.adhoc import HotSpotPlacement, NearPlacement, RandomPlacement
 from repro.core.engine import compiled
-from repro.core.engine.stacked import StackedEngine
 from repro.core.evaluation import Evaluator
 from repro.core.solution import Placement
-from repro.genetic.engine import GAConfig, GeneticAlgorithm, _Members
+from repro.genetic.engine import GAConfig, GeneticAlgorithm
 from repro.genetic.initializers import (
     AdHocInitializer,
     MixedInitializer,
@@ -20,6 +19,7 @@ from repro.genetic.mutation import (
     CompositeMutation,
     GeneSwapMutation,
     JiggleMutation,
+    MutationOperator,
     ResetMutation,
     TowardCentroidMutation,
 )
@@ -174,9 +174,19 @@ class TestGeneticAlgorithm:
         assert result.covered_clients == result.best.covered_clients
 
 
-class TestOnePlacementPerChild:
-    """A child that went through an operator becomes one placement on the
-    Python path, and one measured row on the arrays path."""
+@pytest.fixture(params=["compiled", "python"])
+def tier(request, monkeypatch):
+    """Runs a test with and without the compiled tier loaded."""
+    if request.param == "compiled" and not compiled.is_available():
+        pytest.skip("no compiled kernels")
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_COMPILED", "0")
+    return request.param
+
+
+class TestOneRowPerChild:
+    """A child that went through an operator is one measured row on both
+    generation producers, and no placement is built for it."""
 
     POPULATION = 10
     ELITES = 2
@@ -189,7 +199,11 @@ class TestOnePlacementPerChild:
         "default": None,  # the default composite
     }
     # The generation kernel has no gene-swap mutation.
-    KERNEL_MUTATIONS = [name for name in MUTATIONS if name != "gene-swap"]
+    PRODUCERS = [("python", name) for name in MUTATIONS] + [
+        pytest.param("kernel", name, marks=kernel_only)
+        for name in MUTATIONS
+        if name != "gene-swap"
+    ]
 
     RATES = pytest.mark.parametrize(
         "crossover_rate,mutation_rate",
@@ -210,68 +224,35 @@ class TestOnePlacementPerChild:
 
     def operated(self, crossover_rate, mutation_rate):
         # At these rates either every non-elite child went through an
-        # operator or none did; each operated child is built (Python
-        # path) and measured once, even when its cells came out
-        # unchanged.
+        # operator or none did; each operated child is measured once,
+        # even when its cells came out unchanged.
         return self.POPULATION - self.ELITES if crossover_rate or mutation_rate else 0
 
-    @pytest.mark.parametrize("name", list(MUTATIONS))
+    @pytest.mark.parametrize("producer,name", PRODUCERS)
     @RATES
     def test_one_generation(
-        self, tiny_problem, placements_built, name, crossover_rate, mutation_rate
+        self, tiny_problem, placements_built, measured, producer, name,
+        crossover_rate, mutation_rate,
     ):
         ga = GeneticAlgorithm(self.config(name, crossover_rate, mutation_rate))
         evaluator = Evaluator(tiny_problem)
-        rng = np.random.default_rng(4)
-        population = Population.evaluate_all(
-            evaluator, RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
-        )
-        # Every placement a generation builds is wrapped by _trusted once
-        # the batch of new cell arrays has been checked.
-        placements_built.clear()
-        before = evaluator.n_evaluations
-        offspring = ga._next_generation(population, evaluator, rng)
-
-        operated = self.operated(crossover_rate, mutation_rate)
-        assert len(placements_built) == operated
-        assert evaluator.n_evaluations - before == operated
-        assert len(offspring) == self.POPULATION
-        kept = [m for m in offspring if any(m is p for p in population)]
-        assert len(kept) == self.POPULATION - operated
-
-    @kernel_only
-    @pytest.mark.parametrize("name", KERNEL_MUTATIONS)
-    @RATES
-    def test_one_array_generation(
-        self, tiny_problem, placements_built, monkeypatch, name, crossover_rate,
-        mutation_rate,
-    ):
-        ga = GeneticAlgorithm(self.config(name, crossover_rate, mutation_rate))
-        evaluator = Evaluator(tiny_problem)
+        grid = tiny_problem.grid
         rng = np.random.default_rng(4)
         placements = RandomInitializer().generate(tiny_problem, self.POPULATION, rng)
-        members = _Members.measured(
+        population = Population.evaluate_all(
             evaluator, np.stack([p.cells_array() for p in placements])
         )
-        sources, measured = [], []
-        kernel_offspring = GeneticAlgorithm._kernel_offspring
-        measure_placements = StackedEngine.measure_placements
-
-        def kept_sources(self, *args):
-            source, cells = kernel_offspring(self, *args)
-            sources.append(source.copy())
-            return source, cells
-
-        def measured_rows(self, candidates):
-            measured.append(len(candidates))
-            return measure_placements(self, candidates)
-
-        monkeypatch.setattr(GeneticAlgorithm, "_kernel_offspring", kept_sources)
-        monkeypatch.setattr(StackedEngine, "measure_placements", measured_rows)
+        placements_built.clear()
+        measured.clear()
         before = evaluator.n_evaluations
-        offspring = ga._array_generation(
-            members, ga._kernel_plan(tiny_problem.n_routers), evaluator, rng
-        )
+        if producer == "python":
+            source, cells = ga._next_generation(population, grid, rng)
+        else:
+            plan = ga._kernel_plan(tiny_problem.n_routers)
+            source, cells = ga._kernel_offspring(
+                population.cells, population.fitness, plan, grid, rng
+            )
+        offspring = population.successor(evaluator, source, cells)
 
         # The new children are measured as one stack; no placement is
         # built (the run builds one only for a new best).
@@ -280,23 +261,21 @@ class TestOnePlacementPerChild:
         assert measured == ([operated] if operated else [])
         assert evaluator.n_evaluations - before == operated
         assert len(offspring.fitness) == len(offspring.cells) == self.POPULATION
-        [source] = sources
         kept = np.flatnonzero(source >= 0)
         assert len(kept) == self.POPULATION - operated
         # A kept member keeps its cells and its measured rows.
         for slot in kept:
             parent = source[slot]
-            assert np.array_equal(offspring.cells[slot], members.cells[parent])
-            assert offspring[slot].metrics == members[parent].metrics
-            assert offspring.fitness[slot] == members.fitness[parent]
+            assert np.array_equal(offspring.cells[slot], population.cells[parent])
+            assert offspring[slot].metrics == population[parent].metrics
+            assert offspring.fitness[slot] == population.fitness[parent]
             assert np.array_equal(
-                offspring.rows.giant_masks[slot], members.rows.giant_masks[parent]
+                offspring.rows.giant_masks[slot], population.rows.giant_masks[parent]
             )
 
-    @kernel_only
-    @pytest.mark.parametrize("name", KERNEL_MUTATIONS)
-    def test_an_array_run_builds_a_placement_only_for_a_new_best(
-        self, tiny_problem, placements_built, monkeypatch, name
+    @pytest.mark.parametrize("name", list(MUTATIONS))
+    def test_a_run_builds_a_placement_only_for_a_new_best(
+        self, tiny_problem, placements_built, monkeypatch, tier, name
     ):
         ga = GeneticAlgorithm(self.config(name, 0.8, 0.3, n_generations=25))
         built_by_generation = []
@@ -316,6 +295,60 @@ class TestOnePlacementPerChild:
         # best, then one for each generation whose best beats the run's.
         assert built == [1] + [int(now > then) for then, now in zip(best, best[1:])]
         assert result.best.placement.cells_array() is placements_built[-1]
+
+
+class MalformedMutation(MutationOperator):
+    """Mutates every child into one malformed array; as a subclass it
+    keeps the run on the Python operators."""
+
+    name = "malformed"
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.children: list[np.ndarray] = []
+
+    def mutate(self, grid, cells, rng):
+        child = np.array(cells, dtype=np.int64)
+        if self.kind == "beyond-int32":
+            # Narrowed to int32 the cell wraps to (3, y), a free cell.
+            y = next(y for y in range(grid.height) if [3, y] not in child[1:].tolist())
+            child[0] = (2**32 + 3, y)
+        elif self.kind == "repeated":
+            child[1] = child[0]
+        else:
+            child = child[:-1]
+        self.children.append(child)
+        return child
+
+
+class TestMalformedChildren:
+    """A malformed child of a Python operator raises what building its
+    placement raises, on both tiers."""
+
+    @pytest.mark.parametrize("kind", ["beyond-int32", "repeated", "one-router-short"])
+    def test_run_raises_what_from_cells_raises(self, tiny_problem, tier, kind):
+        mutation = MalformedMutation(kind)
+        config = GAConfig(
+            population_size=6, n_generations=2, n_elites=1,
+            crossover_rate=0.0, mutation_rate=1.0, mutation=mutation,
+        )
+        ga = GeneticAlgorithm(config)
+        with pytest.raises(ValueError) as raised:
+            ga.run(Evaluator(tiny_problem), RandomInitializer(), np.random.default_rng(2))
+        grid = tiny_problem.grid
+        first = mutation.children[0]
+        if kind == "beyond-int32":
+            # The narrowed array would pass: the check reads the int64 cells.
+            Placement.from_cells(grid, first.astype(np.int32))
+        if kind == "one-router-short":
+            # A placement of N - 1 routers builds; the engine then
+            # refuses its router count.
+            with pytest.raises(ValueError) as expected:
+                Evaluator(tiny_problem).evaluate(Placement.from_cells(grid, first))
+        else:
+            with pytest.raises(ValueError) as expected:
+                Placement.from_cells(grid, first)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestGATrace:

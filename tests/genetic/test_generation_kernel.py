@@ -4,10 +4,11 @@ On the compiled tier a generation of the default operator kinds
 (tournament selection, region-exchange crossover, and Jiggle,
 TowardCentroid or Reset mutation alone or mixed by a
 ``CompositeMutation``) is one ``repro_ga_generation`` call.  The Python
-``GeneticAlgorithm._next_generation`` is the reference: every offspring
-slot must hold the same cells, the same slots must keep their parents'
-evaluations, and the generator must end each generation in the same
-full ``bit_generator.state``, on every numpy bit generator.  The edges
+``GeneticAlgorithm._next_generation`` is the reference: both producers
+must return the same ``source`` slots (the member each kept slot copies,
+``-1`` for a new child) and the same cell stack, and the generator must
+end each generation in the same full ``bit_generator.state``, on every
+numpy bit generator.  The edges
 are those where the draws change shape: one router, one-cell-wide
 grids, grids so full that the nudge rings widen and the free-cell draw
 reaches its enumeration fallback, tournament ties, a dropped second
@@ -74,34 +75,32 @@ def twin_generators(kind, seed, buffered):
     return rngs
 
 
-def kept_slots(offspring, parents):
-    """Per slot, the index of the parent whose evaluation it kept, or -1."""
-    return [
-        next((i for i, parent in enumerate(parents) if member is parent), -1)
-        for member in offspring
-    ]
-
-
 def assert_generations_agree(
     config, problem, placements, kind="pcg64", seed=7, buffered=False, generations=3
 ):
-    """``generations`` generations on both paths from one population."""
+    """``generations`` generations of both producers from one population:
+    each generation's ``source`` slots, cell stack and generator state."""
     ga = GeneticAlgorithm(config)
     plan = ga._kernel_plan(problem.n_routers)
     assert plan is not None
     evaluator = Evaluator(problem)
-    population = Population.evaluate_all(evaluator, placements)
+    population = Population.evaluate_all(
+        evaluator, [placement.cells_array() for placement in placements]
+    )
     kernel_rng, reference_rng = twin_generators(kind, seed, buffered)
-    reference = ours = population
-    cells = population.cell_stack()
+    grid = problem.grid
     for _ in range(generations):
-        expected = ga._next_generation(reference, evaluator, reference_rng)
-        got, cells = ga._kernel_generation(ours, cells, plan, evaluator, kernel_rng)
-        assert [m.placement for m in got] == [m.placement for m in expected]
-        assert kept_slots(got, ours) == kept_slots(expected, reference)
+        expected_source, expected_cells = ga._next_generation(
+            population, grid, reference_rng
+        )
+        source, cells = ga._kernel_offspring(
+            population.cells, population.fitness, plan, grid, kernel_rng
+        )
+        assert source.tolist() == expected_source.tolist()
+        assert cells.dtype == np.int32
+        assert np.array_equal(cells, np.stack(expected_cells))
         assert same_state(kernel_rng.bit_generator.state, reference_rng.bit_generator.state)
-        assert np.array_equal(cells, got.cell_stack())
-        reference, ours = expected, got
+        population = population.successor(evaluator, source, cells)
 
 
 def random_placements(problem, count, seed=5):
@@ -233,7 +232,7 @@ def test_grid_edges(width, height, n_routers, name):
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_tournament_ties(name):
     # Equal fitness everywhere: the first drawn contestant wins, which
-    # decides the parent whose evaluation a slot keeps.
+    # decides the member a kept slot copies.
     problem = make_problem(10, 10, 12)
     placement = Placement.random(problem.grid, 12, np.random.default_rng(1))
     config = with_mutation(default_config(crossover_rate=0.5, mutation_rate=0.5), name)

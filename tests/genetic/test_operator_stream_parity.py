@@ -17,14 +17,14 @@ formulation the same way.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adhoc.base import resolve_collisions
-from repro.core.evaluation import Evaluation
-from repro.core.fitness import NetworkMetrics
 from repro.core.geometry import Point, Rect
 from repro.core.grid import GridArea
 from repro.core.solution import Placement
@@ -255,16 +255,10 @@ def as_points(cells: np.ndarray) -> list[Point]:
 
 
 def unmeasured_population(placements: list[Placement]) -> Population:
-    """Members for :meth:`Population.diversity`, which reads only cells."""
-    members = []
-    for placement in placements:
-        n = len(placement)
-        metrics = NetworkMetrics(
-            giant_size=0, n_routers=n, covered_clients=0, n_clients=0,
-            n_components=n, n_links=0, mean_degree=0.0,
-        )
-        members.append(Evaluation(placement, metrics, 0.0, np.zeros(n, dtype=bool)))
-    return Population(members)
+    """Members for :meth:`Population.diversity`, which reads only cells:
+    the stack, with a zero fitness row standing in for measurement rows."""
+    cells = np.stack([placement.cells_array() for placement in placements])
+    return Population(cells, SimpleNamespace(fitness=np.zeros(len(cells))))
 
 
 @st.composite
