@@ -19,7 +19,8 @@
  * Besides measurement, the kernels run the per-move work of a search
  * in one call each: a phase's proposals for every chain
  * (repro_propose_rows), a new Swap incumbent's window pick table
- * (repro_swap_window_table), the in-place commit of an accepted move
+ * (repro_swap_window_table), the validation of a phase's move rows
+ * (repro_collect_phase), the in-place commit of an accepted move
  * to a dense chain cache (repro_commit_dense), free-cell picks
  * (repro_distinct_cells), a GA generation (repro_ga_generation) and
  * the GA population's diversity (repro_stack_diversity).
@@ -1686,6 +1687,175 @@ void repro_distinct_cells(
             bitmap[index] = 1;
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* A lockstep phase's move rows, validated                             */
+/* ------------------------------------------------------------------ */
+
+/* One slot of the open-addressing cell lookup: router `router` stands
+ * on flat cell `key` of the chain whose stamp is `stamp` (0: empty). */
+typedef struct {
+    i64 stamp;
+    i64 key;
+    i64 router;
+} cell_slot;
+
+static inline i64 cell_slot_of(i64 key, int shift) {
+    return (i64)(((uint64_t)key * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+/* _Phase.collect of multichain.py on a phase's concatenated MoveBatch
+ * rows (kind, router, partner, x, y), chain-major: the first
+ * row_counts[0] rows are chain slot 0's, off the incumbent cells
+ * cells[0], and so on.  A row is kept when it applies to its chain's
+ * incumbent: a relocation of a router id in [0, N) to a cell of the
+ * grid that is free (1 mover) or the router's own (0 movers, the
+ * incumbent), or a swap of two router ids in [0, N) (2 movers; 0 for a
+ * self-swap).  Every other row is dropped: an unknown kind, an id or a
+ * target out of range (each compared before any arithmetic, so any
+ * int64 value is safe), or a relocation onto another router's cell
+ * (stale).  The owner of a target cell comes from a per-chain
+ * open-addressing table of the incumbent's flat cells, built the first
+ * time the chain needs one and told apart from the previous chain's by
+ * a stamp, so a phase costs O(K + R N) whatever the grid.
+ *
+ * Per kept row, in row order: the row itself, its mover count and its
+ * chain id; per mover, the kept row's position, the router and its new
+ * cell (a swap pair's routers take each other's cells, router first).
+ * span_ends[s] is the kept count after slot s, and *n_pairs the pair
+ * count.  Returns the kept count, -1 when the table cannot be
+ * allocated, or -2 when an incumbent cell lies outside the grid.
+ * Serial: the work is linear in the rows and the looked-up chains. */
+i64 repro_collect_phase(
+    const i64 *rows,           /* K*5, chain-major */
+    const i64 *row_counts,     /* R */
+    const i64 *chain_ids,      /* R */
+    i64 n_chains,
+    const i32 *cells,          /* R*N*2 incumbent cells */
+    i64 n_routers,
+    i64 width, i64 height,
+    i64 *kept,                 /* K*5 kept rows */
+    i64 *movers,               /* K */
+    i64 *candidate_chain,      /* K */
+    i64 *pair_candidate,       /* 2K */
+    i64 *pair_router,          /* 2K */
+    double *pair_xy,           /* 2K*2 */
+    i64 *span_ends,            /* R */
+    i64 *n_pairs
+) {
+    i64 capacity = 2;
+    int shift = 63;
+    while (capacity < 2 * n_routers) {
+        capacity <<= 1;
+        shift--;
+    }
+    const i64 probe_mask = capacity - 1;
+    cell_slot *table = NULL;
+    i64 n_kept = 0;
+    i64 n_out = 0;
+    i64 row = 0;
+    i64 status = 0;
+    for (i64 s = 0; s < n_chains; s++) {
+        const i32 *chain_cells = cells + 2 * s * n_routers;
+        const i64 stamp = s + 1;
+        int indexed = 0;
+        for (const i64 end = row + row_counts[s]; row < end; row++) {
+            const i64 *move = rows + 5 * row;
+            const i64 kind = move[0];
+            const i64 router = move[1];
+            const i64 partner = move[2];
+            const i64 x = move[3];
+            const i64 y = move[4];
+            if (router < 0 || router >= n_routers) {
+                continue;
+            }
+            i64 count;
+            if (kind == MOVE_RELOCATE) {
+                if (x < 0 || x >= width || y < 0 || y >= height) {
+                    continue;
+                }
+                if (!indexed) {
+                    if (table == NULL) {
+                        table = (cell_slot *)calloc((size_t)capacity, sizeof(cell_slot));
+                        if (table == NULL) {
+                            status = -1;
+                            goto done;
+                        }
+                    }
+                    for (i64 i = 0; i < n_routers; i++) {
+                        const i64 cx = chain_cells[2 * i];
+                        const i64 cy = chain_cells[2 * i + 1];
+                        if (cx < 0 || cx >= width || cy < 0 || cy >= height) {
+                            status = -2;
+                            goto done;
+                        }
+                        const i64 key = cy * width + cx;
+                        i64 h = cell_slot_of(key, shift);
+                        while (table[h].stamp == stamp && table[h].key != key) {
+                            h = (h + 1) & probe_mask;
+                        }
+                        if (table[h].stamp != stamp) {
+                            table[h].stamp = stamp;
+                            table[h].key = key;
+                            table[h].router = i;
+                        }
+                    }
+                    indexed = 1;
+                }
+                const i64 key = y * width + x;
+                i64 h = cell_slot_of(key, shift);
+                i64 owner = -1;
+                while (table[h].stamp == stamp) {
+                    if (table[h].key == key) {
+                        owner = table[h].router;
+                        break;
+                    }
+                    h = (h + 1) & probe_mask;
+                }
+                if (owner >= 0 && owner != router) {
+                    continue;  /* stale: another router holds the cell */
+                }
+                count = owner == router ? 0 : 1;
+            } else if (kind == MOVE_SWAP) {
+                if (partner < 0 || partner >= n_routers) {
+                    continue;
+                }
+                count = router == partner ? 0 : 2;
+            } else {
+                continue;
+            }
+            memcpy(kept + 5 * n_kept, move, 5 * sizeof(i64));
+            movers[n_kept] = count;
+            candidate_chain[n_kept] = chain_ids[s];
+            if (count == 1) {
+                pair_candidate[n_out] = n_kept;
+                pair_router[n_out] = router;
+                pair_xy[2 * n_out] = (double)x;
+                pair_xy[2 * n_out + 1] = (double)y;
+                n_out++;
+            } else if (count == 2) {
+                const i32 *a = chain_cells + 2 * router;
+                const i32 *b = chain_cells + 2 * partner;
+                pair_candidate[n_out] = n_kept;
+                pair_router[n_out] = router;
+                pair_xy[2 * n_out] = (double)b[0];
+                pair_xy[2 * n_out + 1] = (double)b[1];
+                pair_candidate[n_out + 1] = n_kept;
+                pair_router[n_out + 1] = partner;
+                pair_xy[2 * n_out + 2] = (double)a[0];
+                pair_xy[2 * n_out + 3] = (double)a[1];
+                n_out += 2;
+            }
+            n_kept++;
+        }
+        span_ends[s] = n_kept;
+    }
+    *n_pairs = n_out;
+    status = n_kept;
+done:
+    free(table);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

@@ -10,8 +10,8 @@ without a C compiler simply fall back to the numpy paths.  Every full
 measurement, a dense-layout delta chain start included, is one fused
 stack call (:meth:`CompiledEngine.measure_stack`).  A dense lockstep
 phase of the
-:class:`~repro.core.engine.stacked.StackedDeltaEngine` is one call,
-:func:`measure_phase_dense`, over a table of each chain's incumbent
+:class:`~repro.core.engine.stacked.StackedDeltaEngine` is one call of
+its :class:`PhaseKernel`, over a table of each chain's incumbent
 buffers (:func:`chain_state`): the candidates of a chain that move the
 same routers share one base, the incumbent without those routers (its
 component labels and sizes, and per-component client bitmasks or its
@@ -19,11 +19,13 @@ uncovered clients), and each candidate adds only its movers' links and
 their new coverage to it.  A chain that accepts a move commits it to those buffers in place
 in one call, :func:`commit_dense`.  Movement proposals draw in C too:
 :func:`propose_rows` draws a phase's Random or Swap rows for every
-chain, :func:`swap_window_table` builds a new Swap incumbent's window
-pick table, and :func:`distinct_cells` the picks of
+chain, a :class:`WindowTableKernel` builds a new Swap incumbent's
+window pick table, and :func:`distinct_cells` the picks of
 ``GridArea.sample_distinct_cells``, each through the chain generator's
 own numpy ``bitgen_t``, so the draws, the moves and the generator's
 final state are those of the Python samplers on every bit generator.
+:func:`collect_phase` validates a lockstep phase's move rows on either
+layout, as the numpy ``_Phase.collect`` does.
 A GA generation of the default operators is one call too,
 :func:`ga_generation`: selection, crossover, collision repair and
 mutation for every offspring slot, with the draws of the Python
@@ -76,7 +78,6 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from contextlib import ExitStack
 from pathlib import Path
 from typing import Sequence
 
@@ -254,8 +255,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     )
     lib.repro_measure_phase_dense.restype = None
     lib.repro_measure_phase_dense.argtypes = (
-        _PI, _I64, _PI, _PI, _PI, _PD, _I64,
-        _I64, _PD, _I64, _PD, _PD, _I64, _PI, _PU8,
+        _PV, _I64, _PV, _PV, _PV, _PV, _I64,
+        _I64, _PV, _I64, _PV, _PV, _I64, _PV, _PV,
     )
     lib.repro_filter_pairs.restype = None
     lib.repro_filter_pairs.argtypes = (_PD, _PI, _PI, _I64, _PD, _I64, _PU8)
@@ -274,6 +275,11 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_swap_window_table.restype = _I64
     lib.repro_swap_window_table.argtypes = (
         _I64, _I64, _I64, _I64, _PV, _I64, _PV, _I64, _I64, _PV, _I64, _I64, _PV,
+    )
+    lib.repro_collect_phase.restype = _I64
+    lib.repro_collect_phase.argtypes = (
+        _PV, _PV, _PV, _I64, _PV, _I64, _I64, _I64,
+        _PV, _PV, _PV, _PV, _PV, _PV, _PV, _PV,
     )
     lib.repro_distinct_cells.restype = None
     lib.repro_distinct_cells.argtypes = (
@@ -496,8 +502,8 @@ def chain_state(
     client_hit: "np.ndarray | None",
     coverage_counts: "np.ndarray | None",
 ) -> tuple[int, ...]:
-    """One dense chain incumbent's ``chain_state`` row for
-    :func:`measure_phase_dense`.
+    """One dense chain incumbent's ``chain_state`` row for a
+    :class:`PhaseKernel`.
 
     The row holds the buffers' addresses (``0`` for the coverage aid the
     rule does not use) and the edge count, so the caller keeps every
@@ -538,71 +544,112 @@ def chain_state(
     return (*addresses[:4], edge_rows.size, *addresses[4:])
 
 
-def measure_phase_dense(
-    states: np.ndarray,
-    segment_starts: np.ndarray,
-    pair_candidate: np.ndarray,
-    pair_router: np.ndarray,
-    pair_xy: np.ndarray,
-    range_squared: np.ndarray,
-    clients: np.ndarray,
-    radii_squared: np.ndarray,
-    giant_only: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A whole dense-layout phase in one kernel call.
+class PhaseKernel:
+    """``repro_measure_phase_dense`` bound to one dense instance.
 
-    ``states`` stacks one :func:`chain_state` row per chain segment, and
-    candidates ``segment_starts[s]:segment_starts[s + 1]`` are segment
-    ``s``'s incumbent with the routers of their pairs moved
-    (``pair_candidate`` sorted, routers distinct within a candidate).
-    Returns ``(giant_sizes, covered, n_components, n_links,
-    giant_masks)`` per candidate, bit-identical to the numpy dense
-    delta path.  The kernel measures the candidates of a segment that
-    move the same routers off one shared base (``_kernels.c``).
+    The instance's float64 ``range_squared`` ``(N, N)``, ``clients``
+    ``(M, 2)`` and ``radii_squared`` ``(N,)`` are held here and their
+    addresses taken once, so a phase call casts only its own arrays: a
+    :class:`~repro.core.engine.stacked.StackedDeltaEngine` on the
+    compiled tier's dense layout builds one per engine.  ``giant_only``
+    names the coverage rule, and with it the aid every chain state must
+    carry (see :func:`chain_state`).
     """
-    n = range_squared.shape[0]
-    segment_starts = _i64a(segment_starts)
-    k = int(segment_starts[-1])
-    if (
-        states.shape != (segment_starts.size - 1, len(_CHAIN_STATE) + 1)
-        or segment_starts[0] != 0
-        or (np.diff(segment_starts) < 0).any()
-    ):
-        raise ValueError("one chain state row per candidate segment expected")
-    # The coverage rule's aid: the client CSR, or the per-client counts.
-    aid = states[:, 5] if giant_only else states[:, 7]
-    if clients.shape[0] and not aid.all():
-        raise ValueError("a chain state lacks the coverage rule's aid")
-    pair_candidate = _i64a(pair_candidate)
-    pair_router = _i64a(pair_router)
-    pair_xy = _f64(pair_xy)
-    # The kernel reads every pair array to pair_router's length.
-    if (
-        pair_candidate.shape != pair_router.shape
-        or pair_xy.shape != (pair_router.size, 2)
-    ):
-        raise ValueError(
-            f"phase pairs disagree on their count: {pair_candidate.shape} "
-            f"candidates, {pair_router.shape} routers, {pair_xy.shape} cells"
+
+    __slots__ = ("_constants", "_n", "_m", "_aid", "_fixed")
+
+    def __init__(
+        self,
+        range_squared: np.ndarray,
+        clients: np.ndarray,
+        radii_squared: np.ndarray,
+        giant_only: bool,
+    ) -> None:
+        self._constants = tuple(
+            _f64(array) for array in (range_squared, clients, radii_squared)
         )
-    if pair_router.size and not (
-        0 <= int(pair_router.min()) and int(pair_router.max()) < n
-        and 0 <= int(pair_candidate[0]) and int(pair_candidate[-1]) < k
-    ):
-        raise ValueError("phase pairs name a router or candidate out of range")
-    out = np.empty((4, k), dtype=np.int64)
-    giant_masks = np.empty((k, n), dtype=bool)
-    _kernels().repro_measure_phase_dense(
-        _pi(_i64a(states)), segment_starts.size - 1, _pi(segment_starts),
-        _pi(pair_candidate), _pi(pair_router), _pd(pair_xy),
-        pair_router.size,
-        n, _pd(_f64(range_squared)),
-        clients.shape[0], _pd(_f64(clients)), _pd(_f64(radii_squared)),
-        int(giant_only),
-        _pi(out), _pu8(giant_masks.view(np.uint8)),
-    )
-    giant_sizes, covered, n_components, n_links = out.astype(np.intp, copy=False)
-    return giant_sizes, covered, n_components, n_links, giant_masks
+        range_squared, clients, radii_squared = self._constants
+        n = range_squared.shape[0]
+        m = clients.shape[0]
+        if (
+            range_squared.shape != (n, n)
+            or clients.shape != (m, 2)
+            or radii_squared.shape != (n,)
+        ):
+            raise ValueError(
+                "a phase kernel needs (N, N) ranges, (M, 2) clients and "
+                "(N,) radii"
+            )
+        self._n = n
+        self._m = m
+        # The coverage rule's aid: the client CSR, or the per-client counts.
+        self._aid = 5 if giant_only else 7
+        self._fixed = (
+            n, range_squared.ctypes.data, m, clients.ctypes.data,
+            radii_squared.ctypes.data, int(giant_only),
+        )
+
+    def __call__(
+        self,
+        states: np.ndarray,
+        segment_starts: np.ndarray,
+        pair_candidate: np.ndarray,
+        pair_router: np.ndarray,
+        pair_xy: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """A whole dense-layout phase in one kernel call.
+
+        ``states`` stacks one :func:`chain_state` row per chain segment,
+        and candidates ``segment_starts[s]:segment_starts[s + 1]`` are
+        segment ``s``'s incumbent with the routers of their pairs moved
+        (``pair_candidate`` sorted, routers distinct within a
+        candidate).  Returns ``(giant_sizes, covered, n_components,
+        n_links, giant_masks)`` per candidate, bit-identical to the
+        numpy dense delta path.  The kernel measures the candidates of a
+        segment that move the same routers off one shared base
+        (``_kernels.c``).
+        """
+        n = self._n
+        states = _i64a(states)
+        segment_starts = _i64a(segment_starts)
+        k = int(segment_starts[-1])
+        if (
+            states.shape != (segment_starts.size - 1, len(_CHAIN_STATE) + 1)
+            or segment_starts[0] != 0
+            or (segment_starts[1:] < segment_starts[:-1]).any()
+        ):
+            raise ValueError("one chain state row per candidate segment expected")
+        if self._m and not states[:, self._aid].all():
+            raise ValueError("a chain state lacks the coverage rule's aid")
+        pair_candidate = _i64a(pair_candidate)
+        pair_router = _i64a(pair_router)
+        pair_xy = _f64(pair_xy)
+        # The kernel reads every pair array to pair_router's length.
+        if (
+            pair_candidate.shape != pair_router.shape
+            or pair_xy.shape != (pair_router.size, 2)
+        ):
+            raise ValueError(
+                f"phase pairs disagree on their count: {pair_candidate.shape} "
+                f"candidates, {pair_router.shape} routers, {pair_xy.shape} cells"
+            )
+        if pair_router.size and not (
+            0 <= int(pair_router.min()) and int(pair_router.max()) < n
+            and 0 <= int(pair_candidate[0]) and int(pair_candidate[-1]) < k
+        ):
+            raise ValueError("phase pairs name a router or candidate out of range")
+        # Giants, covered, components and links, one int64 row each,
+        # then the giant masks, in one buffer.
+        out = np.empty(32 * k + k * n, dtype=np.uint8)
+        rows = out.ctypes.data
+        _kernels().repro_measure_phase_dense(
+            states.ctypes.data, segment_starts.size - 1, segment_starts.ctypes.data,
+            pair_candidate.ctypes.data, pair_router.ctypes.data,
+            pair_xy.ctypes.data, pair_router.size, *self._fixed,
+            rows, rows + 32 * k,
+        )
+        metrics = out[: 32 * k].view(np.intp).reshape(4, k)
+        return (*metrics, out[32 * k :].view(bool).reshape(k, n))
 
 
 def client_csr(coverage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -726,10 +773,32 @@ def _held(bit_generators):
     locks = {id(bg): bg.lock for bg in bit_generators}
     if len(locks) == 1:
         return next(iter(locks.values()))
-    with ExitStack() as stack:
-        for _, lock in sorted(locks.items()):
-            stack.enter_context(lock)
-        return stack.pop_all()
+    return _Locks([locks[key] for key in sorted(locks)])
+
+
+class _Locks:
+    """Locks taken in order on entry and released on exit (see
+    :func:`_held`)."""
+
+    __slots__ = ("_locks",)
+
+    def __init__(self, locks) -> None:
+        self._locks = locks
+
+    def __enter__(self) -> None:
+        taken = 0
+        try:
+            for lock in self._locks:
+                lock.acquire()
+                taken += 1
+        except BaseException:
+            for lock in reversed(self._locks[:taken]):
+                lock.release()
+            raise
+
+    def __exit__(self, *exc_info) -> None:
+        for lock in reversed(self._locks):
+            lock.release()
 
 
 def _address_table(values: "list[int]"):
@@ -807,63 +876,88 @@ def propose_rows(
 _INT32_MAX = 2**31 - 1
 
 
-def swap_window_table(
-    width: int,
-    height: int,
-    window: "tuple[int, int]",
-    points: "np.ndarray | None",
-    cells: np.ndarray,
-    routers_dense: bool,
-    radii: np.ndarray,
-    pool: int,
-    relocate: bool,
-) -> np.ndarray:
-    """One Swap incumbent's pick table, in one ``repro_swap_window_table``
-    call.
+class WindowTableKernel:
+    """A Swap incumbent's pick table in one ``repro_swap_window_table``
+    call, bound to one instance and Swap configuration.
 
-    The density points are the int ``(P, 2)`` ``points`` (``None`` for
-    none), then the incumbent's ``(N, 2)`` router ``cells`` when
-    ``routers_dense``; ``window`` is ``(Wg, Hg)``.  The table is the
-    int64 layout of ``repro_propose_rows``, equal to
+    The grid is ``width x height`` and ``window`` is ``(Wg, Hg)``.  The
+    density points are the int ``(P, 2)`` ``points`` (``None`` for
+    none), then an incumbent's router cells when ``routers_dense``; the
+    router radii ``radii`` pick the strongest and weakest routers of the
+    ``pool`` densest and sparsest non-overlapping windows, for the
+    relocating reading when ``relocate``.  The table is the int64
+    layout of ``repro_propose_rows``, equal to
     :meth:`repro.neighborhood.movements._SwapWindowState.prepare` on the
-    ``pool`` densest and sparsest non-overlapping windows of
-    :meth:`~repro.core.density.DensityMap.ranked_windows`.  Raises
-    ``ValueError`` for a density point outside the grid, as
-    :meth:`~repro.core.density.DensityMap.build` does.
+    pools of :meth:`~repro.core.density.DensityMap.ranked_windows`.
+    Everything but the incumbent is checked and its address taken once,
+    so a :class:`~repro.neighborhood.movements.SwapMovement` binds one
+    per problem and each new incumbent costs one call.
     """
-    window_width, window_height = window
-    if not (0 < window_width <= width and 0 < window_height <= height) or pool < 1:
-        raise ValueError(
-            f"window {window_width}x{window_height} must fit the grid "
-            f"{width}x{height}, and the pool ({pool}) be positive"
+
+    __slots__ = ("_points", "_radii", "_n_points", "_n", "_size", "_head", "_tail")
+
+    def __init__(
+        self,
+        width: int,
+        height: int,
+        window: "tuple[int, int]",
+        points: "np.ndarray | None",
+        routers_dense: bool,
+        radii: np.ndarray,
+        pool: int,
+        relocate: bool,
+    ) -> None:
+        window_width, window_height = window
+        if not (0 < window_width <= width and 0 < window_height <= height) or pool < 1:
+            raise ValueError(
+                f"window {window_width}x{window_height} must fit the grid "
+                f"{width}x{height}, and the pool ({pool}) be positive"
+            )
+        # No pass can take more windows than fit.
+        pool = min(pool, (width - window_width + 1) * (height - window_height + 1))
+        radii = _f64(radii)
+        if radii.ndim != 1:
+            raise ValueError("need (N, 2) router cells and one radius per router")
+        n_points = 0
+        if points is not None:
+            points = _i64a(points).reshape(-1, 2)
+            n_points = points.shape[0]
+        if n_points + radii.shape[0] >= _INT32_MAX:
+            # The kernel counts in int32, below its sparse sentinel.
+            raise ValueError("too many density points for the Swap window kernel")
+        self._points = points
+        self._radii = radii
+        self._n_points = n_points
+        self._n = radii.shape[0]
+        self._size = 2 + 6 * pool
+        self._head = (
+            width, height, window_width, window_height,
+            None if points is None else points.ctypes.data, n_points,
         )
-    # No pass can take more windows than fit.
-    pool = min(pool, (width - window_width + 1) * (height - window_height + 1))
-    cells = np.ascontiguousarray(cells, dtype=np.int32)
-    radii = _f64(radii)
-    if cells.ndim != 2 or cells.shape[1] != 2 or radii.shape != (cells.shape[0],):
-        raise ValueError("need (N, 2) router cells and one radius per router")
-    n_points = 0
-    if points is not None:
-        points = _i64a(points).reshape(-1, 2)
-        n_points = points.shape[0]
-    if n_points + cells.shape[0] >= _INT32_MAX:
-        # The kernel counts in int32, below its sparse sentinel.
-        raise ValueError("too many density points for the Swap window kernel")
-    table = np.empty(2 + 6 * pool, dtype=np.int64)
-    status = _kernels().repro_swap_window_table(
-        width, height, window_width, window_height,
-        None if points is None else points.ctypes.data, n_points,
-        cells.ctypes.data, cells.shape[0], int(routers_dense),
-        radii.ctypes.data, pool, int(relocate), table.ctypes.data,
-    )
-    if status == -1:
-        raise MemoryError("no scratch for the Swap window kernel")
-    if status < 0:
-        index = -status - 2
-        x, y = points[index] if index < n_points else cells[index - n_points]
-        raise ValueError(f"point ({x}, {y}) outside the grid")
-    return table[:status]
+        self._tail = (int(routers_dense), radii.ctypes.data, pool, int(relocate))
+
+    def __call__(self, cells: np.ndarray) -> np.ndarray:
+        """The pick table of the incumbent with the ``(N, 2)`` router
+        ``cells``.
+
+        Raises ``ValueError`` for a density point outside the grid, as
+        :meth:`~repro.core.density.DensityMap.build` does.
+        """
+        cells = np.ascontiguousarray(cells, dtype=np.int32)
+        if cells.shape != (self._n, 2):
+            raise ValueError("need (N, 2) router cells and one radius per router")
+        table = np.empty(self._size, dtype=np.int64)
+        status = _kernels().repro_swap_window_table(
+            *self._head, cells.ctypes.data, self._n, *self._tail, table.ctypes.data
+        )
+        if status == -1:
+            raise MemoryError("no scratch for the Swap window kernel")
+        if status < 0:
+            index = -status - 2
+            n_points = self._n_points
+            x, y = self._points[index] if index < n_points else cells[index - n_points]
+            raise ValueError(f"point ({x}, {y}) outside the grid")
+        return table[:status]
 
 
 def distinct_cells(
@@ -891,6 +985,84 @@ def distinct_cells(
             *region, count, _pi(picks),
         )
     return picks.tolist()
+
+
+def collect_phase(
+    rows: np.ndarray,
+    row_counts: "Sequence[int]",
+    chains: "Sequence[int]",
+    cells: np.ndarray,
+    width: int,
+    height: int,
+) -> "tuple[np.ndarray | list[int], ...]":
+    """A lockstep phase's move rows validated in one
+    ``repro_collect_phase`` call.
+
+    ``rows`` is the C-contiguous int64 ``(K, 5)`` concatenation of the
+    chains' :class:`~repro.neighborhood.moves.MoveBatch` tables: the
+    first ``row_counts[0]`` rows are chain ``chains[0]``'s, proposed off
+    the incumbent cells ``cells[0]`` of the int ``(R, N, 2)`` stack, and
+    so on.  Returns what
+    :meth:`repro.neighborhood.multichain._Phase.collect` computes: the
+    kept rows, their mover counts and chain ids, the
+    ``(pair_candidate, pair_router, pair_xy)`` arrays of
+    :class:`~repro.core.engine.stacked.PhaseCandidates`, and each
+    slot's end in the kept rows.
+    """
+    n_chains = len(row_counts)
+    cells = np.ascontiguousarray(cells, dtype=np.int32)
+    if (
+        rows.dtype != np.int64
+        or rows.ndim != 2
+        or rows.shape[1] != 5
+        or not rows.flags.c_contiguous
+    ):
+        raise ValueError("phase rows must be a C-contiguous int64 (K, 5) table")
+    k = rows.shape[0]
+    if (
+        cells.ndim != 3
+        or cells.shape[0] != n_chains
+        or cells.shape[2] != 2
+        or len(chains) != n_chains
+        or sum(row_counts) != k
+        or min(row_counts, default=0) < 0
+    ):
+        raise ValueError(
+            "need one incumbent (N, 2) cell array and one chain id per "
+            "row count, and the counts must split the rows"
+        )
+    # One int64 buffer: the counts and chain ids in, then the span ends,
+    # the pair count, the kept rows, their movers and chain ids, and
+    # the pairs' candidates and routers.
+    ints = np.empty(3 * n_chains + 1 + 11 * k, dtype=np.int64)
+    ints[:n_chains] = row_counts
+    ints[n_chains : 2 * n_chains] = chains
+    pair_xy = np.empty((2 * k, 2))
+    base = ints.ctypes.data
+    kept_at = 3 * n_chains + 1
+    movers_at = kept_at + 5 * k
+    pairs_at = movers_at + 2 * k
+    n_kept = _kernels().repro_collect_phase(
+        rows.ctypes.data, base, base + 8 * n_chains, n_chains,
+        cells.ctypes.data, cells.shape[1], width, height,
+        base + 8 * kept_at, base + 8 * movers_at, base + 8 * (movers_at + k),
+        base + 8 * pairs_at, base + 8 * (pairs_at + 2 * k),
+        pair_xy.ctypes.data, base + 16 * n_chains, base + 8 * (kept_at - 1),
+    )
+    if n_kept == -2:
+        raise ValueError("an incumbent cell lies outside the grid")
+    if n_kept < 0:
+        raise MemoryError("no scratch for the phase collect kernel")
+    n_pairs = int(ints[kept_at - 1])
+    return (
+        ints[kept_at : kept_at + 5 * n_kept].reshape(n_kept, 5),
+        ints[movers_at : movers_at + n_kept],
+        ints[movers_at + k : movers_at + k + n_kept],
+        ints[pairs_at : pairs_at + n_pairs],
+        ints[pairs_at + 2 * k : pairs_at + 2 * k + n_pairs],
+        pair_xy[:n_pairs],
+        ints[2 * n_chains : 3 * n_chains].tolist(),
+    )
 
 
 #: Mutation operator codes of ``repro_ga_generation`` in ``_kernels.c``.

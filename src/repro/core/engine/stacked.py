@@ -491,6 +491,12 @@ class StackedDeltaEngine:
             link_range = problem.link_rule.range_matrix(radii)
             self._range_squared = link_range * link_range
             self._sparse = None
+            if self._compiled is not None:
+                # The phase kernel with the instance's constants bound.
+                self._phase_kernel = self._compiled.PhaseKernel(
+                    self._range_squared, self._clients, self._radii_squared,
+                    self._giant_only,
+                )
         else:
             # One client index, shared by every chain.
             self._sparse = self._stacked._sparse_engine()
@@ -809,16 +815,12 @@ class StackedDeltaEngine:
         states = np.stack([self._cache(chain).state for chain, _, _, _ in segments])
         starts = [start for _, start, _, _ in segments]
         starts.append(len(candidates))
-        rows = self._compiled.measure_phase_dense(
+        rows = self._phase_kernel(
             states,
             np.array(starts, dtype=np.int64),
             candidates.pair_candidate,
             candidates.pair_router,
             candidates.pair_xy,
-            self._range_squared,
-            self._clients,
-            self._radii_squared,
-            self._giant_only,
         )
         return StackedMeasurement.scored(self._problem, self._fitness, *rows)
 

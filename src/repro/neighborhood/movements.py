@@ -101,7 +101,7 @@ class _SwapWindowState:
     sharing it across proposals never touches a chain's stream.  On the
     compiled tier one ``repro_swap_window_table`` call builds the same
     table, density pools included
-    (:func:`~repro.core.engine.compiled.swap_window_table`); this class
+    (:class:`~repro.core.engine.compiled.WindowTableKernel`); this class
     is the reference, and the table for ``REPRO_COMPILED=0``.  (The
     occupancy bitmap is rebuilt per call instead: one grid-sized buffer
     per cached incumbent would dominate the cache's memory.)
@@ -181,7 +181,10 @@ def proposal_tier(use_kernel: bool) -> Iterator[None]:
         _KERNEL_TIER.reset(token)
 
 
-def _use_kernel() -> bool:
+def kernel_tier() -> bool:
+    """Whether a search step runs on the kernels: the tier of the
+    enclosing :func:`proposal_tier` block, or outside one whether the
+    compiled tier is enabled and loaded."""
     tier = _KERNEL_TIER.get()
     return compiled.is_loaded() if tier is None else tier
 
@@ -211,7 +214,7 @@ class MovementType:
         (e.g. no router in the chosen window); Algorithm 2 simply
         samples again.
         """
-        return self._sample([current], problem, [rng], 1, _use_kernel())[0]
+        return self._sample([current], problem, [rng], 1, kernel_tier())[0]
 
     def propose_batch(
         self,
@@ -243,7 +246,7 @@ class MovementType:
         ``propose`` against a frozen copy of the scalar formulation by
         ``tests/neighborhood/test_proposal_stream_parity.py``.
         """
-        return self._sample(currents, problem, rngs, n_candidates, _use_kernel())
+        return self._sample(currents, problem, rngs, n_candidates, kernel_tier())
 
     def _sample(
         self,
@@ -411,9 +414,9 @@ class SwapMovement(MovementType):
         self._window_cache: "dict[int, tuple[object, np.ndarray]]" = {}
         # One-slot problem-keyed caches of placement-independent inputs:
         # the Python path's client-density pools (see _ranked_pools) and
-        # the kernel's int client cells (see _client_cells).
+        # the kernel's bound pick-table builder (see _window_kernel).
         self._static_pools = None
-        self._static_cells = None
+        self._static_kernel = None
 
     def __getstate__(self):
         # Worker processes rebuild their own caches; shipping cached
@@ -421,7 +424,7 @@ class SwapMovement(MovementType):
         state = self.__dict__.copy()
         state["_window_cache"] = {}
         state["_static_pools"] = None
-        state["_static_cells"] = None
+        state["_static_kernel"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -557,8 +560,8 @@ class SwapMovement(MovementType):
     def _picks(self, current, problem) -> np.ndarray:
         """The incumbent's window pick table, built once per incumbent.
 
-        On the kernel tier one
-        :func:`~repro.core.engine.compiled.swap_window_table` call builds
+        On the kernel tier one call of the problem's bound
+        :class:`~repro.core.engine.compiled.WindowTableKernel` builds
         it, density and pools included; otherwise
         :class:`_SwapWindowState` does, the reference.  Both build the
         same table.
@@ -570,33 +573,39 @@ class SwapMovement(MovementType):
             return entry[1]
         if len(self._window_cache) >= _CACHE_LIMIT:
             self._window_cache.clear()
-        radii = problem.fleet.radii
-        if _use_kernel():
+        if kernel_tier():
+            picks = self._window_kernel(problem)(placement.cells_array())
+        else:
+            pools = self._ranked_pools(current, problem)
+            picks = _SwapWindowState(placement, pools).prepare(
+                problem.fleet.radii, self.relocate
+            )
+        self._window_cache[key] = (placement, picks)
+        return picks
+
+    def _window_kernel(self, problem: ProblemInstance) -> "compiled.WindowTableKernel":
+        """The compiled pick-table builder bound to ``problem``, built
+        once per problem instance."""
+        if self._static_kernel is None or self._static_kernel[0] is not problem:
             grid = problem.grid
-            picks = compiled.swap_window_table(
+            kernel = compiled.WindowTableKernel(
                 grid.width,
                 grid.height,
                 self.window_size(grid),
                 None if self.density_source == "routers" else self._client_cells(problem),
-                placement.cells_array(),
                 self.density_source != "clients",
-                radii,
+                problem.fleet.radii,
                 self.pool,
                 self.relocate,
             )
-        else:
-            pools = self._ranked_pools(current, problem)
-            picks = _SwapWindowState(placement, pools).prepare(radii, self.relocate)
-        self._window_cache[key] = (placement, picks)
-        return picks
+            self._static_kernel = (problem, kernel)
+        return self._static_kernel[1]
 
-    def _client_cells(self, problem: ProblemInstance) -> np.ndarray:
+    @staticmethod
+    def _client_cells(problem: ProblemInstance) -> np.ndarray:
         """The clients as int density points (``DensityMap.build``'s
-        conversion), computed once per problem instance."""
-        if self._static_cells is None or self._static_cells[0] is not problem:
-            cells = np.asarray(problem.clients.positions, dtype=int).reshape(-1, 2)
-            self._static_cells = (problem, cells)
-        return self._static_cells[1]
+        conversion)."""
+        return np.asarray(problem.clients.positions, dtype=int).reshape(-1, 2)
 
     def __repr__(self) -> str:
         return (

@@ -14,6 +14,10 @@ below):
 * each phase samples all chains' candidates through one
   :meth:`~repro.neighborhood.movements.MovementType.propose_batch` call
   (per-chain generator streams, vectorized window scans);
+* the phase's move rows are validated in one pass (:meth:`_Phase.collect`):
+  on the compiled tier by one ``repro_collect_phase`` kernel call
+  (:meth:`_Phase.collect_kernel`), otherwise by the numpy column rules,
+  which are the reference;
 * all ``R x C`` surviving candidates are measured in one pass against
   per-chain incumbent caches by a
   :class:`~repro.core.engine.stacked.StackedDeltaEngine` — matrices on
@@ -88,7 +92,7 @@ from repro.core.problem import ProblemInstance, check_start_placement
 from repro.core.solution import Placement
 from repro.neighborhood.annealing import AnnealingSchedule
 from repro.neighborhood.moves import MoveBatch
-from repro.neighborhood.movements import MovementType, proposal_tier
+from repro.neighborhood.movements import MovementType, kernel_tier, proposal_tier
 from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.seeding import root_sequence, spawn_children
 
@@ -232,6 +236,11 @@ class _Phase:
         router's cell is stale and skipped, and one onto its own cell
         (or a swap of a router with itself) is a no-op candidate equal
         to the incumbent.
+
+        This numpy version is the reference.  It collects on the numpy
+        tier (``REPRO_COMPILED=0``) and a custom movement's non-int64
+        table; on the compiled tier the search collects with
+        :meth:`collect_kernel`, which returns the same arrays.
         """
         lengths = [len(batch) for batch in proposals]
         table = np.concatenate([batch.table for batch in proposals])
@@ -289,6 +298,41 @@ class _Phase:
         )
         return cls(table[keep], counts, candidates, _spans(slot_of, len(proposals)))
 
+    @classmethod
+    def collect_kernel(
+        cls,
+        incumbents: Sequence[Placement],
+        chains: Sequence[int],
+        proposals: Sequence[MoveBatch],
+        problem: ProblemInstance,
+    ) -> "_Phase":
+        """:meth:`collect` in one ``repro_collect_phase`` call
+        (:func:`~repro.core.engine.compiled.collect_phase`): the same
+        kept rows, mover counts, pair arrays and spans, value for value
+        and dtype for dtype.
+
+        The compiled tier's collect.  When a batch's table is not int64
+        (a custom movement's own array), :meth:`collect` takes the
+        phase.
+        """
+        lengths = [len(batch) for batch in proposals]
+        table = np.concatenate([batch.table for batch in proposals])
+        if table.dtype != np.int64:
+            return cls.collect(incumbents, chains, proposals, problem)
+        grid = problem.grid
+        kept, movers, owners, pair_candidate, pair_router, pair_xy, ends = (
+            compiled.collect_phase(
+                table,
+                lengths,
+                chains,
+                np.stack([incumbent.cells_array() for incumbent in incumbents]),
+                grid.width,
+                grid.height,
+            )
+        )
+        candidates = PhaseCandidates(owners, pair_candidate, pair_router, pair_xy)
+        return cls(kept, movers, candidates, list(zip([0, *ends[:-1]], ends)))
+
     def placement(self, index: int, incumbent: Placement) -> Placement:
         """Candidate ``index`` built from its row (the only one built).
 
@@ -323,7 +367,8 @@ class _ChoiceRule:
     ``chains`` (states ``states``) by one phase of ``n_moves``
     candidates and returns, per chain, whether the phase raised its
     best: one :meth:`~MovementType.propose_batch` call across the
-    chains, one :meth:`_Phase.collect` and one ``measure_phase``;
+    chains, one :meth:`_Phase.collect` (:meth:`_Phase.collect_kernel`
+    on the compiled tier) and one ``measure_phase``;
     ``choose(phase, state, fitness, table)`` then picks the index of the
     candidate a chain moves to (or ``None``) from its non-empty slice of
     the fitness array and :class:`MoveBatch` rows.  Only that candidate
@@ -351,7 +396,8 @@ class _ChoiceRule:
             [state.rng for state in states],
             n_moves,
         )
-        collected = _Phase.collect(
+        collect = _Phase.collect_kernel if kernel_tier() else _Phase.collect
+        collected = collect(
             [state.current.placement for state in states],
             chains,
             proposals,

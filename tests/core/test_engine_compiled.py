@@ -309,10 +309,10 @@ class TestKernelUnits:
         )
         # Candidate 0 moves router 0 (in the giant) to cover only the
         # last client: c0 loses its hit, c2 keeps router 2, c3 gains.
-        giants, covered, components, links, masks = compiled.measure_phase_dense(
+        kernel = compiled.PhaseKernel(range_squared, clients, np.ones(3), True)
+        giants, covered, components, links, masks = kernel(
             np.array([state]), np.array([0, 1]),
             np.array([0]), np.array([0]), np.array([[30.0, 0.0]]),
-            range_squared, clients, np.ones(3), True,
         )
         assert covered.tolist() == [2]
         assert masks.tolist() == [[True, False, True]]

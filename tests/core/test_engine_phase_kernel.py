@@ -1,4 +1,4 @@
-"""The compiled tier's one-call dense phase (``measure_phase_dense``).
+"""The compiled tier's one-call dense phase (``PhaseKernel``).
 
 On the dense layout, a compiled ``StackedDeltaEngine.measure_phase`` is
 one kernel call for every chain of the phase.  These tests pin it
@@ -511,11 +511,12 @@ class TestKernelInputs:
         args = (
             np.array([state]), np.array([0, 1]),
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-            np.zeros((0, 2)), np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2),
+            np.zeros((0, 2)),
         )
-        assert compiled.measure_phase_dense(*args, False)[1].tolist() == [0]
+        constants = (np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2))
+        assert compiled.PhaseKernel(*constants, False)(*args)[1].tolist() == [0]
         with pytest.raises(ValueError, match="aid"):
-            compiled.measure_phase_dense(*args, True)
+            compiled.PhaseKernel(*constants, True)(*args)
 
     def test_phase_refuses_pair_arrays_of_different_lengths(self):
         positions = np.zeros((2, 2))
@@ -524,7 +525,7 @@ class TestKernelInputs:
         counts = np.zeros(3, dtype=np.int32)
         state = compiled.chain_state(positions, coverage, edges, edges, None, None, counts)
         head = (np.array([state]), np.array([0, 1]))
-        tail = (np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2), False)
+        kernel = compiled.PhaseKernel(np.zeros((2, 2)), np.zeros((3, 2)), np.ones(2), False)
         # Each case's pair_router is a valid count the others disagree with.
         for pairs in (
             ([0], [0, 1], [[0.0, 0.0], [1.0, 1.0]]),
@@ -533,14 +534,10 @@ class TestKernelInputs:
             ([0, 0], [0, 1], [[0.0, 0.0]]),
         ):
             with pytest.raises(ValueError, match="disagree on their count"):
-                compiled.measure_phase_dense(
-                    *head, *(np.array(a) for a in pairs), *tail
-                )
+                kernel(*head, *(np.array(a) for a in pairs))
         bad = PhaseCandidates([0], [0], [1, 0], [[0, 0], [1, 1]])
         with pytest.raises(ValueError, match="disagree on their count"):
-            compiled.measure_phase_dense(
-                *head, bad.pair_candidate, bad.pair_router, bad.pair_xy, *tail
-            )
+            kernel(*head, bad.pair_candidate, bad.pair_router, bad.pair_xy)
 
     def test_phase_refuses_out_of_range_pairs(self):
         problem = tiny_spec(seed=3).generate()

@@ -339,10 +339,10 @@ def test_a_router_listed_twice_stays_in_bounds():
     state = compiled.chain_state(
         positions, coverage, edges, edges, None, None, np.zeros(3, dtype=np.int32)
     )
-    giants, covered, components, _, masks = compiled.measure_phase_dense(
+    kernel = compiled.PhaseKernel(np.zeros((1, 1)), np.zeros((3, 2)), np.ones(1), False)
+    giants, covered, components, _, masks = kernel(
         np.array([state]), np.array([0, 1]), np.zeros(3, dtype=np.int64),
-        np.zeros(3, dtype=np.int64), np.zeros((3, 2)), np.zeros((1, 1)),
-        np.zeros((3, 2)), np.ones(1), False,
+        np.zeros(3, dtype=np.int64), np.zeros((3, 2)),
     )
     assert giants.tolist() == [1] and components.tolist() == [1]
     assert covered.tolist() == [3] and masks.tolist() == [[True]]

@@ -50,17 +50,17 @@ def reference_table(movement, placement, problem):
 
 def kernel_table(movement, placement, problem):
     grid = problem.grid
-    return compiled.swap_window_table(
+    kernel = compiled.WindowTableKernel(
         grid.width,
         grid.height,
         movement.window_size(grid),
         None if movement.density_source == "routers" else movement._client_cells(problem),
-        placement.cells_array(),
         movement.density_source != "clients",
         problem.fleet.radii,
         movement.pool,
         movement.relocate,
     )
+    return kernel(placement.cells_array())
 
 
 def assert_same_table(movement, placement, problem):
@@ -183,13 +183,15 @@ class TestWindowTable:
         for points in (np.array([[0, 0], [8, 1]]), np.array([[0, -1]])):
             with pytest.raises(ValueError) as expected:
                 DensityMap.build(grid, np.vstack([points, cells]), 2, 2)
+            kernel = compiled.WindowTableKernel(8, 6, (2, 2), points, True, radii, 8, True)
             with pytest.raises(ValueError) as refused:
-                compiled.swap_window_table(
-                    8, 6, (2, 2), points, cells, True, radii, 8, True
-                )
+                kernel(cells)
             assert str(refused.value) == str(expected.value)
         with pytest.raises(ValueError, match="must fit"):
-            compiled.swap_window_table(8, 6, (9, 2), None, cells, True, radii, 8, True)
+            compiled.WindowTableKernel(8, 6, (9, 2), None, True, radii, 8, True)
+        kernel = compiled.WindowTableKernel(8, 6, (2, 2), None, True, radii, 8, True)
+        with pytest.raises(ValueError, match="one radius per router"):
+            kernel(cells[:1])
 
     def test_kernel_tier_ranks_no_density_map(self, monkeypatch):
         problem = make_problem(16, 12, [1.0, 2.0, 3.0], [(1, 1), (9, 9)])
