@@ -96,8 +96,10 @@ def report_signature(report) -> list[list[tuple]]:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--routers", type=int, default=128,
-                        help="city instance routers (default 128)")
+    parser.add_argument("--routers", type=int, default=256,
+                        help="city instance routers (default 256, so "
+                        "the run's tier takes the sparse layout and the "
+                        "work per task stays small next to transport)")
     parser.add_argument("--clients", type=int, default=20000,
                         help="city instance clients (default 20000)")
     parser.add_argument("--steps", type=int, default=1,
@@ -111,9 +113,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="candidate moves per phase (default 2)")
     parser.add_argument("--workers", type=int, default=4,
                         help="process fan-out per round trip (default 4)")
-    parser.add_argument("--engine", default="sparse",
-                        help="evaluation engine (default sparse — the "
-                        "city-scale frame's engine; see city_spec)")
     parser.add_argument("--rounds", type=int, default=3,
                         help="timed round trips per arm; the minimum "
                         "counts (default 3)")
@@ -162,7 +161,6 @@ def main(argv: "list[str] | None" = None) -> int:
             n_seeds=args.seeds,
             budget=args.budget,
             workers=workers,
-            engine=args.engine,
         )
 
     # The untimed serial reference every parallel arm must reproduce.

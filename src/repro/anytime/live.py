@@ -363,7 +363,7 @@ class LiveRunner:
     """Event-loop re-optimization with SLAs and overload shedding.
 
     Parameters mirror :class:`~repro.scenario.runner.ScenarioRunner`
-    (solver spec, budgets, warm starts, engine, fitness) plus the
+    (solver spec, budgets, warm starts, fitness) plus the
     live knobs:
 
     sla:
@@ -393,7 +393,6 @@ class LiveRunner:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: bool = True,
-        engine: str = "auto",
         fitness=None,
         seconds_per_evaluation: "float | None" = None,
         deadline_fraction: float = 0.9,
@@ -405,7 +404,6 @@ class LiveRunner:
             budget=budget,
             warm_budget=warm_budget,
             warm=warm,
-            engine=engine,
             fitness=fitness,
             **solver_kwargs,
         )
@@ -440,7 +438,6 @@ class LiveRunner:
     budget = property(lambda self: self.runner.budget)
     warm_budget = property(lambda self: self.runner.warm_budget)
     warm = property(lambda self: self.runner.warm)
-    engine = property(lambda self: self.runner.engine)
     fitness = property(lambda self: self.runner.fitness)
 
     # ------------------------------------------------------------------
@@ -569,7 +566,6 @@ class LiveRunner:
                     seed=step_seeds[index],
                     budget=budget,
                     warm_start=None if warm_starts is None else warm_starts[0],
-                    engine=self.engine,
                     fitness=self.fitness,
                     deadline=event_deadline,
                 )

@@ -19,10 +19,12 @@
 * ``replicate`` — multi-seed replication of the headline comparisons.
 * ``sweep`` — scaling sweeps around the paper's operating point.
 
-Every command accepts ``--seed`` and prints deterministic results, and
-every command that evaluates placements accepts
-``--engine {auto,dense,sparse,compiled}`` to pick the evaluation engine
-(``generate`` performs no evaluation, so it has no engine to pick).
+Every command accepts ``--seed`` and prints deterministic results.  No
+command takes an engine option: every evaluation runs on the tier
+``resolve_engine(problem, "auto")`` picks (the compiled C kernels when
+a toolchain built them, else dense at paper scale and the spatial-grid
+sparse path at city scale), and every tier gives identical results.
+``REPRO_COMPILED=0`` keeps a whole command on the numpy tier.
 
 All optimization commands resolve their method through the single
 :mod:`repro.solvers` registry — there are no per-family code paths left
@@ -35,7 +37,6 @@ import argparse
 import sys
 
 from repro.adhoc.registry import available_methods
-from repro.core.engine.dispatch import ENGINE_TIERS
 from repro.distributions.registry import available_distributions
 from repro.experiments.config import PAPER_SCALE, QUICK_SCALE
 from repro.experiments.runner import run_all
@@ -55,25 +56,8 @@ from repro.viz.timeline import render_fleet_report, render_timeline
 
 __all__ = ["main", "build_parser"]
 
-#: The evaluation-engine choice shared by every evaluating subcommand —
-#: derived from the dispatch layer's single tier tuple so the CLI can
-#: never drift from ``resolve_engine``'s contract.
-ENGINE_CHOICES = ENGINE_TIERS
-
 #: Scenario kinds the ``scenario`` subcommand can unfold.
 SCENARIO_KINDS = ("drift", "churn", "outage", "degrade")
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    """The uniform ``--engine`` option (auto/dense/sparse/compiled)."""
-    parser.add_argument(
-        "--engine",
-        default="auto",
-        choices=ENGINE_CHOICES,
-        help="evaluation engine: auto promotes to the compiled C kernels "
-        "when a toolchain built them, else picks dense at paper scale "
-        "and the spatial-grid sparse path at city scale (default: auto)",
-    )
 
 
 def _add_resilience(
@@ -250,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list every registered solver spec and exit",
     )
-    _add_engine(solve)
 
     place = subparsers.add_parser(
         "place", help="run one ad hoc placement method on an instance"
@@ -267,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     place.add_argument(
         "--render", action="store_true", help="print an ASCII map of the result"
     )
-    _add_engine(place)
 
     search = subparsers.add_parser(
         "search", help="run neighborhood search on an instance"
@@ -295,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--trace", action="store_true", help="print the phase-by-phase trace"
     )
-    _add_engine(search)
 
     ga = subparsers.add_parser(
         "ga", help="run the genetic algorithm on an instance"
@@ -314,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     ga.add_argument(
         "--render", action="store_true", help="print an ASCII map of the result"
     )
-    _add_engine(ga)
 
     scenario = subparsers.add_parser(
         "scenario",
@@ -367,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also draw the fitness-vs-step curve",
     )
-    _add_engine(scenario)
     _add_resilience(scenario, timeout=False)
 
     live = subparsers.add_parser(
@@ -442,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_shape(live)
     live.add_argument("--seed", type=int, default=0)
-    _add_engine(live)
 
     fleet = subparsers.add_parser(
         "scenario-fleet",
@@ -512,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also draw the mean recovery curves per scenario",
     )
-    _add_engine(fleet)
     _add_resilience(fleet)
 
     reproduce = subparsers.add_parser(
@@ -533,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument(
         "--csv-dir", help="also write one CSV per table/figure into this directory"
     )
-    _add_engine(reproduce)
 
     replicate = subparsers.add_parser(
         "replicate",
@@ -550,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan seed shards out over a process pool (identical results; "
         "chains still run in lockstep within each process)",
     )
-    _add_engine(replicate)
     _add_resilience(replicate)
 
     sweep = subparsers.add_parser(
@@ -575,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="best-of-R restart portfolio per movement at every sweep "
         "point (lockstep multi-start; default 1)",
     )
-    _add_engine(sweep)
     return parser
 
 
@@ -663,7 +637,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         budget=args.budget,
         warm_start=warm_start,
-        engine=args.engine,
     )
     print(result.summary())
     if args.render:
@@ -677,7 +650,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_place(args: argparse.Namespace) -> int:
     problem = load_instance(args.instance)
     solver = make_solver(f"adhoc:{args.method}")
-    result = solver.solve(problem, seed=args.seed, engine=args.engine)
+    result = solver.solve(problem, seed=args.seed)
     if args.render:
         print(render_evaluation(problem, result.best))
     else:
@@ -695,9 +668,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         init=args.init,
         n_candidates=args.candidates,
     )
-    result = solver.solve(
-        problem, seed=args.seed, budget=args.phases, engine=args.engine
-    )
+    result = solver.solve(problem, seed=args.seed, budget=args.phases)
     if args.trace:
         for record in result.trace:
             marker = "*" if record.improved else " "
@@ -713,9 +684,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_ga(args: argparse.Namespace) -> int:
     problem = load_instance(args.instance)
     solver = make_solver(f"ga:{args.init}", population_size=args.population)
-    result = solver.solve(
-        problem, seed=args.seed, budget=args.generations, engine=args.engine
-    )
+    result = solver.solve(problem, seed=args.seed, budget=args.generations)
     _report_solve(result, problem, args, unit="generations")
     return 0
 
@@ -754,7 +723,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         args.solver,
         budget=args.budget,
         warm=not args.cold,
-        engine=args.engine,
         policy=_resilience_policy(args),
         **_scenario_solver_kwargs(args.solver, args.candidates, args.stall),
     )
@@ -802,7 +770,6 @@ def _cmd_scenario_live(args: argparse.Namespace) -> int:
         sla=args.sla,
         interval=args.interval,
         budget=args.budget,
-        engine=args.engine,
         seconds_per_evaluation=args.sim,
         deadline_fraction=args.deadline_fraction,
         **solver_kwargs,
@@ -813,7 +780,6 @@ def _cmd_scenario_live(args: argparse.Namespace) -> int:
         baseline = ScenarioRunner(
             args.solver,
             budget=args.budget,
-            engine=args.engine,
             **solver_kwargs,
         ).run(scenario, seed=args.seed)
     print(render_live_report(report, baseline=baseline))
@@ -842,7 +808,6 @@ def _cmd_scenario_fleet(args: argparse.Namespace) -> int:
         budget=args.budget,
         warm_budget=args.warm_budget,
         warm=args.arms,
-        engine=args.engine,
         workers=args.workers,
         policy=_resilience_policy(args),
     )
@@ -862,7 +827,7 @@ def _cmd_scenario_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     scale = PAPER_SCALE if args.scale == "paper" else QUICK_SCALE
-    report = run_all(scale=scale, seed=args.seed, engine=args.engine)
+    report = run_all(scale=scale, seed=args.seed)
     print(report.render_text())
     if args.charts:
         for figure in report.figures:
@@ -922,7 +887,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         problem,
         n_seeds=args.seeds,
         workers=args.workers,
-        engine=args.engine,
         policy=policy,
         checkpoint=checkpoint,
         resume_from=resume,
@@ -936,7 +900,6 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
         n_candidates=args.candidates,
         max_phases=args.phases,
         workers=args.workers,
-        engine=args.engine,
         policy=policy,
         checkpoint=checkpoint,
         resume_from=resume,
@@ -967,7 +930,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             counts=values,
             seed=args.seed,
             n_restarts=args.restarts,
-            engine=args.engine,
         )
     else:
         values = (
@@ -980,7 +942,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             max_radii=values,
             seed=args.seed,
             n_restarts=args.restarts,
-            engine=args.engine,
         )
     print(format_sweep(result))
     return 0

@@ -64,12 +64,7 @@ from repro.core.engine.batch import (
     batch_coverage,
     measure_stack,
 )
-from repro.core.engine.components import (
-    batch_labels_from_adjacency,
-    labels_from_adjacency,
-    labels_from_edges,
-    structure_from_labels,
-)
+from repro.core.engine.components import labels_from_edges
 from repro.core.engine.compiled import CompiledEngine
 from repro.core.engine.compiled import is_available as compiled_available
 from repro.core.engine.dispatch import ENGINE_TIERS, resolve_engine, select_engine
@@ -89,10 +84,7 @@ __all__ = [
     "batch_coverage",
     "measure_stack",
     "sparse_edges",
-    "batch_labels_from_adjacency",
-    "labels_from_adjacency",
     "labels_from_edges",
-    "structure_from_labels",
     "resolve_engine",
     "select_engine",
 ]

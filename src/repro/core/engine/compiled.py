@@ -120,11 +120,6 @@ _PU8 = ctypes.POINTER(ctypes.c_uint8)
 _PV = ctypes.c_void_p
 
 
-def _env_enabled() -> bool:
-    """Live read of the ``REPRO_COMPILED`` gate (default: enabled)."""
-    return envgates.compiled_enabled()
-
-
 def _cache_dirs() -> "list[tuple[Path, bool]]":
     """Build directories in order of preference, each with its ownership.
 
@@ -327,13 +322,13 @@ def _load() -> "ctypes.CDLL | None":
 
 def is_available() -> bool:
     """Whether the compiled tier can run (gate enabled + build succeeds)."""
-    return _env_enabled() and _load() is not None
+    return envgates.compiled_enabled() and _load() is not None
 
 
 def is_loaded() -> bool:
     """Whether the compiled tier is enabled and already built in this
     process.  Unlike :func:`is_available` it never starts a build."""
-    return _env_enabled() and _lib is not None
+    return envgates.compiled_enabled() and _lib is not None
 
 
 def build_error() -> "str | None":
@@ -349,7 +344,7 @@ def build_error() -> "str | None":
 
 def require() -> ctypes.CDLL:
     """The bound kernel library, or a clear error for ``engine="compiled"``."""
-    if not _env_enabled():
+    if not envgates.compiled_enabled():
         raise RuntimeError(
             "engine='compiled' is disabled by REPRO_COMPILED="
             f"{envgates.raw('REPRO_COMPILED')!r}; unset it, or use "

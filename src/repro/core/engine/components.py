@@ -14,18 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.connectivity import (
-    ComponentStructure,
-    structure_from_canonical_labels,
-)
-
-__all__ = [
-    "labels_from_edges",
-    "labels_from_edge_stack",
-    "labels_from_adjacency",
-    "batch_labels_from_adjacency",
-    "structure_from_labels",
-]
+__all__ = ["labels_from_edges", "labels_from_edge_stack"]
 
 try:  # scipy ships in the standard environment but stays optional.
     from scipy.sparse import coo_matrix as _coo_matrix
@@ -121,47 +110,3 @@ def labels_from_edge_stack(
     canonical = np.full(n_components, n_nodes, dtype=np.intp)
     np.minimum.at(canonical, component, np.arange(n_nodes, dtype=np.intp))
     return canonical[component]
-
-
-def labels_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Canonical component labels of one ``(N, N)`` adjacency matrix."""
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-    # Directed duplicates are harmless to label propagation, and a plain
-    # nonzero is cheaper than materializing an upper-triangular copy.
-    rows, cols = np.nonzero(adjacency)
-    return labels_from_edges(adjacency.shape[0], rows, cols)
-
-
-def batch_labels_from_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Canonical labels for a ``(K, N, N)`` stack of adjacency matrices.
-
-    All candidates are labeled in one propagation pass: candidate ``k``'s
-    nodes are offset to ``k * N .. k * N + N - 1``, the per-candidate
-    edge sets are concatenated, and the single combined graph is labeled.
-    Because no edge crosses candidate blocks, subtracting the block
-    offset recovers each candidate's canonical (smallest-member) labels.
-    """
-    if adjacency.ndim != 3 or adjacency.shape[1] != adjacency.shape[2]:
-        raise ValueError(
-            f"adjacency must be a (K, N, N) stack, got {adjacency.shape}"
-        )
-    n_candidates, n_nodes, _ = adjacency.shape
-    if n_candidates == 0:
-        return np.zeros((0, n_nodes), dtype=np.intp)
-    which, rows, cols = np.nonzero(adjacency)
-    offset = which.astype(np.intp) * n_nodes
-    flat = labels_from_edges(n_candidates * n_nodes, offset + rows, offset + cols)
-    labels = flat.reshape(n_candidates, n_nodes)
-    labels -= np.arange(n_candidates, dtype=np.intp)[:, np.newaxis] * n_nodes
-    return labels
-
-
-def structure_from_labels(labels: np.ndarray) -> ComponentStructure:
-    """Wrap canonical labels into a :class:`ComponentStructure`.
-
-    Thin alias of
-    :func:`repro.core.connectivity.structure_from_canonical_labels` so
-    the scalar and engine paths share one size-tally implementation.
-    """
-    return structure_from_canonical_labels(labels)

@@ -46,9 +46,8 @@ ENGINE_DENSE = "dense"
 ENGINE_SPARSE = "sparse"
 ENGINE_COMPILED = "compiled"
 
-#: Every valid ``engine`` argument, in documentation order.  The single
-#: source the ``resolve_engine`` error message and the CLI ``--engine``
-#: choices are both derived from, so adding a tier cannot skew them.
+#: Every valid ``engine`` argument, in documentation order.  The
+#: ``resolve_engine`` error message lists them from here.
 ENGINE_TIERS = (ENGINE_AUTO, ENGINE_DENSE, ENGINE_SPARSE, ENGINE_COMPILED)
 
 #: Up to this many matrix cells (``N^2 + M * N``) the dense engines are

@@ -133,7 +133,6 @@ def run_ga_figure(
     spec: InstanceSpec | None = None,
     fitness: FitnessFunction | None = None,
     methods: tuple[str, ...] = PAPER_METHOD_ORDER,
-    engine: str = "auto",
 ) -> FigureResult:
     """Regenerate Figure 1, 2 or 3 (GA evolution per initializer)."""
     study = run_distribution_study(
@@ -143,7 +142,6 @@ def run_ga_figure(
         spec=spec,
         fitness=fitness,
         methods=methods,
-        engine=engine,
     )
     return figure_from_study(study)
 
@@ -154,7 +152,6 @@ def run_ns_figure(
     spec: InstanceSpec | None = None,
     fitness: FitnessFunction | None = None,
     movements: "dict[str, MovementType] | None" = None,
-    engine: str = "auto",
 ) -> FigureResult:
     """Regenerate Figure 4 (neighborhood search, Swap vs Random).
 
@@ -180,7 +177,7 @@ def run_ns_figure(
         # Stable CRC32 key (the salted builtin ``hash`` made Figure 4
         # irreproducible across interpreter runs).
         rng = np.random.default_rng((seed, label_key(label), 5))
-        evaluator = Evaluator(problem, fitness, engine=engine)
+        evaluator = Evaluator(problem, fitness)
         search = NeighborhoodSearch(
             movement=movement,
             n_candidates=scale.ns_candidates,

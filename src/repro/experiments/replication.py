@@ -143,13 +143,13 @@ def _standalone_run(task) -> list[tuple[float, float, float]]:
     values to per-seed scalar evaluation (engine parity), one stacked
     pass instead of ``len(shard)``.
     """
-    source, method_name, fitness, engine, rng_keys = task
+    source, method_name, fitness, rng_keys = task
     problem = _cached_problem(source)
     placements = []
     for key in rng_keys:
         rng = np.random.default_rng(key)
         placements.append(make_method(method_name).place(problem, rng))
-    evaluator = Evaluator(problem, fitness, engine=engine)
+    evaluator = Evaluator(problem, fitness)
     evaluations = evaluator.evaluate_many(placements)
     return [
         (float(e.giant_size), float(e.covered_clients), e.fitness)
@@ -167,7 +167,7 @@ def _movement_run(task) -> list[tuple[float, float]]:
     """
     from repro.core.solution import Placement
 
-    source, factory, n_candidates, max_phases, fitness, engine, rng_keys = task
+    source, factory, n_candidates, max_phases, fitness, rng_keys = task
     problem = _cached_problem(source)
     rngs = [np.random.default_rng(key) for key in rng_keys]
     initials = [
@@ -178,7 +178,6 @@ def _movement_run(task) -> list[tuple[float, float]]:
         n_candidates=n_candidates,
         max_phases=max_phases,
         stall_phases=None,
-        engine=engine,
     )
     outcomes = search.run(problem, initials, rngs, fitness=fitness)
     return [
@@ -323,7 +322,6 @@ def replicate_standalone(
     methods: tuple[str, ...] = PAPER_METHOD_ORDER,
     fitness: FitnessFunction | None = None,
     workers: int | None = None,
-    engine: str = "auto",
     policy: "RetryPolicy | None" = None,
     checkpoint: "str | None" = None,
     resume_from: "str | None" = None,
@@ -350,12 +348,11 @@ def replicate_standalone(
         _standalone_run,
         ("giant", "coverage", "fitness"),
         spec,
-        {name: (name, fitness, engine) for name in methods},
+        {name: (name, fitness) for name in methods},
         {
             "kind": "replicate-standalone",
             "methods": list(methods),
             "fitness": repr(fitness) if fitness is not None else None,
-            "engine": engine,
         },
         n_seeds,
         workers,
@@ -374,7 +371,6 @@ def replicate_movements(
     max_phases: int = 30,
     fitness: FitnessFunction | None = None,
     workers: int | None = None,
-    engine: str = "auto",
     policy: "RetryPolicy | None" = None,
     checkpoint: "str | None" = None,
     resume_from: "str | None" = None,
@@ -406,7 +402,7 @@ def replicate_movements(
         ("giant", "coverage"),
         spec,
         {
-            label: (factory, n_candidates, max_phases, fitness, engine)
+            label: (factory, n_candidates, max_phases, fitness)
             for label, factory in movements.items()
         },
         {
@@ -415,7 +411,6 @@ def replicate_movements(
             "n_candidates": n_candidates,
             "max_phases": max_phases,
             "fitness": repr(fitness) if fitness is not None else None,
-            "engine": engine,
         },
         n_seeds,
         workers,

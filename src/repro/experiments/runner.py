@@ -89,7 +89,6 @@ def run_all(
     seed: int = 1,
     distributions: tuple[str, ...] = ("normal", "exponential", "weibull"),
     specs: dict | None = None,
-    engine: str = "auto",
 ) -> ReproductionReport:
     """Regenerate Tables 1-3 and Figures 1-4.
 
@@ -113,14 +112,11 @@ def run_all(
             scale=scale,
             seed=seed,
             spec=specs.get(distribution),
-            engine=engine,
         )
         tables.append(table_from_study(study))
         if distribution in PAPER_GA_FIGURE_NUMBERS:
             ga_figures.append(figure_from_study(study))
-    ns_figure = run_ns_figure(
-        scale=scale, seed=seed, spec=specs.get("normal"), engine=engine
-    )
+    ns_figure = run_ns_figure(scale=scale, seed=seed, spec=specs.get("normal"))
     return ReproductionReport(
         tables=tuple(tables),
         figures=tuple(ga_figures) + (ns_figure,),

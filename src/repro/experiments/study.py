@@ -77,7 +77,6 @@ def run_distribution_study(
     spec: InstanceSpec | None = None,
     fitness: FitnessFunction | None = None,
     methods: tuple[str, ...] = PAPER_METHOD_ORDER,
-    engine: str = "auto",
 ) -> DistributionStudy:
     """Run the full initializer study for one client distribution."""
     if scale is None:
@@ -85,8 +84,7 @@ def run_distribution_study(
     spec = resolve_spec(distribution, spec)
     problem = spec.generate()
     entries = tuple(
-        _study_method(name, problem, scale, seed, fitness, engine)
-        for name in methods
+        _study_method(name, problem, scale, seed, fitness) for name in methods
     )
     return DistributionStudy(
         distribution=distribution,
@@ -103,7 +101,6 @@ def _study_method(
     scale: ExperimentScale,
     seed: int,
     fitness: FitnessFunction | None,
-    engine: str = "auto",
 ) -> MethodStudy:
     from repro.experiments.replication import label_key
 
@@ -113,7 +110,7 @@ def _study_method(
     # Stable CRC32 label keys — the salted builtin ``hash`` of earlier
     # revisions made `reproduce` output differ between interpreter runs.
     standalone_rng = np.random.default_rng((seed, label_key(method_name), 1))
-    standalone = Evaluator(problem, fitness, engine=engine).evaluate(
+    standalone = Evaluator(problem, fitness).evaluate(
         method.place(problem, standalone_rng)
     )
 
@@ -125,9 +122,7 @@ def _study_method(
             n_generations=scale.n_generations,
         )
     )
-    result = ga.run(
-        Evaluator(problem, fitness, engine=engine), AdHocInitializer(method), ga_rng
-    )
+    result = ga.run(Evaluator(problem, fitness), AdHocInitializer(method), ga_rng)
     sampled = result.trace.sampled(scale.record_step)
 
     return MethodStudy(

@@ -76,13 +76,12 @@ def _measure_point(
     scale: ExperimentScale,
     seed: int,
     n_restarts: int,
-    engine: str = "auto",
 ) -> SweepPoint:
     """Stand-alone + best-of-restarts Swap/Random searches on one instance."""
     problem = spec.generate()
     parameter_key = int(parameter * 1000) & 0xFFFF
     rng = np.random.default_rng((seed, parameter_key))
-    standalone = Evaluator(problem, engine=engine).evaluate(
+    standalone = Evaluator(problem).evaluate(
         make_method("random").place(problem, rng)
     )
     outcomes = {}
@@ -94,9 +93,7 @@ def _measure_point(
             max_phases=scale.ns_phases,
             stall_phases=None,
         )
-        outcome = solver.solve(
-            problem, seed=(seed, label_key(label), parameter_key), engine=engine
-        )
+        outcome = solver.solve(problem, seed=(seed, label_key(label), parameter_key))
         outcomes[label] = outcome.best
     return SweepPoint(
         parameter=parameter,
@@ -113,7 +110,6 @@ def sweep_router_count(
     scale: ExperimentScale | None = None,
     seed: int = 1,
     n_restarts: int = 1,
-    engine: str = "auto",
 ) -> SweepResult:
     """How fleet size changes the picture (paper fixes N = 64).
 
@@ -133,7 +129,7 @@ def sweep_router_count(
             raise ValueError(f"router counts must be positive, got {count}")
         spec = replace(base_spec, n_routers=int(count))
         points.append(
-            _measure_point(spec, float(count), scale, seed, n_restarts, engine)
+            _measure_point(spec, float(count), scale, seed, n_restarts)
         )
     return SweepResult(
         parameter_name="n_routers",
@@ -150,7 +146,6 @@ def sweep_radio_range(
     scale: ExperimentScale | None = None,
     seed: int = 1,
     n_restarts: int = 1,
-    engine: str = "auto",
 ) -> SweepResult:
     """How radio strength changes the picture (the oscillation ceiling)."""
     if scale is None:
@@ -168,7 +163,7 @@ def sweep_radio_range(
             )
         spec = replace(base_spec, max_radius=float(max_radius))
         points.append(
-            _measure_point(spec, float(max_radius), scale, seed, n_restarts, engine)
+            _measure_point(spec, float(max_radius), scale, seed, n_restarts)
         )
     return SweepResult(
         parameter_name="max_radius",

@@ -190,9 +190,7 @@ _FRESH_CALLS = frozenset(
         "repro.seeding.spawn_children",
         "SeedSequence",
         "fresh_sequence",
-        "_fresh_sequence",
         "root_sequence",
-        "_root_sequence",
         "spawn_children",
     }
 )

@@ -12,7 +12,7 @@ The format follows :mod:`repro.instances.serializer` conventions: plain
 JSON, a ``format`` tag per document, explicit fields, no pickling.  A
 :class:`CheckpointStore` is a directory of one JSON file per completed
 cell plus a ``manifest.json`` recording the run's identity — root seed
-entropy, grid axes, budgets, engine — so resuming under a *different*
+entropy, grid axes, budgets — so resuming under a *different*
 configuration is a loud :class:`CheckpointError`, never silent reuse.
 
 Resume is verified, not trusted: the harnesses re-run one checkpointed

@@ -76,10 +76,6 @@ class InjectedCrash(RuntimeError):
     """
 
 
-def _compiled_enabled() -> bool:
-    return envgates.compiled_enabled()
-
-
 @dataclass(frozen=True)
 class Fault:
     """One scheduled fault: ``kind`` on task ``index`` with ``param``.
@@ -105,7 +101,7 @@ class Fault:
     def fires(self, attempt: int, degraded: bool) -> bool:
         """Whether this fault triggers on the given task attempt."""
         if self.kind == "crash-compiled":
-            return not degraded and _compiled_enabled()
+            return not degraded and envgates.compiled_enabled()
         if self.kind == "delay":
             return True
         return attempt < int(self.param)

@@ -242,10 +242,6 @@ def _degraded_env(active: bool):
             os.environ["REPRO_COMPILED"] = prior
 
 
-def _compiled_enabled() -> bool:
-    return envgates.compiled_enabled()
-
-
 #: Environment the parent snapshots into every task payload.  Persistent
 #: pool workers fork *once* and are reused across calls, so variables
 #: the caller (or a test) flips after pool creation — fault plans, the
@@ -395,7 +391,7 @@ def retry_call(
                 kind == "crash"
                 and policy.degrade_compiled
                 and not degraded
-                and _compiled_enabled()
+                and envgates.compiled_enabled()
             ):
                 degraded = True
                 _mark_degraded(report, task, label, kind)
@@ -561,7 +557,7 @@ def run_supervised(
                 kind in ("crash", "timeout")
                 and policy.degrade_compiled
                 and not degraded[index]
-                and _compiled_enabled()
+                and envgates.compiled_enabled()
             ):
                 degraded[index] = True
                 _mark_degraded(report, index, label_of(index), kind)

@@ -500,7 +500,7 @@ class ScenarioFleet:
         ``name``) must be unique.
     n_seeds:
         Replicates per (scenario, solver) cell.
-    budget / warm_budget / warm / engine / fitness:
+    budget / warm_budget / warm / fitness:
         As on :class:`~repro.scenario.runner.ScenarioRunner` — applied
         uniformly to every cell.  ``warm`` additionally accepts
         ``"both"`` to run warm *and* cold arms on identical seeds, which
@@ -523,7 +523,6 @@ class ScenarioFleet:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: "bool | str" = True,
-        engine: str = "auto",
         fitness=None,
         workers: "int | None" = None,
         policy: "RetryPolicy | None" = None,
@@ -536,7 +535,6 @@ class ScenarioFleet:
         self.n_seeds = n_seeds
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
-        self.engine = engine
         self.fitness = fitness
         self.workers = workers
         self.policy = policy
@@ -590,7 +588,6 @@ class ScenarioFleet:
                 budget=self.budget,
                 warm_budget=self.warm_budget if warm else None,
                 warm=warm,
-                engine=self.engine,
                 fitness=self.fitness,
             )
             for warm in self._arms
@@ -672,7 +669,6 @@ class ScenarioFleet:
             "arms": ["warm" if arm else "cold" for arm in self._arms],
             "budget": self.budget,
             "warm_budget": self.warm_budget,
-            "engine": self.engine,
             "fitness": repr(self.fitness) if self.fitness is not None else None,
         }
 

@@ -184,7 +184,7 @@ class ScenarioRunner:
         is near-converged, so most runs leave this alone.
     warm:
         ``False`` re-solves every step cold (the benchmark baseline).
-    engine / fitness:
+    fitness:
         Threaded into every solve, as on :meth:`Solver.solve`.
     policy:
         The :class:`~repro.resilience.supervisor.RetryPolicy` for the
@@ -200,7 +200,6 @@ class ScenarioRunner:
         budget: "int | None" = None,
         warm_budget: "int | None" = None,
         warm: bool = True,
-        engine: str = "auto",
         fitness=None,
         policy: "RetryPolicy | None" = None,
         **solver_kwargs,
@@ -219,7 +218,6 @@ class ScenarioRunner:
         self.budget = budget
         self.warm_budget = warm_budget if warm_budget is not None else budget
         self.warm = warm
-        self.engine = engine
         self.fitness = fitness
         self.policy = policy
 
@@ -396,7 +394,6 @@ class ScenarioRunner:
                 "budget": self.budget,
                 "warm_budget": self.warm_budget,
                 "warm": self._warm_capable,
-                "engine": self.engine,
                 "fitness": (
                     repr(self.fitness) if self.fitness is not None else None
                 ),
@@ -435,7 +432,6 @@ class ScenarioRunner:
                     step_seeds,
                     budget=budget,
                     warm_starts=warm_starts,
-                    engine=self.engine,
                     fitness=self.fitness,
                     deadline=deadline,
                 )

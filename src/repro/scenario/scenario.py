@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.problem import ProblemInstance
-from repro.seeding import fresh_sequence, root_sequence, spawn_children
+from repro.seeding import root_sequence, spawn_children
 from repro.scenario.perturbations import (
     ClientChurn,
     ClientDrift,
@@ -33,12 +33,6 @@ from repro.scenario.perturbations import (
 )
 
 __all__ = ["ScenarioStep", "Scenario"]
-
-
-# Back-compat aliases: the fresh-copy helpers moved to the shared
-# :mod:`repro.seeding` module (the sanctioned home of all spawning).
-_fresh_sequence = fresh_sequence
-_root_sequence = root_sequence
 
 
 @dataclass(frozen=True)

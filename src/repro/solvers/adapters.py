@@ -14,8 +14,10 @@ into the family's native run call.  The shared conventions:
   the neighborhood family, generations for the GA; ignored (with
   ``supports_warm_start`` analogously ``False``) for ad hoc
   constructors.
-* **Engine** — threaded into the family's evaluator(s); the delta and
-  stacked engines follow it too.
+* **Engine** — not a solver knob: every evaluator and stacked engine a
+  family builds takes the tier ``resolve_engine(problem, "auto")``
+  picks (``REPRO_COMPILED=0`` keeps a whole run on the numpy tier),
+  and every tier is bit-identical.
 * **Lockstep** — the local-search families (best-improvement search,
   simulated annealing, tabu search) share one ``solve``/``solve_batch``:
   every seed is one chain of a
@@ -93,7 +95,6 @@ class AdHocSolver(Solver):
         seed=0,
         budget=None,
         warm_start=None,
-        engine: str = "auto",
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
@@ -110,7 +111,7 @@ class AdHocSolver(Solver):
         started = DEFAULT_CLOCK.now()
         rng_init, _ = solver_streams(seed)
         placement = self._method.place(problem, rng_init)
-        evaluator = Evaluator(problem, fitness, engine=engine)
+        evaluator = Evaluator(problem, fitness)
         evaluation = evaluator.evaluate(placement)
         return SolveResult(
             solver=self.name,
@@ -174,14 +175,14 @@ class _LocalSearchSolver(_InitializedSolver):
         self._movement = make_movement(movement, **movement_params)
         # The family's driver checks its knobs as it is built; building
         # one here makes a bad knob fail now, not in the first solve.
-        self._chains(self.max_phases, "auto")
+        self._chains(self.max_phases)
 
     @property
     def name(self) -> str:
         return f"{self.family}:{self._movement_name}"
 
-    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
-        """The family's lockstep driver at a phase budget and tier."""
+    def _chains(self, max_phases: int) -> MultiChainSearch:
+        """The family's lockstep driver at a phase budget."""
         raise NotImplementedError
 
     def solve(
@@ -191,7 +192,6 @@ class _LocalSearchSolver(_InitializedSolver):
         seed=0,
         budget=None,
         warm_start=None,
-        engine: str = "auto",
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
@@ -200,7 +200,6 @@ class _LocalSearchSolver(_InitializedSolver):
             [seed],
             budget=budget,
             warm_starts=[warm_start],
-            engine=engine,
             fitness=fitness,
             deadline=deadline,
         )[0]
@@ -212,7 +211,6 @@ class _LocalSearchSolver(_InitializedSolver):
         *,
         budget=None,
         warm_starts=None,
-        engine: str = "auto",
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> list[SolveResult]:
@@ -235,9 +233,7 @@ class _LocalSearchSolver(_InitializedSolver):
                 for seed, warm_start in zip(seeds, warm_starts)
             )
         )
-        search = self._chains(
-            budget if budget is not None else self.max_phases, engine
-        )
+        search = self._chains(budget if budget is not None else self.max_phases)
         results = search.run(
             problem, initials, rngs, fitness=fitness, deadline=deadline
         )
@@ -281,14 +277,13 @@ class NeighborhoodSolver(_LocalSearchSolver):
         self.accept_equal = accept_equal
         super().__init__(movement, init, **movement_params)
 
-    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+    def _chains(self, max_phases: int) -> MultiChainSearch:
         return MultiChainSearch(
             self._movement,
             n_candidates=self.n_candidates,
             max_phases=max_phases,
             stall_phases=self.stall_phases,
             accept_equal=self.accept_equal,
-            engine=engine,
         )
 
 
@@ -311,13 +306,12 @@ class AnnealingSolver(_LocalSearchSolver):
         self.moves_per_phase = moves_per_phase
         super().__init__(movement, init, **movement_params)
 
-    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+    def _chains(self, max_phases: int) -> MultiChainSearch:
         return MultiChainSearch.annealing(
             self._movement,
             schedule=self.schedule,
             max_phases=max_phases,
             moves_per_phase=self.moves_per_phase,
-            engine=engine,
         )
 
 
@@ -340,13 +334,12 @@ class TabuSolver(_LocalSearchSolver):
         self.max_phases = max_phases
         super().__init__(movement, init, **movement_params)
 
-    def _chains(self, max_phases: int, engine: str) -> MultiChainSearch:
+    def _chains(self, max_phases: int) -> MultiChainSearch:
         return MultiChainSearch.tabu(
             self._movement,
             tenure=self.tenure,
             n_candidates=self.n_candidates,
             max_phases=max_phases,
-            engine=engine,
         )
 
 
@@ -392,7 +385,6 @@ class MultiStartSolver(Solver):
         seed=0,
         budget=None,
         warm_start=None,
-        engine: str = "auto",
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
@@ -412,7 +404,6 @@ class MultiStartSolver(Solver):
             max_phases=budget if budget is not None else self.max_phases,
             stall_phases=self.stall_phases,
             accept_equal=self.accept_equal,
-            engine=engine,
         )
         results = search.run(
             problem, initials, rngs, fitness=fitness, deadline=deadline
@@ -492,7 +483,6 @@ class GeneticSolver(Solver):
         seed=0,
         budget=None,
         warm_start=None,
-        engine: str = "auto",
         fitness=None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
@@ -509,7 +499,7 @@ class GeneticSolver(Solver):
         warm = warm_start is not None
         if warm:
             initializer = WarmStartInitializer(initializer, warm_start)
-        evaluator = Evaluator(problem, fitness, engine=engine)
+        evaluator = Evaluator(problem, fitness)
         result = GeneticAlgorithm(config).run(
             evaluator, initializer, rng_run, deadline=deadline
         )

@@ -25,8 +25,13 @@ treat "an optimizer" as a value.
 * ``warm_start`` — a placement to start from instead of the adapter's
   own initialization.  Dynamic scenarios seed it from the previous
   step's best placement (see :mod:`repro.scenario`).
-* ``engine`` — the evaluation-engine choice (``auto``/``dense``/
-  ``sparse``), threaded into every engine the family uses.
+
+There is no engine knob: every tier is bit-identical, so a solver's
+evaluators take the tier ``resolve_engine(problem, "auto")`` picks
+(``REPRO_COMPILED=0`` keeps a whole run on the numpy tier).  A test or
+bench that pins a tier builds the engine itself
+(``Evaluator``/``StackedEngine``/``StackedDeltaEngine``/
+``MultiChainSearch`` take ``engine=``).
 
 The returned :class:`SolveResult` is uniform across families: the best
 evaluation, the family's trace and the evaluation count (the
@@ -152,7 +157,6 @@ class Solver(abc.ABC):
         seed: "int | tuple | np.random.SeedSequence" = 0,
         budget: "int | None" = None,
         warm_start: "Placement | None" = None,
-        engine: str = "auto",
         fitness: "FitnessFunction | None" = None,
         deadline: "Deadline | None" = None,
     ) -> SolveResult:
@@ -172,7 +176,6 @@ class Solver(abc.ABC):
         *,
         budget: "int | None" = None,
         warm_starts: "list[Placement | None] | None" = None,
-        engine: str = "auto",
         fitness: "FitnessFunction | None" = None,
         deadline: "Deadline | None" = None,
     ) -> list[SolveResult]:
@@ -180,10 +183,10 @@ class Solver(abc.ABC):
 
         The portfolio primitive behind the scenario fleet: seed ``i``
         runs with ``warm_starts[i]`` (the list defaults to all-``None``)
-        under the shared ``budget``/``engine``/
-        ``fitness``.  The base implementation is the literal serial loop
-        over :meth:`solve`.  The local-search families (``search``,
-        ``annealing``, ``tabu``) override it with one lockstep
+        under the shared ``budget`` and ``fitness``.  The base
+        implementation is the literal serial loop over :meth:`solve`.
+        The local-search families (``search``, ``annealing``, ``tabu``)
+        override it with one lockstep
         :class:`~repro.neighborhood.multichain.MultiChainSearch`
         portfolio whose per-seed results are **bit-identical** to this
         loop (asserted by ``tests/solvers/test_adapters.py``), so
@@ -202,7 +205,6 @@ class Solver(abc.ABC):
                 seed=seed,
                 budget=budget,
                 warm_start=warm_start,
-                engine=engine,
                 fitness=fitness,
                 deadline=deadline,
             )

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.core.clients import ClientSet
+from repro.core.engine import compiled, dispatch
 from repro.core.engine.stacked import PhaseCandidates, StackedEngine
 from repro.core.geometry import Point
 from repro.core.grid import GridArea
@@ -14,6 +17,32 @@ from repro.core.routers import RouterFleet
 from repro.core.solution import Placement
 from repro.instances.catalog import tiny_spec
 from repro.neighborhood.moves import MoveBatch
+
+
+needs_compiled = pytest.mark.skipif(
+    not compiled.is_available(),
+    reason="compiled kernels not available (no C toolchain?)",
+)
+
+#: The tiers a whole run can take: the compiled kernels (skipped without
+#: a toolchain) and the two numpy layouts of ``REPRO_COMPILED=0`` —
+#: dense, which every test-sized instance gets, and sparse, which only
+#: city-scale instances get and :func:`run_tier` reaches by lowering
+#: :func:`~repro.core.engine.dispatch.select_engine`'s thresholds.
+#: Solvers, scenario drivers and harnesses have no engine option; a test
+#: of one of them runs on every tier this way.
+RUN_TIERS = [pytest.param("compiled", marks=needs_compiled), "dense", "sparse"]
+
+
+@contextmanager
+def run_tier(tier: str):
+    """Run the block on ``tier`` (a :data:`RUN_TIERS` id) under ``auto``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_COMPILED", "1" if tier == "compiled" else "0")
+        if tier == "sparse":
+            patch.setattr(dispatch, "DENSE_CELL_BUDGET", -1)
+            patch.setattr(dispatch, "_RING_AREA_FRACTION", float("inf"))
+        yield
 
 
 @pytest.fixture

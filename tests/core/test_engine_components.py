@@ -1,7 +1,7 @@
 """Tests for the engine's vectorized component labeling.
 
-Label propagation (single and batched) is cross-validated against the
-union-find reference: same canonical (smallest-member) labels, exactly.
+Label propagation is cross-validated against the union-find reference:
+same canonical (smallest-member) labels, exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +16,9 @@ from repro.core.connectivity import (
     canonical_labels,
     connected_components,
     connected_components_from_arrays,
+    structure_from_canonical_labels,
 )
-from repro.core.engine.components import (
-    batch_labels_from_adjacency,
-    labels_from_adjacency,
-    labels_from_edges,
-    structure_from_labels,
-)
+from repro.core.engine.components import labels_from_edges
 
 
 def random_edges(n: int, n_edges: int, seed: int) -> np.ndarray:
@@ -55,9 +51,19 @@ class TestLabelsFromEdges:
         with pytest.raises(ValueError):
             labels_from_edges(3, np.array([0]), np.array([3]))
 
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(ValueError):
+            labels_from_edges(3, np.array([-1]), np.array([0]))
+
     def test_negative_node_count_rejected(self):
         with pytest.raises(ValueError):
             labels_from_edges(-1, np.array([]), np.array([]))
+
+    def test_self_loops_and_duplicates_change_nothing(self):
+        labels = labels_from_edges(
+            5, np.array([3, 0, 2, 2]), np.array([3, 2, 0, 0])
+        )
+        assert labels.tolist() == [0, 1, 0, 3, 4]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 40), st.integers(0, 120), st.integers(0, 10_000))
@@ -74,48 +80,13 @@ class TestLabelsFromEdges:
     def test_structure_matches_reference(self, n, n_edges, seed):
         edges = random_edges(n, n_edges, seed)
         reference = connected_components_from_arrays(n, edges[:, 0], edges[:, 1])
-        ours = structure_from_labels(
+        ours = structure_from_canonical_labels(
             labels_from_edges(n, edges[:, 0], edges[:, 1])
         )
         assert ours.sizes == reference.sizes
         assert ours.giant_size == reference.giant_size
         assert ours.giant_label() == reference.giant_label()
         assert np.array_equal(ours.giant_mask(), reference.giant_mask())
-
-
-class TestAdjacencyLabeling:
-    def test_single_matrix(self):
-        adjacency = np.zeros((4, 4), dtype=bool)
-        adjacency[0, 2] = adjacency[2, 0] = True
-        labels = labels_from_adjacency(adjacency)
-        assert labels.tolist() == [0, 1, 0, 3]
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            labels_from_adjacency(np.zeros((2, 3), dtype=bool))
-
-    def test_batch_empty_stack(self):
-        labels = batch_labels_from_adjacency(np.zeros((0, 4, 4), dtype=bool))
-        assert labels.shape == (0, 4)
-
-    def test_rejects_non_stack(self):
-        with pytest.raises(ValueError):
-            batch_labels_from_adjacency(np.zeros((4, 4), dtype=bool))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 16), st.integers(0, 10_000))
-    def test_batch_matches_per_candidate(self, k, n, seed):
-        rng = np.random.default_rng(seed)
-        stack = rng.uniform(size=(k, n, n)) < 0.2
-        stack = stack | stack.transpose(0, 2, 1)
-        diagonal = np.arange(n)
-        stack[:, diagonal, diagonal] = False
-        batched = batch_labels_from_adjacency(stack)
-        assert batched.shape == (k, n)
-        for index in range(k):
-            assert np.array_equal(
-                batched[index], labels_from_adjacency(stack[index])
-            )
 
 
 class TestCanonicalLabels:

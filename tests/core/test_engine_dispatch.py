@@ -22,6 +22,8 @@ from repro.core.problem import ProblemInstance
 from repro.core.radio import LinkRule, RadioProfile
 from repro.instances.catalog import tiny_spec
 
+from tests.conftest import RUN_TIERS, run_tier
+
 
 def make_problem(width, height, n_routers, n_clients, radius):
     rng = np.random.default_rng(0)
@@ -118,3 +120,13 @@ class TestResolveEngine:
             + ", ".join(repr(tier) for tier in ENGINE_TIERS)
             + ", got 'warp'"
         )
+
+
+@pytest.mark.parametrize("tier", RUN_TIERS)
+def test_run_tier_resolves_auto_to_its_tier(tier):
+    """The tests of solvers and harnesses (which have no engine option)
+    reach each tier through ``run_tier``; it must land where it says."""
+    problem = tiny_spec(seed=1).generate()
+    with run_tier(tier):
+        assert resolve_engine(problem, "auto") == tier
+    assert select_engine(problem) == "dense"

@@ -22,7 +22,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.engine import StackedDeltaEngine, StackedEngine, compiled
+from repro.core.engine import StackedDeltaEngine, StackedEngine
 from repro.core.evaluation import Evaluator
 from repro.core.problem import ProblemInstance
 from repro.core.solution import Placement
@@ -31,10 +31,7 @@ from repro.neighborhood.movements import SwapMovement
 from repro.neighborhood.multichain import MultiChainSearch
 from repro.solvers import make_solver
 
-needs_compiled = pytest.mark.skipif(
-    not compiled.is_available(),
-    reason="compiled kernels not available (no C toolchain?)",
-)
+from tests.conftest import RUN_TIERS, needs_compiled, run_tier
 
 ENGINE_TIERS = [
     "dense",
@@ -148,14 +145,16 @@ class TestSearchGate:
     """The lockstep searches build their own engine, never an
     ``Evaluator``, so the gate must sit in the engine they build."""
 
-    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    @pytest.mark.parametrize("tier", RUN_TIERS)
     @pytest.mark.parametrize(
         "spec", ["search:swap", "multistart:swap", "annealing:swap", "tabu:swap"]
     )
-    def test_nan_radius_rejected_by_solver(self, tiny_problem, spec, engine):
+    def test_nan_radius_rejected_by_solver(self, tiny_problem, spec, tier):
         problem = with_nan_radius(tiny_problem)
-        with pytest.raises(ValueError, match="radii must be finite"):
-            make_solver(spec).solve(problem, seed=1, budget=2, engine=engine)
+        with run_tier(tier), pytest.raises(
+            ValueError, match="radii must be finite"
+        ):
+            make_solver(spec).solve(problem, seed=1, budget=2)
 
     @pytest.mark.parametrize("engine", ENGINE_TIERS)
     @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ from repro.neighborhood.trace import SearchResult, SearchTrace
 from repro.solvers.adapters import AnnealingSolver, TabuSolver
 from repro.solvers.base import solver_streams
 
-from tests.conftest import propose_row, ref_apply_row
+from tests.conftest import RUN_TIERS, propose_row, ref_apply_row, run_tier
 
 TIERS = [
     "dense",
@@ -350,7 +350,7 @@ def assert_same_outcome(result, reference):
 
 
 @pytest.mark.parametrize("family", ["annealing", "tabu"])
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", RUN_TIERS)
 @settings(
     max_examples=25,
     deadline=None,
@@ -390,12 +390,8 @@ def test_solve_batch_matches_frozen_reference_per_seed(
             n_candidates=config["per_phase"],
             max_phases=config["max_phases"],
         )
-    results = solver.solve_batch(
-        problem,
-        seeds,
-        warm_starts=warm_starts,
-        engine=tier,
-    )
+    with run_tier(tier):
+        results = solver.solve_batch(problem, seeds, warm_starts=warm_starts)
     assert len(results) == n_seeds
     for seed, warm_start, result in zip(seeds, warm_starts, results):
         start = warm_start

@@ -156,7 +156,7 @@ class TestLostBroadcastFallback:
     ):
         spec = tiny_spec(seed=8)
         ref = broadcast_all.broadcast(spec.generate())
-        task = (ref, RandomMovement, 4, 3, None, "auto", [(1, 2), (1, 3)])
+        task = (ref, RandomMovement, 4, 3, None, [(1, 2), (1, 3)])
         broadcast_all.release_broadcast(ref)
         swapped = broadcast_all.task_fallback(0, task, "error", LOST)
         assert not isinstance(swapped[0], ProblemRef)

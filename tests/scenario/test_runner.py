@@ -5,8 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine.dispatch import resolve_engine
+from repro.resilience.checkpoint import (
+    scenario_result_to_dict,
+    stable_scenario_dict,
+)
+from repro.resilience.faults import FAULT_ENV
+from repro.resilience.supervisor import RetryPolicy, SupervisionReport
 from repro.scenario import Scenario, ScenarioRunner
 from repro.solvers import make_solver
+
+from tests.conftest import needs_compiled
 
 
 class TestRun:
@@ -206,3 +215,45 @@ class TestResult:
             {"step", "event", "fitness", "evaluations", "warm"} <= set(row)
             for row in rows
         )
+
+
+class TestSupervision:
+    @needs_compiled
+    def test_crashing_compiled_step_degrades_to_numpy(
+        self, tiny_problem, monkeypatch
+    ):
+        # The serial retry loop with a real solve: a step that crashes
+        # on the compiled tier is retried under REPRO_COMPILED=0 and
+        # gives the fault-free result.
+        monkeypatch.delenv("REPRO_COMPILED", raising=False)
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        scenario = Scenario.client_drift(tiny_problem, 2)
+        solver = make_solver("search:swap", n_candidates=4)
+
+        def run(report=None):
+            runner = ScenarioRunner(
+                solver, budget=2, policy=RetryPolicy(backoff=0.0)
+            )
+            return runner.run(scenario, seed=4, report=report)
+
+        clean = run()
+        # The tier each step's solve ran on (the injected crash fires
+        # before the solve, so only the successful attempt records).
+        tiers = []
+        solve_batch = solver.solve_batch
+
+        def recorded(problem, *args, **kwargs):
+            tiers.append(resolve_engine(problem, "auto"))
+            return solve_batch(problem, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_batch", recorded)
+        monkeypatch.setenv(FAULT_ENV, "crash-compiled@0")
+        report = SupervisionReport()
+        with pytest.warns(RuntimeWarning, match="REPRO_COMPILED=0"):
+            injected = run(report)
+
+        assert tiers == ["dense", "compiled", "compiled"]
+        assert report.degraded == {0}
+        assert stable_scenario_dict(
+            scenario_result_to_dict(injected)
+        ) == stable_scenario_dict(scenario_result_to_dict(clean))

@@ -9,6 +9,8 @@ from repro.core.grid import GridArea
 from repro.core.solution import Placement
 from repro.solvers import make_solver
 
+from tests.conftest import needs_compiled, run_tier
+
 ALL_FAMILY_SPECS = (
     "adhoc:hotspot",
     "search:swap",
@@ -62,14 +64,20 @@ class TestSolveContract:
         )
         assert result.n_phases == 4
 
-    @pytest.mark.parametrize("engine", ["dense", "sparse"])
-    def test_forced_engine_matches_auto(self, tiny_problem, engine):
-        solver = make_solver("search:swap", n_candidates=4)
-        auto = solver.solve(tiny_problem, seed=3, budget=3, engine="auto")
-        forced = solver.solve(tiny_problem, seed=3, budget=3, engine=engine)
-        assert forced.best.fitness == auto.best.fitness
-        assert forced.best.placement.cells == auto.best.placement.cells
-        assert forced.n_evaluations == auto.n_evaluations
+    @needs_compiled
+    @pytest.mark.parametrize("tier", ["dense", "sparse"])
+    @pytest.mark.parametrize("spec", ALL_FAMILY_SPECS)
+    def test_numpy_tier_matches_compiled(self, tiny_problem, spec, tier):
+        kwargs = {"population_size": 6} if spec.startswith("ga") else {}
+        solver = make_solver(spec, **kwargs)
+        runs = []
+        for run in ("compiled", tier):
+            with run_tier(run):
+                runs.append(solver.solve(tiny_problem, seed=3, budget=3))
+        fast, numpy_run = runs
+        assert numpy_run.best.fitness == fast.best.fitness
+        assert numpy_run.best.placement.cells == fast.best.placement.cells
+        assert numpy_run.n_evaluations == fast.n_evaluations
 
 
 class TestWarmStartValidation:

@@ -18,6 +18,8 @@ import pytest
 
 from repro.solvers import make_solver
 
+from tests.conftest import RUN_TIERS, run_tier
+
 #: The three warm-startable search families of the satellite requirement
 #: (best-neighbor search, simulated annealing, tabu search), across
 #: movements, plus the GA through its warm-injection initializer.
@@ -66,17 +68,18 @@ def test_warm_equals_cold_on_unchanged_problem(tiny_problem, spec, seed):
         )
 
 
+@pytest.mark.parametrize("tier", RUN_TIERS)
 @pytest.mark.parametrize("spec", ["search:swap", "annealing:swap", "tabu:swap"])
-def test_parity_on_sparse_engine(tiny_problem, spec):
+def test_parity_on_each_tier(tiny_problem, spec, tier):
     solver = _small(spec)
-    cold = solver.solve(tiny_problem, seed=5, budget=4, engine="sparse")
-    warm = solver.solve(
-        tiny_problem,
-        seed=5,
-        budget=4,
-        engine="sparse",
-        warm_start=solver.initial_placement(tiny_problem, 5),
-    )
+    with run_tier(tier):
+        cold = solver.solve(tiny_problem, seed=5, budget=4)
+        warm = solver.solve(
+            tiny_problem,
+            seed=5,
+            budget=4,
+            warm_start=solver.initial_placement(tiny_problem, 5),
+        )
     assert warm.best.fitness == cold.best.fitness
     assert warm.best.placement.cells == cold.best.placement.cells
     assert warm.n_evaluations == cold.n_evaluations

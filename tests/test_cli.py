@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+
+from tests.conftest import needs_compiled, run_tier
 
 
 @pytest.fixture
@@ -69,19 +72,12 @@ class TestParser:
             assert args.command == command
 
     @pytest.mark.parametrize("command", sorted(EVALUATING_COMMANDS))
-    @pytest.mark.parametrize("engine", ["auto", "dense", "sparse"])
-    def test_engine_option_uniform(self, command, engine):
-        """Every evaluating subcommand accepts --engine {auto,dense,sparse}."""
-        args = build_parser().parse_args(
-            [command, *EVALUATING_COMMANDS[command], "--engine", engine]
-        )
-        assert args.engine == engine
-
-    @pytest.mark.parametrize("command", sorted(EVALUATING_COMMANDS))
-    def test_engine_rejects_unknown(self, command):
+    def test_no_engine_option(self, command):
+        """The tier is worked out from the instance and the kernel build
+        (``REPRO_COMPILED=0`` is the one switch), never passed."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                [command, *EVALUATING_COMMANDS[command], "--engine", "quantum"]
+                [command, *EVALUATING_COMMANDS[command], "--engine", "auto"]
             )
 
 
@@ -268,17 +264,6 @@ class TestSolve:
         assert code == 2
         assert "unknown solver family" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("engine", ["dense", "sparse"])
-    def test_engine_forced(self, instance_path, capsys, engine):
-        code = main(
-            [
-                "solve", str(instance_path), "--solver", "search:swap",
-                "--budget", "2", "--engine", engine,
-            ]
-        )
-        assert code == 0
-        assert "giant=" in capsys.readouterr().out
-
     def test_warm_from_placement(self, instance_path, tmp_path, capsys):
         best = tmp_path / "best.json"
         assert main(
@@ -418,34 +403,72 @@ class TestScenarioFleet:
         assert code == 2
 
 
-class TestEngineEndToEnd:
-    def test_place_engine_sparse(self, instance_path, capsys):
-        code = main(["place", str(instance_path), "--engine", "sparse"])
-        assert code == 0
-        assert "giant=" in capsys.readouterr().out
+#: A quick run of every evaluating subcommand but ``reproduce`` (whose
+#: quickest scale takes seconds per tier; CI compares its tiers);
+#: ``{instance}`` is the ``instance_path`` fixture.
+QUICK_RUNS = {
+    "solve": ["{instance}", "--solver", "search:swap", "--budget", "2"],
+    "place": ["{instance}", "--seed", "1"],
+    "search": ["{instance}", "--phases", "3", "--candidates", "4"],
+    "ga": [
+        "{instance}", "--init", "hotspot", "--population", "6",
+        "--generations", "3",
+    ],
+    "scenario": ["{instance}", "--steps", "2", "--budget", "2"],
+    "scenario-fleet": [
+        "{instance}", "--kinds", "drift", "--steps", "2",
+        "--solvers", "search:swap,tabu:swap", "--seeds", "2",
+        "--budget", "2", "--candidates", "4",
+    ],
+    "replicate": [
+        "{instance}", "--seeds", "2", "--phases", "2", "--candidates", "2",
+    ],
+    "sweep": ["--values", "8,16", "--seed", "1"],
+}
 
-    def test_search_engines_agree(self, instance_path, capsys):
+SECONDS = re.compile(r"\b\d+\.\d+s\b")
+
+
+class TestTiersEndToEnd:
+    def test_quick_runs_cover_every_evaluating_command(self):
+        assert set(QUICK_RUNS) == set(EVALUATING_COMMANDS) - {"reproduce"}
+
+    @pytest.mark.parametrize(
+        "tier", ["sparse", pytest.param("compiled", marks=needs_compiled)]
+    )
+    @pytest.mark.parametrize("command", sorted(QUICK_RUNS))
+    def test_each_tier_prints_the_dense_run(
+        self, instance_path, capsys, command, tier
+    ):
+        """No subcommand takes an engine option: whichever tier ``auto``
+        lands on, the output is byte-identical."""
+        argv = [command] + [
+            arg.format(instance=instance_path) for arg in QUICK_RUNS[command]
+        ]
         outputs = []
-        for engine in ("dense", "sparse"):
-            code = main(
-                [
-                    "search", str(instance_path), "--phases", "3",
-                    "--candidates", "4", "--engine", engine,
-                ]
-            )
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        for run in ("dense", tier):
+            with run_tier(run):
+                assert main(argv) == 0
+            # Wall-clock seconds are the one field two runs may differ in.
+            outputs.append(SECONDS.sub("_s", capsys.readouterr().out))
+        assert outputs[0]
+        assert outputs[1] == outputs[0]
 
-    def test_replicate_engine_flag(self, instance_path, capsys):
-        code = main(
-            [
-                "replicate", str(instance_path), "--seeds", "2",
-                "--phases", "2", "--candidates", "2", "--engine", "dense",
-            ]
-        )
-        assert code == 0
-        assert "stand-alone ad hoc methods" in capsys.readouterr().out
+    def test_replicate_resume_prints_the_plain_run(
+        self, instance_path, tmp_path, capsys
+    ):
+        command = [
+            "replicate", str(instance_path), "--seeds", "2",
+            "--phases", "2", "--candidates", "2",
+        ]
+        checkpoint = str(tmp_path / "ck")
+        outputs = []
+        for extra in ([], ["--checkpoint", checkpoint], ["--resume", checkpoint]):
+            assert main(command + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "stand-alone ad hoc methods" in outputs[0]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestGa:
